@@ -60,6 +60,17 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _bound_arg(text: str) -> int:
+    """A bound or a count: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+    return value
+
+
 def _partition_arg(text: str) -> Partition:
     try:
         return Partition.from_string(text)
@@ -240,6 +251,8 @@ def _read_config(path: str) -> dict:
             text = text.strip()
             if key in _CONFIG_INT_KEYS:
                 values[key] = int(text)
+                if key != "seed" and values[key] < 0:
+                    raise ValueError(f"{path}:{lineno}: {key} must be nonnegative")
             elif key in _CONFIG_SET_KEYS:
                 values[key] = _fraction_list(text)
             elif key == "mode":
@@ -303,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_nbi.set_defaults(func=_cmd_coeff_nbi)
     c_table = coeff_sub.add_parser("table", help="tabulate a coefficient family")
     c_table.add_argument("--family", choices=("nbi", "pbi", "npbi"), required=True)
-    c_table.add_argument("--max", type=int, required=True)
+    c_table.add_argument("--max", type=_bound_arg, required=True)
     c_table.add_argument("--format", choices=("csv", "json"), default="csv")
     c_table.set_defaults(func=_cmd_coeff_table)
 
@@ -312,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     m_dk = moments_sub.add_parser("dk", help="content power sums of a shape")
     m_dk.add_argument("--lambda", dest="shape", type=_partition_arg, required=True)
     m_dk.add_argument("--alpha", type=_fraction_arg, required=True)
-    m_dk.add_argument("--k-max", dest="k_max", type=int, default=6)
+    m_dk.add_argument("--k-max", dest="k_max", type=_bound_arg, default=6)
     m_dk.add_argument("--format", choices=("csv", "json"), default="csv")
     m_dk.set_defaults(func=_cmd_moments_dk)
     for name, methods in (("s", _S_METHODS), ("sigma", _SIGMA_METHODS)):
         m_pow = moments_sub.add_parser(name, help=f"{name}-moment listing")
         m_pow.add_argument("--lambda", dest="shape", type=_partition_arg, required=True)
         m_pow.add_argument("--alpha", type=_fraction_arg, required=True)
-        m_pow.add_argument("--r-max", dest="r_max", type=int, default=9 if name == "s" else 8)
+        m_pow.add_argument("--r-max", dest="r_max", type=_bound_arg, default=9 if name == "s" else 8)
         m_pow.add_argument("--method", choices=("direct", "closed", "lagrange", "all"), default="direct")
         m_pow.add_argument("--format", choices=("csv", "json"), default="csv")
         m_pow.set_defaults(func=lambda args, _m=methods: _cmd_moments_power(args, _m))
@@ -339,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     g_sample.add_argument("--seed", type=int, required=True)
     g_sample.add_argument("--start", type=_partition_arg, default=Partition(()))
     g_sample.add_argument("--emit", choices=("moments", "occupancy", "paths"), default="moments")
-    g_sample.add_argument("--r-max", dest="r_max", type=int, default=4)
+    g_sample.add_argument("--r-max", dest="r_max", type=_bound_arg, default=4)
     g_sample.add_argument("--dump-cap", dest="dump_cap", type=int, default=10_000)
     g_sample.set_defaults(func=_cmd_growth_sample)
 
     experiment = sub.add_parser("experiment", help="exploratory comparisons")
     experiment_sub = experiment.add_subparsers(dest="subcommand", required=True)
     e_chi = experiment_sub.add_parser("chi", help="fitted vs conjectured expansion coefficients")
-    e_chi.add_argument("--n-max", dest="n_max", type=int, default=6)
-    e_chi.add_argument("--p-max", dest="p_max", type=int, default=3)
+    e_chi.add_argument("--n-max", dest="n_max", type=_bound_arg, default=6)
+    e_chi.add_argument("--p-max", dest="p_max", type=_bound_arg, default=3)
     e_chi.add_argument("--format", choices=("json",), default="json")
     e_chi.set_defaults(func=_cmd_experiment_chi)
 
@@ -355,18 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--identity", choices=identity_ids(), metavar="ID")
     group.add_argument("--all", action="store_true")
-    verify.add_argument("--n-max", dest="n_max", type=int)
-    verify.add_argument("--order", type=int)
-    verify.add_argument("--lambda-max", dest="lambda_max", type=int)
-    verify.add_argument("--r-max", dest="r_max", type=int)
-    verify.add_argument("--k-max", dest="k_max", type=int)
-    verify.add_argument("--p-max", dest="p_max", type=int)
-    verify.add_argument("--mu-max", dest="mu_max", type=int)
+    verify.add_argument("--n-max", dest="n_max", type=_bound_arg)
+    verify.add_argument("--order", type=_bound_arg)
+    verify.add_argument("--lambda-max", dest="lambda_max", type=_bound_arg)
+    verify.add_argument("--r-max", dest="r_max", type=_bound_arg)
+    verify.add_argument("--k-max", dest="k_max", type=_bound_arg)
+    verify.add_argument("--p-max", dest="p_max", type=_bound_arg)
+    verify.add_argument("--mu-max", dest="mu_max", type=_bound_arg)
     verify.add_argument("--alpha-set", dest="alpha_set", type=_fraction_list)
     verify.add_argument("--y-set", dest="y_set", type=_fraction_list)
     verify.add_argument("--mode", choices=("symbolic", "random"))
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--trials", type=int)
+    verify.add_argument("--trials", type=_bound_arg)
     verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.add_argument("--config")
     verify.set_defaults(func=_cmd_verify)

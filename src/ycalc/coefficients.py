@@ -27,6 +27,7 @@ from .series import (
     binomial,
     comb_int,
     gauss_2f1_truncated,
+    linear_ratio_series,
 )
 
 
@@ -165,12 +166,13 @@ def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
     """
     if not 0 <= p <= n:
         raise ValueError("p out of range")
-    hyp = gauss_2f1_truncated(p + 1, n - p + 1, 2, order, var="z")
-    x = TruncatedSeries.variable("x", ("x",), order)
-    one = TruncatedSeries.constant(Fraction(1), ("x",), order)
-    z_of_x = x * (one + x).inverse()
-    series = hyp.compose(z_of_x) * z_of_x * n
-    return {k: series.coefficient((k,)) for k in range(order + 1)}
+    hyp = gauss_2f1_truncated(p + 1, n - p + 1, 2, order)
+    z_of_x = (UniPoly.x() * linear_ratio_series((), (1,), order)).truncate(order)
+    composed = UniPoly()
+    for c in reversed(hyp.coeffs):
+        composed = (composed * z_of_x).truncate(order) + c
+    series = (composed * z_of_x).truncate(order) * n
+    return {k: series.coefficient(k) for k in range(order + 1)}
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .coefficients import comb_int, npbi, stirling_first
 from .partitions import Partition, check_alpha, content_alphabet, enumerate_partitions, z_of
-from .series import TruncatedSeries, geometric_factor, lowering_factorial, raising_factorial
+from .series import UniPoly, linear_ratio_series, lowering_factorial, raising_factorial
 from .shifted import d_mu, f_npk
 
 _pieri_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
@@ -183,16 +183,10 @@ def s_r_closed(la: Partition, alpha: Fraction, r: int) -> Fraction:
 
 def h_series_of_difference(
     a: Sequence[Fraction], b: Sequence[Fraction], order: int
-) -> TruncatedSeries:
+) -> UniPoly:
     """Generating series of complete homogeneous values of the formal
     difference alphabet: prod_b (1 - z b) / prod_a (1 - z a)."""
-    tvar = ("z",)
-    acc = TruncatedSeries.constant(Fraction(1), tvar, order)
-    for v in b:
-        acc = acc * geometric_factor(-Fraction(v), tvar, "z", order, invert=False)
-    for v in a:
-        acc = acc * geometric_factor(-Fraction(v), tvar, "z", order, invert=True)
-    return acc
+    return linear_ratio_series([-Fraction(v) for v in b], [-Fraction(v) for v in a], order)
 
 
 def s_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -209,7 +203,7 @@ def s_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
     if r < 0:
         raise ValueError("r must be nonnegative")
     a, b = s_lagrange_alphabets(la, alpha)
-    h = h_series_of_difference(a, b, r).coefficient((r,))
+    h = h_series_of_difference(a, b, r).coefficient(r)
     return h / alpha**r
 
 
@@ -249,7 +243,7 @@ def sigma_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
     if r < 0:
         raise ValueError("r must be nonnegative")
     a, b = sigma_lagrange_alphabets(la, alpha)
-    h = h_series_of_difference(a, b, r + 2).coefficient((r + 2,))
+    h = h_series_of_difference(a, b, r + 2).coefficient(r + 2)
     return -h / alpha ** (r + 1)
 
 
@@ -370,28 +364,24 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
 
 def content_ratio_series(
     la: Partition, alpha: Fraction, y: Fraction, order: int
-) -> TruncatedSeries:
+) -> UniPoly:
     """Large-x expansion, in t = 1/x, of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la)."""
     alpha = check_alpha(alpha)
     y = Fraction(y)
-    tvar = ("t",)
-    acc = TruncatedSeries.constant(Fraction(1), tvar, order)
-    for c in content_alphabet(la, alpha):
-        acc = acc * geometric_factor(y + 1 + c, tvar, "t", order, invert=False)
-        acc = acc * geometric_factor(c, tvar, "t", order, invert=False)
-        acc = acc * geometric_factor(y + c, tvar, "t", order, invert=True)
-        acc = acc * geometric_factor(1 + c, tvar, "t", order, invert=True)
-    return acc
+    cs = content_alphabet(la, alpha)
+    num = [v for c in cs for v in (y + 1 + c, c)]
+    den = [v for c in cs for v in (y + c, 1 + c)]
+    return linear_ratio_series(num, den, order)
 
 
-def s_moment_series(la: Partition, alpha: Fraction, order: int) -> TruncatedSeries:
+def s_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:
     """Alternating row-moment series sum_r s_r (-t)^r, as the content
     ratio at y = -1/alpha."""
     alpha = check_alpha(alpha)
     return content_ratio_series(la, alpha, Fraction(-1) / alpha, order)
 
 
-def sigma_moment_series(la: Partition, alpha: Fraction, order: int) -> TruncatedSeries:
+def sigma_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:
     """Alternating corner-moment series sum_r sigma_r (-t)^r.
 
     Built from the content ratio G at y = 1/alpha: the t^0 and t^1 terms
@@ -399,31 +389,26 @@ def sigma_moment_series(la: Partition, alpha: Fraction, order: int) -> Truncated
     """
     alpha = check_alpha(alpha)
     g = content_ratio_series(la, alpha, Fraction(1) / alpha, order + 2)
-    gm1 = g - g.one()
-    assert gm1.coefficient((0,)) == 0 and gm1.coefficient((1,)) == 0
-    shifted = gm1.div_power(2)
-    tvar = shifted.variables
-    lin = TruncatedSeries(tvar, shifted.order, {(0,): alpha, (1,): Fraction(1)})
-    return (lin * shifted).scale(Fraction(-1)).truncated(order)
+    assert g.coefficient(0) == 1 and g.coefficient(1) == 0
+    shifted = UniPoly(g.coeffs[2:])
+    return -(UniPoly((alpha, 1)) * shifted).truncate(order)
 
 
-def stirling_inverse_lemma_sides(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+def stirling_inverse_lemma_sides(k: int, order: int) -> tuple[UniPoly, UniPoly]:
     """Series in t = 1/x for x^{-k} vs the signed-Stirling sum over
     1/[x]_n, n = k..order."""
     if k < 1:
         raise ValueError("k must be positive")
-    tvar = ("t",)
-    lhs = TruncatedSeries(tvar, order, {(k,): Fraction(1)} if k <= order else {})
-    rhs = TruncatedSeries(tvar, order)
+    lhs = UniPoly([0] * k + [1]).truncate(order)
+    rhs = [Fraction(0)] * (order + 1)
     for n in range(k, order + 1):
         st = stirling_first(n - 1, k - 1)
         if not st:
             continue
-        inv = TruncatedSeries.constant(Fraction(st), tvar, order)
-        for j in range(1, n):
-            inv = inv * geometric_factor(Fraction(-j), tvar, "t", order, invert=True)
-        rhs = rhs + inv.times_monomial((n,))
-    return lhs, rhs
+        inv = linear_ratio_series((), range(-1, -n, -1), order - n)
+        for i, c in enumerate(inv.coeffs):
+            rhs[n + i] += st * c
+    return lhs, UniPoly(rhs)
 
 
 def lagrange_interpolation_sum(a: Sequence[Fraction], b: Sequence[Fraction], r: int) -> Fraction:

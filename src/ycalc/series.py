@@ -4,9 +4,12 @@ Everything in this package computes over ``fractions.Fraction``; floating
 point appears only in the Monte Carlo summary statistics of the growth
 sampler.  Three representations cover every need here:
 
-* :class:`UniPoly`, a dense univariate polynomial,
+* :class:`UniPoly`, a dense univariate polynomial, which is also the
+  truncated one-variable power series (cut with :meth:`UniPoly.truncate`;
+  :func:`linear_ratio_series` builds ratios of linear factors),
 * :class:`TruncatedSeries`, a multivariate power series cut at a bound on
-  the total degree across its declared variables,
+  the total degree across its declared variables, also used for series
+  whose coefficients are XPolynomials,
 * :class:`XPolynomial`, a polynomial in the graded symbol family
   ``X0, X1, X2, ...`` whose monomials are an ``X0`` power times a product
   of higher symbols indexed by a partition.
@@ -112,6 +115,12 @@ class UniPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
+
+    def truncate(self, order: int) -> "UniPoly":
+        """The series cut after the t^order term."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return UniPoly(self.coeffs[: order + 1])
 
     def __add__(self, other):
         if isinstance(other, UniPoly):
@@ -475,92 +484,6 @@ class TruncatedSeries:
             acc = acc * self
         return acc
 
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs.get((0,) * len(self.variables))
-        c0 = _as_scalar(c0)
-        if c0 is None or c0 == 0:
-            raise ValueError("non-unit series")
-        g = self.one() - self.scale(Fraction(1) / c0)
-        acc = self.one()
-        pw = self.one()
-        for _ in range(self.order):
-            pw = pw * g
-            if not pw.coeffs:
-                break
-            acc = acc + pw
-        return acc.scale(Fraction(1) / c0)
-
-    def exp(self) -> "TruncatedSeries":
-        """Exponential; requires zero constant term."""
-        if not _is_zero(self.coeffs.get((0,) * len(self.variables), Fraction(0))):
-            raise ValueError("exp needs a zero constant term")
-        acc = self.one()
-        pw = self.one()
-        for j in range(1, self.order + 1):
-            pw = pw * self
-            if not pw.coeffs:
-                break
-            acc = acc + pw.scale(Fraction(1, math.factorial(j)))
-        return acc
-
-    def log(self) -> "TruncatedSeries":
-        """Logarithm; requires constant term 1."""
-        c0 = _as_scalar(self.coeffs.get((0,) * len(self.variables)))
-        if c0 != 1:
-            raise ValueError("non-unit series")
-        u = self - 1
-        acc = self.zero()
-        pw = self.one()
-        for j in range(1, self.order + 1):
-            pw = pw * u
-            if not pw.coeffs:
-                break
-            acc = acc + pw.scale(Fraction((-1) ** (j + 1), j))
-        return acc
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute a zero-constant series for the single variable of self."""
-        if len(self.variables) != 1:
-            raise ValueError("compose needs a univariate outer series")
-        if not _is_zero(inner.coeffs.get((0,) * len(inner.variables), Fraction(0))):
-            raise ValueError("inner series must have zero constant term")
-        acc = TruncatedSeries(inner.variables, inner.order)
-        for i in range(self.order, -1, -1):
-            acc = acc * inner + _as_scalar_or(self.coefficient((i,)))
-        return acc
-
-    def times_monomial(self, delta: Sequence[int]) -> "TruncatedSeries":
-        """Multiply by a bare monomial, shifting every exponent key."""
-        delta = tuple(delta)
-        if len(delta) != len(self.variables):
-            raise ValueError("exponent key arity mismatch")
-        out = {}
-        for key, c in self.coeffs.items():
-            nk = tuple(a + b for a, b in zip(key, delta))
-            if sum(nk) <= self.order:
-                out[nk] = c
-        return self._raw(out)
-
-    def div_power(self, m: int) -> "TruncatedSeries":
-        """Divide a univariate series by its variable to the m-th power.
-
-        Every coefficient below degree m must vanish.  The order is kept,
-        so the top m coefficients of the result are unknown and dropped
-        from comparisons at the caller's chosen order.
-        """
-        if len(self.variables) != 1:
-            raise ValueError("div_power needs a univariate series")
-        out = {}
-        for (e,), c in self.coeffs.items():
-            if e < m:
-                raise ValueError("series not divisible by the requested power")
-            out[(e - m,)] = c
-        return self._raw(out)
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.variables, order, self.coeffs)
-
     def _raw(self, coeffs: dict) -> "TruncatedSeries":
         res = TruncatedSeries.__new__(TruncatedSeries)
         res.variables = self.variables
@@ -609,26 +532,7 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
-def _as_scalar(c):
-    """Fraction value of a constant coefficient, else None."""
-    if c is None:
-        return Fraction(0)
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    if isinstance(c, XPolynomial):
-        if not c.terms:
-            return Fraction(0)
-        if set(c.terms) == {(0, ())}:
-            return c.terms[(0, ())]
-        return None
-    return None
-
-
-def _as_scalar_or(c):
-    return c if isinstance(c, XPolynomial) else Fraction(c)
-
-
-def gauss_2f1_truncated(a: int, b: int, c: int, order: int, var: str = "z") -> TruncatedSeries:
+def gauss_2f1_truncated(a: int, b: int, c: int, order: int) -> UniPoly:
     """Truncated Gauss hypergeometric series 2F1(a, b; c; z).
 
     Coefficient of z^i is (a)_i (b)_i / ((c)_i i!).  Requires c >= 1 so no
@@ -636,24 +540,31 @@ def gauss_2f1_truncated(a: int, b: int, c: int, order: int, var: str = "z") -> T
     """
     if c < 1:
         raise ValueError("c must be a positive integer")
-    coeffs = {}
+    coeffs = []
     term = Fraction(1)
     for i in range(order + 1):
-        coeffs[(i,)] = term
+        coeffs.append(term)
         term = term * Fraction((a + i) * (b + i), (c + i) * (i + 1))
-    return TruncatedSeries((var,), order, coeffs)
+    return UniPoly(coeffs)
 
 
-def geometric_factor(c: Fraction, variables: Sequence[str], which: str, order: int, invert: bool) -> TruncatedSeries:
-    """Series for (1 + c*v) or its inverse, v one of the declared variables."""
-    variables = tuple(variables)
-    idx = variables.index(which)
-    zero = (0,) * len(variables)
-    if not invert:
-        key = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return TruncatedSeries(variables, order, {zero: Fraction(1), key: Fraction(c)})
-    coeffs = {}
-    for m in range(order + 1):
-        key = tuple(m if i == idx else 0 for i in range(len(variables)))
-        coeffs[key] = (-Fraction(c)) ** m
-    return TruncatedSeries(variables, order, coeffs)
+def linear_ratio_series(num: Iterable[Scalar], den: Iterable[Scalar], order: int) -> UniPoly:
+    """prod_a (1 + a t) / prod_b (1 + b t) over a in num, b in den, mod t^(order+1).
+
+    Each factor updates one dense coefficient list in place, in O(order)
+    (Knuth, TAOCP Vol. 2, 4.7): multiplying by 1 + a t runs downward,
+    c_i += a c_{i-1}; dividing by 1 + b t runs upward, c_i -= b c_{i-1}.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    cs = [Fraction(0)] * (order + 1)
+    cs[0] = Fraction(1)
+    for a in num:
+        if a:
+            for i in range(order, 0, -1):
+                cs[i] += a * cs[i - 1]
+    for b in den:
+        if b:
+            for i in range(1, order + 1):
+                cs[i] -= b * cs[i - 1]
+    return UniPoly(cs)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .coefficients import comb_int, npbi
 from .partitions import Partition, enumerate_partitions, z_of
-from .series import TruncatedSeries, UniPoly
+from .series import UniPoly, linear_ratio_series
 
 Alphabet = tuple[Fraction, ...]
 
@@ -139,8 +139,8 @@ def newton_convert(a: Sequence, k: int) -> dict[str, tuple[Fraction, Fraction]]:
 class Specialization:
     """Values for the graded symbols: x0 for X0, xk(i) for X_i, i >= 1.
 
-    xk may return Fractions or UniPoly, so fully symbolic all-equal
-    specializations work through the same code path.
+    xk may return Fractions or any ring element that multiplies with
+    them (UniPoly, XPolynomial); p_npk only adds and multiplies the values.
     """
 
     x0: object
@@ -161,10 +161,6 @@ class Specialization:
     def power_sums(cls, a: Sequence) -> "Specialization":
         a = as_alphabet(a)
         return cls(Fraction(len(a)), lambda i: power_sum(a, i))
-
-    @classmethod
-    def all_equal(cls, value) -> "Specialization":
-        return cls(value, lambda i: value)
 
 
 def p_npk(n: int, p: int, k: int, spec: Specialization):
@@ -372,8 +368,8 @@ def chi_experiment(n_max: int, p_max: int) -> ChiReport:
 class B0Row:
     k: int
     basis: str
-    lhs: TruncatedSeries
-    rhs: TruncatedSeries
+    lhs: UniPoly
+    rhs: UniPoly
 
     @property
     def equal(self) -> bool:
@@ -392,33 +388,33 @@ def b0_alphabet_checks(a: Sequence, order: int) -> tuple[B0Row, ...]:
     a = as_alphabet(a)
     if any(v == 1 for v in a):
         raise ValueError("pole in B0")
-    tvar = ("t",)
-    one = TruncatedSeries.constant(Fraction(1), tvar, order)
-    t = TruncatedSeries.variable("t", tvar, order)
 
-    elements = []
-    for v in a:
-        elements.append((t * v) * (one - t * v).inverse())
+    def mul(f: UniPoly, g: UniPoly) -> UniPoly:
+        return (f * g).truncate(order)
 
-    def new_power(k: int) -> TruncatedSeries:
-        acc = TruncatedSeries(tvar, order)
-        for b in elements:
-            acc = acc + b**k
-        return acc
+    one = UniPoly((1,))
+    elements = [mul(UniPoly((0, v)), linear_ratio_series((), (-v,), order)) for v in a]
+
+    # new_powers[j] = p_j of the transformed alphabet; j > order vanishes
+    new_powers = [UniPoly() for _ in range(order + 1)]
+    for b in elements:
+        pw = b
+        for j in range(1, order + 1):
+            new_powers[j] = new_powers[j] + pw
+            pw = mul(pw, b)
 
     rows: list[B0Row] = []
     k_max = max(1, min(order, len(a) + 1))
-    ps_cache = {j: new_power(j) for j in range(1, order + 1)}
 
     # h and e of the transformed alphabet via Newton recurrences
     hs = [one]
     es = [one]
     for m in range(1, order + 1):
-        acc_h = TruncatedSeries(tvar, order)
-        acc_e = TruncatedSeries(tvar, order)
+        acc_h = UniPoly()
+        acc_e = UniPoly()
         for j in range(1, m + 1):
-            acc_h = acc_h + ps_cache[j] * hs[m - j]
-            term = ps_cache[j] * es[m - j]
+            acc_h = acc_h + mul(new_powers[j], hs[m - j])
+            term = mul(new_powers[j], es[m - j])
             acc_e = acc_e + (term if j % 2 == 1 else -term)
         hs.append(acc_h * Fraction(1, m))
         es.append(acc_e * Fraction(1, m))
@@ -426,13 +422,12 @@ def b0_alphabet_checks(a: Sequence, order: int) -> tuple[B0Row, ...]:
     spec_pos = Specialization.power_sums(a)
 
     for k in range(1, k_max + 1):
-        rhs_p = TruncatedSeries(tvar, order)
-        rhs_h = TruncatedSeries(tvar, order)
-        rhs_e = TruncatedSeries(tvar, order)
+        rhs_p = [Fraction(0)] * (order + 1)
+        rhs_h = [Fraction(0)] * (order + 1)
+        rhs_e = [Fraction(0)] * (order + 1)
         for n in range(k, order + 1):
-            pw = TruncatedSeries(tvar, order, {(n,): Fraction(1)})
-            rhs_p = rhs_p + pw * (comb_int(n - 1, k - 1) * power_sum(a, n))
-            rhs_h = rhs_h + pw * p_nk(n, k, spec_pos)
+            rhs_p[n] = comb_int(n - 1, k - 1) * power_sum(a, n)
+            rhs_h[n] = p_nk(n, k, spec_pos)
             val = Fraction(0)
             for mu in enumerate_partitions(n):
                 c = npbi(mu, 0, k) if k >= 1 else 0
@@ -440,9 +435,9 @@ def b0_alphabet_checks(a: Sequence, order: int) -> tuple[B0Row, ...]:
                     continue
                 term = Fraction(c, z_of(mu)) * power_sum_product(a, mu)
                 val += -term if mu.length % 2 else term
-            rhs_e = rhs_e + pw * val
-        rows.append(B0Row(k, "p", ps_cache[k] if k <= order else new_power(k), rhs_p))
+            rhs_e[n] = val
+        rows.append(B0Row(k, "p", new_powers[k] if k <= order else UniPoly(), UniPoly(rhs_p)))
         if k <= order:
-            rows.append(B0Row(k, "h", hs[k], rhs_h))
-            rows.append(B0Row(k, "e", es[k], rhs_e * Fraction((-1) ** k)))
+            rows.append(B0Row(k, "h", hs[k], UniPoly(rhs_h)))
+            rows.append(B0Row(k, "e", es[k], UniPoly(rhs_e) * Fraction((-1) ** k)))
     return tuple(rows)

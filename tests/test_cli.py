@@ -236,6 +236,37 @@ def test_verify_missing_config_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "s", "--lambda", "2,1", "--alpha", "1", "--r-max", "-1"],
+        ["verify", "--identity", "thm8.1", "--r-max", "-1"],
+        ["verify", "--identity", "thm3.1", "--mode", "random", "--trials", "-3"],
+    ],
+)
+def test_negative_bounds_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_config_negative_bound(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("order = -1\n")
+    code, _, err = run_cli(capsys, "verify", "--identity", "lem11.1", "--config", str(cfg))
+    assert code == 2
+    assert "order must be nonnegative" in err
+
+
+def test_verify_zero_comparisons_fails(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "thm3.1", "--mode", "random", "--trials", "0"
+    )
+    assert code == 1
+    assert out == "thm3.1: failed (0 cases)\n  0 comparisons made\n"
+
+
 def test_bad_fraction_argument(capsys):
     with pytest.raises(SystemExit):
         main(["moments", "dk", "--lambda", "2", "--alpha", "zero"])

@@ -178,7 +178,7 @@ def test_content_ratio_series_matches_collected_coefficients(alpha):
         series = content_ratio_series(la, alpha, y, order=6)
         for r in range(7):
             want = cor52_coefficient(la, alpha, y, r) * (-1) ** r
-            assert series.coefficient((r,)) == want, (la, r)
+            assert series.coefficient(r) == want, (la, r)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -186,10 +186,10 @@ def test_moment_generating_series(alpha):
     for la in partitions_upto(4):
         s_series = s_moment_series(la, alpha, order=6)
         for r in range(7):
-            assert s_series.coefficient((r,)) == (-1) ** r * s_r_direct(la, alpha, r)
+            assert s_series.coefficient(r) == (-1) ** r * s_r_direct(la, alpha, r)
         sig_series = sigma_moment_series(la, alpha, order=5)
         for r in range(6):
-            assert sig_series.coefficient((r,)) == (-1) ** r * sigma_r_direct(
+            assert sig_series.coefficient(r) == (-1) ** r * sigma_r_direct(
                 la, alpha, r
             )
 
@@ -197,7 +197,7 @@ def test_moment_generating_series(alpha):
 def test_lagrange_h_series_small():
     # {x} minus the empty alphabet: plain geometric series
     s = h_series_of_difference((Fraction(3),), (), 4)
-    assert [s.coefficient((k,)) for k in range(5)] == [1, 3, 9, 27, 81]
+    assert [s.coefficient(k) for k in range(5)] == [1, 3, 9, 27, 81]
 
 
 @settings(deadline=None, derandomize=True)
@@ -214,7 +214,7 @@ def test_lagrange_interpolation_lemma(a, b, r):
     if idx < 0:
         want = Fraction(0)
     else:
-        want = h_series_of_difference(a, b, max(idx, 0)).coefficient((idx,))
+        want = h_series_of_difference(a, b, max(idx, 0)).coefficient(idx)
     assert lagrange_interpolation_sum(a, b, r) == want
 
 

@@ -13,7 +13,7 @@ from ycalc.series import (
     binomial,
     comb_int,
     gauss_2f1_truncated,
-    geometric_factor,
+    linear_ratio_series,
     lowering_factorial,
     raising_factorial,
     xpoly_from_unipoly_x0,
@@ -145,58 +145,6 @@ def test_series_mul_respects_order():
     assert p.coefficient((5,)) == 0  # beyond the cut
 
 
-def test_series_inverse():
-    t = _series(order=8)
-    s = 1 - t
-    inv = s.inverse()
-    assert all(inv.coefficient((k,)) == 1 for k in range(9))
-    assert (s * inv) == t.one()
-    with pytest.raises(ValueError, match="non-unit series"):
-        t.inverse()
-
-
-def test_series_exp_log_roundtrip():
-    t = _series(order=7)
-    u = t + t * t * Fraction(1, 3)
-    assert u.exp().log() == u
-    assert (1 + t).log().exp() == 1 + t
-    with pytest.raises(ValueError):
-        (1 + t).exp()
-    with pytest.raises(ValueError, match="non-unit series"):
-        t.log()
-
-
-def test_series_exp_additivity():
-    t = _series(order=6)
-    a = t * 2
-    b = t * t * Fraction(-1, 2)
-    assert (a + b).exp() == a.exp() * b.exp()
-
-
-def test_series_compose():
-    # 1/(1-z) composed with z = t + t^2 against direct expansion
-    order = 6
-    outer = TruncatedSeries(("z",), order, {(k,): Fraction(1) for k in range(order + 1)})
-    t = _series(order=order)
-    inner = t + t * t
-    direct = (1 - inner).inverse()
-    assert outer.compose(inner) == direct
-    with pytest.raises(ValueError):
-        outer.compose(1 + t)
-
-
-def test_series_div_power_and_monomial_shift():
-    t = _series(order=5)
-    s = t * t * 3 + t**4
-    assert s.div_power(2) == 3 + t * t
-    with pytest.raises(ValueError, match="not divisible"):
-        (1 + t).div_power(1)
-    shifted = (1 + t).times_monomial((2,))
-    assert shifted.coefficient((2,)) == 1
-    assert shifted.coefficient((3,)) == 1
-    assert shifted.coefficient((0,)) == 0
-
-
 def test_series_first_difference_ordering():
     vs = ("u", "v")
     a = TruncatedSeries(vs, 4, {(0, 1): Fraction(1), (2, 0): Fraction(5)})
@@ -223,18 +171,30 @@ def test_gauss_2f1_values():
     # 2F1(1, 1; 2; z) = -log(1-z)/z has coefficients 1/(i+1)
     s = gauss_2f1_truncated(1, 1, 2, 6)
     for i in range(7):
-        assert s.coefficient((i,)) == Fraction(1, i + 1)
+        assert s.coefficient(i) == Fraction(1, i + 1)
     # 2F1(a, b; b; z) = (1-z)^{-a}
     s2 = gauss_2f1_truncated(3, 2, 2, 6)
     for i in range(7):
-        assert s2.coefficient((i,)) == comb_int(i + 2, 2)
+        assert s2.coefficient(i) == comb_int(i + 2, 2)
     with pytest.raises(ValueError):
         gauss_2f1_truncated(1, 1, 0, 4)
 
 
-def test_geometric_factor_inverse_pair():
+def test_linear_ratio_series():
+    num = (Fraction(5, 3), Fraction(-2), Fraction(0))
+    den = (Fraction(1, 2), Fraction(-7, 4), Fraction(3))
+    order = 7
+    ratio = linear_ratio_series(num, den, order)
+    back = ratio
+    for b in den:
+        back = (back * UniPoly((1, b))).truncate(order)
+    want = UniPoly((1,))
+    for a in num:
+        want = want * UniPoly((1, a))
+    assert back == want
     c = Fraction(5, 3)
-    lin = geometric_factor(c, ("t",), "t", 7, invert=False)
-    inv = geometric_factor(c, ("t",), "t", 7, invert=True)
-    assert lin * inv == lin.one()
-    assert inv.coefficient((3,)) == -(c**3)
+    inv = linear_ratio_series((), (c,), order)
+    assert [inv.coefficient(m) for m in range(order + 1)] == [(-c) ** m for m in range(order + 1)]
+    assert inv.coefficient(order + 1) == 0
+    with pytest.raises(ValueError):
+        linear_ratio_series(num, den, -1)

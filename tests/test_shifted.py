@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions
-from ycalc.series import TruncatedSeries, UniPoly, geometric_factor
+from ycalc.series import UniPoly, linear_ratio_series
 from ycalc.shifted import (
     big_c_k_generalized,
     c_k_generalized,
@@ -146,11 +146,8 @@ def test_big_c_k_is_inverse_lowering_expansion(alpha):
     # 1/[x]_la = x^{-|la|} sum_k C_k t^k with t = 1/x
     la = Partition((2, 2, 1))
     order = 6
-    tvar = ("t",)
-    acc = TruncatedSeries.constant(Fraction(1), tvar, order)
     from ycalc.partitions import content_alphabet
 
-    for c in content_alphabet(la, alpha):
-        acc = acc * geometric_factor(-c, tvar, "t", order, invert=True)
+    acc = linear_ratio_series((), [-c for c in content_alphabet(la, alpha)], order)
     for k in range(order + 1):
-        assert acc.coefficient((k,)) == big_c_k_generalized(la, alpha, k)
+        assert acc.coefficient(k) == big_c_k_generalized(la, alpha, k)

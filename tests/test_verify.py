@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from ycalc.series import UniPoly
 from ycalc.verify import (
     CATALOG,
     VerificationReport,
+    _Recorder,
     identity_ids,
     report_to_dict,
     reports_to_json,
@@ -123,6 +125,27 @@ def test_failed_report_shape():
     assert not report.ok()
     data = report_to_dict(report)
     assert data["counterexample"] == {"where": "here"}
+
+
+@pytest.mark.parametrize(
+    "identity, overrides",
+    [
+        ("thm3.1", {"mode": "random", "trials": 0}),
+        ("thm5.1", {"lambda_max": -1}),
+        ("lem11.1", {"order": 0}),
+    ],
+)
+def test_zero_comparisons_never_verify(identity, overrides):
+    report = run_identity(identity, **overrides)
+    assert (report.status, report.cases, report.notes) == ("failed", 0, "0 comparisons made")
+
+
+def test_univariate_series_mismatch_reports_index():
+    rec = _Recorder()
+    rec.series_equal(UniPoly((1, 2, 3)), UniPoly((1, 2)), k=1)
+    report = rec.report("x", {})
+    assert report.status == "failed"
+    assert report.counterexample == {"k": 1, "key": [2], "lhs": "3", "rhs": "0"}
 
 
 def test_chi_report_payload():
