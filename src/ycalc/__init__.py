@@ -23,7 +23,7 @@ from .moments import (
     sigma_r_lagrange,
 )
 from .partitions import EMPTY, Partition, enumerate_partitions, partitions_of, z_of
-from .series import Rational, TruncatedSeries, UniPoly, XPolynomial
+from .series import InvariantError, Rational, TruncatedSeries, UniPoly, XPolynomial
 from .shifted import d_k, f_npk
 from .verify import VerificationReport, identity_ids, run_all, run_identity
 
@@ -33,6 +33,7 @@ __all__ = [
     "DimensionTable",
     "EMPTY",
     "GrowthKernel",
+    "InvariantError",
     "Partition",
     "Rational",
     "TruncatedSeries",

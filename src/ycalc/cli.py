@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_sample.add_argument("--start", type=_partition_arg, default=Partition(()))
     g_sample.add_argument("--emit", choices=("moments", "occupancy", "paths"), default="moments")
     g_sample.add_argument("--r-max", dest="r_max", type=_bound_arg, default=4)
-    g_sample.add_argument("--dump-cap", dest="dump_cap", type=int, default=10_000)
+    g_sample.add_argument("--dump-cap", dest="dump_cap", type=_bound_arg, default=10_000)
     g_sample.set_defaults(func=_cmd_growth_sample)
 
     experiment = sub.add_parser("experiment", help="exploratory comparisons")

@@ -22,12 +22,12 @@ from typing import Mapping
 
 from .partitions import Partition, enumerate_partitions
 from .series import (
+    InvariantError,
     TruncatedSeries,
     UniPoly,
     binomial,
     comb_int,
     gauss_2f1_truncated,
-    linear_ratio_series,
 )
 
 
@@ -46,15 +46,9 @@ def nbi(n: int, p: int, k: int) -> int:
     for r in range(0, min(p, n - p, k - 1) + 1):
         total += math.comb(p, r) * math.comb(n - p, r) * math.comb(n - r - 1, k - r - 1)
     q, rem = divmod(n * total, k)
-    assert rem == 0, "row binomial must be an integer"
+    if rem:
+        raise InvariantError("row binomial must be an integer")
     return q
-
-
-@lru_cache(maxsize=None)
-def nbi_table(n: int) -> Mapping[tuple[int, int], int]:
-    """Immutable snapshot {(p, k): nbi(n, p, k)} over 0 <= p <= n, 1 <= k <= n."""
-    data = {(p, k): nbi(n, p, k) for p in range(n + 1) for k in range(1, n + 1)}
-    return MappingProxyType(data)
 
 
 @lru_cache(maxsize=None)
@@ -167,12 +161,15 @@ def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
     if not 0 <= p <= n:
         raise ValueError("p out of range")
     hyp = gauss_2f1_truncated(p + 1, n - p + 1, 2, order)
-    z_of_x = (UniPoly.x() * linear_ratio_series((), (1,), order)).truncate(order)
-    composed = UniPoly()
-    for c in reversed(hyp.coeffs):
-        composed = (composed * z_of_x).truncate(order) + c
-    series = (composed * z_of_x).truncate(order) * n
-    return {k: series.coefficient(k) for k in range(order + 1)}
+    # Horner in z, ending with one more factor z: each step multiplies by
+    # z in place, a shift by one index and then the upward division by 1 + x.
+    cs = [Fraction(0)] * (order + 1)
+    for c in (*reversed(hyp.coeffs), 0):
+        cs = [Fraction(0)] + cs[:-1]
+        for i in range(1, order + 1):
+            cs[i] -= cs[i - 1]
+        cs[0] += c
+    return {k: n * cs[k] for k in range(order + 1)}
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from .moments import (
     sigma_r_direct,
 )
 from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
-from .series import comb_int
+from .series import InvariantError, comb_int
 
 # Path seed mixing; the two odd constants are the usual 64-bit Weyl /
 # splitmix multipliers, chosen so distinct path indices decorrelate.
@@ -49,9 +49,11 @@ class GrowthKernel:
     def __post_init__(self):
         total = Fraction(0)
         for _, p in self.atoms:
-            assert p >= 0, "negative kernel atom"
+            if p < 0:
+                raise InvariantError("negative kernel atom")
             total += p
-        assert total == 1, "kernel does not sum to 1"
+        if total != 1:
+            raise InvariantError("kernel does not sum to 1")
 
     def probability(self, row: int) -> Fraction:
         for i, p in self.atoms:
@@ -102,7 +104,8 @@ def cotransition_from_dimensions(la: Partition, alpha, table: DimensionTable | N
     if table is None:
         table = DimensionTable(alpha)
     dim_top = table.dimension(la)
-    assert dim_top != 0
+    if dim_top == 0:
+        raise InvariantError(f"dimension of {la} vanishes")
     atoms = []
     for i in la.removable_rows():
         below = la.remove_cell(i)
@@ -129,7 +132,8 @@ def exact_transition_moment(la: Partition, alpha, r: int) -> Fraction:
     total = Fraction(0)
     for i, p in transition_kernel(la, alpha).atoms:
         total += added_content(la, alpha, i) ** r * p
-    assert total == s_r_direct(la, alpha, r)
+    if total != s_r_direct(la, alpha, r):
+        raise InvariantError(f"up moment {r} of {la} disagrees with s_r_direct")
     return total
 
 
@@ -149,7 +153,8 @@ def exact_cotransition_moment(la: Partition, alpha, r: int) -> Fraction:
     for k in range(0, r + 1):
         combo += (-1) ** (r - k) * comb_int(r, k) * sigma_r_direct(la, alpha, k)
     combo /= la.weight
-    assert direct == combo, f"moment routes disagree on {la}: {direct} vs {combo}"
+    if direct != combo:
+        raise InvariantError(f"moment routes disagree on {la}: {direct} vs {combo}")
     return direct
 
 
@@ -174,15 +179,18 @@ def plancherel_check(n_max: int) -> bool:
             for i, p in up.atoms:
                 above = la.add_cell(i)
                 want = Fraction(f[above], (n + 1) * f[la])
-                assert p == want, f"up kernel off at {la} row {i}"
+                if p != want:
+                    raise InvariantError(f"up kernel off at {la} row {i}")
             if n:
                 down = cotransition_kernel(la, one)
                 for i, q in down.atoms:
                     below = la.remove_cell(i)
                     want = Fraction(f[below], f[la])
-                    assert q == want, f"down kernel off at {la} row {i}"
+                    if q != want:
+                        raise InvariantError(f"down kernel off at {la} row {i}")
             want_dim = Fraction(f[la] ** 2, math.factorial(n))
-            assert table.dimension(la) == want_dim, f"dimension off at {la}"
+            if table.dimension(la) != want_dim:
+                raise InvariantError(f"dimension off at {la}")
     return True
 
 
@@ -239,7 +247,8 @@ def _cumulative_atoms(la: Partition, alpha) -> tuple[tuple[int, int, int], ...]:
     for row, p in atoms:
         acc += p
         out.append((row, acc.numerator, acc.denominator))
-    assert acc == 1
+    if acc != 1:
+        raise InvariantError(f"row weights of {la} sum to {acc}")
     return tuple(out)
 
 
@@ -312,7 +321,8 @@ def sample_growth(
         mean = power_sums[r] / paths
         second = power_sums[2 * r] / paths
         variance = second - mean * mean
-        assert variance >= 0
+        if variance < 0:
+            raise InvariantError(f"negative variance of moment {r}")
         se = math.sqrt(float(variance) / paths)
         moments.append(MomentStat(r, float(mean), exact, se))
 

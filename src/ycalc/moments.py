@@ -3,7 +3,7 @@
 Two families of atoms on a diagram la:
 
 * row weights c_i for appending a cell in row i (the formula vanishes on
-  rows where the shape would break, which the code asserts rather than
+  rows where the shape would break, which the code checks rather than
   special-cases away),
 * corner weights for deleting a removable cell, normalized by |la| to a
   probability elsewhere.
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .coefficients import comb_int, npbi, stirling_first
 from .partitions import Partition, check_alpha, content_alphabet, enumerate_partitions, z_of
-from .series import UniPoly, linear_ratio_series, lowering_factorial, raising_factorial
+from .series import InvariantError, UniPoly, linear_ratio_series, lowering_factorial, raising_factorial
 from .shifted import d_mu, f_npk
 
 _pieri_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
@@ -36,7 +36,8 @@ def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
     l = la.length
     li = Fraction(la.part(i))
     denom0 = alpha * li + l - i + 2
-    assert denom0 != 0
+    if denom0 == 0:
+        raise InvariantError("nonvanishing linear factor violated")
     val = Fraction(1) / denom0
     for j in range(1, l + 2):
         if j == i:
@@ -44,7 +45,8 @@ def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
         diff = alpha * (li - la.part(j))
         num = diff + j - i + 1
         den = diff + j - i
-        assert den != 0, "nonvanishing linear factor violated"
+        if den == 0:
+            raise InvariantError("nonvanishing linear factor violated")
         if num == 0:
             return Fraction(0)
         val *= Fraction(num) / den
@@ -54,7 +56,7 @@ def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
 def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
     """Transition atoms (row, weight) over addable rows; weights sum to 1.
 
-    The analytic formula is evaluated on every row 1..l+1 and asserted to
+    The analytic formula is evaluated on every row 1..l+1 and checked to
     vanish exactly on the non-addable ones.
     """
     alpha = check_alpha(alpha)
@@ -70,9 +72,10 @@ def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fract
         if i in addable:
             atoms.append((i, v))
             total += v
-        else:
-            assert v == 0, f"formula fails to vanish on non-addable row {i} of {la}"
-    assert total == 1, f"row weights of {la} sum to {total}"
+        elif v != 0:
+            raise InvariantError(f"formula fails to vanish on non-addable row {i} of {la}")
+    if total != 1:
+        raise InvariantError(f"row weights of {la} sum to {total}")
     out = tuple(atoms)
     _pieri_cache[key] = out
     return out
@@ -89,7 +92,8 @@ def _corner_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
         diff = alpha * (li - la.parts[j - 1])
         num = diff + j - i - 1
         den = diff + j - i
-        assert den != 0, "nonvanishing linear factor violated"
+        if den == 0:
+            raise InvariantError("nonvanishing linear factor violated")
         if num == 0:
             return Fraction(0)
         val *= Fraction(num) / den
@@ -100,7 +104,7 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
     """Corner atoms (row, weight) over removable rows; weights sum to |la|.
 
     As with the row weights, the formula is evaluated everywhere and
-    asserted to vanish on non-removable rows.
+    checked to vanish on non-removable rows.
     """
     alpha = check_alpha(alpha)
     key = (la.parts, alpha)
@@ -115,9 +119,10 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
         if i in removable:
             atoms.append((i, v))
             total += v
-        else:
-            assert v == 0, f"corner weight fails to vanish on row {i} of {la}"
-    assert total == la.weight, f"corner weights of {la} sum to {total}"
+        elif v != 0:
+            raise InvariantError(f"corner weight fails to vanish on row {i} of {la}")
+    if total != la.weight:
+        raise InvariantError(f"corner weights of {la} sum to {total}")
     out = tuple(atoms)
     _corner_cache[key] = out
     return out
@@ -273,7 +278,8 @@ def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
             c = npbi(rho, s, k)
         if c:
             total += c * comb_int(r + s - i - j - 1, r - 2 * i - j)
-    assert total >= 0, f"negative regrouping coefficient at {key}"
+    if total < 0:
+        raise InvariantError(f"negative regrouping coefficient at {key}")
     _u_cache[key] = total
     return total
 
@@ -389,7 +395,8 @@ def sigma_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:
     """
     alpha = check_alpha(alpha)
     g = content_ratio_series(la, alpha, Fraction(1) / alpha, order + 2)
-    assert g.coefficient(0) == 1 and g.coefficient(1) == 0
+    if g.coefficient(0) != 1 or g.coefficient(1) != 0:
+        raise InvariantError(f"content ratio of {la} has a wrong t^0 or t^1 term")
     shifted = UniPoly(g.coeffs[2:])
     return -(UniPoly((alpha, 1)) * shifted).truncate(order)
 

@@ -23,11 +23,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
+
+
+class InvariantError(Exception):
+    """An invariant of an exact computation does not hold.
+
+    Every library check raises this explicitly instead of using
+    ``assert``, so the checks also run under ``python -O``.
+    """
 
 
 def comb_int(m: int, j: int) -> int:
@@ -48,7 +56,8 @@ def comb_int(m: int, j: int) -> int:
     for t in range(j):
         num *= m - t
     q, r = divmod(num, math.factorial(j))
-    assert r == 0
+    if r:
+        raise InvariantError(f"C({m}, {j}) is not an integer")
     return q
 
 
@@ -321,17 +330,6 @@ class XPolynomial:
     def __hash__(self):
         return hash(("XPolynomial", tuple(sorted(self.terms.items()))))
 
-    def substitute(self, x0: Scalar, xs: Callable[[int], Fraction]) -> Fraction:
-        """Evaluate with X0 = x0 and X_i = xs(i) for i >= 1."""
-        total = Fraction(0)
-        x0 = Fraction(x0)
-        for (e0, mu), c in self.terms.items():
-            v = c * x0**e0
-            for part in mu:
-                v *= Fraction(xs(part))
-            total += v
-        return total
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -349,11 +347,6 @@ class XPolynomial:
                 bits.append("X[" + ",".join(map(str, mu)) + "]")
             chunks.append("*".join(bits))
         return "XPolynomial(" + " + ".join(chunks) + ")"
-
-
-def xpoly_from_unipoly_x0(p: UniPoly) -> XPolynomial:
-    """Reinterpret a univariate polynomial as a polynomial in X0."""
-    return XPolynomial({(i, ()): c for i, c in enumerate(p.coeffs)})
 
 
 class TruncatedSeries:

@@ -10,12 +10,10 @@ numbers t(k, m).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .coefficients import npbi, stirling_inverse_t
 from .partitions import Partition, check_alpha, content_alphabet, enumerate_partitions, z_of
-from .series import lowering_factorial, raising_factorial
-from .symfunc import complete, elementary
+from .series import lowering_factorial
 
 _d_cache: dict[tuple[tuple[int, ...], Fraction, int], Fraction] = {}
 _f_cache: dict[tuple[tuple[int, ...], Fraction, int, int, int], Fraction] = {}
@@ -74,10 +72,6 @@ def f_npk(la: Partition, alpha: Fraction, n: int, p: int, k: int) -> Fraction:
     return val
 
 
-def f_nk(la: Partition, alpha: Fraction, n: int, k: int) -> Fraction:
-    return f_npk(la, alpha, n, 0, k)
-
-
 def shifted_power_sum(la: Partition, alpha: Fraction, k: int) -> Fraction:
     """p*_k: sum over rows of [la_i - (i-1)/alpha]_k - [-(i-1)/alpha]_k."""
     alpha = check_alpha(alpha)
@@ -105,33 +99,3 @@ def dk_from_shifted(la: Partition, alpha: Fraction, k: int) -> Fraction:
         if t:
             total += Fraction(t) * shifted_power_sum(la, alpha, m + 1) / (m + 1)
     return total
-
-
-def raising_factorial_partition(x, la: Partition, alpha: Fraction):
-    """(x)_la = product over cells of (x + content)."""
-    alpha = check_alpha(alpha)
-    acc = x * 0 + 1
-    for c in content_alphabet(la, alpha):
-        acc = acc * (x + c)
-    return acc
-
-
-def lowering_factorial_partition(x, la: Partition, alpha: Fraction):
-    """[x]_la = product over cells of (x - content)."""
-    alpha = check_alpha(alpha)
-    acc = x * 0 + 1
-    for c in content_alphabet(la, alpha):
-        acc = acc * (x - c)
-    return acc
-
-
-def c_k_generalized(la: Partition, alpha: Fraction, k: int) -> Fraction:
-    """Elementary symmetric value of the content alphabet; the coefficient
-    of x^{|la|-k} in (x)_la."""
-    return elementary(content_alphabet(la, alpha), k)
-
-
-def big_c_k_generalized(la: Partition, alpha: Fraction, k: int) -> Fraction:
-    """Complete homogeneous value of the content alphabet; the coefficient
-    of x^{-|la|-k} in the large-x expansion of 1/[x]_la."""
-    return complete(content_alphabet(la, alpha), k)

@@ -1,22 +1,23 @@
 """Symmetric functions on finite rational alphabets.
 
 An alphabet is a finite tuple of Fractions; repeated values are allowed
-and count by position.  Besides the classical bases e, h, p, m this
-module evaluates the partition-indexed polynomial families
+and count by position.  Besides the classical bases e, h, p this module
+evaluates the partition-indexed polynomial families
 
     p_npk(n, p, k) = sum over |mu| = n of npbi(mu, p, k)/z_mu * X_mu,
     p_nk = p_npk at p = 0,
 
-under a specialization of the symbols X1, X2, ..., expands p_nk(-X) in
-the monomial basis by exact solving on generic prime alphabets, and runs
-the coefficient-fitting experiment for the marked family.
+under a specialization of the symbols X1, X2, ..., expands power-sum
+products in the monomial basis m through the exact transition
+p_la = sum_mu L[la, mu] m_mu, and runs the coefficient experiment for the
+marked family p_npk(-X) on top of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .coefficients import comb_int, npbi
@@ -71,52 +72,40 @@ def complete(a: Sequence, k: int) -> Fraction:
     return hs[k]
 
 
-def _distinct_permutations(vector: tuple[int, ...]):
-    """Distinct rearrangements of a multiset of integers."""
-    counts: dict[int, int] = {}
-    for v in vector:
-        counts[v] = counts.get(v, 0) + 1
-    n = len(vector)
-    out: list[int] = []
-
-    def rec():
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                out.append(v)
-                yield from rec()
-                out.pop()
-                counts[v] += 1
-
-    yield from rec()
-
-
-def monomial(a: Sequence, mu: Partition) -> Fraction:
-    """m_mu: sum over distinct exponent assignments of mu onto the alphabet."""
-    a = as_alphabet(a)
-    if mu.length > len(a):
-        return Fraction(0)
-    if mu.length == 0:
-        return Fraction(1)
-    padded = tuple(mu.parts) + (0,) * (len(a) - mu.length)
-    total = Fraction(0)
-    for perm in _distinct_permutations(padded):
-        term = Fraction(1)
-        for v, e in zip(a, perm):
-            if e:
-                term *= v**e
-        total += term
-    return total
-
-
 def power_sum_product(a: Sequence, mu: Partition) -> Fraction:
     term = Fraction(1)
     for part in mu.parts:
         term *= power_sum(a, part)
     return term
+
+
+def power_to_monomial(la: Partition) -> dict[Partition, int]:
+    """Row la of the transition p_la = sum_mu L[la, mu] m_mu.
+
+    L[la, mu] counts the maps from the parts of la onto the parts of mu
+    whose fibres sum to the target part (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.6).  The parts are placed one at a time, each
+    joining an existing block or opening a new one; a state is the sorted
+    tuple of block sums with its number of set partitions, and labelling
+    the equal blocks of mu multiplies that count by prod_i m_i(mu)!.
+    """
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for part in la.parts:
+        nxt: dict[tuple[int, ...], int] = {}
+        for sums, ways in states.items():
+            grown = [sums + (part,)]
+            grown += [sums[:j] + (s + part,) + sums[j + 1 :] for j, s in enumerate(sums)]
+            for g in grown:
+                key = tuple(sorted(g, reverse=True))
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    row: dict[Partition, int] = {}
+    for sums, ways in states.items():
+        mu = Partition(sums)
+        for m in mu.multiplicities().values():
+            ways *= math.factorial(m)
+        row[mu] = ways
+    return row
 
 
 def newton_convert(a: Sequence, k: int) -> dict[str, tuple[Fraction, Fraction]]:
@@ -145,17 +134,6 @@ class Specialization:
 
     x0: object
     xk: Callable[[int], object]
-
-    @classmethod
-    def from_values(cls, x0, values: Sequence) -> "Specialization":
-        vals = [Fraction(v) for v in values]
-
-        def get(i: int):
-            if 1 <= i <= len(vals):
-                return vals[i - 1]
-            raise ValueError(f"no value supplied for X{i}")
-
-        return cls(Fraction(x0), get)
 
     @classmethod
     def power_sums(cls, a: Sequence) -> "Specialization":
@@ -196,104 +174,6 @@ def p_nk(n: int, k: int, spec: Specialization):
     return p_npk(n, 0, k, spec)
 
 
-@lru_cache(maxsize=None)
-def _prime_list(count: int) -> tuple[int, ...]:
-    primes: list[int] = []
-    cand = 2
-    while len(primes) < count:
-        if all(cand % q for q in primes if q * q <= cand):
-            primes.append(cand)
-        cand += 1
-    return tuple(primes)
-
-
-def _generic_alphabet(size: int, window: int) -> Alphabet:
-    ps = _prime_list(size * (window + 1))
-    return tuple(Fraction(q) for q in ps[size * window : size * (window + 1)])
-
-
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when the matrix is singular."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-def monomial_expand(
-    evaluate: Callable[[Alphabet], Fraction], n: int, size: int
-) -> dict[Partition, Fraction]:
-    """Expand a degree-n symmetric functional into monomial coefficients.
-
-    ``evaluate`` is called on deterministic generic prime alphabets of the
-    given size; the square system over all partitions of n is solved
-    exactly, advancing the prime window if a degenerate matrix shows up.
-    """
-    mus = [mu for mu in enumerate_partitions(n) if mu.length <= size]
-    count = len(mus)
-    window = 0
-    while True:
-        alphabets = [_generic_alphabet(size, window + j) for j in range(count)]
-        matrix = [[monomial(a, mu) for mu in mus] for a in alphabets]
-        rhs = [evaluate(a) for a in alphabets]
-        sol = _solve_linear(matrix, rhs)
-        if sol is not None:
-            return dict(zip(mus, sol))
-        window += count
-        if window > 50 * count:
-            raise RuntimeError("could not find a nondegenerate alphabet system")
-
-
-def _p_npk_neg_value(n: int, p: int, k: int, a: Alphabet) -> Fraction:
-    """p_npk with every symbol negated, specialized to power sums of a."""
-    spec = Specialization.power_sums(a)
-    total = Fraction(0)
-    for mu in enumerate_partitions(n):
-        c = npbi(mu, p, k)
-        if not c:
-            continue
-        term = Fraction(c, z_of(mu))
-        for part in mu.parts:
-            term *= spec.xk(part)
-        if mu.length % 2:
-            term = -term
-        total += term
-    return total
-
-
-def p_nk_monomial_expansion(n: int, k: int, a: Sequence) -> dict[Partition, Fraction]:
-    """Monomial coefficients of the sign-flipped unmarked family.
-
-    Solves on generic alphabets of the same size as ``a``, checks the
-    support law (coefficient (-1)^k exactly on length-k shapes), and
-    cross-evaluates on ``a`` itself before returning the map.
-    """
-    a = as_alphabet(a)
-    if len(a) < n:
-        raise ValueError("need >= n generic elements")
-    if k < 1 or k > n:
-        raise ValueError("k out of range")
-    coeffs = monomial_expand(lambda al: _p_npk_neg_value(n, 0, k, al), n, len(a))
-    sign = Fraction((-1) ** k)
-    for mu, c in coeffs.items():
-        expected = sign if mu.length == k else Fraction(0)
-        assert c == expected, f"monomial law fails at {mu}: {c} != {expected}"
-    direct = _p_npk_neg_value(n, 0, k, a)
-    recon = sum((c * monomial(a, mu) for mu, c in coeffs.items()), Fraction(0))
-    assert direct == recon
-    return coeffs
-
-
 @dataclass(frozen=True)
 class ChiRow:
     n: int
@@ -329,21 +209,29 @@ def _chi_conjectured(p: int, k: int, mu: Partition) -> Fraction:
 
 
 def chi_experiment(n_max: int, p_max: int) -> ChiReport:
-    """Fit monomial coefficients of the sign-flipped marked family.
+    """Monomial coefficients of the sign-flipped marked family.
 
     For each n <= n_max, p <= min(p_max, n), 1 <= k <= n the coefficient
-    on a length-k shape mu is recorded as (-1)^k chi.  The closed guess
+    of m_mu in p_npk(-X) is sum_la (-1)^l(la) npbi(la, p, k)/z_la L[la, mu];
+    on a length-k shape mu it is recorded as (-1)^k chi.  The closed guess
     for chi is compared for p <= 3 only; larger p rows carry no verdict.
     Never raises on a mismatch; everything lands in the report.
     """
     rows: list[ChiRow] = []
     violations: list[str] = []
     for n in range(1, n_max + 1):
+        shapes = enumerate_partitions(n)
+        transition = {la: power_to_monomial(la) for la in shapes}
         for p in range(0, min(p_max, n) + 1):
             for k in range(1, n + 1):
-                coeffs = monomial_expand(
-                    lambda al: _p_npk_neg_value(n, p, k, al), n, n
-                )
+                coeffs = {mu: Fraction(0) for mu in shapes}
+                for la in shapes:
+                    c = npbi(la, p, k)
+                    if not c:
+                        continue
+                    w = Fraction(-c if la.length % 2 else c, z_of(la))
+                    for mu, count in transition[la].items():
+                        coeffs[mu] += w * count
                 sign = Fraction((-1) ** k)
                 for mu in sorted(coeffs):
                     c = coeffs[mu]

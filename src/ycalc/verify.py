@@ -65,6 +65,7 @@ from .partitions import (
     z_of,
 )
 from .series import (
+    InvariantError,
     TruncatedSeries,
     UniPoly,
     XPolynomial,
@@ -658,7 +659,7 @@ def _check_plancherel(identity: str, params: dict) -> VerificationReport:
     try:
         plancherel_check(n_max)
         rec.condition(True, n_max=n_max)
-    except AssertionError as exc:
+    except InvariantError as exc:
         rec.condition(False, n_max=n_max, detail=str(exc))
     return rec.report(identity, params)
 
@@ -677,7 +678,7 @@ def _check_moments_bridge(identity: str, params: dict) -> VerificationReport:
                     try:
                         exact_cotransition_moment(la, alpha, r)
                         rec.condition(True, group="down-moment", la=str(la), alpha=alpha, r=r)
-                    except AssertionError as exc:
+                    except InvariantError as exc:
                         rec.condition(False, group="down-moment", la=str(la), alpha=alpha, r=r, detail=str(exc))
     return rec.report(identity, params)
 

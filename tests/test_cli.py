@@ -242,6 +242,10 @@ def test_verify_missing_config_file(capsys):
         ["moments", "s", "--lambda", "2,1", "--alpha", "1", "--r-max", "-1"],
         ["verify", "--identity", "thm8.1", "--r-max", "-1"],
         ["verify", "--identity", "thm3.1", "--mode", "random", "--trials", "-3"],
+        [
+            "growth", "sample", "--alpha", "1", "--steps", "1", "--paths", "2",
+            "--seed", "1", "--emit", "paths", "--dump-cap", "-1",
+        ],
     ],
 )
 def test_negative_bounds_exit_2(capsys, argv):

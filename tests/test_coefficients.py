@@ -16,7 +16,6 @@ from ycalc.coefficients import (
     jz_sides,
     nbi,
     nbi_from_hypergeometric,
-    nbi_table,
     npbi,
     npbi_table,
     pbi,
@@ -86,14 +85,6 @@ def test_nbi_domain_errors():
     with pytest.raises(ValueError, match="k must be positive"):
         nbi(3, 0, 0)
     assert nbi(3, 1, 7) == 0
-
-
-def test_nbi_table_snapshot():
-    t = nbi_table(3)
-    assert t[(1, 2)] == 6
-    assert len(t) == 4 * 3
-    with pytest.raises(TypeError):
-        t[(0, 1)] = 99  # read-only view
 
 
 def test_nbi_hypergeometric_route():

@@ -23,6 +23,7 @@ from ycalc.growth import (
 )
 from ycalc.moments import s_r_direct
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
+from ycalc.series import InvariantError
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 
@@ -64,7 +65,7 @@ def test_cotransition_requires_cells():
 
 
 def test_kernel_normalization_is_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         GrowthKernel(EMPTY, Fraction(1), "up", ((1, Fraction(1, 2)),))
 
 

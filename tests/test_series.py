@@ -16,7 +16,6 @@ from ycalc.series import (
     linear_ratio_series,
     lowering_factorial,
     raising_factorial,
-    xpoly_from_unipoly_x0,
 )
 
 
@@ -109,19 +108,6 @@ def test_xpolynomial_algebra():
     assert list(m.terms) == [(0, (3, 2, 1))]
     assert XPolynomial.constant(0) == XPolynomial()
     assert (p - p) == 0
-
-
-def test_xpolynomial_substitute():
-    p = XPolynomial.x0(2) * 3 + XPolynomial.monomial((2, 1), Fraction(1, 2))
-    val = p.substitute(Fraction(2), lambda i: Fraction(i + 1))
-    assert val == 12 + Fraction(1, 2) * 3 * 2
-
-
-def test_xpoly_from_unipoly_roundtrip():
-    u = UniPoly((1, 0, -3, 2))
-    p = xpoly_from_unipoly_x0(u)
-    for v in (Fraction(0), Fraction(5, 7), Fraction(-2)):
-        assert p.substitute(v, lambda i: Fraction(0)) == u(v)
 
 
 def _series(var="t", order=6):

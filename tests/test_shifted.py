@@ -1,4 +1,4 @@
-"""Content power sums, moment polynomials, partition factorials."""
+"""Content power sums, moment polynomials, content-alphabet expansions."""
 
 from fractions import Fraction
 
@@ -6,20 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ycalc.partitions import EMPTY, Partition, enumerate_partitions
+from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions
 from ycalc.series import UniPoly, linear_ratio_series
-from ycalc.shifted import (
-    big_c_k_generalized,
-    c_k_generalized,
-    d_k,
-    d_mu,
-    dk_from_shifted,
-    f_nk,
-    f_npk,
-    lowering_factorial_partition,
-    raising_factorial_partition,
-    shifted_power_sum,
-)
+from ycalc.shifted import d_k, d_mu, dk_from_shifted, f_npk, shifted_power_sum
+from ycalc.symfunc import complete, elementary
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 
@@ -95,8 +85,6 @@ def test_f_npk_conventions_match_abstract_family():
     assert f_npk(la, alpha, 2, 0, 5) == 0
     with pytest.raises(ValueError, match="p out of range"):
         f_npk(la, alpha, 2, 3, 1)
-    # f_{n,0,k} under the name f_nk
-    assert f_nk(la, alpha, 3, 2) == f_npk(la, alpha, 3, 0, 2)
 
 
 def test_f_npk_first_values_by_hand():
@@ -116,38 +104,30 @@ def test_f_npk_first_values_by_hand():
         )
 
 
-def test_partition_factorials():
-    la = Partition((2, 1))
-    alpha = Fraction(1)
-    x = UniPoly.x()
-    up = raising_factorial_partition(x, la, alpha)
-    down = lowering_factorial_partition(x, la, alpha)
-    # contents at alpha = 1: 0, 1, -1
-    assert up == x * (x + 1) * (x - 1)
-    assert down == x * (x - 1) * (x + 1)
-    assert raising_factorial_partition(Fraction(3), la, alpha) == 3 * 4 * 2
-
-
 @settings(deadline=None, derandomize=True)
 @given(shapes_small, st.sampled_from(ALPHAS), st.integers(0, 4))
 def test_c_k_is_raising_factorial_coefficient(shape, alpha, k):
+    # e_k of the content alphabet is the x^(|la|-k) coefficient of
+    # (x)_la, the product of x + c over the contents c
     n, pick = shape
     la = _shape(n, pick)
+    contents = content_alphabet(la, alpha)
     x = UniPoly.x()
-    poly = raising_factorial_partition(x, la, alpha)
+    poly = UniPoly((1,))
+    for c in contents:
+        poly = poly * (x + c)
     if k <= la.weight:
-        assert poly.coefficient(la.weight - k) == c_k_generalized(la, alpha, k)
+        assert poly.coefficient(la.weight - k) == elementary(contents, k)
     else:
-        assert c_k_generalized(la, alpha, k) == 0
+        assert elementary(contents, k) == 0
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_big_c_k_is_inverse_lowering_expansion(alpha):
-    # 1/[x]_la = x^{-|la|} sum_k C_k t^k with t = 1/x
+    # 1/[x]_la = x^{-|la|} sum_k h_k(contents) t^k with t = 1/x
     la = Partition((2, 2, 1))
     order = 6
-    from ycalc.partitions import content_alphabet
-
-    acc = linear_ratio_series((), [-c for c in content_alphabet(la, alpha)], order)
+    contents = content_alphabet(la, alpha)
+    acc = linear_ratio_series((), [-c for c in contents], order)
     for k in range(order + 1):
-        assert acc.coefficient(k) == big_c_k_generalized(la, alpha, k)
+        assert acc.coefficient(k) == complete(contents, k)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ycalc.partitions import Partition, enumerate_partitions
+from ycalc.coefficients import npbi
+from ycalc.partitions import Partition, enumerate_partitions, z_of
 from ycalc.series import comb_int
 from ycalc.symfunc import (
     Specialization,
@@ -11,13 +12,12 @@ from ycalc.symfunc import (
     chi_experiment,
     complete,
     elementary,
-    monomial,
-    monomial_expand,
     newton_convert,
     p_nk,
-    p_nk_monomial_expansion,
     p_npk,
     power_sum,
+    power_sum_product,
+    power_to_monomial,
 )
 
 ALPHABET = tuple(Fraction(v) for v in (2, Fraction(1, 3), -1, Fraction(5, 7)))
@@ -62,25 +62,6 @@ def test_complete_bruteforce():
         assert complete(ALPHABET, k) == want
 
 
-def test_monomial_bruteforce():
-    a = ALPHABET[:3]
-    # m_(2,1) on three letters: sum over ordered pairs of distinct letters
-    want = sum(
-        (x**2 * y for x, y in itertools.permutations(a, 2)), Fraction(0)
-    )
-    assert monomial(a, Partition((2, 1))) == want
-    assert monomial(a, Partition((1, 1, 1, 1))) == 0  # longer than the alphabet
-    assert monomial(a, Partition(())) == 1
-
-
-def test_monomial_sums_to_complete():
-    for n in range(1, 5):
-        total = sum(
-            (monomial(ALPHABET, mu) for mu in enumerate_partitions(n)), Fraction(0)
-        )
-        assert total == complete(ALPHABET, n)
-
-
 def test_newton_convert():
     for k in range(1, 6):
         sides = newton_convert(ALPHABET, k)
@@ -116,34 +97,77 @@ def test_p_npk_marking_symmetry():
                 assert p_npk(n, p, k, spec) == p_npk(n, n - p, k, spec)
 
 
-def test_specialization_from_values():
-    spec = Specialization.from_values(3, (Fraction(1), Fraction(2)))
-    assert spec.xk(2) == 2
-    with pytest.raises(ValueError):
-        spec.xk(3)
+def _transition_combination(weights):
+    """sum_la w(la) p_la in the monomial basis, as {mu: coefficient}."""
+    out = {}
+    for la, w in weights.items():
+        for mu, count in power_to_monomial(la).items():
+            out[mu] = out.get(mu, Fraction(0)) + w * count
+    return out
 
 
-def test_monomial_expand_recovers_classical_bases():
-    size = 4
+def test_power_to_monomial_hand_rows():
+    m = {mu.parts: c for mu, c in power_to_monomial(Partition((2, 1))).items()}
+    assert m == {(3,): 1, (2, 1): 1}
+    m = {mu.parts: c for mu, c in power_to_monomial(Partition((1, 1, 1))).items()}
+    assert m == {(3,): 1, (2, 1): 3, (1, 1, 1): 6}
+    assert power_to_monomial(Partition(())) == {Partition(()): 1}
+
+
+def test_power_to_monomial_recovers_classical_bases():
+    # h_n = sum_la p_la/z_la has every m_mu coefficient 1;
+    # e_n = sum_la (-1)^(n - l(la)) p_la/z_la is m_(1^n)
+    for n in range(1, 7):
+        shapes = enumerate_partitions(n)
+        h = _transition_combination({la: Fraction(1, z_of(la)) for la in shapes})
+        assert h == {mu: 1 for mu in shapes}
+        e = _transition_combination(
+            {la: Fraction((-1) ** (n - la.length), z_of(la)) for la in shapes}
+        )
+        assert {mu: c for mu, c in e.items() if c} == {Partition((1,) * n): 1}
+
+
+def _monomial_bruteforce(a, mu):
+    """m_mu(a): one term per distinct exponent vector rearranging mu."""
+    if mu.length > len(a):
+        return Fraction(0)
+    padded = mu.parts + (0,) * (len(a) - mu.length)
+    return sum(
+        (_prod(v**e for v, e in zip(a, exps)) for exps in set(itertools.permutations(padded))),
+        Fraction(0),
+    )
+
+
+def test_power_to_monomial_on_an_alphabet():
+    # p_la(a) = sum_mu L[la, mu] m_mu(a), also when mu is longer than a
+    a = ALPHABET[:3]
+    for n in range(1, 6):
+        for la in enumerate_partitions(n):
+            row = power_to_monomial(la)
+            recon = sum((c * _monomial_bruteforce(a, mu) for mu, c in row.items()), Fraction(0))
+            assert recon == power_sum_product(a, la)
+
+
+def test_monomial_sums_to_complete():
     for n in range(1, 5):
-        h_coeffs = monomial_expand(lambda a: complete(a, n), n, size)
-        assert all(c == 1 for c in h_coeffs.values())
-        e_coeffs = monomial_expand(lambda a: elementary(a, n), n, size)
-        for mu, c in e_coeffs.items():
-            assert c == (1 if mu.parts == (1,) * n else 0)
+        total = sum(
+            (_monomial_bruteforce(ALPHABET, mu) for mu in enumerate_partitions(n)),
+            Fraction(0),
+        )
+        assert total == complete(ALPHABET, n)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (4, 4)])
 def test_p_nk_monomial_support_law(n, k):
-    a = tuple(Fraction(v) for v in (2, 3, 5, 7))
-    coeffs = p_nk_monomial_expansion(n, k, a)
-    for mu, c in coeffs.items():
-        assert c == (Fraction((-1) ** k) if mu.length == k else 0)
-
-
-def test_p_nk_monomial_expansion_needs_enough_letters():
-    with pytest.raises(ValueError, match="need >= n generic elements"):
-        p_nk_monomial_expansion(4, 2, (Fraction(1), Fraction(2)))
+    # p_nk(-X) = (-1)^k sum of m_mu over the length-k shapes mu
+    coeffs = _transition_combination(
+        {
+            la: Fraction((-1) ** la.length * npbi(la, 0, k), z_of(la))
+            for la in enumerate_partitions(n)
+        }
+    )
+    for mu in enumerate_partitions(n):
+        assert coeffs.get(mu, 0) == ((-1) ** k if mu.length == k else 0)
 
 
 def test_chi_experiment_small():
