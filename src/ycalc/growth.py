@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,18 +239,21 @@ def _path_rng(seed: int, path: int) -> random.Random:
     return random.Random(mixed)
 
 
-def _cumulative_atoms(la: Partition, alpha) -> tuple[tuple[int, int, int], ...]:
-    """Per-row cumulative thresholds scaled to 64-bit resolution: entries
-    (row, num, den) selected by the first u·den < num·2^64."""
-    atoms = pieri_coefficients(la, alpha)
-    out = []
+def _moves(la: Partition, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Partition, ...]]:
+    """Move table of one shape: the cumulative row weights as integer
+    thresholds t = ceil(num·2^64/den), the rows, and the shapes they lead
+    to.  For an integer u, u < t holds exactly when u·den < num·2^64, so
+    the first threshold above a 64-bit draw selects the row."""
+    thresholds, rows, nexts = [], [], []
     acc = Fraction(0)
-    for row, p in atoms:
+    for row, p in pieri_coefficients(la, alpha):
         acc += p
-        out.append((row, acc.numerator, acc.denominator))
+        thresholds.append(-(-acc.numerator * _WORD // acc.denominator))
+        rows.append(row)
+        nexts.append(la.add_cell(row))
     if acc != 1:
         raise InvariantError(f"row weights of {la} sum to {acc}")
-    return tuple(out)
+    return tuple(thresholds), tuple(rows), tuple(nexts)
 
 
 def sample_growth(
@@ -267,8 +271,9 @@ def sample_growth(
 
     The reference for moment r is Σ_state P(state) s_r(state) over the
     exact state distribution one step before the end, which for a single
-    step from a fixed start is just s_r(start).  Power sums of sampled
-    contents are accumulated as exact rationals in path order.
+    step from a fixed start is just s_r(start).  The paths are tallied by
+    (shape before the last step, row); the exact power sums of the sampled
+    contents are then formed once per distinct pair, weighted by its count.
     """
     alpha = check_alpha(alpha)
     if steps < 1:
@@ -278,39 +283,40 @@ def sample_growth(
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
 
-    cum_cache: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
-    power_sums = [Fraction(0)] * (2 * r_max + 1)
-    occupancy: dict[str, int] = {}
+    moves: dict[tuple[int, ...], tuple] = {}
+    last_steps: dict[tuple[tuple[int, ...], int], int] = {}  # (shape before the last step, row) -> paths
     dump: list[str] | None = [] if dump_paths else None
 
     for idx in range(paths):
         rng = _path_rng(seed, idx)
         shape = start
         trail = [str(shape)] if dump is not None and idx < dump_cap else None
-        last_content = Fraction(0)
         for _ in range(steps):
-            cum = cum_cache.get(shape.parts)
-            if cum is None:
-                cum = _cumulative_atoms(shape, alpha)
-                cum_cache[shape.parts] = cum
-            u = rng.getrandbits(64)
-            row = cum[-1][0]
-            for r, num, den in cum:
-                if u * den < num * _WORD:
-                    row = r
-                    break
-            last_content = added_content(shape, alpha, row)
-            shape = shape.add_cell(row)
+            before = shape.parts
+            move = moves.get(before)
+            if move is None:
+                move = moves[before] = _moves(shape, alpha)
+            k = bisect_right(move[0], rng.getrandbits(64))
+            row, shape = move[1][k], move[2][k]
             if trail is not None:
                 trail.append(str(shape))
-        key = str(shape)
-        occupancy[key] = occupancy.get(key, 0) + 1
-        acc = Fraction(1)
-        for r in range(0, 2 * r_max + 1):
-            power_sums[r] += acc
-            acc *= last_content
+        key = (before, row)
+        last_steps[key] = last_steps.get(key, 0) + 1
         if trail is not None:
             dump.append("|".join(trail))
+
+    # Exact power sums of the last added content, one content per pair.
+    power_sums = [Fraction(0)] * (2 * r_max + 1)
+    occupancy: dict[str, int] = {}
+    for (parts, row), count in last_steps.items():
+        la = Partition(parts)
+        content = added_content(la, alpha, row)
+        acc = Fraction(count)
+        for r in range(0, 2 * r_max + 1):
+            power_sums[r] += acc
+            acc *= content
+        key = str(la.add_cell(row))
+        occupancy[key] = occupancy.get(key, 0) + count
 
     before_final = distribution_after(start, alpha, steps - 1)
     moments = []
