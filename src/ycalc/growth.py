@@ -7,16 +7,22 @@ over shapes covered by Λ, with κ the up-kernel weight of the added row;
 the down kernel must then factor as κ · dim(λ)/dim(Λ), which is checked
 rather than assumed.
 
-The Monte Carlo sampler is deterministic per (seed, path index): each
-path derives its own 64-bit generator state, so the output is invariant
-under any parallel split of the path range.  Per-sample contents are kept
-as exact rationals; floats appear only in the reported estimates.
+The Monte Carlo sampler is deterministic per (seed, path index).  Its
+draws come from one pure function, `_draw(seed, path, step)`, splitmix64's
+output function over a counter linear in (seed, path, step): each path
+reads its own splitmix64 stream, and step s takes output s + 1 of it.  No
+generator state is carried from path to path, so the output is invariant
+under any parallel split of the path range.
+Each visited shape gets a move table once (integer thresholds, rows, next
+shapes), so a step is one draw, one bisection and one lookup.  Paths are
+tallied by (shape before the last step, row); after the loop each pair's
+content is formed once, and count·content^r enters the exact power sums.
+Floats appear only in the reported estimates.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +36,13 @@ from .moments import (
 from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
-# Path seed mixing; the two odd constants are the usual 64-bit Weyl /
-# splitmix multipliers, chosen so distinct path indices decorrelate.
-_SEED_MULT = 0x9E3779B97F4A7C15
-_PATH_MULT = 0xBF58476D1CE4E5B9
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and
+# the two multipliers of its output function.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _WORD = 1 << 64
+_MASK = _WORD - 1
 
 
 @dataclass(frozen=True)
@@ -234,9 +242,19 @@ class SampleStats:
     path_dump: tuple[str, ...] | None
 
 
-def _path_rng(seed: int, path: int) -> random.Random:
-    mixed = (seed * _SEED_MULT + path * _PATH_MULT) % _WORD
-    return random.Random(mixed)
+def _draw(seed: int, path: int, step: int) -> int:
+    """The 64-bit draw for one step of one path: splitmix64's output
+    function over the counter seed·_MIX2 + path·_MIX1 + (step + 1)·_GAMMA.
+
+    For a fixed (seed, path) the draws are the splitmix64 stream from
+    state seed·_MIX2 + path·_MIX1; seed 0, path 0 is splitmix64 from 0.
+    The three multipliers are distinct odd constants, so no small change
+    of seed, path or step cancels a change of another.
+    """
+    z = (seed * _MIX2 + path * _MIX1 + (step + 1) * _GAMMA) & _MASK
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK
+    return z ^ (z >> 31)
 
 
 def _moves(la: Partition, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Partition, ...]]:
@@ -288,15 +306,14 @@ def sample_growth(
     dump: list[str] | None = [] if dump_paths else None
 
     for idx in range(paths):
-        rng = _path_rng(seed, idx)
         shape = start
         trail = [str(shape)] if dump is not None and idx < dump_cap else None
-        for _ in range(steps):
+        for step in range(steps):
             before = shape.parts
             move = moves.get(before)
             if move is None:
                 move = moves[before] = _moves(shape, alpha)
-            k = bisect_right(move[0], rng.getrandbits(64))
+            k = bisect_right(move[0], _draw(seed, idx, step))
             row, shape = move[1][k], move[2][k]
             if trail is not None:
                 trail.append(str(shape))

@@ -165,6 +165,21 @@ def test_growth_sample_is_reproducible(capsys):
     assert first == second
 
 
+def test_growth_sample_paths_are_pinned(capsys):
+    # The first paths of one seed, so that any change of the draw stream shows.
+    code, out, _ = run_cli(
+        capsys,
+        "growth", "sample", "--alpha", "1/2", "--steps", "6", "--paths", "5",
+        "--seed", "2026", "--start", "2,1", "--emit", "paths",
+    )
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "2,1|3,1|3,2|4,2|4,2,1|5,2,1|6,2,1",
+        "2,1|3,1|3,2|3,3|4,3|4,3,1|4,3,2",
+        "2,1|3,1|3,2|3,2,1|4,2,1|4,2,2|4,2,2,1",
+    ]
+
+
 def test_experiment_chi_json(capsys):
     code, out, _ = run_cli(capsys, "experiment", "chi", "--n-max", "2", "--p-max", "1")
     assert code == 0
@@ -173,6 +188,18 @@ def test_experiment_chi_json(capsys):
     for row in rows:
         assert row["match"] is True
         assert row["chi_fitted"] == row["chi_conjectured"]
+
+
+def test_experiment_chi_without_coefficients_exits_2(capsys):
+    code, out, err = run_cli(capsys, "experiment", "chi", "--n-max", "0")
+    assert (code, out) == (2, "")
+    assert "--n-max must be at least 1" in err
+
+
+def test_verify_chi_without_comparisons_fails(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--identity", "chi", "--n-max", "0")
+    assert code == 1
+    assert out == "chi: failed (0 cases)\n  0 comparisons made\n"
 
 
 def test_verify_single_identity_text(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ycalc.growth import (
+    _draw,
     DimensionTable,
     GrowthKernel,
     MomentStat,
@@ -21,7 +22,7 @@ from ycalc.growth import (
     tableau_counts,
     transition_kernel,
 )
-from ycalc.moments import s_r_direct
+from ycalc.moments import pieri_coefficients, s_r_direct
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
 from ycalc.series import InvariantError
 
@@ -183,6 +184,73 @@ def test_sampler_dump_cap():
         steps=1, alpha=Fraction(1), paths=30, seed=1, dump_paths=True, dump_cap=10
     )
     assert len(stats.path_dump) == 10
+
+
+def _last_content(before: Partition, after: Partition, alpha) -> Fraction:
+    """Content (j-1) - (i-1)/alpha of the one cell `after` adds to `before`."""
+    (i,) = [i for i in range(1, after.length + 1) if after.part(i) != before.part(i)]
+    return Fraction(after.part(i) - 1) - Fraction(i - 1) / alpha
+
+
+@pytest.mark.parametrize("alpha", (Fraction(1, 2), Fraction(2)))
+@pytest.mark.parametrize("steps", (1, 3))
+def test_sufficient_statistics_match_per_path_sums(alpha, steps):
+    paths, r_max = 400, 4
+    stats = sample_growth(
+        steps=steps, alpha=alpha, paths=paths, seed=17, start=Partition((2, 1)),
+        r_max=r_max, dump_paths=True,
+    )
+    assert len(stats.path_dump) == paths
+    power_sums = [Fraction(0)] * (2 * r_max + 1)
+    finals: dict[str, int] = {}
+    for trail in stats.path_dump:
+        shapes = [Partition.from_string(name) for name in trail.split("|")]
+        assert len(shapes) == steps + 1
+        content = _last_content(shapes[-2], shapes[-1], alpha)
+        for r in range(2 * r_max + 1):
+            power_sums[r] += content**r
+        finals[str(shapes[-1])] = finals.get(str(shapes[-1]), 0) + 1
+    assert stats.occupancy == tuple(sorted(finals.items()))
+    for m in stats.moments:
+        mean = power_sums[m.r] / paths
+        variance = power_sums[2 * m.r] / paths - mean * mean
+        assert m.estimate == float(mean), m.r
+        assert m.std_error == math.sqrt(float(variance) / paths), m.r
+
+
+def test_draw_matches_reference_splitmix64():
+    # Vigna's splitmix64 from state 0 begins with these three outputs;
+    # seed 0, path 0 starts at state 0 and step s takes output s + 1.
+    assert [_draw(0, 0, s) for s in range(3)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+
+
+def _trail_from_draws(seed: int, path: int, start: Partition, alpha, steps: int) -> str:
+    """One path rebuilt from its draws: the first row whose cumulative
+    weight num/den satisfies u·den < num·2^64."""
+    shape, names = start, [str(start)]
+    for step in range(steps):
+        u = _draw(seed, path, step)
+        acc = Fraction(0)
+        for row, p in pieri_coefficients(shape, alpha):
+            acc += p
+            if u * acc.denominator < acc.numerator << 64:
+                break
+        shape = shape.add_cell(row)
+        names.append(str(shape))
+    return "|".join(names)
+
+
+def test_sampler_paths_are_invariant_under_reordering():
+    alpha, start, steps, paths, seed = Fraction(3, 5), Partition((1,)), 5, 60, 2026
+    stats = sample_growth(
+        steps=steps, alpha=alpha, paths=paths, seed=seed, start=start, dump_paths=True
+    )
+    rebuilt = {p: _trail_from_draws(seed, p, start, alpha, steps) for p in reversed(range(paths))}
+    assert stats.path_dump == tuple(rebuilt[p] for p in range(paths))
 
 
 def test_sampler_argument_errors():
