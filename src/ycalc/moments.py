@@ -32,25 +32,30 @@ _u_cache: dict[tuple[int, int, int, int, tuple[int, ...]], int] = {}
 
 
 def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
-    """Raw row-i formula, defined for 1 <= i <= l(la) + 1."""
+    """Raw row-i formula, defined for 1 <= i <= l(la) + 1.
+
+    With alpha = a/b every linear factor is an integer over b, so the
+    product is kept as one integer numerator and one denominator."""
+    a, b = alpha.numerator, alpha.denominator
     l = la.length
-    li = Fraction(la.part(i))
-    denom0 = alpha * li + l - i + 2
-    if denom0 == 0:
+    li = la.part(i)
+    den = a * li + b * (l - i + 2)
+    if den == 0:
         raise InvariantError("nonvanishing linear factor violated")
-    val = Fraction(1) / denom0
+    num = b
     for j in range(1, l + 2):
         if j == i:
             continue
-        diff = alpha * (li - la.part(j))
-        num = diff + j - i + 1
-        den = diff + j - i
-        if den == 0:
+        diff = a * (li - la.part(j))
+        num_j = diff + b * (j - i + 1)
+        den_j = diff + b * (j - i)
+        if den_j == 0:
             raise InvariantError("nonvanishing linear factor violated")
-        if num == 0:
+        if num_j == 0:
             return Fraction(0)
-        val *= Fraction(num) / den
-    return val
+        num *= num_j
+        den *= den_j
+    return Fraction(num, den)
 
 
 def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
@@ -82,22 +87,26 @@ def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fract
 
 
 def _corner_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
-    """Raw corner weight for deleting in row i, 1 <= i <= l(la)."""
+    """Raw corner weight for deleting in row i, 1 <= i <= l(la), as one
+    integer numerator over one denominator like the row formula."""
+    a, b = alpha.numerator, alpha.denominator
     l = la.length
-    li = Fraction(la.parts[i - 1])
-    val = li + Fraction(l - i) / alpha
+    li = la.parts[i - 1]
+    num = a * li + b * (l - i)
+    den = a
     for j in range(1, l + 1):
         if j == i:
             continue
-        diff = alpha * (li - la.parts[j - 1])
-        num = diff + j - i - 1
-        den = diff + j - i
-        if den == 0:
+        diff = a * (li - la.parts[j - 1])
+        num_j = diff + b * (j - i - 1)
+        den_j = diff + b * (j - i)
+        if den_j == 0:
             raise InvariantError("nonvanishing linear factor violated")
-        if num == 0:
+        if num_j == 0:
             return Fraction(0)
-        val *= Fraction(num) / den
-    return val
+        num *= num_j
+        den *= den_j
+    return Fraction(num, den)
 
 
 def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:

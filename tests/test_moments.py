@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ycalc.moments import (
+    _corner_row_value,
+    _pieri_row_value,
     chu_vandermonde_sides,
     content_ratio_series,
     cor52_coefficient,
@@ -38,6 +40,7 @@ from ycalc.moments import (
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
 from ycalc.series import comb_int
 from ycalc.shifted import d_k
+from ycalc.verify import DEFAULT_ALPHA_SET
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 SHAPES = [la for la in partitions_upto(6)]
@@ -82,6 +85,39 @@ def test_corner_weights_sum_to_cell_count():
             assert {i for i, _ in atoms} == set(la.removable_rows())
             assert sum((w for _, w in atoms), Fraction(0)) == la.weight
     assert dict(corner_binomials(Partition((2, 2)), Fraction(1))) == {2: Fraction(4)}
+
+
+def _pieri_row_reference(la, alpha, i):
+    """The row-i formula factor by factor in Fractions."""
+    l = la.length
+    li = Fraction(la.part(i))
+    val = Fraction(1) / (alpha * li + l - i + 2)
+    for j in range(1, l + 2):
+        if j != i:
+            diff = alpha * (li - la.part(j))
+            val *= Fraction(diff + j - i + 1) / (diff + j - i)
+    return val
+
+
+def _corner_row_reference(la, alpha, i):
+    """The corner formula factor by factor in Fractions."""
+    l = la.length
+    li = Fraction(la.parts[i - 1])
+    val = li + Fraction(l - i) / alpha
+    for j in range(1, l + 1):
+        if j != i:
+            diff = alpha * (li - la.parts[j - 1])
+            val *= Fraction(diff + j - i - 1) / (diff + j - i)
+    return val
+
+
+@pytest.mark.parametrize("alpha", DEFAULT_ALPHA_SET + (Fraction(7, 3),))
+def test_integer_kernels_match_fraction_formulas(alpha):
+    for la in partitions_upto(8):
+        for i in range(1, la.length + 2):
+            assert _pieri_row_value(la, alpha, i) == _pieri_row_reference(la, alpha, i), (la, i)
+        for i in range(1, la.length + 1):
+            assert _corner_row_value(la, alpha, i) == _corner_row_reference(la, alpha, i), (la, i)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
