@@ -217,6 +217,8 @@ def _cmd_growth_sample(args) -> int:
 
 def _cmd_experiment_chi(args) -> int:
     report = chi_experiment(args.n_max, args.p_max)
+    if not report.rows:
+        raise ValueError("no coefficient to fit: --n-max must be at least 1")
     rows = [
         {
             "n": row.n,

@@ -707,11 +707,13 @@ def _check_chi(identity: str, params: dict) -> VerificationReport:
             if not row.match:
                 mismatches += 1
     violations = [_plain(v) for v in report.support_violations]
+    payload = {"rows": rows, "support_violations": violations}
+    if not compared:
+        return VerificationReport(identity, params, "failed", 0, None, "0 comparisons made", payload)
     if mismatches or violations:
         notes = f"{mismatches} of {compared} fitted values disagree with the conjectured formula; {len(violations)} support violations"
     else:
         notes = f"all {compared} fitted values match the conjectured formula"
-    payload = {"rows": rows, "support_violations": violations}
     return VerificationReport(identity, params, "reported", compared, None, notes, payload)
 
 

@@ -133,6 +133,7 @@ def test_failed_report_shape():
         ("thm3.1", {"mode": "random", "trials": 0}),
         ("thm5.1", {"lambda_max": -1}),
         ("lem11.1", {"order": 0}),
+        ("chi", {"n_max": 0}),
     ],
 )
 def test_zero_comparisons_never_verify(identity, overrides):
