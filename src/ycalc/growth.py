@@ -13,6 +13,7 @@ output function over a counter linear in (seed, path, step): each path
 reads its own splitmix64 stream, and step s takes output s + 1 of it.  No
 generator state is carried from path to path, so the output is invariant
 under any parallel split of the path range.
+
 Each visited shape gets a move table once (integer thresholds, rows, next
 shapes), so a step is one draw, one bisection and one lookup.  Paths are
 tallied by (shape before the last step, row); after the loop each pair's

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from ycalc.growth import (
-    _draw,
     DimensionTable,
     GrowthKernel,
     MomentStat,
+    _draw,
     added_content,
     cotransition_from_dimensions,
     cotransition_kernel,
