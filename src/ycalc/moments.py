@@ -13,21 +13,28 @@ admit three independent routes each: the direct atom sum, a closed
 double-sum in the f_npk moment polynomials, and a complete-homogeneous
 extraction from a difference of two integer alphabets.  All three must
 agree exactly; the verifier leans on that.
+
+The closed routes read the integer moment table of shifted.py, where
+f_{n,p,k} = A[n][p][k] / (n! a^n) for alpha = a/b, and sum integers
+over one denominator each: c_r at y = c/d over d^r r! a^r, the u
+regrouping over a^r r!, and the row and column binomials over
+p! prod_m (b + m a) and p! prod_m (a + m b).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .coefficients import comb_int, npbi, stirling_first
-from .partitions import Partition, check_alpha, content_alphabet, enumerate_partitions, z_of
+from .partitions import Partition, check_alpha, content_alphabet, enumerate_partitions
 from .series import InvariantError, UniPoly, linear_ratio_series, lowering_factorial, raising_factorial
-from .shifted import d_mu, f_npk
+from .shifted import moment_table
 
 _pieri_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
 _corner_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
-_c52_cache: dict[tuple[tuple[int, ...], Fraction, Fraction, int], Fraction] = {}
+_c52_cache: dict[tuple[tuple[int, ...], Fraction, Fraction], list[int]] = {}
 _u_cache: dict[tuple[int, int, int, int, tuple[int, ...]], int] = {}
 
 
@@ -157,35 +164,37 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fr
     by the collected closed form: a sum over n, p, q with 2n+p+q <= r of
     (-y)^n (y+1)^p C(n+p+q-1, p) times the k-sum of
     C(|la|+n-1, n-k) f_{r-2n-p, q, k}(la).
+
+    With y = c/d every term is an integer over d^r r! a^r: the k-sum is
+    read from row r-2n-p of the integer moment table, so c_r is one
+    integer numerator over that denominator.  The numerators of c_0 ..
+    c_r are kept per (shape, alpha, y).
     """
     alpha = check_alpha(alpha)
     y = Fraction(y)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    key = (la.parts, alpha, y, r)
-    hit = _c52_cache.get(key)
-    if hit is not None:
-        return hit
-    w = la.weight
-    total = Fraction(0)
+    table = moment_table(la, alpha)
+    c, d = y.numerator, y.denominator
+    nums = _c52_cache.setdefault((la.parts, alpha, y), [])
+    while len(nums) <= r:
+        nums.append(_cor52_numerator(table, c, d, len(nums)))
+    return Fraction(nums[r], d**r * math.factorial(r) * table.a**r)
+
+
+def _cor52_numerator(table, c: int, d: int, r: int) -> int:
+    """d^r r! a^r c_r at y = c/d."""
+    a = table.a
+    fact_r = math.factorial(r)
+    total = 0
     for n in range(0, r // 2 + 1):
         for p in range(0, r - 2 * n + 1):
             nn = r - 2 * n - p
-            for q in range(0, nn + 1):
-                inner = Fraction(0)
-                for k in range(0, min(n, nn) + 1):
-                    f = f_npk(la, alpha, nn, q, k)
-                    if f:
-                        inner += comb_int(w + n - 1, n - k) * f
-                if inner == 0:
-                    continue
-                total += (
-                    (-y) ** n
-                    * (y + 1) ** p
-                    * comb_int(n + p + q - 1, p)
-                    * inner
-                )
-    _c52_cache[key] = total
+            # (-y)^n (y+1)^p f_nn over d^r r! a^r
+            scale = (-c) ** n * (c + d) ** p * d ** (r - n - p) * (fact_r // math.factorial(nn)) * a ** (r - nn)
+            for q, inner in enumerate(table.contraction(n, nn)):
+                if inner:
+                    total += scale * comb_int(n + p + q - 1, p) * inner
     return total
 
 
@@ -294,40 +303,53 @@ def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
 
 
 def s_r_from_u(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Rebuild the closed row moment through the u regrouping."""
+    """Rebuild the closed row moment through the u regrouping.
+
+    Each term (1/alpha)^i (1 - 1/alpha)^(r-2i-j) C(|la|+i-1, i-k) u d_rho / z_rho
+    is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
+    read from the integer moment table.
+    """
     alpha = check_alpha(alpha)
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    table = moment_table(la, alpha)
+    a, b = table.a, table.b
     w = la.weight
-    total = Fraction(0)
+    fact_r = math.factorial(r)
+    total = 0
     for i in range(0, r // 2 + 1):
         for j in range(0, r - 2 * i + 1):
+            scale = b**i * (a - b) ** (r - 2 * i - j) * a**i * (fact_r // math.factorial(j))
             for k in range(0, min(i, j) + 1):
-                for rho in enumerate_partitions(j):
+                binom = comb_int(w + i - 1, i - k)
+                for rho, prod in zip(enumerate_partitions(j), table.products(j)):
                     u = u_ijk_coefficients(r, i, j, k, rho)
                     if not u:
                         continue
-                    total += (
-                        Fraction(1) / alpha**i
-                        * (1 - Fraction(1) / alpha) ** (r - 2 * i - j)
-                        * comb_int(w + i - 1, i - k)
-                        * u
-                        * d_mu(la, alpha, rho)
-                        / z_of(rho)
-                    )
-    return total
+                    total += scale * binom * u * prod
+    return Fraction(total, a**r * fact_r)
 
 
 def row_column_binomials(la: Partition, alpha: Fraction, p: int) -> tuple[Fraction, Fraction]:
     """Binomial weights of la against a row of length p and a column of
     height p, via the Stirling-weighted double sum in f_jk; p = 0 gives
-    (1, 1)."""
+    (1, 1).
+
+    With alpha = a/b the row sum is an integer over a^p p! and the column
+    sum one over b^p p!; dividing by (1/alpha)_p and (alpha)_p leaves the
+    denominators p! prod_m (b + m a) and p! prod_m (a + m b).
+    """
     alpha = check_alpha(alpha)
     if p < 0:
         raise ValueError("p must be nonnegative")
     if p == 0:
         return Fraction(1), Fraction(1)
+    table = moment_table(la, alpha)
+    a, b = table.a, table.b
     w = la.weight
-    row_sum = Fraction(0)
-    col_sum = Fraction(0)
+    fact_p = math.factorial(p)
+    row_sum = 0
+    col_sum = 0
     for i in range(0, p + 1):
         for j in range(0, p - i + 1):
             if i + j < 1:
@@ -335,18 +357,18 @@ def row_column_binomials(la: Partition, alpha: Fraction, p: int) -> tuple[Fracti
             st = stirling_first(p - 1, i + j - 1)
             if not st:
                 continue
-            inner = Fraction(0)
-            for k in range(0, min(i, j) + 1):
-                f = f_npk(la, alpha, j, 0, k)
-                if f:
-                    inner += comb_int(w - j, i - k) * f
+            inner = table.k_sum([comb_int(w - j, i - k) for k in range(min(i, j) + 1)], j, 0)
             if inner == 0:
                 continue
-            row_sum += Fraction(st) / alpha**i * inner
-            col_sum += Fraction(st) * (-1) ** j * alpha ** (i + j) * inner
-    row = row_sum / raising_factorial(Fraction(1) / alpha, p)
-    col = col_sum / raising_factorial(alpha, p)
-    return row, col
+            scale = st * (fact_p // math.factorial(j)) * inner
+            row_sum += scale * b**i * a ** (p - i - j)
+            col_sum += scale * (-1) ** j * a**i * b ** (p - i - j)
+    row_den = fact_p
+    col_den = fact_p
+    for m in range(p):
+        row_den *= b + m * a
+        col_den *= a + m * b
+    return Fraction(row_sum, row_den), Fraction(col_sum, col_den)
 
 
 def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[Fraction, Fraction] | None:

@@ -5,35 +5,126 @@ d_k(la; alpha) is the k-th power sum of the alpha-content alphabet of la
 X_i = d_i, which is what every closed moment formula below consumes.
 The shifted power sums p*_k decompose the d_k through the subset-count
 numbers t(k, m).
+
+d_k and f_npk read one integer table per (shape, alpha).  With
+alpha = a/b the content of cell (i, j) is c/a with the integer numerator
+c = (j-1)a - (i-1)b, so d_k = P_k / a^k for the integer power sums
+P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
+
+    A[n][p][k] = n! a^n f_{n,p,k} = sum over mu |- n of
+                 npbi(mu, p, k) (n!/z_mu) P_mu1 P_mu2 ...,
+
+so f_{n,p,k} = A[n][p][k] / (n! a^n).  Rows are built on demand, each
+partition of n visited once; the table reads only the contents and npbi.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .coefficients import npbi, stirling_inverse_t
-from .partitions import Partition, check_alpha, content_alphabet, enumerate_partitions, z_of
-from .series import lowering_factorial
+from .coefficients import npbi_table, stirling_inverse_t
+from .partitions import Partition, check_alpha, enumerate_partitions, z_of
+from .series import comb_int, lowering_factorial
 
-_d_cache: dict[tuple[tuple[int, ...], Fraction, int], Fraction] = {}
-_f_cache: dict[tuple[tuple[int, ...], Fraction, int, int, int], Fraction] = {}
+
+class _MomentTable:
+    """Integer power sums and moment rows of one (shape, alpha = a/b)."""
+
+    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_contractions")
+
+    def __init__(self, la: Partition, alpha: Fraction):
+        a, b = alpha.numerator, alpha.denominator
+        self.a = a
+        self.b = b
+        self.weight = la.weight
+        self._contents = tuple(
+            (j - 1) * a - (i - 1) * b
+            for i, part in enumerate(la.parts, start=1)
+            for j in range(1, part + 1)
+        )
+        self._power_sums = [la.weight]
+        self._products: list[tuple[int, ...]] = []
+        self._rows: list[tuple[tuple[int, ...], ...]] = []
+        self._contractions: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def power_sum(self, k: int) -> int:
+        """P_k, the sum of the k-th powers of the content numerators."""
+        sums = self._power_sums
+        while len(sums) <= k:
+            m = len(sums)
+            sums.append(sum(c**m for c in self._contents))
+        return sums[k]
+
+    def products(self, n: int) -> tuple[int, ...]:
+        """(n!/z_mu) P_mu for mu over enumerate_partitions(n), in that order."""
+        while len(self._products) <= n:
+            m = len(self._products)
+            fact = math.factorial(m)
+            out = []
+            for mu in enumerate_partitions(m):
+                v = fact // z_of(mu)
+                for part in mu.parts:
+                    v *= self.power_sum(part)
+                out.append(v)
+            self._products.append(tuple(out))
+        return self._products[n]
+
+    def row(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """A[n], indexed [p][k] for 0 <= p, k <= n."""
+        while len(self._rows) <= n:
+            m = len(self._rows)
+            acc = [[0] * (m + 1) for _ in range(m + 1)]
+            for mu, v in zip(enumerate_partitions(m), self.products(m)):
+                if v:
+                    for (p, k), c in npbi_table(mu).items():
+                        acc[p][k] += c * v
+            self._rows.append(tuple(tuple(line) for line in acc))
+        return self._rows[n]
+
+    def k_sum(self, coeffs: list[int], m: int, p: int) -> int:
+        """sum over k < len(coeffs) of coeffs[k] A[m][p][k].
+
+        Column k = 0 is 1 at m = p = 0 and 0 elsewhere, so a sum that
+        reaches only that column builds no row."""
+        if m == 0 or len(coeffs) == 1:
+            return coeffs[0] if m == 0 else 0
+        return sum(c * v for c, v in zip(coeffs, self.row(m)[p]))
+
+    def contraction(self, n: int, m: int) -> tuple[int, ...]:
+        """The k-sums of Theorem 5.1 over row m, indexed by p:
+        sum over k <= min(n, m) of C(|la|+n-1, n-k) A[m][p][k]."""
+        key = (n, m)
+        hit = self._contractions.get(key)
+        if hit is None:
+            binoms = [comb_int(self.weight + n - 1, n - k) for k in range(min(n, m) + 1)]
+            hit = self._contractions[key] = tuple(self.k_sum(binoms, m, p) for p in range(m + 1))
+        return hit
+
+    def denominator(self, n: int) -> int:
+        """n! a^n, the common denominator of row n."""
+        return math.factorial(n) * self.a**n
+
+
+_tables: dict[tuple[tuple[int, ...], Fraction], _MomentTable] = {}
+
+
+def moment_table(la: Partition, alpha: Fraction) -> _MomentTable:
+    """The integer moment table of (la, alpha), built once and extended on demand."""
+    alpha = check_alpha(alpha)
+    key = (la.parts, alpha)
+    table = _tables.get(key)
+    if table is None:
+        table = _tables[key] = _MomentTable(la, alpha)
+    return table
 
 
 def d_k(la: Partition, alpha: Fraction, k: int) -> Fraction:
     """k-th power sum of the alpha-contents; k = 0 counts the cells."""
-    alpha = check_alpha(alpha)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    key = (la.parts, alpha, k)
-    hit = _d_cache.get(key)
-    if hit is not None:
-        return hit
-    if k == 0:
-        val = Fraction(la.weight)
-    else:
-        val = sum((c**k for c in content_alphabet(la, alpha)), Fraction(0))
-    _d_cache[key] = val
-    return val
+    table = moment_table(la, alpha)
+    return Fraction(table.power_sum(k), table.a**k)
 
 
 def d_mu(la: Partition, alpha: Fraction, mu: Partition) -> Fraction:
@@ -54,22 +145,12 @@ def f_npk(la: Partition, alpha: Fraction, n: int, p: int, k: int) -> Fraction:
         raise ValueError("p out of range")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    key = (la.parts, alpha, n, p, k)
-    hit = _f_cache.get(key)
-    if hit is not None:
-        return hit
     if k == 0:
-        val = Fraction(1) if n == 0 else Fraction(0)
-    elif n == 0 or k > n:
-        val = Fraction(0)
-    else:
-        val = Fraction(0)
-        for mu in enumerate_partitions(n):
-            c = npbi(mu, p, k)
-            if c:
-                val += Fraction(c, z_of(mu)) * d_mu(la, alpha, mu)
-    _f_cache[key] = val
-    return val
+        return Fraction(1) if n == 0 else Fraction(0)
+    if n == 0 or k > n:
+        return Fraction(0)
+    table = moment_table(la, alpha)
+    return Fraction(table.row(n)[p][k], table.denominator(n))
 
 
 def shifted_power_sum(la: Partition, alpha: Fraction, k: int) -> Fraction:

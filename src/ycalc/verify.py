@@ -71,9 +71,8 @@ from .series import (
     XPolynomial,
     binomial,
     comb_int,
-    linear_ratio_series,
 )
-from .shifted import d_k, dk_from_shifted, f_npk
+from .shifted import d_k, dk_from_shifted, moment_table
 from .symfunc import Specialization, chi_experiment, p_npk
 
 DEFAULT_ALPHA_SET = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
@@ -439,17 +438,14 @@ def _check_rel51(identity: str, params: dict) -> VerificationReport:
                 # 1 + u / (1 + c t)
                 factor = TruncatedSeries(variables, order, {(1, m): (-c) ** m for m in range(order)})
                 lhs = lhs * (factor + 1)
+            table = moment_table(la, alpha)
             coeffs = {}
             for i in range(order + 1):
                 for j in range(order + 1 - i):
-                    acc = Fraction(0)
-                    for k in range(0, min(i, j) + 1):
-                        f = f_npk(la, alpha, j, 0, k)
-                        if f:
-                            acc += comb_int(w - j, i - k) * f
+                    acc = table.k_sum([comb_int(w - j, i - k) for k in range(min(i, j) + 1)], j, 0)
                     if j % 2:
                         acc = -acc
-                    coeffs[(i, j)] = acc
+                    coeffs[(i, j)] = Fraction(acc, table.denominator(j))
             rhs = TruncatedSeries(variables, order, coeffs)
             rec.series_equal(lhs, rhs, la=str(la), alpha=alpha)
     return rec.report(identity, params)
@@ -461,30 +457,34 @@ def _check_thm51(identity: str, params: dict) -> VerificationReport:
     alphas = _as_fraction_set(params["alpha_set"])
     ys = _as_fraction_set(params["y_set"])
     rec = _Recorder()
-    # inv_pows[y][m] = (1 + (y+1) t)^(-m)
-    inv_pows = {y: [linear_ratio_series((), (y + 1,) * m, order) for m in range(order + 1)] for y in ys}
+    # The right-hand side sum of (-y)^n (-1)^N t^(2n+N) (1 + (y+1) t)^-(n+q)
+    # times the k-sum of f_{N,p,k} (N = p+q), with y = c/d and alpha = a/b,
+    # is accumulated as integers over d^order order! a^order; the t^i
+    # coefficient of (1 + (y+1) t)^-m is C(-m, i) (c+d)^i / d^i.
+    fact = math.factorial(order)
+    neg_binoms = [[comb_int(-m, i) for i in range(order + 1)] for m in range(order + 1)]
     for la in partitions_upto(lambda_max):
-        w = la.weight
         for alpha in alphas:
+            table = moment_table(la, alpha)
+            a = table.a
             for y in ys:
+                c, d = y.numerator, y.denominator
                 lhs = content_ratio_series(la, alpha, y, order)
-                rhs = [Fraction(0)] * (order + 1)
+                rhs = [0] * (order + 1)
                 for n in range(0, order // 2 + 1):
                     for p in range(0, order - 2 * n + 1):
                         for q in range(0, order - 2 * n - p + 1):
                             big_n = p + q
-                            acc = Fraction(0)
-                            for k in range(0, min(n, big_n) + 1):
-                                f = f_npk(la, alpha, big_n, p, k)
-                                if f:
-                                    acc += comb_int(w + n - 1, n - k) * f
+                            acc = table.contraction(n, big_n)[p]
                             if acc == 0:
                                 continue
-                            coef = (-y) ** n * Fraction(-1) ** big_n * acc
                             shift = 2 * n + big_n
-                            for i, c in enumerate(inv_pows[y][n + q].coeffs[: order + 1 - shift]):
-                                rhs[shift + i] += coef * c
-                rec.series_equal(lhs, UniPoly(rhs), la=str(la), alpha=alpha, y=y)
+                            coef = (-c) ** n * (-1) ** big_n * acc * (fact // math.factorial(big_n)) * a ** (order - big_n)
+                            coef *= d ** (shift - n)
+                            for i, nb in enumerate(neg_binoms[n + q][: order + 1 - shift]):
+                                rhs[shift + i] += coef * nb * (c + d) ** i * d ** (order - shift - i)
+                den = d**order * fact * a**order
+                rec.series_equal(lhs, UniPoly([Fraction(v, den) for v in rhs]), la=str(la), alpha=alpha, y=y)
     return rec.report(identity, params)
 
 

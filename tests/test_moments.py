@@ -9,6 +9,7 @@ Everything else is route-against-route agreement.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +38,14 @@ from ycalc.moments import (
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
-from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
-from ycalc.series import comb_int
-from ycalc.shifted import d_k
-from ycalc.verify import DEFAULT_ALPHA_SET
+from ycalc.coefficients import npbi_table, stirling_first
+from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
+from ycalc.series import comb_int, raising_factorial
+from ycalc.shifted import d_k, f_npk
+from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
+KERNEL_ALPHAS = DEFAULT_ALPHA_SET + (Fraction(7, 3),)
 SHAPES = [la for la in partitions_upto(6)]
 
 
@@ -111,13 +114,157 @@ def _corner_row_reference(la, alpha, i):
     return val
 
 
-@pytest.mark.parametrize("alpha", DEFAULT_ALPHA_SET + (Fraction(7, 3),))
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_integer_kernels_match_fraction_formulas(alpha):
     for la in partitions_upto(8):
         for i in range(1, la.length + 2):
             assert _pieri_row_value(la, alpha, i) == _pieri_row_reference(la, alpha, i), (la, i)
         for i in range(1, la.length + 1):
             assert _corner_row_value(la, alpha, i) == _corner_row_reference(la, alpha, i), (la, i)
+
+
+# Fraction definitions of the moment polynomials and of the closed routes,
+# kept as references for the integer table that replaced them.
+
+
+@lru_cache(maxsize=None)
+def _d_reference(la, alpha, k):
+    if k == 0:
+        return Fraction(la.weight)
+    return sum((c**k for c in content_alphabet(la, alpha)), Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def _f_reference_row(parts, alpha, n):
+    """{(p, k): f_npk} from f = sum over mu |- n of npbi(mu, p, k) d_mu / z_mu."""
+    la = Partition(parts)
+    out = {}
+    for mu in enumerate_partitions(n):
+        weight = Fraction(1, z_of(mu))
+        for part in mu.parts:
+            weight *= _d_reference(la, alpha, part)
+        for key, c in npbi_table(mu).items():
+            out[key] = out.get(key, Fraction(0)) + c * weight
+    return out
+
+
+def _f_reference(la, alpha, n, p, k):
+    if k == 0:
+        return Fraction(1) if n == 0 else Fraction(0)
+    if n == 0 or k > n:
+        return Fraction(0)
+    return _f_reference_row(la.parts, alpha, n).get((p, k), Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def _k_sum_reference(la, alpha, n, nn, q):
+    """The inner sum of the collected form, which depends on neither y nor r."""
+    inner = Fraction(0)
+    for k in range(0, min(n, nn) + 1):
+        f = _f_reference(la, alpha, nn, q, k)
+        if f:
+            inner += comb_int(la.weight + n - 1, n - k) * f
+    return inner
+
+
+def _cor52_reference(la, alpha, y, r):
+    total = Fraction(0)
+    for n in range(0, r // 2 + 1):
+        for p in range(0, r - 2 * n + 1):
+            nn = r - 2 * n - p
+            weight = (-y) ** n * (y + 1) ** p
+            for q in range(0, nn + 1):
+                inner = _k_sum_reference(la, alpha, n, nn, q)
+                if inner == 0:
+                    continue
+                total += weight * comb_int(n + p + q - 1, p) * inner
+    return total
+
+
+@lru_cache(maxsize=None)
+def _d_over_z_reference(la, alpha, rho):
+    d_rho = Fraction(1)
+    for part in rho.parts:
+        d_rho *= _d_reference(la, alpha, part)
+    return d_rho / z_of(rho)
+
+
+def _s_r_from_u_reference(la, alpha, r):
+    w = la.weight
+    total = Fraction(0)
+    for i in range(0, r // 2 + 1):
+        for j in range(0, r - 2 * i + 1):
+            weight = Fraction(1) / alpha**i * (1 - Fraction(1) / alpha) ** (r - 2 * i - j)
+            for k in range(0, min(i, j) + 1):
+                for rho in enumerate_partitions(j):
+                    u = u_ijk_coefficients(r, i, j, k, rho)
+                    if not u:
+                        continue
+                    total += weight * comb_int(w + i - 1, i - k) * u * _d_over_z_reference(la, alpha, rho)
+    return total
+
+
+def _row_column_reference(la, alpha, p):
+    if p == 0:
+        return Fraction(1), Fraction(1)
+    w = la.weight
+    row_sum = Fraction(0)
+    col_sum = Fraction(0)
+    for i in range(0, p + 1):
+        for j in range(0, p - i + 1):
+            if i + j < 1:
+                continue
+            st = stirling_first(p - 1, i + j - 1)
+            inner = Fraction(0)
+            for k in range(0, min(i, j) + 1):
+                inner += comb_int(w - j, i - k) * _f_reference(la, alpha, j, 0, k)
+            row_sum += Fraction(st) / alpha**i * inner
+            col_sum += Fraction(st) * (-1) ** j * alpha ** (i + j) * inner
+    return row_sum / raising_factorial(1 / alpha, p), col_sum / raising_factorial(alpha, p)
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_moment_table_matches_fraction_definitions(alpha):
+    for la in partitions_upto(6):
+        for k in range(11):
+            assert d_k(la, alpha, k) == _d_reference(la, alpha, k), (la, k)
+        for n in range(11):
+            for p in range(n + 1):
+                for k in range(n + 2):
+                    assert f_npk(la, alpha, n, p, k) == _f_reference(la, alpha, n, p, k), (la, n, p, k)
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_closed_routes_match_fraction_loops(alpha):
+    # y = -1 makes every (y+1)^p with p > 0 vanish; +-1/alpha are the
+    # values the s and sigma routes use.
+    ys = DEFAULT_Y_SET + (1 / alpha, -1 / alpha, Fraction(0), Fraction(-1))
+    for la in partitions_upto(6):
+        for r in range(11):
+            for y in ys:
+                assert cor52_coefficient(la, alpha, y, r) == _cor52_reference(la, alpha, y, r), (la, y, r)
+            assert s_r_from_u(la, alpha, r) == _s_r_from_u_reference(la, alpha, r), (la, r)
+        for p in range(la.weight + 2):
+            assert row_column_binomials(la, alpha, p) == _row_column_reference(la, alpha, p), (la, p)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    a=st.integers(1, 9),
+    b=st.integers(1, 9),
+    n=st.integers(0, 5),
+    pick=st.integers(0, 100),
+)
+def test_moment_routes_agree_at_random_alpha(a, b, n, pick):
+    alpha = Fraction(a, b)
+    options = enumerate_partitions(n)
+    la = options[pick % len(options)]
+    for r in range(7):
+        direct = s_r_direct(la, alpha, r)
+        assert s_r_closed(la, alpha, r) == direct, (la, r)
+        assert s_r_from_u(la, alpha, r) == direct, (la, r)
+    for r in range(6):
+        assert sigma_r_closed(la, alpha, r) == sigma_r_direct(la, alpha, r), (la, r)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
