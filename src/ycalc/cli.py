@@ -102,6 +102,8 @@ def _cmd_coeff_nbi(args) -> int:
 
 
 def _cmd_coeff_table(args) -> int:
+    if args.max < 1:
+        raise ValueError("nothing to tabulate: --max must be at least 1")
     rows: list[dict] = []
     if args.family == "nbi":
         header = ["n", "p", "k", "value"]
