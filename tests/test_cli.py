@@ -1,5 +1,6 @@
 """Command line surface: exact output shapes and exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -55,6 +56,16 @@ def test_coeff_table_npbi_has_marked_column(capsys):
     assert code == 0
     rows = json.loads(out)
     assert {"lambda": "2", "p": 1, "k": 1, "value": 2} in rows
+
+
+@pytest.mark.parametrize("family", ["nbi", "pbi", "npbi"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coeff_table_max_0_exits_2(capsys, family, fmt):
+    code, out, err = run_cli(
+        capsys, "coeff", "table", "--family", family, "--max", "0", "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: nothing to tabulate: --max must be at least 1\n"
 
 
 def test_moments_dk_csv(capsys):
@@ -218,6 +229,48 @@ def test_verify_json_format(capsys):
     assert reports[0]["identity"] == "gn-closed"
     assert reports[0]["status"] == "verified"
     assert reports[0]["parameters"] == {"n_max": 4}
+
+
+# sha256 of `verify --identity ID --alpha-set 1,2,1/2,3/5,7/3 --format json`
+# at reduced bounds, computed with the Fraction implementation of f_npk and
+# of the closed routes.  The integer moment table must reproduce them.
+_PINNED_VERIFY = {
+    "rel5.1": (
+        ["--lambda-max", "4", "--order", "6"],
+        "1d57dc151f9d2e3b193e7f14cde7d87ecb1ef2ab529c3b494580a3cb49346b99",
+    ),
+    "thm5.1": (
+        ["--lambda-max", "4", "--order", "6"],
+        "ed725b97c5828fb54b5101c6df55659f8c37930a1f736c89709d632ad8308122",
+    ),
+    "cor5.2": (
+        ["--lambda-max", "4", "--order", "6"],
+        "d03e3b084b30e35d1be07d92fea0fc84455a2d49fae9191919ad782ce65a8a51",
+    ),
+    "thm8.1": (
+        ["--lambda-max", "5", "--r-max", "6"],
+        "ebb2202d72ca7da1a578532b689e9da804ffb583d814f4472533efdd9ec8780f",
+    ),
+    "thm9.1": (
+        ["--lambda-max", "5", "--r-max", "5"],
+        "ada2dbccd3ec408c09da9214e7d178ee077613180335f91b5a148aaef33e1de3",
+    ),
+    "thm11.2": (
+        ["--lambda-max", "4", "--p-max", "4"],
+        "2bf11917f9b51ef61ecc54b349731db3a6bded25e3333602337acda37eb2c29f",
+    ),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(_PINNED_VERIFY))
+def test_verify_json_is_pinned(capsys, identity):
+    bounds, digest = _PINNED_VERIFY[identity]
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", identity, *bounds,
+        "--alpha-set", "1,2,1/2,3/5,7/3", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_rejects_unknown_identity(capsys):

@@ -1,7 +1,10 @@
 """The verification catalog: every job runs, reports well, serializes stably."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,22 @@ _SMALL = {
 }
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs each job of the catalog at the parameters given as JSON in argv[1]
+# and prints the interpreter's optimize flag with [status, cases] per job.
+_CATALOG_STATUSES = """
+import json, sys
+from ycalc.verify import run_identity
+small = json.loads(sys.argv[1])
+jobs = {}
+for identity, params in small.items():
+    report = run_identity(identity, **params)
+    jobs[identity] = [report.status, report.cases]
+print(json.dumps({"optimize": sys.flags.optimize, "jobs": jobs}))
+"""
+
+
 def test_catalog_is_complete():
     assert set(_SMALL) == set(CATALOG)
     assert identity_ids() == CATALOG
@@ -56,6 +75,25 @@ def test_each_identity_verifies_at_small_parameters(identity):
     assert report.status == ("reported" if identity == "chi" else "verified")
     assert report.cases > 0
     assert report.counterexample is None
+
+
+def test_catalog_under_python_O_matches_a_normal_run():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CATALOG_STATUSES, json.dumps(_SMALL)],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    assert optimized["optimize"] == 1
+    normal = {}
+    for identity in CATALOG:
+        report = run_identity(identity, **_SMALL[identity])
+        normal[identity] = [report.status, report.cases]
+    assert optimized["jobs"] == normal
+    assert all(status in ("verified", "reported") for status, _ in normal.values())
 
 
 def test_unknown_identity_and_parameter():
