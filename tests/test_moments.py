@@ -173,6 +173,8 @@ def _cor52_reference(la, alpha, y, r):
         for p in range(0, r - 2 * n + 1):
             nn = r - 2 * n - p
             weight = (-y) ** n * (y + 1) ** p
+            if weight == 0:
+                continue
             for q in range(0, nn + 1):
                 inner = _k_sum_reference(la, alpha, n, nn, q)
                 if inner == 0:
@@ -238,7 +240,7 @@ def test_moment_table_matches_fraction_definitions(alpha):
 def test_closed_routes_match_fraction_loops(alpha):
     # y = -1 makes every (y+1)^p with p > 0 vanish; +-1/alpha are the
     # values the s and sigma routes use.
-    ys = DEFAULT_Y_SET + (1 / alpha, -1 / alpha, Fraction(0), Fraction(-1))
+    ys = set(DEFAULT_Y_SET + (1 / alpha, -1 / alpha, Fraction(0), Fraction(-1)))
     for la in partitions_upto(6):
         for r in range(11):
             for y in ys:
