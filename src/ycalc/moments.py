@@ -357,7 +357,7 @@ def row_column_binomials(la: Partition, alpha: Fraction, p: int) -> tuple[Fracti
             st = stirling_first(p - 1, i + j - 1)
             if not st:
                 continue
-            inner = table.k_sum([comb_int(w - j, i - k) for k in range(min(i, j) + 1)], j, 0)
+            inner = table.k_sum(w - j, i, j, 0)
             if inner == 0:
                 continue
             scale = st * (fact_p // math.factorial(j)) * inner

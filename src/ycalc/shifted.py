@@ -82,14 +82,15 @@ class _MomentTable:
             self._rows.append(tuple(tuple(line) for line in acc))
         return self._rows[n]
 
-    def k_sum(self, coeffs: list[int], m: int, p: int) -> int:
-        """sum over k < len(coeffs) of coeffs[k] A[m][p][k].
+    def k_sum(self, top: int, n: int, m: int, p: int) -> int:
+        """sum over k <= min(n, m) of C(top, n-k) A[m][p][k], the k-sum
+        every closed route takes over a row.
 
         Column k = 0 is 1 at m = p = 0 and 0 elsewhere, so a sum that
         reaches only that column builds no row."""
-        if m == 0 or len(coeffs) == 1:
-            return coeffs[0] if m == 0 else 0
-        return sum(c * v for c, v in zip(coeffs, self.row(m)[p]))
+        if m == 0 or n == 0:
+            return comb_int(top, n) if m == 0 else 0
+        return sum(comb_int(top, n - k) * v for k, v in enumerate(self.row(m)[p][: min(n, m) + 1]))
 
     def contraction(self, n: int, m: int) -> tuple[int, ...]:
         """The k-sums of Theorem 5.1 over row m, indexed by p:
@@ -97,8 +98,9 @@ class _MomentTable:
         key = (n, m)
         hit = self._contractions.get(key)
         if hit is None:
-            binoms = [comb_int(self.weight + n - 1, n - k) for k in range(min(n, m) + 1)]
-            hit = self._contractions[key] = tuple(self.k_sum(binoms, m, p) for p in range(m + 1))
+            hit = self._contractions[key] = tuple(
+                self.k_sum(self.weight + n - 1, n, m, p) for p in range(m + 1)
+            )
         return hit
 
     def denominator(self, n: int) -> int:

@@ -442,7 +442,7 @@ def _check_rel51(identity: str, params: dict) -> VerificationReport:
             coeffs = {}
             for i in range(order + 1):
                 for j in range(order + 1 - i):
-                    acc = table.k_sum([comb_int(w - j, i - k) for k in range(min(i, j) + 1)], j, 0)
+                    acc = table.k_sum(w - j, i, j, 0)
                     if j % 2:
                         acc = -acc
                     coeffs[(i, j)] = Fraction(acc, table.denominator(j))
