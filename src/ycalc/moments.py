@@ -35,7 +35,7 @@ from .shifted import moment_table
 _pieri_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
 _corner_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
 _c52_cache: dict[tuple[tuple[int, ...], Fraction, Fraction], list[int]] = {}
-_u_cache: dict[tuple[int, int, int, int, tuple[int, ...]], int] = {}
+_u_tables: dict[int, tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]] = {}
 
 
 def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
@@ -219,15 +219,21 @@ def s_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Fraction
     return a, b
 
 
-def s_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Lagrange route: alpha^r s_r is the r-th complete homogeneous value
-    of the integer difference alphabet attached to the row ends."""
+def s_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """s_0 .. s_{r_max} by the Lagrange route, all read from one h-series:
+    alpha^r s_r is the r-th complete homogeneous value of the integer
+    difference alphabet attached to the row ends."""
     alpha = check_alpha(alpha)
+    a, b = s_lagrange_alphabets(la, alpha)
+    h = h_series_of_difference(a, b, r_max)
+    return [h.coefficient(r) / alpha**r for r in range(r_max + 1)]
+
+
+def s_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
+    """Lagrange route for one r; see :func:`s_lagrange_moments`."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    a, b = s_lagrange_alphabets(la, alpha)
-    h = h_series_of_difference(a, b, r).coefficient(r)
-    return h / alpha**r
+    return s_lagrange_moments(la, alpha, r)[r]
 
 
 def sigma_r_direct(la: Partition, alpha: Fraction, r: int) -> Fraction:
@@ -259,15 +265,21 @@ def sigma_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Frac
     return a, b
 
 
-def sigma_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Lagrange route: -alpha^{r+1} sigma_r is the (r+2)-nd complete
-    homogeneous value of the corner difference alphabet."""
+def sigma_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """sigma_0 .. sigma_{r_max} by the Lagrange route, all read from one
+    h-series: -alpha^{r+1} sigma_r is the (r+2)-nd complete homogeneous
+    value of the corner difference alphabet."""
     alpha = check_alpha(alpha)
+    a, b = sigma_lagrange_alphabets(la, alpha)
+    h = h_series_of_difference(a, b, r_max + 2)
+    return [-h.coefficient(r + 2) / alpha ** (r + 1) for r in range(r_max + 1)]
+
+
+def sigma_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
+    """Lagrange route for one r; see :func:`sigma_lagrange_moments`."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    a, b = sigma_lagrange_alphabets(la, alpha)
-    h = h_series_of_difference(a, b, r + 2).coefficient(r + 2)
-    return -h / alpha ** (r + 1)
+    return sigma_lagrange_moments(la, alpha, r)[r]
 
 
 def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
@@ -284,10 +296,6 @@ def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
         raise ValueError("need r - 2i - j >= 0")
     if k < 0 or k > min(i, j):
         raise ValueError("k out of range")
-    key = (r, i, j, k, rho.parts)
-    hit = _u_cache.get(key)
-    if hit is not None:
-        return hit
     total = 0
     for s in range(0, j + 1):
         if k == 0:
@@ -297,9 +305,29 @@ def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
         if c:
             total += c * comb_int(r + s - i - j - 1, r - 2 * i - j)
     if total < 0:
-        raise InvariantError(f"negative regrouping coefficient at {key}")
-    _u_cache[key] = total
+        raise InvariantError(f"negative regrouping coefficient at {(r, i, j, k, rho.parts)}")
     return total
+
+
+def _u_table(r: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
+    """The nonzero u terms of order r, built once per r: entries
+    (i, j, k, ((index of rho in enumerate_partitions(j), u), ...))."""
+    hit = _u_tables.get(r)
+    if hit is None:
+        rows = []
+        for i in range(0, r // 2 + 1):
+            for j in range(0, r - 2 * i + 1):
+                rhos = enumerate_partitions(j)
+                for k in range(0, min(i, j) + 1):
+                    terms = []
+                    for idx, rho in enumerate(rhos):
+                        u = u_ijk_coefficients(r, i, j, k, rho)
+                        if u:
+                            terms.append((idx, u))
+                    if terms:
+                        rows.append((i, j, k, tuple(terms)))
+        hit = _u_tables[r] = tuple(rows)
+    return hit
 
 
 def s_r_from_u(la: Partition, alpha: Fraction, r: int) -> Fraction:
@@ -307,7 +335,8 @@ def s_r_from_u(la: Partition, alpha: Fraction, r: int) -> Fraction:
 
     Each term (1/alpha)^i (1 - 1/alpha)^(r-2i-j) C(|la|+i-1, i-k) u d_rho / z_rho
     is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
-    read from the integer moment table.
+    read from the integer moment table.  The u values come from the
+    per-r table of nonzero terms.
     """
     alpha = check_alpha(alpha)
     if r < 0:
@@ -317,16 +346,12 @@ def s_r_from_u(la: Partition, alpha: Fraction, r: int) -> Fraction:
     w = la.weight
     fact_r = math.factorial(r)
     total = 0
-    for i in range(0, r // 2 + 1):
-        for j in range(0, r - 2 * i + 1):
+    for i, j, k, terms in _u_table(r):
+        prods = table.products(j)
+        inner = sum(u * prods[idx] for idx, u in terms)
+        if inner:
             scale = b**i * (a - b) ** (r - 2 * i - j) * a**i * (fact_r // math.factorial(j))
-            for k in range(0, min(i, j) + 1):
-                binom = comb_int(w + i - 1, i - k)
-                for rho, prod in zip(enumerate_partitions(j), table.products(j)):
-                    u = u_ijk_coefficients(r, i, j, k, rho)
-                    if not u:
-                        continue
-                    total += scale * binom * u * prod
+            total += scale * comb_int(w + i - 1, i - k) * inner
     return Fraction(total, a**r * fact_r)
 
 

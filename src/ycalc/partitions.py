@@ -173,8 +173,10 @@ def z_of(mu: Partition) -> int:
 
 
 def check_alpha(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    if alpha <= 0:
+    """alpha as a Fraction; raises ValueError unless alpha > 0."""
+    if not isinstance(alpha, Fraction):
+        alpha = Fraction(alpha)
+    if alpha.numerator <= 0:
         raise ValueError("alpha must be positive")
     return alpha
 

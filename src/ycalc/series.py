@@ -6,7 +6,8 @@ sampler.  Three representations cover every need here:
 
 * :class:`UniPoly`, a dense univariate polynomial, which is also the
   truncated one-variable power series (cut with :meth:`UniPoly.truncate`;
-  :func:`linear_ratio_series` builds ratios of linear factors),
+  :func:`linear_ratio_series` builds ratios of linear factors on integer
+  numerators C_i, one Fraction C_i / D^i per coefficient at the end),
 * :class:`TruncatedSeries`, a multivariate power series cut at a bound on
   the total degree across its declared variables, also used for series
   whose coefficients are XPolynomials,
@@ -547,17 +548,24 @@ def linear_ratio_series(num: Iterable[Scalar], den: Iterable[Scalar], order: int
     Each factor updates one dense coefficient list in place, in O(order)
     (Knuth, TAOCP Vol. 2, 4.7): multiplying by 1 + a t runs downward,
     c_i += a c_{i-1}; dividing by 1 + b t runs upward, c_i -= b c_{i-1}.
+    The updates run on integers: with D the lcm of the factors'
+    denominators, each factor is n/D and c_i = C_i / D^i, where the C_i
+    obey the same updates with n in place of the factor.  Zero factors
+    are skipped.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    cs = [Fraction(0)] * (order + 1)
-    cs[0] = Fraction(1)
-    for a in num:
-        if a:
-            for i in range(order, 0, -1):
-                cs[i] += a * cs[i - 1]
-    for b in den:
-        if b:
-            for i in range(1, order + 1):
-                cs[i] -= b * cs[i - 1]
-    return UniPoly(cs)
+    num = [v for v in num if v]
+    den = [v for v in den if v]
+    big_d = math.lcm(*(v.denominator for v in num), *(v.denominator for v in den))
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    for v in num:
+        n = v.numerator * (big_d // v.denominator)
+        for i in range(order, 0, -1):
+            cs[i] += n * cs[i - 1]
+    for v in den:
+        n = v.numerator * (big_d // v.denominator)
+        for i in range(1, order + 1):
+            cs[i] -= n * cs[i - 1]
+    return UniPoly(Fraction(c, big_d**i) for i, c in enumerate(cs))

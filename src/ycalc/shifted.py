@@ -4,7 +4,9 @@ d_k(la; alpha) is the k-th power sum of the alpha-content alphabet of la
 (d_0 = |la|).  f_npk specializes the marked polynomial family at
 X_i = d_i, which is what every closed moment formula below consumes.
 The shifted power sums p*_k decompose the d_k through the subset-count
-numbers t(k, m).
+numbers t(k, m).  With alpha = a/b, a^k p*_k is an integer built from the
+row ends alone (:func:`_shifted_numerators`), so p*_k is one integer over
+a^k.
 
 d_k and f_npk read one integer table per (shape, alpha).  With
 alpha = a/b the content of cell (i, j) is c/a with the integer numerator
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .coefficients import npbi_table, stirling_inverse_t
 from .partitions import Partition, check_alpha, enumerate_partitions, z_of
-from .series import comb_int, lowering_factorial
+from .series import comb_int
 
 
 class _MomentTable:
@@ -155,17 +157,34 @@ def f_npk(la: Partition, alpha: Fraction, n: int, p: int, k: int) -> Fraction:
     return Fraction(table.row(n)[p][k], table.denominator(n))
 
 
+def _shifted_numerators(la: Partition, alpha: Fraction, k_max: int) -> list[int]:
+    """[a^k p*_k for k = 0 .. k_max], integers, with alpha = a/b.
+
+    Row i contributes [X]_k - [S]_k for X = la_i - (i-1)/alpha and
+    S = -(i-1)/alpha.  Over a both are integer numerators, x = la_i a - (i-1)b
+    and s = -(i-1)b, and a^k [X]_k is the falling product
+    x (x - a) ... (x - (k-1)a), so one running product per row and end
+    gives every k.  alpha must already be checked.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    out = [0] * (k_max + 1)
+    for i, part in enumerate(la.parts, start=1):
+        s = -(i - 1) * b
+        x = part * a + s
+        fx = fs = 1
+        for k in range(1, k_max + 1):
+            fx *= x - (k - 1) * a
+            fs *= s - (k - 1) * a
+            out[k] += fx - fs
+    return out
+
+
 def shifted_power_sum(la: Partition, alpha: Fraction, k: int) -> Fraction:
     """p*_k: sum over rows of [la_i - (i-1)/alpha]_k - [-(i-1)/alpha]_k."""
     alpha = check_alpha(alpha)
     if k < 1:
         raise ValueError("k must be positive")
-    total = Fraction(0)
-    for i, part in enumerate(la.parts, start=1):
-        shift = Fraction(i - 1) / alpha
-        total += lowering_factorial(Fraction(part) - shift, k)
-        total -= lowering_factorial(-shift, k)
-    return total
+    return Fraction(_shifted_numerators(la, alpha, k)[k], alpha.numerator**k)
 
 
 def dk_from_shifted(la: Partition, alpha: Fraction, k: int) -> Fraction:
@@ -173,12 +192,18 @@ def dk_from_shifted(la: Partition, alpha: Fraction, k: int) -> Fraction:
     d_k = sum_m t(k, m) p*_{m+1} / (m+1).
 
     The m = 0 term covers k = 0, where the sum collapses to p*_1 = |la|.
+    Every term is an integer over a^(k+1) (k+1)!, read from the row ends
+    by :func:`_shifted_numerators`, never from the content table.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    total = Fraction(0)
+    alpha = check_alpha(alpha)
+    a = alpha.numerator
+    nums = _shifted_numerators(la, alpha, k + 1)
+    fact = math.factorial(k + 1)
+    total = 0
     for m in range(0, k + 1):
         t = stirling_inverse_t(k, m)
         if t:
-            total += Fraction(t) * shifted_power_sum(la, alpha, m + 1) / (m + 1)
-    return total
+            total += t * nums[m + 1] * a ** (k - m) * (fact // (m + 1))
+    return Fraction(total, a ** (k + 1) * fact)

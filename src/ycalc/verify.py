@@ -47,13 +47,13 @@ from .moments import (
     s_moment_series,
     s_r_closed,
     s_r_direct,
+    s_lagrange_moments,
     s_r_from_u,
-    s_r_lagrange,
     sigma_lagrange_alphabets,
+    sigma_lagrange_moments,
     sigma_moment_series,
     sigma_r_closed,
     sigma_r_direct,
-    sigma_r_lagrange,
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
@@ -527,8 +527,9 @@ def _check_thm81(identity: str, params: dict) -> VerificationReport:
     for la in partitions_upto(lambda_max):
         for alpha in alphas:
             direct_vals = [s_r_direct(la, alpha, r) for r in range(r_max + 1)]
+            lagrange_vals = s_lagrange_moments(la, alpha, r_max)
             for r in range(0, r_max + 1):
-                rec.check(direct_vals[r], s_r_lagrange(la, alpha, r), group="interpolation-route", la=str(la), alpha=alpha, r=r)
+                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=str(la), alpha=alpha, r=r)
                 rec.check(direct_vals[r], s_r_closed(la, alpha, r), group="closed-route", la=str(la), alpha=alpha, r=r)
                 rec.check(direct_vals[r], s_r_from_u(la, alpha, r), group="integer-regrouping", la=str(la), alpha=alpha, r=r)
             series = s_moment_series(la, alpha, r_max)
@@ -553,10 +554,11 @@ def _check_thm91(identity: str, params: dict) -> VerificationReport:
     alphas = _as_fraction_set(params["alpha_set"])
     rec = _Recorder()
     for alpha in alphas:
+        empty_lagrange = sigma_lagrange_moments(EMPTY, alpha, r_max)
         for r in range(0, r_max + 1):
             rec.check(sigma_r_direct(EMPTY, alpha, r), Fraction(0), group="empty-shape", alpha=alpha, r=r)
             rec.check(sigma_r_closed(EMPTY, alpha, r), Fraction(0), group="empty-shape", alpha=alpha, r=r)
-            rec.check(sigma_r_lagrange(EMPTY, alpha, r), Fraction(0), group="empty-shape", alpha=alpha, r=r)
+            rec.check(empty_lagrange[r], Fraction(0), group="empty-shape", alpha=alpha, r=r)
     for la in partitions_upto(lambda_max):
         if la.weight == 0:
             continue
@@ -565,9 +567,10 @@ def _check_thm91(identity: str, params: dict) -> VerificationReport:
             h1 = h_series_of_difference(a, b, 1).coefficient(1)
             rec.check(h1, Fraction(-1), group="first-difference", la=str(la), alpha=alpha)
             direct_vals = [sigma_r_direct(la, alpha, r) for r in range(r_max + 1)]
+            lagrange_vals = sigma_lagrange_moments(la, alpha, r_max)
             for r in range(0, r_max + 1):
                 rec.check(direct_vals[r], sigma_r_closed(la, alpha, r), group="closed-route", la=str(la), alpha=alpha, r=r)
-                rec.check(direct_vals[r], sigma_r_lagrange(la, alpha, r), group="interpolation-route", la=str(la), alpha=alpha, r=r)
+                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=str(la), alpha=alpha, r=r)
             series = sigma_moment_series(la, alpha, r_max)
             for r in range(0, r_max + 1):
                 rec.check(series.coefficient(r), Fraction(-1) ** r * direct_vals[r], group="generating-series", la=str(la), alpha=alpha, r=r)

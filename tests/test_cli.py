@@ -99,6 +99,25 @@ def test_moments_s_all_methods_agree(capsys):
     assert by_r[0] == {"1"} and by_r[1] == {"0"} and by_r[2] == {"2"}
 
 
+# sha256 of the Lagrange-route listings, pinned before the route moved to
+# one h-series per shape and integer numerators.
+_PINNED_LAGRANGE = {
+    "s": ("9", "9e85eaf0c0facf6f057b792fad584075e0f54fc3bb8016b24f6be3ac92e4e5bc"),
+    "sigma": ("8", "41a35f963978b2fdf0e70a19b2b94d193eb3ec84c67a2a0cd3aa8afe866da13f"),
+}
+
+
+@pytest.mark.parametrize("moment", sorted(_PINNED_LAGRANGE))
+def test_moments_lagrange_listing_is_pinned(capsys, moment):
+    r_max, digest = _PINNED_LAGRANGE[moment]
+    code, out, _ = run_cli(
+        capsys, "moments", moment, "--lambda", "4,2,1", "--alpha", "3/5",
+        "--r-max", r_max, "--method", "lagrange", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_moments_sigma_default_method(capsys):
     code, out, _ = run_cli(
         capsys, "moments", "sigma", "--lambda", "2,1", "--alpha", "1", "--r-max", "1"
@@ -258,6 +277,14 @@ _PINNED_VERIFY = {
     "thm11.2": (
         ["--lambda-max", "4", "--p-max", "4"],
         "2bf11917f9b51ef61ecc54b349731db3a6bded25e3333602337acda37eb2c29f",
+    ),
+    "prop7.1": (
+        ["--lambda-max", "6", "--k-max", "6"],
+        "a5ef04550174eb3a1f521d12108293fd3a965219b5c786ad694836e4590d2a58",
+    ),
+    "moments-bridge": (
+        ["--lambda-max", "5", "--r-max", "5"],
+        "07748add9861a0c7bd710a791fb97c2c3a9a520f5be5e6949234f0d9226cac4b",
     ),
 }
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ycalc.moments import (
     _corner_row_value,
     _pieri_row_value,
+    _u_table,
     chu_vandermonde_sides,
     content_ratio_series,
     cor52_coefficient,
@@ -27,10 +28,12 @@ from ycalc.moments import (
     pieri_coefficients,
     row_column_binomials,
     s_moment_series,
+    s_lagrange_moments,
     s_r_closed,
     s_r_direct,
     s_r_from_u,
     s_r_lagrange,
+    sigma_lagrange_moments,
     sigma_moment_series,
     sigma_r_closed,
     sigma_r_direct,
@@ -135,14 +138,22 @@ def _d_reference(la, alpha, k):
 
 
 @lru_cache(maxsize=None)
-def _f_reference_row(parts, alpha, n):
-    """{(p, k): f_npk} from f = sum over mu |- n of npbi(mu, p, k) d_mu / z_mu."""
-    la = Partition(parts)
-    out = {}
+def _d_over_z_reference(la, alpha, n):
+    """d_mu / z_mu for mu over enumerate_partitions(n), memoized per (shape, alpha, n)."""
+    out = []
     for mu in enumerate_partitions(n):
-        weight = Fraction(1, z_of(mu))
+        d_mu = Fraction(1)
         for part in mu.parts:
-            weight *= _d_reference(la, alpha, part)
+            d_mu *= _d_reference(la, alpha, part)
+        out.append(d_mu / z_of(mu))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _f_reference_row(la, alpha, n):
+    """{(p, k): f_npk} from f = sum over mu |- n of npbi(mu, p, k) d_mu / z_mu."""
+    out = {}
+    for mu, weight in zip(enumerate_partitions(n), _d_over_z_reference(la, alpha, n)):
         for key, c in npbi_table(mu).items():
             out[key] = out.get(key, Fraction(0)) + c * weight
     return out
@@ -153,7 +164,7 @@ def _f_reference(la, alpha, n, p, k):
         return Fraction(1) if n == 0 else Fraction(0)
     if n == 0 or k > n:
         return Fraction(0)
-    return _f_reference_row(la.parts, alpha, n).get((p, k), Fraction(0))
+    return _f_reference_row(la, alpha, n).get((p, k), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -167,28 +178,35 @@ def _k_sum_reference(la, alpha, n, nn, q):
     return inner
 
 
-def _cor52_reference(la, alpha, y, r):
+@lru_cache(maxsize=None)
+def _q_sum_reference(la, alpha, n, p, nn):
+    """sum over q of C(n+p+q-1, p) times the k-sum; independent of y."""
     total = Fraction(0)
-    for n in range(0, r // 2 + 1):
-        for p in range(0, r - 2 * n + 1):
-            nn = r - 2 * n - p
-            weight = (-y) ** n * (y + 1) ** p
-            if weight == 0:
-                continue
-            for q in range(0, nn + 1):
-                inner = _k_sum_reference(la, alpha, n, nn, q)
-                if inner == 0:
-                    continue
-                total += weight * comb_int(n + p + q - 1, p) * inner
+    for q in range(0, nn + 1):
+        inner = _k_sum_reference(la, alpha, n, nn, q)
+        if inner:
+            total += comb_int(n + p + q - 1, p) * inner
     return total
 
 
 @lru_cache(maxsize=None)
-def _d_over_z_reference(la, alpha, rho):
-    d_rho = Fraction(1)
-    for part in rho.parts:
-        d_rho *= _d_reference(la, alpha, part)
-    return d_rho / z_of(rho)
+def _y_weight_reference(y, n, p):
+    return (-y) ** n * (y + 1) ** p
+
+
+def _cor52_reference(la, alpha, y, r):
+    total = Fraction(0)
+    for n in range(0, r // 2 + 1):
+        for p in range(0, r - 2 * n + 1):
+            weight = _y_weight_reference(y, n, p)
+            if weight:
+                inner = _q_sum_reference(la, alpha, n, p, r - 2 * n - p)
+                if inner:
+                    total += weight * inner
+    return total
+
+
+_u_reference = lru_cache(maxsize=None)(u_ijk_coefficients)
 
 
 def _s_r_from_u_reference(la, alpha, r):
@@ -198,11 +216,11 @@ def _s_r_from_u_reference(la, alpha, r):
         for j in range(0, r - 2 * i + 1):
             weight = Fraction(1) / alpha**i * (1 - Fraction(1) / alpha) ** (r - 2 * i - j)
             for k in range(0, min(i, j) + 1):
-                for rho in enumerate_partitions(j):
-                    u = u_ijk_coefficients(r, i, j, k, rho)
+                for rho, d_over_z in zip(enumerate_partitions(j), _d_over_z_reference(la, alpha, j)):
+                    u = _u_reference(r, i, j, k, rho)
                     if not u:
                         continue
-                    total += weight * comb_int(w + i - 1, i - k) * u * _d_over_z_reference(la, alpha, rho)
+                    total += weight * comb_int(w + i - 1, i - k) * u * d_over_z
     return total
 
 
@@ -311,6 +329,29 @@ def test_sigma_three_routes_agree(alpha):
             direct = sigma_r_direct(la, alpha, r)
             assert sigma_r_closed(la, alpha, r) == direct, (la, r)
             assert sigma_r_lagrange(la, alpha, r) == direct, (la, r)
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_one_lagrange_series_matches_per_r_reads(alpha):
+    for la in partitions_upto(6):
+        assert s_lagrange_moments(la, alpha, 9) == [s_r_lagrange(la, alpha, r) for r in range(10)], la
+        assert sigma_lagrange_moments(la, alpha, 8) == [sigma_r_lagrange(la, alpha, r) for r in range(9)], la
+
+
+def test_u_table_matches_direct_loop():
+    for r in range(11):
+        want = []
+        for i in range(r // 2 + 1):
+            for j in range(r - 2 * i + 1):
+                for k in range(min(i, j) + 1):
+                    terms = []
+                    for idx, rho in enumerate(enumerate_partitions(j)):
+                        u = u_ijk_coefficients(r, i, j, k, rho)
+                        if u:
+                            terms.append((idx, u))
+                    if terms:
+                        want.append((i, j, k, tuple(terms)))
+        assert _u_table(r) == tuple(want), r
 
 
 def test_s_regrouped_route_agrees():

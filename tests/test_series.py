@@ -184,3 +184,37 @@ def test_linear_ratio_series():
     assert inv.coefficient(order + 1) == 0
     with pytest.raises(ValueError):
         linear_ratio_series(num, den, -1)
+
+
+def _linear_ratio_reference(num, den, order):
+    """The Fraction loop linear_ratio_series replaced: one Fraction
+    multiply-add per coefficient and factor."""
+    cs = [Fraction(0)] * (order + 1)
+    cs[0] = Fraction(1)
+    for a in num:
+        if a:
+            for i in range(order, 0, -1):
+                cs[i] += a * cs[i - 1]
+    for b in den:
+        if b:
+            for i in range(1, order + 1):
+                cs[i] -= b * cs[i - 1]
+    return UniPoly(cs)
+
+
+_ratio_factors = st.lists(
+    st.one_of(
+        st.integers(-9, 9),
+        st.just(0),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 16)),
+    ),
+    max_size=7,
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_ratio_factors, _ratio_factors, st.integers(0, 12))
+def test_linear_ratio_series_matches_fraction_loop(num, den, order):
+    got = linear_ratio_series(num, den, order)
+    assert got.coeffs == _linear_ratio_reference(num, den, order).coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)

@@ -1,17 +1,21 @@
 """Content power sums, moment polynomials, content-alphabet expansions."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions
-from ycalc.series import UniPoly, linear_ratio_series
+from ycalc.coefficients import stirling_inverse_t
+from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto
+from ycalc.series import UniPoly, linear_ratio_series, lowering_factorial
 from ycalc.shifted import d_k, d_mu, dk_from_shifted, f_npk, shifted_power_sum
 from ycalc.symfunc import complete, elementary
+from ycalc.verify import DEFAULT_ALPHA_SET
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
+KERNEL_ALPHAS = DEFAULT_ALPHA_SET + (Fraction(7, 3),)
 
 shapes_small = st.tuples(st.integers(0, 6), st.integers(0, 400))
 
@@ -70,6 +74,38 @@ def test_dk_from_shifted_matches_direct(shape, alpha, k):
     n, pick = shape
     la = _shape(n, pick)
     assert dk_from_shifted(la, alpha, k) == d_k(la, alpha, k)
+
+
+# The Fraction definition of p*_k that the integer row products replaced,
+# kept as the reference for them.
+
+
+@lru_cache(maxsize=None)
+def _shifted_power_sum_reference(la, alpha, k):
+    total = Fraction(0)
+    for i, part in enumerate(la.parts, start=1):
+        shift = Fraction(i - 1) / alpha
+        total += lowering_factorial(Fraction(part) - shift, k)
+        total -= lowering_factorial(-shift, k)
+    return total
+
+
+def _dk_from_shifted_reference(la, alpha, k):
+    total = Fraction(0)
+    for m in range(0, k + 1):
+        t = stirling_inverse_t(k, m)
+        if t:
+            total += Fraction(t) * _shifted_power_sum_reference(la, alpha, m + 1) / (m + 1)
+    return total
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_shifted_sums_match_fraction_definition(alpha):
+    for la in partitions_upto(8):
+        for k in range(1, 9):
+            assert shifted_power_sum(la, alpha, k) == _shifted_power_sum_reference(la, alpha, k), (la, k)
+        for k in range(0, 9):
+            assert dk_from_shifted(la, alpha, k) == _dk_from_shifted_reference(la, alpha, k), (la, k)
 
 
 def test_dk_from_shifted_rejects_negative():
