@@ -44,10 +44,10 @@ from .moments import (
     cor52_coefficient,
     h_series_of_difference,
     row_column_binomials,
+    s_lagrange_moments,
     s_moment_series,
     s_r_closed,
     s_r_direct,
-    s_lagrange_moments,
     s_r_from_u,
     sigma_lagrange_alphabets,
     sigma_lagrange_moments,
