@@ -23,20 +23,20 @@ from .moments import (
     sigma_r_lagrange,
 )
 from .partitions import EMPTY, Partition, enumerate_partitions, partitions_of, z_of
-from .series import InvariantError, Rational, TruncatedSeries, UniPoly, XPolynomial
+from .series import BiSeries, InvariantError, Rational, UniPoly, XPolynomial
 from .shifted import d_k, f_npk
 from .verify import VerificationReport, identity_ids, run_all, run_identity
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "BiSeries",
     "DimensionTable",
     "EMPTY",
     "GrowthKernel",
     "InvariantError",
     "Partition",
     "Rational",
-    "TruncatedSeries",
     "UniPoly",
     "VerificationReport",
     "XPolynomial",

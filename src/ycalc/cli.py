@@ -254,11 +254,17 @@ def _read_config(path: str) -> dict:
             key = key.strip().replace("-", "_")
             text = text.strip()
             if key in _CONFIG_INT_KEYS:
-                values[key] = int(text)
+                try:
+                    values[key] = int(text)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key}: not an integer: {text!r}") from None
                 if key != "seed" and values[key] < 0:
                     raise ValueError(f"{path}:{lineno}: {key} must be nonnegative")
             elif key in _CONFIG_SET_KEYS:
-                values[key] = _fraction_list(text)
+                try:
+                    values[key] = _fraction_list(text)
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
             elif key == "mode":
                 values[key] = text
             else:

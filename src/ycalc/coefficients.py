@@ -22,8 +22,8 @@ from typing import Mapping
 
 from .partitions import Partition, enumerate_partitions
 from .series import (
+    BiSeries,
     InvariantError,
-    TruncatedSeries,
     UniPoly,
     binomial,
     comb_int,
@@ -110,46 +110,41 @@ def npbi_table(la: Partition) -> Mapping[tuple[int, int], int]:
     return _npbi_map(la.parts)
 
 
-def gn_series(n: int, order: int) -> TruncatedSeries:
+def gn_series(n: int, order: int) -> BiSeries:
     """Bivariate generating polynomial sum_{p,k} nbi(n,p,k) y^p x^k, truncated.
 
-    Variables ("y", "x"); x stands for z/(1-z).  Total degree is cut at
-    ``order``, so use order >= 2n for the complete polynomial.
+    Row p holds the powers of y; x stands for z/(1-z).  Total degree is
+    cut at ``order``, so use order >= 2n for the complete polynomial.
+    The entries are ints.
     """
     coeffs = {}
     for p in range(n + 1):
         for k in range(1, n + 1):
-            v = nbi(n, p, k)
-            if v:
-                coeffs[(p, k)] = Fraction(v)
-    return TruncatedSeries(("y", "x"), order, coeffs)
+            coeffs[(p, k)] = nbi(n, p, k)
+    return BiSeries(order, coeffs)
 
 
-def gn_closed_form(n: int) -> TruncatedSeries:
+def gn_closed_form(n: int) -> BiSeries:
     """The same bivariate polynomial from the three-term closed form.
 
     With A, B the halved roots of w^2 - (1+x)(1+y) w + y(1+x), the sum
     P_n = A^n + B^n obeys P_n = (1+x)(1+y) P_{n-1} - y(1+x) P_{n-2} from
     P_0 = 2, P_1 = (1+x)(1+y), and the generating polynomial is
-    P_n - 1 - y^n.  Returned at order 2n, which holds every term.
+    P_n - 1 - y^n.  Returned at order 2n, which holds every term, with
+    int entries.
     """
     if n < 1:
         raise ValueError("n must be positive")
     order = 2 * n
-    one = TruncatedSeries.constant(Fraction(1), ("y", "x"), order)
-    y = TruncatedSeries.variable("y", ("y", "x"), order)
-    x = TruncatedSeries.variable("x", ("y", "x"), order)
+    one = BiSeries(order, {(0, 0): 1})
+    y = BiSeries(order, {(1, 0): 1})
+    x = BiSeries(order, {(0, 1): 1})
     lin = (one + x) * (one + y)
-    p_prev = TruncatedSeries.constant(Fraction(2), ("y", "x"), order)
-    p_cur = lin
-    if n == 1:
-        p_n = p_cur
-    else:
-        drop = y * (one + x)
-        for _ in range(2, n + 1):
-            p_prev, p_cur = p_cur, lin * p_cur - drop * p_prev
-        p_n = p_cur
-    return p_n - one - y**n
+    drop = y * (one + x)
+    p_prev, p_cur = BiSeries(order, {(0, 0): 2}), lin
+    for _ in range(2, n + 1):
+        p_prev, p_cur = p_cur, lin * p_cur - drop * p_prev
+    return p_cur - one - BiSeries(order, {(n, 0): 1})
 
 
 def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:

@@ -32,7 +32,7 @@ from .moments import (
     corner_binomials,
     pieri_coefficients,
     s_r_direct,
-    sigma_r_direct,
+    sigma_direct_moments,
 )
 from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
@@ -147,22 +147,35 @@ def exact_transition_moment(la: Partition, alpha, r: int) -> Fraction:
     return total
 
 
-def exact_cotransition_moment(la: Partition, alpha, r: int) -> Fraction:
-    """r-th moment of the deleted content under the down kernel.
-
-    Computed twice: straight from the atoms, and as the binomial
-    combination (1/|Λ|) Σ_k (-1)^{r-k} C(r,k) σ_k(Λ) of corner moments.
+def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[Fraction, Fraction]]:
+    """The r-th moment of the deleted content under the down kernel, for
+    r = 0 .. r_max, computed twice as a pair (direct, combination):
+    straight from the atoms, and as the binomial combination
+    (1/|Λ|) Σ_k (-1)^{r-k} C(r,k) σ_k(Λ) of corner moments, with
+    σ_0 .. σ_{r_max} evaluated once.
     """
     alpha = check_alpha(alpha)
     if la.weight == 0:
         raise ValueError("no co-transition from the empty shape")
-    direct = Fraction(0)
-    for i, p in cotransition_kernel(la, alpha).atoms:
-        direct += removed_content(la, alpha, i) ** r * p
-    combo = Fraction(0)
-    for k in range(0, r + 1):
-        combo += (-1) ** (r - k) * comb_int(r, k) * sigma_r_direct(la, alpha, k)
-    combo /= la.weight
+    sigmas = sigma_direct_moments(la, alpha, r_max)
+    atoms = [(removed_content(la, alpha, i), p) for i, p in cotransition_kernel(la, alpha).atoms]
+    out = []
+    for r in range(r_max + 1):
+        direct = Fraction(0)
+        for content, p in atoms:
+            direct += content**r * p
+        combo = Fraction(0)
+        for k in range(0, r + 1):
+            combo += (-1) ** (r - k) * comb_int(r, k) * sigmas[k]
+        out.append((direct, combo / la.weight))
+    return out
+
+
+def exact_cotransition_moment(la: Partition, alpha, r: int) -> Fraction:
+    """r-th moment of the deleted content under the down kernel; raises
+    InvariantError when the two routes of
+    :func:`cotransition_moment_routes` disagree."""
+    direct, combo = cotransition_moment_routes(la, alpha, r)[r]
     if direct != combo:
         raise InvariantError(f"moment routes disagree on {la}: {direct} vs {combo}")
     return direct

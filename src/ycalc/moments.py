@@ -236,17 +236,25 @@ def s_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
     return s_lagrange_moments(la, alpha, r)[r]
 
 
-def sigma_r_direct(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Moment of la_i - (i-1)/alpha over corner weights (note: the deleted
-    cell's content is this position minus 1)."""
+def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """sigma_0 .. sigma_{r_max}: moments of la_i - (i-1)/alpha over corner
+    weights (note: the deleted cell's content is this position minus 1),
+    each power of a position formed from the one before."""
     alpha = check_alpha(alpha)
-    if r < 0:
+    if r_max < 0:
         raise ValueError("r must be nonnegative")
-    total = Fraction(0)
+    out = [Fraction(0)] * (r_max + 1)
     for i, w in corner_binomials(la, alpha):
         pos = Fraction(la.parts[i - 1]) - Fraction(i - 1) / alpha
-        total += pos**r * w
-    return total
+        for r in range(r_max + 1):
+            out[r] += w
+            w *= pos
+    return out
+
+
+def sigma_r_direct(la: Partition, alpha: Fraction, r: int) -> Fraction:
+    """Direct route for one r; see :func:`sigma_direct_moments`."""
+    return sigma_direct_moments(la, alpha, r)[r]
 
 
 def sigma_r_closed(la: Partition, alpha: Fraction, r: int) -> Fraction:

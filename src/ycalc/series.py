@@ -2,28 +2,30 @@
 
 Everything in this package computes over ``fractions.Fraction``; floating
 point appears only in the Monte Carlo summary statistics of the growth
-sampler.  Three representations cover every need here:
+sampler.  Two dense series types and one sparse polynomial ring cover
+every need here:
 
 * :class:`UniPoly`, a dense univariate polynomial, which is also the
   truncated one-variable power series (cut with :meth:`UniPoly.truncate`;
   :func:`linear_ratio_series` builds ratios of linear factors on integer
   numerators C_i, one Fraction C_i / D^i per coefficient at the end),
-* :class:`TruncatedSeries`, a multivariate power series cut at a bound on
-  the total degree across its declared variables, also used for series
-  whose coefficients are XPolynomials,
+* :class:`BiSeries`, a dense two-variable power series cut at a total
+  degree: row i holds the coefficients of u^i, and every operation
+  updates whole rows,
 * :class:`XPolynomial`, a polynomial in the graded symbol family
   ``X0, X1, X2, ...`` whose monomials are an ``X0`` power times a product
   of higher symbols indexed by a partition.
 
-``TruncatedSeries`` coefficients may be Fractions or XPolynomials; the
-series code only assumes ring operations plus division by integers, so
-both rings plug in unchanged.
+``BiSeries`` only assumes ring operations on its entries, so ints,
+Fractions and XPolynomials plug in unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -131,6 +133,11 @@ class UniPoly:
         if order < 0:
             raise ValueError("order must be nonnegative")
         return UniPoly(self.coeffs[: order + 1])
+
+    def first_difference(self, other: "UniPoly"):
+        """Smallest index i where the two differ, as ((i,), a, b), or None."""
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
+        return next((((i,), a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
 
     def __add__(self, other):
         if isinstance(other, UniPoly):
@@ -350,180 +357,98 @@ class XPolynomial:
         return "XPolynomial(" + " + ".join(chunks) + ")"
 
 
-class TruncatedSeries:
-    """Power series in named variables, truncated at a total-degree bound.
+class BiSeries:
+    """Power series in two variables u, v, cut at total degree ``order``.
 
-    Coefficients live in a ring supporting +, -, *, scalar division and
-    comparison with 0 (Fraction or XPolynomial).  Keys are exponent
-    tuples aligned with ``variables``; entries beyond ``order`` in total
-    degree are discarded by every operation.  Binary operations require
-    identical variable tuples and orders.
+    Row i holds the coefficients of u^i v^j for j <= order - i, densely,
+    over any ring with +, - and * (int, Fraction or XPolynomial).  Rows
+    are filled with the int 0, and products skip zero entries by
+    truthiness, so sparse series cost little.  Sums, differences and
+    products of two series require equal orders; * by a ring element
+    scales every entry.
     """
 
-    __slots__ = ("variables", "order", "coeffs")
+    __slots__ = ("order", "rows")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        order: int,
-        coeffs: Mapping[tuple[int, ...], object] | None = None,
-    ):
+    def __init__(self, order: int, coeffs: Mapping[tuple[int, int], object] | None = None):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        self.variables = tuple(variables)
         self.order = order
-        data = {}
-        if coeffs:
-            nv = len(self.variables)
-            for key, c in coeffs.items():
-                if len(key) != nv:
-                    raise ValueError("exponent key arity mismatch")
-                if sum(key) <= order and not _is_zero(c):
-                    data[tuple(key)] = c
-        self.coeffs = data
+        self.rows = [[0] * (order + 1 - i) for i in range(order + 1)]
+        for key, c in (coeffs or {}).items():
+            if len(key) != 2 or min(key) < 0:
+                raise ValueError(f"bad exponent key {key!r}")
+            i, j = key
+            if i + j <= order:
+                self.rows[i][j] = c
 
     @classmethod
-    def constant(cls, c, variables: Sequence[str], order: int) -> "TruncatedSeries":
-        key = (0,) * len(tuple(variables))
-        return cls(variables, order, {key: c})
-
-    @classmethod
-    def variable(cls, name: str, variables: Sequence[str], order: int) -> "TruncatedSeries":
-        variables = tuple(variables)
-        key = tuple(1 if v == name else 0 for v in variables)
-        if sum(key) != 1:
-            raise ValueError(f"unknown variable {name!r}")
-        return cls(variables, order, {key: Fraction(1)})
-
-    def one(self) -> "TruncatedSeries":
-        return TruncatedSeries.constant(Fraction(1), self.variables, self.order)
-
-    def zero(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.variables, self.order)
-
-    def _check_compatible(self, other: "TruncatedSeries"):
-        if self.variables != other.variables or self.order != other.order:
-            raise ValueError("series have different variables or order")
-
-    def coefficient(self, key: Sequence[int]):
-        return self.coeffs.get(tuple(key), Fraction(0))
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            out = dict(self.coeffs)
-            for key, c in other.coeffs.items():
-                s = out.get(key)
-                s = c if s is None else s + c
-                if _is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-            return self._raw(out)
-        if isinstance(other, (int, Fraction)):
-            return self + TruncatedSeries.constant(Fraction(other), self.variables, self.order)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._raw({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            out: dict[tuple[int, ...], object] = {}
-            order = self.order
-            for ka, ca in self.coeffs.items():
-                da = sum(ka)
-                for kb, cb in other.coeffs.items():
-                    if da + sum(kb) > order:
-                        continue
-                    key = tuple(a + b for a, b in zip(ka, kb))
-                    p = ca * cb
-                    s = out.get(key)
-                    s = p if s is None else s + p
-                    if _is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            return self._raw(out)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by a fixed ring element."""
-        if _is_zero(c):
-            return self.zero()
-        return self._raw({k: v * c for k, v in self.coeffs.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = self.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def _raw(self, coeffs: dict) -> "TruncatedSeries":
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.variables = self.variables
-        res.order = self.order
-        res.coeffs = coeffs
+    def _of(cls, order: int, rows: list) -> "BiSeries":
+        res = cls.__new__(cls)
+        res.order = order
+        res.rows = rows
         return res
 
-    def sorted_terms(self):
-        return sorted(self.coeffs.items())
+    def _order_with(self, other: "BiSeries") -> int:
+        if self.order != other.order:
+            raise ValueError("series have different orders")
+        return self.order
 
-    def first_difference(self, other: "TruncatedSeries"):
-        """Smallest exponent key where the two series differ, or None."""
-        self._check_compatible(other)
-        keys = sorted(
-            set(self.coeffs) | set(other.coeffs),
-            key=lambda k: (sum(k), k),
-        )
-        for key in keys:
-            a = self.coeffs.get(key, Fraction(0))
-            b = other.coeffs.get(key, Fraction(0))
-            if a != b:
-                return key, a, b
+    def coefficient(self, key: Sequence[int]):
+        """The u^i v^j coefficient for key (i, j); int entries, zeros
+        beyond the cut included, read as Fractions."""
+        i, j = key
+        c = self.rows[i][j] if 0 <= i and 0 <= j and i + j <= self.order else 0
+        return Fraction(c) if isinstance(c, int) else c
+
+    def _entrywise(self, other: "BiSeries", op) -> "BiSeries":
+        order = self._order_with(other)
+        rows = [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return BiSeries._of(order, rows)
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, operator.sub)
+
+    def __mul__(self, other):
+        if not isinstance(other, BiSeries):
+            return BiSeries._of(self.order, [[a * other if a else 0 for a in row] for row in self.rows])
+        order = self._order_with(other)
+        out = [[0] * (order + 1 - i) for i in range(order + 1)]
+        terms = [[(m, b) for m, b in enumerate(row) if b] for row in other.rows]
+        for i, row in enumerate(self.rows):
+            for j, a in enumerate(row):
+                if not a:
+                    continue
+                room = order - i - j
+                for k in range(room + 1):
+                    target, cut = out[i + k], room - k
+                    for m, b in terms[k]:
+                        if m > cut:
+                            break
+                        target[j + m] += a * b
+        return BiSeries._of(order, out)
+
+    def first_difference(self, other: "BiSeries"):
+        """Smallest key (i, j) in (total degree, key) order where the two
+        series differ, as ((i, j), a, b), or None."""
+        order = self._order_with(other)
+        for d in range(order + 1):
+            for i in range(d + 1):
+                a, b = self.coefficient((i, d - i)), other.coefficient((i, d - i))
+                if a != b:
+                    return (i, d - i), a, b
         return None
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, BiSeries):
             return NotImplemented
-        if self.variables != other.variables or self.order != other.order:
-            return False
-        return self.first_difference(other) is None
+        return self.order == other.order and self.first_difference(other) is None
 
     def __repr__(self):
-        terms = ", ".join(f"{k}: {c}" for k, c in self.sorted_terms()[:8])
-        more = "..." if len(self.coeffs) > 8 else ""
-        return (
-            f"TruncatedSeries(vars={self.variables}, order={self.order}, "
-            f"{{{terms}{more}}})"
-        )
-
-
-def _is_zero(c) -> bool:
-    if c is None:
-        return True
-    if isinstance(c, XPolynomial):
-        return not c.terms
-    return c == 0
+        return f"BiSeries(order={self.order}, rows={self.rows})"
 
 
 def gauss_2f1_truncated(a: int, b: int, c: int, order: int) -> UniPoly:

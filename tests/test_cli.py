@@ -300,6 +300,36 @@ def test_verify_json_is_pinned(capsys, identity):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `verify --identity ID ... --format json` for the two-variable
+# series jobs at reduced bounds, computed with the dict-keyed series type
+# before the dense one replaced it.
+_PINNED_SERIES_VERIFY = [
+    ("thm3.1", ["--n-max", "4", "--order", "4"],
+     "6e73f5861b41ded8521894cf29c9141180859928da189250cb37a72a7b0d887b"),
+    ("thm3.1-alt", ["--n-max", "4", "--order", "4"],
+     "862f2cb0c4d855f5db8ec650e356479a09134dec497789b7afc0eb906418372e"),
+    ("ll-v0", ["--n-max", "4", "--order", "4"],
+     "205bf216843de65011eb12e819570c03a1c8b9a4fbe897be9d204ac4415e4ebb"),
+    ("thm3.1", ["--n-max", "4", "--order", "4", "--mode", "random", "--trials", "2"],
+     "c3d146f40c347e0507391c4b12dc84e80d950a7cb2ba9f2490a10a57866f77fc"),
+    ("gf2.3", ["--n-max", "6", "--order", "6", "--lambda-max", "5"],
+     "898cf187070130efa17f4a9db8338e5b9c1c8650fdc9e0d8458dbc28d1ed85cc"),
+    ("gn-closed", ["--n-max", "8"],
+     "6a33b99d5187a954de95a206409d2789220ee790948199abbda4551c89a5151e"),
+]
+
+
+@pytest.mark.parametrize(
+    "identity,bounds,digest",
+    _PINNED_SERIES_VERIFY,
+    ids=["thm3.1", "thm3.1-alt", "ll-v0", "thm3.1-random", "gf2.3", "gn-closed"],
+)
+def test_series_verify_json_is_pinned(capsys, identity, bounds, digest):
+    code, out, _ = run_cli(capsys, "verify", "--identity", identity, *bounds, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_rejects_unknown_identity(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--identity", "nope"])
@@ -368,6 +398,23 @@ def test_verify_config_negative_bound(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "lem11.1", "--config", str(cfg))
     assert code == 2
     assert "order must be nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("alpha_set = 1,x", "alpha_set: not a rational: 'x'"),
+        ("alpha_set =", "alpha_set: empty sample set"),
+        ("y-set = 1/0", "y_set: not a rational: '1/0'"),
+        ("lambda_max = abc", "lambda_max: not an integer: 'abc'"),
+    ],
+)
+def test_verify_config_malformed_value(tmp_path, capsys, line, message):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"order = 4\n{line}\n")
+    code, out, err = run_cli(capsys, "verify", "--all", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:2: {message}\n"
 
 
 def test_verify_zero_comparisons_fails(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ycalc.series import (
-    TruncatedSeries,
+    BiSeries,
     UniPoly,
     XPolynomial,
     binomial,
@@ -110,47 +110,64 @@ def test_xpolynomial_algebra():
     assert (p - p) == 0
 
 
-def _series(var="t", order=6):
-    return TruncatedSeries.variable(var, (var,), order)
+def _nonzero_keys(s):
+    return [(i, j) for i, row in enumerate(s.rows) for j, c in enumerate(row) if c]
 
 
 def test_series_constructor_truncates_and_drops_zeros():
-    s = TruncatedSeries(("t",), 3, {(0,): Fraction(1), (2,): Fraction(0), (5,): Fraction(9)})
-    assert s.coeffs == {(0,): Fraction(1)}
+    s = BiSeries(3, {(0, 0): Fraction(1), (2, 0): Fraction(0), (5, 0): Fraction(9), (1, 3): 4})
+    assert [len(row) for row in s.rows] == [4, 3, 2, 1]
+    assert _nonzero_keys(s) == [(0, 0)]
+    assert s.coefficient((5, 0)) == 0 and s.coefficient((1, 3)) == 0
+    for bad in [(0, 0, 0), (0,), (-1, 0), (0, -2)]:
+        with pytest.raises(ValueError):
+            BiSeries(3, {bad: Fraction(1)})
     with pytest.raises(ValueError):
-        TruncatedSeries(("t",), 3, {(0, 0): Fraction(1)})
-    with pytest.raises(ValueError):
-        TruncatedSeries(("t",), -1)
+        BiSeries(-1)
 
 
 def test_series_mul_respects_order():
-    t = _series(order=4)
-    p = (1 + t) ** 6
+    one_plus_u = BiSeries(4, {(0, 0): 1, (1, 0): 1})
+    p = BiSeries(4, {(0, 0): 1})
+    for _ in range(6):
+        p = p * one_plus_u
     for k in range(5):
-        assert p.coefficient((k,)) == comb_int(6, k)
-    assert p.coefficient((5,)) == 0  # beyond the cut
+        assert p.coefficient((k, 0)) == comb_int(6, k)
+    assert p.coefficient((5, 0)) == 0  # beyond the cut
+    # (1 + u + v)^3 cut at total degree 2 keeps the trinomial terms up to 2
+    w = BiSeries(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    cube = w * w * w
+    assert cube.rows == [[1, 3, 3], [3, 6], [3]]
+    with pytest.raises(ValueError):
+        BiSeries(3, {(1, 0): 1}) * BiSeries(4, {(1, 0): 1})
 
 
 def test_series_first_difference_ordering():
-    vs = ("u", "v")
-    a = TruncatedSeries(vs, 4, {(0, 1): Fraction(1), (2, 0): Fraction(5)})
-    b = TruncatedSeries(vs, 4, {(0, 1): Fraction(1), (2, 0): Fraction(7)})
+    a = BiSeries(4, {(0, 1): Fraction(1), (2, 0): Fraction(5)})
+    b = BiSeries(4, {(0, 1): Fraction(1), (2, 0): Fraction(7)})
     key, ca, cb = a.first_difference(b)
     assert key == (2, 0)
     assert (ca, cb) == (5, 7)
     assert a.first_difference(a) is None
+    # smaller total degree first, then the smaller key within a degree
+    c = BiSeries(4, {(0, 3): 1, (1, 1): 2, (2, 0): 3})
+    d = BiSeries(4, {(0, 2): 9, (1, 1): 9, (2, 0): 9})
+    assert c.first_difference(d) == ((0, 2), 0, 9)
+    # int entries, zeros included, read as Fractions
+    _, lhs, rhs = c.first_difference(BiSeries(4))
+    assert (type(lhs), type(rhs)) == (Fraction, Fraction)
 
 
 def test_series_with_xpoly_coefficients():
     # the series ring must accept XPolynomial entries transparently
     x0 = XPolynomial.x0()
-    t = _series(order=4)
-    s = t.one().scale(x0) + t.scale(XPolynomial.symbol(1))
+    s = BiSeries(4, {(0, 0): x0, (1, 0): XPolynomial.symbol(1)})
     sq = s * s
-    assert sq.coefficient((0,)) == x0 * x0
-    assert sq.coefficient((1,)) == XPolynomial.symbol(1) * x0 * 2
+    assert sq.coefficient((0, 0)) == x0 * x0
+    assert sq.coefficient((1, 0)) == XPolynomial.symbol(1) * x0 * 2
+    assert (s * x0).coefficient((1, 0)) == XPolynomial.symbol(1) * x0
     zero = s - s
-    assert not zero.coeffs
+    assert not _nonzero_keys(zero)
 
 
 def test_gauss_2f1_values():

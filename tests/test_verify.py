@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ycalc.series import UniPoly
+from ycalc.series import BiSeries, UniPoly
 from ycalc.verify import (
     CATALOG,
     VerificationReport,
@@ -185,6 +185,41 @@ def test_univariate_series_mismatch_reports_index():
     report = rec.report("x", {})
     assert report.status == "failed"
     assert report.counterexample == {"k": 1, "key": [2], "lhs": "3", "rhs": "0"}
+
+
+def test_bivariate_series_mismatch_reports_key():
+    # int-filled rows with Fraction entries; the first difference is the
+    # smallest total degree, and Fraction values print as strings
+    rec = _Recorder()
+    lhs = BiSeries(3, {(0, 2): Fraction(5), (1, 0): Fraction(1, 2)})
+    rhs = BiSeries(3, {(2, 1): Fraction(4), (1, 0): Fraction(1, 2)})
+    rec.series_equal(lhs, rhs, la="2,1")
+    report = rec.report("x", {})
+    assert report.status == "failed"
+    assert report.counterexample == {"la": "2,1", "key": [0, 2], "lhs": "5", "rhs": "0"}
+
+
+@pytest.mark.parametrize("identity,rhs_name,key", [
+    ("ll-v0", "_rhs_useries", [2]),
+    ("thm3.1", "_rhs_biseries", [2, 0]),
+])
+def test_expansion_mismatch_reports_key(monkeypatch, identity, rhs_name, key):
+    # shift the u^2 coefficient of every right-hand side by one
+    import ycalc.verify as verify
+
+    original = getattr(verify, rhs_name)
+
+    def shifted(*args, **kwargs):
+        rhs = original(*args, **kwargs)
+        rhs.rows[2][0] = rhs.rows[2][0] + 1
+        return rhs
+
+    monkeypatch.setattr(verify, rhs_name, shifted)
+    report = run_identity(identity, n_max=1, order=3, mode="random", trials=1)
+    assert report.status == "failed"
+    example = report_to_dict(report)["counterexample"]
+    assert (example["n"], example["key"]) == (1, key)
+    assert Fraction(example["rhs"]) == Fraction(example["lhs"]) + 1
 
 
 def test_chi_report_payload():
