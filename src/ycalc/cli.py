@@ -178,6 +178,8 @@ def _cmd_growth_dist(args) -> int:
 
 
 def _cmd_growth_sample(args) -> int:
+    if args.emit == "paths" and args.dump_cap < 1:
+        raise ValueError("nothing to dump: --dump-cap must be at least 1 with --emit paths")
     stats = sample_growth(
         steps=args.steps,
         alpha=args.alpha,

@@ -15,10 +15,14 @@ generator state is carried from path to path, so the output is invariant
 under any parallel split of the path range.
 
 Each visited shape gets a move table once (integer thresholds, rows, next
-shapes), so a step is one draw, one bisection and one lookup.  Paths are
-tallied by (shape before the last step, row); after the loop each pair's
-content is formed once, and count·content^r enters the exact power sums.
-Floats appear only in the reported estimates.
+shapes), and each path advances one splitmix64 counter, so a step is one
+mix, one bisection and one lookup.  Paths are tallied by (shape before
+the last step, row).  At alpha = a/b the cell added in row i of λ has
+content x/a with the integer x = λ_i·a - (i-1)·b, so count·x^r enters
+integer power sums.  The exact reference is the law of x: the exact state
+distribution one step before the end, with the last step folded in
+through the Pieri atoms, gives moment r as Σ_x P(x)·x^r / a^r.  Floats
+appear only in the reported estimates.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from .moments import (
     corner_binomials,
     pieri_coefficients,
-    s_r_direct,
+    s_direct_moments,
     sigma_direct_moments,
 )
 from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
@@ -136,15 +140,26 @@ def removed_content(la: Partition, alpha, row: int) -> Fraction:
     return Fraction(la.parts[row - 1] - 1) - Fraction(row - 1) / alpha
 
 
-def exact_transition_moment(la: Partition, alpha, r: int) -> Fraction:
-    """r-th moment of the appended content under the up kernel."""
+def transition_moments(la: Partition, alpha, r_max: int) -> list[Fraction]:
+    """The r-th moment of the appended content under the up kernel, for
+    r = 0 .. r_max, from the kernel's atoms; raises InvariantError where
+    it disagrees with :func:`moments.s_direct_moments`."""
     alpha = check_alpha(alpha)
-    total = Fraction(0)
+    out = [Fraction(0)] * (r_max + 1)
     for i, p in transition_kernel(la, alpha).atoms:
-        total += added_content(la, alpha, i) ** r * p
-    if total != s_r_direct(la, alpha, r):
-        raise InvariantError(f"up moment {r} of {la} disagrees with s_r_direct")
-    return total
+        content = added_content(la, alpha, i)
+        for r in range(r_max + 1):
+            out[r] += p
+            p *= content
+    for r, (total, direct) in enumerate(zip(out, s_direct_moments(la, alpha, r_max))):
+        if total != direct:
+            raise InvariantError(f"up moment {r} of {la} disagrees with s_r_direct")
+    return out
+
+
+def exact_transition_moment(la: Partition, alpha, r: int) -> Fraction:
+    """One r of :func:`transition_moments`."""
+    return transition_moments(la, alpha, r)[r]
 
 
 def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[Fraction, Fraction]]:
@@ -224,9 +239,9 @@ def distribution_after(start: Partition, alpha, steps: int) -> dict[Partition, F
     for _ in range(steps):
         nxt: dict[Partition, Fraction] = {}
         for la, mass in dist.items():
-            for i, p in transition_kernel(la, alpha).atoms:
+            for i, p in pieri_coefficients(la, alpha):
                 above = la.add_cell(i)
-                nxt[above] = nxt.get(above, Fraction(0)) + mass * p
+                nxt[above] = nxt.get(above, 0) + mass * p
         dist = nxt
     return dist
 
@@ -288,6 +303,16 @@ def _moves(la: Partition, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(thresholds), tuple(rows), tuple(nexts)
 
 
+def _power_sums(weights: dict[int, int | Fraction], r_max: int) -> list:
+    """Σ_x w·x^r for r = 0 .. r_max over a table {x: w}."""
+    out = [0] * (r_max + 1)
+    for x, w in weights.items():
+        for r in range(r_max + 1):
+            out[r] += w
+            w *= x
+    return out
+
+
 def sample_growth(
     steps: int,
     alpha,
@@ -299,13 +324,9 @@ def sample_growth(
     dump_cap: int = 10_000,
 ) -> SampleStats:
     """Run independent up-walks and compare final-step content moments
-    against the exact law.
-
-    The reference for moment r is Σ_state P(state) s_r(state) over the
-    exact state distribution one step before the end, which for a single
-    step from a fixed start is just s_r(start).  The paths are tallied by
-    (shape before the last step, row); the exact power sums of the sampled
-    contents are then formed once per distinct pair, weighted by its count.
+    against the exact law of the last added content (see the module
+    docstring); for a single step from a fixed start the reference for
+    moment r is s_r(start).
     """
     alpha = check_alpha(alpha)
     if steps < 1:
@@ -322,12 +343,18 @@ def sample_growth(
     for idx in range(paths):
         shape = start
         trail = [str(shape)] if dump is not None and idx < dump_cap else None
-        for step in range(steps):
+        # _draw(seed, idx, step), one Weyl increment of the counter per step
+        ctr = (seed * _MIX2 + idx * _MIX1) & _MASK
+        for _ in range(steps):
             before = shape.parts
             move = moves.get(before)
             if move is None:
                 move = moves[before] = _moves(shape, alpha)
-            k = bisect_right(move[0], _draw(seed, idx, step))
+            ctr += _GAMMA
+            z = ctr & _MASK
+            z = (z ^ (z >> 30)) * _MIX1 & _MASK
+            z = (z ^ (z >> 27)) * _MIX2 & _MASK
+            k = bisect_right(move[0], z ^ (z >> 31))
             row, shape = move[1][k], move[2][k]
             if trail is not None:
                 trail.append(str(shape))
@@ -336,27 +363,29 @@ def sample_growth(
         if trail is not None:
             dump.append("|".join(trail))
 
-    # Exact power sums of the last added content, one content per pair.
-    power_sums = [Fraction(0)] * (2 * r_max + 1)
+    a, b = alpha.numerator, alpha.denominator
+    tally: dict[int, int] = {}  # sampled content numerator -> paths
     occupancy: dict[str, int] = {}
     for (parts, row), count in last_steps.items():
-        la = Partition(parts)
-        content = added_content(la, alpha, row)
-        acc = Fraction(count)
-        for r in range(0, 2 * r_max + 1):
-            power_sums[r] += acc
-            acc *= content
-        key = str(la.add_cell(row))
+        x = (parts + (0,))[row - 1] * a - (row - 1) * b
+        tally[x] = tally.get(x, 0) + count
+        key = str(Partition(parts).add_cell(row))
         occupancy[key] = occupancy.get(key, 0) + count
+    # The exact law of the last numerator: one step folded into the state law.
+    law: dict[int, Fraction] = {}
+    for la, mass in distribution_after(start, alpha, steps - 1).items():
+        padded = la.parts + (0,)
+        for i, p in pieri_coefficients(la, alpha):
+            x = padded[i - 1] * a - (i - 1) * b
+            law[x] = law.get(x, 0) + mass * p
+    power_nums = _power_sums(tally, 2 * r_max)
+    exact_nums = _power_sums(law, r_max)
 
-    before_final = distribution_after(start, alpha, steps - 1)
     moments = []
     for r in range(0, r_max + 1):
-        exact = Fraction(0)
-        for state, mass in before_final.items():
-            exact += mass * s_r_direct(state, alpha, r)
-        mean = power_sums[r] / paths
-        second = power_sums[2 * r] / paths
+        exact = exact_nums[r] / a**r
+        mean = Fraction(power_nums[r], paths * a**r)
+        second = Fraction(power_nums[2 * r], paths * a ** (2 * r))
         variance = second - mean * mean
         if variance < 0:
             raise InvariantError(f"negative variance of moment {r}")

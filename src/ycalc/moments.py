@@ -45,15 +45,16 @@ def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
     product is kept as one integer numerator and one denominator."""
     a, b = alpha.numerator, alpha.denominator
     l = la.length
-    li = la.part(i)
+    padded = la.parts + (0,)
+    li = padded[i - 1]
     den = a * li + b * (l - i + 2)
     if den == 0:
         raise InvariantError("nonvanishing linear factor violated")
     num = b
-    for j in range(1, l + 2):
+    for j, lj in enumerate(padded, 1):
         if j == i:
             continue
-        diff = a * (li - la.part(j))
+        diff = a * (li - lj)
         num_j = diff + b * (j - i + 1)
         den_j = diff + b * (j - i)
         if den_j == 0:
@@ -66,7 +67,8 @@ def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
 
 
 def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """Transition atoms (row, weight) over addable rows; weights sum to 1.
+    """Transition atoms (row, weight) over addable rows; weights are
+    nonnegative and sum to 1.
 
     The analytic formula is evaluated on every row 1..l+1 and checked to
     vanish exactly on the non-addable ones.
@@ -82,6 +84,8 @@ def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fract
     for i in range(1, la.length + 2):
         v = _pieri_row_value(la, alpha, i)
         if i in addable:
+            if v < 0:
+                raise InvariantError(f"negative row weight {v} on row {i} of {la}")
             atoms.append((i, v))
             total += v
         elif v != 0:
@@ -144,16 +148,24 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
     return out
 
 
-def s_r_direct(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Moment of the appended position la_i - (i-1)/alpha under row weights."""
+def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """s_0 .. s_{r_max}: moments of the appended position la_i - (i-1)/alpha
+    under row weights, each power of a position formed from the one before."""
     alpha = check_alpha(alpha)
-    if r < 0:
+    if r_max < 0:
         raise ValueError("r must be nonnegative")
-    total = Fraction(0)
+    out = [Fraction(0)] * (r_max + 1)
     for i, w in pieri_coefficients(la, alpha):
         pos = Fraction(la.part(i)) - Fraction(i - 1) / alpha
-        total += pos**r * w
-    return total
+        for r in range(r_max + 1):
+            out[r] += w
+            w *= pos
+    return out
+
+
+def s_r_direct(la: Partition, alpha: Fraction, r: int) -> Fraction:
+    """Direct route for one r; see :func:`s_direct_moments`."""
+    return s_direct_moments(la, alpha, r)[r]
 
 
 def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fraction:

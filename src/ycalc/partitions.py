@@ -77,18 +77,12 @@ class Partition:
 
     def addable_rows(self) -> tuple[int, ...]:
         """Rows where one cell can be appended and the shape stays a partition."""
-        rows = []
-        for i in range(1, len(self.parts) + 2):
-            if i == 1 or self.part(i - 1) > self.part(i):
-                rows.append(i)
-        return tuple(rows)
+        padded = self.parts + (0,)
+        return (1,) + tuple(i + 2 for i in range(len(self.parts)) if padded[i] > padded[i + 1])
 
     def removable_rows(self) -> tuple[int, ...]:
-        rows = []
-        for i in range(1, len(self.parts) + 1):
-            if self.part(i) > self.part(i + 1):
-                rows.append(i)
-        return tuple(rows)
+        padded = self.parts + (0,)
+        return tuple(i + 1 for i in range(len(self.parts)) if padded[i] > padded[i + 1])
 
     def add_cell(self, row: int) -> "Partition":
         if row not in self.addable_rows():

@@ -33,9 +33,9 @@ from .growth import (
     cotransition_from_dimensions,
     cotransition_kernel,
     cotransition_moment_routes,
-    exact_transition_moment,
     plancherel_check,
     transition_kernel,
+    transition_moments,
 )
 from .moments import (
     chu_vandermonde_sides,
@@ -43,10 +43,10 @@ from .moments import (
     cor52_coefficient,
     h_series_of_difference,
     row_column_binomials,
+    s_direct_moments,
     s_lagrange_moments,
     s_moment_series,
     s_r_closed,
-    s_r_direct,
     s_r_from_u,
     sigma_lagrange_alphabets,
     sigma_direct_moments,
@@ -228,8 +228,10 @@ def _mixture(n: int, order: int, sk: Callable[[int], BiSeries], signed: bool) ->
 def _rhs_biseries(n: int, order: int, xval, x0, alternating: bool) -> BiSeries:
     if alternating:
         spec = Specialization(None, lambda i: -xval(i))
+        prefixes = [binomial(x0 - k, n - k) * Fraction((-1) ** k) for k in range(n + 1)]
     else:
         spec = Specialization(None, xval)
+        prefixes = [binomial(x0 + (n - 1), n - k) for k in range(n + 1)]
     coeffs = {}
     for p in range(order + 1):
         for q in range(order + 1 - p):
@@ -239,13 +241,7 @@ def _rhs_biseries(n: int, order: int, xval, x0, alternating: bool) -> BiSeries:
                 pk = p_npk(total_deg, p, k, spec)
                 if isinstance(pk, Fraction) and pk == 0:
                     continue
-                if alternating:
-                    prefix = binomial(x0 - k, n - k)
-                    if k % 2:
-                        prefix = prefix * Fraction(-1)
-                else:
-                    prefix = binomial(x0 + (n - 1), n - k)
-                acc = acc + prefix * pk
+                acc = acc + prefixes[k] * pk
             coeffs[(p, q)] = acc
     return BiSeries(order, coeffs)
 
@@ -287,14 +283,14 @@ def _check_expansion_family(identity: str, params: dict) -> VerificationReport:
             value_sets.append((f"seed={seed + t}", xval, xval(0)))
 
     for label, xval, x0 in value_sets:
+        cache: dict[int, BiSeries] = {}
+
+        def sk(k: int) -> BiSeries:
+            if k not in cache:
+                cache[k] = _sk_series(k, order, xval, univariate)
+            return cache[k]
+
         for n in range(1, n_max + 1):
-            cache: dict[int, BiSeries] = {}
-
-            def sk(k: int, _c=cache, _x=xval) -> BiSeries:
-                if k not in _c:
-                    _c[k] = _sk_series(k, order, _x, univariate)
-                return _c[k]
-
             lhs = _mixture(n, order, sk, signed)
             if univariate:
                 rhs = _rhs_useries(n, order, xval, x0)
@@ -523,7 +519,7 @@ def _check_thm81(identity: str, params: dict) -> VerificationReport:
     rec = _Recorder()
     for la in partitions_upto(lambda_max):
         for alpha in alphas:
-            direct_vals = [s_r_direct(la, alpha, r) for r in range(r_max + 1)]
+            direct_vals = s_direct_moments(la, alpha, r_max)
             lagrange_vals = s_lagrange_moments(la, alpha, r_max)
             for r in range(0, r_max + 1):
                 rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=str(la), alpha=alpha, r=r)
@@ -671,10 +667,10 @@ def _check_moments_bridge(identity: str, params: dict) -> VerificationReport:
     rec = _Recorder()
     for la in partitions_upto(lambda_max):
         for alpha in alphas:
+            ups = transition_moments(la, alpha, r_max)
             downs = cotransition_moment_routes(la, alpha, r_max) if la.weight else ()
             for r in range(0, r_max + 1):
-                up = exact_transition_moment(la, alpha, r)
-                rec.check(up, s_r_closed(la, alpha, r), group="up-moment", la=str(la), alpha=alpha, r=r)
+                rec.check(ups[r], s_r_closed(la, alpha, r), group="up-moment", la=str(la), alpha=alpha, r=r)
                 if downs:
                     # the atoms against the corner-moment combination
                     rec.check(*downs[r], group="down-moment", la=str(la), alpha=alpha, r=r)

@@ -210,6 +210,40 @@ def test_growth_sample_paths_are_pinned(capsys):
     ]
 
 
+# sha256 of `growth sample` at two multi-step settings, pinned before the
+# exact reference was folded into the law of the last added content.
+_SAMPLE_DIGESTS = {
+    ("1/2", "8", "0", "31", "moments"): "e9ec57d9192a71e85784eb6d44c4c08eedc0e73359e3429f80318a27c81cd8c4",
+    ("3/5", "6", "2,1", "2026", "moments"): "9f3be3262ab88b616e497de6913f70201b70327ec92618fe4b3efedd9fe2cf19",
+    ("1/2", "8", "0", "31", "occupancy"): "4a2b571a85bd74210dfb3da519c4ea8ce370499d6da96585d5748e3dc84e0d42",
+    ("3/5", "6", "2,1", "2026", "occupancy"): "37187ad71a2a1ee0410061b85004e2666733b41fc384335dae5ebaee874f51e8",
+    ("1/2", "8", "0", "31", "paths"): "ff0449cd7e8379f0305714c223feca0da0d681cb79807bc38fee9457473f2784",
+    ("3/5", "6", "2,1", "2026", "paths"): "3bf3a9024dd448ecc1ed7a8260ff1548764deb4345313fc3f4aa4a09ade026af",
+}
+
+
+@pytest.mark.parametrize("alpha,steps,start,seed,emit", sorted(_SAMPLE_DIGESTS))
+def test_growth_sample_outputs_are_pinned(capsys, alpha, steps, start, seed, emit):
+    code, out, _ = run_cli(
+        capsys,
+        "growth", "sample", "--alpha", alpha, "--steps", steps, "--paths", "3000",
+        "--start", start, "--seed", seed, "--emit", emit,
+    )
+    assert code == 0
+    digest = _SAMPLE_DIGESTS[(alpha, steps, start, seed, emit)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_growth_sample_dump_cap_0_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "growth", "sample", "--alpha", "1", "--steps", "1", "--paths", "2",
+        "--seed", "1", "--emit", "paths", "--dump-cap", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: nothing to dump: --dump-cap must be at least 1 with --emit paths\n"
+
+
 def test_experiment_chi_json(capsys):
     code, out, _ = run_cli(capsys, "experiment", "chi", "--n-max", "2", "--p-max", "1")
     assert code == 0

@@ -21,8 +21,10 @@ from ycalc.growth import (
     sample_growth,
     tableau_counts,
     transition_kernel,
+    transition_moments,
 )
-from ycalc.moments import pieri_coefficients, s_r_direct
+from ycalc import growth, moments
+from ycalc.moments import pieri_coefficients, s_direct_moments, s_r_direct
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
 from ycalc.series import InvariantError
 
@@ -112,6 +114,18 @@ def test_exact_moments_cross_checked(alpha):
                 exact_cotransition_moment(la, alpha, r)  # asserts internally
 
 
+def test_transition_moment_routes_must_agree(monkeypatch):
+    la, alpha = Partition((2, 1)), Fraction(3, 5)
+    assert transition_moments(la, alpha, 4) == [exact_transition_moment(la, alpha, r) for r in range(5)]
+
+    def skewed(*args):
+        return [v + (r == 2) for r, v in enumerate(s_direct_moments(*args))]
+
+    monkeypatch.setattr(growth, "s_direct_moments", skewed)
+    with pytest.raises(InvariantError, match="up moment 2 of 2,1 disagrees"):
+        transition_moments(la, alpha, 4)
+
+
 def test_distribution_after_two_steps():
     dist = distribution_after(EMPTY, Fraction(1), 2)
     assert dist == {
@@ -131,6 +145,45 @@ def test_distribution_mass_is_conserved(alpha):
         dist = distribution_after(EMPTY, alpha, steps)
         assert sum(dist.values(), Fraction(0)) == 1
         assert all(la.weight == steps for la in dist)
+
+
+def _reference_exact(start: Partition, alpha, steps: int, r: int) -> Fraction:
+    """The exact moment as a sum over states one step before the end:
+    sum of P(state) s_r(state)."""
+    total = Fraction(0)
+    for state, mass in distribution_after(start, alpha, steps - 1).items():
+        total += mass * s_r_direct(state, alpha, r)
+    return total
+
+
+@pytest.mark.parametrize("alpha", (Fraction(1), Fraction(1, 2), Fraction(3, 5), Fraction(7, 3)))
+@pytest.mark.parametrize("start", (EMPTY, Partition((2, 1))))
+def test_sampler_exact_reference_matches_state_sum(alpha, start):
+    for steps in range(1, 7):
+        stats = sample_growth(steps=steps, alpha=alpha, paths=20, seed=steps, start=start)
+        for m in stats.moments:
+            assert m.exact == _reference_exact(start, alpha, steps, m.r), (steps, m.r)
+
+
+def test_negative_pieri_atom_is_rejected(monkeypatch):
+    # Rows 1 and 2 of the shape 1 get +1 and -1: the atoms still sum to 1,
+    # but one of them is negative.
+    row_value = moments._pieri_row_value
+
+    def skewed(la, alpha, i):
+        v = row_value(la, alpha, i)
+        if la.parts == (1,):
+            return v + (1 if i == 1 else -1)
+        return v
+
+    monkeypatch.setattr(moments, "_pieri_row_value", skewed)
+    monkeypatch.setattr(moments, "_pieri_cache", {})
+    with pytest.raises(InvariantError, match="negative"):
+        pieri_coefficients(Partition((1,)), Fraction(1))
+    with pytest.raises(InvariantError, match="negative"):
+        distribution_after(EMPTY, Fraction(1), 2)
+    with pytest.raises(InvariantError, match="negative"):
+        sample_growth(steps=3, alpha=Fraction(1), paths=10, seed=0)
 
 
 def test_sampler_is_deterministic():
