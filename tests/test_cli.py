@@ -210,8 +210,10 @@ def test_growth_sample_paths_are_pinned(capsys):
     ]
 
 
-# sha256 of `growth sample` at two multi-step settings, pinned before the
-# exact reference was folded into the law of the last added content.
+# sha256 of `growth sample`: the 1/2 and 3/5 settings were pinned before the
+# exact reference was folded into the law of the last added content, the 1
+# and 7/3 settings before the walk moved onto the state graph.  One step
+# from 4,2,1 runs no linked step; 7/3 dumps fewer paths than it walks.
 _SAMPLE_DIGESTS = {
     ("1/2", "8", "0", "31", "moments"): "e9ec57d9192a71e85784eb6d44c4c08eedc0e73359e3429f80318a27c81cd8c4",
     ("3/5", "6", "2,1", "2026", "moments"): "9f3be3262ab88b616e497de6913f70201b70327ec92618fe4b3efedd9fe2cf19",
@@ -219,14 +221,20 @@ _SAMPLE_DIGESTS = {
     ("3/5", "6", "2,1", "2026", "occupancy"): "37187ad71a2a1ee0410061b85004e2666733b41fc384335dae5ebaee874f51e8",
     ("1/2", "8", "0", "31", "paths"): "ff0449cd7e8379f0305714c223feca0da0d681cb79807bc38fee9457473f2784",
     ("3/5", "6", "2,1", "2026", "paths"): "3bf3a9024dd448ecc1ed7a8260ff1548764deb4345313fc3f4aa4a09ade026af",
+    ("1", "1", "4,2,1", "5", "moments"): "1355a044921b46ca42a469ed0712057deedda7bda8fa058ddb766dc9396dcf3f",
+    ("1", "1", "4,2,1", "5", "occupancy"): "19ac9eca301e12196271985bc282637a4325023f2d7d8f615462f3a7b7927c15",
+    ("7/3", "12", "3,1", "77", "paths"): "8c1cf698c04bf733530cef1d3ce428bd5e3417eb98b91b84fab13cdf6fb13deb",
 }
+# Path count and options per setting where they differ from 3,000 paths.
+_SAMPLE_OPTIONS = {("7/3", "12", "3,1"): ("--paths", "2000", "--dump-cap", "50")}
 
 
 @pytest.mark.parametrize("alpha,steps,start,seed,emit", sorted(_SAMPLE_DIGESTS))
 def test_growth_sample_outputs_are_pinned(capsys, alpha, steps, start, seed, emit):
+    options = _SAMPLE_OPTIONS.get((alpha, steps, start), ("--paths", "3000"))
     code, out, _ = run_cli(
         capsys,
-        "growth", "sample", "--alpha", alpha, "--steps", steps, "--paths", "3000",
+        "growth", "sample", "--alpha", alpha, "--steps", steps, *options,
         "--start", start, "--seed", seed, "--emit", emit,
     )
     assert code == 0
