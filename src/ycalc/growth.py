@@ -14,15 +14,16 @@ reads its own splitmix64 stream, and step s takes output s + 1 of it.  No
 generator state is carried from path to path, so the output is invariant
 under any parallel split of the path range.
 
-Each visited shape gets a move table once (integer thresholds, rows, next
-shapes), and each path advances one splitmix64 counter, so a step is one
-mix, one bisection and one lookup.  Paths are tallied by (shape before
-the last step, row).  At alpha = a/b the cell added in row i of λ has
-content x/a with the integer x = λ_i·a - (i-1)·b, so count·x^r enters
-integer power sums.  The exact reference is the law of x: the exact state
-distribution one step before the end, with the last step folded in
-through the Pieri atoms, gives moment r as Σ_x P(x)·x^r / a^r.  Floats
-appear only in the reported estimates.
+The sampler and the exact law read one state graph per call: level k has
+a node per shape k up-steps from the start, with its exact mass, and
+expanding a level gives each node its Pieri atoms, their thresholds and
+links to its successors, the next level.  Each path advances one
+splitmix64 counter, so a step is one mix, one bisection and one link.
+At alpha = a/b the cell added in row i of λ has content x/a with the
+integer x = λ_i·a - (i-1)·b, so the paths' counts per atom of the last
+step give integer power sums of x.  The exact reference is the law of x:
+the masses one step before the end, folded through their atoms, give
+moment r as Σ_x P(x)·x^r / a^r.  Floats appear only in the estimates.
 """
 
 from __future__ import annotations
@@ -232,18 +233,50 @@ def plancherel_check(n_max: int) -> bool:
     return True
 
 
+class _Node:
+    """A shape of the state graph and its mass; see :func:`_expand`."""
+
+    __slots__ = ("la", "mass", "atoms", "cuts", "succ", "hits")
+
+    def __init__(self, la: Partition, mass: Fraction):
+        self.la, self.mass = la, mass
+
+
+def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[int, ...], _Node]:
+    """The next level of the state graph.  Each node of `level` gets its
+    Pieri atoms, their cumulative weights num/den as integer thresholds
+    t = ceil(num·2^64/den) (for an integer u, u < t holds exactly when
+    u·den < num·2^64, so the first threshold above a 64-bit draw selects
+    the atom) and one successor per atom, shared by parts."""
+    nxt: dict[tuple[int, ...], _Node] = {}
+    for parts, node in level.items():
+        node.atoms = pieri_coefficients(node.la, alpha)
+        padded = parts + (0,)
+        cuts, succ = [], []
+        num, den = 0, 1
+        for row, p in node.atoms:
+            num, den = num * p.denominator + p.numerator * den, den * p.denominator
+            cuts.append(-(-num * _WORD // den))
+            # Pieri atoms sit on addable rows only, so `up` is a partition.
+            up = parts[: row - 1] + (padded[row - 1] + 1,) + parts[row:]
+            child = nxt.get(up)
+            if child is None:
+                child = nxt[up] = _Node(Partition._trusted(up), Fraction(0))
+            child.mass += node.mass * p
+            succ.append(child)
+        if num != den:
+            raise InvariantError(f"row weights of {node.la} sum to {Fraction(num, den)}")
+        node.cuts, node.succ = tuple(cuts), tuple(succ)
+    return nxt
+
+
 def distribution_after(start: Partition, alpha, steps: int) -> dict[Partition, Fraction]:
     """Exact state distribution after the given number of up steps."""
     alpha = check_alpha(alpha)
-    dist = {start: Fraction(1)}
+    level = {start.parts: _Node(start, Fraction(1))}
     for _ in range(steps):
-        nxt: dict[Partition, Fraction] = {}
-        for la, mass in dist.items():
-            for i, p in pieri_coefficients(la, alpha):
-                above = la.add_cell(i)
-                nxt[above] = nxt.get(above, 0) + mass * p
-        dist = nxt
-    return dist
+        level = _expand(level, alpha)
+    return {node.la: node.mass for node in level.values()}
 
 
 @dataclass(frozen=True)
@@ -286,23 +319,6 @@ def _draw(seed: int, path: int, step: int) -> int:
     return z ^ (z >> 31)
 
 
-def _moves(la: Partition, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Partition, ...]]:
-    """Move table of one shape: the cumulative row weights as integer
-    thresholds t = ceil(num·2^64/den), the rows, and the shapes they lead
-    to.  For an integer u, u < t holds exactly when u·den < num·2^64, so
-    the first threshold above a 64-bit draw selects the row."""
-    thresholds, rows, nexts = [], [], []
-    acc = Fraction(0)
-    for row, p in pieri_coefficients(la, alpha):
-        acc += p
-        thresholds.append(-(-acc.numerator * _WORD // acc.denominator))
-        rows.append(row)
-        nexts.append(la.add_cell(row))
-    if acc != 1:
-        raise InvariantError(f"row weights of {la} sum to {acc}")
-    return tuple(thresholds), tuple(rows), tuple(nexts)
-
-
 def _power_sums(weights: dict[int, int | Fraction], r_max: int) -> list:
     """Σ_x w·x^r for r = 0 .. r_max over a table {x: w}."""
     out = [0] * (r_max + 1)
@@ -336,48 +352,46 @@ def sample_growth(
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
 
-    moves: dict[tuple[int, ...], tuple] = {}
-    last_steps: dict[tuple[tuple[int, ...], int], int] = {}  # (shape before the last step, row) -> paths
+    root = _Node(start, Fraction(1))
+    last = {start.parts: root}  # the level one step before the end
+    for _ in range(steps - 1):
+        last = _expand(last, alpha)
+    _expand(last, alpha)  # the last step's atoms and final shapes
+    for node in last.values():
+        node.hits = [0] * len(node.atoms)  # paths whose last step took each atom
     dump: list[str] | None = [] if dump_paths else None
 
     for idx in range(paths):
-        shape = start
-        trail = [str(shape)] if dump is not None and idx < dump_cap else None
+        node = root
+        trail = [str(start)] if dump is not None and idx < dump_cap else None
         # _draw(seed, idx, step), one Weyl increment of the counter per step
         ctr = (seed * _MIX2 + idx * _MIX1) & _MASK
         for _ in range(steps):
-            before = shape.parts
-            move = moves.get(before)
-            if move is None:
-                move = moves[before] = _moves(shape, alpha)
+            before = node
             ctr += _GAMMA
             z = ctr & _MASK
             z = (z ^ (z >> 30)) * _MIX1 & _MASK
             z = (z ^ (z >> 27)) * _MIX2 & _MASK
-            k = bisect_right(move[0], z ^ (z >> 31))
-            row, shape = move[1][k], move[2][k]
+            k = bisect_right(node.cuts, z ^ (z >> 31))
+            node = node.succ[k]
             if trail is not None:
-                trail.append(str(shape))
-        key = (before, row)
-        last_steps[key] = last_steps.get(key, 0) + 1
+                trail.append(str(node.la))
+        before.hits[k] += 1
         if trail is not None:
             dump.append("|".join(trail))
 
     a, b = alpha.numerator, alpha.denominator
     tally: dict[int, int] = {}  # sampled content numerator -> paths
+    law: dict[int, Fraction] = {}  # its exact law, one step folded into the masses
     occupancy: dict[str, int] = {}
-    for (parts, row), count in last_steps.items():
-        x = (parts + (0,))[row - 1] * a - (row - 1) * b
-        tally[x] = tally.get(x, 0) + count
-        key = str(Partition(parts).add_cell(row))
-        occupancy[key] = occupancy.get(key, 0) + count
-    # The exact law of the last numerator: one step folded into the state law.
-    law: dict[int, Fraction] = {}
-    for la, mass in distribution_after(start, alpha, steps - 1).items():
-        padded = la.parts + (0,)
-        for i, p in pieri_coefficients(la, alpha):
+    for node in last.values():
+        padded = node.la.parts + (0,)
+        for (i, p), hits, child in zip(node.atoms, node.hits, node.succ):
             x = padded[i - 1] * a - (i - 1) * b
-            law[x] = law.get(x, 0) + mass * p
+            law[x] = law.get(x, 0) + node.mass * p
+            if hits:
+                tally[x] = tally.get(x, 0) + hits
+                occupancy[str(child.la)] = occupancy.get(str(child.la), 0) + hits
     power_nums = _power_sums(tally, 2 * r_max)
     exact_nums = _power_sums(law, r_max)
 

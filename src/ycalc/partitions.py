@@ -84,24 +84,25 @@ class Partition:
         padded = self.parts + (0,)
         return tuple(i + 1 for i in range(len(self.parts)) if padded[i] > padded[i + 1])
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from a tuple already known to be one; no checks."""
+        out = object.__new__(cls)
+        out.parts = parts
+        return out
+
     def add_cell(self, row: int) -> "Partition":
-        if row not in self.addable_rows():
+        padded = self.parts + (0,)
+        if not 1 <= row <= len(padded) or (row > 1 and padded[row - 2] == padded[row - 1]):
             raise ValueError(f"row {row} is not addable on {self}")
-        parts = list(self.parts)
-        if row == len(parts) + 1:
-            parts.append(1)
-        else:
-            parts[row - 1] += 1
-        return Partition(parts)
+        return Partition._trusted(self.parts[: row - 1] + (padded[row - 1] + 1,) + self.parts[row:])
 
     def remove_cell(self, row: int) -> "Partition":
-        if row not in self.removable_rows():
+        padded = self.parts + (0,)
+        if not 1 <= row < len(padded) or padded[row - 1] == padded[row]:
             raise ValueError(f"row {row} is not removable on {self}")
-        parts = list(self.parts)
-        parts[row - 1] -= 1
-        if parts[row - 1] == 0:
-            parts.pop()
-        return Partition(parts)
+        parts = self.parts[: row - 1] + (padded[row - 1] - 1,) + self.parts[row:]
+        return Partition._trusted(parts if parts[-1] else parts[:-1])
 
     def __iter__(self):
         return iter(self.parts)

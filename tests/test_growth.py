@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -163,6 +164,45 @@ def test_sampler_exact_reference_matches_state_sum(alpha, start):
         stats = sample_growth(steps=steps, alpha=alpha, paths=20, seed=steps, start=start)
         for m in stats.moments:
             assert m.exact == _reference_exact(start, alpha, steps, m.r), (steps, m.r)
+
+
+def _distribution_by_add_cell(start: Partition, alpha, steps: int) -> dict[Partition, Fraction]:
+    """The state distribution level by level through Partition.add_cell,
+    a reference independent of the state graph."""
+    dist = {start: Fraction(1)}
+    for _ in range(steps):
+        nxt: dict[Partition, Fraction] = {}
+        for la, mass in dist.items():
+            for i, p in pieri_coefficients(la, alpha):
+                above = la.add_cell(i)
+                nxt[above] = nxt.get(above, 0) + mass * p
+        dist = nxt
+    return dist
+
+
+@pytest.mark.parametrize("alpha", (Fraction(1), Fraction(1, 2), Fraction(3, 5), Fraction(7, 3)))
+@pytest.mark.parametrize("start", (EMPTY, Partition((2, 1))))
+def test_state_graph_invariants(alpha, start):
+    level = {start.parts: growth._Node(start, Fraction(1))}
+    for depth in range(7):
+        assert {node.la: node.mass for node in level.values()} == _distribution_by_add_cell(start, alpha, depth)
+        if depth == 6:
+            break
+        nxt = growth._expand(level, alpha)
+        for parts, node in level.items():
+            assert node.la.parts == parts
+            weights = accumulate(p for _, p in node.atoms)
+            assert node.cuts == tuple(math.ceil(w * 2**64) for w in weights)
+            assert node.cuts[-1] == 2**64
+            assert [child.la for child in node.succ] == [node.la.add_cell(i) for i, _ in node.atoms]
+            assert all(nxt[child.la.parts] is child for child in node.succ)
+        level = nxt
+
+
+def test_row_weights_off_one_are_rejected(monkeypatch):
+    monkeypatch.setattr(growth, "pieri_coefficients", lambda la, alpha: ((1, Fraction(1, 2)),))
+    with pytest.raises(InvariantError, match="row weights of 0 sum to 1/2"):
+        sample_growth(steps=1, alpha=Fraction(1), paths=1, seed=0)
 
 
 def test_negative_pieri_atom_is_rejected(monkeypatch):

@@ -120,6 +120,45 @@ def test_add_remove_roundtrip(n, pick):
         assert up.conjugate().parts == la.conjugate().add_cell(la.part(i) + 1).parts
 
 
+def _outcome(method, la: Partition, row: int):
+    try:
+        return method(la, row).parts
+    except ValueError as exc:
+        return str(exc)
+
+
+def _listed_add_cell(la: Partition, row: int) -> Partition:
+    """Reference add_cell: the row looked up in addable_rows(), the result checked by __init__."""
+    if row not in la.addable_rows():
+        raise ValueError(f"row {row} is not addable on {la}")
+    parts = list(la.parts)
+    if row == len(parts) + 1:
+        parts.append(1)
+    else:
+        parts[row - 1] += 1
+    return Partition(parts)
+
+
+def _listed_remove_cell(la: Partition, row: int) -> Partition:
+    """Reference remove_cell: the row looked up in removable_rows(), the result checked by __init__."""
+    if row not in la.removable_rows():
+        raise ValueError(f"row {row} is not removable on {la}")
+    parts = list(la.parts)
+    parts[row - 1] -= 1
+    if parts[row - 1] == 0:
+        parts.pop()
+    return Partition(parts)
+
+
+def test_add_and_remove_cell_match_the_listed_rows():
+    # Every shape of size <= 8 and every row 1..l+2 (and two below 1):
+    # the same partition, or the same ValueError message.
+    for la in partitions_upto(8):
+        for row in range(-1, la.length + 3):
+            assert _outcome(Partition.add_cell, la, row) == _outcome(_listed_add_cell, la, row)
+            assert _outcome(Partition.remove_cell, la, row) == _outcome(_listed_remove_cell, la, row)
+
+
 def test_z_values():
     assert z_of(EMPTY) == 1
     assert z_of(Partition((3,))) == 3
