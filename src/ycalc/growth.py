@@ -7,28 +7,33 @@ over shapes covered by Λ, with κ the up-kernel weight of the added row;
 the down kernel must then factor as κ · dim(λ)/dim(Λ), which is checked
 rather than assumed.
 
-The Monte Carlo sampler is deterministic per (seed, path index).  Its
-draws come from one pure function, `_draw(seed, path, step)`, splitmix64's
-output function over a counter linear in (seed, path, step): each path
-reads its own splitmix64 stream, and step s takes output s + 1 of it.  No
-generator state is carried from path to path, so the output is invariant
-under any parallel split of the path range.
+The Monte Carlo sampler is deterministic per (seed, path index).  The
+draw for step s of path p is splitmix64's output function over the
+counter seed·_MIX2 + p·_MIX1 + (s + 1)·_GAMMA: each path reads its own
+splitmix64 stream and step s takes output s + 1 of it.  No generator
+state is carried from path to path, so the output is invariant under any
+parallel split of the path range.
 
 The sampler and the exact law read one state graph per call: level k has
 a node per shape k up-steps from the start, with its exact mass, and
 expanding a level gives each node its Pieri atoms, their thresholds and
-links to its successors, the next level.  Each path advances one
-splitmix64 counter, so a step is one mix, one bisection and one link.
+links to its successors, the next level.  Paths run in blocks of up to
+_BLOCK.  A block's counters are packed into one integer, one 64-bit value
+per 128-bit lane, so each big-int operation of splitmix64 mixes every
+path of the block at once (`_lane_draws`); a step of the block is then
+one bisection and one link per path.
 At alpha = a/b the cell added in row i of λ has content x/a with the
 integer x = λ_i·a - (i-1)·b, so the paths' counts per atom of the last
 step give integer power sums of x.  The exact reference is the law of x:
-the masses one step before the end, folded through their atoms, give
-moment r as Σ_x P(x)·x^r / a^r.  Floats appear only in the estimates.
+the masses one step before the end, folded through their atoms (each
+edge's mass formed once, the final shapes get none), give moment r as
+Σ_x P(x)·x^r / a^r.  Floats appear only in the estimates.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +54,18 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _WORD = 1 << 64
 _MASK = _WORD - 1
+
+# A block packs _BLOCK paths into one integer of 128-bit lanes, so a
+# 64-bit lane times a 64-bit multiplier never carries into its neighbour.
+# _UNIT holds 1 in every lane, _LANES the low 64 bits of every lane and
+# _LANE_INDEX the lane's index i.
+_BLOCK = 1024
+_UNIT = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")
+_LANES = int.from_bytes(bytes(8 * [255] + 8 * [0]) * _BLOCK, "little")
+_LANE_INDEX = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_BLOCK)), "little")
+# A block's bytes in native order, read as 64-bit words, hold lane i's low
+# word at 2i if little-endian and at 2n - 1 - 2i if big-endian.
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
 @dataclass(frozen=True)
@@ -242,12 +259,15 @@ class _Node:
         self.la, self.mass = la, mass
 
 
-def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[int, ...], _Node]:
+def _expand(
+    level: dict[tuple[int, ...], _Node], alpha: Fraction, push: bool = True
+) -> dict[tuple[int, ...], _Node]:
     """The next level of the state graph.  Each node of `level` gets its
     Pieri atoms, their cumulative weights num/den as integer thresholds
     t = ceil(num·2^64/den) (for an integer u, u < t holds exactly when
     u·den < num·2^64, so the first threshold above a 64-bit draw selects
-    the atom) and one successor per atom, shared by parts."""
+    the atom) and one successor per atom, shared by parts, whose mass sums
+    node.mass·p over the atoms into it unless `push` is false."""
     nxt: dict[tuple[int, ...], _Node] = {}
     for parts, node in level.items():
         node.atoms = pieri_coefficients(node.la, alpha)
@@ -262,7 +282,8 @@ def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[
             child = nxt.get(up)
             if child is None:
                 child = nxt[up] = _Node(Partition._trusted(up), Fraction(0))
-            child.mass += node.mass * p
+            if push:
+                child.mass += node.mass * p
             succ.append(child)
         if num != den:
             raise InvariantError(f"row weights of {node.la} sum to {Fraction(num, den)}")
@@ -304,19 +325,28 @@ class SampleStats:
     path_dump: tuple[str, ...] | None
 
 
-def _draw(seed: int, path: int, step: int) -> int:
-    """The 64-bit draw for one step of one path: splitmix64's output
-    function over the counter seed·_MIX2 + path·_MIX1 + (step + 1)·_GAMMA.
+def _lane_draws(seed: int, first: int, n: int):
+    """Yield, for step 0, 1, ..., the 64-bit draws of paths first ..
+    first + n - 1 (n ≤ _BLOCK) as a list: for each path, splitmix64's
+    output function over the counter seed·_MIX2 + path·_MIX1 +
+    (step + 1)·_GAMMA.
 
     For a fixed (seed, path) the draws are the splitmix64 stream from
     state seed·_MIX2 + path·_MIX1; seed 0, path 0 is splitmix64 from 0.
     The three multipliers are distinct odd constants, so no small change
-    of seed, path or step cancels a change of another.
+    of seed, path or step cancels a change of another.  Every shift
+    drags the next lane's low bits into the top of each lane, so a lane
+    is masked back to 64 bits before each multiply; the last xor-shift
+    is not masked because only each lane's low 64 bits are read.
     """
-    z = (seed * _MIX2 + path * _MIX1 + (step + 1) * _GAMMA) & _MASK
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK
-    return z ^ (z >> 31)
+    keep = (1 << 128 * n) - 1
+    lanes, gamma = _LANES & keep, _GAMMA * _UNIT & keep
+    ctr = ((seed * _MIX2 + first * _MIX1) & _MASK) * (_UNIT & keep) + _MIX1 * (_LANE_INDEX & keep)
+    while True:
+        ctr = (ctr + gamma) & lanes
+        z = ((ctr ^ ctr >> 30) & lanes) * _MIX1 & lanes
+        z = ((z ^ z >> 27) & lanes) * _MIX2 & lanes
+        yield memoryview((z ^ z >> 31).to_bytes(16 * n, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
 def _power_sums(weights: dict[int, int | Fraction], r_max: int) -> list:
@@ -356,29 +386,29 @@ def sample_growth(
     last = {start.parts: root}  # the level one step before the end
     for _ in range(steps - 1):
         last = _expand(last, alpha)
-    _expand(last, alpha)  # the last step's atoms and final shapes
+    # the last step's atoms and final shapes; the law forms its edge masses
+    _expand(last, alpha, push=False)
     for node in last.values():
         node.hits = [0] * len(node.atoms)  # paths whose last step took each atom
     dump: list[str] | None = [] if dump_paths else None
 
-    for idx in range(paths):
-        node = root
-        trail = [str(start)] if dump is not None and idx < dump_cap else None
-        # _draw(seed, idx, step), one Weyl increment of the counter per step
-        ctr = (seed * _MIX2 + idx * _MIX1) & _MASK
-        for _ in range(steps):
-            before = node
-            ctr += _GAMMA
-            z = ctr & _MASK
-            z = (z ^ (z >> 30)) * _MIX1 & _MASK
-            z = (z ^ (z >> 27)) * _MIX2 & _MASK
-            k = bisect_right(node.cuts, z ^ (z >> 31))
-            node = node.succ[k]
-            if trail is not None:
+    for first in range(0, paths, _BLOCK):
+        n = min(_BLOCK, paths - first)
+        draws = _lane_draws(seed, first, n)
+        nodes = [root] * n
+        # trails of the block's paths below dump_cap
+        trails = [[str(start)] for _ in range(first, min(first + n, dump_cap))] if dump is not None else []
+        for _ in range(steps - 1):
+            nodes = [node.succ[bisect_right(node.cuts, z)] for node, z in zip(nodes, next(draws))]
+            for trail, node in zip(trails, nodes):
                 trail.append(str(node.la))
-        before.hits[k] += 1
-        if trail is not None:
+        zs = next(draws)
+        for node, z in zip(nodes, zs):
+            node.hits[bisect_right(node.cuts, z)] += 1
+        for trail, node, z in zip(trails, nodes, zs):
+            trail.append(str(node.succ[bisect_right(node.cuts, z)].la))
             dump.append("|".join(trail))
+        del zs  # else it lives on beside the next block's draws
 
     a, b = alpha.numerator, alpha.denominator
     tally: dict[int, int] = {}  # sampled content numerator -> paths

@@ -212,8 +212,11 @@ def test_growth_sample_paths_are_pinned(capsys):
 
 # sha256 of `growth sample`: the 1/2 and 3/5 settings were pinned before the
 # exact reference was folded into the law of the last added content, the 1
-# and 7/3 settings before the walk moved onto the state graph.  One step
-# from 4,2,1 runs no linked step; 7/3 dumps fewer paths than it walks.
+# and 7/3 settings before the walk moved onto the state graph, the 5/2
+# setting before paths were drawn in lane-packed blocks.  One step from
+# 4,2,1 runs no linked step; 7/3 dumps fewer paths than it walks; 5/2
+# spans three full blocks and part of a fourth and stops dumping inside
+# the third.
 _SAMPLE_DIGESTS = {
     ("1/2", "8", "0", "31", "moments"): "e9ec57d9192a71e85784eb6d44c4c08eedc0e73359e3429f80318a27c81cd8c4",
     ("3/5", "6", "2,1", "2026", "moments"): "9f3be3262ab88b616e497de6913f70201b70327ec92618fe4b3efedd9fe2cf19",
@@ -224,9 +227,15 @@ _SAMPLE_DIGESTS = {
     ("1", "1", "4,2,1", "5", "moments"): "1355a044921b46ca42a469ed0712057deedda7bda8fa058ddb766dc9396dcf3f",
     ("1", "1", "4,2,1", "5", "occupancy"): "19ac9eca301e12196271985bc282637a4325023f2d7d8f615462f3a7b7927c15",
     ("7/3", "12", "3,1", "77", "paths"): "8c1cf698c04bf733530cef1d3ce428bd5e3417eb98b91b84fab13cdf6fb13deb",
+    ("5/2", "5", "2,2", "123", "moments"): "d182467be5472f285fbf87c9a006017f6f9dedd795359504e080dbacc96ef5cc",
+    ("5/2", "5", "2,2", "123", "occupancy"): "a7aeacbc09a6d22685b2db58975ef4dde2e01550f0495606886a40101b018c81",
+    ("5/2", "5", "2,2", "123", "paths"): "3f2db0ae01cab420f3ef3c85737f539276a0efb329e7b3f5689059764782145f",
 }
 # Path count and options per setting where they differ from 3,000 paths.
-_SAMPLE_OPTIONS = {("7/3", "12", "3,1"): ("--paths", "2000", "--dump-cap", "50")}
+_SAMPLE_OPTIONS = {
+    ("7/3", "12", "3,1"): ("--paths", "2000", "--dump-cap", "50"),
+    ("5/2", "5", "2,2"): ("--paths", "3500", "--dump-cap", "2600"),
+}
 
 
 @pytest.mark.parametrize("alpha,steps,start,seed,emit", sorted(_SAMPLE_DIGESTS))

@@ -1,8 +1,9 @@
 """Growth kernels, dimension recurrences, and the seeded sampler."""
 
 import math
+import tracemalloc
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 
@@ -10,7 +11,8 @@ from ycalc.growth import (
     DimensionTable,
     GrowthKernel,
     MomentStat,
-    _draw,
+    _BLOCK,
+    _lane_draws,
     added_content,
     cotransition_from_dimensions,
     cotransition_kernel,
@@ -311,14 +313,52 @@ def test_sufficient_statistics_match_per_path_sums(alpha, steps):
         assert m.std_error == math.sqrt(float(variance) / paths), m.r
 
 
+def _splitmix64(seed: int, path: int, step: int) -> int:
+    """The scalar draw: splitmix64's output function over the counter
+    seed·MIX2 + path·MIX1 + (step + 1)·GAMMA, modulo 2^64."""
+    mask = 2**64 - 1
+    z = (seed * 0x94D049BB133111EB + path * 0xBF58476D1CE4E5B9 + (step + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
 def test_draw_matches_reference_splitmix64():
     # Vigna's splitmix64 from state 0 begins with these three outputs;
     # seed 0, path 0 starts at state 0 and step s takes output s + 1.
-    assert [_draw(0, 0, s) for s in range(3)] == [
-        0xE220A8397B1DCDAF,
-        0x6E789E6AA1B965F4,
-        0x06C45D188009454F,
-    ]
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [draws[0] for draws in islice(_lane_draws(0, 0, 1), 3)] == want
+    assert [draws[0] for draws in islice(_lane_draws(0, 0, _BLOCK), 3)] == want
+    assert [_splitmix64(0, 0, s) for s in range(3)] == want
+
+
+@pytest.mark.parametrize("seed", (0, 2026, -5, 2**70 + 3))
+@pytest.mark.parametrize(
+    "first,n", ((0, 1), (0, 37), (0, _BLOCK), (3 * _BLOCK, _BLOCK), (5 * _BLOCK + 11, 300))
+)
+def test_lane_draws_match_the_scalar_formula(seed, first, n):
+    rows = list(islice(_lane_draws(seed, first, n), 20))
+    for step in (0, 1, 19):
+        assert rows[step] == [_splitmix64(seed, path, step) for path in range(first, first + n)], step
+
+
+def _sample_peak_bytes(paths: int) -> int:
+    tracemalloc.start()
+    try:
+        sample_growth(steps=4, alpha=Fraction(1, 2), paths=paths, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_memory_does_not_grow_with_paths():
+    # A block's draws are freed before the next block's, so 8 blocks peak
+    # within a small fixed margin of 1 (a few hundred bytes apart when
+    # written; a draw list kept over into the next block adds about 45 KB,
+    # and 8 bytes kept per path would add 57 KB).
+    sample_growth(steps=4, alpha=Fraction(1, 2), paths=1, seed=3)  # fill the Pieri cache
+    one, eight = _sample_peak_bytes(_BLOCK), _sample_peak_bytes(8 * _BLOCK)
+    assert eight <= one + 32 * 1024, (one, eight)
 
 
 def _trail_from_draws(seed: int, path: int, start: Partition, alpha, steps: int) -> str:
@@ -326,7 +366,7 @@ def _trail_from_draws(seed: int, path: int, start: Partition, alpha, steps: int)
     weight num/den satisfies u·den < num·2^64."""
     shape, names = start, [str(start)]
     for step in range(steps):
-        u = _draw(seed, path, step)
+        u = _splitmix64(seed, path, step)
         acc = Fraction(0)
         for row, p in pieri_coefficients(shape, alpha):
             acc += p
