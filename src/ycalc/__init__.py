@@ -6,8 +6,6 @@ from .growth import (
     DimensionTable,
     GrowthKernel,
     cotransition_kernel,
-    exact_cotransition_moment,
-    exact_transition_moment,
     sample_growth,
     transition_kernel,
 )
@@ -15,16 +13,16 @@ from .moments import (
     corner_binomials,
     pieri_coefficients,
     row_column_binomials,
-    s_r_closed,
-    s_r_direct,
-    s_r_lagrange,
-    sigma_r_closed,
-    sigma_r_direct,
-    sigma_r_lagrange,
+    s_closed_moments,
+    s_direct_moments,
+    s_lagrange_moments,
+    sigma_closed_moments,
+    sigma_direct_moments,
+    sigma_lagrange_moments,
 )
 from .partitions import EMPTY, Partition, enumerate_partitions, partitions_of, z_of
-from .series import BiSeries, InvariantError, Rational, UniPoly, XPolynomial
-from .shifted import d_k, f_npk
+from .series import BiSeries, InvariantError, UniPoly, XPolynomial
+from .shifted import d_k
 from .verify import VerificationReport, identity_ids, run_all, run_identity
 
 __version__ = "0.1.0"
@@ -36,7 +34,6 @@ __all__ = [
     "GrowthKernel",
     "InvariantError",
     "Partition",
-    "Rational",
     "UniPoly",
     "VerificationReport",
     "XPolynomial",
@@ -44,9 +41,6 @@ __all__ = [
     "cotransition_kernel",
     "d_k",
     "enumerate_partitions",
-    "exact_cotransition_moment",
-    "exact_transition_moment",
-    "f_npk",
     "identity_ids",
     "nbi",
     "npbi",
@@ -57,13 +51,13 @@ __all__ = [
     "row_column_binomials",
     "run_all",
     "run_identity",
-    "s_r_closed",
-    "s_r_direct",
-    "s_r_lagrange",
+    "s_closed_moments",
+    "s_direct_moments",
+    "s_lagrange_moments",
     "sample_growth",
-    "sigma_r_closed",
-    "sigma_r_direct",
-    "sigma_r_lagrange",
+    "sigma_closed_moments",
+    "sigma_direct_moments",
+    "sigma_lagrange_moments",
     "transition_kernel",
     "z_of",
     "__version__",

@@ -23,12 +23,12 @@ from fractions import Fraction
 from .coefficients import nbi, npbi, npbi_table, pbi
 from .growth import cotransition_kernel, sample_growth, transition_kernel
 from .moments import (
-    s_r_closed,
-    s_r_direct,
-    s_r_lagrange,
-    sigma_r_closed,
-    sigma_r_direct,
-    sigma_r_lagrange,
+    s_closed_moments,
+    s_direct_moments,
+    s_lagrange_moments,
+    sigma_closed_moments,
+    sigma_direct_moments,
+    sigma_lagrange_moments,
 )
 from .partitions import Partition, partitions_upto
 from .shifted import d_k
@@ -140,24 +140,25 @@ def _cmd_moments_dk(args) -> int:
 
 
 _S_METHODS = {
-    "direct": s_r_direct,
-    "closed": s_r_closed,
-    "lagrange": s_r_lagrange,
+    "direct": s_direct_moments,
+    "closed": s_closed_moments,
+    "lagrange": s_lagrange_moments,
 }
 _SIGMA_METHODS = {
-    "direct": sigma_r_direct,
-    "closed": sigma_r_closed,
-    "lagrange": sigma_r_lagrange,
+    "direct": sigma_direct_moments,
+    "closed": sigma_closed_moments,
+    "lagrange": sigma_lagrange_moments,
 }
 
 
 def _cmd_moments_power(args, methods) -> int:
     chosen = list(methods) if args.method == "all" else [args.method]
-    rows = []
-    for r in range(0, args.r_max + 1):
-        for name in chosen:
-            value = methods[name](args.shape, args.alpha, r)
-            rows.append({"r": r, "value": str(value), "method": name})
+    lists = {name: methods[name](args.shape, args.alpha, args.r_max) for name in chosen}
+    rows = [
+        {"r": r, "value": str(lists[name][r]), "method": name}
+        for r in range(0, args.r_max + 1)
+        for name in chosen
+    ]
     sys.stdout.write(_emit_rows(rows, ["r", "value", "method"], args.format))
     return 0
 

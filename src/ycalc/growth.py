@@ -38,12 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .moments import (
-    corner_binomials,
-    pieri_coefficients,
-    s_direct_moments,
-    sigma_direct_moments,
-)
+from .moments import corner_binomials, pieri_coefficients, sigma_direct_moments
 from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
@@ -146,38 +141,10 @@ def cotransition_from_dimensions(la: Partition, alpha, table: DimensionTable | N
     return GrowthKernel(la, alpha, "down", tuple(atoms))
 
 
-def added_content(la: Partition, alpha, row: int) -> Fraction:
-    """Content of the cell an up-step appends in the given row."""
-    alpha = check_alpha(alpha)
-    return Fraction(la.part(row)) - Fraction(row - 1) / alpha
-
-
 def removed_content(la: Partition, alpha, row: int) -> Fraction:
     """Content of the cell a down-step deletes from the given row."""
     alpha = check_alpha(alpha)
     return Fraction(la.parts[row - 1] - 1) - Fraction(row - 1) / alpha
-
-
-def transition_moments(la: Partition, alpha, r_max: int) -> list[Fraction]:
-    """The r-th moment of the appended content under the up kernel, for
-    r = 0 .. r_max, from the kernel's atoms; raises InvariantError where
-    it disagrees with :func:`moments.s_direct_moments`."""
-    alpha = check_alpha(alpha)
-    out = [Fraction(0)] * (r_max + 1)
-    for i, p in transition_kernel(la, alpha).atoms:
-        content = added_content(la, alpha, i)
-        for r in range(r_max + 1):
-            out[r] += p
-            p *= content
-    for r, (total, direct) in enumerate(zip(out, s_direct_moments(la, alpha, r_max))):
-        if total != direct:
-            raise InvariantError(f"up moment {r} of {la} disagrees with s_r_direct")
-    return out
-
-
-def exact_transition_moment(la: Partition, alpha, r: int) -> Fraction:
-    """One r of :func:`transition_moments`."""
-    return transition_moments(la, alpha, r)[r]
 
 
 def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[Fraction, Fraction]]:
@@ -202,16 +169,6 @@ def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[F
             combo += (-1) ** (r - k) * comb_int(r, k) * sigmas[k]
         out.append((direct, combo / la.weight))
     return out
-
-
-def exact_cotransition_moment(la: Partition, alpha, r: int) -> Fraction:
-    """r-th moment of the deleted content under the down kernel; raises
-    InvariantError when the two routes of
-    :func:`cotransition_moment_routes` disagree."""
-    direct, combo = cotransition_moment_routes(la, alpha, r)[r]
-    if direct != combo:
-        raise InvariantError(f"moment routes disagree on {la}: {direct} vs {combo}")
-    return direct
 
 
 def tableau_counts(n_max: int) -> dict[Partition, int]:
@@ -291,26 +248,12 @@ def _expand(
     return nxt
 
 
-def distribution_after(start: Partition, alpha, steps: int) -> dict[Partition, Fraction]:
-    """Exact state distribution after the given number of up steps."""
-    alpha = check_alpha(alpha)
-    level = {start.parts: _Node(start, Fraction(1))}
-    for _ in range(steps):
-        level = _expand(level, alpha)
-    return {node.la: node.mass for node in level.values()}
-
-
 @dataclass(frozen=True)
 class MomentStat:
     r: int
     estimate: float
     exact: Fraction
     std_error: float
-
-    def within(self, k: float) -> bool:
-        if self.std_error == 0.0:
-            return self.estimate == float(self.exact)
-        return abs(self.estimate - float(self.exact)) <= k * self.std_error
 
 
 @dataclass(frozen=True)

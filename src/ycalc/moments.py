@@ -10,9 +10,10 @@ Two families of atoms on a diagram la:
 
 The r-th moments of the appended (s_r) and deleted (sigma_r) positions
 admit three independent routes each: the direct atom sum, a closed
-double-sum in the f_npk moment polynomials, and a complete-homogeneous
-extraction from a difference of two integer alphabets.  All three must
-agree exactly; the verifier leans on that.
+double-sum in the moment polynomials f_{n,p,k}, and a complete-homogeneous
+extraction from a difference of two integer alphabets.  Each route is one
+function (la, alpha, r_max) -> [m_0 .. m_{r_max}].  All three must agree
+exactly; the verifier leans on that.
 
 The closed routes read the integer moment table of shifted.py, where
 f_{n,p,k} = A[n][p][k] / (n! a^n) for alpha = a/b, and sum integers
@@ -163,11 +164,6 @@ def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fractio
     return out
 
 
-def s_r_direct(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Direct route for one r; see :func:`s_direct_moments`."""
-    return s_direct_moments(la, alpha, r)[r]
-
-
 def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fraction:
     """Coefficient c_r of (-1/x)^r in the content-ratio product
 
@@ -210,10 +206,14 @@ def _cor52_numerator(table, c: int, d: int, r: int) -> int:
     return total
 
 
-def s_r_closed(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Closed route: the collected coefficient at y = -1/alpha."""
+def s_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """s_0 .. s_{r_max} by the closed route: the collected coefficients
+    c_0 .. c_{r_max} at y = -1/alpha."""
     alpha = check_alpha(alpha)
-    return cor52_coefficient(la, alpha, Fraction(-1) / alpha, r)
+    if r_max < 0:
+        raise ValueError("r must be nonnegative")
+    y = Fraction(-1) / alpha
+    return [cor52_coefficient(la, alpha, y, r) for r in range(r_max + 1)]
 
 
 def h_series_of_difference(
@@ -236,16 +236,11 @@ def s_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fract
     alpha^r s_r is the r-th complete homogeneous value of the integer
     difference alphabet attached to the row ends."""
     alpha = check_alpha(alpha)
+    if r_max < 0:
+        raise ValueError("r must be nonnegative")
     a, b = s_lagrange_alphabets(la, alpha)
     h = h_series_of_difference(a, b, r_max)
     return [h.coefficient(r) / alpha**r for r in range(r_max + 1)]
-
-
-def s_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Lagrange route for one r; see :func:`s_lagrange_moments`."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return s_lagrange_moments(la, alpha, r)[r]
 
 
 def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -264,18 +259,15 @@ def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fra
     return out
 
 
-def sigma_r_direct(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Direct route for one r; see :func:`sigma_direct_moments`."""
-    return sigma_direct_moments(la, alpha, r)[r]
-
-
-def sigma_r_closed(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Closed route: c_{r+1} - alpha c_{r+2} at y = 1/alpha."""
+def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """sigma_0 .. sigma_{r_max} by the closed route: sigma_r is
+    c_{r+1} - alpha c_{r+2} at y = 1/alpha."""
     alpha = check_alpha(alpha)
+    if r_max < 0:
+        raise ValueError("r must be nonnegative")
     y = Fraction(1) / alpha
-    return cor52_coefficient(la, alpha, y, r + 1) - alpha * cor52_coefficient(
-        la, alpha, y, r + 2
-    )
+    c = [cor52_coefficient(la, alpha, y, r) for r in range(r_max + 3)]
+    return [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)]
 
 
 def sigma_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -290,16 +282,11 @@ def sigma_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[F
     h-series: -alpha^{r+1} sigma_r is the (r+2)-nd complete homogeneous
     value of the corner difference alphabet."""
     alpha = check_alpha(alpha)
+    if r_max < 0:
+        raise ValueError("r must be nonnegative")
     a, b = sigma_lagrange_alphabets(la, alpha)
     h = h_series_of_difference(a, b, r_max + 2)
     return [-h.coefficient(r + 2) / alpha ** (r + 1) for r in range(r_max + 1)]
-
-
-def sigma_r_lagrange(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Lagrange route for one r; see :func:`sigma_lagrange_moments`."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return sigma_lagrange_moments(la, alpha, r)[r]
 
 
 def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
@@ -493,23 +480,3 @@ def stirling_inverse_lemma_sides(k: int, order: int) -> tuple[UniPoly, UniPoly]:
             rhs[n + i] += st * c
     return lhs, UniPoly(rhs)
 
-
-def lagrange_interpolation_sum(a: Sequence[Fraction], b: Sequence[Fraction], r: int) -> Fraction:
-    """sum over x in a of x^r prod_b (x - b) / prod_{x' != x} (x - x');
-    requires distinct a."""
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
-    total = Fraction(0)
-    for idx, x in enumerate(a):
-        num = x**r
-        for v in b:
-            num *= x - v
-        den = Fraction(1)
-        for jdx, x2 in enumerate(a):
-            if jdx != idx:
-                d = x - x2
-                if d == 0:
-                    raise ValueError("alphabet a must have distinct entries")
-                den *= d
-        total += num / den
-    return total

@@ -28,8 +28,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 

@@ -1,14 +1,15 @@
 """Content power sums and the diagram-indexed moment polynomials.
 
 d_k(la; alpha) is the k-th power sum of the alpha-content alphabet of la
-(d_0 = |la|).  f_npk specializes the marked polynomial family at
-X_i = d_i, which is what every closed moment formula below consumes.
+(d_0 = |la|).  The moment polynomials f_{n,p,k} specialize the marked
+polynomial family at X_i = d_i, which is what every closed moment formula
+consumes.
 The shifted power sums p*_k decompose the d_k through the subset-count
 numbers t(k, m).  With alpha = a/b, a^k p*_k is an integer built from the
 row ends alone (:func:`_shifted_numerators`), so p*_k is one integer over
 a^k.
 
-d_k and f_npk read one integer table per (shape, alpha).  With
+d_k and f_{n,p,k} read one integer table per (shape, alpha).  With
 alpha = a/b the content of cell (i, j) is c/a with the integer numerator
 c = (j-1)a - (i-1)b, so d_k = P_k / a^k for the integer power sums
 P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
@@ -131,32 +132,6 @@ def d_k(la: Partition, alpha: Fraction, k: int) -> Fraction:
     return Fraction(table.power_sum(k), table.a**k)
 
 
-def d_mu(la: Partition, alpha: Fraction, mu: Partition) -> Fraction:
-    out = Fraction(1)
-    for part in mu.parts:
-        out *= d_k(la, alpha, part)
-    return out
-
-
-def f_npk(la: Partition, alpha: Fraction, n: int, p: int, k: int) -> Fraction:
-    """Marked moment polynomial of la: sum over |mu| = n of
-    npbi(mu, p, k) d_mu / z_mu.  Same conventions as the abstract family:
-    k = 0 gives 0 except n = p = 0 which gives 1."""
-    alpha = check_alpha(alpha)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0 <= p <= n:
-        raise ValueError("p out of range")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return Fraction(1) if n == 0 else Fraction(0)
-    if n == 0 or k > n:
-        return Fraction(0)
-    table = moment_table(la, alpha)
-    return Fraction(table.row(n)[p][k], table.denominator(n))
-
-
 def _shifted_numerators(la: Partition, alpha: Fraction, k_max: int) -> list[int]:
     """[a^k p*_k for k = 0 .. k_max], integers, with alpha = a/b.
 
@@ -177,14 +152,6 @@ def _shifted_numerators(la: Partition, alpha: Fraction, k_max: int) -> list[int]
             fs *= s - (k - 1) * a
             out[k] += fx - fs
     return out
-
-
-def shifted_power_sum(la: Partition, alpha: Fraction, k: int) -> Fraction:
-    """p*_k: sum over rows of [la_i - (i-1)/alpha]_k - [-(i-1)/alpha]_k."""
-    alpha = check_alpha(alpha)
-    if k < 1:
-        raise ValueError("k must be positive")
-    return Fraction(_shifted_numerators(la, alpha, k)[k], alpha.numerator**k)
 
 
 def dk_from_shifted(la: Partition, alpha: Fraction, k: int) -> Fraction:

@@ -13,11 +13,7 @@ import time
 from fractions import Fraction
 
 from ycalc.growth import sample_growth
-from ycalc.moments import (
-    cor52_coefficient,
-    s_r_direct,
-    sigma_r_direct,
-)
+from ycalc.moments import cor52_coefficient, s_direct_moments, sigma_direct_moments
 from ycalc.partitions import Partition, partitions_upto
 from ycalc.series import comb_int
 from ycalc.shifted import d_k
@@ -82,12 +78,12 @@ def test_criterion_04_row_moments(capsys):
     for alpha in DEFAULT_ALPHA_SET:
         for la in partitions_upto(6):
             w = la.weight
-            assert s_r_direct(la, alpha, 0) == 1
-            assert s_r_direct(la, alpha, 1) == 0
-            assert s_r_direct(la, alpha, 2) == Fraction(w) / alpha
-            assert s_r_direct(la, alpha, 3) == (
-                2 * d_k(la, alpha, 1) / alpha + w * (alpha - 1) / alpha**2
-            )
+            assert s_direct_moments(la, alpha, 3) == [
+                1,
+                0,
+                Fraction(w) / alpha,
+                2 * d_k(la, alpha, 1) / alpha + w * (alpha - 1) / alpha**2,
+            ]
     elapsed = time.monotonic() - started
     assert elapsed < 120
     _announce(
@@ -105,14 +101,14 @@ def test_criterion_05_corner_moments(capsys):
     for alpha in DEFAULT_ALPHA_SET:
         for la in partitions_upto(6):
             w = la.weight
-            assert sigma_r_direct(la, alpha, 0) == w
-            assert sigma_r_direct(la, alpha, 1) == 2 * d_k(la, alpha, 1) + w
-            assert sigma_r_direct(la, alpha, 2) == (
+            assert sigma_direct_moments(la, alpha, 2) == [
+                w,
+                2 * d_k(la, alpha, 1) + w,
                 3 * d_k(la, alpha, 2)
                 + (3 + 1 / alpha) * d_k(la, alpha, 1)
                 + w
-                - Fraction(comb_int(w, 2)) / alpha
-            )
+                - Fraction(comb_int(w, 2)) / alpha,
+            ]
     elapsed = time.monotonic() - started
     assert elapsed < 120
     _announce(
@@ -216,8 +212,12 @@ def test_criterion_09_monte_carlo(capsys):
     )
     stats = sample_growth(**kwargs)
     for m in stats.moments:
-        assert m.within(4), (m.r, m.estimate, float(m.exact), m.std_error)
-        assert m.exact == s_r_direct(Partition((4, 2, 1)), Fraction(1), m.r)
+        # a moment with no spread must be hit exactly
+        if m.std_error == 0.0:
+            assert m.estimate == float(m.exact), (m.r, m.estimate, float(m.exact))
+        else:
+            assert abs(m.estimate - float(m.exact)) <= 4 * m.std_error, (m.r, m.estimate, float(m.exact), m.std_error)
+    assert [m.exact for m in stats.moments] == s_direct_moments(Partition((4, 2, 1)), Fraction(1), 4)
     rerun = sample_growth(**kwargs)
     assert _sample_fingerprint(rerun) == _sample_fingerprint(stats)
     elapsed = time.monotonic() - started

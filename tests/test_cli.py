@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from ycalc import moments
 from ycalc.cli import _use_color, main
+from ycalc.verify import CATALOG
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +115,25 @@ def test_moments_lagrange_listing_is_pinned(capsys, moment):
     code, out, _ = run_cli(
         capsys, "moments", moment, "--lambda", "4,2,1", "--alpha", "3/5",
         "--r-max", r_max, "--method", "lagrange", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the listings of all three routes, pinned before each route
+# became one list per (shape, alpha).
+_PINNED_ALL_METHODS = {
+    "s": ("9", "9d93fd47db90389f6f1c6e40682fd9022a4145c2b06e3967594b4fb7bfd92e0d"),
+    "sigma": ("8", "d7eb190ee26913aa6218c95f4e9be00e62ac1db93aa7ec6d2373a93476b03d6b"),
+}
+
+
+@pytest.mark.parametrize("moment", sorted(_PINNED_ALL_METHODS))
+def test_moments_all_methods_listing_is_pinned(capsys, moment):
+    r_max, digest = _PINNED_ALL_METHODS[moment]
+    code, out, _ = run_cli(
+        capsys, "moments", moment, "--lambda", "4,2,1", "--alpha", "3/5",
+        "--r-max", r_max, "--method", "all", "--format", "json",
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -379,6 +400,30 @@ def test_series_verify_json_is_pinned(capsys, identity, bounds, digest):
     code, out, _ = run_cli(capsys, "verify", "--identity", identity, *bounds, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_reports_a_kernel_fault_per_job(capsys, monkeypatch):
+    # Row 1 of the shape 2,1 gets twice its weight, so the Pieri atoms of
+    # 2,1 sum to 11/8 at alpha = 1 and pieri_coefficients raises.
+    row_value = moments._pieri_row_value
+
+    def doubled(la, alpha, i):
+        v = row_value(la, alpha, i)
+        return 2 * v if la.parts == (2, 1) and i == 1 else v
+
+    monkeypatch.setattr(moments, "_pieri_row_value", doubled)
+    monkeypatch.setattr(moments, "_pieri_cache", {})
+    code, out, err = run_cli(capsys, "verify", "--all", "--format", "json")
+    assert (code, err) == (1, "")
+    reports = {r["identity"]: r for r in json.loads(out)}
+    assert list(reports) == list(CATALOG)
+    broken = ("thm8.1", "growth-normalization", "plancherel", "moments-bridge")
+    for identity, report in reports.items():
+        if identity in broken:
+            assert report["status"] == "failed", identity
+            assert report["notes"] == "InvariantError: row weights of 2,1 sum to 11/8", identity
+        else:
+            assert report["status"] in ("verified", "reported"), identity
 
 
 def test_verify_rejects_unknown_identity(capsys):

@@ -39,6 +39,51 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+# Module-level names that may stay unreachable from cli.main.
+_UNREACHABLE_ALLOWED: frozenset[str] = frozenset()
+
+
+def _module_level_definitions() -> dict[str, list[ast.AST]]:
+    """Every def, class and assigned name at module level in src/ycalc,
+    dunders aside, with the statements that define it."""
+    defs: dict[str, list[ast.AST]] = {}
+    for path in sorted((SRC / "ycalc").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    defs.setdefault(name, []).append(node)
+    return defs
+
+
+def test_every_module_level_name_is_reachable_from_main():
+    # Reachability by name: a definition is reached when a reached
+    # definition mentions its name, as a name or as an attribute.  Imports
+    # do not count, so a name only the tests or the package namespace use
+    # stays unreached.
+    defs = _module_level_definitions()
+    reached: set[str] = set()
+    todo = ["main"]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for node in defs[name]:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    todo.append(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    todo.append(sub.attr)
+    assert sorted(set(defs) - reached - _UNREACHABLE_ALLOWED) == []
+
+
 def test_plancherel_fails_on_a_wrong_count_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _PLANCHEREL_TWICE],

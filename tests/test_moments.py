@@ -24,27 +24,24 @@ from ycalc.moments import (
     cor52_coefficient,
     corner_binomials,
     h_series_of_difference,
-    lagrange_interpolation_sum,
     pieri_coefficients,
     row_column_binomials,
-    s_moment_series,
+    s_closed_moments,
+    s_direct_moments,
     s_lagrange_moments,
-    s_r_closed,
-    s_r_direct,
+    s_moment_series,
     s_r_from_u,
-    s_r_lagrange,
+    sigma_closed_moments,
+    sigma_direct_moments,
     sigma_lagrange_moments,
     sigma_moment_series,
-    sigma_r_closed,
-    sigma_r_direct,
-    sigma_r_lagrange,
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import comb_int, raising_factorial
-from ycalc.shifted import d_k, f_npk
+from ycalc.shifted import d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
@@ -248,10 +245,13 @@ def test_moment_table_matches_fraction_definitions(alpha):
     for la in partitions_upto(6):
         for k in range(11):
             assert d_k(la, alpha, k) == _d_reference(la, alpha, k), (la, k)
+        table = moment_table(la, alpha)
         for n in range(11):
+            row = table.row(n)
             for p in range(n + 1):
-                for k in range(n + 2):
-                    assert f_npk(la, alpha, n, p, k) == _f_reference(la, alpha, n, p, k), (la, n, p, k)
+                for k in range(n + 1):
+                    f = Fraction(row[p][k], table.denominator(n))
+                    assert f == _f_reference(la, alpha, n, p, k), (la, n, p, k)
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
@@ -279,63 +279,71 @@ def test_moment_routes_agree_at_random_alpha(a, b, n, pick):
     alpha = Fraction(a, b)
     options = enumerate_partitions(n)
     la = options[pick % len(options)]
+    direct = s_direct_moments(la, alpha, 6)
+    assert s_closed_moments(la, alpha, 6) == direct, la
     for r in range(7):
-        direct = s_r_direct(la, alpha, r)
-        assert s_r_closed(la, alpha, r) == direct, (la, r)
-        assert s_r_from_u(la, alpha, r) == direct, (la, r)
-    for r in range(6):
-        assert sigma_r_closed(la, alpha, r) == sigma_r_direct(la, alpha, r), (la, r)
+        assert s_r_from_u(la, alpha, r) == direct[r], (la, r)
+    assert sigma_closed_moments(la, alpha, 5) == sigma_direct_moments(la, alpha, 5), la
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_s_low_moments_pinned(alpha):
     for la in SHAPES:
         w = la.weight
-        assert s_r_direct(la, alpha, 0) == 1
-        assert s_r_direct(la, alpha, 1) == 0
-        assert s_r_direct(la, alpha, 2) == Fraction(w) / alpha
         want3 = 2 * d_k(la, alpha, 1) / alpha + w * (alpha - 1) / alpha**2
-        assert s_r_direct(la, alpha, 3) == want3
+        assert s_direct_moments(la, alpha, 3) == [1, 0, Fraction(w) / alpha, want3]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_sigma_low_moments_pinned(alpha):
     for la in SHAPES:
         w = la.weight
-        assert sigma_r_direct(la, alpha, 0) == w
-        assert sigma_r_direct(la, alpha, 1) == 2 * d_k(la, alpha, 1) + w
         want2 = (
             3 * d_k(la, alpha, 2)
             + (3 + 1 / alpha) * d_k(la, alpha, 1)
             + w
             - Fraction(comb_int(w, 2)) / alpha
         )
-        assert sigma_r_direct(la, alpha, 2) == want2
+        assert sigma_direct_moments(la, alpha, 2) == [w, 2 * d_k(la, alpha, 1) + w, want2]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_s_three_routes_agree(alpha):
     for la in SHAPES:
-        for r in range(7):
-            direct = s_r_direct(la, alpha, r)
-            assert s_r_closed(la, alpha, r) == direct, (la, r)
-            assert s_r_lagrange(la, alpha, r) == direct, (la, r)
+        direct = s_direct_moments(la, alpha, 6)
+        assert s_closed_moments(la, alpha, 6) == direct, la
+        assert s_lagrange_moments(la, alpha, 6) == direct, la
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_sigma_three_routes_agree(alpha):
     for la in SHAPES:
-        for r in range(6):
-            direct = sigma_r_direct(la, alpha, r)
-            assert sigma_r_closed(la, alpha, r) == direct, (la, r)
-            assert sigma_r_lagrange(la, alpha, r) == direct, (la, r)
+        direct = sigma_direct_moments(la, alpha, 5)
+        assert sigma_closed_moments(la, alpha, 5) == direct, la
+        assert sigma_lagrange_moments(la, alpha, 5) == direct, la
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_one_lagrange_series_matches_per_r_reads(alpha):
+    # a listing to r_max is the prefix of every longer listing, although
+    # the sigma series is read two orders beyond r_max
     for la in partitions_upto(6):
-        assert s_lagrange_moments(la, alpha, 9) == [s_r_lagrange(la, alpha, r) for r in range(10)], la
-        assert sigma_lagrange_moments(la, alpha, 8) == [sigma_r_lagrange(la, alpha, r) for r in range(9)], la
+        s_list = s_lagrange_moments(la, alpha, 9)
+        sigma_list = sigma_lagrange_moments(la, alpha, 8)
+        for r in range(10):
+            assert s_lagrange_moments(la, alpha, r) == s_list[: r + 1], (la, r)
+        for r in range(9):
+            assert sigma_lagrange_moments(la, alpha, r) == sigma_list[: r + 1], (la, r)
+
+
+@pytest.mark.parametrize(
+    "route",
+    (s_direct_moments, s_closed_moments, s_lagrange_moments, sigma_direct_moments, sigma_closed_moments, sigma_lagrange_moments),
+    ids=lambda route: route.__name__,
+)
+def test_routes_reject_negative_r_max(route):
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        route(Partition((2, 1)), Fraction(3, 5), -1)
 
 
 def test_u_table_matches_direct_loop():
@@ -357,8 +365,9 @@ def test_u_table_matches_direct_loop():
 def test_s_regrouped_route_agrees():
     for alpha in (Fraction(2), Fraction(3, 5)):
         for la in partitions_upto(5):
+            direct = s_direct_moments(la, alpha, 5)
             for r in range(6):
-                assert s_r_from_u(la, alpha, r) == s_r_direct(la, alpha, r)
+                assert s_r_from_u(la, alpha, r) == direct[r]
 
 
 def test_u_coefficients_are_nonnegative_integers():
@@ -411,13 +420,11 @@ def test_content_ratio_series_matches_collected_coefficients(alpha):
 def test_moment_generating_series(alpha):
     for la in partitions_upto(4):
         s_series = s_moment_series(la, alpha, order=6)
-        for r in range(7):
-            assert s_series.coefficient(r) == (-1) ** r * s_r_direct(la, alpha, r)
+        for r, s_r in enumerate(s_direct_moments(la, alpha, 6)):
+            assert s_series.coefficient(r) == (-1) ** r * s_r
         sig_series = sigma_moment_series(la, alpha, order=5)
-        for r in range(6):
-            assert sig_series.coefficient(r) == (-1) ** r * sigma_r_direct(
-                la, alpha, r
-            )
+        for r, sigma_r in enumerate(sigma_direct_moments(la, alpha, 5)):
+            assert sig_series.coefficient(r) == (-1) ** r * sigma_r
 
 
 def test_lagrange_h_series_small():
@@ -441,12 +448,17 @@ def test_lagrange_interpolation_lemma(a, b, r):
         want = Fraction(0)
     else:
         want = h_series_of_difference(a, b, max(idx, 0)).coefficient(idx)
-    assert lagrange_interpolation_sum(a, b, r) == want
-
-
-def test_lagrange_rejects_repeated_nodes():
-    with pytest.raises(ValueError, match="distinct"):
-        lagrange_interpolation_sum((Fraction(1), Fraction(1)), (), 2)
+    total = Fraction(0)
+    for x in a:
+        num = x**r
+        for v in b:
+            num *= x - v
+        den = Fraction(1)
+        for x2 in a:
+            if x2 != x:
+                den *= x - x2
+        total += num / den
+    assert total == want
 
 
 def test_sigma_lagrange_first_difference_is_minus_one():
