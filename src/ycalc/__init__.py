@@ -3,9 +3,9 @@ content moments, growth kernels, and an identity verifier."""
 
 from .coefficients import nbi, npbi, npbi_table, pbi
 from .growth import (
-    DimensionTable,
     GrowthKernel,
     cotransition_kernel,
+    dimension,
     sample_growth,
     transition_kernel,
 )
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiSeries",
-    "DimensionTable",
     "EMPTY",
     "GrowthKernel",
     "InvariantError",
@@ -40,6 +39,7 @@ __all__ = [
     "corner_binomials",
     "cotransition_kernel",
     "d_k",
+    "dimension",
     "enumerate_partitions",
     "identity_ids",
     "nbi",

@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .coefficients import nbi, npbi, npbi_table, pbi
+from .coefficients import nbi, npbi_table, pbi
 from .growth import cotransition_kernel, sample_growth, transition_kernel
 from .moments import (
     s_closed_moments,

@@ -20,13 +20,12 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 from .series import (
     BiSeries,
     InvariantError,
     UniPoly,
     binomial,
-    comb_int,
     gauss_2f1_truncated,
 )
 

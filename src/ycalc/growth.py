@@ -37,9 +37,10 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .moments import corner_binomials, pieri_coefficients, sigma_direct_moments
-from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
+from .partitions import EMPTY, MEMO_SIZE, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and
@@ -82,12 +83,6 @@ class GrowthKernel:
         if total != 1:
             raise InvariantError("kernel does not sum to 1")
 
-    def probability(self, row: int) -> Fraction:
-        for i, p in self.atoms:
-            if i == row:
-                return p
-        return Fraction(0)
-
 
 def transition_kernel(la: Partition, alpha) -> GrowthKernel:
     alpha = check_alpha(alpha)
@@ -103,41 +98,40 @@ def cotransition_kernel(la: Partition, alpha) -> GrowthKernel:
     return GrowthKernel(la, alpha, "down", atoms)
 
 
-class DimensionTable:
-    """dim values filled on demand by the covering recurrence."""
+@lru_cache(maxsize=MEMO_SIZE)
+def dimension(la: Partition, alpha) -> Fraction:
+    """dim(Λ) by the covering recurrence dim(Λ) = Σ κ·dim(λ) over the λ
+    that Λ covers, κ the up-kernel weight of the row added to λ;
+    dim(∅) = 1.  The shapes below la are filled bottom-up, weight by
+    weight, so neither recursion depth nor the memo bound limits la."""
+    alpha = check_alpha(alpha)
+    levels = [{la.parts: la}]  # the shapes below la, one level per weight
+    for _ in range(la.weight):
+        levels.append({nu.parts: nu for mu in levels[-1].values() for nu in map(mu.remove_cell, mu.removable_rows())})
+    dims = {(): Fraction(1)}
+    for level in reversed(levels[:-1]):
+        for parts, mu in level.items():
+            total = Fraction(0)
+            for i in mu.removable_rows():
+                below = mu.remove_cell(i)
+                total += dict(pieri_coefficients(below, alpha))[i] * dims[below.parts]
+            dims[parts] = total
+    return dims[la.parts]
 
-    def __init__(self, alpha):
-        self.alpha = check_alpha(alpha)
-        self._dim: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
 
-    def dimension(self, la: Partition) -> Fraction:
-        hit = self._dim.get(la.parts)
-        if hit is not None:
-            return hit
-        total = Fraction(0)
-        for i in la.removable_rows():
-            below = la.remove_cell(i)
-            kappa = transition_kernel(below, self.alpha).probability(i)
-            total += kappa * self.dimension(below)
-        self._dim[la.parts] = total
-        return total
-
-
-def cotransition_from_dimensions(la: Partition, alpha, table: DimensionTable | None = None) -> GrowthKernel:
+def cotransition_from_dimensions(la: Partition, alpha) -> GrowthKernel:
     """Down kernel rebuilt as κ·dim(λ)/dim(Λ); must match the direct one."""
     alpha = check_alpha(alpha)
     if la.weight == 0:
         raise ValueError("no co-transition from the empty shape")
-    if table is None:
-        table = DimensionTable(alpha)
-    dim_top = table.dimension(la)
+    dim_top = dimension(la, alpha)
     if dim_top == 0:
         raise InvariantError(f"dimension of {la} vanishes")
     atoms = []
     for i in la.removable_rows():
         below = la.remove_cell(i)
-        kappa = transition_kernel(below, alpha).probability(i)
-        atoms.append((i, kappa * table.dimension(below) / dim_top))
+        kappa = dict(pieri_coefficients(below, alpha))[i]
+        atoms.append((i, kappa * dimension(below, alpha) / dim_top))
     return GrowthKernel(la, alpha, "down", tuple(atoms))
 
 
@@ -185,7 +179,6 @@ def plancherel_check(n_max: int) -> bool:
     dimension function to f(λ)^2/|λ|!.  Raises on the first mismatch."""
     one = Fraction(1)
     f = tableau_counts(n_max + 1)
-    table = DimensionTable(one)
     for n in range(0, n_max + 1):
         for la in enumerate_partitions(n):
             up = transition_kernel(la, one)
@@ -202,7 +195,7 @@ def plancherel_check(n_max: int) -> bool:
                     if q != want:
                         raise InvariantError(f"down kernel off at {la} row {i}")
             want_dim = Fraction(f[la] ** 2, math.factorial(n))
-            if table.dimension(la) != want_dim:
+            if dimension(la, one) != want_dim:
                 raise InvariantError(f"dimension off at {la}")
     return True
 

@@ -26,17 +26,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .coefficients import comb_int, npbi, stirling_first
-from .partitions import Partition, check_alpha, content_alphabet, enumerate_partitions
-from .series import InvariantError, UniPoly, linear_ratio_series, lowering_factorial, raising_factorial
+from .coefficients import npbi, stirling_first
+from .partitions import MEMO_SIZE, Partition, check_alpha, content_alphabet, enumerate_partitions
+from .series import InvariantError, UniPoly, comb_int, linear_ratio_series, lowering_factorial, raising_factorial
 from .shifted import moment_table
-
-_pieri_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
-_corner_cache: dict[tuple[tuple[int, ...], Fraction], tuple[tuple[int, Fraction], ...]] = {}
-_c52_cache: dict[tuple[tuple[int, ...], Fraction, Fraction], list[int]] = {}
-_u_tables: dict[int, tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]] = {}
 
 
 def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
@@ -67,6 +63,7 @@ def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
     return Fraction(num, den)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
     """Transition atoms (row, weight) over addable rows; weights are
     nonnegative and sum to 1.
@@ -75,10 +72,6 @@ def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fract
     vanish exactly on the non-addable ones.
     """
     alpha = check_alpha(alpha)
-    key = (la.parts, alpha)
-    hit = _pieri_cache.get(key)
-    if hit is not None:
-        return hit
     addable = set(la.addable_rows())
     atoms = []
     total = Fraction(0)
@@ -93,9 +86,7 @@ def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fract
             raise InvariantError(f"formula fails to vanish on non-addable row {i} of {la}")
     if total != 1:
         raise InvariantError(f"row weights of {la} sum to {total}")
-    out = tuple(atoms)
-    _pieri_cache[key] = out
-    return out
+    return tuple(atoms)
 
 
 def _corner_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
@@ -121,6 +112,7 @@ def _corner_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
     return Fraction(num, den)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
     """Corner atoms (row, weight) over removable rows; weights sum to |la|.
 
@@ -128,10 +120,6 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
     checked to vanish on non-removable rows.
     """
     alpha = check_alpha(alpha)
-    key = (la.parts, alpha)
-    hit = _corner_cache.get(key)
-    if hit is not None:
-        return hit
     removable = set(la.removable_rows())
     atoms = []
     total = Fraction(0)
@@ -144,9 +132,7 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
             raise InvariantError(f"corner weight fails to vanish on row {i} of {la}")
     if total != la.weight:
         raise InvariantError(f"corner weights of {la} sum to {total}")
-    out = tuple(atoms)
-    _corner_cache[key] = out
-    return out
+    return tuple(atoms)
 
 
 def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -176,7 +162,7 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fr
     With y = c/d every term is an integer over d^r r! a^r: the k-sum is
     read from row r-2n-p of the integer moment table, so c_r is one
     integer numerator over that denominator.  The numerators of c_0 ..
-    c_r are kept per (shape, alpha, y).
+    c_r are kept on the moment table, per y.
     """
     alpha = check_alpha(alpha)
     y = Fraction(y)
@@ -184,7 +170,7 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fr
         raise ValueError("r must be nonnegative")
     table = moment_table(la, alpha)
     c, d = y.numerator, y.denominator
-    nums = _c52_cache.setdefault((la.parts, alpha, y), [])
+    nums = table.cor52_nums.setdefault(y, [])
     while len(nums) <= r:
         nums.append(_cor52_numerator(table, c, d, len(nums)))
     return Fraction(nums[r], d**r * math.factorial(r) * table.a**r)
@@ -316,25 +302,23 @@ def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def _u_table(r: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
     """The nonzero u terms of order r, built once per r: entries
     (i, j, k, ((index of rho in enumerate_partitions(j), u), ...))."""
-    hit = _u_tables.get(r)
-    if hit is None:
-        rows = []
-        for i in range(0, r // 2 + 1):
-            for j in range(0, r - 2 * i + 1):
-                rhos = enumerate_partitions(j)
-                for k in range(0, min(i, j) + 1):
-                    terms = []
-                    for idx, rho in enumerate(rhos):
-                        u = u_ijk_coefficients(r, i, j, k, rho)
-                        if u:
-                            terms.append((idx, u))
-                    if terms:
-                        rows.append((i, j, k, tuple(terms)))
-        hit = _u_tables[r] = tuple(rows)
-    return hit
+    rows = []
+    for i in range(0, r // 2 + 1):
+        for j in range(0, r - 2 * i + 1):
+            rhos = enumerate_partitions(j)
+            for k in range(0, min(i, j) + 1):
+                terms = []
+                for idx, rho in enumerate(rhos):
+                    u = u_ijk_coefficients(r, i, j, k, rho)
+                    if u:
+                        terms.append((idx, u))
+                if terms:
+                    rows.append((i, j, k, tuple(terms)))
+    return tuple(rows)
 
 
 def s_r_from_u(la: Partition, alpha: Fraction, r: int) -> Fraction:

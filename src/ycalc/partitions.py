@@ -167,6 +167,13 @@ def z_of(mu: Partition) -> int:
     return z
 
 
+# Bound of every memo keyed by (shape, alpha), one entry per key, evicted
+# least recently used first.  The catalog's largest working set is about
+# 300 moment tables and 270 Pieri keys; a sampler call reads each shape's
+# atoms once, so a walk over 2,000 shapes recomputes nothing either.
+MEMO_SIZE = 1024
+
+
 def check_alpha(alpha: Fraction) -> Fraction:
     """alpha as a Fraction; raises ValueError unless alpha > 0."""
     if not isinstance(alpha, Fraction):

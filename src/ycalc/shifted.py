@@ -25,16 +25,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .coefficients import npbi_table, stirling_inverse_t
-from .partitions import Partition, check_alpha, enumerate_partitions, z_of
+from .partitions import MEMO_SIZE, Partition, check_alpha, enumerate_partitions, z_of
 from .series import comb_int
 
 
 class _MomentTable:
-    """Integer power sums and moment rows of one (shape, alpha = a/b)."""
+    """Integer power sums and moment rows of one (shape, alpha = a/b), and
+    the c_r numerators of `moments.cor52_coefficient` per y."""
 
-    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_contractions")
+    __slots__ = ("a", "b", "weight", "cor52_nums", "_contents", "_power_sums", "_products", "_rows", "_contractions")
 
     def __init__(self, la: Partition, alpha: Fraction):
         a, b = alpha.numerator, alpha.denominator
@@ -50,6 +52,7 @@ class _MomentTable:
         self._products: list[tuple[int, ...]] = []
         self._rows: list[tuple[tuple[int, ...], ...]] = []
         self._contractions: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.cor52_nums: dict[Fraction, list[int]] = {}
 
     def power_sum(self, k: int) -> int:
         """P_k, the sum of the k-th powers of the content numerators."""
@@ -111,17 +114,10 @@ class _MomentTable:
         return math.factorial(n) * self.a**n
 
 
-_tables: dict[tuple[tuple[int, ...], Fraction], _MomentTable] = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def moment_table(la: Partition, alpha: Fraction) -> _MomentTable:
     """The integer moment table of (la, alpha), built once and extended on demand."""
-    alpha = check_alpha(alpha)
-    key = (la.parts, alpha)
-    table = _tables.get(key)
-    if table is None:
-        table = _tables[key] = _MomentTable(la, alpha)
-    return table
+    return _MomentTable(la, check_alpha(alpha))
 
 
 def d_k(la: Partition, alpha: Fraction, k: int) -> Fraction:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .coefficients import comb_int, npbi
+from .coefficients import npbi
 from .partitions import Partition, enumerate_partitions, z_of
+from .series import comb_int
 
 
 def power_to_monomial(la: Partition) -> dict[Partition, int]:

@@ -402,7 +402,7 @@ def test_series_verify_json_is_pinned(capsys, identity, bounds, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_verify_all_reports_a_kernel_fault_per_job(capsys, monkeypatch):
+def test_verify_all_reports_a_kernel_fault_per_job(capsys, fresh_memos, monkeypatch):
     # Row 1 of the shape 2,1 gets twice its weight, so the Pieri atoms of
     # 2,1 sum to 11/8 at alpha = 1 and pieri_coefficients raises.
     row_value = moments._pieri_row_value
@@ -412,7 +412,6 @@ def test_verify_all_reports_a_kernel_fault_per_job(capsys, monkeypatch):
         return 2 * v if la.parts == (2, 1) and i == 1 else v
 
     monkeypatch.setattr(moments, "_pieri_row_value", doubled)
-    monkeypatch.setattr(moments, "_pieri_cache", {})
     code, out, err = run_cli(capsys, "verify", "--all", "--format", "json")
     assert (code, err) == (1, "")
     reports = {r["identity"]: r for r in json.loads(out)}

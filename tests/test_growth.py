@@ -1,5 +1,6 @@
 """Growth kernels, dimension recurrences, and the seeded sampler."""
 
+import gc
 import math
 import tracemalloc
 from collections import Counter
@@ -7,15 +8,17 @@ from fractions import Fraction
 from itertools import accumulate, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ycalc.growth import (
-    DimensionTable,
     GrowthKernel,
     _BLOCK,
     _lane_draws,
     cotransition_from_dimensions,
     cotransition_kernel,
     cotransition_moment_routes,
+    dimension,
     plancherel_check,
     removed_content,
     sample_growth,
@@ -23,8 +26,9 @@ from ycalc.growth import (
     transition_kernel,
 )
 from ycalc import growth, moments
-from ycalc.moments import pieri_coefficients, s_direct_moments
-from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto
+from ycalc.moments import corner_binomials, pieri_coefficients, s_direct_moments
+from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, content_alphabet, partitions_upto
+from ycalc.shifted import moment_table
 from ycalc.series import InvariantError
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
@@ -55,8 +59,9 @@ def test_transition_kernel_shape():
     assert k.direction == "up"
     assert k.base == Partition((2, 1))
     assert {i for i, _ in k.atoms} == {1, 2, 3}
-    assert k.probability(2) > 0
-    assert k.probability(7) == 0
+    atoms = dict(k.atoms)
+    assert atoms[2] > 0
+    assert 7 not in atoms
 
 
 def test_cotransition_requires_cells():
@@ -73,22 +78,48 @@ def test_kernel_normalization_is_enforced():
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_cotransition_factorizes_through_dimensions(alpha):
-    table = DimensionTable(alpha)
     for la in partitions_upto(6):
         if not la.weight:
             continue
         direct = cotransition_kernel(la, alpha)
-        via_dim = cotransition_from_dimensions(la, alpha, table)
+        via_dim = cotransition_from_dimensions(la, alpha)
         assert direct.atoms == via_dim.atoms, la
 
 
+_SMALL_SHAPES = st.sampled_from(partitions_upto(6))
+_RANDOM_ALPHAS = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
+
+
+@settings(deadline=None, derandomize=True)
+@given(_SMALL_SHAPES, _RANDOM_ALPHAS)
+def test_kernel_atoms_are_nonnegative(la, alpha):
+    atoms = transition_kernel(la, alpha).atoms
+    if la.weight:
+        atoms += cotransition_kernel(la, alpha).atoms
+    assert all(p >= 0 for _, p in atoms)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_SMALL_SHAPES.filter(lambda la: la.weight), _RANDOM_ALPHAS)
+def test_dimension_recurrence_gives_the_down_kernel(la, alpha):
+    assert cotransition_from_dimensions(la, alpha).atoms == cotransition_kernel(la, alpha).atoms
+
+
 def test_dimension_table_at_alpha_one():
-    table = DimensionTable(Fraction(1))
     f = tableau_counts(6)
     for la in partitions_upto(6):
-        assert table.dimension(la) == Fraction(
+        assert dimension(la, 1) == Fraction(
             f[la] ** 2, math.factorial(la.weight)
         )
+
+
+def test_dimension_of_deep_and_wide_shapes():
+    # One row of 600 cells is deeper than a recursion of a frame or two
+    # per cell allows, and the 4,862 shapes below the staircase 8,7,...,1
+    # outnumber the memo's MEMO_SIZE entries.
+    for la in (Partition((600,)), Partition(range(8, 0, -1))):
+        want = Fraction(_hook_length_count(la) ** 2, math.factorial(la.weight))
+        assert dimension(la, 1) == want, la
 
 
 def test_plancherel_reduction():
@@ -209,7 +240,7 @@ def test_row_weights_off_one_are_rejected(monkeypatch):
         sample_growth(steps=1, alpha=Fraction(1), paths=1, seed=0)
 
 
-def test_negative_pieri_atom_is_rejected(monkeypatch):
+def test_negative_pieri_atom_is_rejected(fresh_memos, monkeypatch):
     # Rows 1 and 2 of the shape 1 get +1 and -1: the atoms still sum to 1,
     # but one of them is negative.
     row_value = moments._pieri_row_value
@@ -221,7 +252,6 @@ def test_negative_pieri_atom_is_rejected(monkeypatch):
         return v
 
     monkeypatch.setattr(moments, "_pieri_row_value", skewed)
-    monkeypatch.setattr(moments, "_pieri_cache", {})
     with pytest.raises(InvariantError, match="negative"):
         pieri_coefficients(Partition((1,)), Fraction(1))
     with pytest.raises(InvariantError, match="negative"):
@@ -359,6 +389,36 @@ def test_sampler_memory_does_not_grow_with_paths():
     sample_growth(steps=4, alpha=Fraction(1, 2), paths=1, seed=3)  # fill the Pieri cache
     one, eight = _sample_peak_bytes(_BLOCK), _sample_peak_bytes(8 * _BLOCK)
     assert eight <= one + 32 * 1024, (one, eight)
+
+
+def test_alpha_keyed_memos_stay_bounded(fresh_memos):
+    # Each half makes MEMO_SIZE new (shape, alpha) keys, so the memos are
+    # full after the first half and the second half only replaces entries.
+    # Unbounded memos would double the traced memory; the bounded ones
+    # stay within a few dict resizes (about 77 KB of 2.3 MB when written).
+    memos = (pieri_coefficients, corner_binomials, moment_table, dimension)
+    shapes = (Partition((1,)), Partition((2,)))
+
+    def run(denominator):
+        for k in range(1000, 1000 + MEMO_SIZE // len(shapes)):
+            alpha = Fraction(k, denominator)
+            for la in shapes:
+                pieri_coefficients(la, alpha)
+                corner_binomials(la, alpha)
+                moment_table(la, alpha).row(1)
+                dimension(la, alpha)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first, second = run(997), run(991)
+    finally:
+        tracemalloc.stop()
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE, (memo, info)
+    assert second <= first + first // 10, (first, second)
 
 
 def _trail_from_draws(seed: int, path: int, start: Partition, alpha, steps: int) -> str:

@@ -84,6 +84,26 @@ def test_every_module_level_name_is_reachable_from_main():
     assert sorted(set(defs) - reached - _UNREACHABLE_ALLOWED) == []
 
 
+def test_every_import_is_read():
+    # __init__.py imports to re-export; every other module must read each
+    # name it imports (as a name, or as the root of an attribute).
+    unused = []
+    for path in sorted((SRC / "ycalc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
 def test_plancherel_fails_on_a_wrong_count_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _PLANCHEREL_TWICE],

@@ -15,7 +15,7 @@ from ycalc.partitions import (
     partitions_upto,
     z_of,
 )
-from ycalc.series import UniPoly, binomial, raising_factorial
+from ycalc.series import UniPoly, raising_factorial
 
 
 def _partition_count_oracle(n: int) -> int:
