@@ -25,9 +25,8 @@ one bisection and one link per path.
 At alpha = a/b the cell added in row i of λ has content x/a with the
 integer x = λ_i·a - (i-1)·b, so the paths' counts per atom of the last
 step give integer power sums of x.  The exact reference is the law of x:
-the masses one step before the end, folded through their atoms (each
-edge's mass formed once, the final shapes get none), give moment r as
-Σ_x P(x)·x^r / a^r.  Floats appear only in the estimates.
+the masses one step before the end, folded through their atoms, give
+moment r as Σ_x P(x)·x^r / a^r.  Floats appear only in the estimates.
 """
 
 from __future__ import annotations
@@ -205,40 +204,44 @@ class _Node:
 
     __slots__ = ("la", "mass", "atoms", "cuts", "succ", "hits")
 
-    def __init__(self, la: Partition, mass: Fraction):
+    def __init__(self, la: Partition, mass: Fraction | None = None):
         self.la, self.mass = la, mass
 
 
-def _expand(
-    level: dict[tuple[int, ...], _Node], alpha: Fraction, push: bool = True
-) -> dict[tuple[int, ...], _Node]:
+def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[int, ...], _Node]:
     """The next level of the state graph.  Each node of `level` gets its
     Pieri atoms, their cumulative weights num/den as integer thresholds
     t = ceil(num·2^64/den) (for an integer u, u < t holds exactly when
     u·den < num·2^64, so the first threshold above a 64-bit draw selects
-    the atom) and one successor per atom, shared by parts, whose mass sums
-    node.mass·p over the atoms into it unless `push` is false."""
-    nxt: dict[tuple[int, ...], _Node] = {}
+    the atom) and one successor per atom, shared by parts, whose mass
+    sums node.mass·p over the atoms into it: one unreduced integer pair
+    while the level runs, one Fraction when it is done."""
+    acc: dict[tuple[int, ...], list] = {}  # parts -> [successor, mass num, mass den]
     for parts, node in level.items():
         node.atoms = pieri_coefficients(node.la, alpha)
         padded = parts + (0,)
+        m_num, m_den = node.mass.numerator, node.mass.denominator
         cuts, succ = [], []
         num, den = 0, 1
         for row, p in node.atoms:
-            num, den = num * p.denominator + p.numerator * den, den * p.denominator
+            p_num, p_den = p.numerator, p.denominator
+            num, den = num * p_den + p_num * den, den * p_den
             cuts.append(-(-num * _WORD // den))
             # Pieri atoms sit on addable rows only, so `up` is a partition.
             up = parts[: row - 1] + (padded[row - 1] + 1,) + parts[row:]
-            child = nxt.get(up)
-            if child is None:
-                child = nxt[up] = _Node(Partition._trusted(up), Fraction(0))
-            if push:
-                child.mass += node.mass * p
-            succ.append(child)
+            e_num, e_den = m_num * p_num, m_den * p_den
+            entry = acc.get(up)
+            if entry is None:
+                entry = acc[up] = [_Node(Partition._trusted(up)), e_num, e_den]
+            else:
+                entry[1], entry[2] = entry[1] * e_den + e_num * entry[2], entry[2] * e_den
+            succ.append(entry[0])
         if num != den:
             raise InvariantError(f"row weights of {node.la} sum to {Fraction(num, den)}")
         node.cuts, node.succ = tuple(cuts), tuple(succ)
-    return nxt
+    for child, num, den in acc.values():
+        child.mass = Fraction(num, den)
+    return {up: entry[0] for up, entry in acc.items()}
 
 
 @dataclass(frozen=True)
@@ -322,8 +325,7 @@ def sample_growth(
     last = {start.parts: root}  # the level one step before the end
     for _ in range(steps - 1):
         last = _expand(last, alpha)
-    # the last step's atoms and final shapes; the law forms its edge masses
-    _expand(last, alpha, push=False)
+    _expand(last, alpha)  # the last step's atoms and final shapes
     for node in last.values():
         node.hits = [0] * len(node.atoms)  # paths whose last step took each atom
     dump: list[str] | None = [] if dump_paths else None

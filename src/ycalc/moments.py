@@ -35,32 +35,41 @@ from .series import InvariantError, UniPoly, comb_int, linear_ratio_series, lowe
 from .shifted import moment_table
 
 
-def _pieri_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
-    """Raw row-i formula, defined for 1 <= i <= l(la) + 1.
+def _blocks(parts: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(first row, last row, part) of each run of equal parts, rows from 1."""
+    out, s = [], 1
+    for t, p in enumerate(parts, 1):
+        if t == len(parts) or parts[t] != p:
+            out.append((s, t, p))
+            s = t + 1
+    return out
 
-    With alpha = a/b every linear factor is an integer over b, so the
-    product is kept as one integer numerator and one denominator."""
+
+def _pieri_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
+    """Raw row formula on rows 1 .. l(la) + 1, as unreduced (num, den).
+
+    With alpha = a/b every linear factor is an integer over b.  The
+    product over rows j runs one block s..t of equal parts mu at a time:
+    for mu != la_i the factors (D + b(j-i+1))/(D + b(j-i)), D =
+    a(la_i - mu), telescope to (D + b(t-i+1))/(D + b(s-i)), and none of
+    them vanishes for alpha > 0.  Row i's own block gives t-i+1 when i
+    is its first row; otherwise its factor j = i-1 is 0."""
     a, b = alpha.numerator, alpha.denominator
     l = la.length
-    padded = la.parts + (0,)
-    li = padded[i - 1]
-    den = a * li + b * (l - i + 2)
-    if den == 0:
-        raise InvariantError("nonvanishing linear factor violated")
-    num = b
-    for j, lj in enumerate(padded, 1):
-        if j == i:
-            continue
-        diff = a * (li - lj)
-        num_j = diff + b * (j - i + 1)
-        den_j = diff + b * (j - i)
-        if den_j == 0:
+    blocks = _blocks(la.parts + (0,))
+    out = []
+    for i, t, li in blocks:
+        num, den = b * (t - i + 1), a * li + b * (l - i + 2)
+        for s_j, t_j, mu in blocks:
+            if mu != li:
+                diff = a * (li - mu)
+                num *= diff + b * (t_j - i + 1)
+                den *= diff + b * (s_j - i)
+        if den == 0:
             raise InvariantError("nonvanishing linear factor violated")
-        if num_j == 0:
-            return Fraction(0)
-        num *= num_j
-        den *= den_j
-    return Fraction(num, den)
+        out.append((num, den))
+        out += [(0, 1)] * (t - i)
+    return out
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -74,42 +83,44 @@ def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fract
     alpha = check_alpha(alpha)
     addable = set(la.addable_rows())
     atoms = []
-    total = Fraction(0)
-    for i in range(1, la.length + 2):
-        v = _pieri_row_value(la, alpha, i)
+    num, den = 0, 1  # the running total
+    for i, (n, d) in enumerate(_pieri_row_values(la, alpha), 1):
         if i in addable:
-            if v < 0:
+            v = Fraction(n, d)
+            if v.numerator < 0:
                 raise InvariantError(f"negative row weight {v} on row {i} of {la}")
             atoms.append((i, v))
-            total += v
-        elif v != 0:
+            num, den = num * v.denominator + v.numerator * den, den * v.denominator
+        elif n:
             raise InvariantError(f"formula fails to vanish on non-addable row {i} of {la}")
-    if total != 1:
-        raise InvariantError(f"row weights of {la} sum to {total}")
+    if num != den:
+        raise InvariantError(f"row weights of {la} sum to {Fraction(num, den)}")
     return tuple(atoms)
 
 
-def _corner_row_value(la: Partition, alpha: Fraction, i: int) -> Fraction:
-    """Raw corner weight for deleting in row i, 1 <= i <= l(la), as one
-    integer numerator over one denominator like the row formula."""
+def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
+    """Raw corner weights for deleting in rows 1 .. l(la), as unreduced
+    (num, den), one block s..t of equal parts mu at a time like the row
+    formula: for mu != la_i the factors (D + b(j-i-1))/(D + b(j-i))
+    telescope to (D + b(s-i-1))/(D + b(t-i)), and row i's own block
+    gives i-s+1 when i is its last row; otherwise its factor j = i+1
+    is 0."""
     a, b = alpha.numerator, alpha.denominator
     l = la.length
-    li = la.parts[i - 1]
-    num = a * li + b * (l - i)
-    den = a
-    for j in range(1, l + 1):
-        if j == i:
-            continue
-        diff = a * (li - la.parts[j - 1])
-        num_j = diff + b * (j - i - 1)
-        den_j = diff + b * (j - i)
-        if den_j == 0:
+    blocks = _blocks(la.parts)
+    out = []
+    for s, i, li in blocks:
+        out += [(0, 1)] * (i - s)
+        num, den = (a * li + b * (l - i)) * (i - s + 1), a
+        for s_j, t_j, mu in blocks:
+            if mu != li:
+                diff = a * (li - mu)
+                num *= diff + b * (s_j - i - 1)
+                den *= diff + b * (t_j - i)
+        if den == 0:
             raise InvariantError("nonvanishing linear factor violated")
-        if num_j == 0:
-            return Fraction(0)
-        num *= num_j
-        den *= den_j
-    return Fraction(num, den)
+        out.append((num, den))
+    return out
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -122,16 +133,16 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
     alpha = check_alpha(alpha)
     removable = set(la.removable_rows())
     atoms = []
-    total = Fraction(0)
-    for i in range(1, la.length + 1):
-        v = _corner_row_value(la, alpha, i)
+    num, den = 0, 1  # the running total
+    for i, (n, d) in enumerate(_corner_row_values(la, alpha), 1):
         if i in removable:
+            v = Fraction(n, d)
             atoms.append((i, v))
-            total += v
-        elif v != 0:
+            num, den = num * v.denominator + v.numerator * den, den * v.denominator
+        elif n:
             raise InvariantError(f"corner weight fails to vanish on row {i} of {la}")
-    if total != la.weight:
-        raise InvariantError(f"corner weights of {la} sum to {total}")
+    if num != la.weight * den:
+        raise InvariantError(f"corner weights of {la} sum to {Fraction(num, den)}")
     return tuple(atoms)
 
 

@@ -251,11 +251,14 @@ _SAMPLE_DIGESTS = {
     ("5/2", "5", "2,2", "123", "moments"): "d182467be5472f285fbf87c9a006017f6f9dedd795359504e080dbacc96ef5cc",
     ("5/2", "5", "2,2", "123", "occupancy"): "a7aeacbc09a6d22685b2db58975ef4dde2e01550f0495606886a40101b018c81",
     ("5/2", "5", "2,2", "123", "paths"): "3f2db0ae01cab420f3ef3c85737f539276a0efb329e7b3f5689059764782145f",
+    ("1/2", "20", "0", "14", "moments"): "d6263586dd39e4d027554ee26e968da50d8156c6b7d36eb9eef493442fd684b3",
+    ("1/2", "20", "0", "14", "occupancy"): "447245eec4f76e520118014e4a757aa0052f443b70c58df70fb30edc8108db6b",
 }
 # Path count and options per setting where they differ from 3,000 paths.
 _SAMPLE_OPTIONS = {
     ("7/3", "12", "3,1"): ("--paths", "2000", "--dump-cap", "50"),
     ("5/2", "5", "2,2"): ("--paths", "3500", "--dump-cap", "2600"),
+    ("1/2", "20", "0"): ("--paths", "1500"),
 }
 
 
@@ -405,13 +408,16 @@ def test_series_verify_json_is_pinned(capsys, identity, bounds, digest):
 def test_verify_all_reports_a_kernel_fault_per_job(capsys, fresh_memos, monkeypatch):
     # Row 1 of the shape 2,1 gets twice its weight, so the Pieri atoms of
     # 2,1 sum to 11/8 at alpha = 1 and pieri_coefficients raises.
-    row_value = moments._pieri_row_value
+    row_values = moments._pieri_row_values
 
-    def doubled(la, alpha, i):
-        v = row_value(la, alpha, i)
-        return 2 * v if la.parts == (2, 1) and i == 1 else v
+    def doubled(la, alpha):
+        values = row_values(la, alpha)
+        if la.parts == (2, 1):
+            (num, den), *rest = values
+            return [(2 * num, den), *rest]
+        return values
 
-    monkeypatch.setattr(moments, "_pieri_row_value", doubled)
+    monkeypatch.setattr(moments, "_pieri_row_values", doubled)
     code, out, err = run_cli(capsys, "verify", "--all", "--format", "json")
     assert (code, err) == (1, "")
     reports = {r["identity"]: r for r in json.loads(out)}

@@ -234,6 +234,16 @@ def test_state_graph_invariants(alpha, start):
         level = nxt
 
 
+@pytest.mark.parametrize("alpha", (Fraction(1), Fraction(1, 2), Fraction(3, 5), Fraction(7, 3)))
+def test_state_graph_masses_are_dimensions(alpha):
+    # From the empty shape the mass of a node is dim(la): `dimension` fills
+    # the same covering recurrence bottom-up, apart from the state graph.
+    level = {EMPTY.parts: growth._Node(EMPTY, Fraction(1))}
+    for depth in range(11):
+        assert all(node.mass == dimension(node.la, alpha) for node in level.values()), depth
+        level = growth._expand(level, alpha)
+
+
 def test_row_weights_off_one_are_rejected(monkeypatch):
     monkeypatch.setattr(growth, "pieri_coefficients", lambda la, alpha: ((1, Fraction(1, 2)),))
     with pytest.raises(InvariantError, match="row weights of 0 sum to 1/2"):
@@ -243,21 +253,50 @@ def test_row_weights_off_one_are_rejected(monkeypatch):
 def test_negative_pieri_atom_is_rejected(fresh_memos, monkeypatch):
     # Rows 1 and 2 of the shape 1 get +1 and -1: the atoms still sum to 1,
     # but one of them is negative.
-    row_value = moments._pieri_row_value
+    row_values = moments._pieri_row_values
 
-    def skewed(la, alpha, i):
-        v = row_value(la, alpha, i)
+    def skewed(la, alpha):
+        values = row_values(la, alpha)
         if la.parts == (1,):
-            return v + (1 if i == 1 else -1)
-        return v
+            (n1, d1), (n2, d2) = values
+            return [(n1 + d1, d1), (n2 - d2, d2)]
+        return values
 
-    monkeypatch.setattr(moments, "_pieri_row_value", skewed)
+    monkeypatch.setattr(moments, "_pieri_row_values", skewed)
     with pytest.raises(InvariantError, match="negative"):
         pieri_coefficients(Partition((1,)), Fraction(1))
     with pytest.raises(InvariantError, match="negative"):
         _graph_distribution(EMPTY, Fraction(1), 2)
     with pytest.raises(InvariantError, match="negative"):
         sample_growth(steps=3, alpha=Fraction(1), paths=10, seed=0)
+
+
+def test_pieri_weight_on_non_addable_row_is_rejected(fresh_memos, monkeypatch):
+    # Row 2 of the shape 1,1 cannot take a cell; give it a weight.
+    row_values = moments._pieri_row_values
+
+    def leaky(la, alpha):
+        values = row_values(la, alpha)
+        return values[:1] + [(1, 1)] + values[2:] if la.parts == (1, 1) else values
+
+    monkeypatch.setattr(moments, "_pieri_row_values", leaky)
+    message = "formula fails to vanish on non-addable row 2 of 1,1"
+    with pytest.raises(InvariantError, match=message):
+        pieri_coefficients(Partition((1, 1)), Fraction(1))
+    with pytest.raises(InvariantError, match=message):
+        sample_growth(steps=3, alpha=Fraction(1), paths=10, seed=0)
+
+
+def test_pieri_linear_factor_is_checked(fresh_memos, monkeypatch):
+    # alpha = -1 let past check_alpha: the factor a*la_1 + b*(l + 1) of
+    # the row formula vanishes on row 1 of the shape 2, and the block
+    # factor a*(la_1 - 0) + b*1 on row 1 of the shape 1.
+    for module in (moments, growth):
+        monkeypatch.setattr(module, "check_alpha", Fraction)
+    with pytest.raises(InvariantError, match="nonvanishing linear factor violated"):
+        pieri_coefficients(Partition((2,)), Fraction(-1))
+    with pytest.raises(InvariantError, match="nonvanishing linear factor violated"):
+        sample_growth(steps=3, alpha=Fraction(-1), paths=10, seed=0)
 
 
 def test_sampler_is_deterministic():

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ycalc.moments import (
-    _corner_row_value,
-    _pieri_row_value,
+    _corner_row_values,
+    _pieri_row_values,
     _u_table,
     chu_vandermonde_sides,
     content_ratio_series,
@@ -38,9 +38,10 @@ from ycalc.moments import (
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
+from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
-from ycalc.series import comb_int, raising_factorial
+from ycalc.series import InvariantError, comb_int, raising_factorial
 from ycalc.shifted import d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
 
@@ -114,13 +115,45 @@ def _corner_row_reference(la, alpha, i):
     return val
 
 
+# Shapes with long runs of equal parts, where the block evaluation
+# telescopes many factors at once.
+LONG_BLOCKS = (Partition((1,) * 12), Partition((3,) * 5), Partition((4, 4, 4, 2, 2, 2, 2)))
+
+
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_integer_kernels_match_fraction_formulas(alpha):
-    for la in partitions_upto(8):
-        for i in range(1, la.length + 2):
-            assert _pieri_row_value(la, alpha, i) == _pieri_row_reference(la, alpha, i), (la, i)
-        for i in range(1, la.length + 1):
-            assert _corner_row_value(la, alpha, i) == _corner_row_reference(la, alpha, i), (la, i)
+    for la in list(partitions_upto(10)) + list(LONG_BLOCKS):
+        rows = [Fraction(num, den) for num, den in _pieri_row_values(la, alpha)]
+        assert rows == [_pieri_row_reference(la, alpha, i) for i in range(1, la.length + 2)], la
+        corners = [Fraction(num, den) for num, den in _corner_row_values(la, alpha)]
+        assert corners == [_corner_row_reference(la, alpha, i) for i in range(1, la.length + 1)], la
+
+
+def _negative_alpha(monkeypatch):
+    """Let alpha = -1 past check_alpha, where linear factors of both
+    formulas vanish: a*2 + b*1 for the row formula on 2, a*1 + b*1 for
+    the corner formula on 2,1."""
+    monkeypatch.setattr(moments, "check_alpha", Fraction)
+    return Fraction(-1)
+
+
+def test_corner_linear_factor_is_checked(fresh_memos, monkeypatch):
+    alpha = _negative_alpha(monkeypatch)
+    with pytest.raises(InvariantError, match="nonvanishing linear factor violated"):
+        corner_binomials(Partition((2, 1)), alpha)
+
+
+def test_corner_weight_on_non_removable_row_is_rejected(fresh_memos, monkeypatch):
+    # Row 1 of the shape 1,1 cannot lose a cell; give it a weight.
+    corner_values = moments._corner_row_values
+
+    def leaky(la, alpha):
+        values = corner_values(la, alpha)
+        return [(1, 1)] + values[1:] if la.parts == (1, 1) else values
+
+    monkeypatch.setattr(moments, "_corner_row_values", leaky)
+    with pytest.raises(InvariantError, match="corner weight fails to vanish on row 1 of 1,1"):
+        corner_binomials(Partition((1, 1)), Fraction(1))
 
 
 # Fraction definitions of the moment polynomials and of the closed routes,
