@@ -3,10 +3,13 @@
 Two families of atoms on a diagram la:
 
 * row weights c_i for appending a cell in row i (the formula vanishes on
-  rows where the shape would break, which the code checks rather than
-  special-cases away),
+  rows where the shape would break, through one zero factor, and the
+  code checks its zeros against the addable rows),
 * corner weights for deleting a removable cell, normalized by |la| to a
   probability elsewhere.
+
+Both formulas are products over rows j, evaluated one block of equal
+parts at a time, where the factors telescope.
 
 The r-th moments of the appended (s_r) and deleted (sigma_r) positions
 admit three independent routes each: the direct atom sum, a closed

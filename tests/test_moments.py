@@ -129,18 +129,12 @@ def test_integer_kernels_match_fraction_formulas(alpha):
         assert corners == [_corner_row_reference(la, alpha, i) for i in range(1, la.length + 1)], la
 
 
-def _negative_alpha(monkeypatch):
-    """Let alpha = -1 past check_alpha, where linear factors of both
-    formulas vanish: a*2 + b*1 for the row formula on 2, a*1 + b*1 for
-    the corner formula on 2,1."""
-    monkeypatch.setattr(moments, "check_alpha", Fraction)
-    return Fraction(-1)
-
-
 def test_corner_linear_factor_is_checked(fresh_memos, monkeypatch):
-    alpha = _negative_alpha(monkeypatch)
+    # alpha = -1 let past check_alpha: on row 1 of the shape 2,1 the
+    # block factor a*(la_1 - la_2) + b*1 of the corner formula vanishes.
+    monkeypatch.setattr(moments, "check_alpha", Fraction)
     with pytest.raises(InvariantError, match="nonvanishing linear factor violated"):
-        corner_binomials(Partition((2, 1)), alpha)
+        corner_binomials(Partition((2, 1)), Fraction(-1))
 
 
 def test_corner_weight_on_non_removable_row_is_rejected(fresh_memos, monkeypatch):
