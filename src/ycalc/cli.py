@@ -34,13 +34,12 @@ from .partitions import Partition, partitions_upto
 from .shifted import d_k
 from .symfunc import chi_experiment
 from .verify import (
+    PARAMETERS,
     identity_ids,
     report_to_dict,
     reports_to_json,
     run_all,
-    run_identity,
 )
-from .verify import _DEFAULTS as _VERIFY_DEFAULTS
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -78,11 +77,17 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _fraction_list(text: str) -> tuple[Fraction, ...]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty sample set")
-    return tuple(_fraction_arg(piece) for piece in items)
+def _parameter_arg(name: str):
+    """The argparse type of one verify parameter: its reader in
+    verify.PARAMETERS."""
+
+    def parse(text: str):
+        try:
+            return PARAMETERS[name](name, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _emit_rows(rows: list[dict], header: list[str], fmt: str) -> str:
@@ -240,10 +245,6 @@ def _cmd_experiment_chi(args) -> int:
     return 0
 
 
-_CONFIG_INT_KEYS = {"n_max", "order", "lambda_max", "r_max", "k_max", "p_max", "mu_max", "seed", "trials"}
-_CONFIG_SET_KEYS = {"alpha_set", "y_set"}
-
-
 def _read_config(path: str) -> dict:
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
@@ -255,33 +256,13 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
-            text = text.strip()
-            if key in _CONFIG_INT_KEYS:
-                try:
-                    values[key] = int(text)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {key}: not an integer: {text!r}") from None
-                if key != "seed" and values[key] < 0:
-                    raise ValueError(f"{path}:{lineno}: {key} must be nonnegative")
-            elif key in _CONFIG_SET_KEYS:
-                try:
-                    values[key] = _fraction_list(text)
-                except argparse.ArgumentTypeError as exc:
-                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-            elif key == "mode":
-                values[key] = text
-            else:
+            if key not in PARAMETERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = PARAMETERS[key](key, text.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
-
-
-def _verify_overrides(args, config: dict) -> dict:
-    overrides = dict(config)
-    for key in ("n_max", "order", "lambda_max", "r_max", "k_max", "p_max", "mu_max", "seed", "trials", "mode", "alpha_set", "y_set"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    return overrides
 
 
 def _render_text(reports, stream) -> None:
@@ -300,15 +281,11 @@ def _render_text(reports, stream) -> None:
 
 
 def _cmd_verify(args) -> int:
-    config = {}
-    if args.config:
-        config = _read_config(args.config)
-    overrides = _verify_overrides(args, config)
-    if args.all:
-        reports = run_all(overrides)
-    else:
-        accepted = {k: v for k, v in overrides.items() if k in _VERIFY_DEFAULTS[args.identity]}
-        reports = [run_identity(args.identity, **accepted)]
+    overrides = _read_config(args.config) if args.config else {}
+    for key in PARAMETERS:
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
+    reports = run_all(overrides, identity_ids() if args.all else (args.identity,))
     if args.format == "json":
         sys.stdout.write(reports_to_json(reports))
     else:
@@ -381,18 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--identity", choices=identity_ids(), metavar="ID")
     group.add_argument("--all", action="store_true")
-    verify.add_argument("--n-max", dest="n_max", type=_bound_arg)
-    verify.add_argument("--order", type=_bound_arg)
-    verify.add_argument("--lambda-max", dest="lambda_max", type=_bound_arg)
-    verify.add_argument("--r-max", dest="r_max", type=_bound_arg)
-    verify.add_argument("--k-max", dest="k_max", type=_bound_arg)
-    verify.add_argument("--p-max", dest="p_max", type=_bound_arg)
-    verify.add_argument("--mu-max", dest="mu_max", type=_bound_arg)
-    verify.add_argument("--alpha-set", dest="alpha_set", type=_fraction_list)
-    verify.add_argument("--y-set", dest="y_set", type=_fraction_list)
-    verify.add_argument("--mode", choices=("symbolic", "random"))
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--trials", type=_bound_arg)
+    for name in PARAMETERS:
+        verify.add_argument("--" + name.replace("_", "-"), dest=name, type=_parameter_arg(name))
     verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.add_argument("--config")
     verify.set_defaults(func=_cmd_verify)

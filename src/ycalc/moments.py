@@ -149,19 +149,26 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
     return tuple(atoms)
 
 
-def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """s_0 .. s_{r_max}: moments of the appended position la_i - (i-1)/alpha
-    under row weights, each power of a position formed from the one before."""
+def _position_moments(atoms, la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """Moments 0 .. r_max of the position la_i - (i-1)/alpha under the
+    weights (i, w) of atoms(la, alpha), each power of a position formed
+    from the one before."""
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
     out = [Fraction(0)] * (r_max + 1)
-    for i, w in pieri_coefficients(la, alpha):
+    for i, w in atoms(la, alpha):
         pos = Fraction(la.part(i)) - Fraction(i - 1) / alpha
         for r in range(r_max + 1):
             out[r] += w
             w *= pos
     return out
+
+
+def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """s_0 .. s_{r_max}: moments of the appended position la_i - (i-1)/alpha
+    under the Pieri row weights."""
+    return _position_moments(pieri_coefficients, la, alpha, r_max)
 
 
 def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fraction:
@@ -245,18 +252,8 @@ def s_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fract
 
 def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
     """sigma_0 .. sigma_{r_max}: moments of la_i - (i-1)/alpha over corner
-    weights (note: the deleted cell's content is this position minus 1),
-    each power of a position formed from the one before."""
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
-    out = [Fraction(0)] * (r_max + 1)
-    for i, w in corner_binomials(la, alpha):
-        pos = Fraction(la.parts[i - 1]) - Fraction(i - 1) / alpha
-        for r in range(r_max + 1):
-            out[r] += w
-            w *= pos
-    return out
+    weights (note: the deleted cell's content is this position minus 1)."""
+    return _position_moments(corner_binomials, la, alpha, r_max)
 
 
 def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:

@@ -104,9 +104,6 @@ class Partition:
         parts = self.parts[: row - 1] + (padded[row - 1] - 1,) + self.parts[row:]
         return Partition._trusted(parts if parts[-1] else parts[:-1])
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.parts == other.parts

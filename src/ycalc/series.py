@@ -110,14 +110,6 @@ class UniPoly:
     def x(cls) -> "UniPoly":
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "UniPoly":
-        return cls((c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -158,9 +150,6 @@ class UniPoly:
         r = self.__add__(-other if isinstance(other, UniPoly) else -Fraction(other))
         return r
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             if self.is_zero() or other.is_zero():
@@ -178,34 +167,12 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c / Fraction(other) for c in self.coeffs)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = UniPoly((1,))
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __call__(self, value: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(value) + c
-        return acc
-
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self.coeffs == (() if other == 0 else (Fraction(other),))
         return NotImplemented
-
-    def __hash__(self):
-        return hash(("UniPoly", self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -255,11 +222,6 @@ class XPolynomial:
             return cls.x0()
         return cls({(0, (i,)): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, mu: Sequence[int], coeff: Scalar = 1) -> "XPolynomial":
-        key = tuple(sorted(mu, reverse=True))
-        return cls({(0, key): Fraction(coeff)})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -293,9 +255,6 @@ class XPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
@@ -321,20 +280,12 @@ class XPolynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, XPolynomial):
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self.terms == XPolynomial.constant(other).terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash(("XPolynomial", tuple(sorted(self.terms.items()))))
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -439,14 +390,6 @@ class BiSeries:
                 if a != b:
                     return (i, d - i), a, b
         return None
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.order == other.order and self.first_difference(other) is None
-
-    def __repr__(self):
-        return f"BiSeries(order={self.order}, rows={self.rows})"
 
 
 def gauss_2f1_truncated(a: int, b: int, c: int, order: int) -> UniPoly:

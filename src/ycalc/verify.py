@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .coefficients import (
@@ -77,6 +78,71 @@ from .symfunc import chi_experiment, p_npk
 DEFAULT_ALPHA_SET = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 DEFAULT_Y_SET = (Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(5, 7))
 
+_Rationals = tuple[Fraction, ...]
+
+
+# ---------------------------------------------------------------------------
+# Job parameters.  Each reader takes the parameter's name and a value, typed
+# or as text (a CLI flag or a config line), and returns the typed value or
+# raises ValueError naming the parameter.
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name}: not an integer: {value!r}")
+
+
+def _bound(name: str, value) -> int:
+    """A bound or a count: an integer >= 0."""
+    value = _integer(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
+def _mode(name: str, value) -> str:
+    if value not in ("symbolic", "random"):
+        raise ValueError(f"{name} must be 'symbolic' or 'random'")
+    return value
+
+
+def _rationals(name: str, value) -> _Rationals:
+    """A nonempty sample set, as a list, a tuple or comma-separated text."""
+    if isinstance(value, str):
+        value = [piece.strip() for piece in value.split(",") if piece.strip()]
+    elif not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name}: not a sample set: {value!r}")
+    if not value:
+        raise ValueError(f"{name}: empty sample set")
+    out = []
+    for item in value:
+        try:
+            out.append(Fraction(item))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"{name}: not a rational: {item!r}") from None
+    return tuple(out)
+
+
+# Every job parameter, in CLI flag order: name -> reader.
+PARAMETERS: dict[str, Callable[[str, object], object]] = {
+    "n_max": _bound,
+    "order": _bound,
+    "lambda_max": _bound,
+    "r_max": _bound,
+    "k_max": _bound,
+    "p_max": _bound,
+    "mu_max": _bound,
+    "alpha_set": _rationals,
+    "y_set": _rationals,
+    "mode": _mode,
+    "seed": _integer,
+    "trials": _bound,
+}
+
 
 @dataclass
 class VerificationReport:
@@ -134,6 +200,9 @@ class _Recorder:
         self.cases = 0
         self.failures = 0
         self.first: dict | None = None
+        # an experimental job surfaces its comparisons without gating on them
+        self.gating = True
+        self.payload = None
 
     def check(self, lhs, rhs, **context):
         self.cases += 1
@@ -160,20 +229,18 @@ class _Recorder:
             if self.first is None:
                 self.first = dict(context)
 
-    def report(self, identity: str, parameters: dict, notes: str = "", payload=None) -> VerificationReport:
+    def report(self, identity: str, parameters: dict, notes: str = "") -> VerificationReport:
         """A job that made no comparison has shown nothing, so it fails."""
-        status = "verified" if self.failures == 0 and self.cases else "failed"
         if not self.cases:
-            notes = "0 comparisons made"
-        elif self.failures and notes:
-            notes = f"{self.failures} of {self.cases} comparisons failed; " + notes
+            status, notes = "failed", "0 comparisons made"
+        elif not self.gating:
+            status = "reported"
         elif self.failures:
-            notes = f"{self.failures} of {self.cases} comparisons failed"
-        return VerificationReport(identity, parameters, status, self.cases, self.first, notes, payload)
-
-
-def _as_fraction_set(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+            status = "failed"
+            notes = f"{self.failures} of {self.cases} comparisons failed" + (f"; {notes}" if notes else "")
+        else:
+            status = "verified"
+        return VerificationReport(identity, parameters, status, self.cases, self.first, notes, self.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +325,12 @@ def _rhs_useries(n: int, order: int, xval, x0) -> BiSeries:
     return BiSeries(order, coeffs)
 
 
-def _check_expansion_family(identity: str, params: dict) -> VerificationReport:
-    n_max = int(params["n_max"])
-    order = int(params["order"])
-    mode = params["mode"]
-    seed = int(params["seed"])
-    trials = int(params["trials"])
-    if mode not in ("symbolic", "random"):
-        raise ValueError("mode must be 'symbolic' or 'random'")
-    alternating = identity == "thm3.1-alt"
-    univariate = identity == "ll-v0"
+def _check_expansion_family(
+    rec: _Recorder, *, alternating: bool, univariate: bool, n_max: int, order: int, mode: str, seed: int, trials: int
+) -> None:
+    """thm3.1, its alternating variant thm3.1-alt, and ll-v0, the signed
+    univariate variant."""
     signed = alternating or univariate
-
-    rec = _Recorder()
     value_sets: list[tuple[str, Callable[[int], object], object]]
     if mode == "symbolic":
         value_sets = [("symbolic", XPolynomial.symbol, XPolynomial.x0())]
@@ -302,27 +362,20 @@ def _check_expansion_family(identity: str, params: dict) -> VerificationReport:
                     if a or b:
                         key = [i] if univariate else [i, d - i]
                         rec.check(a, b, n=n, key=key, values=label)
-    return rec.report(identity, params)
 
 
 # ---------------------------------------------------------------------------
 # Remaining catalog entries, one checker per id.
 
 
-def _check_jz(identity: str, params: dict) -> VerificationReport:
-    mu_max = int(params["mu_max"])
-    n_max = int(params["n_max"])
-    rec = _Recorder()
+def _check_jz(rec: _Recorder, *, mu_max: int, n_max: int) -> None:
     for mu in partitions_upto(mu_max):
         for n in range(1, n_max + 1):
             lhs, rhs = jz_sides(mu, n)
             rec.check(lhs, rhs, mu=str(mu), n=n)
-    return rec.report(identity, params)
 
 
-def _check_thm41(identity: str, params: dict) -> VerificationReport:
-    n_max = int(params["n_max"])
-    rec = _Recorder()
+def _check_thm41(rec: _Recorder, *, n_max: int) -> None:
     x = UniPoly.x()
     for n in range(1, n_max + 1):
         mus = enumerate_partitions(n)
@@ -361,14 +414,9 @@ def _check_thm41(identity: str, params: dict) -> VerificationReport:
                 for k in range(1, min(n, m) + 1):
                     right += Fraction(comb_int(n, k) * k, m) * nbi(m, p, k)
                 rec.check(left, right, group="binomial-reduction", n=n, m=m, p=p)
-    return rec.report(identity, params)
 
 
-def _check_gf23(identity: str, params: dict) -> VerificationReport:
-    n_max = int(params["n_max"])
-    order = int(params["order"])
-    lambda_max = int(params["lambda_max"])
-    rec = _Recorder()
+def _check_gf23(rec: _Recorder, *, n_max: int, order: int, lambda_max: int) -> None:
     for n in range(1, n_max + 1):
         for p in range(0, n + 1):
             table = nbi_from_hypergeometric(n, p, order)
@@ -391,25 +439,17 @@ def _check_gf23(identity: str, params: dict) -> VerificationReport:
             expect[(0, 0)] = 1
         rhs = BiSeries(cap, expect)
         rec.series_equal(prod, rhs, group="row-product", la=str(la))
-    return rec.report(identity, params)
 
 
-def _check_gn_closed(identity: str, params: dict) -> VerificationReport:
-    n_max = int(params["n_max"])
-    rec = _Recorder()
+def _check_gn_closed(rec: _Recorder, *, n_max: int) -> None:
     for n in range(1, n_max + 1):
         rec.series_equal(gn_closed_form(n), gn_series(n, 2 * n), n=n)
-    return rec.report(identity, params)
 
 
-def _check_rel51(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    order = int(params["order"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    rec = _Recorder()
+def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
         w = la.weight
-        for alpha in alphas:
+        for alpha in alpha_set:
             table = moment_table(la, alpha)
             # The product over cells of 1 + u / (1 + c t), with the content
             # c = n/a for n = (j-1)a - (i-1)b, has u^i t^m coefficient
@@ -439,15 +479,9 @@ def _check_rel51(identity: str, params: dict) -> VerificationReport:
                     coeffs[(i, j)] = Fraction(acc, table.denominator(j))
             rhs = BiSeries(order, coeffs)
             rec.series_equal(lhs, rhs, la=str(la), alpha=alpha)
-    return rec.report(identity, params)
 
 
-def _check_thm51(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    order = int(params["order"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    ys = _as_fraction_set(params["y_set"])
-    rec = _Recorder()
+def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
     # The right-hand side sum of (-y)^n (-1)^N t^(2n+N) (1 + (y+1) t)^-(n+q)
     # times the k-sum of f_{N,p,k} (N = p+q), with y = c/d and alpha = a/b,
     # is accumulated as integers over d^order order! a^order; the t^i
@@ -455,10 +489,10 @@ def _check_thm51(identity: str, params: dict) -> VerificationReport:
     fact = math.factorial(order)
     neg_binoms = [[comb_int(-m, i) for i in range(order + 1)] for m in range(order + 1)]
     for la in partitions_upto(lambda_max):
-        for alpha in alphas:
+        for alpha in alpha_set:
             table = moment_table(la, alpha)
             a = table.a
-            for y in ys:
+            for y in y_set:
                 c, d = y.numerator, y.denominator
                 lhs = content_ratio_series(la, alpha, y, order)
                 rhs = [0] * (order + 1)
@@ -476,18 +510,12 @@ def _check_thm51(identity: str, params: dict) -> VerificationReport:
                                 rhs[shift + i] += coef * nb * (c + d) ** i * d ** (order - shift - i)
                 den = d**order * fact * a**order
                 rec.series_equal(lhs, UniPoly([Fraction(v, den) for v in rhs]), la=str(la), alpha=alpha, y=y)
-    return rec.report(identity, params)
 
 
-def _check_cor52(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    order = int(params["order"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    ys = _as_fraction_set(params["y_set"])
-    rec = _Recorder()
+def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
-        for alpha in alphas:
-            for y in ys:
+        for alpha in alpha_set:
+            for y in y_set:
                 lhs = content_ratio_series(la, alpha, y, order)
                 for r in range(0, order + 1):
                     c = cor52_coefficient(la, alpha, y, r)
@@ -495,28 +523,18 @@ def _check_cor52(identity: str, params: dict) -> VerificationReport:
                     rec.check(c, want, la=str(la), alpha=alpha, y=y, r=r)
                 rec.check(cor52_coefficient(la, alpha, y, 0), Fraction(1), group="low-index", la=str(la), alpha=alpha, y=y, r=0)
                 rec.check(cor52_coefficient(la, alpha, y, 1), Fraction(0), group="low-index", la=str(la), alpha=alpha, y=y, r=1)
-    return rec.report(identity, params)
 
 
-def _check_prop71(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    k_max = int(params["k_max"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    rec = _Recorder()
+def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
-        for alpha in alphas:
+        for alpha in alpha_set:
             for k in range(0, k_max + 1):
                 rec.check(d_k(la, alpha, k), dk_from_shifted(la, alpha, k), la=str(la), alpha=alpha, k=k)
-    return rec.report(identity, params)
 
 
-def _check_thm81(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    r_max = int(params["r_max"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    rec = _Recorder()
+def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
-        for alpha in alphas:
+        for alpha in alpha_set:
             direct_vals = s_direct_moments(la, alpha, r_max)
             lagrange_vals = s_lagrange_moments(la, alpha, r_max)
             closed_vals = s_closed_moments(la, alpha, r_max)
@@ -537,15 +555,10 @@ def _check_thm81(identity: str, params: dict) -> VerificationReport:
                         rec.condition(isinstance(u, int) and u >= 0, group="nonnegative-integrality", r=r, i=i, j=j, k=k, rho=str(rho), value=u)
                         if j == 0:
                             rec.check(u, comb_int(r - i - 1, r - 2 * i), group="empty-shape-reduction", r=r, i=i)
-    return rec.report(identity, params)
 
 
-def _check_thm91(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    r_max = int(params["r_max"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    rec = _Recorder()
-    for alpha in alphas:
+def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
+    for alpha in alpha_set:
         routes = [route(EMPTY, alpha, r_max) for route in (sigma_direct_moments, sigma_closed_moments, sigma_lagrange_moments)]
         for r in range(0, r_max + 1):
             for vals in routes:
@@ -553,7 +566,7 @@ def _check_thm91(identity: str, params: dict) -> VerificationReport:
     for la in partitions_upto(lambda_max):
         if la.weight == 0:
             continue
-        for alpha in alphas:
+        for alpha in alpha_set:
             a, b = sigma_lagrange_alphabets(la, alpha)
             h1 = h_series_of_difference(a, b, 1).coefficient(1)
             rec.check(h1, Fraction(-1), group="first-difference", la=str(la), alpha=alpha)
@@ -566,26 +579,18 @@ def _check_thm91(identity: str, params: dict) -> VerificationReport:
             series = sigma_moment_series(la, alpha, r_max)
             for r in range(0, r_max + 1):
                 rec.check(series.coefficient(r), Fraction(-1) ** r * direct_vals[r], group="generating-series", la=str(la), alpha=alpha, r=r)
-    return rec.report(identity, params)
 
 
-def _check_lem111(identity: str, params: dict) -> VerificationReport:
-    order = int(params["order"])
-    rec = _Recorder()
+def _check_lem111(rec: _Recorder, *, order: int) -> None:
     for k in range(1, order + 1):
         lhs, rhs = stirling_inverse_lemma_sides(k, order)
         rec.series_equal(lhs, rhs, k=k)
-    return rec.report(identity, params)
 
 
-def _check_thm112(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    p_max = int(params["p_max"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    rec = _Recorder()
+def _check_thm112(rec: _Recorder, *, lambda_max: int, p_max: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
         conj = la.conjugate()
-        for alpha in alphas:
+        for alpha in alpha_set:
             inv = Fraction(1) / alpha
             for p in range(0, p_max + 1):
                 row, col = row_column_binomials(la, alpha, p)
@@ -604,37 +609,29 @@ def _check_thm112(identity: str, params: dict) -> VerificationReport:
                     rec.check(row, Fraction(0), group="row-support", la=str(la), alpha=alpha, p=p)
     for n in range(1, lambda_max + 1):
         la = Partition((n,))
-        for alpha in alphas:
+        for alpha in alpha_set:
             for p in range(0, p_max + 1):
                 row, _ = row_column_binomials(la, alpha, p)
                 rec.check(row, Fraction(comb_int(n, p)), group="single-row", n=n, alpha=alpha, p=p)
-    return rec.report(identity, params)
 
 
-def _check_chu_vandermonde(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    ys = _as_fraction_set(params["y_set"])
-    rec = _Recorder()
+def _check_chu_vandermonde(rec: _Recorder, *, lambda_max: int, alpha_set: _Rationals, y_set: _Rationals) -> str:
     skipped = 0
     for la in partitions_upto(lambda_max):
-        for alpha in alphas:
-            for y in ys:
+        for alpha in alpha_set:
+            for y in y_set:
                 sides = chu_vandermonde_sides(la, alpha, y)
                 if sides is None:
                     skipped += 1
                     continue
                 rec.check(sides[0], sides[1], la=str(la), alpha=alpha, y=y)
     rec.condition(rec.cases > 0, group="coverage", checked=rec.cases, skipped=skipped)
-    return rec.report(identity, params, notes=f"{skipped} pole pairs skipped")
+    return f"{skipped} pole pairs skipped"
 
 
-def _check_growth_normalization(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    rec = _Recorder()
+def _check_growth_normalization(rec: _Recorder, *, lambda_max: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
-        for alpha in alphas:
+        for alpha in alpha_set:
             up = transition_kernel(la, alpha)
             rec.check(sum((p for _, p in up.atoms), Fraction(0)), Fraction(1), group="up-normalization", la=str(la), alpha=alpha)
             rec.condition(all(p >= 0 for _, p in up.atoms), group="up-nonnegativity", la=str(la), alpha=alpha)
@@ -645,23 +642,15 @@ def _check_growth_normalization(identity: str, params: dict) -> VerificationRepo
             rec.condition(all(p >= 0 for _, p in down.atoms), group="down-nonnegativity", la=str(la), alpha=alpha)
             via_dim = cotransition_from_dimensions(la, alpha)
             rec.check(list(down.atoms), list(via_dim.atoms), group="dimension-recurrence", la=str(la), alpha=alpha)
-    return rec.report(identity, params)
 
 
-def _check_plancherel(identity: str, params: dict) -> VerificationReport:
-    n_max = int(params["n_max"])
-    rec = _Recorder()
+def _check_plancherel(rec: _Recorder, *, n_max: int) -> None:
     rec.condition(plancherel_check(n_max), n_max=n_max)
-    return rec.report(identity, params)
 
 
-def _check_moments_bridge(identity: str, params: dict) -> VerificationReport:
-    lambda_max = int(params["lambda_max"])
-    r_max = int(params["r_max"])
-    alphas = _as_fraction_set(params["alpha_set"])
-    rec = _Recorder()
+def _check_moments_bridge(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
-        for alpha in alphas:
+        for alpha in alpha_set:
             ups = s_direct_moments(la, alpha, r_max)
             # the sampler's exact law of the added content after one step
             law = sample_growth(steps=1, alpha=alpha, paths=1, seed=0, start=la, r_max=r_max).moments
@@ -671,16 +660,12 @@ def _check_moments_bridge(identity: str, params: dict) -> VerificationReport:
                 if downs:
                     # the atoms against the corner-moment combination
                     rec.check(*downs[r], group="down-moment", la=str(la), alpha=alpha, r=r)
-    return rec.report(identity, params)
 
 
-def _check_chi(identity: str, params: dict) -> VerificationReport:
-    n_max = int(params["n_max"])
-    p_max = int(params["p_max"])
+def _check_chi(rec: _Recorder, *, n_max: int, p_max: int) -> str:
     report = chi_experiment(n_max, p_max)
     rows = []
     mismatches = 0
-    compared = 0
     for row in report.rows:
         rows.append(
             {
@@ -694,67 +679,44 @@ def _check_chi(identity: str, params: dict) -> VerificationReport:
             }
         )
         if row.match is not None:
-            compared += 1
+            rec.cases += 1
             if not row.match:
                 mismatches += 1
     violations = [_plain(v) for v in report.support_violations]
-    payload = {"rows": rows, "support_violations": violations}
-    if not compared:
-        return VerificationReport(identity, params, "failed", 0, None, "0 comparisons made", payload)
+    rec.gating = False
+    rec.payload = {"rows": rows, "support_violations": violations}
     if mismatches or violations:
-        notes = f"{mismatches} of {compared} fitted values disagree with the conjectured formula; {len(violations)} support violations"
-    else:
-        notes = f"all {compared} fitted values match the conjectured formula"
-    return VerificationReport(identity, params, "reported", compared, None, notes, payload)
+        return f"{mismatches} of {rec.cases} fitted values disagree with the conjectured formula; {len(violations)} support violations"
+    return f"all {rec.cases} fitted values match the conjectured formula"
 
 
-_CHECKERS: dict[str, Callable[[str, dict], VerificationReport]] = {
-    "thm3.1": _check_expansion_family,
-    "thm3.1-alt": _check_expansion_family,
-    "ll-v0": _check_expansion_family,
-    "jz": _check_jz,
-    "thm4.1": _check_thm41,
-    "rel5.1": _check_rel51,
-    "thm5.1": _check_thm51,
-    "cor5.2": _check_cor52,
-    "gf2.3": _check_gf23,
-    "gn-closed": _check_gn_closed,
-    "prop7.1": _check_prop71,
-    "thm8.1": _check_thm81,
-    "thm9.1": _check_thm91,
-    "lem11.1": _check_lem111,
-    "thm11.2": _check_thm112,
-    "chu-vandermonde": _check_chu_vandermonde,
-    "growth-normalization": _check_growth_normalization,
-    "plancherel": _check_plancherel,
-    "moments-bridge": _check_moments_bridge,
-    "chi": _check_chi,
+_EXPANSION = {"n_max": 5, "order": 5, "mode": "symbolic", "seed": 12345, "trials": 3}
+
+# Every job in catalog order: id -> (checker, default parameters).
+_JOBS: dict[str, tuple[Callable[..., str | None], dict]] = {
+    "thm3.1": (partial(_check_expansion_family, alternating=False, univariate=False), _EXPANSION),
+    "thm3.1-alt": (partial(_check_expansion_family, alternating=True, univariate=False), _EXPANSION),
+    "ll-v0": (partial(_check_expansion_family, alternating=False, univariate=True), _EXPANSION),
+    "jz": (_check_jz, {"mu_max": 6, "n_max": 8}),
+    "thm4.1": (_check_thm41, {"n_max": 8}),
+    "rel5.1": (_check_rel51, {"lambda_max": 6, "order": 10, "alpha_set": DEFAULT_ALPHA_SET}),
+    "thm5.1": (_check_thm51, {"lambda_max": 6, "order": 10, "alpha_set": DEFAULT_ALPHA_SET, "y_set": DEFAULT_Y_SET}),
+    "cor5.2": (_check_cor52, {"lambda_max": 6, "order": 10, "alpha_set": DEFAULT_ALPHA_SET, "y_set": DEFAULT_Y_SET}),
+    "gf2.3": (_check_gf23, {"n_max": 10, "order": 10, "lambda_max": 8}),
+    "gn-closed": (_check_gn_closed, {"n_max": 12}),
+    "prop7.1": (_check_prop71, {"lambda_max": 8, "k_max": 6, "alpha_set": DEFAULT_ALPHA_SET}),
+    "thm8.1": (_check_thm81, {"lambda_max": 8, "r_max": 9, "alpha_set": DEFAULT_ALPHA_SET}),
+    "thm9.1": (_check_thm91, {"lambda_max": 8, "r_max": 8, "alpha_set": DEFAULT_ALPHA_SET}),
+    "lem11.1": (_check_lem111, {"order": 8}),
+    "thm11.2": (_check_thm112, {"lambda_max": 6, "p_max": 6, "alpha_set": DEFAULT_ALPHA_SET}),
+    "chu-vandermonde": (_check_chu_vandermonde, {"lambda_max": 6, "alpha_set": DEFAULT_ALPHA_SET, "y_set": DEFAULT_Y_SET}),
+    "growth-normalization": (_check_growth_normalization, {"lambda_max": 8, "alpha_set": DEFAULT_ALPHA_SET}),
+    "plancherel": (_check_plancherel, {"n_max": 8}),
+    "moments-bridge": (_check_moments_bridge, {"lambda_max": 8, "r_max": 6, "alpha_set": DEFAULT_ALPHA_SET}),
+    "chi": (_check_chi, {"n_max": 6, "p_max": 3}),
 }
 
-_DEFAULTS: dict[str, dict] = {
-    "thm3.1": {"n_max": 5, "order": 5, "mode": "symbolic", "seed": 12345, "trials": 3},
-    "thm3.1-alt": {"n_max": 5, "order": 5, "mode": "symbolic", "seed": 12345, "trials": 3},
-    "ll-v0": {"n_max": 5, "order": 5, "mode": "symbolic", "seed": 12345, "trials": 3},
-    "jz": {"mu_max": 6, "n_max": 8},
-    "thm4.1": {"n_max": 8},
-    "rel5.1": {"lambda_max": 6, "order": 10, "alpha_set": DEFAULT_ALPHA_SET},
-    "thm5.1": {"lambda_max": 6, "order": 10, "alpha_set": DEFAULT_ALPHA_SET, "y_set": DEFAULT_Y_SET},
-    "cor5.2": {"lambda_max": 6, "order": 10, "alpha_set": DEFAULT_ALPHA_SET, "y_set": DEFAULT_Y_SET},
-    "gf2.3": {"n_max": 10, "order": 10, "lambda_max": 8},
-    "gn-closed": {"n_max": 12},
-    "prop7.1": {"lambda_max": 8, "k_max": 6, "alpha_set": DEFAULT_ALPHA_SET},
-    "thm8.1": {"lambda_max": 8, "r_max": 9, "alpha_set": DEFAULT_ALPHA_SET},
-    "thm9.1": {"lambda_max": 8, "r_max": 8, "alpha_set": DEFAULT_ALPHA_SET},
-    "lem11.1": {"order": 8},
-    "thm11.2": {"lambda_max": 6, "p_max": 6, "alpha_set": DEFAULT_ALPHA_SET},
-    "chu-vandermonde": {"lambda_max": 6, "alpha_set": DEFAULT_ALPHA_SET, "y_set": DEFAULT_Y_SET},
-    "growth-normalization": {"lambda_max": 8, "alpha_set": DEFAULT_ALPHA_SET},
-    "plancherel": {"n_max": 8},
-    "moments-bridge": {"lambda_max": 8, "r_max": 6, "alpha_set": DEFAULT_ALPHA_SET},
-    "chi": {"n_max": 6, "p_max": 3},
-}
-
-CATALOG = tuple(_DEFAULTS)
+CATALOG = tuple(_JOBS)
 
 
 def identity_ids() -> tuple[str, ...]:
@@ -762,36 +724,36 @@ def identity_ids() -> tuple[str, ...]:
 
 
 def run_identity(identity: str, **overrides) -> VerificationReport:
-    """Run one catalog job; unknown parameter names raise ValueError.
+    """Run one catalog job.  Every default and every override is read
+    through PARAMETERS, so an out-of-range or malformed value, or a
+    parameter the job does not take, raises ValueError; None overrides
+    are ignored.
 
     An InvariantError raised inside the job, a library check that failed
     before the job could compare anything, becomes the job's failed
     report with the message in its notes."""
-    if identity not in _CHECKERS:
+    if identity not in _JOBS:
         raise KeyError(f"unknown identity id: {identity}")
-    params = dict(_DEFAULTS[identity])
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in params:
+    checker, defaults = _JOBS[identity]
+    chosen = {key: value for key, value in overrides.items() if value is not None}
+    for key in chosen:
+        if key not in defaults:
             raise ValueError(f"identity {identity} takes no parameter {key!r}")
-        params[key] = value
-    if "alpha_set" in params:
-        params["alpha_set"] = _as_fraction_set(params["alpha_set"])
-    if "y_set" in params:
-        params["y_set"] = _as_fraction_set(params["y_set"])
+    params = {key: PARAMETERS[key](key, chosen.get(key, value)) for key, value in defaults.items()}
+    rec = _Recorder()
     try:
-        return _CHECKERS[identity](identity, params)
+        notes = checker(rec, **params)
     except InvariantError as exc:
         return VerificationReport(identity, params, "failed", 0, None, f"InvariantError: {exc}")
+    return rec.report(identity, params, notes or "")
 
 
-def run_all(shared_overrides: dict | None = None) -> list[VerificationReport]:
-    """Run the whole catalog in id order, applying each override only to
-    jobs that accept the parameter."""
+def run_all(shared_overrides: dict | None = None, identities: Sequence[str] = CATALOG) -> list[VerificationReport]:
+    """Run the given jobs, by default the whole catalog in id order,
+    applying each override only to jobs that accept the parameter."""
     shared = shared_overrides or {}
     reports = []
-    for identity in CATALOG:
-        accepted = {k: v for k, v in shared.items() if k in _DEFAULTS[identity]}
+    for identity in identities:
+        accepted = {k: v for k, v in shared.items() if k in _JOBS[identity][1]}
         reports.append(run_identity(identity, **accepted))
     return reports

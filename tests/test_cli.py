@@ -8,7 +8,7 @@ import pytest
 
 from ycalc import moments
 from ycalc.cli import _use_color, main
-from ycalc.verify import CATALOG
+from ycalc.verify import _JOBS, CATALOG, PARAMETERS, _bound, run_identity
 
 
 def run_cli(capsys, *argv):
@@ -541,3 +541,19 @@ def test_color_gating(monkeypatch):
     assert not _use_color(io.StringIO())
     monkeypatch.setenv("NO_COLOR", "1")
     assert not _use_color(Tty())
+
+
+@pytest.mark.parametrize("key", [key for key, read in PARAMETERS.items() if read is _bound])
+def test_negative_verify_bound_is_rejected_everywhere(tmp_path, capsys, key):
+    # the flag, the config line and the library keyword read one table
+    identity = next(i for i in CATALOG if key in _JOBS[i][1])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", identity, "--" + key.replace("_", "-"), "-1"])
+    assert exc.value.code == 2
+    assert f"{key} must be nonnegative" in capsys.readouterr().err
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"{key} = -1\n")
+    code, out, err = run_cli(capsys, "verify", "--identity", identity, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {cfg}:1: {key} must be nonnegative\n")
+    with pytest.raises(ValueError, match=f"^{key} must be nonnegative$"):
+        run_identity(identity, **{key: -1})

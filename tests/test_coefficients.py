@@ -161,7 +161,7 @@ def test_npbi_errors():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gn_closed_form_matches_table(n):
-    assert gn_closed_form(n) == gn_series(n, 2 * n)
+    assert gn_closed_form(n).first_difference(gn_series(n, 2 * n)) is None
 
 
 def test_gn_small_cases_by_hand():
@@ -202,7 +202,7 @@ def test_stirling_inverse_expands_powers(k):
     acc = UniPoly()
     for m in range(k + 1):
         acc = acc + lowering_factorial(x, m) * stirling_inverse_t(k, m)
-    assert acc == x**k
+    assert acc == UniPoly((0,) * k + (1,))
     assert stirling_inverse_t(4, 2) == 7
 
 

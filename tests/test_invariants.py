@@ -39,17 +39,36 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-# Module-level names that may stay unreachable from cli.main.
+# Names that may stay unreachable from cli.main.
 _UNREACHABLE_ALLOWED: frozenset[str] = frozenset()
 
 
-def _module_level_definitions() -> dict[str, list[ast.AST]]:
-    """Every def, class and assigned name at module level in src/ycalc,
-    dunders aside, with the statements that define it."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions() -> dict[str, list[ast.AST]]:
+    """Every def, class and assigned name at module level in src/ycalc, and
+    every named method of a class (properties and class methods included),
+    dunders aside, with the nodes that define it.  A class is defined by its
+    statement less its named methods, so its dunder methods are reached
+    with it and each named method only by its own name."""
     defs: dict[str, list[ast.AST]] = {}
     for path in sorted((SRC / "ycalc").glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                members = [
+                    m for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name)
+                ]
+                for member in members:
+                    defs.setdefault(member.name, []).append(member)
+                rest = [b for b in node.body if b not in members]
+                defs.setdefault(node.name, []).extend(
+                    [*node.bases, *node.keywords, *node.decorator_list, *rest]
+                )
+                continue
+            if isinstance(node, ast.FunctionDef):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -57,7 +76,7 @@ def _module_level_definitions() -> dict[str, list[ast.AST]]:
             else:
                 continue
             for name in names:
-                if not (name.startswith("__") and name.endswith("__")):
+                if not _is_dunder(name):
                     defs.setdefault(name, []).append(node)
     return defs
 
@@ -67,7 +86,7 @@ def test_every_module_level_name_is_reachable_from_main():
     # definition mentions its name, as a name or as an attribute.  Imports
     # do not count, so a name only the tests or the package namespace use
     # stays unreached.
-    defs = _module_level_definitions()
+    defs = _definitions()
     reached: set[str] = set()
     todo = ["main"]
     while todo:

@@ -178,11 +178,10 @@ def test_z_class_equation(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_z_length_generating_polynomial(n):
     # sum x^{l(mu)}/z_mu = (x)_n / n! as polynomials
-    x = UniPoly.x()
     lhs = UniPoly()
     for mu in enumerate_partitions(n):
-        lhs = lhs + x ** mu.length / z_of(mu)
-    rhs = raising_factorial(x, n) / Fraction(math.factorial(n))
+        lhs = lhs + UniPoly((0,) * mu.length + (Fraction(1, z_of(mu)),))
+    rhs = raising_factorial(UniPoly.x(), n) * Fraction(1, math.factorial(n))
     assert lhs == rhs
 
 

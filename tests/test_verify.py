@@ -1,5 +1,6 @@
 """The verification catalog: every job runs, reports well, serializes stably."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,8 +11,11 @@ import pytest
 
 from ycalc.series import BiSeries, UniPoly
 from ycalc.verify import (
+    _JOBS,
     CATALOG,
+    PARAMETERS,
     VerificationReport,
+    _bound,
     _Recorder,
     identity_ids,
     report_to_dict,
@@ -169,7 +173,6 @@ def test_failed_report_shape():
     "identity, overrides",
     [
         ("thm3.1", {"mode": "random", "trials": 0}),
-        ("thm5.1", {"lambda_max": -1}),
         ("lem11.1", {"order": 0}),
         ("chi", {"n_max": 0}),
     ],
@@ -177,6 +180,52 @@ def test_failed_report_shape():
 def test_zero_comparisons_never_verify(identity, overrides):
     report = run_identity(identity, **overrides)
     assert (report.status, report.cases, report.notes) == ("failed", 0, "0 comparisons made")
+
+
+@pytest.mark.parametrize(
+    "identity,key",
+    [(identity, key) for identity in CATALOG for key in _JOBS[identity][1] if PARAMETERS[key] is _bound],
+)
+def test_negative_bounds_are_rejected(identity, key):
+    with pytest.raises(ValueError, match=f"^{key} must be nonnegative$"):
+        run_identity(identity, **{key: -1})
+
+
+def test_text_overrides_are_read_to_typed_values():
+    report = run_identity("jz", mu_max=2, n_max="3")
+    assert report.parameters == {"mu_max": 2, "n_max": 3}
+    report = run_identity("prop7.1", lambda_max=2, k_max=1, alpha_set="1/2, 2")
+    assert report.parameters["alpha_set"] == (Fraction(1, 2), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "identity,overrides,message",
+    [
+        ("jz", {"n_max": 2.5}, "n_max: not an integer: 2.5"),
+        ("jz", {"n_max": "x"}, "n_max: not an integer: 'x'"),
+        ("thm3.1", {"seed": True}, "seed: not an integer: True"),
+        ("thm3.1", {"mode": "exhaustive"}, "mode must be 'symbolic' or 'random'"),
+        ("prop7.1", {"alpha_set": 2}, "alpha_set: not a sample set: 2"),
+        ("prop7.1", {"alpha_set": ()}, "alpha_set: empty sample set"),
+        ("prop7.1", {"alpha_set": "1,1/0"}, "alpha_set: not a rational: '1/0'"),
+    ],
+)
+def test_malformed_overrides_are_rejected(identity, overrides, message):
+    with pytest.raises(ValueError) as exc:
+        run_identity(identity, **overrides)
+    assert str(exc.value) == message
+
+
+# sha256 of `verify --all --format json` at the catalog defaults (20 jobs,
+# 39,813 cases), computed before the parameter table replaced the
+# per-checker parameter reading.
+_CATALOG_DIGEST = "292678e41b6507bc419cad7a4b36eb12a8a0b29b212c49a176109eca716b5a80"
+
+
+def test_catalog_at_defaults_is_pinned(fresh_memos):
+    reports = run_all()
+    assert sum(r.cases for r in reports) == 39_813
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == _CATALOG_DIGEST
 
 
 def test_univariate_series_mismatch_reports_index():
