@@ -2,13 +2,7 @@
 content moments, growth kernels, and an identity verifier."""
 
 from .coefficients import nbi, npbi, npbi_table, pbi
-from .growth import (
-    GrowthKernel,
-    cotransition_kernel,
-    dimension,
-    sample_growth,
-    transition_kernel,
-)
+from .growth import cotransition_kernel, dimension, sample_growth
 from .moments import (
     corner_binomials,
     pieri_coefficients,
@@ -30,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiSeries",
     "EMPTY",
-    "GrowthKernel",
     "InvariantError",
     "Partition",
     "UniPoly",
@@ -58,7 +51,6 @@ __all__ = [
     "sigma_closed_moments",
     "sigma_direct_moments",
     "sigma_lagrange_moments",
-    "transition_kernel",
     "z_of",
     "__version__",
 ]

@@ -21,8 +21,9 @@ import sys
 from fractions import Fraction
 
 from .coefficients import nbi, npbi_table, pbi
-from .growth import cotransition_kernel, sample_growth, transition_kernel
+from .growth import cotransition_kernel, sample_growth
 from .moments import (
+    pieri_coefficients,
     s_closed_moments,
     s_direct_moments,
     s_lagrange_moments,
@@ -169,15 +170,12 @@ def _cmd_moments_power(args, methods) -> int:
 
 
 def _cmd_growth_dist(args) -> int:
-    if args.direction == "up":
-        kernel = transition_kernel(args.shape, args.alpha)
-    else:
-        kernel = cotransition_kernel(args.shape, args.alpha)
+    kernel = pieri_coefficients if args.direction == "up" else cotransition_kernel
     doc = {
-        "base": str(kernel.base),
-        "alpha": str(kernel.alpha),
-        "direction": kernel.direction,
-        "atoms": [{"row": row, "p": str(p)} for row, p in kernel.atoms],
+        "base": str(args.shape),
+        "alpha": str(args.alpha),
+        "direction": args.direction,
+        "atoms": [{"row": row, "p": str(p)} for row, p in kernel(args.shape, args.alpha)],
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

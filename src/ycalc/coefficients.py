@@ -32,7 +32,9 @@ from .series import (
 
 @lru_cache(maxsize=None)
 def nbi(n: int, p: int, k: int) -> int:
-    """Row generalized binomial.  Requires 0 <= p <= n and k >= 1; k > n gives 0."""
+    """Row generalized binomial.  Requires 0 <= p <= n and k >= 1; k > n gives 0.
+
+    The memo is unbounded: the largest n and k a run asks for bound its keys."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= p <= n:
@@ -50,34 +52,16 @@ def nbi(n: int, p: int, k: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
-def _pbi_coeffs(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficient list of prod_i ((1+x)^{la_i} - 1); index k counts k-subsets
-    of the diagram meeting every row."""
-    poly = [1]
-    for p in parts:
-        row = [math.comb(p, j) for j in range(p + 1)]
-        row[0] = 0
-        out = [0] * (len(poly) + p - 1 + 1)
-        for i, a in enumerate(poly):
-            if a:
-                for j, b in enumerate(row):
-                    if b:
-                        out[i + j] += a * b
-        poly = out
-    return tuple(poly)
-
-
 def pbi(la: Partition, k: int) -> int:
     """Diagram generalized binomial at p = 0.  k >= 1; k > |la| gives 0."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    cs = _pbi_coeffs(la.parts)
-    return cs[k] if k < len(cs) else 0
+    return npbi(la, 0, k)
 
 
 @lru_cache(maxsize=None)
 def _npbi_map(parts: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
+    """Every nonzero npbi(la, p, k) of the shape with these parts, by
+    convolving the rows' nbi tables.  The memo is unbounded: one key per
+    shape, so the run's largest shape weight bounds its keys."""
     table: dict[tuple[int, int], int] = {(0, 0): 1}
     for a in parts:
         nxt: dict[tuple[int, int], int] = {}
@@ -168,7 +152,10 @@ def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
 
 @lru_cache(maxsize=None)
 def stirling_first_unsigned(n: int, k: int) -> int:
-    """|s(n, k)|: coefficient of x^k in the raising factorial (x)_n."""
+    """|s(n, k)|: coefficient of x^k in the raising factorial (x)_n.
+
+    The memo is unbounded: the recursion keys stay below the largest n
+    and k a run asks for."""
     if n < 0 or k < 0:
         return 0
     if n == 0:
@@ -188,7 +175,10 @@ def stirling_first(n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def stirling_inverse_t(k: int, m: int) -> int:
-    """t(k, m) with x^k = sum_m t(k, m) [x]_m (subset-count numbers)."""
+    """t(k, m) with x^k = sum_m t(k, m) [x]_m (subset-count numbers).
+
+    The memo is unbounded: the recursion keys stay below the largest k
+    and m a run asks for."""
     if k < 0 or m < 0:
         return 0
     if k == 0:

@@ -2,7 +2,7 @@
 
 The up kernel on a shape is the row-weight family from `moments`; the
 down kernel divides the corner weights by the cell count.  Both are exact
-probability vectors.  A dimension function satisfies dim(Λ) = Σ κ·dim(λ)
+probability vectors, tuples of atoms (row, probability).  A dimension function satisfies dim(Λ) = Σ κ·dim(λ)
 over shapes covered by Λ, with κ the up-kernel weight of the added row;
 the down kernel must then factor as κ · dim(λ)/dim(Λ), which is checked
 rather than assumed.
@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .moments import corner_binomials, pieri_coefficients, sigma_direct_moments
 from .partitions import EMPTY, MEMO_SIZE, Partition, check_alpha, enumerate_partitions
@@ -63,38 +63,14 @@ _LANE_INDEX = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_B
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
-@dataclass(frozen=True)
-class GrowthKernel:
-    """One-step distribution anchored at `base`: up adds a cell, down
-    removes one.  Atoms are (row, probability) with exact normalization."""
-
-    base: Partition
-    alpha: Fraction
-    direction: str
-    atoms: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self):
-        total = Fraction(0)
-        for _, p in self.atoms:
-            if p < 0:
-                raise InvariantError("negative kernel atom")
-            total += p
-        if total != 1:
-            raise InvariantError("kernel does not sum to 1")
-
-
-def transition_kernel(la: Partition, alpha) -> GrowthKernel:
-    alpha = check_alpha(alpha)
-    return GrowthKernel(la, alpha, "up", pieri_coefficients(la, alpha))
-
-
-def cotransition_kernel(la: Partition, alpha) -> GrowthKernel:
+def cotransition_kernel(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...]:
+    """The down kernel: atoms (row, probability) over the removable rows,
+    the corner weights divided by |la|."""
     alpha = check_alpha(alpha)
     if la.weight == 0:
         raise ValueError("no co-transition from the empty shape")
     w = la.weight
-    atoms = tuple((i, v / w) for i, v in corner_binomials(la, alpha))
-    return GrowthKernel(la, alpha, "down", atoms)
+    return tuple((i, v / w) for i, v in corner_binomials(la, alpha))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -118,7 +94,7 @@ def dimension(la: Partition, alpha) -> Fraction:
     return dims[la.parts]
 
 
-def cotransition_from_dimensions(la: Partition, alpha) -> GrowthKernel:
+def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...]:
     """Down kernel rebuilt as κ·dim(λ)/dim(Λ); must match the direct one."""
     alpha = check_alpha(alpha)
     if la.weight == 0:
@@ -131,7 +107,7 @@ def cotransition_from_dimensions(la: Partition, alpha) -> GrowthKernel:
         below = la.remove_cell(i)
         kappa = dict(pieri_coefficients(below, alpha))[i]
         atoms.append((i, kappa * dimension(below, alpha) / dim_top))
-    return GrowthKernel(la, alpha, "down", tuple(atoms))
+    return tuple(atoms)
 
 
 def removed_content(la: Partition, alpha, row: int) -> Fraction:
@@ -151,7 +127,7 @@ def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[F
     if la.weight == 0:
         raise ValueError("no co-transition from the empty shape")
     sigmas = sigma_direct_moments(la, alpha, r_max)
-    atoms = [(removed_content(la, alpha, i), p) for i, p in cotransition_kernel(la, alpha).atoms]
+    atoms = [(removed_content(la, alpha, i), p) for i, p in cotransition_kernel(la, alpha)]
     out = []
     for r in range(r_max + 1):
         direct = Fraction(0)
@@ -180,15 +156,13 @@ def plancherel_check(n_max: int) -> bool:
     f = tableau_counts(n_max + 1)
     for n in range(0, n_max + 1):
         for la in enumerate_partitions(n):
-            up = transition_kernel(la, one)
-            for i, p in up.atoms:
+            for i, p in pieri_coefficients(la, one):
                 above = la.add_cell(i)
                 want = Fraction(f[above], (n + 1) * f[la])
                 if p != want:
                     raise InvariantError(f"up kernel off at {la} row {i}")
             if n:
-                down = cotransition_kernel(la, one)
-                for i, q in down.atoms:
+                for i, q in cotransition_kernel(la, one):
                     below = la.remove_cell(i)
                     want = Fraction(f[below], f[la])
                     if q != want:
@@ -244,16 +218,14 @@ def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[
     return {up: entry[0] for up, entry in acc.items()}
 
 
-@dataclass(frozen=True)
-class MomentStat:
+class MomentStat(NamedTuple):
     r: int
     estimate: float
     exact: Fraction
     std_error: float
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     steps: int
     alpha: Fraction
     paths: int

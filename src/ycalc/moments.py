@@ -128,7 +128,8 @@ def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """Corner atoms (row, weight) over removable rows; weights sum to |la|.
+    """Corner atoms (row, weight) over removable rows; weights are
+    nonnegative and sum to |la|.
 
     As with the row weights, the formula is evaluated everywhere and
     checked to vanish on non-removable rows.
@@ -140,6 +141,8 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
     for i, (n, d) in enumerate(_corner_row_values(la, alpha), 1):
         if i in removable:
             v = Fraction(n, d)
+            if v.numerator < 0:
+                raise InvariantError(f"negative corner weight {v} on row {i} of {la}")
             atoms.append((i, v))
             num, den = num * v.denominator + v.numerator * den, den * v.denominator
         elif n:
@@ -183,7 +186,7 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fr
     With y = c/d every term is an integer over d^r r! a^r: the k-sum is
     read from row r-2n-p of the integer moment table, so c_r is one
     integer numerator over that denominator.  The numerators of c_0 ..
-    c_r are kept on the moment table, per y.
+    c_r are kept per (shape, alpha, y) by :func:`_cor52_numerators`.
     """
     alpha = check_alpha(alpha)
     y = Fraction(y)
@@ -191,10 +194,17 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fr
         raise ValueError("r must be nonnegative")
     table = moment_table(la, alpha)
     c, d = y.numerator, y.denominator
-    nums = table.cor52_nums.setdefault(y, [])
+    nums = _cor52_numerators(la, alpha, y)
     while len(nums) <= r:
         nums.append(_cor52_numerator(table, c, d, len(nums)))
     return Fraction(nums[r], d**r * math.factorial(r) * table.a**r)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _cor52_numerators(la: Partition, alpha: Fraction, y: Fraction) -> list[int]:
+    """The numerators of c_0, c_1, ... at (la, alpha, y) computed so far;
+    :func:`cor52_coefficient` extends the list in place."""
+    return []
 
 
 def _cor52_numerator(table, c: int, d: int, r: int) -> int:
@@ -316,7 +326,8 @@ def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
 @lru_cache(maxsize=None)
 def _u_table(r: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
     """The nonzero u terms of order r, built once per r: entries
-    (i, j, k, ((index of rho in enumerate_partitions(j), u), ...))."""
+    (i, j, k, ((index of rho in enumerate_partitions(j), u), ...)).
+    The memo is unbounded: one key per order, so the run's r bounds it."""
     rows = []
     for i in range(0, r // 2 + 1):
         for j in range(0, r - 2 * i + 1):

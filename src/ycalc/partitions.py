@@ -141,7 +141,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, reverse-lex, largest first part first."""
+    """All partitions of n, reverse-lex, largest first part first.  The
+    memo is unbounded: one key per n, so the run's largest weight bounds it."""
     return tuple(Partition(p) for p in partitions_of(n))
 
 

@@ -33,10 +33,9 @@ from .series import comb_int
 
 
 class _MomentTable:
-    """Integer power sums and moment rows of one (shape, alpha = a/b), and
-    the c_r numerators of `moments.cor52_coefficient` per y."""
+    """Integer power sums and moment rows of one (shape, alpha = a/b)."""
 
-    __slots__ = ("a", "b", "weight", "cor52_nums", "_contents", "_power_sums", "_products", "_rows", "_contractions")
+    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_contractions")
 
     def __init__(self, la: Partition, alpha: Fraction):
         a, b = alpha.numerator, alpha.denominator
@@ -52,7 +51,6 @@ class _MomentTable:
         self._products: list[tuple[int, ...]] = []
         self._rows: list[tuple[tuple[int, ...], ...]] = []
         self._contractions: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.cor52_nums: dict[Fraction, list[int]] = {}
 
     def power_sum(self, k: int) -> int:
         """P_k, the sum of the k-th powers of the content numerators."""

@@ -13,9 +13,8 @@ marked family p_npk(-X) on top of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .coefficients import npbi
 from .partitions import Partition, enumerate_partitions, z_of
@@ -82,8 +81,7 @@ def p_npk(n: int, p: int, k: int, xk: Callable[[int], object]):
     return total
 
 
-@dataclass(frozen=True)
-class ChiRow:
+class ChiRow(NamedTuple):
     n: int
     p: int
     k: int
@@ -93,8 +91,7 @@ class ChiRow:
     match: bool | None
 
 
-@dataclass(frozen=True)
-class ChiReport:
+class ChiReport(NamedTuple):
     n_max: int
     p_max: int
     rows: tuple[ChiRow, ...]

@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (
     gn_closed_form,
@@ -36,13 +35,13 @@ from .growth import (
     cotransition_moment_routes,
     plancherel_check,
     sample_growth,
-    transition_kernel,
 )
 from .moments import (
     chu_vandermonde_sides,
     content_ratio_series,
     cor52_coefficient,
     h_series_of_difference,
+    pieri_coefficients,
     row_column_binomials,
     s_closed_moments,
     s_direct_moments,
@@ -84,7 +83,8 @@ _Rationals = tuple[Fraction, ...]
 # ---------------------------------------------------------------------------
 # Job parameters.  Each reader takes the parameter's name and a value, typed
 # or as text (a CLI flag or a config line), and returns the typed value or
-# raises ValueError naming the parameter.
+# raises ValueError naming the parameter.  Only alpha_set must be positive;
+# y_set takes any rationals.
 
 
 def _integer(name: str, value) -> int:
@@ -127,6 +127,15 @@ def _rationals(name: str, value) -> _Rationals:
     return tuple(out)
 
 
+def _alphas(name: str, value) -> _Rationals:
+    """A sample set of alphas, every one positive."""
+    out = _rationals(name, value)
+    for alpha in out:
+        if alpha <= 0:
+            raise ValueError(f"{name}: alpha must be positive: {alpha}")
+    return out
+
+
 # Every job parameter, in CLI flag order: name -> reader.
 PARAMETERS: dict[str, Callable[[str, object], object]] = {
     "n_max": _bound,
@@ -136,7 +145,7 @@ PARAMETERS: dict[str, Callable[[str, object], object]] = {
     "k_max": _bound,
     "p_max": _bound,
     "mu_max": _bound,
-    "alpha_set": _rationals,
+    "alpha_set": _alphas,
     "y_set": _rationals,
     "mode": _mode,
     "seed": _integer,
@@ -144,8 +153,7 @@ PARAMETERS: dict[str, Callable[[str, object], object]] = {
 }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     parameters: dict
     status: str
@@ -632,16 +640,16 @@ def _check_chu_vandermonde(rec: _Recorder, *, lambda_max: int, alpha_set: _Ratio
 def _check_growth_normalization(rec: _Recorder, *, lambda_max: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
-            up = transition_kernel(la, alpha)
-            rec.check(sum((p for _, p in up.atoms), Fraction(0)), Fraction(1), group="up-normalization", la=str(la), alpha=alpha)
-            rec.condition(all(p >= 0 for _, p in up.atoms), group="up-nonnegativity", la=str(la), alpha=alpha)
+            up = pieri_coefficients(la, alpha)
+            rec.check(sum((p for _, p in up), Fraction(0)), Fraction(1), group="up-normalization", la=str(la), alpha=alpha)
+            rec.condition(all(p >= 0 for _, p in up), group="up-nonnegativity", la=str(la), alpha=alpha)
             if la.weight == 0:
                 continue
             down = cotransition_kernel(la, alpha)
-            rec.check(sum((p for _, p in down.atoms), Fraction(0)), Fraction(1), group="down-normalization", la=str(la), alpha=alpha)
-            rec.condition(all(p >= 0 for _, p in down.atoms), group="down-nonnegativity", la=str(la), alpha=alpha)
+            rec.check(sum((p for _, p in down), Fraction(0)), Fraction(1), group="down-normalization", la=str(la), alpha=alpha)
+            rec.condition(all(p >= 0 for _, p in down), group="down-nonnegativity", la=str(la), alpha=alpha)
             via_dim = cotransition_from_dimensions(la, alpha)
-            rec.check(list(down.atoms), list(via_dim.atoms), group="dimension-recurrence", la=str(la), alpha=alpha)
+            rec.check(down, via_dim, group="dimension-recurrence", la=str(la), alpha=alpha)
 
 
 def _check_plancherel(rec: _Recorder, *, n_max: int) -> None:
@@ -750,8 +758,15 @@ def run_identity(identity: str, **overrides) -> VerificationReport:
 
 def run_all(shared_overrides: dict | None = None, identities: Sequence[str] = CATALOG) -> list[VerificationReport]:
     """Run the given jobs, by default the whole catalog in id order,
-    applying each override only to jobs that accept the parameter."""
+    applying each override only to jobs that accept the parameter.  An
+    unknown parameter or a bad value raises ValueError before any job
+    runs."""
     shared = shared_overrides or {}
+    for key, value in shared.items():
+        if key not in PARAMETERS:
+            raise ValueError(f"no job takes a parameter {key!r}")
+        if value is not None:
+            PARAMETERS[key](key, value)
     reports = []
     for identity in identities:
         accepted = {k: v for k, v in shared.items() if k in _JOBS[identity][1]}

@@ -3,10 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ycalc import moments
+import ycalc
+from ycalc import cli, moments
 from ycalc.cli import _use_color, main
 from ycalc.verify import _JOBS, CATALOG, PARAMETERS, _bound, run_identity
 
@@ -506,6 +510,7 @@ def test_verify_config_negative_bound(tmp_path, capsys):
     [
         ("alpha_set = 1,x", "alpha_set: not a rational: 'x'"),
         ("alpha_set =", "alpha_set: empty sample set"),
+        ("alpha_set = 1,0", "alpha_set: alpha must be positive: 0"),
         ("y-set = 1/0", "y_set: not a rational: '1/0'"),
         ("lambda_max = abc", "lambda_max: not an integer: 'abc'"),
     ],
@@ -557,3 +562,36 @@ def test_negative_verify_bound_is_rejected_everywhere(tmp_path, capsys, key):
     assert (code, out, err) == (2, "", f"error: {cfg}:1: {key} must be nonnegative\n")
     with pytest.raises(ValueError, match=f"^{key} must be nonnegative$"):
         run_identity(identity, **{key: -1})
+
+
+@pytest.mark.parametrize("value", ["0", "1,-1/2"])
+def test_nonpositive_alpha_set_is_rejected_before_any_job(capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "run_all", lambda *args: pytest.fail("a job ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--alpha-set", value])
+    assert exc.value.code == 2
+    assert "alpha_set: alpha must be positive" in capsys.readouterr().err
+
+
+def test_negative_y_set_is_accepted(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "chu-vandermonde", "--lambda-max", "2",
+        "--alpha-set", "1", "--y-set=-1/2", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)[0]["parameters"]["y_set"] == ["-1/2"]
+
+
+def test_sampler_and_verify_do_not_load_dataclasses():
+    script = (
+        "import contextlib, io, sys\n"
+        "from ycalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['growth', 'sample', '--alpha', '1/2', '--steps', '3', '--paths', '10', '--seed', '1']) == 0\n"
+        "    assert main(['verify', '--identity', 'lem11.1']) == 0\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ycalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ycalc.growth import (
-    GrowthKernel,
     _BLOCK,
     _lane_draws,
     cotransition_from_dimensions,
@@ -23,7 +22,6 @@ from ycalc.growth import (
     removed_content,
     sample_growth,
     tableau_counts,
-    transition_kernel,
 )
 from ycalc import growth, moments
 from ycalc.moments import corner_binomials, pieri_coefficients, s_direct_moments
@@ -55,13 +53,10 @@ def test_tableau_counts_match_hook_lengths():
 
 
 def test_transition_kernel_shape():
-    k = transition_kernel(Partition((2, 1)), Fraction(2))
-    assert k.direction == "up"
-    assert k.base == Partition((2, 1))
-    assert {i for i, _ in k.atoms} == {1, 2, 3}
-    atoms = dict(k.atoms)
+    atoms = dict(pieri_coefficients(Partition((2, 1)), Fraction(2)))
+    assert set(atoms) == {1, 2, 3}
     assert atoms[2] > 0
-    assert 7 not in atoms
+    assert sum(atoms.values()) == 1
 
 
 def test_cotransition_requires_cells():
@@ -71,9 +66,20 @@ def test_cotransition_requires_cells():
         cotransition_from_dimensions(EMPTY, Fraction(1))
 
 
-def test_kernel_normalization_is_enforced():
-    with pytest.raises(InvariantError):
-        GrowthKernel(EMPTY, Fraction(1), "up", ((1, Fraction(1, 2)),))
+def test_corner_kernel_rejects_negative_weight(fresh_memos, monkeypatch):
+    # Corner weights -1 and 4 on the two corners of 2,1 still sum to |la|
+    # = 3, so only the sign check can catch them.
+    row_values = moments._corner_row_values
+
+    def signed(la, alpha):
+        return [(-1, 1), (4, 1)] if la.parts == (2, 1) else row_values(la, alpha)
+
+    monkeypatch.setattr(moments, "_corner_row_values", signed)
+    la = Partition((2, 1))
+    with pytest.raises(InvariantError, match="negative corner weight -1 on row 1 of 2,1"):
+        corner_binomials(la, Fraction(1))
+    with pytest.raises(InvariantError, match="negative corner weight"):
+        cotransition_kernel(la, Fraction(1))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -83,7 +89,7 @@ def test_cotransition_factorizes_through_dimensions(alpha):
             continue
         direct = cotransition_kernel(la, alpha)
         via_dim = cotransition_from_dimensions(la, alpha)
-        assert direct.atoms == via_dim.atoms, la
+        assert direct == via_dim, la
 
 
 _SMALL_SHAPES = st.sampled_from(partitions_upto(6))
@@ -93,16 +99,16 @@ _RANDOM_ALPHAS = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
 @settings(deadline=None, derandomize=True)
 @given(_SMALL_SHAPES, _RANDOM_ALPHAS)
 def test_kernel_atoms_are_nonnegative(la, alpha):
-    atoms = transition_kernel(la, alpha).atoms
+    atoms = pieri_coefficients(la, alpha)
     if la.weight:
-        atoms += cotransition_kernel(la, alpha).atoms
+        atoms += cotransition_kernel(la, alpha)
     assert all(p >= 0 for _, p in atoms)
 
 
 @settings(deadline=None, derandomize=True)
 @given(_SMALL_SHAPES.filter(lambda la: la.weight), _RANDOM_ALPHAS)
 def test_dimension_recurrence_gives_the_down_kernel(la, alpha):
-    assert cotransition_from_dimensions(la, alpha).atoms == cotransition_kernel(la, alpha).atoms
+    assert cotransition_from_dimensions(la, alpha) == cotransition_kernel(la, alpha)
 
 
 def test_dimension_table_at_alpha_one():

@@ -8,6 +8,8 @@ Low moments are pinned to their published closed forms:
 Everything else is route-against-route agreement.
 """
 
+import gc
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,7 +42,7 @@ from ycalc.moments import (
 )
 from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
-from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
+from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import InvariantError, comb_int, raising_factorial
 from ycalc.shifted import d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
@@ -431,6 +433,29 @@ def test_cor52_leading_coefficients():
             for la in partitions_upto(4):
                 assert cor52_coefficient(la, alpha, y, 0) == 1
                 assert cor52_coefficient(la, alpha, y, 1) == 0
+
+
+def test_cor52_numerators_stay_bounded(fresh_memos):
+    # Each half asks c_0 .. c_4 at MEMO_SIZE new y on one moment table, so
+    # the numerator memo is full after the first half and the second half
+    # only replaces entries.  Numerators kept on the table per y would
+    # double the traced memory.
+    la, alpha = Partition((3, 2, 1)), Fraction(1, 2)
+
+    def run(denominator):
+        for k in range(1000, 1000 + MEMO_SIZE):
+            cor52_coefficient(la, alpha, Fraction(k, denominator), 4)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first, second = run(997), run(991)
+    finally:
+        tracemalloc.stop()
+    info = moments._cor52_numerators.cache_info()
+    assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE, info
+    assert second <= first + first // 10, (first, second)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ycalc import verify
 from ycalc.series import BiSeries, UniPoly
 from ycalc.verify import (
     _JOBS,
@@ -135,6 +136,20 @@ def test_run_all_filters_shared_overrides():
     assert by_id["thm4.1"].parameters["n_max"] == 3
     assert by_id["lem11.1"].parameters["order"] == 3
     assert "lambda_max" not in by_id["lem11.1"].parameters
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"alpha_set": [1, 0]}, "^alpha_set: alpha must be positive: 0$"),
+        ({"lambda_max": -1}, "^lambda_max must be nonnegative$"),
+        ({"wibble": 3}, "^no job takes a parameter 'wibble'$"),
+    ],
+)
+def test_run_all_reads_overrides_before_any_job(monkeypatch, overrides, message):
+    monkeypatch.setattr(verify, "run_identity", lambda *args, **kw: pytest.fail("a job ran"))
+    with pytest.raises(ValueError, match=message):
+        run_all(overrides)
 
 
 def test_report_serialization_round_trip():
