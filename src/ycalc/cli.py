@@ -36,6 +36,7 @@ from .shifted import d_k
 from .symfunc import chi_experiment
 from .verify import (
     PARAMETERS,
+    _bound,
     identity_ids,
     report_to_dict,
     reports_to_json,
@@ -60,17 +61,6 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _bound_arg(text: str) -> int:
-    """A bound or a count: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
-    return value
-
-
 def _partition_arg(text: str) -> Partition:
     try:
         return Partition.from_string(text)
@@ -78,13 +68,14 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parameter_arg(name: str):
-    """The argparse type of one verify parameter: its reader in
-    verify.PARAMETERS."""
+def _parameter_arg(name: str, read=None):
+    """The argparse type of the parameter `name`: `read`, by default the
+    parameter's reader in verify.PARAMETERS."""
+    read = read or PARAMETERS[name]
 
     def parse(text: str):
         try:
-            return PARAMETERS[name](name, text)
+            return read(name, text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -304,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_nbi.set_defaults(func=_cmd_coeff_nbi)
     c_table = coeff_sub.add_parser("table", help="tabulate a coefficient family")
     c_table.add_argument("--family", choices=("nbi", "pbi", "npbi"), required=True)
-    c_table.add_argument("--max", type=_bound_arg, required=True)
+    c_table.add_argument("--max", type=_parameter_arg("max", _bound), required=True)
     c_table.add_argument("--format", choices=("csv", "json"), default="csv")
     c_table.set_defaults(func=_cmd_coeff_table)
 
@@ -313,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     m_dk = moments_sub.add_parser("dk", help="content power sums of a shape")
     m_dk.add_argument("--lambda", dest="shape", type=_partition_arg, required=True)
     m_dk.add_argument("--alpha", type=_fraction_arg, required=True)
-    m_dk.add_argument("--k-max", dest="k_max", type=_bound_arg, default=6)
+    m_dk.add_argument("--k-max", dest="k_max", type=_parameter_arg("k_max"), default=6)
     m_dk.add_argument("--format", choices=("csv", "json"), default="csv")
     m_dk.set_defaults(func=_cmd_moments_dk)
     for name, methods in (("s", _S_METHODS), ("sigma", _SIGMA_METHODS)):
         m_pow = moments_sub.add_parser(name, help=f"{name}-moment listing")
         m_pow.add_argument("--lambda", dest="shape", type=_partition_arg, required=True)
         m_pow.add_argument("--alpha", type=_fraction_arg, required=True)
-        m_pow.add_argument("--r-max", dest="r_max", type=_bound_arg, default=9 if name == "s" else 8)
+        m_pow.add_argument("--r-max", dest="r_max", type=_parameter_arg("r_max"), default=9 if name == "s" else 8)
         m_pow.add_argument("--method", choices=("direct", "closed", "lagrange", "all"), default="direct")
         m_pow.add_argument("--format", choices=("csv", "json"), default="csv")
         m_pow.set_defaults(func=lambda args, _m=methods: _cmd_moments_power(args, _m))
@@ -340,15 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     g_sample.add_argument("--seed", type=int, required=True)
     g_sample.add_argument("--start", type=_partition_arg, default=Partition(()))
     g_sample.add_argument("--emit", choices=("moments", "occupancy", "paths"), default="moments")
-    g_sample.add_argument("--r-max", dest="r_max", type=_bound_arg, default=4)
-    g_sample.add_argument("--dump-cap", dest="dump_cap", type=_bound_arg, default=10_000)
+    g_sample.add_argument("--r-max", dest="r_max", type=_parameter_arg("r_max"), default=4)
+    g_sample.add_argument("--dump-cap", dest="dump_cap", type=_parameter_arg("dump_cap", _bound), default=10_000)
     g_sample.set_defaults(func=_cmd_growth_sample)
 
     experiment = sub.add_parser("experiment", help="exploratory comparisons")
     experiment_sub = experiment.add_subparsers(dest="subcommand", required=True)
     e_chi = experiment_sub.add_parser("chi", help="fitted vs conjectured expansion coefficients")
-    e_chi.add_argument("--n-max", dest="n_max", type=_bound_arg, default=6)
-    e_chi.add_argument("--p-max", dest="p_max", type=_bound_arg, default=3)
+    e_chi.add_argument("--n-max", dest="n_max", type=_parameter_arg("n_max"), default=6)
+    e_chi.add_argument("--p-max", dest="p_max", type=_parameter_arg("p_max"), default=3)
     e_chi.add_argument("--format", choices=("json",), default="json")
     e_chi.set_defaults(func=_cmd_experiment_chi)
 

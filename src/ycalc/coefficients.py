@@ -10,6 +10,12 @@ The diagram families pbi (k cells meeting every row) and npbi (the same
 with a marked column threshold p distributed over rows) are assembled
 from rows by convolution.  Everything here is an exact integer; p out of
 range is an error, k beyond n (or |la|) gives 0.
+
+The marked family weighs npbi over every diagram of n,
+
+    p_npk(n, p, k) = sum over mu |- n of npbi(mu, p, k)/z_mu * X_mu1 X_mu2 ...,
+
+and :func:`marked_row` evaluates a whole row n of it at once.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .partitions import Partition
+from .partitions import Partition, enumerate_partitions, z_of
 from .series import (
     BiSeries,
     InvariantError,
@@ -91,6 +97,27 @@ def npbi(la: Partition, p: int, k: int) -> int:
 def npbi_table(la: Partition) -> Mapping[tuple[int, int], int]:
     """Immutable snapshot of all nonzero (p, k) entries for the diagram."""
     return _npbi_map(la.parts)
+
+
+def marked_row(n: int, xk: Callable[[int], object]) -> tuple[tuple[object, ...], ...]:
+    """Row n of n!·p_npk(n, p, k) at X_i = xk(i), indexed [p][k] for
+    0 <= p, k <= n, from one pass over the partitions of n.
+
+    xk may return ints, Fractions or any ring element that multiplies
+    with them (XPolynomial); entries no partition reaches stay the int 0.
+    Column k = 0 is 0 except at n = 0, where the row is ((1,),)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    fact = math.factorial(n)
+    acc: list[list[object]] = [[0] * (n + 1) for _ in range(n + 1)]
+    for mu in enumerate_partitions(n):
+        v = fact // z_of(mu)
+        for part in mu.parts:
+            v = v * xk(part)
+        if v:
+            for (p, k), c in npbi_table(mu).items():
+                acc[p][k] += c * v
+    return tuple(tuple(line) for line in acc)
 
 
 def gn_series(n: int, order: int) -> BiSeries:

@@ -187,9 +187,11 @@ def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[
     Pieri atoms, their cumulative weights num/den as integer thresholds
     t = ceil(num·2^64/den) (for an integer u, u < t holds exactly when
     u·den < num·2^64, so the first threshold above a 64-bit draw selects
-    the atom) and one successor per atom, shared by parts, whose mass
-    sums node.mass·p over the atoms into it: one unreduced integer pair
-    while the level runs, one Fraction when it is done."""
+    the atom; pieri_coefficients has checked that the atoms sum to 1, so
+    the last threshold is 2^64) and one successor per atom, shared by
+    parts, whose mass sums node.mass·p over the atoms into it: one
+    unreduced integer pair while the level runs, one Fraction when it is
+    done."""
     acc: dict[tuple[int, ...], list] = {}  # parts -> [successor, mass num, mass den]
     for parts, node in level.items():
         node.atoms = pieri_coefficients(node.la, alpha)
@@ -210,8 +212,6 @@ def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[
             else:
                 entry[1], entry[2] = entry[1] * e_den + e_num * entry[2], entry[2] * e_den
             succ.append(entry[0])
-        if num != den:
-            raise InvariantError(f"row weights of {node.la} sum to {Fraction(num, den)}")
         node.cuts, node.succ = tuple(cuts), tuple(succ)
     for child, num, den in acc.values():
         child.mass = Fraction(num, den)

@@ -20,9 +20,10 @@ exactly; the verifier leans on that.
 
 The closed routes read the integer moment table of shifted.py, where
 f_{n,p,k} = A[n][p][k] / (n! a^n) for alpha = a/b, and sum integers
-over one denominator each: c_r at y = c/d over d^r r! a^r, the u
+over one denominator per index: c_r at y = c/d over d^r r! a^r, the u
 regrouping over a^r r!, and the row and column binomials over
-p! prod_m (b + m a) and p! prod_m (a + m b).
+p! prod_m (b + m a) and p! prod_m (a + m b).  Like the moment routes,
+each returns every index up to its bound in one call.
 """
 
 from __future__ import annotations
@@ -174,63 +175,47 @@ def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fractio
     return _position_moments(pieri_coefficients, la, alpha, r_max)
 
 
-def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r: int) -> Fraction:
-    """Coefficient c_r of (-1/x)^r in the content-ratio product
+def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r_max: int) -> list[Fraction]:
+    """[c_0 .. c_r_max], the coefficients of (-1/x)^r in the content-ratio
+    product
 
         (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la),
 
-    by the collected closed form: a sum over n, p, q with 2n+p+q <= r of
-    (-y)^n (y+1)^p C(n+p+q-1, p) times the k-sum of
+    by the collected closed form: c_r is a sum over n, p, q with
+    2n+p+q <= r of (-y)^n (y+1)^p C(n+p+q-1, p) times the k-sum of
     C(|la|+n-1, n-k) f_{r-2n-p, q, k}(la).
 
-    With y = c/d every term is an integer over d^r r! a^r: the k-sum is
-    read from row r-2n-p of the integer moment table, so c_r is one
-    integer numerator over that denominator.  The numerators of c_0 ..
-    c_r are kept per (shape, alpha, y) by :func:`_cor52_numerators`.
+    With y = c/d every term of c_r is an integer over d^r r! a^r: the
+    k-sum is read from row r-2n-p of the integer moment table, so c_r is
+    one integer numerator over that denominator.
     """
     alpha = check_alpha(alpha)
     y = Fraction(y)
-    if r < 0:
+    if r_max < 0:
         raise ValueError("r must be nonnegative")
     table = moment_table(la, alpha)
-    c, d = y.numerator, y.denominator
-    nums = _cor52_numerators(la, alpha, y)
-    while len(nums) <= r:
-        nums.append(_cor52_numerator(table, c, d, len(nums)))
-    return Fraction(nums[r], d**r * math.factorial(r) * table.a**r)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _cor52_numerators(la: Partition, alpha: Fraction, y: Fraction) -> list[int]:
-    """The numerators of c_0, c_1, ... at (la, alpha, y) computed so far;
-    :func:`cor52_coefficient` extends the list in place."""
-    return []
-
-
-def _cor52_numerator(table, c: int, d: int, r: int) -> int:
-    """d^r r! a^r c_r at y = c/d."""
     a = table.a
-    fact_r = math.factorial(r)
-    total = 0
-    for n in range(0, r // 2 + 1):
-        for p in range(0, r - 2 * n + 1):
-            nn = r - 2 * n - p
-            # (-y)^n (y+1)^p f_nn over d^r r! a^r
-            scale = (-c) ** n * (c + d) ** p * d ** (r - n - p) * (fact_r // math.factorial(nn)) * a ** (r - nn)
-            for q, inner in enumerate(table.contraction(n, nn)):
-                if inner:
-                    total += scale * comb_int(n + p + q - 1, p) * inner
-    return total
+    c, d = y.numerator, y.denominator
+    out = []
+    for r in range(r_max + 1):
+        fact_r = math.factorial(r)
+        total = 0
+        for n in range(0, r // 2 + 1):
+            for p in range(0, r - 2 * n + 1):
+                nn = r - 2 * n - p
+                # (-y)^n (y+1)^p f_nn over d^r r! a^r
+                scale = (-c) ** n * (c + d) ** p * d ** (r - n - p) * (fact_r // math.factorial(nn)) * a ** (r - nn)
+                for q, inner in enumerate(table.contraction(n, nn)):
+                    if inner:
+                        total += scale * comb_int(n + p + q - 1, p) * inner
+        out.append(Fraction(total, d**r * fact_r * a**r))
+    return out
 
 
 def s_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
     """s_0 .. s_{r_max} by the closed route: the collected coefficients
     c_0 .. c_{r_max} at y = -1/alpha."""
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
-    y = Fraction(-1) / alpha
-    return [cor52_coefficient(la, alpha, y, r) for r in range(r_max + 1)]
+    return cor52_coefficient(la, alpha, Fraction(-1) / check_alpha(alpha), r_max)
 
 
 def h_series_of_difference(
@@ -272,8 +257,7 @@ def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fra
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
-    y = Fraction(1) / alpha
-    c = [cor52_coefficient(la, alpha, y, r) for r in range(r_max + 3)]
+    c = cor52_coefficient(la, alpha, Fraction(1) / alpha, r_max + 2)
     return [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)]
 
 
@@ -343,70 +327,72 @@ def _u_table(r: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]],
     return tuple(rows)
 
 
-def s_r_from_u(la: Partition, alpha: Fraction, r: int) -> Fraction:
-    """Rebuild the closed row moment through the u regrouping.
+def s_regrouped_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """s_0 .. s_{r_max} rebuilt through the u regrouping.
 
     Each term (1/alpha)^i (1 - 1/alpha)^(r-2i-j) C(|la|+i-1, i-k) u d_rho / z_rho
-    is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
+    of s_r is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
     read from the integer moment table.  The u values come from the
     per-r table of nonzero terms.
     """
     alpha = check_alpha(alpha)
-    if r < 0:
+    if r_max < 0:
         raise ValueError("r must be nonnegative")
     table = moment_table(la, alpha)
     a, b = table.a, table.b
     w = la.weight
-    fact_r = math.factorial(r)
-    total = 0
-    for i, j, k, terms in _u_table(r):
-        prods = table.products(j)
-        inner = sum(u * prods[idx] for idx, u in terms)
-        if inner:
-            scale = b**i * (a - b) ** (r - 2 * i - j) * a**i * (fact_r // math.factorial(j))
-            total += scale * comb_int(w + i - 1, i - k) * inner
-    return Fraction(total, a**r * fact_r)
+    out = []
+    for r in range(r_max + 1):
+        fact_r = math.factorial(r)
+        total = 0
+        for i, j, k, terms in _u_table(r):
+            prods = table.products(j)
+            inner = sum(u * prods[idx] for idx, u in terms)
+            if inner:
+                scale = b**i * (a - b) ** (r - 2 * i - j) * a**i * (fact_r // math.factorial(j))
+                total += scale * comb_int(w + i - 1, i - k) * inner
+        out.append(Fraction(total, a**r * fact_r))
+    return out
 
 
-def row_column_binomials(la: Partition, alpha: Fraction, p: int) -> tuple[Fraction, Fraction]:
-    """Binomial weights of la against a row of length p and a column of
-    height p, via the Stirling-weighted double sum in f_jk; p = 0 gives
-    (1, 1).
+def row_column_binomials(la: Partition, alpha: Fraction, p_max: int) -> list[tuple[Fraction, Fraction]]:
+    """[(row_p, col_p) for p = 0 .. p_max]: the binomial weights of la
+    against a row of length p and a column of height p, via the
+    Stirling-weighted double sum in f_jk; p = 0 gives (1, 1).
 
     With alpha = a/b the row sum is an integer over a^p p! and the column
     sum one over b^p p!; dividing by (1/alpha)_p and (alpha)_p leaves the
-    denominators p! prod_m (b + m a) and p! prod_m (a + m b).
+    denominators p! prod_{m<p} (b + m a) and p! prod_{m<p} (a + m b),
+    each grown from the one of p - 1.
     """
     alpha = check_alpha(alpha)
-    if p < 0:
+    if p_max < 0:
         raise ValueError("p must be nonnegative")
-    if p == 0:
-        return Fraction(1), Fraction(1)
     table = moment_table(la, alpha)
     a, b = table.a, table.b
     w = la.weight
-    fact_p = math.factorial(p)
-    row_sum = 0
-    col_sum = 0
-    for i in range(0, p + 1):
-        for j in range(0, p - i + 1):
-            if i + j < 1:
-                continue
-            st = stirling_first(p - 1, i + j - 1)
-            if not st:
-                continue
-            inner = table.k_sum(w - j, i, j, 0)
-            if inner == 0:
-                continue
-            scale = st * (fact_p // math.factorial(j)) * inner
-            row_sum += scale * b**i * a ** (p - i - j)
-            col_sum += scale * (-1) ** j * a**i * b ** (p - i - j)
-    row_den = fact_p
-    col_den = fact_p
-    for m in range(p):
-        row_den *= b + m * a
-        col_den *= a + m * b
-    return Fraction(row_sum, row_den), Fraction(col_sum, col_den)
+    out = [(Fraction(1), Fraction(1))]
+    row_den = col_den = 1
+    for p in range(1, p_max + 1):
+        row_den *= p * (b + (p - 1) * a)
+        col_den *= p * (a + (p - 1) * b)
+        fact_p = math.factorial(p)
+        row_sum = col_sum = 0
+        for i in range(0, p + 1):
+            for j in range(0, p - i + 1):
+                if i + j < 1:
+                    continue
+                st = stirling_first(p - 1, i + j - 1)
+                if not st:
+                    continue
+                inner = table.k_sum(w - j, i, j, 0)
+                if inner == 0:
+                    continue
+                scale = st * (fact_p // math.factorial(j)) * inner
+                row_sum += scale * b**i * a ** (p - i - j)
+                col_sum += scale * (-1) ** j * a**i * b ** (p - i - j)
+        out.append((Fraction(row_sum, row_den), Fraction(col_sum, col_den)))
+    return out
 
 
 def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[Fraction, Fraction] | None:
@@ -429,8 +415,7 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
         if ay == p - 1:
             return None
     total = Fraction(0)
-    for p in range(0, la.weight + 1):
-        _, col = row_column_binomials(la, alpha, p)
+    for p, (_, col) in enumerate(row_column_binomials(la, alpha, la.weight)):
         if col == 0:
             continue
         total += col * raising_factorial(alpha, p) / lowering_factorial(ay, p)

@@ -17,8 +17,9 @@ P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
     A[n][p][k] = n! a^n f_{n,p,k} = sum over mu |- n of
                  npbi(mu, p, k) (n!/z_mu) P_mu1 P_mu2 ...,
 
-so f_{n,p,k} = A[n][p][k] / (n! a^n).  Rows are built on demand, each
-partition of n visited once; the table reads only the contents and npbi.
+so f_{n,p,k} = A[n][p][k] / (n! a^n).  Rows are built on demand by
+:func:`coefficients.marked_row` at X_i = P_i; the table reads only the
+contents and npbi.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import npbi_table, stirling_inverse_t
+from .coefficients import marked_row, stirling_inverse_t
 from .partitions import MEMO_SIZE, Partition, check_alpha, enumerate_partitions, z_of
 from .series import comb_int
 
@@ -77,13 +78,7 @@ class _MomentTable:
     def row(self, n: int) -> tuple[tuple[int, ...], ...]:
         """A[n], indexed [p][k] for 0 <= p, k <= n."""
         while len(self._rows) <= n:
-            m = len(self._rows)
-            acc = [[0] * (m + 1) for _ in range(m + 1)]
-            for mu, v in zip(enumerate_partitions(m), self.products(m)):
-                if v:
-                    for (p, k), c in npbi_table(mu).items():
-                        acc[p][k] += c * v
-            self._rows.append(tuple(tuple(line) for line in acc))
+            self._rows.append(marked_row(len(self._rows), self.power_sum))
         return self._rows[n]
 
     def k_sum(self, top: int, n: int, m: int, p: int) -> int:
@@ -148,23 +143,27 @@ def _shifted_numerators(la: Partition, alpha: Fraction, k_max: int) -> list[int]
     return out
 
 
-def dk_from_shifted(la: Partition, alpha: Fraction, k: int) -> Fraction:
-    """Recover d_k from shifted power sums:
+def dk_from_shifted(la: Partition, alpha: Fraction, k_max: int) -> list[Fraction]:
+    """[d_0 .. d_k_max] recovered from shifted power sums:
     d_k = sum_m t(k, m) p*_{m+1} / (m+1).
 
     The m = 0 term covers k = 0, where the sum collapses to p*_1 = |la|.
-    Every term is an integer over a^(k+1) (k+1)!, read from the row ends
-    by :func:`_shifted_numerators`, never from the content table.
+    Every term of d_k is an integer over a^(k+1) (k+1)!, read from the row
+    ends by one call of :func:`_shifted_numerators`, never from the
+    content table.
     """
-    if k < 0:
+    if k_max < 0:
         raise ValueError("k must be nonnegative")
     alpha = check_alpha(alpha)
     a = alpha.numerator
-    nums = _shifted_numerators(la, alpha, k + 1)
-    fact = math.factorial(k + 1)
-    total = 0
-    for m in range(0, k + 1):
-        t = stirling_inverse_t(k, m)
-        if t:
-            total += t * nums[m + 1] * a ** (k - m) * (fact // (m + 1))
-    return Fraction(total, a ** (k + 1) * fact)
+    nums = _shifted_numerators(la, alpha, k_max + 1)
+    out = []
+    for k in range(k_max + 1):
+        fact = math.factorial(k + 1)
+        total = 0
+        for m in range(0, k + 1):
+            t = stirling_inverse_t(k, m)
+            if t:
+                total += t * nums[m + 1] * a ** (k - m) * (fact // (m + 1))
+        out.append(Fraction(total, a ** (k + 1) * fact))
+    return out

@@ -1,20 +1,17 @@
-"""The marked polynomial family and its monomial coefficients.
+"""Monomial coefficients of the marked polynomial family.
 
-This module evaluates the partition-indexed polynomial family
-
-    p_npk(n, p, k) = sum over |mu| = n of npbi(mu, p, k)/z_mu * X_mu
-
-at given values of the symbols X1, X2, ..., expands power-sum products
-in the monomial basis m through the exact transition
-p_la = sum_mu L[la, mu] m_mu, and runs the coefficient experiment for the
-marked family p_npk(-X) on top of it.
+This module expands power-sum products in the monomial basis m through
+the exact transition p_la = sum_mu L[la, mu] m_mu, and runs the
+coefficient experiment for the sign-flipped marked family p_npk(-X) of
+coefficients.py on top of it.  The family's values themselves come a
+row at a time from :func:`coefficients.marked_row`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .coefficients import npbi
 from .partitions import Partition, enumerate_partitions, z_of
@@ -48,37 +45,6 @@ def power_to_monomial(la: Partition) -> dict[Partition, int]:
             ways *= math.factorial(m)
         row[mu] = ways
     return row
-
-
-def p_npk(n: int, p: int, k: int, xk: Callable[[int], object]):
-    """Evaluate the marked family with X_i = xk(i), i >= 1.
-
-    xk may return Fractions or any ring element that multiplies with
-    them (UniPoly, XPolynomial); p_npk only adds and multiplies the values.
-
-    Conventions: k = 0 gives 0 except the (0, 0, 0) case which is 1;
-    k > n gives 0; p outside 0..n is an error.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0 <= p <= n:
-        raise ValueError("p out of range")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return Fraction(1) if n == 0 else Fraction(0)
-    if n == 0 or k > n:
-        return Fraction(0)
-    total = Fraction(0)
-    for mu in enumerate_partitions(n):
-        c = npbi(mu, p, k)
-        if not c:
-            continue
-        term = Fraction(c, z_of(mu))
-        for part in mu.parts:
-            term = term * xk(part)
-        total = total + term
-    return total
 
 
 class ChiRow(NamedTuple):

@@ -24,9 +24,11 @@ from .coefficients import (
     gn_closed_form,
     gn_series,
     jz_sides,
+    marked_row,
     nbi,
     nbi_from_hypergeometric,
     npbi,
+    npbi_table,
     stirling_first_unsigned,
 )
 from .growth import (
@@ -47,7 +49,7 @@ from .moments import (
     s_direct_moments,
     s_lagrange_moments,
     s_moment_series,
-    s_r_from_u,
+    s_regrouped_moments,
     sigma_closed_moments,
     sigma_direct_moments,
     sigma_lagrange_alphabets,
@@ -72,7 +74,7 @@ from .series import (
     comb_int,
 )
 from .shifted import d_k, dk_from_shifted, moment_table
-from .symfunc import chi_experiment, p_npk
+from .symfunc import chi_experiment
 
 DEFAULT_ALPHA_SET = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 DEFAULT_Y_SET = (Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(5, 7))
@@ -286,12 +288,12 @@ def _sk_series(k: int, order: int, xval, univariate: bool) -> BiSeries:
     return BiSeries(order, coeffs)
 
 
-def _mixture(n: int, order: int, sk: Callable[[int], BiSeries], signed: bool) -> BiSeries:
+def _mixture(n: int, order: int, elements: Sequence[BiSeries], signed: bool) -> BiSeries:
     total = BiSeries(order)
     for mu in enumerate_partitions(n):
         prod = BiSeries(order, {(0, 0): Fraction(1)})
         for part in mu.parts:
-            prod = prod * sk(part)
+            prod = prod * elements[part]
         weight = Fraction(1, z_of(mu))
         if signed and (n - mu.length) % 2:
             weight = -weight
@@ -299,37 +301,35 @@ def _mixture(n: int, order: int, sk: Callable[[int], BiSeries], signed: bool) ->
     return total
 
 
-def _rhs_biseries(n: int, order: int, xval, x0, alternating: bool) -> BiSeries:
+def _rhs_biseries(n: int, order: int, rows, x0, alternating: bool) -> BiSeries:
+    """rows[d] is marked_row(d, xk), with xk = -X for the alternating
+    variant."""
     if alternating:
-        xk = lambda i: -xval(i)
         prefixes = [binomial(x0 - k, n - k) * Fraction((-1) ** k) for k in range(n + 1)]
     else:
-        xk = xval
         prefixes = [binomial(x0 + (n - 1), n - k) for k in range(n + 1)]
     coeffs = {}
     for p in range(order + 1):
         for q in range(order + 1 - p):
             total_deg = p + q
+            line = rows[total_deg][p]
             acc = Fraction(0)
             for k in range(0, min(n, total_deg) + 1):
-                pk = p_npk(total_deg, p, k, xk)
-                if isinstance(pk, Fraction) and pk == 0:
-                    continue
-                acc = acc + prefixes[k] * pk
-            coeffs[(p, q)] = acc
+                if line[k]:
+                    acc = acc + prefixes[k] * line[k]
+            coeffs[(p, q)] = acc * Fraction(1, math.factorial(total_deg))
     return BiSeries(order, coeffs)
 
 
-def _rhs_useries(n: int, order: int, xval, x0) -> BiSeries:
+def _rhs_useries(n: int, order: int, rows, x0) -> BiSeries:
+    """rows[d] is marked_row(d, X)."""
     coeffs = {}
     for p in range(order + 1):
         acc = Fraction(0)
         for k in range(0, min(n, p) + 1):
-            pk = p_npk(p, 0, k, xval)
-            if isinstance(pk, Fraction) and pk == 0:
-                continue
-            acc = acc + binomial(x0 - p, n - k) * pk
-        coeffs[(p, 0)] = acc
+            if rows[p][0][k]:
+                acc = acc + binomial(x0 - p, n - k) * rows[p][0][k]
+        coeffs[(p, 0)] = acc * Fraction(1, math.factorial(p))
     return BiSeries(order, coeffs)
 
 
@@ -349,19 +349,17 @@ def _check_expansion_family(
             value_sets.append((f"seed={seed + t}", xval, xval(0)))
 
     for label, xval, x0 in value_sets:
-        cache: dict[int, BiSeries] = {}
-
-        def sk(k: int) -> BiSeries:
-            if k not in cache:
-                cache[k] = _sk_series(k, order, xval, univariate)
-            return cache[k]
-
+        # the generating elements of weights 1 .. n_max and the marked
+        # rows of degrees 0 .. order, once per value set
+        elements = [None] + [_sk_series(k, order, xval, univariate) for k in range(1, n_max + 1)]
+        xk = (lambda i, xval=xval: -xval(i)) if alternating else xval
+        rows = [marked_row(d, xk) for d in range(order + 1)]
         for n in range(1, n_max + 1):
-            lhs = _mixture(n, order, sk, signed)
+            lhs = _mixture(n, order, elements, signed)
             if univariate:
-                rhs = _rhs_useries(n, order, xval, x0)
+                rhs = _rhs_useries(n, order, rows, x0)
             else:
-                rhs = _rhs_biseries(n, order, xval, x0, alternating)
+                rhs = _rhs_biseries(n, order, rows, x0, alternating)
             # every key where either side is nonzero, in (total degree, key)
             # order; the univariate variant reports its key as [r]
             for d in range(order + 1):
@@ -432,21 +430,11 @@ def _check_gf23(rec: _Recorder, *, n_max: int, order: int, lambda_max: int) -> N
                 want = Fraction(nbi(n, p, k)) if k <= n else Fraction(0)
                 rec.check(table.get(k, Fraction(0)), want, group="hypergeometric-row", n=n, p=p, k=k)
     for la in partitions_upto(lambda_max):
-        w = la.weight
-        cap = 2 * w
+        cap = 2 * la.weight
         prod = BiSeries(cap, {(0, 0): 1})
         for part in la.parts:
             prod = prod * gn_series(part, cap)
-        expect = {}
-        for p in range(0, w + 1):
-            for k in range(la.length, w + 1):
-                if k < 1:
-                    continue
-                expect[(p, k)] = npbi(la, p, k)
-        if w == 0:
-            expect[(0, 0)] = 1
-        rhs = BiSeries(cap, expect)
-        rec.series_equal(prod, rhs, group="row-product", la=str(la))
+        rec.series_equal(prod, BiSeries(cap, npbi_table(la)), group="row-product", la=str(la))
 
 
 def _check_gn_closed(rec: _Recorder, *, n_max: int) -> None:
@@ -525,19 +513,20 @@ def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
         for alpha in alpha_set:
             for y in y_set:
                 lhs = content_ratio_series(la, alpha, y, order)
+                cs = cor52_coefficient(la, alpha, y, max(order, 1))
                 for r in range(0, order + 1):
-                    c = cor52_coefficient(la, alpha, y, r)
                     want = lhs.coefficient(r) * Fraction(-1) ** r
-                    rec.check(c, want, la=str(la), alpha=alpha, y=y, r=r)
-                rec.check(cor52_coefficient(la, alpha, y, 0), Fraction(1), group="low-index", la=str(la), alpha=alpha, y=y, r=0)
-                rec.check(cor52_coefficient(la, alpha, y, 1), Fraction(0), group="low-index", la=str(la), alpha=alpha, y=y, r=1)
+                    rec.check(cs[r], want, la=str(la), alpha=alpha, y=y, r=r)
+                rec.check(cs[0], Fraction(1), group="low-index", la=str(la), alpha=alpha, y=y, r=0)
+                rec.check(cs[1], Fraction(0), group="low-index", la=str(la), alpha=alpha, y=y, r=1)
 
 
 def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Rationals) -> None:
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
+            shifted = dk_from_shifted(la, alpha, k_max)
             for k in range(0, k_max + 1):
-                rec.check(d_k(la, alpha, k), dk_from_shifted(la, alpha, k), la=str(la), alpha=alpha, k=k)
+                rec.check(d_k(la, alpha, k), shifted[k], la=str(la), alpha=alpha, k=k)
 
 
 def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
@@ -546,10 +535,11 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
             direct_vals = s_direct_moments(la, alpha, r_max)
             lagrange_vals = s_lagrange_moments(la, alpha, r_max)
             closed_vals = s_closed_moments(la, alpha, r_max)
+            regrouped_vals = s_regrouped_moments(la, alpha, r_max)
             for r in range(0, r_max + 1):
                 rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=str(la), alpha=alpha, r=r)
                 rec.check(direct_vals[r], closed_vals[r], group="closed-route", la=str(la), alpha=alpha, r=r)
-                rec.check(direct_vals[r], s_r_from_u(la, alpha, r), group="integer-regrouping", la=str(la), alpha=alpha, r=r)
+                rec.check(direct_vals[r], regrouped_vals[r], group="integer-regrouping", la=str(la), alpha=alpha, r=r)
             series = s_moment_series(la, alpha, r_max)
             for r in range(0, r_max + 1):
                 rec.check(series.coefficient(r), Fraction(-1) ** r * direct_vals[r], group="generating-series", la=str(la), alpha=alpha, r=r)
@@ -599,16 +589,15 @@ def _check_thm112(rec: _Recorder, *, lambda_max: int, p_max: int, alpha_set: _Ra
     for la in partitions_upto(lambda_max):
         conj = la.conjugate()
         for alpha in alpha_set:
-            inv = Fraction(1) / alpha
-            for p in range(0, p_max + 1):
-                row, col = row_column_binomials(la, alpha, p)
+            pairs = row_column_binomials(la, alpha, p_max)
+            duals = row_column_binomials(conj, Fraction(1) / alpha, p_max)
+            for p, ((row, col), (drow, dcol)) in enumerate(zip(pairs, duals)):
                 if p == 0:
                     rec.check(row, Fraction(1), group="empty-inner-shape", la=str(la), alpha=alpha)
                     rec.check(col, Fraction(1), group="empty-inner-shape", la=str(la), alpha=alpha)
                 if p == 1:
                     rec.check(row, Fraction(la.weight), group="single-cell", la=str(la), alpha=alpha)
                     rec.check(col, Fraction(la.weight), group="single-cell", la=str(la), alpha=alpha)
-                drow, dcol = row_column_binomials(conj, inv, p)
                 rec.check(row, dcol, group="duality", la=str(la), alpha=alpha, p=p)
                 rec.check(col, drow, group="duality", la=str(la), alpha=alpha, p=p)
                 if p > la.length:
@@ -618,8 +607,7 @@ def _check_thm112(rec: _Recorder, *, lambda_max: int, p_max: int, alpha_set: _Ra
     for n in range(1, lambda_max + 1):
         la = Partition((n,))
         for alpha in alpha_set:
-            for p in range(0, p_max + 1):
-                row, _ = row_column_binomials(la, alpha, p)
+            for p, (row, _) in enumerate(row_column_binomials(la, alpha, p_max)):
                 rec.check(row, Fraction(comb_int(n, p)), group="single-row", n=n, alpha=alpha, p=p)
 
 

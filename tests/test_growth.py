@@ -250,8 +250,18 @@ def test_state_graph_masses_are_dimensions(alpha):
         level = growth._expand(level, alpha)
 
 
-def test_row_weights_off_one_are_rejected(monkeypatch):
-    monkeypatch.setattr(growth, "pieri_coefficients", lambda la, alpha: ((1, Fraction(1, 2)),))
+def test_row_weights_off_one_are_rejected(fresh_memos, monkeypatch):
+    # The one row weight of the empty shape is halved.
+    row_values = moments._pieri_row_values
+
+    def halved(la, alpha):
+        values = row_values(la, alpha)
+        if la == EMPTY:
+            [(num, den)] = values
+            return [(num, 2 * den)]
+        return values
+
+    monkeypatch.setattr(moments, "_pieri_row_values", halved)
     with pytest.raises(InvariantError, match="row weights of 0 sum to 1/2"):
         sample_growth(steps=1, alpha=Fraction(1), paths=1, seed=0)
 

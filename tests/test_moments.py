@@ -8,8 +8,6 @@ Low moments are pinned to their published closed forms:
 Everything else is route-against-route agreement.
 """
 
-import gc
-import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,7 +30,7 @@ from ycalc.moments import (
     s_direct_moments,
     s_lagrange_moments,
     s_moment_series,
-    s_r_from_u,
+    s_regrouped_moments,
     sigma_closed_moments,
     sigma_direct_moments,
     sigma_lagrange_moments,
@@ -42,7 +40,7 @@ from ycalc.moments import (
 )
 from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
-from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
+from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import InvariantError, comb_int, raising_factorial
 from ycalc.shifted import d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
@@ -235,7 +233,7 @@ def _cor52_reference(la, alpha, y, r):
 _u_reference = lru_cache(maxsize=None)(u_ijk_coefficients)
 
 
-def _s_r_from_u_reference(la, alpha, r):
+def _s_regrouped_reference(la, alpha, r):
     w = la.weight
     total = Fraction(0)
     for i in range(0, r // 2 + 1):
@@ -289,12 +287,13 @@ def test_closed_routes_match_fraction_loops(alpha):
     # values the s and sigma routes use.
     ys = set(DEFAULT_Y_SET + (1 / alpha, -1 / alpha, Fraction(0), Fraction(-1)))
     for la in partitions_upto(6):
-        for r in range(11):
-            for y in ys:
-                assert cor52_coefficient(la, alpha, y, r) == _cor52_reference(la, alpha, y, r), (la, y, r)
-            assert s_r_from_u(la, alpha, r) == _s_r_from_u_reference(la, alpha, r), (la, r)
-        for p in range(la.weight + 2):
-            assert row_column_binomials(la, alpha, p) == _row_column_reference(la, alpha, p), (la, p)
+        for y in ys:
+            cs = cor52_coefficient(la, alpha, y, 10)
+            assert cs == [_cor52_reference(la, alpha, y, r) for r in range(11)], (la, y)
+        regrouped = s_regrouped_moments(la, alpha, 10)
+        assert regrouped == [_s_regrouped_reference(la, alpha, r) for r in range(11)], la
+        pairs = row_column_binomials(la, alpha, la.weight + 1)
+        assert pairs == [_row_column_reference(la, alpha, p) for p in range(la.weight + 2)], la
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -310,8 +309,7 @@ def test_moment_routes_agree_at_random_alpha(a, b, n, pick):
     la = options[pick % len(options)]
     direct = s_direct_moments(la, alpha, 6)
     assert s_closed_moments(la, alpha, 6) == direct, la
-    for r in range(7):
-        assert s_r_from_u(la, alpha, r) == direct[r], (la, r)
+    assert s_regrouped_moments(la, alpha, 6) == direct, la
     assert sigma_closed_moments(la, alpha, 5) == sigma_direct_moments(la, alpha, 5), la
 
 
@@ -394,9 +392,7 @@ def test_u_table_matches_direct_loop():
 def test_s_regrouped_route_agrees():
     for alpha in (Fraction(2), Fraction(3, 5)):
         for la in partitions_upto(5):
-            direct = s_direct_moments(la, alpha, 5)
-            for r in range(6):
-                assert s_r_from_u(la, alpha, r) == direct[r]
+            assert s_regrouped_moments(la, alpha, 5) == s_direct_moments(la, alpha, 5), la
 
 
 def test_u_coefficients_are_nonnegative_integers():
@@ -431,31 +427,7 @@ def test_cor52_leading_coefficients():
     for alpha in ALPHAS:
         for y in (Fraction(1), Fraction(-1, 3), Fraction(5, 7)):
             for la in partitions_upto(4):
-                assert cor52_coefficient(la, alpha, y, 0) == 1
-                assert cor52_coefficient(la, alpha, y, 1) == 0
-
-
-def test_cor52_numerators_stay_bounded(fresh_memos):
-    # Each half asks c_0 .. c_4 at MEMO_SIZE new y on one moment table, so
-    # the numerator memo is full after the first half and the second half
-    # only replaces entries.  Numerators kept on the table per y would
-    # double the traced memory.
-    la, alpha = Partition((3, 2, 1)), Fraction(1, 2)
-
-    def run(denominator):
-        for k in range(1000, 1000 + MEMO_SIZE):
-            cor52_coefficient(la, alpha, Fraction(k, denominator), 4)
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
-
-    tracemalloc.start()
-    try:
-        first, second = run(997), run(991)
-    finally:
-        tracemalloc.stop()
-    info = moments._cor52_numerators.cache_info()
-    assert info.maxsize == MEMO_SIZE and info.currsize == MEMO_SIZE, info
-    assert second <= first + first // 10, (first, second)
+                assert cor52_coefficient(la, alpha, y, 1) == [1, 0]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -463,9 +435,8 @@ def test_content_ratio_series_matches_collected_coefficients(alpha):
     y = Fraction(5, 7)
     for la in partitions_upto(4):
         series = content_ratio_series(la, alpha, y, order=6)
-        for r in range(7):
-            want = cor52_coefficient(la, alpha, y, r) * (-1) ** r
-            assert series.coefficient(r) == want, (la, r)
+        for r, c in enumerate(cor52_coefficient(la, alpha, y, 6)):
+            assert series.coefficient(r) == c * (-1) ** r, (la, r)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -526,35 +497,31 @@ def test_sigma_lagrange_first_difference_is_minus_one():
 def test_row_column_binomials_basics():
     for alpha in ALPHAS:
         for la in partitions_upto(5):
-            assert row_column_binomials(la, alpha, 0) == (Fraction(1), Fraction(1))
+            pairs = row_column_binomials(la, alpha, la.weight + 1)
+            assert len(pairs) == la.weight + 2
+            assert pairs[0] == (Fraction(1), Fraction(1))
             if la.weight:
-                row1, col1 = row_column_binomials(la, alpha, 1)
-                assert row1 == la.weight and col1 == la.weight
+                assert pairs[1] == (la.weight, la.weight)
             # support: rows cap at la_1, columns at l(la)
-            row_big, col_big = row_column_binomials(la, alpha, la.weight + 1)
-            assert row_big == 0 and col_big == 0
+            assert pairs[la.weight + 1] == (0, 0)
             if la.weight:
-                _, col = row_column_binomials(la, alpha, la.length + 1)
-                assert col == 0
-                row, _ = row_column_binomials(la, alpha, la.part(1) + 1)
-                assert row == 0
+                assert pairs[la.length + 1][1] == 0
+                assert pairs[la.part(1) + 1][0] == 0
 
 
 def test_row_binomial_single_row_is_plain_binomial():
     for alpha in ALPHAS:
         for n in range(1, 6):
-            for p in range(n + 2):
-                row, _ = row_column_binomials(Partition((n,)), alpha, p)
-                assert row == comb_int(n, p)
+            rows = [row for row, _ in row_column_binomials(Partition((n,)), alpha, n + 1)]
+            assert rows == [comb_int(n, p) for p in range(n + 2)]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_row_column_conjugation_duality(alpha):
     for la in partitions_upto(5):
-        for p in range(la.weight + 1):
-            row, _ = row_column_binomials(la, alpha, p)
-            _, col = row_column_binomials(la.conjugate(), 1 / alpha, p)
-            assert row == col, (la, p)
+        rows = [row for row, _ in row_column_binomials(la, alpha, la.weight)]
+        cols = [col for _, col in row_column_binomials(la.conjugate(), 1 / alpha, la.weight)]
+        assert rows == cols, la
 
 
 def test_chu_vandermonde_pole_handling():

@@ -1,12 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from ycalc.coefficients import npbi
+from ycalc.coefficients import marked_row, npbi, npbi_table
 from ycalc.partitions import Partition, enumerate_partitions, z_of
 from ycalc.series import comb_int, linear_ratio_series
-from ycalc.symfunc import chi_experiment, p_npk, power_to_monomial
+from ycalc.symfunc import chi_experiment, power_to_monomial
 
 ALPHABET = tuple(Fraction(v) for v in (2, Fraction(1, 3), -1, Fraction(5, 7)))
 
@@ -64,14 +65,15 @@ def test_newton_convert():
 
 
 def test_p_npk_conventions():
+    # marked_row(n) holds n! p_npk(n, p, k) for 0 <= p, k <= n: column
+    # k = 0 is 0 except the (0, 0, 0) entry, which is 1
     xk = _power_sums(ALPHABET)
-    assert p_npk(0, 0, 0, xk) == 1
-    assert p_npk(3, 1, 0, xk) == 0
-    assert p_npk(3, 1, 5, xk) == 0
-    with pytest.raises(ValueError, match="p out of range"):
-        p_npk(3, 4, 2, xk)
-    with pytest.raises(ValueError):
-        p_npk(3, 0, -1, xk)
+    assert marked_row(0, xk) == ((1,),)
+    row = marked_row(3, xk)
+    assert [len(line) for line in row] == [4] * 4
+    assert all(line[0] == 0 for line in row)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        marked_row(-1, xk)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, n + 1)])
@@ -79,15 +81,29 @@ def test_p_nk_single_letter_closed_form(n, k):
     # on a one-letter alphabet {x} the unmarked family (p = 0) collapses
     # to C(n-1, k-1) x^n
     x = Fraction(4, 7)
-    assert p_npk(n, 0, k, _power_sums((x,))) == comb_int(n - 1, k - 1) * x**n
+    assert marked_row(n, _power_sums((x,)))[0][k] == math.factorial(n) * comb_int(n - 1, k - 1) * x**n
 
 
 def test_p_npk_marking_symmetry():
     xk = _power_sums(ALPHABET)
     for n in range(1, 6):
+        row = marked_row(n, xk)
         for p in range(n + 1):
-            for k in range(1, n + 1):
-                assert p_npk(n, p, k, xk) == p_npk(n, n - p, k, xk)
+            assert row[p] == row[n - p], (n, p)
+
+
+def test_marked_row_matches_partition_sum():
+    # the one-pass row against the sum over mu |- n of
+    # npbi(mu, p, k)/z_mu * X_mu1 X_mu2 ..., entry by entry
+    xk = _power_sums(ALPHABET)
+    for n in range(8):
+        row = marked_row(n, xk)
+        for p in range(n + 1):
+            for k in range(n + 1):
+                want = Fraction(0)
+                for mu in enumerate_partitions(n):
+                    want += Fraction(npbi_table(mu).get((p, k), 0), z_of(mu)) * _prod(xk(part) for part in mu.parts)
+                assert row[p][k] / math.factorial(n) == want, (n, p, k)
 
 
 def _transition_combination(weights):

@@ -243,6 +243,39 @@ def test_catalog_at_defaults_is_pinned(fresh_memos):
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == _CATALOG_DIGEST
 
 
+# sha256 of the reports below with npbi(1,1; 0, 2) raised by 1, pinned
+# before the marked family and the closed routes moved to one call per row
+# or per index: every job that reads npbi fails, with its first
+# counterexample and its failure count.
+_NPBI_FAULT_JOBS = (
+    "thm3.1", "thm3.1-alt", "ll-v0", "thm4.1", "gf2.3", "rel5.1", "thm5.1",
+    "cor5.2", "thm8.1", "thm9.1", "thm11.2", "chu-vandermonde",
+)
+_NPBI_FAULT_DIGEST = "09b8abf0fa45d2920e9aadba53fcad781541ff63ee9ab557550289796eb3c207"
+
+
+def test_npbi_fault_fails_every_reader_the_same_way(fresh_memos, monkeypatch):
+    from types import MappingProxyType
+
+    from ycalc import coefficients
+
+    npbi_map = coefficients._npbi_map
+
+    def raised(parts):
+        table = npbi_map(parts)
+        if parts == (1, 1):
+            table = dict(table)
+            table[(0, 2)] += 1
+            return MappingProxyType(table)
+        return table
+
+    monkeypatch.setattr(coefficients, "_npbi_map", raised)
+    bounds = {"n_max": 4, "order": 6, "lambda_max": 4, "r_max": 6, "p_max": 4}
+    reports = run_all(bounds, _NPBI_FAULT_JOBS)
+    assert [r.status for r in reports] == ["failed"] * len(_NPBI_FAULT_JOBS)
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == _NPBI_FAULT_DIGEST
+
+
 def test_univariate_series_mismatch_reports_index():
     rec = _Recorder()
     rec.series_equal(UniPoly((1, 2, 3)), UniPoly((1, 2)), k=1)
