@@ -21,7 +21,9 @@ links to its successors, the next level.  Paths run in blocks of up to
 _BLOCK.  A block's counters are packed into one integer, one 64-bit value
 per 128-bit lane, so each big-int operation of splitmix64 mixes every
 path of the block at once (`_lane_draws`); a step of the block is then
-one bisection and one link per path.
+one bisection and one link per path.  A last step from a lone shape (every
+one-step walk) is counted by lanes: z + 2^64 - t has bit 64 set exactly
+when z ≥ t, one add, mask and popcount per inner threshold t per block.
 At alpha = a/b the cell added in row i of λ has content x/a with the
 integer x = λ_i·a - (i-1)·b, so the paths' counts per atom of the last
 step give integer power sums of x.  The exact reference is the law of x:
@@ -36,6 +38,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from .moments import corner_binomials, pieri_coefficients, sigma_direct_moments
@@ -52,12 +55,13 @@ _MASK = _WORD - 1
 
 # A block packs _BLOCK paths into one integer of 128-bit lanes, so a
 # 64-bit lane times a 64-bit multiplier never carries into its neighbour.
-# _UNIT holds 1 in every lane, _LANES the low 64 bits of every lane and
-# _LANE_INDEX the lane's index i.
+# _UNIT holds 1 in every lane, _LANES the low 64 bits of every lane, and
+# lane i of _GAMMA_LANES and _MIX1_INDEX the counter step _GAMMA and offset _MIX1·i.
 _BLOCK = 1024
 _UNIT = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")
 _LANES = int.from_bytes(bytes(8 * [255] + 8 * [0]) * _BLOCK, "little")
-_LANE_INDEX = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_BLOCK)), "little")
+_GAMMA_LANES = _GAMMA * _UNIT
+_MIX1_INDEX = _MIX1 * int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_BLOCK)), "little")
 # A block's bytes in native order, read as 64-bit words, hold lane i's low
 # word at 2i if little-endian and at 2n - 1 - 2i if big-endian.
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
@@ -238,26 +242,30 @@ class SampleStats(NamedTuple):
 
 def _lane_draws(seed: int, first: int, n: int):
     """Yield, for step 0, 1, ..., the 64-bit draws of paths first ..
-    first + n - 1 (n ≤ _BLOCK) as a list: for each path, splitmix64's
-    output function over the counter seed·_MIX2 + path·_MIX1 +
-    (step + 1)·_GAMMA.
+    first + n - 1 (n ≤ _BLOCK) packed, path first + i in lane i: splitmix64's
+    output function over the counter seed·_MIX2 + path·_MIX1 + (step + 1)·_GAMMA.
 
     For a fixed (seed, path) the draws are the splitmix64 stream from
     state seed·_MIX2 + path·_MIX1; seed 0, path 0 is splitmix64 from 0.
     The three multipliers are distinct odd constants, so no small change
     of seed, path or step cancels a change of another.  Every shift
     drags the next lane's low bits into the top of each lane, so a lane
-    is masked back to 64 bits before each multiply; the last xor-shift
-    is not masked because only each lane's low 64 bits are read.
+    is masked back to 64 bits before each multiply and before the yield.
     """
-    keep = (1 << 128 * n) - 1
-    lanes, gamma = _LANES & keep, _GAMMA * _UNIT & keep
-    ctr = ((seed * _MIX2 + first * _MIX1) & _MASK) * (_UNIT & keep) + _MIX1 * (_LANE_INDEX & keep)
+    lanes, unit, gamma, index = _LANES, _UNIT, _GAMMA_LANES, _MIX1_INDEX
+    if n < _BLOCK:  # the last, partial block
+        lanes, unit, gamma, index = (c & (1 << 128 * n) - 1 for c in (lanes, unit, gamma, index))
+    ctr = ((seed * _MIX2 + first * _MIX1) & _MASK) * unit + index
     while True:
         ctr = (ctr + gamma) & lanes
         z = ((ctr ^ ctr >> 30) & lanes) * _MIX1 & lanes
         z = ((z ^ z >> 27) & lanes) * _MIX2 & lanes
-        yield memoryview((z ^ z >> 31).to_bytes(16 * n, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
+        yield (z ^ z >> 31) & lanes
+
+
+def _unpack(z: int, n: int) -> list[int]:
+    """The n draws of a packed block as a list, lane by lane."""
+    return memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
 def _power_sums(weights: dict[int, int | Fraction], r_max: int) -> list:
@@ -301,18 +309,28 @@ def sample_growth(
     for node in last.values():
         node.hits = [0] * len(node.atoms)  # paths whose last step took each atom
     dump: list[str] | None = [] if dump_paths else None
+    lone = next(iter(last.values())) if len(last) == 1 else None
+    offsets = [(_WORD - t) * _UNIT for t in lone.cuts[:-1]] if lone is not None else []
+    tops = _UNIT << 64
 
     for first in range(0, paths, _BLOCK):
         n = min(_BLOCK, paths - first)
         draws = _lane_draws(seed, first, n)
-        nodes = [root] * n
         # trails of the block's paths below dump_cap
         trails = [[str(start)] for _ in range(first, min(first + n, dump_cap))] if dump is not None else []
+        if lone is not None and not trails:
+            z = next(islice(draws, steps - 1, None))
+            if n < _BLOCK:  # only the last block is partial
+                tops &= (1 << 128 * n) - 1
+            at_least = [n, *[((z + offset) & tops).bit_count() for offset in offsets], 0]
+            lone.hits = [h + ge - gt for h, ge, gt in zip(lone.hits, at_least, at_least[1:])]
+            continue
+        nodes = [root] * n
         for _ in range(steps - 1):
-            nodes = [node.succ[bisect_right(node.cuts, z)] for node, z in zip(nodes, next(draws))]
+            nodes = [node.succ[bisect_right(node.cuts, z)] for node, z in zip(nodes, _unpack(next(draws), n))]
             for trail, node in zip(trails, nodes):
                 trail.append(str(node.la))
-        zs = next(draws)
+        zs = _unpack(next(draws), n)
         for node, z in zip(nodes, zs):
             node.hits[bisect_right(node.cuts, z)] += 1
         for trail, node, z in zip(trails, nodes, zs):
@@ -322,18 +340,20 @@ def sample_growth(
 
     a, b = alpha.numerator, alpha.denominator
     tally: dict[int, int] = {}  # sampled content numerator -> paths
-    law: dict[int, Fraction] = {}  # its exact law, one step folded into the masses
+    law: dict[int, tuple[int, int]] = {}  # its exact law, one step folded into the masses, unreduced
     occupancy: dict[str, int] = {}
     for node in last.values():
         padded = node.la.parts + (0,)
+        m_num, m_den = node.mass.numerator, node.mass.denominator
         for (i, p), hits, child in zip(node.atoms, node.hits, node.succ):
             x = padded[i - 1] * a - (i - 1) * b
-            law[x] = law.get(x, 0) + node.mass * p
+            num, den = law.get(x, (0, 1))
+            law[x] = num * m_den * p.denominator + m_num * p.numerator * den, den * m_den * p.denominator
             if hits:
                 tally[x] = tally.get(x, 0) + hits
                 occupancy[str(child.la)] = occupancy.get(str(child.la), 0) + hits
     power_nums = _power_sums(tally, 2 * r_max)
-    exact_nums = _power_sums(law, r_max)
+    exact_nums = _power_sums({x: Fraction(num, den) for x, (num, den) in law.items()}, r_max)
 
     moments = []
     for r in range(0, r_max + 1):

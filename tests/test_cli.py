@@ -241,7 +241,10 @@ def test_growth_sample_paths_are_pinned(capsys):
 # setting before paths were drawn in lane-packed blocks.  One step from
 # 4,2,1 runs no linked step; 7/3 dumps fewer paths than it walks; 5/2
 # spans three full blocks and part of a fourth and stops dumping inside
-# the third.
+# the third.  The one step from 3,2,1 was pinned before a lone shape's last
+# step was counted by lanes: with --emit paths its dump stops inside the
+# second block, so the first two blocks bisect per path and the last two
+# are counted by lanes; its other emits count every block by lanes.
 _SAMPLE_DIGESTS = {
     ("1/2", "8", "0", "31", "moments"): "e9ec57d9192a71e85784eb6d44c4c08eedc0e73359e3429f80318a27c81cd8c4",
     ("3/5", "6", "2,1", "2026", "moments"): "9f3be3262ab88b616e497de6913f70201b70327ec92618fe4b3efedd9fe2cf19",
@@ -257,12 +260,16 @@ _SAMPLE_DIGESTS = {
     ("5/2", "5", "2,2", "123", "paths"): "3f2db0ae01cab420f3ef3c85737f539276a0efb329e7b3f5689059764782145f",
     ("1/2", "20", "0", "14", "moments"): "d6263586dd39e4d027554ee26e968da50d8156c6b7d36eb9eef493442fd684b3",
     ("1/2", "20", "0", "14", "occupancy"): "447245eec4f76e520118014e4a757aa0052f443b70c58df70fb30edc8108db6b",
+    ("3/5", "1", "3,2,1", "9", "moments"): "832f56f095b2b99c173c5c103d46322e29d2f32e9dfe006ffd20ff74e58771b1",
+    ("3/5", "1", "3,2,1", "9", "occupancy"): "8620102cebebdfc3d4f17a41f3a161171f7e3ffea9faf1ef8f0c5dc905ba9d6d",
+    ("3/5", "1", "3,2,1", "9", "paths"): "5de23559e2599fa791a8228423ab5e26393435156a419d816b5607e6c6ec0ce3",
 }
 # Path count and options per setting where they differ from 3,000 paths.
 _SAMPLE_OPTIONS = {
     ("7/3", "12", "3,1"): ("--paths", "2000", "--dump-cap", "50"),
     ("5/2", "5", "2,2"): ("--paths", "3500", "--dump-cap", "2600"),
     ("1/2", "20", "0"): ("--paths", "1500"),
+    ("3/5", "1", "3,2,1"): ("--paths", "3500", "--dump-cap", "1500"),
 }
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ycalc.growth import (
     _BLOCK,
     _lane_draws,
+    _unpack,
     cotransition_from_dimensions,
     cotransition_kernel,
     cotransition_moment_routes,
@@ -412,8 +413,8 @@ def test_draw_matches_reference_splitmix64():
     # Vigna's splitmix64 from state 0 begins with these three outputs;
     # seed 0, path 0 starts at state 0 and step s takes output s + 1.
     want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    assert [draws[0] for draws in islice(_lane_draws(0, 0, 1), 3)] == want
-    assert [draws[0] for draws in islice(_lane_draws(0, 0, _BLOCK), 3)] == want
+    assert [_unpack(z, 1)[0] for z in islice(_lane_draws(0, 0, 1), 3)] == want
+    assert [_unpack(z, _BLOCK)[0] for z in islice(_lane_draws(0, 0, _BLOCK), 3)] == want
     assert [_splitmix64(0, 0, s) for s in range(3)] == want
 
 
@@ -422,15 +423,18 @@ def test_draw_matches_reference_splitmix64():
     "first,n", ((0, 1), (0, 37), (0, _BLOCK), (3 * _BLOCK, _BLOCK), (5 * _BLOCK + 11, 300))
 )
 def test_lane_draws_match_the_scalar_formula(seed, first, n):
-    rows = list(islice(_lane_draws(seed, first, n), 20))
+    packed = list(islice(_lane_draws(seed, first, n), 20))
     for step in (0, 1, 19):
-        assert rows[step] == [_splitmix64(seed, path, step) for path in range(first, first + n)], step
+        want = [_splitmix64(seed, path, step) for path in range(first, first + n)]
+        assert _unpack(packed[step], n) == want, step
+        # every lane is masked to its 64 bits, and no lane lies above n
+        assert packed[step] == sum(z << 128 * i for i, z in enumerate(want)), step
 
 
-def _sample_peak_bytes(paths: int) -> int:
+def _sample_peak_bytes(steps: int, start: Partition, paths: int) -> int:
     tracemalloc.start()
     try:
-        sample_growth(steps=4, alpha=Fraction(1, 2), paths=paths, seed=3)
+        sample_growth(steps=steps, alpha=Fraction(1, 2), paths=paths, seed=3, start=start)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,10 +444,70 @@ def test_sampler_memory_does_not_grow_with_paths():
     # A block's draws are freed before the next block's, so 8 blocks peak
     # within a small fixed margin of 1 (a few hundred bytes apart when
     # written; a draw list kept over into the next block adds about 45 KB,
-    # and 8 bytes kept per path would add 57 KB).
-    sample_growth(steps=4, alpha=Fraction(1, 2), paths=1, seed=3)  # fill the Pieri cache
-    one, eight = _sample_peak_bytes(_BLOCK), _sample_peak_bytes(8 * _BLOCK)
-    assert eight <= one + 32 * 1024, (one, eight)
+    # and 8 bytes kept per path would add 57 KB).  One step from 4,2,1 is
+    # counted by lanes, whose offsets are built once per call.
+    for steps, start in ((4, EMPTY), (1, Partition((4, 2, 1)))):
+        sample_growth(steps=steps, alpha=Fraction(1, 2), paths=1, seed=3, start=start)  # fill the Pieri cache
+        one, eight = _sample_peak_bytes(steps, start, _BLOCK), _sample_peak_bytes(steps, start, 8 * _BLOCK)
+        assert eight <= one + 32 * 1024, (steps, one, eight)
+
+
+@pytest.mark.parametrize(
+    "start,steps",
+    (
+        (EMPTY, 1),
+        (EMPTY, 2),
+        (Partition((4, 2, 1)), 1),
+        (Partition((2, 2)), 1),
+        (Partition((6, 5, 4, 3, 2, 1)), 1),
+        (Partition((1,) * 12), 1),
+    ),
+)
+@pytest.mark.parametrize("alpha", (Fraction(1), Fraction(1, 2), Fraction(7, 3)))
+def test_lane_count_matches_the_per_path_count(start, steps, alpha):
+    # A path trail in every block keeps the per-path bisection; without
+    # trails the last step from the lone shape is counted by lanes.
+    for paths in (1, 37, _BLOCK, 3 * _BLOCK + 5):
+        for seed in (0, -5, 2**70 + 3):
+            args = dict(steps=steps, alpha=alpha, paths=paths, seed=seed, start=start)
+            per_path = sample_growth(**args, dump_paths=True, dump_cap=paths)
+            by_lanes = sample_growth(**args)
+            assert by_lanes.moments == per_path.moments, (paths, seed)
+            assert by_lanes.occupancy == per_path.occupancy, (paths, seed)
+
+
+def test_lane_count_at_draws_on_the_thresholds(fresh_memos, monkeypatch):
+    # The atoms of 2,1 are set so that the first threshold is path 0's or
+    # path 1's draw and the second one above the other draw: random draws
+    # almost never meet a threshold, so only this tells z ≥ t from z > t.
+    lo, hi = sorted(_splitmix64(0, path, 0) for path in range(2))
+    row_values = moments._pieri_row_values
+    word = 2**64
+
+    def on_the_draws(la, alpha):
+        if la.parts == (2, 1):
+            return [(lo, word), (hi + 1 - lo, word), (word - hi - 1, word)]
+        return row_values(la, alpha)
+
+    monkeypatch.setattr(moments, "_pieri_row_values", on_the_draws)
+    args = dict(steps=1, alpha=Fraction(1), paths=37, seed=0, start=Partition((2, 1)))
+    per_path = sample_growth(**args, dump_paths=True, dump_cap=37)
+    assert per_path.path_dump[:2] == ("2,1|2,2", "2,1|2,2")  # both on row 2
+    assert sample_growth(**args).occupancy == per_path.occupancy
+
+
+def test_lane_count_of_a_zero_weight_atom(fresh_memos, monkeypatch):
+    # Row 1 of the shape 1 gets weight 0, so its threshold is 0 and every
+    # lane, also those above a partial block's paths, has z ≥ 0.
+    row_values = moments._pieri_row_values
+
+    def first_row_empty(la, alpha):
+        return [(0, 1), (1, 1)] if la.parts == (1,) else row_values(la, alpha)
+
+    monkeypatch.setattr(moments, "_pieri_row_values", first_row_empty)
+    for paths in (37, _BLOCK + 37):
+        stats = sample_growth(steps=2, alpha=Fraction(1), paths=paths, seed=0)
+        assert stats.occupancy == (("1,1", paths),)
 
 
 def test_alpha_keyed_memos_stay_bounded(fresh_memos):
