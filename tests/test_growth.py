@@ -477,9 +477,9 @@ def test_lane_count_matches_the_per_path_count(start, steps, alpha):
 
 
 def test_lane_count_at_draws_on_the_thresholds(fresh_memos, monkeypatch):
-    # The atoms of 2,1 are set so that the first threshold is path 0's or
-    # path 1's draw and the second one above the other draw: random draws
-    # almost never meet a threshold, so only this tells z ≥ t from z > t.
+    # The atoms of 2,1 are set so that the first threshold is the lower of
+    # the draws of paths 0 and 1 and the second one above the higher: random
+    # draws almost never meet a threshold, so only this tells z ≥ t from z > t.
     lo, hi = sorted(_splitmix64(0, path, 0) for path in range(2))
     row_values = moments._pieri_row_values
     word = 2**64
