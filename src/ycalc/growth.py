@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from .moments import corner_binomials, pieri_coefficients, sigma_direct_moments
+from .moments import _pieri_atoms, corner_binomials, pieri_coefficients, sigma_direct_moments
 from .partitions import EMPTY, MEMO_SIZE, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
@@ -188,23 +188,21 @@ class _Node:
 
 def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[int, ...], _Node]:
     """The next level of the state graph.  Each node of `level` gets its
-    Pieri atoms, their cumulative weights num/den as integer thresholds
-    t = ceil(num·2^64/den) (for an integer u, u < t holds exactly when
-    u·den < num·2^64, so the first threshold above a 64-bit draw selects
-    the atom; pieri_coefficients has checked that the atoms sum to 1, so
-    the last threshold is 2^64) and one successor per atom, shared by
-    parts, whose mass sums node.mass·p over the atoms into it: one
-    unreduced integer pair while the level runs, one Fraction when it is
-    done."""
+    checked integer Pieri atoms (row, p_num, p_den) from `_pieri_atoms`,
+    their cumulative weights w as integer thresholds t = ceil(w·2^64)
+    (for an integer u, u < t exactly when u < w·2^64, so the first
+    threshold above a 64-bit draw selects the atom; the atoms sum to 1, so
+    the last is 2^64) and one successor per atom, shared by parts, whose
+    mass sums node.mass·p over the atoms into it: one unreduced integer
+    pair while the level runs, one Fraction when it is done."""
     acc: dict[tuple[int, ...], list] = {}  # parts -> [successor, mass num, mass den]
     for parts, node in level.items():
-        node.atoms = pieri_coefficients(node.la, alpha)
+        node.atoms = _pieri_atoms(node.la, alpha)
         padded = parts + (0,)
         m_num, m_den = node.mass.numerator, node.mass.denominator
         cuts, succ = [], []
         num, den = 0, 1
-        for row, p in node.atoms:
-            p_num, p_den = p.numerator, p.denominator
+        for row, p_num, p_den in node.atoms:
             num, den = num * p_den + p_num * den, den * p_den
             cuts.append(-(-num * _WORD // den))
             # Pieri atoms sit on addable rows only, so `up` is a partition.
@@ -345,10 +343,10 @@ def sample_growth(
     for node in last.values():
         padded = node.la.parts + (0,)
         m_num, m_den = node.mass.numerator, node.mass.denominator
-        for (i, p), hits, child in zip(node.atoms, node.hits, node.succ):
+        for (i, p_num, p_den), hits, child in zip(node.atoms, node.hits, node.succ):
             x = padded[i - 1] * a - (i - 1) * b
             num, den = law.get(x, (0, 1))
-            law[x] = num * m_den * p.denominator + m_num * p.numerator * den, den * m_den * p.denominator
+            law[x] = num * m_den * p_den + m_num * p_num * den, den * m_den * p_den
             if hits:
                 tally[x] = tally.get(x, 0) + hits
                 occupancy[str(child.la)] = occupancy.get(str(child.la), 0) + hits

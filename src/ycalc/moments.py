@@ -76,30 +76,31 @@ def _pieri_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """Transition atoms (row, weight) over addable rows; weights are
-    nonnegative and sum to 1.
-
-    The analytic formula is evaluated on every row 1..l+1 and checked to
-    vanish exactly on the non-addable ones.
-    """
-    alpha = check_alpha(alpha)
+def _pieri_atoms(la: Partition, alpha: Fraction) -> list[tuple[int, int, int]]:
+    """Transition atoms (row, num, den) on the addable rows, unreduced.
+    The formula is checked to vanish on every other row of 1..l+1, and the
+    weights to be nonnegative, by sign since a raw pair may be negative over
+    negative, and to sum to 1."""
     addable = set(la.addable_rows())
     atoms = []
     num, den = 0, 1  # the running total
     for i, (n, d) in enumerate(_pieri_row_values(la, alpha), 1):
         if i in addable:
-            v = Fraction(n, d)
-            if v.numerator < 0:
-                raise InvariantError(f"negative row weight {v} on row {i} of {la}")
-            atoms.append((i, v))
-            num, den = num * v.denominator + v.numerator * den, den * v.denominator
+            if n and (n < 0) != (d < 0):
+                raise InvariantError(f"negative row weight {Fraction(n, d)} on row {i} of {la}")
+            atoms.append((i, n, d))
+            num, den = num * d + n * den, den * d
         elif n:
             raise InvariantError(f"formula fails to vanish on non-addable row {i} of {la}")
     if num != den:
         raise InvariantError(f"row weights of {la} sum to {Fraction(num, den)}")
-    return tuple(atoms)
+    return atoms
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    """The atoms of `_pieri_atoms` as (row, weight) with Fraction weights."""
+    return tuple((i, Fraction(n, d)) for i, n, d in _pieri_atoms(la, check_alpha(alpha)))
 
 
 def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:

@@ -167,8 +167,8 @@ def z_of(mu: Partition) -> int:
 
 # Bound of every memo keyed by (shape, alpha), one entry per key, evicted
 # least recently used first.  The catalog's largest working set is about
-# 300 moment tables and 270 Pieri keys; a sampler call reads each shape's
-# atoms once, so a walk over 2,000 shapes recomputes nothing either.
+# 300 moment tables and 270 Pieri keys; the sampler reads its integer
+# atoms past the memo, so a walk over 2,000 shapes evicts nothing.
 MEMO_SIZE = 1024
 
 

@@ -233,10 +233,14 @@ def test_state_graph_invariants(alpha, start):
         nxt = growth._expand(level, alpha)
         for parts, node in level.items():
             assert node.la.parts == parts
-            weights = accumulate(p for _, p in node.atoms)
+            # The graph's integer atoms and the memoised Fraction view are
+            # one evaluator: they agree row for row.
+            atoms = [(i, Fraction(num, den)) for i, num, den in node.atoms]
+            assert atoms == list(pieri_coefficients(node.la, alpha))
+            weights = accumulate(p for _, p in atoms)
             assert node.cuts == tuple(math.ceil(w * 2**64) for w in weights)
             assert node.cuts[-1] == 2**64
-            assert [child.la for child in node.succ] == [node.la.add_cell(i) for i, _ in node.atoms]
+            assert [child.la for child in node.succ] == [node.la.add_cell(i) for i, _ in atoms]
             assert all(nxt[child.la.parts] is child for child in node.succ)
         level = nxt
 
@@ -286,6 +290,44 @@ def test_negative_pieri_atom_is_rejected(fresh_memos, monkeypatch):
         _graph_distribution(EMPTY, Fraction(1), 2)
     with pytest.raises(InvariantError, match="negative"):
         sample_growth(steps=3, alpha=Fraction(1), paths=10, seed=0)
+
+
+@pytest.mark.parametrize("pair", ((1, -2), (-1, 2)))
+def test_pieri_atom_sign_is_tested_on_both_parts(fresh_memos, monkeypatch, pair):
+    # Row 1 of the shape 1 gets the weight -1/2 as a raw pair; row 2 takes
+    # the rest, so the atoms still sum to 1.
+    row_values = moments._pieri_row_values
+
+    def signed(la, alpha):
+        values = row_values(la, alpha)
+        return [pair, (3, 2)] if la.parts == (1,) else values
+
+    monkeypatch.setattr(moments, "_pieri_row_values", signed)
+    with pytest.raises(InvariantError, match="negative row weight -1/2 on row 1 of 1"):
+        pieri_coefficients(Partition((1,)), Fraction(1))
+    with pytest.raises(InvariantError, match="negative row weight -1/2 on row 1 of 1"):
+        sample_growth(steps=3, alpha=Fraction(1), paths=10, seed=0)
+
+
+def test_pieri_pair_negative_over_negative_is_a_weight():
+    # Raw pairs may carry a sign on both parts: row 2 of 2,1 at alpha = 1
+    # is (-3, -12), the weight 1/4.
+    la, one = Partition((2, 1)), Fraction(1)
+    assert moments._pieri_row_values(la, one)[1] == (-3, -12)
+    assert moments._pieri_atoms(la, one)[1] == (2, -3, -12)
+    assert dict(pieri_coefficients(la, one))[2] == Fraction(1, 4)
+    # x = 2, 0, -2 on rows 1, 2, 3, with weights 3/8, 1/4, 3/8
+    stats = sample_growth(steps=1, alpha=one, paths=1000, seed=0, start=la)
+    assert [m.exact for m in stats.moments[:3]] == [1, 0, 3]
+
+
+def test_sampler_leaves_the_pieri_memo_alone(fresh_memos):
+    # The sampler reads the integer atoms, not the memoised Fraction view:
+    # a walk over 2,087 shapes neither fills nor evicts it.
+    pieri_coefficients(Partition((2, 1)), Fraction(1, 2))
+    before = pieri_coefficients.cache_info()
+    sample_growth(steps=20, alpha=Fraction(1, 2), paths=100, seed=0)
+    assert pieri_coefficients.cache_info() == before
 
 
 def test_pieri_weight_on_non_addable_row_is_rejected(fresh_memos, monkeypatch):
@@ -445,9 +487,11 @@ def test_sampler_memory_does_not_grow_with_paths():
     # within a small fixed margin of 1 (a few hundred bytes apart when
     # written; a draw list kept over into the next block adds about 45 KB,
     # and 8 bytes kept per path would add 57 KB).  One step from 4,2,1 is
-    # counted by lanes, whose offsets are built once per call.
+    # counted by lanes, whose offsets are built once per call.  A first
+    # call keeps one-time allocations out of both measurements; the state
+    # graph itself is rebuilt by every call, as no memo holds it.
     for steps, start in ((4, EMPTY), (1, Partition((4, 2, 1)))):
-        sample_growth(steps=steps, alpha=Fraction(1, 2), paths=1, seed=3, start=start)  # fill the Pieri cache
+        sample_growth(steps=steps, alpha=Fraction(1, 2), paths=1, seed=3, start=start)
         one, eight = _sample_peak_bytes(steps, start, _BLOCK), _sample_peak_bytes(steps, start, 8 * _BLOCK)
         assert eight <= one + 32 * 1024, (steps, one, eight)
 
