@@ -99,7 +99,7 @@ def _pieri_atoms(la: Partition, alpha: Fraction) -> list[tuple[int, int, int]]:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """The atoms of `_pieri_atoms` as (row, weight) with Fraction weights."""
+    """Transition atoms (row, weight) on the addable rows: `_pieri_atoms` with Fraction weights."""
     return tuple((i, Fraction(n, d)) for i, n, d in _pieri_atoms(la, check_alpha(alpha)))
 
 
