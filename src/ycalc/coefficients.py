@@ -31,7 +31,6 @@ from .series import (
     BiSeries,
     InvariantError,
     UniPoly,
-    binomial,
     gauss_2f1_truncated,
 )
 
@@ -222,16 +221,18 @@ def jz_sides(mu: Partition, n: int):
       lhs = sum_k C(X0 - |mu|, n - k) pbi(mu, k)
       rhs = sum_k (-1)^{k - l(mu)} C(X0 - k, n - k) pbi(mu, k),
     k running over l(mu) .. min(n, |mu|), with the k = 0 subset count 1
-    for the empty shape.
+    for the empty shape.  n! C(X0 - s, n - k) is built in integers as
+    n!/(n-k)! [X0 - s]_{n-k}, and each side is divided by n! once.
     """
-    x = UniPoly.x()
-    lhs = UniPoly()
-    rhs = UniPoly()
+    fact = math.factorial(n)
+    sides = ([0] * (n + 1), [0] * (n + 1))
     for k in range(mu.length, min(n, mu.weight) + 1):
         c = 1 if k == 0 else pbi(mu, k)
-        if not c:
-            continue
-        lhs = lhs + binomial(x - mu.weight, n - k) * c
         sign = 1 if (k - mu.length) % 2 == 0 else -1
-        rhs = rhs + binomial(x - k, n - k) * (sign * c)
-    return lhs, rhs
+        for side, s, scale in ((sides[0], mu.weight, c), (sides[1], k, sign * c)):
+            falling = [fact // math.factorial(n - k)]  # low degree first
+            for i in range(s, s + n - k):  # times (X0 - i)
+                falling = [-i * falling[0]] + [u - i * v for u, v in zip(falling, falling[1:])] + [falling[-1]]
+            for e, v in enumerate(falling):
+                side[e] += scale * v
+    return tuple(UniPoly(Fraction(v, fact) for v in side) for side in sides)

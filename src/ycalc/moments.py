@@ -156,18 +156,23 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
 
 def _position_moments(atoms, la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
     """Moments 0 .. r_max of the position la_i - (i-1)/alpha under the
-    weights (i, w) of atoms(la, alpha), each power of a position formed
-    from the one before."""
+    weights (i, w) of atoms(la, alpha).  The position is x/a for
+    x = la_i a - (i-1) b (alpha = a/b), so moment r is one integer sum of
+    w x^r over the lcm D of the weights' denominators, over D a^r."""
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
-    out = [Fraction(0)] * (r_max + 1)
-    for i, w in atoms(la, alpha):
-        pos = Fraction(la.part(i)) - Fraction(i - 1) / alpha
+    a, b = alpha.numerator, alpha.denominator
+    weights = atoms(la, alpha)
+    big_d = math.lcm(*(w.denominator for _, w in weights))
+    out = [0] * (r_max + 1)
+    for i, w in weights:
+        x = la.part(i) * a - (i - 1) * b
+        v = w.numerator * (big_d // w.denominator)
         for r in range(r_max + 1):
-            out[r] += w
-            w *= pos
-    return out
+            out[r] += v
+            v *= x
+    return [Fraction(v, big_d * a**r) for r, v in enumerate(out)]
 
 
 def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -186,30 +191,23 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r_max: int) -
     2n+p+q <= r of (-y)^n (y+1)^p C(n+p+q-1, p) times the k-sum of
     C(|la|+n-1, n-k) f_{r-2n-p, q, k}(la).
 
-    With y = c/d every term of c_r is an integer over d^r r! a^r: the
-    k-sum is read from row r-2n-p of the integer moment table, so c_r is
-    one integer numerator over that denominator.
+    y enters only through (-y)^n (y+1)^p, so r! a^r c_r is the integer
+    polynomial sum over e of C[r][e] y^e, whose rows the moment table
+    builds once per (la, alpha).  At y = c/d, c_r is the one integer
+    sum over e of C[r][e] c^e d^(r-e) over d^r r! a^r.
     """
     alpha = check_alpha(alpha)
     y = Fraction(y)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
     table = moment_table(la, alpha)
+    rows = table.c_rows(r_max)
     a = table.a
     c, d = y.numerator, y.denominator
     out = []
     for r in range(r_max + 1):
-        fact_r = math.factorial(r)
-        total = 0
-        for n in range(0, r // 2 + 1):
-            for p in range(0, r - 2 * n + 1):
-                nn = r - 2 * n - p
-                # (-y)^n (y+1)^p f_nn over d^r r! a^r
-                scale = (-c) ** n * (c + d) ** p * d ** (r - n - p) * (fact_r // math.factorial(nn)) * a ** (r - nn)
-                for q, inner in enumerate(table.contraction(n, nn)):
-                    if inner:
-                        total += scale * comb_int(n + p + q - 1, p) * inner
-        out.append(Fraction(total, d**r * fact_r * a**r))
+        total = sum(v * c**e * d ** (r - e) for e, v in enumerate(rows[r]) if v)
+        out.append(Fraction(total, d**r * math.factorial(r) * a**r))
     return out
 
 
@@ -426,13 +424,17 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
 def content_ratio_series(
     la: Partition, alpha: Fraction, y: Fraction, order: int
 ) -> UniPoly:
-    """Large-x expansion, in t = 1/x, of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la)."""
+    """Large-x expansion, in t = 1/x, of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la).
+    With alpha = a/b and y = c/d every factor is an integer over a d, so
+    the t^i coefficient of the integer series is divided by (a d)^i."""
     alpha = check_alpha(alpha)
     y = Fraction(y)
-    cs = content_alphabet(la, alpha)
-    num = [v for c in cs for v in (y + 1 + c, c)]
-    den = [v for c in cs for v in (y + c, 1 + c)]
-    return linear_ratio_series(num, den, order)
+    a, b = alpha.numerator, alpha.denominator
+    c, d = y.numerator, y.denominator
+    ns = [j * a * d - i * b * d for i, part in enumerate(la.parts) for j in range(part)]
+    num = [v for n in ns for v in (c * a + a * d + n, n)]
+    den = [v for n in ns for v in (c * a + n, a * d + n)]
+    return UniPoly(v / (a * d) ** i for i, v in enumerate(linear_ratio_series(num, den, order).coeffs))
 
 
 def s_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:

@@ -20,6 +20,10 @@ P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
 so f_{n,p,k} = A[n][p][k] / (n! a^n).  Rows are built on demand by
 :func:`coefficients.marked_row` at X_i = P_i; the table reads only the
 contents and npbi.
+
+Corollary 5.2 reads y only through (-y)^n (y+1)^p, so the table also
+holds integer rows C[r] with r! a^r c_r(y) = sum over e of C[r][e] y^e,
+built from the contractions of Theorem 5.1, which are not kept.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .series import comb_int
 class _MomentTable:
     """Integer power sums and moment rows of one (shape, alpha = a/b)."""
 
-    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_contractions")
+    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_c_rows")
 
     def __init__(self, la: Partition, alpha: Fraction):
         a, b = alpha.numerator, alpha.denominator
@@ -51,7 +55,7 @@ class _MomentTable:
         self._power_sums = [la.weight]
         self._products: list[tuple[int, ...]] = []
         self._rows: list[tuple[tuple[int, ...], ...]] = []
-        self._contractions: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._c_rows: list[tuple[int, ...]] = []
 
     def power_sum(self, k: int) -> int:
         """P_k, the sum of the k-th powers of the content numerators."""
@@ -94,13 +98,32 @@ class _MomentTable:
     def contraction(self, n: int, m: int) -> tuple[int, ...]:
         """The k-sums of Theorem 5.1 over row m, indexed by p:
         sum over k <= min(n, m) of C(|la|+n-1, n-k) A[m][p][k]."""
-        key = (n, m)
-        hit = self._contractions.get(key)
-        if hit is None:
-            hit = self._contractions[key] = tuple(
-                self.k_sum(self.weight + n - 1, n, m, p) for p in range(m + 1)
-            )
-        return hit
+        top = self.weight + n - 1
+        if m == 0 or n == 0:
+            return (comb_int(top, n) if m == 0 else 0,) * (m + 1)
+        binoms = [comb_int(top, n - k) for k in range(min(n, m) + 1)]
+        return tuple(sum(c * v for c, v in zip(binoms, line)) for line in self.row(m))
+
+    def c_rows(self, r_max: int) -> list[tuple[int, ...]]:
+        """The rows C[0] .. C[r_max] (and any built beyond): with
+        m = r-2n-p, C[r][e] sums (-1)^n C(p, e-n) (r!/m!) a^(r-m) times
+        sum over q of C(n+p+q-1, p) K(n, m, q), K the contraction.
+        Missing rows are added in one pass that forms each K once."""
+        rows, start = self._c_rows, len(self._c_rows)
+        if start > r_max:
+            return rows
+        new = [[0] * (r + 1) for r in range(start, r_max + 1)]
+        for n in range(r_max // 2 + 1):
+            for m in range(r_max - 2 * n + 1):
+                ks = self.contraction(n, m)
+                for p in range(max(0, start - 2 * n - m), r_max - 2 * n - m + 1):
+                    r = 2 * n + p + m
+                    s = sum(comb_int(n + p + q - 1, p) * v for q, v in enumerate(ks) if v)
+                    s *= (-1) ** n * (math.factorial(r) // math.factorial(m)) * self.a ** (r - m)
+                    for j in range(p + 1):
+                        new[r - start][n + j] += math.comb(p, j) * s
+        rows.extend(map(tuple, new))
+        return rows
 
     def denominator(self, n: int) -> int:
         """n! a^n, the common denominator of row n."""

@@ -488,6 +488,8 @@ def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
         for alpha in alpha_set:
             table = moment_table(la, alpha)
             a = table.a
+            # the contractions this (la, alpha) reads, shared by its y values
+            ks = {(n, m): table.contraction(n, m) for n in range(order // 2 + 1) for m in range(order - 2 * n + 1)}
             for y in y_set:
                 c, d = y.numerator, y.denominator
                 lhs = content_ratio_series(la, alpha, y, order)
@@ -496,7 +498,7 @@ def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
                     for p in range(0, order - 2 * n + 1):
                         for q in range(0, order - 2 * n - p + 1):
                             big_n = p + q
-                            acc = table.contraction(n, big_n)[p]
+                            acc = ks[n, big_n][p]
                             if acc == 0:
                                 continue
                             shift = 2 * n + big_n

@@ -24,7 +24,7 @@ from ycalc.coefficients import (
     stirling_inverse_t,
 )
 from ycalc.partitions import EMPTY, Partition, partitions_upto
-from ycalc.series import UniPoly, lowering_factorial, raising_factorial
+from ycalc.series import UniPoly, binomial, lowering_factorial, raising_factorial
 
 # (n, p, k) -> value, hand-derived
 _NBI_FROZEN = {
@@ -213,9 +213,25 @@ def test_jz_sides_agree():
             assert lhs == rhs, (mu, n)
 
 
-def test_jz_empty_shape_is_plain_binomial():
-    from ycalc.series import binomial
+def _jz_sides_reference(mu, n):
+    """Both sides summed as UniPoly binomials in Fractions."""
+    x = UniPoly.x()
+    lhs = rhs = UniPoly()
+    for k in range(mu.length, min(n, mu.weight) + 1):
+        c = 1 if k == 0 else pbi(mu, k)
+        lhs = lhs + binomial(x - mu.weight, n - k) * c
+        rhs = rhs + binomial(x - k, n - k) * ((-1) ** (k - mu.length) * c)
+    return lhs, rhs
 
+
+def test_jz_sides_match_fraction_reference():
+    # a fault shared by both sides passes test_jz_sides_agree, not this
+    for mu in partitions_upto(6):
+        for n in range(0, 9):
+            assert jz_sides(mu, n) == _jz_sides_reference(mu, n), (mu, n)
+
+
+def test_jz_empty_shape_is_plain_binomial():
     lhs, rhs = jz_sides(EMPTY, 4)
     x = UniPoly.x()
     assert lhs == binomial(x, 4)

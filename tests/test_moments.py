@@ -8,6 +8,8 @@ Low moments are pinned to their published closed forms:
 Everything else is route-against-route agreement.
 """
 
+import gc
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -294,6 +296,87 @@ def test_closed_routes_match_fraction_loops(alpha):
         assert regrouped == [_s_regrouped_reference(la, alpha, r) for r in range(11)], la
         pairs = row_column_binomials(la, alpha, la.weight + 1)
         assert pairs == [_row_column_reference(la, alpha, p) for p in range(la.weight + 2)], la
+
+
+@lru_cache(maxsize=None)
+def _q_sums_from_rows(la, alpha, r_max):
+    """{(n, p, m): sum over q of C(n+p+q-1, p) times the k-sum of
+    C(|la|+n-1, n-k) f_{m,q,k}}, in Fractions with f read from the table
+    rows; these are the y-free parts of the collected form."""
+    table = moment_table(la, alpha)
+    out = {}
+    for n in range(r_max // 2 + 1):
+        # at n = 0 the k-sum reads only column k = 0, which is zero past row 0
+        for m in range(r_max - 2 * n + 1) if n else (0,):
+            row, den = table.row(m), table.denominator(m)
+            ks = [
+                Fraction(sum(comb_int(la.weight + n - 1, n - k) * row[q][k] for k in range(min(n, m) + 1)), den)
+                for q in range(m + 1)
+            ]
+            for p in range(r_max - 2 * n - m + 1):
+                out[n, p, m] = sum((comb_int(n + p + q - 1, p) * v for q, v in enumerate(ks)), Fraction(0))
+    return out
+
+
+def _cor52_triple_sum(la, alpha, y, r_max):
+    """c_0 .. c_r_max as the triple sum over n, p, q at this y, in Fractions."""
+    neg, pos = [Fraction(1)], [Fraction(1)]  # powers of -y and y+1
+    for _ in range(r_max):
+        neg.append(-y * neg[-1])
+        pos.append((y + 1) * pos[-1])
+    out = [Fraction(0)] * (r_max + 1)
+    for (n, p, m), inner in _q_sums_from_rows(la, alpha, r_max).items():
+        if inner:
+            out[2 * n + p + m] += neg[n] * pos[p] * inner
+    return out
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_cor52_rows_match_triple_sum(alpha):
+    # New tables, and bounds 4, 10 and 12 in that order, so that every
+    # table builds its y-polynomial rows and then extends them twice.
+    # y = -1 zeroes every (y+1)^p with p > 0; -1/alpha and 1/alpha are
+    # the values the s and sigma routes use.
+    ys = (Fraction(0), Fraction(-1), Fraction(2), Fraction(-1, 3), Fraction(5, 7), -1 / alpha, 1 / alpha)
+    moment_table.cache_clear()
+    for la in partitions_upto(7):
+        want = {y: _cor52_triple_sum(la, alpha, y, 12) for y in ys}
+        for r_max in (4, 10, 12):
+            for y in ys:
+                assert cor52_coefficient(la, alpha, y, r_max) == want[y][: r_max + 1], (la, y, r_max)
+
+
+def test_cor52_keeps_nothing_per_y():
+    # 8 more y values on the same 50 tables retain no more memory than one.
+    keys = [(la, alpha) for alpha in KERNEL_ALPHAS for la in partitions_upto(5)][:50]
+    ys = [Fraction(k, 7) for k in range(1, 10)]
+
+    def run(y_values):
+        for la, alpha in keys:
+            for y in y_values:
+                cor52_coefficient(la, alpha, y, 10)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    run(ys[:1])  # builds the tables untraced
+    tracemalloc.start()
+    try:
+        one, more = run(ys[:1]), run(ys[1:])
+    finally:
+        tracemalloc.stop()
+    assert more <= one + 4096, (one, more)
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_direct_routes_match_fraction_sums(alpha):
+    # sum of w pos^r over the atoms, pos = la_i - (i-1)/alpha, in Fractions
+    for la in partitions_upto(8):
+        for route, atoms in ((s_direct_moments, pieri_coefficients), (sigma_direct_moments, corner_binomials)):
+            weights = atoms(la, alpha)
+            want = [
+                sum((w * (la.part(i) - Fraction(i - 1) / alpha) ** r for i, w in weights), Fraction(0)) for r in range(9)
+            ]
+            assert route(la, alpha, 8) == want, (la, route.__name__)
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
