@@ -224,8 +224,8 @@ def _cmd_experiment_chi(args) -> int:
             "p": row.p,
             "k": row.k,
             "mu": str(row.mu),
-            "chi_fitted": None if row.chi_fitted is None else str(row.chi_fitted),
-            "chi_conjectured": None if row.chi_conjectured is None else str(row.chi_conjectured),
+            "chi_fitted": str(row.chi_fitted),
+            "chi_conjectured": str(row.chi_conjectured),
             "match": row.match,
         }
         for row in report.rows

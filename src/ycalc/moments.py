@@ -76,25 +76,34 @@ def _pieri_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
     return out
 
 
-def _pieri_atoms(la: Partition, alpha: Fraction) -> list[tuple[int, int, int]]:
-    """Transition atoms (row, num, den) on the addable rows, unreduced.
-    The formula is checked to vanish on every other row of 1..l+1, and the
-    weights to be nonnegative, by sign since a raw pair may be negative over
-    negative, and to sum to 1."""
-    addable = set(la.addable_rows())
+def _checked_atoms(values, allowed: tuple[int, ...], total: int, la: Partition, kind: str, vanish: str) -> list[tuple[int, int, int]]:
+    """Atoms (row, num, den) of raw pairs on rows 1, 2, ..., kept unreduced
+    on the rows of `allowed` (ascending).  The pairs are checked to be zero
+    on every other row, nonnegative, by sign since a raw pair may be
+    negative over negative, and to sum to `total`, by cross-multiplication."""
     atoms = []
     num, den = 0, 1  # the running total
-    for i, (n, d) in enumerate(_pieri_row_values(la, alpha), 1):
-        if i in addable:
+    rows = iter(allowed)
+    nxt = next(rows, 0)
+    for i, (n, d) in enumerate(values, 1):
+        if i == nxt:
             if n and (n < 0) != (d < 0):
-                raise InvariantError(f"negative row weight {Fraction(n, d)} on row {i} of {la}")
+                raise InvariantError(f"negative {kind} weight {Fraction(n, d)} on row {i} of {la}")
             atoms.append((i, n, d))
             num, den = num * d + n * den, den * d
+            nxt = next(rows, 0)
         elif n:
-            raise InvariantError(f"formula fails to vanish on non-addable row {i} of {la}")
-    if num != den:
-        raise InvariantError(f"row weights of {la} sum to {Fraction(num, den)}")
+            raise InvariantError(f"{vanish} row {i} of {la}")
+    if num != total * den:
+        raise InvariantError(f"{kind} weights of {la} sum to {Fraction(num, den)}")
     return atoms
+
+
+def _pieri_atoms(la: Partition, alpha: Fraction) -> list[tuple[int, int, int]]:
+    """Transition atoms (row, num, den) on the addable rows, unreduced and
+    checked by `_checked_atoms` to sum to 1."""
+    values = _pieri_row_values(la, alpha)
+    return _checked_atoms(values, la.addable_rows(), 1, la, "row", "formula fails to vanish on non-addable")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -130,28 +139,12 @@ def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """Corner atoms (row, weight) over removable rows; weights are
-    nonnegative and sum to |la|.
-
-    As with the row weights, the formula is evaluated everywhere and
-    checked to vanish on non-removable rows.
-    """
-    alpha = check_alpha(alpha)
-    removable = set(la.removable_rows())
-    atoms = []
-    num, den = 0, 1  # the running total
-    for i, (n, d) in enumerate(_corner_row_values(la, alpha), 1):
-        if i in removable:
-            v = Fraction(n, d)
-            if v.numerator < 0:
-                raise InvariantError(f"negative corner weight {v} on row {i} of {la}")
-            atoms.append((i, v))
-            num, den = num * v.denominator + v.numerator * den, den * v.denominator
-        elif n:
-            raise InvariantError(f"corner weight fails to vanish on row {i} of {la}")
-    if num != la.weight * den:
-        raise InvariantError(f"corner weights of {la} sum to {Fraction(num, den)}")
-    return tuple(atoms)
+    """Corner atoms (row, weight) over removable rows: the raw corner
+    formula, checked by `_checked_atoms` to vanish elsewhere and to sum
+    to |la|, with Fraction weights."""
+    values = _corner_row_values(la, check_alpha(alpha))
+    atoms = _checked_atoms(values, la.removable_rows(), la.weight, la, "corner", "corner weight fails to vanish on")
+    return tuple((i, Fraction(n, d)) for i, n, d in atoms)
 
 
 def _position_moments(atoms, la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:

@@ -53,9 +53,6 @@ class Partition:
             raise ValueError("row index is 1-based")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def multiplicity(self, v: int) -> int:
-        return sum(1 for p in self.parts if p == v)
-
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for p in self.parts:

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .coefficients import npbi
 from .partitions import Partition, enumerate_partitions, z_of
-from .series import comb_int
 
 
 def power_to_monomial(la: Partition) -> dict[Partition, int]:
@@ -53,8 +52,8 @@ class ChiRow(NamedTuple):
     k: int
     mu: Partition
     chi_fitted: Fraction
-    chi_conjectured: Fraction | None
-    match: bool | None
+    chi_conjectured: Fraction
+    match: bool
 
 
 class ChiReport(NamedTuple):
@@ -64,14 +63,17 @@ class ChiReport(NamedTuple):
     support_violations: tuple[str, ...]
 
 
-def _chi_conjectured(p: int, k: int, mu: Partition) -> Fraction:
-    m1 = mu.multiplicity(1)
-    m2 = mu.multiplicity(2)
-    return Fraction(
-        comb_int(k + p - 1, p)
-        - comb_int(k + p - 3, p - 2) * m1
-        - comb_int(k + p - 4, p - 3) * m2
-    )
+def _chi_conjectured(p: int, mu: Partition) -> Fraction:
+    """[t^p] prod_j (1 + t + ... + t^{mu_j}): the integer vectors c with
+    0 <= c_j <= mu_j and sum c = p, the rank generating function of a
+    product of chains (Stanley, Enumerative Combinatorics I, ch. 3).
+    Each part multiplies the truncated series in place, top index first,
+    so every window sum still reads the previous factor's coefficients."""
+    coeffs = [1] + [0] * p
+    for part in mu.parts:
+        for i in range(p, 0, -1):
+            coeffs[i] = sum(coeffs[max(0, i - part) : i + 1])
+    return Fraction(coeffs[p])
 
 
 def chi_experiment(n_max: int, p_max: int) -> ChiReport:
@@ -79,8 +81,8 @@ def chi_experiment(n_max: int, p_max: int) -> ChiReport:
 
     For each n <= n_max, p <= min(p_max, n), 1 <= k <= n the coefficient
     of m_mu in p_npk(-X) is sum_la (-1)^l(la) npbi(la, p, k)/z_la L[la, mu];
-    on a length-k shape mu it is recorded as (-1)^k chi.  The closed guess
-    for chi is compared for p <= 3 only; larger p rows carry no verdict.
+    on a length-k shape mu it is recorded as (-1)^k chi and compared with
+    the product formula of `_chi_conjectured`, a fitted closed form.
     Never raises on a mismatch; everything lands in the report.
     """
     rows: list[ChiRow] = []
@@ -108,12 +110,7 @@ def chi_experiment(n_max: int, p_max: int) -> ChiReport:
                             )
                         continue
                     fitted = c / sign
-                    if p <= 3:
-                        conj = _chi_conjectured(p, k, mu)
-                        rows.append(
-                            ChiRow(n, p, k, mu, fitted, conj, fitted == conj)
-                        )
-                    else:
-                        rows.append(ChiRow(n, p, k, mu, fitted, None, None))
+                    conj = _chi_conjectured(p, mu)
+                    rows.append(ChiRow(n, p, k, mu, fitted, conj, fitted == conj))
     return ChiReport(n_max, p_max, tuple(rows), tuple(violations))
 

@@ -663,7 +663,6 @@ def _check_moments_bridge(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_
 def _check_chi(rec: _Recorder, *, n_max: int, p_max: int) -> str:
     report = chi_experiment(n_max, p_max)
     rows = []
-    mismatches = 0
     for row in report.rows:
         rows.append(
             {
@@ -676,15 +675,12 @@ def _check_chi(rec: _Recorder, *, n_max: int, p_max: int) -> str:
                 "match": row.match,
             }
         )
-        if row.match is not None:
-            rec.cases += 1
-            if not row.match:
-                mismatches += 1
+        rec.check(row.chi_fitted, row.chi_conjectured, n=row.n, p=row.p, k=row.k, mu=str(row.mu))
     violations = [_plain(v) for v in report.support_violations]
     rec.gating = False
     rec.payload = {"rows": rows, "support_violations": violations}
-    if mismatches or violations:
-        return f"{mismatches} of {rec.cases} fitted values disagree with the conjectured formula; {len(violations)} support violations"
+    if rec.failures or violations:
+        return f"{rec.failures} of {rec.cases} fitted values disagree with the conjectured formula; {len(violations)} support violations"
     return f"all {rec.cases} fitted values match the conjectured formula"
 
 

@@ -306,6 +306,18 @@ def test_experiment_chi_json(capsys):
         assert row["chi_fitted"] == row["chi_conjectured"]
 
 
+# sha256 of `experiment chi --n-max 6 --p-max 6`, pinned when the rows with
+# p >= 4 got a verdict from the product formula; the 112 rows with p <= 3
+# are byte-identical to the listing before.
+_CHI_DIGEST = "0552c2681e3ecfe889959565eca034bb770f6f595d3bd55d02a63ecedb02edf8"
+
+
+def test_experiment_chi_listing_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "experiment", "chi", "--n-max", "6", "--p-max", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CHI_DIGEST
+
+
 def test_experiment_chi_without_coefficients_exits_2(capsys):
     code, out, err = run_cli(capsys, "experiment", "chi", "--n-max", "0")
     assert (code, out) == (2, "")

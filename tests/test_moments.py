@@ -152,6 +152,27 @@ def test_corner_weight_on_non_removable_row_is_rejected(fresh_memos, monkeypatch
         corner_binomials(Partition((1, 1)), Fraction(1))
 
 
+def test_corner_weights_must_sum_to_the_cell_count(fresh_memos, monkeypatch):
+    # Weights 1 and 3 on the two corners of 2,1, given as raw pairs with
+    # signs on both parts, are nonnegative but sum to |la| + 1 = 4.
+    corner_values = moments._corner_row_values
+
+    def heavy(la, alpha):
+        return [(-2, -2), (9, 3)] if la.parts == (2, 1) else corner_values(la, alpha)
+
+    monkeypatch.setattr(moments, "_corner_row_values", heavy)
+    with pytest.raises(InvariantError, match="corner weights of 2,1 sum to 4"):
+        corner_binomials(Partition((2, 1)), Fraction(1))
+
+
+def test_corner_pair_negative_over_negative_is_a_weight():
+    # Row 2 of 2,1 at alpha = 1 is the raw pair (-3, -2), the weight 3/2;
+    # a sign test on the numerator alone would reject it.
+    la, one = Partition((2, 1)), Fraction(1)
+    assert _corner_row_values(la, one)[1] == (-3, -2)
+    assert dict(corner_binomials(la, one))[2] == Fraction(3, 2)
+
+
 # Fraction definitions of the moment polynomials and of the closed routes,
 # kept as references for the integer table that replaced them.
 

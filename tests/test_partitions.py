@@ -54,7 +54,6 @@ def test_basic_accessors():
     assert la.part(5) == 0
     with pytest.raises(ValueError):
         la.part(0)
-    assert la.multiplicity(2) == 2
     assert la.multiplicities() == {4: 1, 2: 2}
     assert list(la.cells())[:5] == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1)]
     assert len(list(la.cells())) == 8

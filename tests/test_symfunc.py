@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from ycalc.coefficients import marked_row, npbi, npbi_table
-from ycalc.partitions import Partition, enumerate_partitions, z_of
+from ycalc.partitions import Partition, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import comb_int, linear_ratio_series
-from ycalc.symfunc import chi_experiment, power_to_monomial
+from ycalc.symfunc import _chi_conjectured, chi_experiment, power_to_monomial
 
 ALPHABET = tuple(Fraction(v) for v in (2, Fraction(1, 3), -1, Fraction(5, 7)))
 
@@ -182,17 +182,28 @@ def test_p_nk_monomial_support_law(n, k):
 def test_chi_experiment_small():
     report = chi_experiment(3, 3)
     assert not report.support_violations
-    judged = [r for r in report.rows if r.match is not None]
-    assert judged and all(r.match for r in judged)
+    assert report.rows and all(r.match is True for r in report.rows)
     # every row records the shape it decorates
     for r in report.rows:
         assert r.mu.length == r.k
         assert r.mu.weight == r.n
 
 
-def test_chi_rows_beyond_p3_carry_no_verdict():
-    report = chi_experiment(4, 4)
-    open_rows = [r for r in report.rows if r.p > 3]
-    assert open_rows
-    assert all(r.chi_conjectured is None and r.match is None for r in open_rows)
+def test_every_chi_row_matches_the_product_formula():
+    report = chi_experiment(8, 8)
+    assert not report.support_violations
+    assert len(report.rows) == 482
+    assert sum(r.p >= 4 for r in report.rows) > 0
+    assert all(r.match is True for r in report.rows)
 
+
+def test_chi_product_formula_counts_bounded_vectors():
+    # [t^p] prod_j (1 + t + ... + t^{mu_j}) is the number of integer
+    # vectors c with 0 <= c_j <= mu_j and sum c = p
+    p_max = 8
+    for mu in partitions_upto(7):
+        counts = [0] * (p_max + 1)
+        for c in itertools.product(*(range(part + 1) for part in mu.parts)):
+            if sum(c) <= p_max:
+                counts[sum(c)] += 1
+        assert [_chi_conjectured(p, mu) for p in range(p_max + 1)] == counts, mu

@@ -276,6 +276,27 @@ def test_npbi_fault_fails_every_reader_the_same_way(fresh_memos, monkeypatch):
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == _NPBI_FAULT_DIGEST
 
 
+def test_chi_fault_beyond_p3_is_reported(monkeypatch):
+    # npbi(2,2,1; 4, 2) raised by 1 is read only by rows with p = 4: the
+    # default p_max cannot see it, p_max 6 reports it with its row.
+    from ycalc import symfunc
+    from ycalc.partitions import Partition
+
+    before = report_to_dict(run_identity("chi", n_max=6, p_max=3))
+    npbi, target = symfunc.npbi, (Partition((2, 2, 1)), 4, 2)
+
+    def raised(la, p, k):
+        return npbi(la, p, k) + ((la, p, k) == target)
+
+    monkeypatch.setattr(symfunc, "npbi", raised)
+    assert report_to_dict(run_identity("chi", n_max=6, p_max=3)) == before
+    report = run_identity("chi", n_max=6, p_max=6)
+    assert report.status == "reported"
+    assert report.notes.startswith("2 of 164 fitted values disagree")
+    # L[2,2,1; 3,2] = 2 and z = 8 move chi from 2 by -2/8 on that row
+    assert report.counterexample == {"n": 5, "p": 4, "k": 2, "mu": "3,2", "lhs": Fraction(7, 4), "rhs": Fraction(2)}
+
+
 def test_univariate_series_mismatch_reports_index():
     rec = _Recorder()
     rec.series_equal(UniPoly((1, 2, 3)), UniPoly((1, 2)), k=1)
