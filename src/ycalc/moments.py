@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .coefficients import npbi, stirling_first
 from .partitions import MEMO_SIZE, Partition, check_alpha, content_alphabet, enumerate_partitions
-from .series import InvariantError, UniPoly, comb_int, linear_ratio_series, lowering_factorial, raising_factorial
+from .series import InvariantError, UniPoly, comb_int, linear_ratio_integers, linear_ratio_series, lowering_factorial, raising_factorial
 from .shifted import moment_table
 
 
@@ -353,38 +353,13 @@ def row_column_binomials(la: Partition, alpha: Fraction, p_max: int) -> list[tup
     Stirling-weighted double sum in f_jk; p = 0 gives (1, 1).
 
     With alpha = a/b the row sum is an integer over a^p p! and the column
-    sum one over b^p p!; dividing by (1/alpha)_p and (alpha)_p leaves the
-    denominators p! prod_{m<p} (b + m a) and p! prod_{m<p} (a + m b),
-    each grown from the one of p - 1.
+    sum one over b^p p!.  Neither depends on y, so the moment table keeps
+    the list and extends it on demand.
     """
     alpha = check_alpha(alpha)
     if p_max < 0:
         raise ValueError("p must be nonnegative")
-    table = moment_table(la, alpha)
-    a, b = table.a, table.b
-    w = la.weight
-    out = [(Fraction(1), Fraction(1))]
-    row_den = col_den = 1
-    for p in range(1, p_max + 1):
-        row_den *= p * (b + (p - 1) * a)
-        col_den *= p * (a + (p - 1) * b)
-        fact_p = math.factorial(p)
-        row_sum = col_sum = 0
-        for i in range(0, p + 1):
-            for j in range(0, p - i + 1):
-                if i + j < 1:
-                    continue
-                st = stirling_first(p - 1, i + j - 1)
-                if not st:
-                    continue
-                inner = table.k_sum(w - j, i, j, 0)
-                if inner == 0:
-                    continue
-                scale = st * (fact_p // math.factorial(j)) * inner
-                row_sum += scale * b**i * a ** (p - i - j)
-                col_sum += scale * (-1) ** j * a**i * b ** (p - i - j)
-        out.append((Fraction(row_sum, row_den), Fraction(col_sum, col_den)))
-    return out
+    return moment_table(la, alpha).row_column_binomials(p_max)[: p_max + 1]
 
 
 def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[Fraction, Fraction] | None:
@@ -419,7 +394,8 @@ def content_ratio_series(
 ) -> UniPoly:
     """Large-x expansion, in t = 1/x, of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la).
     With alpha = a/b and y = c/d every factor is an integer over a d, so
-    the t^i coefficient of the integer series is divided by (a d)^i."""
+    the integer series of the numerators is divided by (a d)^i at t^i,
+    one Fraction per coefficient."""
     alpha = check_alpha(alpha)
     y = Fraction(y)
     a, b = alpha.numerator, alpha.denominator
@@ -427,7 +403,7 @@ def content_ratio_series(
     ns = [j * a * d - i * b * d for i, part in enumerate(la.parts) for j in range(part)]
     num = [v for n in ns for v in (c * a + a * d + n, n)]
     den = [v for n in ns for v in (c * a + n, a * d + n)]
-    return UniPoly(v / (a * d) ** i for i, v in enumerate(linear_ratio_series(num, den, order).coeffs))
+    return UniPoly(Fraction(v, (a * d) ** i) for i, v in enumerate(linear_ratio_integers(num, den, order)))
 
 
 def s_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:

@@ -101,7 +101,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -232,7 +232,7 @@ class XPolynomial:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key, 0) + c
             if s == 0:
                 out.pop(key, None)
             else:
@@ -269,7 +269,7 @@ class XPolynomial:
         for (e0a, mua), ca in self.terms.items():
             for (e0b, mub), cb in other.terms.items():
                 key = (e0a + e0b, tuple(sorted(mua + mub, reverse=True)))
-                s = out.get(key, Fraction(0)) + ca * cb
+                s = out.get(key, 0) + ca * cb
                 if s == 0:
                     out.pop(key, None)
                 else:
@@ -408,30 +408,43 @@ def gauss_2f1_truncated(a: int, b: int, c: int, order: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def linear_ratio_series(num: Iterable[Scalar], den: Iterable[Scalar], order: int) -> UniPoly:
-    """prod_a (1 + a t) / prod_b (1 + b t) over a in num, b in den, mod t^(order+1).
+def linear_ratio_integers(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:
+    """[C_0 .. C_order], the coefficients of prod_n (1 + n t) / prod_m (1 + m t)
+    mod t^(order+1) over integers n in num, m in den.
 
     Each factor updates one dense coefficient list in place, in O(order)
-    (Knuth, TAOCP Vol. 2, 4.7): multiplying by 1 + a t runs downward,
-    c_i += a c_{i-1}; dividing by 1 + b t runs upward, c_i -= b c_{i-1}.
-    The updates run on integers: with D the lcm of the factors'
-    denominators, each factor is n/D and c_i = C_i / D^i, where the C_i
-    obey the same updates with n in place of the factor.  Zero factors
-    are skipped.
+    (Knuth, TAOCP Vol. 2, 4.7): multiplying by 1 + n t runs downward,
+    C_i += n C_(i-1); dividing by 1 + m t runs upward, C_i -= m C_(i-1).
+    Zero factors are skipped.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    num = [v for v in num if v]
-    den = [v for v in den if v]
-    big_d = math.lcm(*(v.denominator for v in num), *(v.denominator for v in den))
     cs = [0] * (order + 1)
     cs[0] = 1
-    for v in num:
-        n = v.numerator * (big_d // v.denominator)
-        for i in range(order, 0, -1):
-            cs[i] += n * cs[i - 1]
-    for v in den:
-        n = v.numerator * (big_d // v.denominator)
-        for i in range(1, order + 1):
-            cs[i] -= n * cs[i - 1]
+    for n in num:
+        if n:
+            for i in range(order, 0, -1):
+                cs[i] += n * cs[i - 1]
+    for n in den:
+        if n:
+            for i in range(1, order + 1):
+                cs[i] -= n * cs[i - 1]
+    return cs
+
+
+def linear_ratio_series(num: Iterable[Scalar], den: Iterable[Scalar], order: int) -> UniPoly:
+    """prod_a (1 + a t) / prod_b (1 + b t) over a in num, b in den, mod t^(order+1).
+
+    The updates of :func:`linear_ratio_integers` run on integers: with D
+    the lcm of the factors' denominators, each factor is n/D and
+    c_i = C_i / D^i, where the C_i obey the same updates with n in place
+    of the factor.
+    """
+    num, den = list(num), list(den)
+    big_d = math.lcm(*(v.denominator for v in num), *(v.denominator for v in den))
+    cs = linear_ratio_integers(
+        (v.numerator * (big_d // v.denominator) for v in num),
+        (v.numerator * (big_d // v.denominator) for v in den),
+        order,
+    )
     return UniPoly(Fraction(c, big_d**i) for i, c in enumerate(cs))

@@ -17,30 +17,43 @@ P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
     A[n][p][k] = n! a^n f_{n,p,k} = sum over mu |- n of
                  npbi(mu, p, k) (n!/z_mu) P_mu1 P_mu2 ...,
 
-so f_{n,p,k} = A[n][p][k] / (n! a^n).  Rows are built on demand by
-:func:`coefficients.marked_row` at X_i = P_i; the table reads only the
-contents and npbi.
+so f_{n,p,k} = A[n][p][k] / (n! a^n).  The closed routes read a row only
+through k-sums over k <= min(n, m), so each row is built by
+:func:`coefficients.marked_row` at X_i = P_i only up to the column its
+readers ask for, and later asks add the missing columns; a partition
+with more parts than the column bound adds nothing.  The table reads only
+the contents and npbi.
 
 Corollary 5.2 reads y only through (-y)^n (y+1)^p, so the table also
 holds integer rows C[r] with r! a^r c_r(y) = sum over e of C[r][e] y^e,
-built from the contractions of Theorem 5.1, which are not kept.
+built from the contractions of Theorem 5.1, which are not kept.  The
+y-free row and column binomials of Theorem 11.2 are kept on the table
+too, as a list extended on demand.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import marked_row, stirling_inverse_t
-from .partitions import MEMO_SIZE, Partition, check_alpha, enumerate_partitions, z_of
+from .coefficients import _marked_terms, marked_row, stirling_first, stirling_inverse_t
+from .partitions import MEMO_SIZE, Partition, check_alpha
 from .series import comb_int
+
+
+@lru_cache(maxsize=None)
+def _q_binomials(n: int, p: int, m: int) -> tuple[int, ...]:
+    """(C(n+p+q-1, p) for q = 0 .. m), the q weights of a C-row term.  The
+    memo is unbounded: 2n + p + m <= r_max, so the run's r_max bounds it."""
+    return tuple(comb_int(n + p + q - 1, p) for q in range(m + 1))
 
 
 class _MomentTable:
     """Integer power sums and moment rows of one (shape, alpha = a/b)."""
 
-    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_c_rows")
+    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_c_rows", "_binomials")
 
     def __init__(self, la: Partition, alpha: Fraction):
         a, b = alpha.numerator, alpha.denominator
@@ -56,6 +69,7 @@ class _MomentTable:
         self._products: list[tuple[int, ...]] = []
         self._rows: list[tuple[tuple[int, ...], ...]] = []
         self._c_rows: list[tuple[int, ...]] = []
+        self._binomials = [(Fraction(1), Fraction(1))]
 
     def power_sum(self, k: int) -> int:
         """P_k, the sum of the k-th powers of the content numerators."""
@@ -68,22 +82,27 @@ class _MomentTable:
     def products(self, n: int) -> tuple[int, ...]:
         """(n!/z_mu) P_mu for mu over enumerate_partitions(n), in that order."""
         while len(self._products) <= n:
-            m = len(self._products)
-            fact = math.factorial(m)
             out = []
-            for mu in enumerate_partitions(m):
-                v = fact // z_of(mu)
-                for part in mu.parts:
+            for parts, v, _ in _marked_terms(len(self._products)):
+                for part in parts:
                     v *= self.power_sum(part)
                 out.append(v)
             self._products.append(tuple(out))
         return self._products[n]
 
-    def row(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """A[n], indexed [p][k] for 0 <= p, k <= n."""
-        while len(self._rows) <= n:
-            self._rows.append(marked_row(len(self._rows), self.power_sum))
-        return self._rows[n]
+    def row(self, n: int, k_max: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """A[n], indexed [p][k] for 0 <= p <= n and at least the columns
+        k <= min(k_max, n); every k <= n without k_max.  Missing columns
+        are added to the row, and built ones are kept."""
+        rows = self._rows
+        while len(rows) <= n:
+            rows.append(((),) * (len(rows) + 1))
+        k_max = n if k_max is None else min(k_max, n)
+        row = rows[n]
+        if len(row[0]) <= k_max:
+            new = marked_row(n, self.power_sum, k_max, len(row[0]))
+            row = rows[n] = tuple(map(operator.add, row, new))
+        return row
 
     def k_sum(self, top: int, n: int, m: int, p: int) -> int:
         """sum over k <= min(n, m) of C(top, n-k) A[m][p][k], the k-sum
@@ -93,7 +112,8 @@ class _MomentTable:
         reaches only that column builds no row."""
         if m == 0 or n == 0:
             return comb_int(top, n) if m == 0 else 0
-        return sum(comb_int(top, n - k) * v for k, v in enumerate(self.row(m)[p][: min(n, m) + 1]))
+        line = self.row(m, n)[p]
+        return sum(comb_int(top, n - k) * line[k] for k in range(min(n, m) + 1))
 
     def contraction(self, n: int, m: int) -> tuple[int, ...]:
         """The k-sums of Theorem 5.1 over row m, indexed by p:
@@ -102,7 +122,7 @@ class _MomentTable:
         if m == 0 or n == 0:
             return (comb_int(top, n) if m == 0 else 0,) * (m + 1)
         binoms = [comb_int(top, n - k) for k in range(min(n, m) + 1)]
-        return tuple(sum(c * v for c, v in zip(binoms, line)) for line in self.row(m))
+        return tuple(sum(map(operator.mul, binoms, line)) for line in self.row(m, n))
 
     def c_rows(self, r_max: int) -> list[tuple[int, ...]]:
         """The rows C[0] .. C[r_max] (and any built beyond): with
@@ -118,12 +138,42 @@ class _MomentTable:
                 ks = self.contraction(n, m)
                 for p in range(max(0, start - 2 * n - m), r_max - 2 * n - m + 1):
                     r = 2 * n + p + m
-                    s = sum(comb_int(n + p + q - 1, p) * v for q, v in enumerate(ks) if v)
+                    s = sum(map(operator.mul, _q_binomials(n, p, m), ks))
                     s *= (-1) ** n * (math.factorial(r) // math.factorial(m)) * self.a ** (r - m)
                     for j in range(p + 1):
                         new[r - start][n + j] += math.comb(p, j) * s
         rows.extend(map(tuple, new))
         return rows
+
+    def row_column_binomials(self, p_max: int) -> list[tuple[Fraction, Fraction]]:
+        """[(row_p, col_p) for p = 0 .. p_max] (and any built beyond), the
+        sums of :func:`moments.row_column_binomials`, which depend on
+        neither y nor the caller; missing p are added on demand.
+
+        The row sum at p is an integer over a^p p! and the column sum one
+        over b^p p!; dividing by (1/alpha)_p and (alpha)_p leaves the
+        denominators p! prod_{m<p} (b + m a) and p! prod_{m<p} (a + m b)."""
+        out, a, b, w = self._binomials, self.a, self.b, self.weight
+        for p in range(len(out), p_max + 1):
+            fact_p = math.factorial(p)
+            row_sum = col_sum = 0
+            for i in range(0, p + 1):
+                for j in range(0, p - i + 1):
+                    if i + j < 1:
+                        continue
+                    st = stirling_first(p - 1, i + j - 1)
+                    if not st:
+                        continue
+                    inner = self.k_sum(w - j, i, j, 0)
+                    if inner == 0:
+                        continue
+                    scale = st * (fact_p // math.factorial(j)) * inner
+                    row_sum += scale * b**i * a ** (p - i - j)
+                    col_sum += scale * (-1) ** j * a**i * b ** (p - i - j)
+            row_den = fact_p * math.prod(b + m * a for m in range(p))
+            col_den = fact_p * math.prod(a + m * b for m in range(p))
+            out.append((Fraction(row_sum, row_den), Fraction(col_sum, col_den)))
+        return out
 
     def denominator(self, n: int) -> int:
         """n! a^n, the common denominator of row n."""

@@ -492,6 +492,8 @@ def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
             ks = {(n, m): table.contraction(n, m) for n in range(order // 2 + 1) for m in range(order - 2 * n + 1)}
             for y in y_set:
                 c, d = y.numerator, y.denominator
+                cd_pows = [(c + d) ** i for i in range(order + 1)]
+                d_pows = [d**i for i in range(order + 1)]
                 lhs = content_ratio_series(la, alpha, y, order)
                 rhs = [0] * (order + 1)
                 for n in range(0, order // 2 + 1):
@@ -503,9 +505,9 @@ def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
                                 continue
                             shift = 2 * n + big_n
                             coef = (-c) ** n * (-1) ** big_n * acc * (fact // math.factorial(big_n)) * a ** (order - big_n)
-                            coef *= d ** (shift - n)
+                            coef *= d_pows[shift - n]
                             for i, nb in enumerate(neg_binoms[n + q][: order + 1 - shift]):
-                                rhs[shift + i] += coef * nb * (c + d) ** i * d ** (order - shift - i)
+                                rhs[shift + i] += coef * nb * cd_pows[i] * d_pows[order - shift - i]
                 den = d**order * fact * a**order
                 rec.series_equal(lhs, UniPoly([Fraction(v, den) for v in rhs]), la=str(la), alpha=alpha, y=y)
 

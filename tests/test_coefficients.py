@@ -151,6 +151,14 @@ def test_npbi_support_window():
             assert npbi(la, p, k) == npbi(la, la.weight - p, k)
 
 
+def test_npbi_entries_start_at_the_length():
+    # each row of mu adds at least one to k, so npbi(mu, p, k) = 0 for
+    # k < l(mu); marked_row skips partitions longer than its column bound
+    # on this ground
+    for la in partitions_upto(10):
+        assert all(k >= la.length for (_, k) in npbi_table(la)), la
+
+
 def test_npbi_errors():
     la = Partition((2, 1))
     with pytest.raises(ValueError, match="p out of range"):

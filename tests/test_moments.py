@@ -43,8 +43,8 @@ from ycalc.moments import (
 from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
-from ycalc.series import InvariantError, comb_int, raising_factorial
-from ycalc.shifted import d_k, moment_table
+from ycalc.series import InvariantError, comb_int, linear_ratio_series, raising_factorial
+from ycalc.shifted import _MomentTable, d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
@@ -541,6 +541,50 @@ def test_content_ratio_series_matches_collected_coefficients(alpha):
         series = content_ratio_series(la, alpha, y, order=6)
         for r, c in enumerate(cor52_coefficient(la, alpha, y, 6)):
             assert series.coefficient(r) == c * (-1) ** r, (la, r)
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_content_ratio_series_matches_fraction_reference(alpha):
+    # (x + u) = x (1 + u t) at t = 1/x, so the ratio is the linear ratio
+    # series over the contents shifted by y + 1 and 0, against y and 1
+    for la in partitions_upto(6):
+        contents = content_alphabet(la, alpha)
+        for y in (Fraction(0), Fraction(-1), Fraction(2), Fraction(-1, 3), -1 / alpha, 1 / alpha):
+            want = linear_ratio_series(
+                [y + 1 + c for c in contents] + list(contents), [y + c for c in contents] + [1 + c for c in contents], 8
+            )
+            assert content_ratio_series(la, alpha, y, 8) == want, (la, y)
+
+
+def test_row_column_binomials_extend_as_a_prefix(fresh_memos):
+    # built up to 2, then to weight + 2 on one table, against a new table
+    # built at weight + 2 at once and cut back to 2
+    for alpha in KERNEL_ALPHAS:
+        for la in partitions_upto(5):
+            short = row_column_binomials(la, alpha, 2)
+            grown = row_column_binomials(la, alpha, la.weight + 2)
+            moment_table.cache_clear()
+            whole = row_column_binomials(la, alpha, la.weight + 2)
+            assert grown == whole and short == whole[:3], (la, alpha)
+            assert row_column_binomials(la, alpha, 2) == short, (la, alpha)
+
+
+def test_row_column_binomials_are_kept_on_the_table(fresh_memos, monkeypatch):
+    calls = []
+    k_sum = _MomentTable.k_sum
+
+    def counted(self, *args):
+        calls.append(args)
+        return k_sum(self, *args)
+
+    monkeypatch.setattr(_MomentTable, "k_sum", counted)
+    la, alpha = Partition((3, 2, 1)), Fraction(3, 5)
+    first = row_column_binomials(la, alpha, la.weight)
+    assert calls
+    calls.clear()
+    assert row_column_binomials(la, alpha, la.weight) == first
+    assert row_column_binomials(la, alpha, 3) == first[:4]
+    assert calls == []
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ycalc.coefficients import stirling_inverse_t
+from ycalc.coefficients import marked_row, stirling_inverse_t
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto
 from ycalc.series import UniPoly, linear_ratio_series, lowering_factorial
-from ycalc.shifted import _shifted_numerators, d_k, dk_from_shifted, moment_table
+from ycalc.shifted import _MomentTable, _shifted_numerators, d_k, dk_from_shifted, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
@@ -125,6 +125,27 @@ def test_f_npk_conventions_match_abstract_family():
             row = table.row(n)
             assert len(row) == n + 1 and all(len(line) == n + 1 for line in row)
             assert all(line[0] == 0 for line in row)
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_bounded_rows_equal_full_rows(alpha):
+    # Columns 0 .. k of a row built up to column k, one column at a time,
+    # equal those of the full marked_row; so does a row first built at
+    # k = 1 and then extended to k = m, and a read at a smaller bound after
+    # an extension returns the whole extended row.
+    for la in partitions_upto(7):
+        stepwise, jump = _MomentTable(la, alpha), _MomentTable(la, alpha)
+        for m in range(9):
+            full = marked_row(m, stepwise.power_sum)
+            for k in range(m + 1):
+                cut = tuple(line[: k + 1] for line in full)
+                assert marked_row(m, stepwise.power_sum, k) == cut, (la, m, k)
+                assert stepwise.row(m, k) == cut, (la, m, k)
+            assert stepwise.row(m) == full, (la, m)
+            jump.row(m, 1)
+            assert jump.row(m, m) == full, (la, m)
+            assert jump.row(m, 1) == full, (la, m)
+            assert marked_row(m, jump.power_sum, m, 2) == tuple(line[2:] for line in full), (la, m)
 
 
 def test_f_npk_first_values_by_hand():
