@@ -15,7 +15,8 @@ The marked family weighs npbi over every diagram of n,
 
     p_npk(n, p, k) = sum over mu |- n of npbi(mu, p, k)/z_mu * X_mu1 X_mu2 ...,
 
-and :func:`marked_row` evaluates a whole row n of it at once.
+and :func:`marked_row` evaluates a whole row n of it, one
+:func:`marked_column` at a time over the products of :func:`marked_products`.
 """
 
 from __future__ import annotations
@@ -99,47 +100,50 @@ def npbi_table(la: Partition) -> Mapping[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _marked_terms(n: int) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[tuple[int, int], ...], ...]], ...]:
-    """(parts, n!/z_mu, columns) for mu over enumerate_partitions(n), in
-    that order, where columns[k] holds the (p, npbi(mu, p, k)) entries of
-    column k for 0 <= k <= n; every column k < l(mu) is empty.  The memo
-    is unbounded: one key per n, so the run's largest weight bounds it."""
+def _marked_terms(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """((parts, n!/z_mu) for mu over enumerate_partitions(n), in that
+    order; columns[k] for k <= n, the (i, p, npbi(mu_i, p, k)) entries).
+    Column k lists no mu longer than k.  The memo is unbounded: one key
+    per n, so the run's largest weight bounds it."""
     fact = math.factorial(n)
-    out = []
-    for mu in enumerate_partitions(n):
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    mus = enumerate_partitions(n)
+    columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for i, mu in enumerate(mus):
         for (p, k), c in npbi_table(mu).items():
-            columns[k].append((p, c))
-        out.append((mu.parts, fact // z_of(mu), tuple(map(tuple, columns))))
+            columns[k].append((i, p, c))
+    return tuple((mu.parts, fact // z_of(mu)) for mu in mus), tuple(map(tuple, columns))
+
+
+def marked_products(n: int, xk: Callable[[int], object]) -> tuple[object, ...]:
+    """((n!/z_mu) X_mu1 X_mu2 ... for mu over enumerate_partitions(n)), in
+    that order, at X_i = xk(i)."""
+    out = []
+    for parts, v in _marked_terms(n)[0]:
+        for part in parts:
+            v = v * xk(part)
+        out.append(v)
     return tuple(out)
 
 
-def marked_row(
-    n: int, xk: Callable[[int], object], k_max: int | None = None, k_min: int = 0
-) -> tuple[tuple[object, ...], ...]:
-    """Columns k_min .. k_max of row n of n!·p_npk(n, p, k) at X_i = xk(i),
-    indexed [p][k - k_min] for 0 <= p <= n, from one pass over the
-    partitions of n; k_max defaults to n and is cut to n.
+def marked_column(n: int, k: int, products: tuple[object, ...]) -> tuple[object, ...]:
+    """Column k of row n of n!·p_npk(n, p, k), indexed by p for
+    0 <= p <= n, from products = marked_products(n, xk).  Entries no
+    partition reaches stay the int 0."""
+    acc: list[object] = [0] * (n + 1)
+    for i, p, c in _marked_terms(n)[1][k]:
+        acc[p] += c * products[i]
+    return tuple(acc)
 
-    npbi(mu, p, k) is 0 for k < l(mu), since each row of mu adds at least
-    one to k, so a partition with more than k_max parts is skipped.
-    xk may return ints, Fractions or any ring element that multiplies
-    with them (XPolynomial); entries no partition reaches stay the int 0.
-    Column k = 0 is 0 except at n = 0, where the row is ((1,),)."""
+
+def marked_row(n: int, xk: Callable[[int], object]) -> tuple[tuple[object, ...], ...]:
+    """Row n of n!·p_npk(n, p, k) at X_i = xk(i), indexed [p][k] for
+    0 <= p, k <= n.  xk may return ints, Fractions or any ring element
+    that multiplies with them (XPolynomial).  Column k = 0 is 0 except at
+    n = 0, where the row is ((1,),)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    k_max = n if k_max is None else min(k_max, n)
-    acc: list[list[object]] = [[0] * (k_max + 1 - k_min) for _ in range(n + 1)]
-    for parts, v, columns in _marked_terms(n):
-        if len(parts) > k_max:
-            continue
-        for part in parts:
-            v = v * xk(part)
-        if v:
-            for k in range(k_min, k_max + 1):
-                for p, c in columns[k]:
-                    acc[p][k - k_min] += c * v
-    return tuple(tuple(line) for line in acc)
+    products = marked_products(n, xk)
+    return tuple(zip(*(marked_column(n, k, products) for k in range(n + 1))))
 
 
 def gn_series(n: int, order: int) -> BiSeries:

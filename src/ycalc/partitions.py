@@ -8,6 +8,7 @@ partition has contents 0, 1, ..., n-1 at every alpha.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -19,7 +20,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))  # TypeError unless every part is an integer
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError("parts must be weakly decreasing")
@@ -170,9 +171,12 @@ MEMO_SIZE = 1024
 
 
 def check_alpha(alpha: Fraction) -> Fraction:
-    """alpha as a Fraction; raises ValueError unless alpha > 0."""
+    """alpha as a Fraction; raises ValueError unless alpha is a finite number > 0."""
     if not isinstance(alpha, Fraction):
-        alpha = Fraction(alpha)
+        try:
+            alpha = Fraction(alpha)
+        except (OverflowError, ValueError):
+            raise ValueError(f"alpha must be a finite rational: {alpha!r}") from None
     if alpha.numerator <= 0:
         raise ValueError("alpha must be positive")
     return alpha

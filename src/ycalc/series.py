@@ -212,8 +212,8 @@ class XPolynomial:
         return cls({(0, ()): Fraction(c)})
 
     @classmethod
-    def x0(cls, power: int = 1) -> "XPolynomial":
-        return cls({(power, ()): Fraction(1)})
+    def x0(cls) -> "XPolynomial":
+        return cls({(1, ()): Fraction(1)})
 
     @classmethod
     def symbol(cls, i: int) -> "XPolynomial":

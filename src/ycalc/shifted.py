@@ -18,17 +18,17 @@ P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
                  npbi(mu, p, k) (n!/z_mu) P_mu1 P_mu2 ...,
 
 so f_{n,p,k} = A[n][p][k] / (n! a^n).  The closed routes read a row only
-through k-sums over k <= min(n, m), so each row is built by
-:func:`coefficients.marked_row` at X_i = P_i only up to the column its
-readers ask for, and later asks add the missing columns; a partition
-with more parts than the column bound adds nothing.  The table reads only
-the contents and npbi.
+through k-sums over the columns k <= min(n, m), so the table stores
+columns: the first ask for column k of row m sums it with
+:func:`coefficients.marked_column` from the kept products
+(m!/z_mu) P_mu, and it is never built again.  The table reads only the
+contents and npbi.
 
 Corollary 5.2 reads y only through (-y)^n (y+1)^p, so the table also
 holds integer rows C[r] with r! a^r c_r(y) = sum over e of C[r][e] y^e,
-built from the contractions of Theorem 5.1, which are not kept.  The
-y-free row and column binomials of Theorem 11.2 are kept on the table
-too, as a list extended on demand.
+built from the k-sums of Theorem 5.1, which are not kept.  The y-free
+row and column binomials of Theorem 11.2 are kept on the table too, as a
+list extended on demand.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import _marked_terms, marked_row, stirling_first, stirling_inverse_t
+from .coefficients import marked_column, marked_products, stirling_first, stirling_inverse_t
 from .partitions import MEMO_SIZE, Partition, check_alpha
 from .series import comb_int
 
@@ -51,9 +51,9 @@ def _q_binomials(n: int, p: int, m: int) -> tuple[int, ...]:
 
 
 class _MomentTable:
-    """Integer power sums and moment rows of one (shape, alpha = a/b)."""
+    """Integer power sums and moment columns of one (shape, alpha = a/b)."""
 
-    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_rows", "_c_rows", "_binomials")
+    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_columns", "_c_rows", "_binomials")
 
     def __init__(self, la: Partition, alpha: Fraction):
         a, b = alpha.numerator, alpha.denominator
@@ -67,7 +67,7 @@ class _MomentTable:
         )
         self._power_sums = [la.weight]
         self._products: list[tuple[int, ...]] = []
-        self._rows: list[tuple[tuple[int, ...], ...]] = []
+        self._columns: dict[tuple[int, int], tuple[int, ...]] = {}
         self._c_rows: list[tuple[int, ...]] = []
         self._binomials = [(Fraction(1), Fraction(1))]
 
@@ -81,61 +81,45 @@ class _MomentTable:
 
     def products(self, n: int) -> tuple[int, ...]:
         """(n!/z_mu) P_mu for mu over enumerate_partitions(n), in that order."""
+        self.power_sum(n)  # fills every P_k a part of n reads
         while len(self._products) <= n:
-            out = []
-            for parts, v, _ in _marked_terms(len(self._products)):
-                for part in parts:
-                    v *= self.power_sum(part)
-                out.append(v)
-            self._products.append(tuple(out))
+            self._products.append(marked_products(len(self._products), self._power_sums.__getitem__))
         return self._products[n]
 
-    def row(self, n: int, k_max: int | None = None) -> tuple[tuple[int, ...], ...]:
-        """A[n], indexed [p][k] for 0 <= p <= n and at least the columns
-        k <= min(k_max, n); every k <= n without k_max.  Missing columns
-        are added to the row, and built ones are kept."""
-        rows = self._rows
-        while len(rows) <= n:
-            rows.append(((),) * (len(rows) + 1))
-        k_max = n if k_max is None else min(k_max, n)
-        row = rows[n]
-        if len(row[0]) <= k_max:
-            new = marked_row(n, self.power_sum, k_max, len(row[0]))
-            row = rows[n] = tuple(map(operator.add, row, new))
-        return row
+    def column(self, m: int, k: int) -> tuple[int, ...]:
+        """(A[m][p][k] for p = 0 .. m), for 0 <= k <= m; built on the first ask."""
+        col = self._columns.get((m, k))
+        if col is None:
+            col = self._columns[m, k] = marked_column(m, k, self.products(m))
+        return col
 
-    def k_sum(self, top: int, n: int, m: int, p: int) -> int:
-        """sum over k <= min(n, m) of C(top, n-k) A[m][p][k], the k-sum
-        every closed route takes over a row.
+    def k_sum(self, top: int, n: int, m: int) -> tuple[int, ...]:
+        """(sum over k <= min(n, m) of C(top, n-k) A[m][p][k] for p = 0 .. m),
+        the k-sum every closed route takes over a row.
 
-        Column k = 0 is 1 at m = p = 0 and 0 elsewhere, so a sum that
-        reaches only that column builds no row."""
-        if m == 0 or n == 0:
-            return comb_int(top, n) if m == 0 else 0
-        line = self.row(m, n)[p]
-        return sum(comb_int(top, n - k) * line[k] for k in range(min(n, m) + 1))
-
-    def contraction(self, n: int, m: int) -> tuple[int, ...]:
-        """The k-sums of Theorem 5.1 over row m, indexed by p:
-        sum over k <= min(n, m) of C(|la|+n-1, n-k) A[m][p][k]."""
-        top = self.weight + n - 1
+        Column k = 0 is 1 at m = p = 0 and 0 elsewhere, so no sum builds
+        it: one that reaches only that column is written out, and the others
+        start at k = 1."""
         if m == 0 or n == 0:
             return (comb_int(top, n) if m == 0 else 0,) * (m + 1)
-        binoms = [comb_int(top, n - k) for k in range(min(n, m) + 1)]
-        return tuple(sum(map(operator.mul, binoms, line)) for line in self.row(m, n))
+        ks = range(1, min(n, m) + 1)
+        binoms = [comb_int(top, n - k) for k in ks]
+        columns = [self.column(m, k) for k in ks]
+        return tuple(sum(map(operator.mul, binoms, line)) for line in zip(*columns))
 
     def c_rows(self, r_max: int) -> list[tuple[int, ...]]:
         """The rows C[0] .. C[r_max] (and any built beyond): with
         m = r-2n-p, C[r][e] sums (-1)^n C(p, e-n) (r!/m!) a^(r-m) times
-        sum over q of C(n+p+q-1, p) K(n, m, q), K the contraction.
-        Missing rows are added in one pass that forms each K once."""
+        sum over q of C(n+p+q-1, p) K(n, m)[q], K the k-sum at
+        top = |la|+n-1.  Missing rows are added in one pass that forms each
+        K once."""
         rows, start = self._c_rows, len(self._c_rows)
         if start > r_max:
             return rows
         new = [[0] * (r + 1) for r in range(start, r_max + 1)]
         for n in range(r_max // 2 + 1):
             for m in range(r_max - 2 * n + 1):
-                ks = self.contraction(n, m)
+                ks = self.k_sum(self.weight + n - 1, n, m)
                 for p in range(max(0, start - 2 * n - m), r_max - 2 * n - m + 1):
                     r = 2 * n + p + m
                     s = sum(map(operator.mul, _q_binomials(n, p, m), ks))
@@ -154,6 +138,7 @@ class _MomentTable:
         over b^p p!; dividing by (1/alpha)_p and (alpha)_p leaves the
         denominators p! prod_{m<p} (b + m a) and p! prod_{m<p} (a + m b)."""
         out, a, b, w = self._binomials, self.a, self.b, self.weight
+        inners: dict[tuple[int, int], int] = {}  # the k-sums at p = 0 depend on (i, j) only
         for p in range(len(out), p_max + 1):
             fact_p = math.factorial(p)
             row_sum = col_sum = 0
@@ -164,7 +149,9 @@ class _MomentTable:
                     st = stirling_first(p - 1, i + j - 1)
                     if not st:
                         continue
-                    inner = self.k_sum(w - j, i, j, 0)
+                    if (i, j) not in inners:
+                        inners[i, j] = self.k_sum(w - j, i, j)[0]
+                    inner = inners[i, j]
                     if inner == 0:
                         continue
                     scale = st * (fact_p // math.factorial(j)) * inner

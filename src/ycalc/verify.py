@@ -123,8 +123,10 @@ def _rationals(name: str, value) -> _Rationals:
     out = []
     for item in value:
         try:
+            if isinstance(item, bool):
+                raise TypeError
             out.append(Fraction(item))
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"{name}: not a rational: {item!r}") from None
     return tuple(out)
 
@@ -469,7 +471,7 @@ def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
             coeffs = {}
             for i in range(order + 1):
                 for j in range(order + 1 - i):
-                    acc = table.k_sum(w - j, i, j, 0)
+                    acc = table.k_sum(w - j, i, j)[0]
                     if j % 2:
                         acc = -acc
                     coeffs[(i, j)] = Fraction(acc, table.denominator(j))
@@ -488,8 +490,8 @@ def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
         for alpha in alpha_set:
             table = moment_table(la, alpha)
             a = table.a
-            # the contractions this (la, alpha) reads, shared by its y values
-            ks = {(n, m): table.contraction(n, m) for n in range(order // 2 + 1) for m in range(order - 2 * n + 1)}
+            # the k-sums this (la, alpha) reads, shared by its y values
+            ks = {(n, m): table.k_sum(la.weight + n - 1, n, m) for n in range(order // 2 + 1) for m in range(order - 2 * n + 1)}
             for y in y_set:
                 c, d = y.numerator, y.denominator
                 cd_pows = [(c + d) ** i for i in range(order + 1)]

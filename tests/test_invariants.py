@@ -103,6 +103,74 @@ def test_every_module_level_name_is_reachable_from_main():
     assert sorted(set(defs) - reached - _UNREACHABLE_ALLOWED) == []
 
 
+
+# Defaulted parameters, as (function, parameter), that no call in src/
+# needs to pass: cli.main(argv) is the tests' entry point.
+_DEFAULT_UNPASSED_ALLOWED = frozenset({("main", "argv")})
+
+
+def _call_name(call: ast.Call, owner: str | None) -> str | None:
+    """The name a call is matched by: the called name or attribute, and
+    the class for cls(...) inside a class body."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return owner if name == "cls" and owner else name
+
+
+def _calls_and_defaults() -> tuple[dict[str, list[ast.Call]], list[tuple[str, str, int | None, str]]]:
+    """Every call in src/ycalc by name, and every defaulted parameter of a
+    function or method there as (name, parameter, positional index or
+    None for keyword-only, where).  A method's index leaves out self or
+    cls, and a class's __init__ goes by the class name."""
+    calls: dict[str, list[ast.Call]] = {}
+    defaults = []
+
+    def visit(node: ast.AST, owner: str | None, path: Path) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                calls.setdefault(_call_name(child, owner), []).append(child)
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                method = isinstance(node, ast.ClassDef)
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                skip = 1 if method and not static else 0
+                name = node.name if method and child.name == "__init__" else child.name
+                where = f"{path.name}:{child.lineno}"
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    defaults.append((name, arg.arg, i - skip, where))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        defaults.append((name, arg.arg, None, where))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner, path)
+
+    for path in sorted((SRC / "ycalc").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None, path)
+    return calls, defaults
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # A call passes a parameter by keyword, by reaching its position, or
+    # through *args or **kwargs.  A default that only the tests override
+    # is a second code path that the library never takes.
+    calls, defaults = _calls_and_defaults()
+
+    def passed(call: ast.Call, param: str, index: int | None) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        return index is not None and len(call.args) > index
+
+    unpassed = [
+        f"{where}: {name}({param})"
+        for name, param, index, where in defaults
+        if (name, param) not in _DEFAULT_UNPASSED_ALLOWED
+        and not any(passed(call, param, index) for call in calls.get(name, ()))
+    ]
+    assert unpassed == []
+
 def test_every_import_is_read():
     # __init__.py imports to re-export; every other module must read each
     # name it imports (as a name, or as the root of an attribute).

@@ -297,10 +297,10 @@ def test_moment_table_matches_fraction_definitions(alpha):
             assert d_k(la, alpha, k) == _d_reference(la, alpha, k), (la, k)
         table = moment_table(la, alpha)
         for n in range(11):
-            row = table.row(n)
-            for p in range(n + 1):
-                for k in range(n + 1):
-                    f = Fraction(row[p][k], table.denominator(n))
+            for k in range(n + 1):
+                column = table.column(n, k)
+                for p in range(n + 1):
+                    f = Fraction(column[p], table.denominator(n))
                     assert f == _f_reference(la, alpha, n, p, k), (la, n, p, k)
 
 
@@ -323,15 +323,15 @@ def test_closed_routes_match_fraction_loops(alpha):
 def _q_sums_from_rows(la, alpha, r_max):
     """{(n, p, m): sum over q of C(n+p+q-1, p) times the k-sum of
     C(|la|+n-1, n-k) f_{m,q,k}}, in Fractions with f read from the table
-    rows; these are the y-free parts of the collected form."""
+    columns; these are the y-free parts of the collected form."""
     table = moment_table(la, alpha)
     out = {}
     for n in range(r_max // 2 + 1):
         # at n = 0 the k-sum reads only column k = 0, which is zero past row 0
         for m in range(r_max - 2 * n + 1) if n else (0,):
-            row, den = table.row(m), table.denominator(m)
+            columns, den = [table.column(m, k) for k in range(min(n, m) + 1)], table.denominator(m)
             ks = [
-                Fraction(sum(comb_int(la.weight + n - 1, n - k) * row[q][k] for k in range(min(n, m) + 1)), den)
+                Fraction(sum(comb_int(la.weight + n - 1, n - k) * column[q] for k, column in enumerate(columns)), den)
                 for q in range(m + 1)
             ]
             for p in range(r_max - 2 * n - m + 1):

@@ -38,6 +38,13 @@ def test_construction_rejects_bad_input():
         Partition.from_string("2,x")
 
 
+def test_parts_must_be_integers():
+    # no part is truncated or parsed: 2.5 is not 2, and "3" is not 3
+    for parts in ((2.5, 1), (2.0,), ["3", "1"], (2, None)):
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+
 def test_from_string_and_str_roundtrip():
     assert Partition.from_string("3,2,1").parts == (3, 2, 1)
     assert Partition.from_string("0") == EMPTY
@@ -190,6 +197,9 @@ def test_check_alpha():
         check_alpha(Fraction(0))
     with pytest.raises(ValueError, match="alpha must be positive"):
         check_alpha(Fraction(-1, 2))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be a finite rational"):
+            check_alpha(bad)
 
 
 def test_content_alphabet_values():

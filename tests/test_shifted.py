@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ycalc.coefficients import marked_row, stirling_inverse_t
+from ycalc import shifted
+from ycalc.coefficients import marked_column, marked_row, stirling_inverse_t
+from ycalc.moments import row_column_binomials
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto
 from ycalc.series import UniPoly, linear_ratio_series, lowering_factorial
 from ycalc.shifted import _MomentTable, _shifted_numerators, d_k, dk_from_shifted, moment_table
@@ -112,40 +114,60 @@ def test_dk_from_shifted_rejects_negative():
 def _f(la, alpha, n, p, k):
     """f_{n,p,k} = A[n][p][k] / (n! a^n), read from the moment table."""
     table = moment_table(la, alpha)
-    return Fraction(table.row(n)[p][k], table.denominator(n))
+    return Fraction(table.column(n, k)[p], table.denominator(n))
 
 
 def test_f_npk_conventions_match_abstract_family():
-    # Row n of the table is (n+1) x (n+1) in (p, k); column k = 0 holds
-    # the convention value: 1 at n = p = 0 and 0 elsewhere.
+    # Row n of the table has the n + 1 columns k = 0 .. n, each of n + 1
+    # entries p; column k = 0 holds the convention value: 1 at
+    # n = p = 0 and 0 elsewhere.
     for la in (EMPTY, Partition((3, 1))):
         table = moment_table(la, Fraction(2))
-        assert table.row(0) == ((1,),)
+        assert table.column(0, 0) == (1,)
         for n in range(1, 5):
-            row = table.row(n)
-            assert len(row) == n + 1 and all(len(line) == n + 1 for line in row)
-            assert all(line[0] == 0 for line in row)
+            columns = [table.column(n, k) for k in range(n + 1)]
+            assert all(len(column) == n + 1 for column in columns)
+            assert columns[0] == (0,) * (n + 1)
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_bounded_rows_equal_full_rows(alpha):
-    # Columns 0 .. k of a row built up to column k, one column at a time,
-    # equal those of the full marked_row; so does a row first built at
-    # k = 1 and then extended to k = m, and a read at a smaller bound after
-    # an extension returns the whole extended row.
+    # A row read one column at a time, on a new table per order of k
+    # (ascending, descending, scattered), equals the full marked_row at
+    # X_i = P_i column by column.
+    ks = list(range(9))
     for la in partitions_upto(7):
-        stepwise, jump = _MomentTable(la, alpha), _MomentTable(la, alpha)
-        for m in range(9):
-            full = marked_row(m, stepwise.power_sum)
-            for k in range(m + 1):
-                cut = tuple(line[: k + 1] for line in full)
-                assert marked_row(m, stepwise.power_sum, k) == cut, (la, m, k)
-                assert stepwise.row(m, k) == cut, (la, m, k)
-            assert stepwise.row(m) == full, (la, m)
-            jump.row(m, 1)
-            assert jump.row(m, m) == full, (la, m)
-            assert jump.row(m, 1) == full, (la, m)
-            assert marked_row(m, jump.power_sum, m, 2) == tuple(line[2:] for line in full), (la, m)
+        full_rows = [marked_row(m, _MomentTable(la, alpha).power_sum) for m in range(9)]
+        for order in (ks, ks[::-1], ks[1::2] + ks[::2]):
+            table = _MomentTable(la, alpha)
+            for m in range(9):
+                for k in order:
+                    if k <= m:
+                        assert table.column(m, k) == tuple(line[k] for line in full_rows[m]), (la, m, k)
+
+
+def test_no_column_is_built_twice(fresh_memos, monkeypatch):
+    # One table read by c_rows(6), c_rows(10), the k-sums rel5.1 reads at
+    # order 10, and the row and column binomials up to |la| + 2: every
+    # (m, k) column is summed once, however much wider a later ask is.
+    built = []
+
+    def counted(m, k, products):
+        built.append((m, k))
+        return marked_column(m, k, products)
+
+    monkeypatch.setattr(shifted, "marked_column", counted)
+    for la in (Partition((3, 2, 1)), Partition((4, 1))):
+        alpha = Fraction(3, 5)
+        table = moment_table(la, alpha)
+        table.c_rows(6)
+        table.c_rows(10)
+        for i in range(11):
+            for j in range(11 - i):
+                table.k_sum(la.weight - j, i, j)
+        row_column_binomials(la, alpha, la.weight + 2)
+        assert built and len(built) == len(set(built)), la
+        built.clear()
 
 
 def test_f_npk_first_values_by_hand():

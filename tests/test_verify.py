@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -223,6 +224,10 @@ def test_text_overrides_are_read_to_typed_values():
         ("prop7.1", {"alpha_set": 2}, "alpha_set: not a sample set: 2"),
         ("prop7.1", {"alpha_set": ()}, "alpha_set: empty sample set"),
         ("prop7.1", {"alpha_set": "1,1/0"}, "alpha_set: not a rational: '1/0'"),
+        ("cor5.2", {"y_set": [math.inf]}, "y_set: not a rational: inf"),
+        ("cor5.2", {"y_set": [1, math.nan]}, "y_set: not a rational: nan"),
+        ("cor5.2", {"y_set": [True]}, "y_set: not a rational: True"),
+        ("prop7.1", {"alpha_set": [-math.inf]}, "alpha_set: not a rational: -inf"),
     ],
 )
 def test_malformed_overrides_are_rejected(identity, overrides, message):
