@@ -27,8 +27,12 @@ when z ≥ t, one add, mask and popcount per inner threshold t per block.
 At alpha = a/b the cell added in row i of λ has content x/a with the
 integer x = λ_i·a - (i-1)·b, so the paths' counts per atom of the last
 step give integer power sums of x.  The exact reference is the law of x:
-the masses one step before the end, folded through their atoms, give
-moment r as Σ_x P(x)·x^r / a^r.  Floats appear only in the estimates.
+the masses one step before the end, folded through their atoms as
+integer pairs over their lcm L, give moment r as one integer
+Σ_x L·P(x)·x^r over L·a^r.  Floats appear only in the estimates, each
+one int / int true division of the exact integer sums, which is
+correctly rounded, so it equals the float of the Fraction.  The
+variance's sign is tested on integers too.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from .moments import _pieri_atoms, corner_binomials, pieri_coefficients, sigma_direct_moments
+from .moments import _pieri_atoms, _position_weights, _power_sums, corner_binomials, pieri_coefficients
 from .partitions import EMPTY, MEMO_SIZE, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
@@ -114,33 +118,31 @@ def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, Fract
     return tuple(atoms)
 
 
-def removed_content(la: Partition, alpha, row: int) -> Fraction:
-    """Content of the cell a down-step deletes from the given row."""
-    alpha = check_alpha(alpha)
-    return Fraction(la.parts[row - 1] - 1) - Fraction(row - 1) / alpha
-
-
 def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[Fraction, Fraction]]:
     """The r-th moment of the deleted content under the down kernel, for
     r = 0 .. r_max, computed twice as a pair (direct, combination):
     straight from the atoms, and as the binomial combination
     (1/|Λ|) Σ_k (-1)^{r-k} C(r,k) σ_k(Λ) of corner moments, with
     σ_0 .. σ_{r_max} evaluated once.
+
+    At alpha = a/b the corner atoms sit at positions x/a with weights
+    v/D (`moments._position_weights`), and the deleted content is
+    (x - a)/a.  So the direct side sums v (x - a)^r, the combination
+    side sums (-1)^{r-k} C(r,k) a^{r-k} T_k over the corner power sums
+    T_k = Σ v x^k, and each is divided by |Λ| D a^r once.
     """
     alpha = check_alpha(alpha)
     if la.weight == 0:
         raise ValueError("no co-transition from the empty shape")
-    sigmas = sigma_direct_moments(la, alpha, r_max)
-    atoms = [(removed_content(la, alpha, i), p) for i, p in cotransition_kernel(la, alpha)]
+    a = alpha.numerator
+    pairs, big_d = _position_weights(corner_binomials, la, alpha)
+    sigmas = _power_sums(pairs, r_max)
+    direct = _power_sums(((x - a, v) for x, v in pairs), r_max)
     out = []
     for r in range(r_max + 1):
-        direct = Fraction(0)
-        for content, p in atoms:
-            direct += content**r * p
-        combo = Fraction(0)
-        for k in range(0, r + 1):
-            combo += (-1) ** (r - k) * comb_int(r, k) * sigmas[k]
-        out.append((direct, combo / la.weight))
+        combo = sum((-1) ** (r - k) * comb_int(r, k) * a ** (r - k) * sigmas[k] for k in range(r + 1))
+        den = la.weight * big_d * a**r
+        out.append((Fraction(direct[r], den), Fraction(combo, den)))
     return out
 
 
@@ -266,16 +268,6 @@ def _unpack(z: int, n: int) -> list[int]:
     return memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
-def _power_sums(weights: dict[int, int | Fraction], r_max: int) -> list:
-    """Σ_x w·x^r for r = 0 .. r_max over a table {x: w}."""
-    out = [0] * (r_max + 1)
-    for x, w in weights.items():
-        for r in range(r_max + 1):
-            out[r] += w
-            w *= x
-    return out
-
-
 def sample_growth(
     steps: int,
     alpha,
@@ -350,19 +342,24 @@ def sample_growth(
             if hits:
                 tally[x] = tally.get(x, 0) + hits
                 occupancy[str(child.la)] = occupancy.get(str(child.la), 0) + hits
-    power_nums = _power_sums(tally, 2 * r_max)
-    exact_nums = _power_sums({x: Fraction(num, den) for x, (num, den) in law.items()}, r_max)
+    power_nums = _power_sums(tally.items(), 2 * r_max)
+    law_den = 1  # the lcm of the law's reduced denominators
+    for x, (num, den) in law.items():
+        g = math.gcd(num, den)
+        law[x] = num // g, den // g
+        law_den = math.lcm(law_den, den // g)
+    exact_nums = _power_sums(((x, num * (law_den // den)) for x, (num, den) in law.items()), r_max)
 
+    # int / int is correctly rounded, so each float is that of the Fraction
     moments = []
     for r in range(0, r_max + 1):
-        exact = exact_nums[r] / a**r
-        mean = Fraction(power_nums[r], paths * a**r)
-        second = Fraction(power_nums[2 * r], paths * a ** (2 * r))
-        variance = second - mean * mean
+        exact = Fraction(exact_nums[r], law_den * a**r)
+        scale = paths * a**r
+        variance = paths * power_nums[2 * r] - power_nums[r] ** 2  # over scale^2
         if variance < 0:
             raise InvariantError(f"negative variance of moment {r}")
-        se = math.sqrt(float(variance) / paths)
-        moments.append(MomentStat(r, float(mean), exact, se))
+        se = math.sqrt(variance / (scale * scale) / paths)
+        moments.append(MomentStat(r, power_nums[r] / scale, exact, se))
 
     occ = tuple(sorted(occupancy.items()))
     return SampleStats(

@@ -20,10 +20,17 @@ exactly; the verifier leans on that.
 
 The closed routes read the integer moment table of shifted.py, where
 f_{n,p,k} = A[n][p][k] / (n! a^n) for alpha = a/b, and sum integers
-over one denominator per index: c_r at y = c/d over d^r r! a^r, the u
-regrouping over a^r r!, and the row and column binomials over
-p! prod_m (b + m a) and p! prod_m (a + m b).  Like the moment routes,
-each returns every index up to its bound in one call.
+over one denominator per index: c_r at y = c/d over d^r r! a^r, sigma_r
+over b a^(2r+3) (r+2)!, the u regrouping over a^r r!, and the row and
+column binomials over p! prod_m (b + m a) and p! prod_m (a + m b).  Like
+the moment routes, each returns every index up to its bound in one call.
+
+The other routes sum integers too and form one Fraction per returned
+value: the direct routes over the lcm of the atoms' denominators times
+a^r, the Lagrange routes over a^r (s) and b a^(r+1) (sigma) since both
+alphabets are integers over b, the content-ratio series over (a d)^i,
+and the Chu-Vandermonde sides as integer products and one running
+integer ratio (alpha)_p / [alpha y]_p.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Sequence
 
 from .coefficients import npbi, stirling_first
 from .partitions import MEMO_SIZE, Partition, check_alpha, content_alphabet, enumerate_partitions
-from .series import InvariantError, UniPoly, comb_int, linear_ratio_integers, linear_ratio_series, lowering_factorial, raising_factorial
+from .series import InvariantError, UniPoly, comb_int, linear_ratio_integers, linear_ratio_series
 from .shifted import moment_table
 
 
@@ -147,25 +154,37 @@ def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fractio
     return tuple((i, Fraction(n, d)) for i, n, d in atoms)
 
 
-def _position_moments(atoms, la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """Moments 0 .. r_max of the position la_i - (i-1)/alpha under the
-    weights (i, w) of atoms(la, alpha).  The position is x/a for
-    x = la_i a - (i-1) b (alpha = a/b), so moment r is one integer sum of
-    w x^r over the lcm D of the weights' denominators, over D a^r."""
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
+def _position_weights(atoms, la: Partition, alpha: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """The weights (i, w) of atoms(la, alpha) at their positions
+    la_i - (i-1)/alpha, as ([(x, v), ...], D): the position is x/a for
+    the integer x = la_i a - (i-1) b (alpha = a/b), and the weight is v/D
+    for the lcm D of the weights' denominators."""
     a, b = alpha.numerator, alpha.denominator
     weights = atoms(la, alpha)
     big_d = math.lcm(*(w.denominator for _, w in weights))
+    return [(la.part(i) * a - (i - 1) * b, w.numerator * (big_d // w.denominator)) for i, w in weights], big_d
+
+
+def _power_sums(pairs, r_max: int) -> list[int]:
+    """[sum of v x^r over the pairs (x, v), for r = 0 .. r_max]."""
     out = [0] * (r_max + 1)
-    for i, w in weights:
-        x = la.part(i) * a - (i - 1) * b
-        v = w.numerator * (big_d // w.denominator)
+    for x, v in pairs:
         for r in range(r_max + 1):
             out[r] += v
             v *= x
-    return [Fraction(v, big_d * a**r) for r, v in enumerate(out)]
+    return out
+
+
+def _position_moments(atoms, la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """Moments 0 .. r_max of the position la_i - (i-1)/alpha under the
+    weights (i, w) of atoms(la, alpha): moment r is the integer power sum
+    of :func:`_position_weights` over D a^r."""
+    alpha = check_alpha(alpha)
+    if r_max < 0:
+        raise ValueError("r must be nonnegative")
+    a = alpha.numerator
+    pairs, big_d = _position_weights(atoms, la, alpha)
+    return [Fraction(v, big_d * a**r) for r, v in enumerate(_power_sums(pairs, r_max))]
 
 
 def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -218,23 +237,26 @@ def h_series_of_difference(
     return linear_ratio_series([-Fraction(v) for v in b], [-Fraction(v) for v in a], order)
 
 
-def s_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    l = la.length
-    a = tuple(alpha * la.part(i) - i + 1 for i in range(1, l + 2))
-    b = tuple(alpha * la.part(i) - i for i in range(1, l + 1))
-    return a, b
+def _negated_row_ends(la: Partition, alpha: Fraction, shift: int, rows: int) -> list[int]:
+    """[-b (alpha la_i - i + shift) for i = 1 .. rows], alpha = a/b: the
+    Lagrange alphabets are integers over b, so with these numerators
+    :func:`linear_ratio_integers` gives b^r h_r of their difference."""
+    a, b = alpha.numerator, alpha.denominator
+    return [(i - shift) * b - a * la.part(i) for i in range(1, rows + 1)]
 
 
 def s_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
     """s_0 .. s_{r_max} by the Lagrange route, all read from one h-series:
-    alpha^r s_r is the r-th complete homogeneous value of the integer
-    difference alphabet attached to the row ends."""
+    alpha^r s_r is the r-th complete homogeneous value of the difference
+    of the row-end alphabets alpha la_i - i + 1 (i <= l + 1) and
+    alpha la_i - i (i <= l), so s_r = C_r / a^r."""
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
-    a, b = s_lagrange_alphabets(la, alpha)
-    h = h_series_of_difference(a, b, r_max)
-    return [h.coefficient(r) / alpha**r for r in range(r_max + 1)]
+    a = alpha.numerator
+    l = la.length
+    cs = linear_ratio_integers(_negated_row_ends(la, alpha, 0, l), _negated_row_ends(la, alpha, 1, l + 1), r_max)
+    return [Fraction(v, a**r) for r, v in enumerate(cs)]
 
 
 def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -245,12 +267,21 @@ def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fra
 
 def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
     """sigma_0 .. sigma_{r_max} by the closed route: sigma_r is
-    c_{r+1} - alpha c_{r+2} at y = 1/alpha."""
+    c_{r+1} - alpha c_{r+2} at y = 1/alpha.
+
+    At y = b/a, c_r = N_r / (a^(2r) r!) for N_r = sum over e of
+    C[r][e] b^e a^(r-e) (see :func:`cor52_coefficient`), so sigma_r is
+    (a b (r+2) N_{r+1} - N_{r+2}) over b a^(2r+3) (r+2)!."""
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
-    c = cor52_coefficient(la, alpha, Fraction(1) / alpha, r_max + 2)
-    return [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)]
+    table = moment_table(la, alpha)
+    a, b = table.a, table.b
+    big_n = [sum(v * b**e * a ** (r - e) for e, v in enumerate(row) if v) for r, row in enumerate(table.c_rows(r_max + 2))]
+    return [
+        Fraction(a * b * (r + 2) * big_n[r + 1] - big_n[r + 2], b * a ** (2 * r + 3) * math.factorial(r + 2))
+        for r in range(r_max + 1)
+    ]
 
 
 def sigma_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -263,13 +294,16 @@ def sigma_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Frac
 def sigma_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
     """sigma_0 .. sigma_{r_max} by the Lagrange route, all read from one
     h-series: -alpha^{r+1} sigma_r is the (r+2)-nd complete homogeneous
-    value of the corner difference alphabet."""
+    value of the difference of the corner alphabets alpha la_i - i + 1
+    (i <= l) and alpha la_i - i + 2 (i <= l + 1), so
+    sigma_r = -C_{r+2} / (b a^(r+1))."""
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
-    a, b = sigma_lagrange_alphabets(la, alpha)
-    h = h_series_of_difference(a, b, r_max + 2)
-    return [-h.coefficient(r + 2) / alpha ** (r + 1) for r in range(r_max + 1)]
+    a, b = alpha.numerator, alpha.denominator
+    l = la.length
+    cs = linear_ratio_integers(_negated_row_ends(la, alpha, 2, l + 1), _negated_row_ends(la, alpha, 1, l), r_max + 2)
+    return [Fraction(-cs[r + 2], b * a ** (r + 1)) for r in range(r_max + 1)]
 
 
 def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
@@ -367,43 +401,56 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
 
     Returns None when y hits a pole: (y)_la = 0 or [alpha y]_p = 0 for
     some p <= |la|.
+
+    With alpha = a/b and y = c/d, a content is x/a for an integer x, so
+    the ratio is prod (c a + a d + d x) / prod (c a + d x) over the
+    contents, and (alpha)_p / [alpha y]_p is the running integer ratio
+    prod over m < p of (a + m b) d / (a c - m b d).  The column sum is
+    kept as one unreduced integer pair.
     """
     alpha = check_alpha(alpha)
     y = Fraction(y)
-    num = Fraction(1)
-    den = Fraction(1)
-    for c in content_alphabet(la, alpha):
-        den *= y + c
-        num *= y + 1 + c
-    if den == 0:
+    a, b = alpha.numerator, alpha.denominator
+    c, d = y.numerator, y.denominator
+    num = den = 1
+    for content in content_alphabet(la, alpha):
+        x = content.numerator * (a // content.denominator)
+        den *= c * a + d * x
+        num *= c * a + a * d + d * x
+    if den == 0 or any(a * c == m * b * d for m in range(la.weight)):
         return None
-    ay = alpha * y
-    for p in range(1, la.weight + 1):
-        if ay == p - 1:
-            return None
-    total = Fraction(0)
+    total_num, total_den = 0, 1
+    ratio_num = ratio_den = 1  # (alpha)_p / [alpha y]_p
     for p, (_, col) in enumerate(row_column_binomials(la, alpha, la.weight)):
-        if col == 0:
-            continue
-        total += col * raising_factorial(alpha, p) / lowering_factorial(ay, p)
-    return num / den, total
+        if col:
+            term_num, term_den = col.numerator * ratio_num, col.denominator * ratio_den
+            total_num, total_den = total_num * term_den + term_num * total_den, total_den * term_den
+        ratio_num *= (a + p * b) * d
+        ratio_den *= a * c - p * b * d
+    return Fraction(num, den), Fraction(total_num, total_den)
 
 
-def content_ratio_series(
-    la: Partition, alpha: Fraction, y: Fraction, order: int
-) -> UniPoly:
-    """Large-x expansion, in t = 1/x, of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la).
-    With alpha = a/b and y = c/d every factor is an integer over a d, so
-    the integer series of the numerators is divided by (a d)^i at t^i,
-    one Fraction per coefficient."""
-    alpha = check_alpha(alpha)
-    y = Fraction(y)
+def _content_ratio_integers(la: Partition, alpha: Fraction, y: Fraction, order: int) -> list[int]:
+    """[G_0 .. G_order]: coefficient i of the content-ratio series of
+    :func:`content_ratio_series` is G_i / (a d)^i, for alpha = a/b and
+    y = c/d, since every factor is an integer over a d."""
     a, b = alpha.numerator, alpha.denominator
     c, d = y.numerator, y.denominator
     ns = [j * a * d - i * b * d for i, part in enumerate(la.parts) for j in range(part)]
     num = [v for n in ns for v in (c * a + a * d + n, n)]
     den = [v for n in ns for v in (c * a + n, a * d + n)]
-    return UniPoly(Fraction(v, (a * d) ** i) for i, v in enumerate(linear_ratio_integers(num, den, order)))
+    return linear_ratio_integers(num, den, order)
+
+
+def content_ratio_series(
+    la: Partition, alpha: Fraction, y: Fraction, order: int
+) -> UniPoly:
+    """Large-x expansion, in t = 1/x, of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la),
+    one Fraction G_i / (a d)^i per coefficient."""
+    alpha = check_alpha(alpha)
+    y = Fraction(y)
+    ad = alpha.numerator * y.denominator
+    return UniPoly(Fraction(v, ad**i) for i, v in enumerate(_content_ratio_integers(la, alpha, y, order)))
 
 
 def s_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:
@@ -418,13 +465,15 @@ def sigma_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:
 
     Built from the content ratio G at y = 1/alpha: the t^0 and t^1 terms
     of G - 1 cancel, and the series equals -(alpha + t) (G - 1) / t^2.
+    At y = b/a, G has coefficients G_i / a^(2i), so coefficient r is
+    -(a G_{r+2} + a^2 b G_{r+1}) / (b a^(2r+4)).
     """
     alpha = check_alpha(alpha)
-    g = content_ratio_series(la, alpha, Fraction(1) / alpha, order + 2)
-    if g.coefficient(0) != 1 or g.coefficient(1) != 0:
+    a, b = alpha.numerator, alpha.denominator
+    g = _content_ratio_integers(la, alpha, Fraction(b, a), order + 2)
+    if g[0] != 1 or g[1] != 0:
         raise InvariantError(f"content ratio of {la} has a wrong t^0 or t^1 term")
-    shifted = UniPoly(g.coeffs[2:])
-    return -(UniPoly((alpha, 1)) * shifted).truncate(order)
+    return UniPoly(Fraction(-(a * g[r + 2] + a * a * b * g[r + 1]), b * a ** (2 * r + 4)) for r in range(order + 1))
 
 
 def stirling_inverse_lemma_sides(k: int, order: int) -> tuple[UniPoly, UniPoly]:

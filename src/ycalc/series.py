@@ -66,16 +66,6 @@ def _one_like(x):
     return x * 0 + 1
 
 
-def raising_factorial(x, n: int):
-    """(x)_n = x (x+1) ... (x+n-1); n = 0 gives 1.  x may be a number or UniPoly."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    acc = _one_like(x)
-    for i in range(n):
-        acc = acc * (x + i)
-    return acc
-
-
 def lowering_factorial(x, n: int):
     """[x]_n = x (x-1) ... (x-n+1); n = 0 gives 1.  x may be a number or UniPoly."""
     if n < 0:
@@ -384,11 +374,13 @@ class BiSeries:
         """Smallest key (i, j) in (total degree, key) order where the two
         series differ, as ((i, j), a, b), or None."""
         order = self._order_with(other)
+        if self.rows == other.rows:
+            return None
         for d in range(order + 1):
             for i in range(d + 1):
-                a, b = self.coefficient((i, d - i)), other.coefficient((i, d - i))
-                if a != b:
-                    return (i, d - i), a, b
+                if self.rows[i][d - i] != other.rows[i][d - i]:
+                    key = (i, d - i)
+                    return key, self.coefficient(key), other.coefficient(key)
         return None
 
 

@@ -50,6 +50,18 @@ def _q_binomials(n: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(comb_int(n + p + q - 1, p) for q in range(m + 1))
 
 
+@lru_cache(maxsize=None)
+def _pascal_row(p: int) -> tuple[int, ...]:
+    """(C(p, j) for j = 0 .. p); p <= r_max bounds the memo."""
+    return tuple(math.comb(p, j) for j in range(p + 1))
+
+
+@lru_cache(maxsize=None)
+def _factorial_ratio(r: int, m: int) -> int:
+    """r!/m! for m <= r; r <= r_max bounds the memo."""
+    return math.factorial(r) // math.factorial(m)
+
+
 class _MomentTable:
     """Integer power sums and moment columns of one (shape, alpha = a/b)."""
 
@@ -117,15 +129,19 @@ class _MomentTable:
         if start > r_max:
             return rows
         new = [[0] * (r + 1) for r in range(start, r_max + 1)]
+        a_pows = [self.a**e for e in range(r_max + 1)]
         for n in range(r_max // 2 + 1):
             for m in range(r_max - 2 * n + 1):
                 ks = self.k_sum(self.weight + n - 1, n, m)
                 for p in range(max(0, start - 2 * n - m), r_max - 2 * n - m + 1):
-                    r = 2 * n + p + m
                     s = sum(map(operator.mul, _q_binomials(n, p, m), ks))
-                    s *= (-1) ** n * (math.factorial(r) // math.factorial(m)) * self.a ** (r - m)
-                    for j in range(p + 1):
-                        new[r - start][n + j] += math.comb(p, j) * s
+                    if not s:
+                        continue
+                    r = 2 * n + p + m
+                    s *= (-1 if n % 2 else 1) * _factorial_ratio(r, m) * a_pows[r - m]
+                    row = new[r - start]
+                    for j, binom in enumerate(_pascal_row(p), n):
+                        row[j] += binom * s
         rows.extend(map(tuple, new))
         return rows
 

@@ -349,8 +349,9 @@ def test_verify_json_format(capsys):
 
 
 # sha256 of `verify --identity ID --alpha-set 1,2,1/2,3/5,7/3 --format json`
-# at reduced bounds, computed with the Fraction implementation of f_npk and
-# of the closed routes.  The integer moment table must reproduce them.
+# at reduced bounds, computed with the Fraction implementation of f_npk, of
+# the closed routes and of the Chu-Vandermonde sums.  The integer routes
+# must reproduce them.
 _PINNED_VERIFY = {
     "rel5.1": (
         ["--lambda-max", "4", "--order", "6"],
@@ -383,6 +384,10 @@ _PINNED_VERIFY = {
     "moments-bridge": (
         ["--lambda-max", "5", "--r-max", "5"],
         "07748add9861a0c7bd710a791fb97c2c3a9a520f5be5e6949234f0d9226cac4b",
+    ),
+    "chu-vandermonde": (
+        ["--lambda-max", "5"],
+        "4ed6b89c3e958f02672dbbc7be9f140677ff6bf1f9d55a6e96e273aec20c0c95",
     ),
 }
 

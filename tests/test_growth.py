@@ -20,17 +20,17 @@ from ycalc.growth import (
     cotransition_moment_routes,
     dimension,
     plancherel_check,
-    removed_content,
     sample_growth,
     tableau_counts,
 )
 from ycalc import growth, moments
-from ycalc.moments import corner_binomials, pieri_coefficients, s_direct_moments
+from ycalc.moments import _position_weights, corner_binomials, pieri_coefficients, s_direct_moments, sigma_direct_moments
 from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, content_alphabet, partitions_upto
 from ycalc.shifted import moment_table
-from ycalc.series import InvariantError
+from ycalc.series import InvariantError, comb_int
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
+KERNEL_ALPHAS = ALPHAS + (Fraction(7, 3),)
 
 
 def _hook_length_count(la: Partition) -> int:
@@ -145,10 +145,14 @@ def test_added_and_removed_content():
     alpha = Fraction(2)
     assert _new_content(la, la.add_cell(1), alpha) == 3
     assert _new_content(la, la.add_cell(3), alpha) == -Fraction(2, 2)
-    assert removed_content(la, alpha, 1) == 2
-    assert removed_content(la, alpha, 2) == -Fraction(1, 2)
-    for row in (1, 2):
-        assert removed_content(la, alpha, row) == _new_content(la.remove_cell(row), la, alpha)
+    # the cell deleted from row i has content (x - a)/a, x the integer
+    # position numerator of the corner atom
+    a = alpha.numerator
+    pairs, _ = _position_weights(corner_binomials, la, alpha)
+    removed = [Fraction(x - a, a) for x, _ in pairs]
+    assert removed == [2, -Fraction(1, 2)]
+    for row, content in zip(la.removable_rows(), removed):
+        assert content == _new_content(la.remove_cell(row), la, alpha)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -159,6 +163,27 @@ def test_exact_moments_cross_checked(alpha):
         if la.weight:
             for direct, combo in cotransition_moment_routes(la, alpha, 4):
                 assert direct == combo, la
+
+
+def _cotransition_routes_reference(la: Partition, alpha, r_max: int) -> list[tuple[Fraction, Fraction]]:
+    """(direct, combination) in Fractions: the deleted contents
+    (la_i - 1) - (i-1)/alpha under the down kernel, and the binomial
+    combination of the corner moments over |la|."""
+    sigmas = sigma_direct_moments(la, alpha, r_max)
+    atoms = [(Fraction(la.part(i) - 1) - Fraction(i - 1) / alpha, p) for i, p in cotransition_kernel(la, alpha)]
+    out = []
+    for r in range(r_max + 1):
+        direct = sum((content**r * p for content, p in atoms), Fraction(0))
+        combo = sum(((-1) ** (r - k) * comb_int(r, k) * sigmas[k] for k in range(r + 1)), Fraction(0))
+        out.append((direct, combo / la.weight))
+    return out
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_cotransition_routes_match_fraction_formulas(alpha):
+    for la in partitions_upto(6):
+        if la.weight:
+            assert cotransition_moment_routes(la, alpha, 6) == _cotransition_routes_reference(la, alpha, 6), la
 
 
 def _graph_distribution(start: Partition, alpha, steps: int) -> dict[Partition, Fraction]:
@@ -439,6 +464,27 @@ def test_sufficient_statistics_match_per_path_sums(alpha, steps):
         variance = power_sums[2 * m.r] / paths - mean * mean
         assert m.estimate == float(mean), m.r
         assert m.std_error == math.sqrt(float(variance) / paths), m.r
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+@pytest.mark.parametrize("seed", (3, 29, 1833))
+def test_summary_floats_match_fraction_summary(alpha, seed):
+    # the summary as Fractions converted by float(), from the dumped paths
+    paths, r_max = 300, 4
+    stats = sample_growth(steps=3, alpha=alpha, paths=paths, seed=seed, start=Partition((2, 1)), r_max=r_max, dump_paths=True)
+    a, b = alpha.numerator, alpha.denominator
+    power_nums = [0] * (2 * r_max + 1)
+    for trail in stats.path_dump:
+        before, after = (Partition.from_string(name) for name in trail.split("|")[-2:])
+        (i,) = [i for i in range(1, after.length + 1) if after.part(i) != before.part(i)]
+        x = before.part(i) * a - (i - 1) * b
+        for r in range(2 * r_max + 1):
+            power_nums[r] += x**r
+    for m in stats.moments:
+        mean = Fraction(power_nums[m.r], paths * a**m.r)
+        second = Fraction(power_nums[2 * m.r], paths * a ** (2 * m.r))
+        assert m.estimate == float(mean), m.r
+        assert m.std_error == math.sqrt(float(second - mean * mean) / paths), m.r
 
 
 def _splitmix64(seed: int, path: int, step: int) -> int:

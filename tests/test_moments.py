@@ -43,7 +43,7 @@ from ycalc.moments import (
 from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
-from ycalc.series import InvariantError, comb_int, linear_ratio_series, raising_factorial
+from ycalc.series import InvariantError, UniPoly, comb_int, linear_ratio_series, lowering_factorial
 from ycalc.shifted import _MomentTable, d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
 
@@ -287,7 +287,8 @@ def _row_column_reference(la, alpha, p):
                 inner += comb_int(w - j, i - k) * _f_reference(la, alpha, j, 0, k)
             row_sum += Fraction(st) / alpha**i * inner
             col_sum += Fraction(st) * (-1) ** j * alpha ** (i + j) * inner
-    return row_sum / raising_factorial(1 / alpha, p), col_sum / raising_factorial(alpha, p)
+    # (x)_p = [x + p - 1]_p
+    return row_sum / lowering_factorial(1 / alpha + p - 1, p), col_sum / lowering_factorial(alpha + p - 1, p)
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
@@ -317,6 +318,65 @@ def test_closed_routes_match_fraction_loops(alpha):
         assert regrouped == [_s_regrouped_reference(la, alpha, r) for r in range(11)], la
         pairs = row_column_binomials(la, alpha, la.weight + 1)
         assert pairs == [_row_column_reference(la, alpha, p) for p in range(la.weight + 2)], la
+
+
+def _s_lagrange_reference(la, alpha, r_max):
+    """s_0 .. s_r_max from the Fraction row-end alphabets."""
+    l = la.length
+    tops = [alpha * la.part(i) - i + 1 for i in range(1, l + 2)]
+    bottoms = [alpha * la.part(i) - i for i in range(1, l + 1)]
+    h = h_series_of_difference(tops, bottoms, r_max)
+    return [h.coefficient(r) / alpha**r for r in range(r_max + 1)]
+
+
+def _sigma_lagrange_reference(la, alpha, r_max):
+    """sigma_0 .. sigma_r_max from the Fraction corner alphabets."""
+    l = la.length
+    tops = [alpha * la.part(i) - i + 1 for i in range(1, l + 1)]
+    bottoms = [alpha * la.part(i) - i + 2 for i in range(1, l + 2)]
+    h = h_series_of_difference(tops, bottoms, r_max + 2)
+    return [-h.coefficient(r + 2) / alpha ** (r + 1) for r in range(r_max + 1)]
+
+
+def _sigma_series_reference(la, alpha, order):
+    """-(alpha + t) (G - 1) / t^2 in UniPoly arithmetic, G the content ratio at y = 1/alpha."""
+    g = content_ratio_series(la, alpha, 1 / alpha, order + 2)
+    return -(UniPoly((alpha, 1)) * UniPoly(g.coeffs[2:])).truncate(order)
+
+
+def _chu_vandermonde_reference(la, alpha, y):
+    """Both Chu-Vandermonde sides as Fraction products and sums, or None at a pole."""
+    num = den = Fraction(1)
+    for c in content_alphabet(la, alpha):
+        den *= y + c
+        num *= y + 1 + c
+    ay = alpha * y
+    if den == 0 or any(ay == p - 1 for p in range(1, la.weight + 1)):
+        return None
+    total = Fraction(0)
+    for p, (_, col) in enumerate(row_column_binomials(la, alpha, la.weight)):
+        # (alpha)_p = [alpha + p - 1]_p
+        total += col * lowering_factorial(alpha + p - 1, p) / lowering_factorial(ay, p)
+    return num / den, total
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_integer_routes_match_fraction_formulas(alpha):
+    r_max, poles = 8, 0
+    for la in partitions_upto(6):
+        assert s_lagrange_moments(la, alpha, r_max) == _s_lagrange_reference(la, alpha, r_max), la
+        assert sigma_lagrange_moments(la, alpha, r_max) == _sigma_lagrange_reference(la, alpha, r_max), la
+        assert sigma_moment_series(la, alpha, r_max) == _sigma_series_reference(la, alpha, r_max), la
+        c = cor52_coefficient(la, alpha, 1 / alpha, r_max + 2)
+        assert sigma_closed_moments(la, alpha, r_max) == [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)], la
+        # y = -c for a content c, and alpha y = p - 1 for p <= |la|, are poles
+        ys = {*DEFAULT_Y_SET, Fraction(-1), -1 / alpha, *(Fraction(p) / alpha for p in range(3))}
+        ys.update(-c for c in content_alphabet(la, alpha)[-2:])
+        for y in ys:
+            sides = chu_vandermonde_sides(la, alpha, y)
+            assert sides == _chu_vandermonde_reference(la, alpha, y), (la, y)
+            poles += sides is None
+    assert poles
 
 
 @lru_cache(maxsize=None)

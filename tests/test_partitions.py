@@ -15,7 +15,7 @@ from ycalc.partitions import (
     partitions_upto,
     z_of,
 )
-from ycalc.series import UniPoly, raising_factorial
+from ycalc.series import UniPoly, lowering_factorial
 
 
 def _partition_count_oracle(n: int) -> int:
@@ -187,7 +187,7 @@ def test_z_length_generating_polynomial(n):
     lhs = UniPoly()
     for mu in enumerate_partitions(n):
         lhs = lhs + UniPoly((0,) * mu.length + (Fraction(1, z_of(mu)),))
-    rhs = raising_factorial(UniPoly.x(), n) * Fraction(1, math.factorial(n))
+    rhs = lowering_factorial(UniPoly.x() + n - 1, n) * Fraction(1, math.factorial(n))
     assert lhs == rhs
 
 

@@ -15,7 +15,6 @@ from ycalc.series import (
     gauss_2f1_truncated,
     linear_ratio_series,
     lowering_factorial,
-    raising_factorial,
 )
 
 
@@ -46,12 +45,11 @@ def test_comb_int_negative_reflection(m, j):
 
 def test_factorials_and_binomial():
     x = Fraction(7, 2)
-    assert raising_factorial(x, 3) == x * (x + 1) * (x + 2)
     assert lowering_factorial(x, 3) == x * (x - 1) * (x - 2)
-    assert raising_factorial(x, 0) == 1
+    assert lowering_factorial(x, 0) == 1
     assert binomial(Fraction(9, 2), 2) == Fraction(9, 2) * Fraction(7, 2) / 2
     with pytest.raises(ValueError):
-        raising_factorial(x, -1)
+        lowering_factorial(x, -1)
 
 
 def _evaluate(p: UniPoly, value) -> Fraction:
@@ -63,7 +61,7 @@ def _evaluate(p: UniPoly, value) -> Fraction:
 
 def test_factorials_on_unipoly():
     x = UniPoly.x()
-    p = raising_factorial(x, 3)
+    p = lowering_factorial(x + 2, 3)  # the raising factorial (x)_3
     assert p == UniPoly((0, 2, 3, 1))
     assert _evaluate(p, 2) == 2 * 3 * 4
     q = lowering_factorial(x, 2)
@@ -163,6 +161,27 @@ def test_series_first_difference_ordering():
     # int entries, zeros included, read as Fractions
     _, lhs, rhs = c.first_difference(BiSeries(4))
     assert (type(lhs), type(rhs)) == (Fraction, Fraction)
+
+
+def test_series_first_difference_reports_entries_by_type():
+    # int against Fraction: equal entries pass, the reported ones read as Fractions
+    a = BiSeries(3, {(1, 0): 2, (0, 2): 5})
+    b = BiSeries(3, {(1, 0): Fraction(2), (0, 2): Fraction(7, 2)})
+    key, lhs, rhs = a.first_difference(b)
+    assert (key, lhs, rhs) == ((0, 2), Fraction(5), Fraction(7, 2))
+    assert (type(lhs), type(rhs)) == (Fraction, Fraction)
+    assert b.first_difference(BiSeries(3, {(1, 0): 2, (0, 2): Fraction(7, 2)})) is None
+    # XPolynomial entries are reported as they are, a zero beyond them as a Fraction
+    x0, x1 = XPolynomial.x0(), XPolynomial.symbol(1)
+    e = BiSeries(2, {(0, 0): x0, (1, 0): x0 * 2, (1, 1): x1})
+    f = BiSeries(2, {(0, 0): x0, (1, 0): x0 * 3, (1, 1): x1})
+    key, lhs, rhs = e.first_difference(f)
+    assert (key, lhs, rhs) == ((1, 0), x0 * 2, x0 * 3)
+    assert (type(lhs), type(rhs)) == (XPolynomial, XPolynomial)
+    key, lhs, rhs = e.first_difference(BiSeries(2, {(0, 0): x0, (1, 0): x0 * 2}))
+    assert (key, lhs, rhs) == ((1, 1), x1, Fraction(0))
+    assert (type(lhs), type(rhs)) == (XPolynomial, Fraction)
+    assert e.first_difference(e) is None
 
 
 def test_series_with_xpoly_coefficients():
