@@ -440,51 +440,32 @@ def _last_content(before: Partition, after: Partition, alpha) -> Fraction:
     return Fraction(after.part(i) - 1) - Fraction(i - 1) / alpha
 
 
-@pytest.mark.parametrize("alpha", (Fraction(1, 2), Fraction(2)))
+@pytest.mark.parametrize("alpha", (Fraction(1, 2), Fraction(2), Fraction(1), Fraction(3, 5), Fraction(7, 3)))
 @pytest.mark.parametrize("steps", (1, 3))
 def test_sufficient_statistics_match_per_path_sums(alpha, steps):
+    # the summary floats equal those of the Fraction summary of the dumped paths
     paths, r_max = 400, 4
-    stats = sample_growth(
-        steps=steps, alpha=alpha, paths=paths, seed=17, start=Partition((2, 1)),
-        r_max=r_max, dump_paths=True,
-    )
-    assert len(stats.path_dump) == paths
-    power_sums = [Fraction(0)] * (2 * r_max + 1)
-    finals: dict[str, int] = {}
-    for trail in stats.path_dump:
-        shapes = [Partition.from_string(name) for name in trail.split("|")]
-        assert len(shapes) == steps + 1
-        content = _last_content(shapes[-2], shapes[-1], alpha)
-        for r in range(2 * r_max + 1):
-            power_sums[r] += content**r
-        finals[str(shapes[-1])] = finals.get(str(shapes[-1]), 0) + 1
-    assert stats.occupancy == tuple(sorted(finals.items()))
-    for m in stats.moments:
-        mean = power_sums[m.r] / paths
-        variance = power_sums[2 * m.r] / paths - mean * mean
-        assert m.estimate == float(mean), m.r
-        assert m.std_error == math.sqrt(float(variance) / paths), m.r
-
-
-@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
-@pytest.mark.parametrize("seed", (3, 29, 1833))
-def test_summary_floats_match_fraction_summary(alpha, seed):
-    # the summary as Fractions converted by float(), from the dumped paths
-    paths, r_max = 300, 4
-    stats = sample_growth(steps=3, alpha=alpha, paths=paths, seed=seed, start=Partition((2, 1)), r_max=r_max, dump_paths=True)
-    a, b = alpha.numerator, alpha.denominator
-    power_nums = [0] * (2 * r_max + 1)
-    for trail in stats.path_dump:
-        before, after = (Partition.from_string(name) for name in trail.split("|")[-2:])
-        (i,) = [i for i in range(1, after.length + 1) if after.part(i) != before.part(i)]
-        x = before.part(i) * a - (i - 1) * b
-        for r in range(2 * r_max + 1):
-            power_nums[r] += x**r
-    for m in stats.moments:
-        mean = Fraction(power_nums[m.r], paths * a**m.r)
-        second = Fraction(power_nums[2 * m.r], paths * a ** (2 * m.r))
-        assert m.estimate == float(mean), m.r
-        assert m.std_error == math.sqrt(float(second - mean * mean) / paths), m.r
+    for seed in (17, 29, 1833):
+        stats = sample_growth(
+            steps=steps, alpha=alpha, paths=paths, seed=seed, start=Partition((2, 1)),
+            r_max=r_max, dump_paths=True,
+        )
+        assert len(stats.path_dump) == paths
+        power_sums = [Fraction(0)] * (2 * r_max + 1)
+        finals: dict[str, int] = {}
+        for trail in stats.path_dump:
+            shapes = [Partition.from_string(name) for name in trail.split("|")]
+            assert len(shapes) == steps + 1
+            content = _last_content(shapes[-2], shapes[-1], alpha)
+            for r in range(2 * r_max + 1):
+                power_sums[r] += content**r
+            finals[str(shapes[-1])] = finals.get(str(shapes[-1]), 0) + 1
+        assert stats.occupancy == tuple(sorted(finals.items()))
+        for m in stats.moments:
+            mean = power_sums[m.r] / paths
+            variance = power_sums[2 * m.r] / paths - mean * mean
+            assert m.estimate == float(mean), (seed, m.r)
+            assert m.std_error == math.sqrt(float(variance) / paths), (seed, m.r)
 
 
 def _splitmix64(seed: int, path: int, step: int) -> int:
