@@ -1,9 +1,9 @@
 """Exact arithmetic kernels.
 
-Everything in this package computes over ``fractions.Fraction``; floating
-point appears only in the Monte Carlo summary statistics of the growth
-sampler.  Two dense series types and one sparse polynomial ring cover
-every need here:
+Everything in this package is exact, over Python integers and
+``fractions.Fraction``; floating point appears only in the Monte Carlo
+summary statistics of the growth sampler.  Two dense series types and one
+sparse polynomial ring cover every need here:
 
 * :class:`UniPoly`, a dense univariate polynomial, which is also the
   truncated one-variable power series (cut with :meth:`UniPoly.truncate`;
@@ -14,7 +14,8 @@ every need here:
   updates whole rows,
 * :class:`XPolynomial`, a polynomial in the graded symbol family
   ``X0, X1, X2, ...`` whose monomials are an ``X0`` power times a product
-  of higher symbols indexed by a partition.
+  of higher symbols indexed by a partition; an integral coefficient is
+  held as an int and any other as a Fraction.
 
 ``BiSeries`` only assumes ring operations on its entries, so ints,
 Fractions and XPolynomials plug in unchanged.
@@ -180,63 +181,74 @@ class UniPoly:
         return "UniPoly(" + " + ".join(parts) + ")"
 
 
+def _exact(c: Scalar) -> Scalar:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class XPolynomial:
     """Polynomial in X0 and the partition-indexed products of X1, X2, ...
 
     A monomial is a pair (e0, mu): X0**e0 times the product of X_{mu_i}
     over the parts of the partition mu (stored as a weakly decreasing
-    tuple).  Coefficients are Fractions; zero coefficients are dropped.
+    tuple).  An integral coefficient is held as an int, any other as a
+    Fraction (str prints both alike); zero coefficients are dropped.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, tuple[int, ...]], Scalar] = ()):
-        self.terms: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self.terms: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         for key, c in dict(terms).items():
-            c = Fraction(c)
+            c = _exact(c)
             if c != 0:
                 self.terms[key] = c
 
     @classmethod
+    def _of(cls, terms: dict) -> "XPolynomial":
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    @classmethod
     def constant(cls, c: Scalar) -> "XPolynomial":
-        return cls({(0, ()): Fraction(c)})
+        return cls({(0, ()): c})
 
     @classmethod
     def x0(cls) -> "XPolynomial":
-        return cls({(1, ()): Fraction(1)})
+        return cls({(1, ()): 1})
 
     @classmethod
     def symbol(cls, i: int) -> "XPolynomial":
         """X_i; i = 0 gives X0."""
         if i == 0:
             return cls.x0()
-        return cls({(0, (i,)): Fraction(1)})
+        return cls({(0, (i,)): 1})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = XPolynomial.constant(other)
         if not isinstance(other, XPolynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = XPolynomial.constant(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key, 0) + c
             if s == 0:
                 out.pop(key, None)
             else:
-                out[key] = s
-        res = XPolynomial.__new__(XPolynomial)
-        res.terms = out
-        return res
+                out[key] = _exact(s)
+        return XPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = XPolynomial.__new__(XPolynomial)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return XPolynomial._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -246,16 +258,13 @@ class XPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+        if not isinstance(other, XPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return XPolynomial()
-            res = XPolynomial.__new__(XPolynomial)
-            res.terms = {k: c * other for k, c in self.terms.items()}
-            return res
-        if not isinstance(other, XPolynomial):
-            return NotImplemented
-        out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+            return XPolynomial._of({k: _exact(c * other) for k, c in self.terms.items()})
+        out: dict[tuple[int, tuple[int, ...]], Scalar] = {}
         for (e0a, mua), ca in self.terms.items():
             for (e0b, mub), cb in other.terms.items():
                 key = (e0a + e0b, tuple(sorted(mua + mub, reverse=True)))
@@ -263,10 +272,8 @@ class XPolynomial:
                 if s == 0:
                     out.pop(key, None)
                 else:
-                    out[key] = s
-        res = XPolynomial.__new__(XPolynomial)
-        res.terms = out
-        return res
+                    out[key] = _exact(s)
+        return XPolynomial._of(out)
 
     __rmul__ = __mul__
 

@@ -72,6 +72,7 @@ from .series import (
     XPolynomial,
     binomial,
     comb_int,
+    lowering_factorial,
 )
 from .shifted import d_k, dk_from_shifted, moment_table
 from .symfunc import chi_experiment
@@ -205,8 +206,16 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
     return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True) + "\n"
 
 
+def _named(context: dict) -> dict:
+    """The context of a kept counterexample, each Partition by its name."""
+    return {key: str(v) if isinstance(v, Partition) else v for key, v in context.items()}
+
+
 class _Recorder:
-    """Counts comparisons and keeps the first (smallest) counterexample."""
+    """Counts comparisons and keeps the first (smallest) counterexample.
+
+    Checkers pass shapes as Partition values; they are named only when a
+    counterexample is kept, so a passing run formats none."""
 
     def __init__(self):
         self.cases = 0
@@ -221,7 +230,7 @@ class _Recorder:
         if lhs != rhs:
             self.failures += 1
             if self.first is None:
-                self.first = dict(context, lhs=_plain(lhs) if not isinstance(lhs, (int, Fraction)) else lhs, rhs=_plain(rhs) if not isinstance(rhs, (int, Fraction)) else rhs)
+                self.first = dict(_named(context), lhs=_plain(lhs) if not isinstance(lhs, (int, Fraction)) else lhs, rhs=_plain(rhs) if not isinstance(rhs, (int, Fraction)) else rhs)
 
     def series_equal(self, lhs, rhs, **context):
         """One comparison of two series of the same type; a mismatch
@@ -232,14 +241,14 @@ class _Recorder:
             key, a, b = diff
             self.failures += 1
             if self.first is None:
-                self.first = dict(context, key=list(key), lhs=_plain(a), rhs=_plain(b))
+                self.first = dict(_named(context), key=list(key), lhs=_plain(a), rhs=_plain(b))
 
     def condition(self, holds: bool, **context):
         self.cases += 1
         if not holds:
             self.failures += 1
             if self.first is None:
-                self.first = dict(context)
+                self.first = _named(context)
 
     def report(self, identity: str, parameters: dict, notes: str = "") -> VerificationReport:
         """A job that made no comparison has shown nothing, so it fails."""
@@ -286,52 +295,62 @@ def _sk_series(k: int, order: int, xval, univariate: bool) -> BiSeries:
     for r in range(order + 1):
         for s in range(1 if univariate else order + 1 - r):
             c = comb_int(k + r - 1, r) * comb_int(k + s - 1, s)
-            coeffs[(r, s)] = Fraction(c) * xval(r + s)
+            coeffs[(r, s)] = c * xval(r + s)
     return BiSeries(order, coeffs)
 
 
-def _mixture(n: int, order: int, elements: Sequence[BiSeries], signed: bool) -> BiSeries:
+def _mixture(n: int, order: int, elements: Sequence[BiSeries], signed: bool, products: dict) -> BiSeries:
+    """The sum over mu |- n of the products of mu's elements, weighted
+    1/z_mu: summed with the integer weights n!/z_mu and divided by n! once.
+    products maps the parts of every partition formed so far (and () to
+    the unit) to its product, so each new one takes one multiply from its
+    prefix parts[:-1]."""
+    fact = math.factorial(n)
     total = BiSeries(order)
     for mu in enumerate_partitions(n):
-        prod = BiSeries(order, {(0, 0): Fraction(1)})
-        for part in mu.parts:
-            prod = prod * elements[part]
-        weight = Fraction(1, z_of(mu))
+        parts = mu.parts
+        prod = products[parts] = products[parts[:-1]] * elements[parts[-1]]
+        weight = fact // z_of(mu)
         if signed and (n - mu.length) % 2:
             weight = -weight
         total = total + prod * weight
-    return total
+    inv = Fraction(1, fact)
+    return BiSeries._of(order, [[c * inv if c else c for c in row] for row in total.rows])
 
 
 def _rhs_biseries(n: int, order: int, rows, x0, alternating: bool) -> BiSeries:
     """rows[d] is marked_row(d, xk), with xk = -X for the alternating
-    variant."""
+    variant.  The prefixes C(x, n-k) are summed as n!/(n-k)! [x]_(n-k),
+    so each coefficient is divided once, by n! d!."""
+    fact = math.factorial(n)
     if alternating:
-        prefixes = [binomial(x0 - k, n - k) * Fraction((-1) ** k) for k in range(n + 1)]
+        prefixes = [lowering_factorial(x0 - k, n - k) * ((-1) ** k * fact // math.factorial(n - k)) for k in range(n + 1)]
     else:
-        prefixes = [binomial(x0 + (n - 1), n - k) for k in range(n + 1)]
+        prefixes = [lowering_factorial(x0 + (n - 1), n - k) * (fact // math.factorial(n - k)) for k in range(n + 1)]
     coeffs = {}
     for p in range(order + 1):
         for q in range(order + 1 - p):
             total_deg = p + q
             line = rows[total_deg][p]
-            acc = Fraction(0)
+            acc = 0
             for k in range(0, min(n, total_deg) + 1):
                 if line[k]:
                     acc = acc + prefixes[k] * line[k]
-            coeffs[(p, q)] = acc * Fraction(1, math.factorial(total_deg))
+            coeffs[(p, q)] = acc * Fraction(1, fact * math.factorial(total_deg))
     return BiSeries(order, coeffs)
 
 
 def _rhs_useries(n: int, order: int, rows, x0) -> BiSeries:
-    """rows[d] is marked_row(d, X)."""
+    """rows[d] is marked_row(d, X); C(x0 - p, n-k) is summed as
+    n!/(n-k)! [x0 - p]_(n-k) and divided once, by n! p!."""
+    fact = math.factorial(n)
     coeffs = {}
     for p in range(order + 1):
-        acc = Fraction(0)
+        acc = 0
         for k in range(0, min(n, p) + 1):
             if rows[p][0][k]:
-                acc = acc + binomial(x0 - p, n - k) * rows[p][0][k]
-        coeffs[(p, 0)] = acc * Fraction(1, math.factorial(p))
+                acc = acc + lowering_factorial(x0 - p, n - k) * (fact // math.factorial(n - k)) * rows[p][0][k]
+        coeffs[(p, 0)] = acc * Fraction(1, fact * math.factorial(p))
     return BiSeries(order, coeffs)
 
 
@@ -356,8 +375,9 @@ def _check_expansion_family(
         elements = [None] + [_sk_series(k, order, xval, univariate) for k in range(1, n_max + 1)]
         xk = (lambda i, xval=xval: -xval(i)) if alternating else xval
         rows = [marked_row(d, xk) for d in range(order + 1)]
+        products = {(): BiSeries(order, {(0, 0): 1})}
         for n in range(1, n_max + 1):
-            lhs = _mixture(n, order, elements, signed)
+            lhs = _mixture(n, order, elements, signed, products)
             if univariate:
                 rhs = _rhs_useries(n, order, rows, x0)
             else:
@@ -380,27 +400,31 @@ def _check_jz(rec: _Recorder, *, mu_max: int, n_max: int) -> None:
     for mu in partitions_upto(mu_max):
         for n in range(1, n_max + 1):
             lhs, rhs = jz_sides(mu, n)
-            rec.check(lhs, rhs, mu=str(mu), n=n)
+            rec.check(lhs, rhs, mu=mu, n=n)
 
 
 def _check_thm41(rec: _Recorder, *, n_max: int) -> None:
+    # the by-length sums are integers over n!, with the weights n!/z_mu
     x = UniPoly.x()
+    rising = [binomial(x + (k - 1), k) for k in range(n_max + 1)]
     for n in range(1, n_max + 1):
-        mus = enumerate_partitions(n)
+        fact = math.factorial(n)
+        mus = [(mu, mu.length, fact // z_of(mu)) for mu in enumerate_partitions(n)]
         for p in range(0, n + 1):
             for k in range(1, n + 1):
-                by_length = [Fraction(0)] * (n + 1)
-                for mu in mus:
+                by_length = [0] * (n + 1)
+                for mu, length, weight in mus:
                     c = npbi(mu, p, k)
                     if c:
-                        by_length[mu.length] += Fraction(c, z_of(mu))
-                lhs = UniPoly(by_length)
+                        by_length[length] += c * weight
+                lhs = UniPoly(Fraction(v, fact) for v in by_length)
                 scale = Fraction(k, n) * nbi(n, p, k)
-                rhs = scale * binomial(x + (k - 1), k)
+                rhs = scale * rising[k]
                 rec.check(lhs, rhs, group="length-graded", n=n, p=p, k=k)
+                fact_k = math.factorial(k)
                 for r in range(1, n + 1):
                     left = scale * stirling_first_unsigned(k, r)
-                    right = Fraction(math.factorial(k)) * by_length[r]
+                    right = Fraction(fact_k * by_length[r], fact)
                     rec.check(left, right, group="first-kind-refinement", n=n, p=p, k=k, r=r)
     # two scalar consequences: the p-step recurrence and the binomial
     # reduction generalizing the classical convolution identity
@@ -417,10 +441,8 @@ def _check_thm41(rec: _Recorder, *, n_max: int) -> None:
         for m in range(1, n_max + 1):
             for p in range(0, m + 1):
                 q = m - p
-                left = Fraction(comb_int(n + p - 1, p)) * comb_int(n + q - 1, q)
-                right = Fraction(0)
-                for k in range(1, min(n, m) + 1):
-                    right += Fraction(comb_int(n, k) * k, m) * nbi(m, p, k)
+                left = Fraction(comb_int(n + p - 1, p) * comb_int(n + q - 1, q))
+                right = Fraction(sum(comb_int(n, k) * k * nbi(m, p, k) for k in range(1, min(n, m) + 1)), m)
                 rec.check(left, right, group="binomial-reduction", n=n, m=m, p=p)
 
 
@@ -436,7 +458,7 @@ def _check_gf23(rec: _Recorder, *, n_max: int, order: int, lambda_max: int) -> N
         prod = BiSeries(cap, {(0, 0): 1})
         for part in la.parts:
             prod = prod * gn_series(part, cap)
-        rec.series_equal(prod, BiSeries(cap, npbi_table(la)), group="row-product", la=str(la))
+        rec.series_equal(prod, BiSeries(cap, npbi_table(la)), group="row-product", la=la)
 
 
 def _check_gn_closed(rec: _Recorder, *, n_max: int) -> None:
@@ -476,42 +498,68 @@ def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
                         acc = -acc
                     coeffs[(i, j)] = Fraction(acc, table.denominator(j))
             rhs = BiSeries(order, coeffs)
-            rec.series_equal(lhs, rhs, la=str(la), alpha=alpha)
+            rec.series_equal(lhs, rhs, la=la, alpha=alpha)
+
+
+def _thm51_terms(table, order: int) -> list[tuple[int, int, int, int]]:
+    """The y-free terms of Theorem 5.1's right side at one (shape, alpha),
+    as (m, shift, n, v).
+
+    The right side sums (-y)^n (-1)^N t^(2n+N) (1 + (y+1) t)^-(n+q) times
+    the k-sum K(n, N)[p] / (N! a^N) over N = p+q, alpha = a/b.  A term has
+    m = n+q, shift = 2n+N and v = (-1)^N K(n, N)[p] (order!/N!) a^(order-N),
+    the integer numerator over order! a^order; terms with v = 0 are left
+    out."""
+    fact, a = math.factorial(order), table.a
+    terms = []
+    for n in range(order // 2 + 1):
+        for big_n in range(order - 2 * n + 1):
+            ks = table.k_sum(table.weight + n - 1, n, big_n)
+            scale = (-1) ** big_n * (fact // math.factorial(big_n)) * a ** (order - big_n)
+            for p in range(big_n + 1):
+                if ks[p]:
+                    terms.append((n + big_n - p, 2 * n + big_n, n, ks[p] * scale))
+    return terms
+
+
+def _thm51_right_side(terms: list[tuple[int, int, int, int]], a: int, y: Fraction, order: int) -> UniPoly:
+    """Theorem 5.1's right side mod t^(order+1) at y = c/d, from the terms
+    of :func:`_thm51_terms`, by Horner's rule in m.
+
+    B_m(t) sums (-y)^n t^shift v over the terms of one m; its coefficient
+    s is an integer over d^s order! a^order.  The right side is
+    sum_m B_m (1 + (c+d) t/d)^-m, so R <- B_m + R / (1 + (c+d) t/d) from
+    the largest m down; over d^s the division is the in-place update
+    R_s -= (c+d) R_(s-1), upward."""
+    c, d = y.numerator, y.denominator
+    e = c + d
+    d_pows = [d**s for s in range(order + 1)]
+    # pows[n][j] = (-c)^n d^j
+    pows = [[(-c) ** n * dp for dp in d_pows] for n in range(order // 2 + 1)]
+    by_m = [[0] * (order + 1) for _ in range(order + 1)]
+    for m, shift, n, v in terms:
+        by_m[m][shift] += v * pows[n][shift - n]
+    # B_m starts at t^m (shift >= m), so R starts at t^(m+1) when it is divided
+    acc = [0] * (order + 1)
+    for m in range(order, -1, -1):
+        if e:
+            for s in range(m + 2, order + 1):
+                acc[s] -= e * acc[s - 1]
+        for s in range(m, order + 1):
+            acc[s] += by_m[m][s]
+    den = math.factorial(order) * a**order
+    return UniPoly(Fraction(v, den * d_pows[s]) for s, v in enumerate(acc))
 
 
 def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
-    # The right-hand side sum of (-y)^n (-1)^N t^(2n+N) (1 + (y+1) t)^-(n+q)
-    # times the k-sum of f_{N,p,k} (N = p+q), with y = c/d and alpha = a/b,
-    # is accumulated as integers over d^order order! a^order; the t^i
-    # coefficient of (1 + (y+1) t)^-m is C(-m, i) (c+d)^i / d^i.
-    fact = math.factorial(order)
-    neg_binoms = [[comb_int(-m, i) for i in range(order + 1)] for m in range(order + 1)]
+    # the right side's y-free terms are collected once per (shape, alpha)
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             table = moment_table(la, alpha)
-            a = table.a
-            # the k-sums this (la, alpha) reads, shared by its y values
-            ks = {(n, m): table.k_sum(la.weight + n - 1, n, m) for n in range(order // 2 + 1) for m in range(order - 2 * n + 1)}
+            terms = _thm51_terms(table, order)
             for y in y_set:
-                c, d = y.numerator, y.denominator
-                cd_pows = [(c + d) ** i for i in range(order + 1)]
-                d_pows = [d**i for i in range(order + 1)]
                 lhs = content_ratio_series(la, alpha, y, order)
-                rhs = [0] * (order + 1)
-                for n in range(0, order // 2 + 1):
-                    for p in range(0, order - 2 * n + 1):
-                        for q in range(0, order - 2 * n - p + 1):
-                            big_n = p + q
-                            acc = ks[n, big_n][p]
-                            if acc == 0:
-                                continue
-                            shift = 2 * n + big_n
-                            coef = (-c) ** n * (-1) ** big_n * acc * (fact // math.factorial(big_n)) * a ** (order - big_n)
-                            coef *= d_pows[shift - n]
-                            for i, nb in enumerate(neg_binoms[n + q][: order + 1 - shift]):
-                                rhs[shift + i] += coef * nb * cd_pows[i] * d_pows[order - shift - i]
-                den = d**order * fact * a**order
-                rec.series_equal(lhs, UniPoly([Fraction(v, den) for v in rhs]), la=str(la), alpha=alpha, y=y)
+                rec.series_equal(lhs, _thm51_right_side(terms, table.a, y, order), la=la, alpha=alpha, y=y)
 
 
 def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
@@ -522,9 +570,9 @@ def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
                 cs = cor52_coefficient(la, alpha, y, max(order, 1))
                 for r in range(0, order + 1):
                     want = lhs.coefficient(r)
-                    rec.check(cs[r], -want if r % 2 else want, la=str(la), alpha=alpha, y=y, r=r)
-                rec.check(cs[0], Fraction(1), group="low-index", la=str(la), alpha=alpha, y=y, r=0)
-                rec.check(cs[1], Fraction(0), group="low-index", la=str(la), alpha=alpha, y=y, r=1)
+                    rec.check(cs[r], -want if r % 2 else want, la=la, alpha=alpha, y=y, r=r)
+                rec.check(cs[0], Fraction(1), group="low-index", la=la, alpha=alpha, y=y, r=0)
+                rec.check(cs[1], Fraction(0), group="low-index", la=la, alpha=alpha, y=y, r=1)
 
 
 def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Rationals) -> None:
@@ -532,7 +580,7 @@ def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Ra
         for alpha in alpha_set:
             shifted = dk_from_shifted(la, alpha, k_max)
             for k in range(0, k_max + 1):
-                rec.check(d_k(la, alpha, k), shifted[k], la=str(la), alpha=alpha, k=k)
+                rec.check(d_k(la, alpha, k), shifted[k], la=la, alpha=alpha, k=k)
 
 
 def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
@@ -543,12 +591,12 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
             closed_vals = s_closed_moments(la, alpha, r_max)
             regrouped_vals = s_regrouped_moments(la, alpha, r_max)
             for r in range(0, r_max + 1):
-                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=str(la), alpha=alpha, r=r)
-                rec.check(direct_vals[r], closed_vals[r], group="closed-route", la=str(la), alpha=alpha, r=r)
-                rec.check(direct_vals[r], regrouped_vals[r], group="integer-regrouping", la=str(la), alpha=alpha, r=r)
+                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=la, alpha=alpha, r=r)
+                rec.check(direct_vals[r], closed_vals[r], group="closed-route", la=la, alpha=alpha, r=r)
+                rec.check(direct_vals[r], regrouped_vals[r], group="integer-regrouping", la=la, alpha=alpha, r=r)
             series = s_moment_series(la, alpha, r_max)
             for r in range(0, r_max + 1):
-                rec.check(series.coefficient(r), -direct_vals[r] if r % 2 else direct_vals[r], group="generating-series", la=str(la), alpha=alpha, r=r)
+                rec.check(series.coefficient(r), -direct_vals[r] if r % 2 else direct_vals[r], group="generating-series", la=la, alpha=alpha, r=r)
     # the regrouping coefficients themselves: integral and nonnegative
     for r in range(0, r_max + 1):
         for i in range(0, r // 2 + 1):
@@ -556,7 +604,7 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
                 for rho in enumerate_partitions(j):
                     for k in range(0, min(i, j) + 1):
                         u = u_ijk_coefficients(r, i, j, k, rho)
-                        rec.condition(isinstance(u, int) and u >= 0, group="nonnegative-integrality", r=r, i=i, j=j, k=k, rho=str(rho), value=u)
+                        rec.condition(isinstance(u, int) and u >= 0, group="nonnegative-integrality", r=r, i=i, j=j, k=k, rho=rho, value=u)
                         if j == 0:
                             rec.check(u, comb_int(r - i - 1, r - 2 * i), group="empty-shape-reduction", r=r, i=i)
 
@@ -573,16 +621,16 @@ def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
         for alpha in alpha_set:
             a, b = sigma_lagrange_alphabets(la, alpha)
             h1 = h_series_of_difference(a, b, 1).coefficient(1)
-            rec.check(h1, Fraction(-1), group="first-difference", la=str(la), alpha=alpha)
+            rec.check(h1, Fraction(-1), group="first-difference", la=la, alpha=alpha)
             direct_vals = sigma_direct_moments(la, alpha, r_max)
             closed_vals = sigma_closed_moments(la, alpha, r_max)
             lagrange_vals = sigma_lagrange_moments(la, alpha, r_max)
             for r in range(0, r_max + 1):
-                rec.check(direct_vals[r], closed_vals[r], group="closed-route", la=str(la), alpha=alpha, r=r)
-                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=str(la), alpha=alpha, r=r)
+                rec.check(direct_vals[r], closed_vals[r], group="closed-route", la=la, alpha=alpha, r=r)
+                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=la, alpha=alpha, r=r)
             series = sigma_moment_series(la, alpha, r_max)
             for r in range(0, r_max + 1):
-                rec.check(series.coefficient(r), -direct_vals[r] if r % 2 else direct_vals[r], group="generating-series", la=str(la), alpha=alpha, r=r)
+                rec.check(series.coefficient(r), -direct_vals[r] if r % 2 else direct_vals[r], group="generating-series", la=la, alpha=alpha, r=r)
 
 
 def _check_lem111(rec: _Recorder, *, order: int) -> None:
@@ -599,17 +647,17 @@ def _check_thm112(rec: _Recorder, *, lambda_max: int, p_max: int, alpha_set: _Ra
             duals = row_column_binomials(conj, Fraction(1) / alpha, p_max)
             for p, ((row, col), (drow, dcol)) in enumerate(zip(pairs, duals)):
                 if p == 0:
-                    rec.check(row, Fraction(1), group="empty-inner-shape", la=str(la), alpha=alpha)
-                    rec.check(col, Fraction(1), group="empty-inner-shape", la=str(la), alpha=alpha)
+                    rec.check(row, Fraction(1), group="empty-inner-shape", la=la, alpha=alpha)
+                    rec.check(col, Fraction(1), group="empty-inner-shape", la=la, alpha=alpha)
                 if p == 1:
-                    rec.check(row, Fraction(la.weight), group="single-cell", la=str(la), alpha=alpha)
-                    rec.check(col, Fraction(la.weight), group="single-cell", la=str(la), alpha=alpha)
-                rec.check(row, dcol, group="duality", la=str(la), alpha=alpha, p=p)
-                rec.check(col, drow, group="duality", la=str(la), alpha=alpha, p=p)
+                    rec.check(row, Fraction(la.weight), group="single-cell", la=la, alpha=alpha)
+                    rec.check(col, Fraction(la.weight), group="single-cell", la=la, alpha=alpha)
+                rec.check(row, dcol, group="duality", la=la, alpha=alpha, p=p)
+                rec.check(col, drow, group="duality", la=la, alpha=alpha, p=p)
                 if p > la.length:
-                    rec.check(col, Fraction(0), group="column-support", la=str(la), alpha=alpha, p=p)
+                    rec.check(col, Fraction(0), group="column-support", la=la, alpha=alpha, p=p)
                 if p > la.part(1):
-                    rec.check(row, Fraction(0), group="row-support", la=str(la), alpha=alpha, p=p)
+                    rec.check(row, Fraction(0), group="row-support", la=la, alpha=alpha, p=p)
     for n in range(1, lambda_max + 1):
         la = Partition((n,))
         for alpha in alpha_set:
@@ -626,7 +674,7 @@ def _check_chu_vandermonde(rec: _Recorder, *, lambda_max: int, alpha_set: _Ratio
                 if sides is None:
                     skipped += 1
                     continue
-                rec.check(sides[0], sides[1], la=str(la), alpha=alpha, y=y)
+                rec.check(sides[0], sides[1], la=la, alpha=alpha, y=y)
     rec.condition(rec.cases > 0, group="coverage", checked=rec.cases, skipped=skipped)
     return f"{skipped} pole pairs skipped"
 
@@ -635,15 +683,15 @@ def _check_growth_normalization(rec: _Recorder, *, lambda_max: int, alpha_set: _
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             up = pieri_coefficients(la, alpha)
-            rec.check(sum((p for _, p in up), Fraction(0)), Fraction(1), group="up-normalization", la=str(la), alpha=alpha)
-            rec.condition(all(p >= 0 for _, p in up), group="up-nonnegativity", la=str(la), alpha=alpha)
+            rec.check(sum((p for _, p in up), Fraction(0)), Fraction(1), group="up-normalization", la=la, alpha=alpha)
+            rec.condition(all(p >= 0 for _, p in up), group="up-nonnegativity", la=la, alpha=alpha)
             if la.weight == 0:
                 continue
             down = cotransition_kernel(la, alpha)
-            rec.check(sum((p for _, p in down), Fraction(0)), Fraction(1), group="down-normalization", la=str(la), alpha=alpha)
-            rec.condition(all(p >= 0 for _, p in down), group="down-nonnegativity", la=str(la), alpha=alpha)
+            rec.check(sum((p for _, p in down), Fraction(0)), Fraction(1), group="down-normalization", la=la, alpha=alpha)
+            rec.condition(all(p >= 0 for _, p in down), group="down-nonnegativity", la=la, alpha=alpha)
             via_dim = cotransition_from_dimensions(la, alpha)
-            rec.check(down, via_dim, group="dimension-recurrence", la=str(la), alpha=alpha)
+            rec.check(down, via_dim, group="dimension-recurrence", la=la, alpha=alpha)
 
 
 def _check_plancherel(rec: _Recorder, *, n_max: int) -> None:
@@ -658,10 +706,10 @@ def _check_moments_bridge(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_
             law = sample_growth(steps=1, alpha=alpha, paths=1, seed=0, start=la, r_max=r_max).moments
             downs = cotransition_moment_routes(la, alpha, r_max) if la.weight else ()
             for r in range(0, r_max + 1):
-                rec.check(ups[r], law[r].exact, group="up-moment", la=str(la), alpha=alpha, r=r)
+                rec.check(ups[r], law[r].exact, group="up-moment", la=la, alpha=alpha, r=r)
                 if downs:
                     # the atoms against the corner-moment combination
-                    rec.check(*downs[r], group="down-moment", la=str(la), alpha=alpha, r=r)
+                    rec.check(*downs[r], group="down-moment", la=la, alpha=alpha, r=r)
 
 
 def _check_chi(rec: _Recorder, *, n_max: int, p_max: int) -> str:
@@ -679,7 +727,7 @@ def _check_chi(rec: _Recorder, *, n_max: int, p_max: int) -> str:
                 "match": row.match,
             }
         )
-        rec.check(row.chi_fitted, row.chi_conjectured, n=row.n, p=row.p, k=row.k, mu=str(row.mu))
+        rec.check(row.chi_fitted, row.chi_conjectured, n=row.n, p=row.p, k=row.k, mu=row.mu)
     violations = [_plain(v) for v in report.support_violations]
     rec.gating = False
     rec.payload = {"rows": rows, "support_violations": violations}

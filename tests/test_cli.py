@@ -433,6 +433,35 @@ def test_series_verify_json_is_pinned(capsys, identity, bounds, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `verify --identity ID ... --format json` for the jobs whose
+# checkers form their sides in integers, pinned while the expansion family
+# multiplied Fraction-coefficient XPolynomials, thm4.1 summed Fractions and
+# thm5.1 built its right side term by term.  y = -1 makes c + d = 0.
+_PINNED_CHECKER_VERIFY = [
+    ("thm3.1", ["--n-max", "6", "--order", "6"],
+     "c5dbfc8e924725e3ffce1683b3d5826ebea1d007ae125adea1f2d3d37c3cab07"),
+    ("thm3.1-alt", ["--n-max", "6", "--order", "6", "--mode", "random", "--trials", "2"],
+     "74603b08913f6369eda76ac05fd0acea6728ba94381e431be747db8119751805"),
+    ("ll-v0", ["--n-max", "7", "--order", "7"],
+     "07ed14f6a55bf994613a285dbe2434dd5bd367dc9746dfdd50300c336e2ab6a4"),
+    ("thm4.1", ["--n-max", "10"],
+     "f0a436431f120db1ae0a5fb0b590c09452048c04d54784d3aef96beb9389b9dc"),
+    ("thm5.1", ["--lambda-max", "5", "--order", "13", "--y-set", "1,2/3,-1/2,5,-1"],
+     "33a7a555a6e8b3ae130280e69940a083f7fe187958d5085b2a0d50155cee78f8"),
+]
+
+
+@pytest.mark.parametrize(
+    "identity,bounds,digest",
+    _PINNED_CHECKER_VERIFY,
+    ids=["thm3.1", "thm3.1-alt-random", "ll-v0", "thm4.1", "thm5.1"],
+)
+def test_integer_checker_verify_json_is_pinned(capsys, identity, bounds, digest):
+    code, out, _ = run_cli(capsys, "verify", "--identity", identity, *bounds, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_all_reports_a_kernel_fault_per_job(capsys, fresh_memos, monkeypatch):
     # Row 1 of the shape 2,1 gets twice its weight, so the Pieri atoms of
     # 2,1 sum to 11/8 at alpha = 1 and pieri_coefficients raises.

@@ -9,6 +9,7 @@ Everything else is route-against-route agreement.
 """
 
 import gc
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +46,7 @@ from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import InvariantError, UniPoly, comb_int, linear_ratio_series, lowering_factorial
 from ycalc.shifted import _MomentTable, d_k, moment_table
-from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET
+from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET, _thm51_right_side, _thm51_terms
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 KERNEL_ALPHAS = DEFAULT_ALPHA_SET + (Fraction(7, 3),)
@@ -614,6 +615,47 @@ def test_content_ratio_series_matches_fraction_reference(alpha):
                 [y + 1 + c for c in contents] + list(contents), [y + c for c in contents] + [1 + c for c in contents], 8
             )
             assert content_ratio_series(la, alpha, y, 8) == want, (la, y)
+
+
+def _thm51_right_side_reference(la, alpha, y, order):
+    """Theorem 5.1's right side by the triple loop over (n, p, q), which
+    multiplies out every term's (1 + (y+1) t)^-(n+q) over d^order."""
+    fact = math.factorial(order)
+    neg_binoms = [[comb_int(-m, i) for i in range(order + 1)] for m in range(order + 1)]
+    table = moment_table(la, alpha)
+    a = table.a
+    ks = {(n, m): table.k_sum(la.weight + n - 1, n, m) for n in range(order // 2 + 1) for m in range(order - 2 * n + 1)}
+    c, d = y.numerator, y.denominator
+    cd_pows = [(c + d) ** i for i in range(order + 1)]
+    d_pows = [d**i for i in range(order + 1)]
+    rhs = [0] * (order + 1)
+    for n in range(0, order // 2 + 1):
+        for p in range(0, order - 2 * n + 1):
+            for q in range(0, order - 2 * n - p + 1):
+                big_n = p + q
+                acc = ks[n, big_n][p]
+                if acc == 0:
+                    continue
+                shift = 2 * n + big_n
+                coef = (-c) ** n * (-1) ** big_n * acc * (fact // math.factorial(big_n)) * a ** (order - big_n)
+                coef *= d_pows[shift - n]
+                for i, nb in enumerate(neg_binoms[n + q][: order + 1 - shift]):
+                    rhs[shift + i] += coef * nb * cd_pows[i] * d_pows[order - shift - i]
+    den = d**order * fact * a**order
+    return UniPoly([Fraction(v, den) for v in rhs])
+
+
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+def test_thm51_right_side_matches_triple_loop(alpha):
+    # y = -1 makes c + d = 0, and y = 0 leaves only the n = 0 terms
+    ys = DEFAULT_Y_SET + (Fraction(-1), Fraction(0), Fraction(7, 3))
+    for la in partitions_upto(5):
+        table = moment_table(la, alpha)
+        for order in range(13):
+            terms = _thm51_terms(table, order)
+            for y in ys:
+                got = _thm51_right_side(terms, table.a, y, order)
+                assert got == _thm51_right_side_reference(la, alpha, y, order), (la, order, y)
 
 
 def test_row_column_binomials_extend_as_a_prefix(fresh_memos):

@@ -115,6 +115,111 @@ def test_xpolynomial_algebra():
     assert (p - p) == 0
 
 
+class _FractionXPolynomial:
+    """The XPolynomial that held every coefficient as a Fraction, kept as
+    the reference for the one that holds integral coefficients as ints."""
+
+    def __init__(self, terms=()):
+        self.terms = {}
+        for key, c in dict(terms).items():
+            c = Fraction(c)
+            if c != 0:
+                self.terms[key] = c
+
+    @classmethod
+    def constant(cls, c):
+        return cls({(0, ()): Fraction(c)})
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _FractionXPolynomial.constant(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + c
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return _FractionXPolynomial(out)
+
+    def __neg__(self):
+        return _FractionXPolynomial({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _FractionXPolynomial.constant(other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            if other == 0:
+                return _FractionXPolynomial()
+            return _FractionXPolynomial({k: c * other for k, c in self.terms.items()})
+        out = {}
+        for (e0a, mua), ca in self.terms.items():
+            for (e0b, mub), cb in other.terms.items():
+                key = (e0a + e0b, tuple(sorted(mua + mub, reverse=True)))
+                s = out.get(key, 0) + ca * cb
+                if s == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return _FractionXPolynomial(out)
+
+    def __repr__(self):
+        if not self.terms:
+            return "XPolynomial(0)"
+        chunks = []
+        for (e0, mu), c in sorted(self.terms.items()):
+            bits = [str(c)]
+            if e0 == 1:
+                bits.append("X0")
+            elif e0 > 1:
+                bits.append(f"X0^{e0}")
+            if mu:
+                bits.append("X[" + ",".join(map(str, mu)) + "]")
+            chunks.append("*".join(bits))
+        return "XPolynomial(" + " + ".join(chunks) + ")"
+
+
+_X_KEYS = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.integers(1, 3), max_size=2).map(lambda parts: tuple(sorted(parts, reverse=True))),
+)
+# integral coefficients half the time, as in the symbolic expansion family
+_X_COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+_X_TERMS = st.dictionaries(_X_KEYS, _X_COEFFS, max_size=4)
+
+
+def _assert_matches_reference(got, want):
+    assert got.terms == want.terms
+    assert repr(got) == repr(want)
+    assert got.sorted_terms() == sorted(want.terms.items())
+    for c in got.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_X_TERMS, _X_TERMS, _X_COEFFS)
+def test_xpolynomial_matches_fraction_reference(a, b, scalar):
+    p, q = XPolynomial(a), XPolynomial(b)
+    rp, rq = _FractionXPolynomial(a), _FractionXPolynomial(b)
+    _assert_matches_reference(p, rp)
+    _assert_matches_reference(p + q, rp + rq)
+    _assert_matches_reference(p - q, rp - rq)
+    _assert_matches_reference(p * q, rp * rq)
+    _assert_matches_reference(p * scalar, rp * scalar)
+    _assert_matches_reference(scalar * p, rp * scalar)
+    _assert_matches_reference(p + scalar, rp + scalar)
+    _assert_matches_reference(p - scalar, rp - scalar)
+    assert (p == q) == (rp.terms == rq.terms)
+    assert (p == scalar) == (rp.terms == _FractionXPolynomial.constant(scalar).terms)
+
+
 def _nonzero_keys(s):
     return [(i, j) for i, row in enumerate(s.rows) for j, c in enumerate(row) if c]
 

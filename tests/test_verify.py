@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ycalc import verify
+from ycalc.partitions import Partition
 from ycalc.series import BiSeries, UniPoly
 from ycalc.verify import (
     _JOBS,
@@ -281,6 +282,98 @@ def test_npbi_fault_fails_every_reader_the_same_way(fresh_memos, monkeypatch):
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == _NPBI_FAULT_DIGEST
 
 
+def _bumped_content_ratio(la, alpha, y, order):
+    # +1/3 at t^3 on the shapes of weight 4
+    series = verify_content_ratio_series(la, alpha, y, order)
+    if la.weight != 4:
+        return series
+    coeffs = [*series.coeffs, *[0] * (4 - len(series.coeffs))]
+    coeffs[3] += Fraction(1, 3)
+    return UniPoly(coeffs)
+
+
+def _bumped_marked_row(n, xk):
+    # +X_1 (-X_1 in the alternating variant, which reads xk = -X) at
+    # degree 3, p = 1, k = 1
+    row = verify_marked_row(n, xk)
+    if n != 3:
+        return row
+    line = list(row[1])
+    line[1] = line[1] + xk(1)
+    return (row[0], tuple(line), *row[2:])
+
+
+def _bumped_npbi(mu, p, k):
+    return verify_npbi(mu, p, k) + ((mu.parts, p, k) == ((3, 1), 2, 2))
+
+
+def _doubled_pieri_row(la, alpha):
+    # row 1's weight doubled on 2,1, past the library's own sum check
+    atoms = verify_pieri_coefficients(la, alpha)
+    if la.parts != (2, 1):
+        return atoms
+    return tuple((row, 2 * weight if row == 1 else weight) for row, weight in atoms)
+
+
+verify_content_ratio_series = verify.content_ratio_series
+verify_marked_row = verify.marked_row
+verify_npbi = verify.npbi
+verify_pieri_coefficients = verify.pieri_coefficients
+
+# One row per perturbed kernel, as the verify name it patches, the
+# replacement, the jobs run at reduced bounds with their statuses, and the
+# sha256 of reports_to_json over them, pinned before the checkers moved to
+# integer arithmetic.  Each fault keeps every library invariant true, so
+# only a comparison can catch it.  ll-v0 stays verified under the
+# marked-row fault: its right side reads marked_row(d, X) at p = 0 only.
+_FAULT_ROWS = {
+    "content_ratio_series": (
+        _bumped_content_ratio,
+        {"thm5.1": "failed", "cor5.2": "failed"},
+        {"lambda_max": 4, "order": 6},
+        "6903e006f4b5cafded2f6272fd407afb173e89722ea797b42bc80289bf23f852",
+    ),
+    "marked_row": (
+        _bumped_marked_row,
+        {"thm3.1": "failed", "thm3.1-alt": "failed", "ll-v0": "verified"},
+        {"n_max": 3, "order": 4},
+        "7ec5cf39ede4468d9053bb47449d915d533f41b6ca6fa41cae8878020ce01973",
+    ),
+    "npbi": (
+        _bumped_npbi,
+        {"thm4.1": "failed"},
+        {"n_max": 5},
+        "02819837c3d954bd7d9783181bd0b466fb5ac9546cb7b57da7ee3ff482b920d7",
+    ),
+    "pieri_coefficients": (
+        _doubled_pieri_row,
+        {"growth-normalization": "failed"},
+        {"lambda_max": 4},
+        "7adfe8dd85869027640d93869b9c9874d9730392cb22597a1e9bea658a154cd6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULT_ROWS))
+def test_fault_rows_fail_through_a_comparison(fresh_memos, monkeypatch, name):
+    replacement, statuses, bounds, digest = _FAULT_ROWS[name]
+    monkeypatch.setattr(verify, name, replacement)
+    reports = run_all(bounds, tuple(statuses))
+    assert {r.identity: r.status for r in reports} == statuses
+    for report in reports:
+        if report.status == "failed":
+            assert report.counterexample is not None, report.notes
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == digest
+
+
+def test_doubled_pieri_row_names_its_shape(monkeypatch):
+    monkeypatch.setattr(verify, "pieri_coefficients", _doubled_pieri_row)
+    report = run_identity("growth-normalization", lambda_max=3)
+    assert report.status == "failed"
+    assert report.counterexample["la"] == "2,1"
+    assert report.counterexample["group"] == "up-normalization"
+
+
 def test_chi_fault_beyond_p3_is_reported(monkeypatch):
     # npbi(2,2,1; 4, 2) raised by 1 is read only by rows with p = 4: the
     # default p_max cannot see it, p_max 6 reports it with its row.
@@ -320,6 +413,27 @@ def test_bivariate_series_mismatch_reports_key():
     report = rec.report("x", {})
     assert report.status == "failed"
     assert report.counterexample == {"la": "2,1", "key": [0, 2], "lhs": "5", "rhs": "0"}
+
+
+def test_recorder_names_a_partition_only_in_its_counterexample():
+    la = Partition((2, 1))
+    rec = _Recorder()
+    rec.check(1, 1, la=la)
+    rec.series_equal(UniPoly((1,)), UniPoly((1,)), la=la)
+    rec.condition(True, la=la)
+    assert (rec.cases, rec.first) == (3, None)
+    for record in (
+        lambda rec: rec.check(Fraction(1), Fraction(2), la=la, r=0),
+        lambda rec: rec.series_equal(UniPoly((1,)), UniPoly((2,)), la=la, r=0),
+        lambda rec: rec.condition(False, la=la, r=0),
+    ):
+        rec = _Recorder()
+        record(rec)
+        record(rec)
+        assert rec.failures == 2
+        assert rec.first["la"] == "2,1"
+        assert rec.first["r"] == 0
+        assert rec.report("x", {}).counterexample["la"] == "2,1"
 
 
 @pytest.mark.parametrize("identity,rhs_name,key", [
