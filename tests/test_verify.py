@@ -282,6 +282,13 @@ def test_npbi_fault_fails_every_reader_the_same_way(fresh_memos, monkeypatch):
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == _NPBI_FAULT_DIGEST
 
 
+# the unpatched kernels, read once at import
+verify_content_ratio_series = verify.content_ratio_series
+verify_marked_row = verify.marked_row
+verify_npbi = verify.npbi
+verify_pieri_coefficients = verify.pieri_coefficients
+
+
 def _bumped_content_ratio(la, alpha, y, order):
     # +1/3 at t^3 on the shapes of weight 4
     series = verify_content_ratio_series(la, alpha, y, order)
@@ -314,11 +321,6 @@ def _doubled_pieri_row(la, alpha):
         return atoms
     return tuple((row, 2 * weight if row == 1 else weight) for row, weight in atoms)
 
-
-verify_content_ratio_series = verify.content_ratio_series
-verify_marked_row = verify.marked_row
-verify_npbi = verify.npbi
-verify_pieri_coefficients = verify.pieri_coefficients
 
 # One row per perturbed kernel, as the verify name it patches, the
 # replacement, the jobs run at reduced bounds with their statuses, and the
