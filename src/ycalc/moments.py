@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .coefficients import npbi, stirling_first
 from .partitions import MEMO_SIZE, Partition, check_alpha, content_alphabet, enumerate_partitions
@@ -205,7 +204,8 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r_max: int) -
 
     y enters only through (-y)^n (y+1)^p, so r! a^r c_r is the integer
     polynomial sum over e of C[r][e] y^e, whose rows the moment table
-    builds once per (la, alpha).  At y = c/d, c_r is the one integer
+    evaluates once per (la, alpha) from the shape-free polynomials of
+    :func:`shifted._c_formula`.  At y = c/d, c_r is the one integer
     sum over e of C[r][e] c^e d^(r-e) over d^r r! a^r.
     """
     alpha = check_alpha(alpha)
@@ -227,14 +227,6 @@ def s_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fractio
     """s_0 .. s_{r_max} by the closed route: the collected coefficients
     c_0 .. c_{r_max} at y = -1/alpha."""
     return cor52_coefficient(la, alpha, Fraction(-1) / check_alpha(alpha), r_max)
-
-
-def h_series_of_difference(
-    a: Sequence[Fraction], b: Sequence[Fraction], order: int
-) -> UniPoly:
-    """Generating series of complete homogeneous values of the formal
-    difference alphabet: prod_b (1 - z b) / prod_a (1 - z a)."""
-    return linear_ratio_series([-Fraction(v) for v in b], [-Fraction(v) for v in a], order)
 
 
 def _negated_row_ends(la: Partition, alpha: Fraction, shift: int, rows: int) -> list[int]:
@@ -282,13 +274,6 @@ def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fra
         Fraction(a * b * (r + 2) * big_n[r + 1] - big_n[r + 2], b * a ** (2 * r + 3) * math.factorial(r + 2))
         for r in range(r_max + 1)
     ]
-
-
-def sigma_lagrange_alphabets(la: Partition, alpha: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    l = la.length
-    a = tuple(alpha * la.parts[i - 1] - i + 1 for i in range(1, l + 1))
-    b = tuple(alpha * la.part(i) - i + 2 for i in range(1, l + 2))
-    return a, b
 
 
 def sigma_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:

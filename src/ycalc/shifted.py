@@ -17,49 +17,66 @@ P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
     A[n][p][k] = n! a^n f_{n,p,k} = sum over mu |- n of
                  npbi(mu, p, k) (n!/z_mu) P_mu1 P_mu2 ...,
 
-so f_{n,p,k} = A[n][p][k] / (n! a^n).  The closed routes read a row only
-through k-sums over the columns k <= min(n, m), so the table stores
-columns: the first ask for column k of row m sums it with
-:func:`coefficients.marked_column` from the kept products
-(m!/z_mu) P_mu, and it is never built again.  The table reads only the
-contents and npbi.
+so f_{n,p,k} = A[n][p][k] / (n! a^n).  Theorem 5.1, Relation 5.1 and
+the binomials of Theorem 11.2 read a row only through k-sums over the
+columns k <= min(n, m), so the table stores columns: the first ask for
+column k of row m sums it with :func:`coefficients.marked_column` from
+the kept products (m!/z_mu) P_mu, and it is never built again.  The
+table reads only the contents and npbi.
 
-Corollary 5.2 reads y only through (-y)^n (y+1)^p, so the table also
-holds integer rows C[r] with r! a^r c_r(y) = sum over e of C[r][e] y^e,
-built from the k-sums of Theorem 5.1, which are not kept.  The y-free
-row and column binomials of Theorem 11.2 are kept on the table too, as a
-list extended on demand.
+Corollary 5.2 reads y only through (-y)^n (y+1)^p, so
+r! a^r c_r(y) = sum over e of C[r][e] y^e with integers C[r][e].  Each
+C[r][e] is one polynomial in |la|, the P_k and a whose integer
+coefficients depend on neither the shape nor alpha (:func:`_c_formula`,
+built once per r from the marked family's terms): the explicit
+expression of c_r, and so of s_r and sigma_r, in |la| and the d_k.  The
+table evaluates it at its own |la|, P_k and a and keeps the rows, so the
+closed moment routes build no column.  The y-free row and column
+binomials of Theorem 11.2 are kept on the table too, as a list extended
+on demand.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
-from .coefficients import marked_column, marked_products, stirling_first, stirling_inverse_t
+from .coefficients import _marked_terms, marked_column, marked_products, stirling_first, stirling_inverse_t
 from .partitions import MEMO_SIZE, Partition, check_alpha
 from .series import comb_int
 
 
 @lru_cache(maxsize=None)
-def _q_binomials(n: int, p: int, m: int) -> tuple[int, ...]:
-    """(C(n+p+q-1, p) for q = 0 .. m), the q weights of a C-row term.  The
-    memo is unbounded: 2n + p + m <= r_max, so the run's r_max bounds it."""
-    return tuple(comb_int(n + p + q - 1, p) for q in range(m + 1))
-
-
-@lru_cache(maxsize=None)
-def _pascal_row(p: int) -> tuple[int, ...]:
-    """(C(p, j) for j = 0 .. p); p <= r_max bounds the memo."""
-    return tuple(math.comb(p, j) for j in range(p + 1))
-
-
-@lru_cache(maxsize=None)
-def _factorial_ratio(r: int, m: int) -> int:
-    """r!/m! for m <= r; r <= r_max bounds the memo."""
-    return math.factorial(r) // math.factorial(m)
+def _c_formula(r: int) -> tuple[Mapping[tuple[int, tuple[int, ...]], int], ...]:
+    """The shape-free row C[r]: entry e maps (e0, mu) to an integer v with
+    C[r][e] = sum of v |la|^e0 P_mu a^(r-|mu|) at every shape la and
+    alpha = a/b.  Term (n, p, q, k) of the closed form, m = r-2n-p, gives
+    (-1)^n C(p, e-n) (r!/m!) C(n+p+q-1, p) C(|la|+n-1, n-k) npbi(mu, q, k)
+    m!/z_mu for each mu |- m; (n-k)! divides r!/m!, a product of
+    2n+p >= n-k consecutive integers, so v is an integer.  The memo is
+    unbounded: one key per order, so the run's r_max bounds it."""
+    rows: list[Counter] = [Counter() for _ in range(r + 1)]
+    for n in range(r // 2 + 1):
+        falling = [1]  # (n-k)! C(X0+n-1, n-k) = [X0+n-1]_(n-k), low degree first
+        for k in range(n, -1, -1):
+            if k < n:  # times (X0 + k)
+                falling = [k * falling[0], *(v + k * u for u, v in zip(falling[1:], falling)), falling[-1]]
+            for m in range(k, r - 2 * n + 1) if k else (0,):  # column 0 is empty past m = 0
+                p = r - 2 * n - m
+                scale = (-1) ** n * (math.factorial(r) // math.factorial(m) // math.factorial(n - k))
+                parts_z, columns = _marked_terms(m)
+                for i, q, c in columns[k]:
+                    parts, z = parts_z[i]
+                    w = scale * comb_int(n + p + q - 1, p) * c * z
+                    for e in range(n, n + p + 1):
+                        for e0, f in enumerate(falling):
+                            rows[e][e0, parts] += math.comb(p, e - n) * w * f
+    return tuple(MappingProxyType({key: v for key, v in row.items() if v}) for row in rows)
 
 
 class _MomentTable:
@@ -120,29 +137,23 @@ class _MomentTable:
         return tuple(sum(map(operator.mul, binoms, line)) for line in zip(*columns))
 
     def c_rows(self, r_max: int) -> list[tuple[int, ...]]:
-        """The rows C[0] .. C[r_max] (and any built beyond): with
-        m = r-2n-p, C[r][e] sums (-1)^n C(p, e-n) (r!/m!) a^(r-m) times
-        sum over q of C(n+p+q-1, p) K(n, m)[q], K the k-sum at
-        top = |la|+n-1.  Missing rows are added in one pass that forms each
-        K once."""
-        rows, start = self._c_rows, len(self._c_rows)
-        if start > r_max:
-            return rows
-        new = [[0] * (r + 1) for r in range(start, r_max + 1)]
-        a_pows = [self.a**e for e in range(r_max + 1)]
-        for n in range(r_max // 2 + 1):
-            for m in range(r_max - 2 * n + 1):
-                ks = self.k_sum(self.weight + n - 1, n, m)
-                for p in range(max(0, start - 2 * n - m), r_max - 2 * n - m + 1):
-                    s = sum(map(operator.mul, _q_binomials(n, p, m), ks))
-                    if not s:
-                        continue
-                    r = 2 * n + p + m
-                    s *= (-1 if n % 2 else 1) * _factorial_ratio(r, m) * a_pows[r - m]
-                    row = new[r - start]
-                    for j, binom in enumerate(_pascal_row(p), n):
-                        row[j] += binom * s
-        rows.extend(map(tuple, new))
+        """The rows C[0] .. C[r_max] (and any built beyond), each
+        :func:`_c_formula` evaluated at this table's |la|, P_k and a."""
+        rows, sums = self._c_rows, self._power_sums
+        self.power_sum(r_max)  # fills every P_k a formula term reads
+        a_pows = [self.a**j for j in range(r_max + 1)]
+        monomials: dict[tuple[int, tuple[int, ...]], int] = {}  # |la|^e0 P_mu by (e0, mu)
+        for r in range(len(rows), r_max + 1):
+            row = []
+            for terms in _c_formula(r):
+                total = 0
+                for (e0, mu), v in terms.items():
+                    x = monomials.get((e0, mu))
+                    if x is None:
+                        x = monomials[e0, mu] = sums[0] ** e0 * math.prod(map(sums.__getitem__, mu))
+                    total += v * x * a_pows[r - sum(mu)]
+                row.append(total)
+            rows.append(tuple(row))
         return rows
 
     def row_column_binomials(self, p_max: int) -> list[tuple[Fraction, Fraction]]:

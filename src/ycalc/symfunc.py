@@ -3,8 +3,9 @@
 This module expands power-sum products in the monomial basis m through
 the exact transition p_la = sum_mu L[la, mu] m_mu, and runs the
 coefficient experiment for the sign-flipped marked family p_npk(-X) of
-coefficients.py on top of it.  The family's values themselves come a
-row at a time from :func:`coefficients.marked_row`.
+coefficients.py on top of it.  The family's coefficients are summed
+here over the shapes of each n from :func:`coefficients.npbi` and 1/z_la,
+so the module reads nothing of the family but npbi.
 """
 
 from __future__ import annotations

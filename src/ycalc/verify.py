@@ -39,10 +39,10 @@ from .growth import (
     sample_growth,
 )
 from .moments import (
+    _negated_row_ends,
     chu_vandermonde_sides,
     content_ratio_series,
     cor52_coefficient,
-    h_series_of_difference,
     pieri_coefficients,
     row_column_binomials,
     s_closed_moments,
@@ -52,7 +52,6 @@ from .moments import (
     s_regrouped_moments,
     sigma_closed_moments,
     sigma_direct_moments,
-    sigma_lagrange_alphabets,
     sigma_lagrange_moments,
     sigma_moment_series,
     stirling_inverse_lemma_sides,
@@ -72,6 +71,7 @@ from .series import (
     XPolynomial,
     binomial,
     comb_int,
+    linear_ratio_integers,
     lowering_factorial,
 )
 from .shifted import d_k, dk_from_shifted, moment_table
@@ -619,9 +619,9 @@ def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
         if la.weight == 0:
             continue
         for alpha in alpha_set:
-            a, b = sigma_lagrange_alphabets(la, alpha)
-            h1 = h_series_of_difference(a, b, 1).coefficient(1)
-            rec.check(h1, Fraction(-1), group="first-difference", la=la, alpha=alpha)
+            # b h_1 of the corner alphabets' difference, from the numerators sigma_lagrange_moments reads
+            b_h1 = linear_ratio_integers(_negated_row_ends(la, alpha, 2, la.length + 1), _negated_row_ends(la, alpha, 1, la.length), 1)[1]
+            rec.check(Fraction(b_h1, alpha.denominator), Fraction(-1), group="first-difference", la=la, alpha=alpha)
             direct_vals = sigma_direct_moments(la, alpha, r_max)
             closed_vals = sigma_closed_moments(la, alpha, r_max)
             lagrange_vals = sigma_lagrange_moments(la, alpha, r_max)

@@ -26,7 +26,6 @@ from ycalc.moments import (
     content_ratio_series,
     cor52_coefficient,
     corner_binomials,
-    h_series_of_difference,
     pieri_coefficients,
     row_column_binomials,
     s_closed_moments,
@@ -44,7 +43,7 @@ from ycalc.moments import (
 from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
-from ycalc.series import InvariantError, UniPoly, comb_int, linear_ratio_series, lowering_factorial
+from ycalc.series import InvariantError, UniPoly, comb_int, linear_ratio_integers, linear_ratio_series, lowering_factorial
 from ycalc.shifted import _MomentTable, d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET, _thm51_right_side, _thm51_terms
 
@@ -326,7 +325,7 @@ def _s_lagrange_reference(la, alpha, r_max):
     l = la.length
     tops = [alpha * la.part(i) - i + 1 for i in range(1, l + 2)]
     bottoms = [alpha * la.part(i) - i for i in range(1, l + 1)]
-    h = h_series_of_difference(tops, bottoms, r_max)
+    h = linear_ratio_series([-v for v in bottoms], [-v for v in tops], r_max)
     return [h.coefficient(r) / alpha**r for r in range(r_max + 1)]
 
 
@@ -335,7 +334,7 @@ def _sigma_lagrange_reference(la, alpha, r_max):
     l = la.length
     tops = [alpha * la.part(i) - i + 1 for i in range(1, l + 1)]
     bottoms = [alpha * la.part(i) - i + 2 for i in range(1, l + 2)]
-    h = h_series_of_difference(tops, bottoms, r_max + 2)
+    h = linear_ratio_series([-v for v in bottoms], [-v for v in tops], r_max + 2)
     return [-h.coefficient(r + 2) / alpha ** (r + 1) for r in range(r_max + 1)]
 
 
@@ -701,8 +700,9 @@ def test_moment_generating_series(alpha):
 
 
 def test_lagrange_h_series_small():
-    # {x} minus the empty alphabet: plain geometric series
-    s = h_series_of_difference((Fraction(3),), (), 4)
+    # {3} minus the empty alphabet, in the negated form the Lagrange
+    # references pass to linear_ratio_series: plain geometric series
+    s = linear_ratio_series((), (Fraction(-3),), 4)
     assert [s.coefficient(k) for k in range(5)] == [1, 3, 9, 27, 81]
 
 
@@ -720,7 +720,7 @@ def test_lagrange_interpolation_lemma(a, b, r):
     if idx < 0:
         want = Fraction(0)
     else:
-        want = h_series_of_difference(a, b, max(idx, 0)).coefficient(idx)
+        want = linear_ratio_series([-v for v in b], [-v for v in a], idx).coefficient(idx)
     total = Fraction(0)
     for x in a:
         num = x**r
@@ -735,13 +735,13 @@ def test_lagrange_interpolation_lemma(a, b, r):
 
 
 def test_sigma_lagrange_first_difference_is_minus_one():
-    # h_1(A - B) = sum A - sum B = -1 for every corner alphabet pair
-    from ycalc.moments import sigma_lagrange_alphabets
-
+    # h_1(A - B) = sum A - sum B = -1 for every corner alphabet pair, read
+    # as b h_1 from the integer numerators sigma_lagrange_moments reads
     for alpha in ALPHAS:
         for la in SHAPES:
-            a, b = sigma_lagrange_alphabets(la, alpha)
-            assert sum(a) - sum(b) == -1
+            num = moments._negated_row_ends(la, alpha, 2, la.length + 1)
+            den = moments._negated_row_ends(la, alpha, 1, la.length)
+            assert linear_ratio_integers(num, den, 1)[1] == -alpha.denominator
 
 
 def test_row_column_binomials_basics():

@@ -148,8 +148,9 @@ def test_bounded_rows_equal_full_rows(alpha):
 
 def test_no_column_is_built_twice(fresh_memos, monkeypatch):
     # One table read by c_rows(6), c_rows(10), the k-sums rel5.1 reads at
-    # order 10, and the row and column binomials up to |la| + 2: every
-    # (m, k) column is summed once, however much wider a later ask is.
+    # order 10, and the row and column binomials up to |la| + 2: the C rows
+    # build no column, and every (m, k) column is summed once, however
+    # much wider a later ask is.
     built = []
 
     def counted(m, k, products):
@@ -162,12 +163,30 @@ def test_no_column_is_built_twice(fresh_memos, monkeypatch):
         table = moment_table(la, alpha)
         table.c_rows(6)
         table.c_rows(10)
+        assert built == [], la
         for i in range(11):
             for j in range(11 - i):
                 table.k_sum(la.weight - j, i, j)
         row_column_binomials(la, alpha, la.weight + 2)
         assert built and len(built) == len(set(built)), la
         built.clear()
+
+
+def test_c_formula_shape():
+    # C[r][0] and C[r][r] vanish; every coefficient is an int; and giving
+    # |la| weight 1 and P_k weight k + 1, every term of C[r][e] has weight
+    # at most r - e, reached for 1 <= e <= r - 1.
+    for r in range(1, 13):
+        formula = shifted._c_formula(r)
+        assert len(formula) == r + 1
+        assert not formula[0] and not formula[r], r
+        for e, terms in enumerate(formula):
+            assert all(type(v) is int for v in terms.values()), (r, e)
+            weights = [e0 + sum(mu) + len(mu) for e0, mu in terms]
+            assert all(w <= r - e for w in weights), (r, e)
+            if 1 <= e <= r - 1:
+                assert r - e in weights, (r, e)
+    assert sum(len(terms) for r in range(11) for terms in shifted._c_formula(r)) == 358
 
 
 def test_f_npk_first_values_by_hand():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ycalc import verify
+from ycalc import shifted, verify
 from ycalc.partitions import Partition
 from ycalc.series import BiSeries, UniPoly
 from ycalc.verify import (
@@ -287,6 +287,7 @@ verify_content_ratio_series = verify.content_ratio_series
 verify_marked_row = verify.marked_row
 verify_npbi = verify.npbi
 verify_pieri_coefficients = verify.pieri_coefficients
+shifted_c_formula = shifted._c_formula
 
 
 def _bumped_content_ratio(la, alpha, y, order):
@@ -314,6 +315,16 @@ def _bumped_npbi(mu, p, k):
     return verify_npbi(mu, p, k) + ((mu.parts, p, k) == ((3, 1), 2, 2))
 
 
+def _bumped_c_formula(r):
+    # the |la| term of C[4][1] raised by 1, which moves c_4(y) by |la| y / 24
+    formula = shifted_c_formula(r)
+    if r != 4:
+        return formula
+    terms = dict(formula[1])
+    terms[1, ()] += 1
+    return (formula[0], terms, *formula[2:])
+
+
 def _doubled_pieri_row(la, alpha):
     # row 1's weight doubled on 2,1, past the library's own sum check
     atoms = verify_pieri_coefficients(la, alpha)
@@ -322,32 +333,45 @@ def _doubled_pieri_row(la, alpha):
     return tuple((row, 2 * weight if row == 1 else weight) for row, weight in atoms)
 
 
-# One row per perturbed kernel, as the verify name it patches, the
-# replacement, the jobs run at reduced bounds with their statuses, and the
-# sha256 of reports_to_json over them, pinned before the checkers moved to
-# integer arithmetic.  Each fault keeps every library invariant true, so
-# only a comparison can catch it.  ll-v0 stays verified under the
-# marked-row fault: its right side reads marked_row(d, X) at p = 0 only.
+# One row per perturbed kernel, as the name it patches, the module it is
+# patched in, the replacement, the jobs run at reduced bounds with their
+# statuses, and the sha256 of reports_to_json over them.  The verify rows
+# were pinned before the checkers moved to integer arithmetic, the C-row
+# formula's once it was in place of the per-table C-row loop.  Each fault
+# keeps every library invariant true, so only a comparison can catch it.
+# ll-v0 stays verified under the marked-row fault: its right side reads
+# marked_row(d, X) at p = 0 only.
 _FAULT_ROWS = {
+    "_c_formula": (
+        shifted,
+        _bumped_c_formula,
+        {"cor5.2": "failed", "thm8.1": "failed", "thm9.1": "failed"},
+        {"lambda_max": 2, "order": 4, "r_max": 4},
+        "b552394ba42135f219a8415f046efe4334b6facd9a6c3732c4f4f53514516897",
+    ),
     "content_ratio_series": (
+        verify,
         _bumped_content_ratio,
         {"thm5.1": "failed", "cor5.2": "failed"},
         {"lambda_max": 4, "order": 6},
         "6903e006f4b5cafded2f6272fd407afb173e89722ea797b42bc80289bf23f852",
     ),
     "marked_row": (
+        verify,
         _bumped_marked_row,
         {"thm3.1": "failed", "thm3.1-alt": "failed", "ll-v0": "verified"},
         {"n_max": 3, "order": 4},
         "7ec5cf39ede4468d9053bb47449d915d533f41b6ca6fa41cae8878020ce01973",
     ),
     "npbi": (
+        verify,
         _bumped_npbi,
         {"thm4.1": "failed"},
         {"n_max": 5},
         "02819837c3d954bd7d9783181bd0b466fb5ac9546cb7b57da7ee3ff482b920d7",
     ),
     "pieri_coefficients": (
+        verify,
         _doubled_pieri_row,
         {"growth-normalization": "failed"},
         {"lambda_max": 4},
@@ -358,8 +382,8 @@ _FAULT_ROWS = {
 
 @pytest.mark.parametrize("name", sorted(_FAULT_ROWS))
 def test_fault_rows_fail_through_a_comparison(fresh_memos, monkeypatch, name):
-    replacement, statuses, bounds, digest = _FAULT_ROWS[name]
-    monkeypatch.setattr(verify, name, replacement)
+    module, replacement, statuses, bounds, digest = _FAULT_ROWS[name]
+    monkeypatch.setattr(module, name, replacement)
     reports = run_all(bounds, tuple(statuses))
     assert {r.identity: r.status for r in reports} == statuses
     for report in reports:
