@@ -100,18 +100,22 @@ def npbi_table(la: Partition) -> Mapping[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _marked_terms(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
+def _marked_terms(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[tuple[tuple[int, int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """((parts, n!/z_mu) for mu over enumerate_partitions(n), in that
-    order; columns[k] for k <= n, the (i, p, npbi(mu_i, p, k)) entries).
+    order; columns[k] for k <= n, the (i, p, npbi(mu_i, p, k)) entries;
+    p0[k], the (i, npbi(mu_i, 0, k)) entries of columns[k] at p = 0).
     Column k lists no mu longer than k.  The memo is unbounded: one key
     per n, so the run's largest weight bounds it."""
     fact = math.factorial(n)
     mus = enumerate_partitions(n)
     columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    p0: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i, mu in enumerate(mus):
         for (p, k), c in npbi_table(mu).items():
             columns[k].append((i, p, c))
-    return tuple((mu.parts, fact // z_of(mu)) for mu in mus), tuple(map(tuple, columns))
+            if not p:
+                p0[k].append((i, c))
+    return tuple((mu.parts, fact // z_of(mu)) for mu in mus), tuple(map(tuple, columns)), tuple(map(tuple, p0))
 
 
 def marked_products(n: int, xk: Callable[[int], object]) -> tuple[object, ...]:
@@ -191,16 +195,19 @@ def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
     """
     if not 0 <= p <= n:
         raise ValueError("p out of range")
-    hyp = gauss_2f1_truncated(p + 1, n - p + 1, 2, order)
+    hyp = gauss_2f1_truncated(p + 1, n - p + 1, 2, order).coeffs
+    # The terms are integers over their lcm D, and so is every Horner step.
     # Horner in z, ending with one more factor z: each step multiplies by
     # z in place, a shift by one index and then the upward division by 1 + x.
-    cs = [Fraction(0)] * (order + 1)
-    for c in (*reversed(hyp.coeffs), 0):
-        cs = [Fraction(0)] + cs[:-1]
+    big_d = math.lcm(*(c.denominator for c in hyp))
+    cs = [0] * (order + 1)
+    for c in (*reversed(hyp), 0):
+        cs = [0] + cs[:-1]
         for i in range(1, order + 1):
             cs[i] -= cs[i - 1]
-        cs[0] += c
-    return {k: n * cs[k] for k in range(order + 1)}
+        if c:
+            cs[0] += c.numerator * (big_d // c.denominator)
+    return {k: Fraction(n * cs[k], big_d) for k in range(order + 1)}
 
 
 @lru_cache(maxsize=None)

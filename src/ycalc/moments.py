@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coefficients import npbi, stirling_first
-from .partitions import MEMO_SIZE, Partition, check_alpha, content_alphabet, enumerate_partitions
+from .partitions import MEMO_SIZE, Partition, check_alpha, content_numerators, enumerate_partitions
 from .series import InvariantError, UniPoly, comb_int, linear_ratio_integers, linear_ratio_series
 from .shifted import moment_table
 
@@ -192,6 +192,13 @@ def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fractio
     return _position_moments(pieri_coefficients, la, alpha, r_max)
 
 
+def _cor52_numerators(table, c: int, d: int, r_max: int) -> list[int]:
+    """[T_0 .. T_r_max] of one moment table at y = c/d: c_r = T_r / (d^r r! a^r)
+    for T_r, the sum over e of C[r][e] c^e d^(r-e)."""
+    rows = table.c_rows(r_max)
+    return [sum(v * c**e * d ** (r - e) for e, v in enumerate(rows[r]) if v) for r in range(r_max + 1)]
+
+
 def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r_max: int) -> list[Fraction]:
     """[c_0 .. c_r_max], the coefficients of (-1/x)^r in the content-ratio
     product
@@ -206,21 +213,16 @@ def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r_max: int) -
     polynomial sum over e of C[r][e] y^e, whose rows the moment table
     evaluates once per (la, alpha) from the shape-free polynomials of
     :func:`shifted._c_formula`.  At y = c/d, c_r is the one integer
-    sum over e of C[r][e] c^e d^(r-e) over d^r r! a^r.
+    sum over e of C[r][e] c^e d^(r-e) (:func:`_cor52_numerators`) over
+    d^r r! a^r.
     """
     alpha = check_alpha(alpha)
     y = Fraction(y)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
     table = moment_table(la, alpha)
-    rows = table.c_rows(r_max)
-    a = table.a
-    c, d = y.numerator, y.denominator
-    out = []
-    for r in range(r_max + 1):
-        total = sum(v * c**e * d ** (r - e) for e, v in enumerate(rows[r]) if v)
-        out.append(Fraction(total, d**r * math.factorial(r) * a**r))
-    return out
+    ad = table.a * y.denominator
+    return [Fraction(t, ad**r * math.factorial(r)) for r, t in enumerate(_cor52_numerators(table, y.numerator, y.denominator, r_max))]
 
 
 def s_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -261,15 +263,15 @@ def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fra
     """sigma_0 .. sigma_{r_max} by the closed route: sigma_r is
     c_{r+1} - alpha c_{r+2} at y = 1/alpha.
 
-    At y = b/a, c_r = N_r / (a^(2r) r!) for N_r = sum over e of
-    C[r][e] b^e a^(r-e) (see :func:`cor52_coefficient`), so sigma_r is
+    At y = b/a, c_r = N_r / (a^(2r) r!) for the N_r of
+    :func:`_cor52_numerators`, so sigma_r is
     (a b (r+2) N_{r+1} - N_{r+2}) over b a^(2r+3) (r+2)!."""
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
     table = moment_table(la, alpha)
     a, b = table.a, table.b
-    big_n = [sum(v * b**e * a ** (r - e) for e, v in enumerate(row) if v) for r, row in enumerate(table.c_rows(r_max + 2))]
+    big_n = _cor52_numerators(table, b, a, r_max + 2)
     return [
         Fraction(a * b * (r + 2) * big_n[r + 1] - big_n[r + 2], b * a ** (2 * r + 3) * math.factorial(r + 2))
         for r in range(r_max + 1)
@@ -387,10 +389,11 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
     Returns None when y hits a pole: (y)_la = 0 or [alpha y]_p = 0 for
     some p <= |la|.
 
-    With alpha = a/b and y = c/d, a content is x/a for an integer x, so
-    the ratio is prod (c a + a d + d x) / prod (c a + d x) over the
-    contents, and (alpha)_p / [alpha y]_p is the running integer ratio
-    prod over m < p of (a + m b) d / (a c - m b d).  The column sum is
+    With alpha = a/b and y = c/d, a content is x/a for the integer x of
+    :func:`partitions.content_numerators`, so the ratio is
+    prod (c a + a d + d x) / prod (c a + d x) over the contents, and
+    (alpha)_p / [alpha y]_p is the running integer ratio prod over m < p
+    of (a + m b) d / (a c - m b d).  The column sum is
     kept as one unreduced integer pair.
     """
     alpha = check_alpha(alpha)
@@ -398,8 +401,7 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
     a, b = alpha.numerator, alpha.denominator
     c, d = y.numerator, y.denominator
     num = den = 1
-    for content in content_alphabet(la, alpha):
-        x = content.numerator * (a // content.denominator)
+    for x in content_numerators(la, alpha):
         den *= c * a + d * x
         num *= c * a + a * d + d * x
     if den == 0 or any(a * c == m * b * d for m in range(la.weight)):
@@ -419,9 +421,8 @@ def _content_ratio_integers(la: Partition, alpha: Fraction, y: Fraction, order: 
     """[G_0 .. G_order]: coefficient i of the content-ratio series of
     :func:`content_ratio_series` is G_i / (a d)^i, for alpha = a/b and
     y = c/d, since every factor is an integer over a d."""
-    a, b = alpha.numerator, alpha.denominator
-    c, d = y.numerator, y.denominator
-    ns = [j * a * d - i * b * d for i, part in enumerate(la.parts) for j in range(part)]
+    a, c, d = alpha.numerator, y.numerator, y.denominator
+    ns = [d * x for x in content_numerators(la, alpha)]
     num = [v for n in ns for v in (c * a + a * d + n, n)]
     den = [v for n in ns for v in (c * a + n, a * d + n)]
     return linear_ratio_integers(num, den, order)

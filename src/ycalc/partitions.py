@@ -182,12 +182,9 @@ def check_alpha(alpha: Fraction) -> Fraction:
     return alpha
 
 
-def content_alphabet(la: Partition, alpha: Fraction) -> tuple[Fraction, ...]:
-    """Multiset of alpha-contents (j-1) - (i-1)/alpha, row-major order."""
-    alpha = check_alpha(alpha)
-    out = []
-    for i, p in enumerate(la.parts, start=1):
-        shift = Fraction(i - 1, 1) / alpha
-        for j in range(1, p + 1):
-            out.append(Fraction(j - 1) - shift)
-    return tuple(out)
+def content_numerators(la: Partition, alpha: Fraction) -> tuple[int, ...]:
+    """The alpha-contents (j-1) - (i-1)/alpha of la's cells, row-major,
+    as their integer numerators (j-1)a - (i-1)b over a, alpha = a/b.
+    alpha must already be checked."""
+    a, b = alpha.numerator, alpha.denominator
+    return tuple((j - 1) * a - (i - 1) * b for i, j in la.cells())

@@ -47,7 +47,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .coefficients import _marked_terms, marked_column, marked_products, stirling_first, stirling_inverse_t
-from .partitions import MEMO_SIZE, Partition, check_alpha
+from .partitions import MEMO_SIZE, Partition, check_alpha, content_numerators
 from .series import comb_int
 
 
@@ -69,7 +69,7 @@ def _c_formula(r: int) -> tuple[Mapping[tuple[int, tuple[int, ...]], int], ...]:
             for m in range(k, r - 2 * n + 1) if k else (0,):  # column 0 is empty past m = 0
                 p = r - 2 * n - m
                 scale = (-1) ** n * (math.factorial(r) // math.factorial(m) // math.factorial(n - k))
-                parts_z, columns = _marked_terms(m)
+                parts_z, columns, _ = _marked_terms(m)
                 for i, q, c in columns[k]:
                     parts, z = parts_z[i]
                     w = scale * comb_int(n + p + q - 1, p) * c * z
@@ -82,21 +82,16 @@ def _c_formula(r: int) -> tuple[Mapping[tuple[int, tuple[int, ...]], int], ...]:
 class _MomentTable:
     """Integer power sums and moment columns of one (shape, alpha = a/b)."""
 
-    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_columns", "_c_rows", "_binomials")
+    __slots__ = ("a", "b", "weight", "_contents", "_power_sums", "_products", "_columns", "_p0_rows", "_c_rows", "_binomials")
 
     def __init__(self, la: Partition, alpha: Fraction):
-        a, b = alpha.numerator, alpha.denominator
-        self.a = a
-        self.b = b
+        self.a, self.b = alpha.numerator, alpha.denominator
         self.weight = la.weight
-        self._contents = tuple(
-            (j - 1) * a - (i - 1) * b
-            for i, part in enumerate(la.parts, start=1)
-            for j in range(1, part + 1)
-        )
+        self._contents = content_numerators(la, alpha)
         self._power_sums = [la.weight]
         self._products: list[tuple[int, ...]] = []
         self._columns: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._p0_rows: list[tuple[int, ...]] = []
         self._c_rows: list[tuple[int, ...]] = []
         self._binomials = [(Fraction(1), Fraction(1))]
 
@@ -135,6 +130,26 @@ class _MomentTable:
         binoms = [comb_int(top, n - k) for k in ks]
         columns = [self.column(m, k) for k in ks]
         return tuple(sum(map(operator.mul, binoms, line)) for line in zip(*columns))
+
+    def p0_row(self, m: int) -> tuple[int, ...]:
+        """(A[m][0][k] for k = 0 .. m), the p = 0 entries of row m (and of
+        every row below it), summed from the p = 0 terms of the marked
+        family once and kept."""
+        rows = self._p0_rows
+        while len(rows) <= m:
+            n = len(rows)
+            prods = self.products(n)
+            rows.append(tuple(sum(c * prods[i] for i, c in terms) for terms in _marked_terms(n)[2]))
+        return rows[m]
+
+    def k_sum_p0(self, top: int, n: int, m: int) -> int:
+        """k_sum(top, n, m)[0], from the p = 0 entries alone.  At n = 0 it
+        reads only column 0, which is 1 at m = 0 and 0 elsewhere, so no
+        row is built."""
+        if n == 0:
+            return int(m == 0)
+        row = self.p0_row(m)
+        return sum(comb_int(top, n - k) * row[k] for k in range(min(n, m) + 1))
 
     def c_rows(self, r_max: int) -> list[tuple[int, ...]]:
         """The rows C[0] .. C[r_max] (and any built beyond), each
@@ -177,7 +192,7 @@ class _MomentTable:
                     if not st:
                         continue
                     if (i, j) not in inners:
-                        inners[i, j] = self.k_sum(w - j, i, j)[0]
+                        inners[i, j] = self.k_sum_p0(w - j, i, j)
                     inner = inners[i, j]
                     if inner == 0:
                         continue
@@ -188,10 +203,6 @@ class _MomentTable:
             col_den = fact_p * math.prod(a + m * b for m in range(p))
             out.append((Fraction(row_sum, row_den), Fraction(col_sum, col_den)))
         return out
-
-    def denominator(self, n: int) -> int:
-        """n! a^n, the common denominator of row n."""
-        return math.factorial(n) * self.a**n
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -39,10 +39,10 @@ from .growth import (
     sample_growth,
 )
 from .moments import (
+    _content_ratio_integers,
+    _cor52_numerators,
     _negated_row_ends,
     chu_vandermonde_sides,
-    content_ratio_series,
-    cor52_coefficient,
     pieri_coefficients,
     row_column_binomials,
     s_closed_moments,
@@ -60,6 +60,7 @@ from .moments import (
 from .partitions import (
     EMPTY,
     Partition,
+    content_numerators,
     enumerate_partitions,
     partitions_upto,
     z_of,
@@ -242,6 +243,25 @@ class _Recorder:
             self.failures += 1
             if self.first is None:
                 self.first = dict(_named(context), key=list(key), lhs=_plain(a), rhs=_plain(b))
+
+    def numerators(self, lhs, rhs, den, keys=None, **context):
+        """One comparison of lhs/den with rhs/den, made on the integer
+        numerators.  With keys, lhs and rhs are equal-length lists, one
+        series whose entry i sits at keys[i] over den(keys[i]), and a
+        mismatch reports the first differing key as series_equal does.
+        Fractions are formed only for the first counterexample kept."""
+        self.cases += 1
+        if lhs == rhs:
+            return
+        self.failures += 1
+        if self.first is not None:
+            return
+        if keys is None:
+            self.first = dict(_named(context), lhs=Fraction(lhs, den), rhs=Fraction(rhs, den))
+            return
+        i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+        key, d = keys[i], den(keys[i])
+        self.first = dict(_named(context), key=list(key), lhs=_plain(Fraction(lhs[i], d)), rhs=_plain(Fraction(rhs[i], d)))
 
     def condition(self, holds: bool, **context):
         self.cases += 1
@@ -467,38 +487,33 @@ def _check_gn_closed(rec: _Recorder, *, n_max: int) -> None:
 
 
 def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals) -> None:
+    # Both sides over j! a^j at the key (i, j) = u^i t^j, in the series'
+    # (total degree, key) order: the product's C[i][j] / a^j against the
+    # k-sum (-1)^j K0 / (j! a^j) over the p = 0 entries of row j.
+    keys = [(i, d - i) for d in range(order + 1) for i in range(d + 1)]
+    facts = [math.factorial(j) for j in range(order + 1)]
     for la in partitions_upto(lambda_max):
         w = la.weight
         for alpha in alpha_set:
             table = moment_table(la, alpha)
             # The product over cells of 1 + u / (1 + c t), with the content
-            # c = n/a for n = (j-1)a - (i-1)b, has u^i t^m coefficient
-            # C[i][m] / a^m.  Each cell adds row i-1 divided by 1 + c t
-            # (the upward update D_m = C_m - n D_(m-1)) into row i, rows
-            # taken downward so that row i-1 is still the old one.
-            a, b = alpha.numerator, alpha.denominator
+            # c = n/a, has u^i t^m coefficient C[i][m] / a^m.  Each cell adds
+            # row i-1 divided by 1 + c t (the upward update
+            # D_m = C_m - n D_(m-1)) into row i, rows taken downward so that
+            # row i-1 is still the old one.
             rows = [[0] * (order + 1 - i) for i in range(order + 1)]
             rows[0][0] = 1
-            for cell, (i, j) in enumerate(la.cells(), start=1):
-                n = (j - 1) * a - (i - 1) * b
+            for cell, n in enumerate(content_numerators(la, alpha), start=1):
                 for row in range(min(order, cell), 0, -1):
                     src, dst = rows[row - 1], rows[row]
                     quot = 0
                     for m in range(len(dst)):
                         quot = src[m] - n * quot
                         dst[m] += quot
-            lhs = BiSeries(
-                order, {(i, m): Fraction(c, a**m) for i, row in enumerate(rows) for m, c in enumerate(row)}
-            )
-            coeffs = {}
-            for i in range(order + 1):
-                for j in range(order + 1 - i):
-                    acc = table.k_sum(w - j, i, j)[0]
-                    if j % 2:
-                        acc = -acc
-                    coeffs[(i, j)] = Fraction(acc, table.denominator(j))
-            rhs = BiSeries(order, coeffs)
-            rec.series_equal(lhs, rhs, la=la, alpha=alpha)
+            lhs = [rows[i][j] * facts[j] for i, j in keys]
+            rhs = [(-1) ** j * table.k_sum_p0(w - j, i, j) for i, j in keys]
+            a = table.a
+            rec.numerators(lhs, rhs, lambda key: facts[key[1]] * a ** key[1], keys, la=la, alpha=alpha)
 
 
 def _thm51_terms(table, order: int) -> list[tuple[int, int, int, int]]:
@@ -522,9 +537,10 @@ def _thm51_terms(table, order: int) -> list[tuple[int, int, int, int]]:
     return terms
 
 
-def _thm51_right_side(terms: list[tuple[int, int, int, int]], a: int, y: Fraction, order: int) -> UniPoly:
+def _thm51_right_side(terms: list[tuple[int, int, int, int]], y: Fraction, order: int) -> list[int]:
     """Theorem 5.1's right side mod t^(order+1) at y = c/d, from the terms
-    of :func:`_thm51_terms`, by Horner's rule in m.
+    of :func:`_thm51_terms`, by Horner's rule in m: coefficient s is the
+    returned integer s over order! a^order d^s.
 
     B_m(t) sums (-y)^n t^shift v over the terms of one m; its coefficient
     s is an integer over d^s order! a^order.  The right side is
@@ -547,32 +563,44 @@ def _thm51_right_side(terms: list[tuple[int, int, int, int]], a: int, y: Fractio
                 acc[s] -= e * acc[s - 1]
         for s in range(m, order + 1):
             acc[s] += by_m[m][s]
-    den = math.factorial(order) * a**order
-    return UniPoly(Fraction(v, den * d_pows[s]) for s, v in enumerate(acc))
+    return acc
 
 
 def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
-    # the right side's y-free terms are collected once per (shape, alpha)
+    # Both sides over order! a^order d^s at t^s: the content ratio's
+    # G_s / (a d)^s against the right side.  The y-free terms are collected
+    # once per (shape, alpha).
+    fact = math.factorial(order)
+    keys = [(s,) for s in range(order + 1)]
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             table = moment_table(la, alpha)
+            a = table.a
             terms = _thm51_terms(table, order)
+            scales = [fact * a ** (order - s) for s in range(order + 1)]
             for y in y_set:
-                lhs = content_ratio_series(la, alpha, y, order)
-                rec.series_equal(lhs, _thm51_right_side(terms, table.a, y, order), la=la, alpha=alpha, y=y)
+                lhs = [g * scale for g, scale in zip(_content_ratio_integers(la, alpha, y, order), scales)]
+                d = y.denominator
+                rhs = _thm51_right_side(terms, y, order)
+                rec.numerators(lhs, rhs, lambda key: fact * a**order * d ** key[0], keys, la=la, alpha=alpha, y=y)
 
 
 def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
+    # Both sides over (a d)^r r! at y = c/d: c_r = T_r / ((a d)^r r!)
+    # against (-1)^r G_r / (a d)^r, the content ratio's coefficient r.
+    facts = [math.factorial(r) for r in range(order + 1)]
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
+            table = moment_table(la, alpha)
             for y in y_set:
-                lhs = content_ratio_series(la, alpha, y, order)
-                cs = cor52_coefficient(la, alpha, y, max(order, 1))
+                d = y.denominator
+                g = _content_ratio_integers(la, alpha, y, order)
+                t = _cor52_numerators(table, y.numerator, d, max(order, 1))
+                ad = table.a * d
                 for r in range(0, order + 1):
-                    want = lhs.coefficient(r)
-                    rec.check(cs[r], -want if r % 2 else want, la=la, alpha=alpha, y=y, r=r)
-                rec.check(cs[0], Fraction(1), group="low-index", la=la, alpha=alpha, y=y, r=0)
-                rec.check(cs[1], Fraction(0), group="low-index", la=la, alpha=alpha, y=y, r=1)
+                    rec.numerators(t[r], (-1) ** r * g[r] * facts[r], ad**r * facts[r], la=la, alpha=alpha, y=y, r=r)
+                rec.numerators(t[0], 1, 1, group="low-index", la=la, alpha=alpha, y=y, r=0)
+                rec.numerators(t[1], 0, ad, group="low-index", la=la, alpha=alpha, y=y, r=1)
 
 
 def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Rationals) -> None:

@@ -25,7 +25,7 @@ from ycalc.growth import (
 )
 from ycalc import growth, moments
 from ycalc.moments import _position_weights, corner_binomials, pieri_coefficients, s_direct_moments, sigma_direct_moments
-from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, content_alphabet, partitions_upto
+from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, partitions_upto
 from ycalc.shifted import moment_table
 from ycalc.series import InvariantError, comb_int
 
@@ -133,9 +133,14 @@ def test_plancherel_reduction():
     assert plancherel_check(6)
 
 
+def _contents(la, alpha):
+    """The alpha-contents (j-1) - (i-1)/alpha of la's cells, row-major."""
+    return tuple(Fraction(j - 1) - Fraction(i - 1) / alpha for i, j in la.cells())
+
+
 def _new_content(before: Partition, after: Partition, alpha) -> Fraction:
     """The one content of `after` that `before` lacks."""
-    (c,) = Counter(content_alphabet(after, alpha)) - Counter(content_alphabet(before, alpha))
+    (c,) = Counter(_contents(after, alpha)) - Counter(_contents(before, alpha))
     return c
 
 

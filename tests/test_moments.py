@@ -42,7 +42,7 @@ from ycalc.moments import (
 )
 from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
-from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto, z_of
+from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import InvariantError, UniPoly, comb_int, linear_ratio_integers, linear_ratio_series, lowering_factorial
 from ycalc.shifted import _MomentTable, d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET, _thm51_right_side, _thm51_terms
@@ -177,11 +177,16 @@ def test_corner_pair_negative_over_negative_is_a_weight():
 # kept as references for the integer table that replaced them.
 
 
+def _contents(la, alpha):
+    """The alpha-contents (j-1) - (i-1)/alpha of la's cells, row-major."""
+    return tuple(Fraction(j - 1) - Fraction(i - 1) / alpha for i, j in la.cells())
+
+
 @lru_cache(maxsize=None)
 def _d_reference(la, alpha, k):
     if k == 0:
         return Fraction(la.weight)
-    return sum((c**k for c in content_alphabet(la, alpha)), Fraction(0))
+    return sum((c**k for c in _contents(la, alpha)), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +306,7 @@ def test_moment_table_matches_fraction_definitions(alpha):
             for k in range(n + 1):
                 column = table.column(n, k)
                 for p in range(n + 1):
-                    f = Fraction(column[p], table.denominator(n))
+                    f = Fraction(column[p], math.factorial(n) * table.a**n)
                     assert f == _f_reference(la, alpha, n, p, k), (la, n, p, k)
 
 
@@ -347,7 +352,7 @@ def _sigma_series_reference(la, alpha, order):
 def _chu_vandermonde_reference(la, alpha, y):
     """Both Chu-Vandermonde sides as Fraction products and sums, or None at a pole."""
     num = den = Fraction(1)
-    for c in content_alphabet(la, alpha):
+    for c in _contents(la, alpha):
         den *= y + c
         num *= y + 1 + c
     ay = alpha * y
@@ -371,7 +376,7 @@ def test_integer_routes_match_fraction_formulas(alpha):
         assert sigma_closed_moments(la, alpha, r_max) == [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)], la
         # y = -c for a content c, and alpha y = p - 1 for p <= |la|, are poles
         ys = {*DEFAULT_Y_SET, Fraction(-1), -1 / alpha, *(Fraction(p) / alpha for p in range(3))}
-        ys.update(-c for c in content_alphabet(la, alpha)[-2:])
+        ys.update(-c for c in _contents(la, alpha)[-2:])
         for y in ys:
             sides = chu_vandermonde_sides(la, alpha, y)
             assert sides == _chu_vandermonde_reference(la, alpha, y), (la, y)
@@ -389,7 +394,7 @@ def _q_sums_from_rows(la, alpha, r_max):
     for n in range(r_max // 2 + 1):
         # at n = 0 the k-sum reads only column k = 0, which is zero past row 0
         for m in range(r_max - 2 * n + 1) if n else (0,):
-            columns, den = [table.column(m, k) for k in range(min(n, m) + 1)], table.denominator(m)
+            columns, den = [table.column(m, k) for k in range(min(n, m) + 1)], math.factorial(m) * table.a**m
             ks = [
                 Fraction(sum(comb_int(la.weight + n - 1, n - k) * column[q] for k, column in enumerate(columns)), den)
                 for q in range(m + 1)
@@ -608,7 +613,7 @@ def test_content_ratio_series_matches_fraction_reference(alpha):
     # (x + u) = x (1 + u t) at t = 1/x, so the ratio is the linear ratio
     # series over the contents shifted by y + 1 and 0, against y and 1
     for la in partitions_upto(6):
-        contents = content_alphabet(la, alpha)
+        contents = _contents(la, alpha)
         for y in (Fraction(0), Fraction(-1), Fraction(2), Fraction(-1, 3), -1 / alpha, 1 / alpha):
             want = linear_ratio_series(
                 [y + 1 + c for c in contents] + list(contents), [y + c for c in contents] + [1 + c for c in contents], 8
@@ -646,15 +651,19 @@ def _thm51_right_side_reference(la, alpha, y, order):
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_thm51_right_side_matches_triple_loop(alpha):
-    # y = -1 makes c + d = 0, and y = 0 leaves only the n = 0 terms
+    # y = -1 makes c + d = 0, and y = 0 leaves only the n = 0 terms; the
+    # numerators are over order! a^order d^s at t^s
     ys = DEFAULT_Y_SET + (Fraction(-1), Fraction(0), Fraction(7, 3))
     for la in partitions_upto(5):
         table = moment_table(la, alpha)
         for order in range(13):
             terms = _thm51_terms(table, order)
+            den = math.factorial(order) * table.a**order
             for y in ys:
-                got = _thm51_right_side(terms, table.a, y, order)
-                assert got == _thm51_right_side_reference(la, alpha, y, order), (la, order, y)
+                got = _thm51_right_side(terms, y, order)
+                assert len(got) == order + 1 and all(type(v) is int for v in got), (la, order, y)
+                want = _thm51_right_side_reference(la, alpha, y, order)
+                assert [Fraction(v, den * y.denominator**s) for s, v in enumerate(got)] == [want.coefficient(s) for s in range(order + 1)], (la, order, y)
 
 
 def test_row_column_binomials_extend_as_a_prefix(fresh_memos):
@@ -671,17 +680,18 @@ def test_row_column_binomials_extend_as_a_prefix(fresh_memos):
 
 
 def test_row_column_binomials_are_kept_on_the_table(fresh_memos, monkeypatch):
+    # the sums read only the p = 0 k-sums, and a second call makes none
     calls = []
-    k_sum = _MomentTable.k_sum
 
-    def counted(self, *args):
-        calls.append(args)
-        return k_sum(self, *args)
+    def counting(name):
+        method = getattr(_MomentTable, name)
+        return lambda self, *args: calls.append((name, args)) or method(self, *args)
 
-    monkeypatch.setattr(_MomentTable, "k_sum", counted)
+    for name in ("k_sum", "k_sum_p0"):
+        monkeypatch.setattr(_MomentTable, name, counting(name))
     la, alpha = Partition((3, 2, 1)), Fraction(3, 5)
     first = row_column_binomials(la, alpha, la.weight)
-    assert calls
+    assert calls and {name for name, _ in calls} == {"k_sum_p0"}
     calls.clear()
     assert row_column_binomials(la, alpha, la.weight) == first
     assert row_column_binomials(la, alpha, 3) == first[:4]

@@ -9,7 +9,7 @@ from ycalc.partitions import (
     EMPTY,
     Partition,
     check_alpha,
-    content_alphabet,
+    content_numerators,
     enumerate_partitions,
     partitions_of,
     partitions_upto,
@@ -202,27 +202,24 @@ def test_check_alpha():
             check_alpha(bad)
 
 
-def test_content_alphabet_values():
+def test_content_numerators_values():
+    # the contents (j-1) - (i-1)/alpha over a, alpha = a/b
     la = Partition((2, 2))
-    assert content_alphabet(la, Fraction(1)) == (
-        Fraction(0),
-        Fraction(1),
-        Fraction(-1),
-        Fraction(0),
-    )
+    assert content_numerators(la, Fraction(1)) == (0, 1, -1, 0)
+    assert content_numerators(la, Fraction(3, 5)) == (0, 3, -5, -2)
+    assert content_numerators(Partition((3, 1)), Fraction(2)) == (0, 2, 4, -1)
     # a single row has integer contents 0..n-1 at every alpha
     for alpha in (Fraction(1), Fraction(2), Fraction(3, 5)):
-        assert content_alphabet(Partition((4,)), alpha) == tuple(
-            Fraction(j) for j in range(4)
-        )
+        assert content_numerators(Partition((4,)), alpha) == tuple(j * alpha.numerator for j in range(4))
 
 
 @settings(deadline=None, derandomize=True)
 @given(st.integers(0, 7), st.integers(0, 200), st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5)]))
-def test_content_alphabet_conjugation(n, pick, alpha):
-    # contents of the conjugate at 1/alpha are -alpha times the originals
+def test_content_numerators_conjugation(n, pick, alpha):
+    # contents of the conjugate at 1/alpha are -alpha times the originals,
+    # so over b their numerators are the originals' negated
     shapes = enumerate_partitions(n)
     la = shapes[pick % len(shapes)]
-    orig = sorted(content_alphabet(la, alpha))
-    dual = sorted(content_alphabet(la.conjugate(), 1 / alpha))
-    assert dual == sorted(-alpha * c for c in orig)
+    orig = sorted(content_numerators(la, alpha))
+    dual = sorted(content_numerators(la.conjugate(), 1 / alpha))
+    assert dual == sorted(-x for x in orig)

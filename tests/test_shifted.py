@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ycalc import shifted
 from ycalc.coefficients import marked_column, marked_row, stirling_inverse_t
 from ycalc.moments import row_column_binomials
-from ycalc.partitions import EMPTY, Partition, content_alphabet, enumerate_partitions, partitions_upto
+from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
 from ycalc.series import UniPoly, linear_ratio_series, lowering_factorial
 from ycalc.shifted import _MomentTable, _shifted_numerators, d_k, dk_from_shifted, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET
@@ -21,6 +21,11 @@ ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 KERNEL_ALPHAS = DEFAULT_ALPHA_SET + (Fraction(7, 3),)
 
 shapes_small = st.tuples(st.integers(0, 6), st.integers(0, 400))
+
+
+def _contents(la, alpha):
+    """The alpha-contents (j-1) - (i-1)/alpha of la's cells, row-major."""
+    return tuple(Fraction(j - 1) - Fraction(i - 1) / alpha for i, j in la.cells())
 
 
 def _shape(n, pick):
@@ -114,7 +119,7 @@ def test_dk_from_shifted_rejects_negative():
 def _f(la, alpha, n, p, k):
     """f_{n,p,k} = A[n][p][k] / (n! a^n), read from the moment table."""
     table = moment_table(la, alpha)
-    return Fraction(table.column(n, k)[p], table.denominator(n))
+    return Fraction(table.column(n, k)[p], math.factorial(n) * table.a**n)
 
 
 def test_f_npk_conventions_match_abstract_family():
@@ -147,10 +152,10 @@ def test_bounded_rows_equal_full_rows(alpha):
 
 
 def test_no_column_is_built_twice(fresh_memos, monkeypatch):
-    # One table read by c_rows(6), c_rows(10), the k-sums rel5.1 reads at
-    # order 10, and the row and column binomials up to |la| + 2: the C rows
-    # build no column, and every (m, k) column is summed once, however
-    # much wider a later ask is.
+    # One table read by c_rows(6), c_rows(10), the k-sums at (|la| - j, i, j)
+    # for i + j <= 10, and the row and column binomials up to |la| + 2: the
+    # C rows build no column, and every (m, k) column is summed once,
+    # however much wider a later ask is.
     built = []
 
     def counted(m, k, products):
@@ -170,6 +175,22 @@ def test_no_column_is_built_twice(fresh_memos, monkeypatch):
         row_column_binomials(la, alpha, la.weight + 2)
         assert built and len(built) == len(set(built)), la
         built.clear()
+
+
+def test_p0_k_sums_match_the_columns():
+    # Every (top, n, m) = (|la| - j, i, j), i + j <= 10, that rel5.1 (order
+    # 10) and the row and column binomials read, at the default alphas and
+    # their reciprocals (Theorem 11.2's conjugates), on two fresh tables:
+    # the p = 0 sums build no column.
+    alphas = {*DEFAULT_ALPHA_SET, *(1 / alpha for alpha in DEFAULT_ALPHA_SET)}
+    for la in partitions_upto(6):
+        for alpha in alphas:
+            p0, full = _MomentTable(la, alpha), _MomentTable(la, alpha)
+            for i in range(11):
+                for j in range(11 - i):
+                    got = p0.k_sum_p0(la.weight - j, i, j)
+                    assert got == full.k_sum(la.weight - j, i, j)[0], (la, alpha, i, j)
+            assert not p0._columns, (la, alpha)
 
 
 def test_c_formula_shape():
@@ -213,7 +234,7 @@ def test_c_k_is_raising_factorial_coefficient(shape, alpha, k):
     # (x)_la, the product of x + c over the contents c
     n, pick = shape
     la = _shape(n, pick)
-    contents = content_alphabet(la, alpha)
+    contents = _contents(la, alpha)
     x = UniPoly.x()
     poly = UniPoly((1,))
     for c in contents:
@@ -230,7 +251,7 @@ def test_big_c_k_is_inverse_lowering_expansion(alpha):
     # 1/[x]_la = x^{-|la|} sum_k h_k(contents) t^k with t = 1/x
     la = Partition((2, 2, 1))
     order = 6
-    contents = content_alphabet(la, alpha)
+    contents = _contents(la, alpha)
     acc = linear_ratio_series((), [-c for c in contents], order)
     for k in range(order + 1):
         h_k = sum((math.prod(sub) for sub in itertools.combinations_with_replacement(contents, k)), Fraction(0))

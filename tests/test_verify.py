@@ -283,21 +283,20 @@ def test_npbi_fault_fails_every_reader_the_same_way(fresh_memos, monkeypatch):
 
 
 # the unpatched kernels, read once at import
-verify_content_ratio_series = verify.content_ratio_series
+verify_content_ratio_integers = verify._content_ratio_integers
 verify_marked_row = verify.marked_row
 verify_npbi = verify.npbi
 verify_pieri_coefficients = verify.pieri_coefficients
 shifted_c_formula = shifted._c_formula
+shifted_p0_row = shifted._MomentTable.p0_row
 
 
 def _bumped_content_ratio(la, alpha, y, order):
-    # +1/3 at t^3 on the shapes of weight 4
-    series = verify_content_ratio_series(la, alpha, y, order)
-    if la.weight != 4:
-        return series
-    coeffs = [*series.coeffs, *[0] * (4 - len(series.coeffs))]
-    coeffs[3] += Fraction(1, 3)
-    return UniPoly(coeffs)
+    # G_3 raised by 1, which moves t^3 by 1/(a d)^3, on the shapes of weight 4
+    g = verify_content_ratio_integers(la, alpha, y, order)
+    if la.weight == 4:
+        g[3] += 1
+    return g
 
 
 def _bumped_marked_row(n, xk):
@@ -325,6 +324,15 @@ def _bumped_c_formula(r):
     return (formula[0], terms, *formula[2:])
 
 
+def _bumped_p0_row(table, m):
+    # A[2][0][1] raised by 1 on every table, which moves the p = 0 k-sums
+    # that rel5.1 and the row and column binomials read
+    row = shifted_p0_row(table, m)
+    if m != 2:
+        return row
+    return (row[0], row[1] + 1, *row[2:])
+
+
 def _doubled_pieri_row(la, alpha):
     # row 1's weight doubled on 2,1, past the library's own sum check
     atoms = verify_pieri_coefficients(la, alpha)
@@ -333,14 +341,18 @@ def _doubled_pieri_row(la, alpha):
     return tuple((row, 2 * weight if row == 1 else weight) for row, weight in atoms)
 
 
-# One row per perturbed kernel, as the name it patches, the module it is
-# patched in, the replacement, the jobs run at reduced bounds with their
-# statuses, and the sha256 of reports_to_json over them.  The verify rows
-# were pinned before the checkers moved to integer arithmetic, the C-row
-# formula's once it was in place of the per-table C-row loop.  Each fault
-# keeps every library invariant true, so only a comparison can catch it.
-# ll-v0 stays verified under the marked-row fault: its right side reads
-# marked_row(d, X) at p = 0 only.
+# One row per perturbed kernel, as the name it patches, the module (or
+# class) it is patched in, the replacement, the jobs run at reduced bounds
+# with their statuses, and the sha256 of reports_to_json over them.  The
+# marked_row, npbi and pieri_coefficients rows were pinned before the
+# checkers moved to integer arithmetic, the C-row formula's once it was in
+# place of the per-table C-row loop.  The _content_ratio_integers and p0_row
+# digests equal the reports of the Fraction comparisons they replaced, under
+# the same perturbation made through the old kernels (content_ratio_series
+# moved by 1/(a d)^3 at t^3, column (2, 1) of the table moved by 1 at p = 0).
+# Each fault keeps every library invariant true, so only a comparison can
+# catch it.  ll-v0 stays verified under the marked-row fault: its right
+# side reads marked_row(d, X) at p = 0 only.
 _FAULT_ROWS = {
     "_c_formula": (
         shifted,
@@ -349,12 +361,12 @@ _FAULT_ROWS = {
         {"lambda_max": 2, "order": 4, "r_max": 4},
         "b552394ba42135f219a8415f046efe4334b6facd9a6c3732c4f4f53514516897",
     ),
-    "content_ratio_series": (
+    "_content_ratio_integers": (
         verify,
         _bumped_content_ratio,
         {"thm5.1": "failed", "cor5.2": "failed"},
         {"lambda_max": 4, "order": 6},
-        "6903e006f4b5cafded2f6272fd407afb173e89722ea797b42bc80289bf23f852",
+        "9653aa3f13e989fd9591de66fa271a2a0a27bee7cd5703436cabf39fa08444b2",
     ),
     "marked_row": (
         verify,
@@ -369,6 +381,13 @@ _FAULT_ROWS = {
         {"thm4.1": "failed"},
         {"n_max": 5},
         "02819837c3d954bd7d9783181bd0b466fb5ac9546cb7b57da7ee3ff482b920d7",
+    ),
+    "p0_row": (
+        shifted._MomentTable,
+        _bumped_p0_row,
+        {"rel5.1": "failed", "thm11.2": "failed", "chu-vandermonde": "failed"},
+        {"lambda_max": 4, "order": 6, "p_max": 4},
+        "5796de3c7ed5f6665b8bae7d2577ec7e60bb0fca08a5729c3522803540fa9f5b",
     ),
     "pieri_coefficients": (
         verify,
@@ -460,6 +479,51 @@ def test_recorder_names_a_partition_only_in_its_counterexample():
         assert rec.first["la"] == "2,1"
         assert rec.first["r"] == 0
         assert rec.report("x", {}).counterexample["la"] == "2,1"
+
+
+def test_recorder_numerators_count_one_case_and_keep_the_fractions():
+    la = Partition((2, 1))
+    rec = _Recorder()
+    rec.numerators(6, 6, 4, la=la)
+    rec.numerators([1, 2], [1, 2], None, [(0,), (1,)], la=la)
+    assert (rec.cases, rec.failures, rec.first) == (2, 0, None)
+    # a scalar keeps Fraction(lhs, den) and Fraction(rhs, den)
+    rec = _Recorder()
+    rec.numerators(6, 3, 4, la=la, r=1)
+    rec.numerators(1, 2, 3, la=la, r=2)
+    assert (rec.cases, rec.failures) == (2, 2)
+    assert rec.first == {"la": "2,1", "r": 1, "lhs": Fraction(3, 2), "rhs": Fraction(3, 4)}
+    # a series keeps its first differing key, as series_equal on the same
+    # values as Fractions does
+    keys = [(i, d - i) for d in range(3) for i in range(d + 1)]
+    lhs, rhs = [1, 0, 4, 2, 0, 0], [1, 0, 4, 3, 9, 0]
+    rec = _Recorder()
+    rec.numerators(lhs, rhs, lambda key: 2 ** key[1], keys, la=la)
+    assert (rec.cases, rec.failures) == (1, 1)
+    assert rec.first == {"la": "2,1", "key": [0, 2], "lhs": "1/2", "rhs": "3/4"}
+    old = _Recorder()
+    old.series_equal(*(BiSeries(2, {key: Fraction(v, 2 ** key[1]) for key, v in zip(keys, side)}) for side in (lhs, rhs)), la=la)
+    assert old.first == rec.first
+
+
+@pytest.mark.parametrize("identity", ["rel5.1", "thm5.1", "cor5.2"])
+def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
+    formed = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            formed.append(args)
+            return Fraction(*args)
+
+    checker, defaults = _JOBS[identity]
+    monkeypatch.setattr(verify, "Fraction", Counted)
+    rec = _Recorder()
+    checker(rec, **{**defaults, **_SMALL[identity]})
+    assert rec.cases and not rec.failures
+    assert formed == []
+    # the counter sees the recorder's Fractions: a mismatch forms two
+    rec.numerators(1, 2, 3)
+    assert formed == [(1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("identity,rhs_name,key", [
