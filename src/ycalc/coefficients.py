@@ -205,8 +205,7 @@ def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
         cs = [0] + cs[:-1]
         for i in range(1, order + 1):
             cs[i] -= cs[i - 1]
-        if c:
-            cs[0] += c.numerator * (big_d // c.denominator)
+        cs[0] += c.numerator * (big_d // c.denominator)
     return {k: Fraction(n * cs[k], big_d) for k in range(order + 1)}
 
 

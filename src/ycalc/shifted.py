@@ -17,11 +17,14 @@ P_k = sum c^k (P_0 = |la|).  Row n of the table holds the integers
     A[n][p][k] = n! a^n f_{n,p,k} = sum over mu |- n of
                  npbi(mu, p, k) (n!/z_mu) P_mu1 P_mu2 ...,
 
-so f_{n,p,k} = A[n][p][k] / (n! a^n).  Theorem 5.1, Relation 5.1 and
-the binomials of Theorem 11.2 read a row only through k-sums over the
-columns k <= min(n, m), so the table stores columns: the first ask for
-column k of row m sums it with :func:`coefficients.marked_column` from
-the kept products (m!/z_mu) P_mu, and it is never built again.  The
+so f_{n,p,k} = A[n][p][k] / (n! a^n).  Theorem 5.1 reads a row only
+through k-sums over the columns k <= min(n, m), so the table stores
+columns: the first ask for column k of row m sums it with
+:func:`coefficients.marked_column` from the kept products
+(m!/z_mu) P_mu, and it is never built again.  Relation 5.1 and the
+binomials of Theorem 11.2 read only the p = 0 k-sum, so the table keeps
+the p = 0 entries A[m][0][k] of a row apart, summed once from the p = 0
+terms of the marked family, and those readers build no column.  The
 table reads only the contents and npbi.
 
 Corollary 5.2 reads y only through (-y)^n (y+1)^p, so

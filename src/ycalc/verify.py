@@ -498,9 +498,8 @@ def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
             table = moment_table(la, alpha)
             # The product over cells of 1 + u / (1 + c t), with the content
             # c = n/a, has u^i t^m coefficient C[i][m] / a^m.  Each cell adds
-            # row i-1 divided by 1 + c t (the upward update
-            # D_m = C_m - n D_(m-1)) into row i, rows taken downward so that
-            # row i-1 is still the old one.
+            # row i-1 divided by 1 + c t (D_m = C_m - n D_(m-1), upward) into
+            # row i, rows taken downward so that row i-1 is still the old one.
             rows = [[0] * (order + 1 - i) for i in range(order + 1)]
             rows[0][0] = 1
             for cell, n in enumerate(content_numerators(la, alpha), start=1):
@@ -512,8 +511,7 @@ def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
                         dst[m] += quot
             lhs = [rows[i][j] * facts[j] for i, j in keys]
             rhs = [(-1) ** j * table.k_sum_p0(w - j, i, j) for i, j in keys]
-            a = table.a
-            rec.numerators(lhs, rhs, lambda key: facts[key[1]] * a ** key[1], keys, la=la, alpha=alpha)
+            rec.numerators(lhs, rhs, lambda key: facts[key[1]] * table.a ** key[1], keys, la=la, alpha=alpha)
 
 
 def _thm51_terms(table, order: int) -> list[tuple[int, int, int, int]]:
@@ -567,9 +565,8 @@ def _thm51_right_side(terms: list[tuple[int, int, int, int]], y: Fraction, order
 
 
 def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
-    # Both sides over order! a^order d^s at t^s: the content ratio's
-    # G_s / (a d)^s against the right side.  The y-free terms are collected
-    # once per (shape, alpha).
+    # Both sides over order! a^order d^s at t^s, the content ratio's being
+    # G_s / (a d)^s; the y-free terms are collected once per (shape, alpha).
     fact = math.factorial(order)
     keys = [(s,) for s in range(order + 1)]
     for la in partitions_upto(lambda_max):
@@ -580,9 +577,8 @@ def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
             scales = [fact * a ** (order - s) for s in range(order + 1)]
             for y in y_set:
                 lhs = [g * scale for g, scale in zip(_content_ratio_integers(la, alpha, y, order), scales)]
-                d = y.denominator
-                rhs = _thm51_right_side(terms, y, order)
-                rec.numerators(lhs, rhs, lambda key: fact * a**order * d ** key[0], keys, la=la, alpha=alpha, y=y)
+                den = fact * a**order
+                rec.numerators(lhs, _thm51_right_side(terms, y, order), lambda key: den * y.denominator ** key[0], keys, la=la, alpha=alpha, y=y)
 
 
 def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals, y_set: _Rationals) -> None:
@@ -593,10 +589,9 @@ def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
         for alpha in alpha_set:
             table = moment_table(la, alpha)
             for y in y_set:
-                d = y.denominator
                 g = _content_ratio_integers(la, alpha, y, order)
-                t = _cor52_numerators(table, y.numerator, d, max(order, 1))
-                ad = table.a * d
+                t = _cor52_numerators(table, y.numerator, y.denominator, max(order, 1))
+                ad = table.a * y.denominator
                 for r in range(0, order + 1):
                     rec.numerators(t[r], (-1) ** r * g[r] * facts[r], ad**r * facts[r], la=la, alpha=alpha, y=y, r=r)
                 rec.numerators(t[0], 1, 1, group="low-index", la=la, alpha=alpha, y=y, r=0)
