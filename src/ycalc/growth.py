@@ -2,10 +2,12 @@
 
 The up kernel on a shape is the row-weight family from `moments`; the
 down kernel divides the corner weights by the cell count.  Both are exact
-probability vectors, tuples of atoms (row, probability).  A dimension function satisfies dim(Λ) = Σ κ·dim(λ)
-over shapes covered by Λ, with κ the up-kernel weight of the added row;
-the down kernel must then factor as κ · dim(λ)/dim(Λ), which is checked
-rather than assumed.
+probability vectors, tuples of atoms (row, probability).  A dimension
+function satisfies dim(Λ) = Σ κ·dim(λ) over shapes covered by Λ, with κ
+the up-kernel weight of the added row; the down kernel must then factor
+as κ · dim(λ)/dim(Λ), which is checked rather than assumed.  Each
+dimension is computed once per (shape, alpha), from the kept dimensions
+of the shapes it covers (`_dimension_slot`).
 
 The Monte Carlo sampler is deterministic per (seed, path index).  The
 draw for step s of path p is splitmix64's output function over the
@@ -26,10 +28,10 @@ one-step walk) is counted by lanes: z + 2^64 - t has bit 64 set exactly
 when z ≥ t, one add, mask and popcount per inner threshold t per block.
 At alpha = a/b the cell added in row i of λ has content x/a with the
 integer x = λ_i·a - (i-1)·b, so the paths' counts per atom of the last
-step give integer power sums of x.  The exact reference is the law of x:
-the masses one step before the end, folded through their atoms as
-integer pairs over their lcm L, give moment r as one integer
-Σ_x L·P(x)·x^r over L·a^r.  Floats appear only in the estimates, each
+step give integer power sums of x.  The exact reference is the law of x
+(`_last_step_law`, which draws nothing): the masses one step before the
+end, folded through their atoms as integer pairs over their lcm L, give
+moment r as one integer Σ_x L·P(x)·x^r over L·a^r.  Floats appear only in the estimates, each
 one int / int true division of the exact integer sums, which is
 correctly rounded, so it equals the float of the Fraction.  The
 variance's sign is tested on integers too.
@@ -82,24 +84,46 @@ def cotransition_kernel(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def _dimension_slot(la: Partition, alpha: Fraction) -> list:
+    """The memo of dimensions: a one-element list per (shape, alpha) that
+    :func:`dimension` fills with dim(la) once, [None] until then."""
+    return [None]
+
+
 def dimension(la: Partition, alpha) -> Fraction:
     """dim(Λ) by the covering recurrence dim(Λ) = Σ κ·dim(λ) over the λ
     that Λ covers, κ the up-kernel weight of the row added to λ;
-    dim(∅) = 1.  The shapes below la are filled bottom-up, weight by
-    weight, so neither recursion depth nor the memo bound limits la."""
+    dim(∅) = 1.
+
+    Each (shape, alpha) is computed once: the walk goes down from la,
+    weight by weight, only through shapes whose dimension is not yet kept,
+    and then folds those bottom-up, one integer sum and one Fraction per
+    shape.  The walk holds the slots it reached, so neither recursion
+    depth nor the memo bound limits la."""
     alpha = check_alpha(alpha)
-    levels = [{la.parts: la}]  # the shapes below la, one level per weight
-    for _ in range(la.weight):
-        levels.append({nu.parts: nu for mu in levels[-1].values() for nu in map(mu.remove_cell, mu.removable_rows())})
-    dims = {(): Fraction(1)}
-    for level in reversed(levels[:-1]):
+    slots = {}  # parts -> slot, for every shape the walk reached
+    missing = []  # the shapes without a kept dimension, one level per weight
+    level = {la.parts: la}
+    while level:
+        todo, below = [], {}
         for parts, mu in level.items():
-            total = Fraction(0)
+            slot = slots[parts] = _dimension_slot(mu, alpha)
+            if slot[0] is None:
+                todo.append(mu)
+                below.update((nu.parts, nu) for nu in map(mu.remove_cell, mu.removable_rows()))
+        missing.append(todo)
+        level = below
+    for shapes in reversed(missing):
+        for mu in shapes:
+            num, den = (0, 1) if mu.weight else (1, 1)
             for i in mu.removable_rows():
-                below = mu.remove_cell(i)
-                total += dict(pieri_coefficients(below, alpha))[i] * dims[below.parts]
-            dims[parts] = total
-    return dims[la.parts]
+                nu = mu.remove_cell(i)
+                kappa = next(w for row, w in pieri_coefficients(nu, alpha) if row == i)
+                dim = slots[nu.parts][0]
+                k_den = kappa.denominator * dim.denominator
+                num, den = num * k_den + kappa.numerator * dim.numerator * den, den * k_den
+            slots[mu.parts][0] = Fraction(num, den)
+    return slots[la.parts][0]
 
 
 def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...]:
@@ -118,18 +142,19 @@ def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, Fract
     return tuple(atoms)
 
 
-def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[Fraction, Fraction]]:
+def cotransition_moment_routes(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int], int]:
     """The r-th moment of the deleted content under the down kernel, for
-    r = 0 .. r_max, computed twice as a pair (direct, combination):
-    straight from the atoms, and as the binomial combination
+    r = 0 .. r_max, computed twice, as (direct, combination, E) with both
+    moments r the integer entries r over E a^r, alpha = a/b: straight
+    from the atoms, and as the binomial combination
     (1/|Λ|) Σ_k (-1)^{r-k} C(r,k) σ_k(Λ) of corner moments, with
     σ_0 .. σ_{r_max} evaluated once.
 
-    At alpha = a/b the corner atoms sit at positions x/a with weights
-    v/D (`moments._position_weights`), and the deleted content is
-    (x - a)/a.  So the direct side sums v (x - a)^r, the combination
-    side sums (-1)^{r-k} C(r,k) a^{r-k} T_k over the corner power sums
-    T_k = Σ v x^k, and each is divided by |Λ| D a^r once.
+    The corner atoms sit at positions x/a with weights v/D
+    (`moments._position_weights`), and the deleted content is (x - a)/a.
+    So the direct side sums v (x - a)^r, the combination side sums
+    (-1)^{r-k} C(r,k) a^{r-k} T_k over the corner power sums T_k = Σ v x^k,
+    and E = |Λ| D.
     """
     alpha = check_alpha(alpha)
     if la.weight == 0:
@@ -138,12 +163,8 @@ def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> list[tuple[F
     pairs, big_d = _position_weights(corner_binomials, la, alpha)
     sigmas = _power_sums(pairs, r_max)
     direct = _power_sums(((x - a, v) for x, v in pairs), r_max)
-    out = []
-    for r in range(r_max + 1):
-        combo = sum((-1) ** (r - k) * comb_int(r, k) * a ** (r - k) * sigmas[k] for k in range(r + 1))
-        den = la.weight * big_d * a**r
-        out.append((Fraction(direct[r], den), Fraction(combo, den)))
-    return out
+    combo = [sum((-1) ** (r - k) * comb_int(r, k) * a ** (r - k) * sigmas[k] for k in range(r + 1)) for r in range(r_max + 1)]
+    return direct, combo, la.weight * big_d
 
 
 def tableau_counts(n_max: int) -> dict[Partition, int]:
@@ -268,6 +289,35 @@ def _unpack(z: int, n: int) -> list[int]:
     return memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
 
 
+def _last_step_law(level, alpha: Fraction, r_max: int) -> tuple[list[int], int]:
+    """The exact law of the content x/a added by one up-step from a level
+    of shapes, alpha = a/b, as its integer moments: (M, L) with moment r
+    equal to M[r] / (L a^r).
+
+    `level` yields (shape, mass, atoms), the atoms (row, p_num, p_den) of
+    `moments._pieri_atoms`, and a mass with numerator and denominator.
+    The masses are folded through their atoms as unreduced integer pairs
+    per x, each pair is reduced, and L is the lcm of the reduced
+    denominators, so M[r] = Σ_x L·P(x)·x^r.  The sampler reads its exact
+    reference here, and moments-bridge reads the law of one step from one
+    shape of mass 1."""
+    a, b = alpha.numerator, alpha.denominator
+    law: dict[int, tuple[int, int]] = {}  # x -> P(x), unreduced
+    for la, mass, atoms in level:
+        padded = la.parts + (0,)
+        m_num, m_den = mass.numerator, mass.denominator
+        for i, p_num, p_den in atoms:
+            x = padded[i - 1] * a - (i - 1) * b
+            num, den = law.get(x, (0, 1))
+            law[x] = num * m_den * p_den + m_num * p_num * den, den * m_den * p_den
+    law_den = 1
+    for x, (num, den) in law.items():
+        g = math.gcd(num, den)
+        law[x] = num // g, den // g
+        law_den = math.lcm(law_den, den // g)
+    return _power_sums(((x, num * (law_den // den)) for x, (num, den) in law.items()), r_max), law_den
+
+
 def sample_growth(
     steps: int,
     alpha,
@@ -330,25 +380,16 @@ def sample_growth(
 
     a, b = alpha.numerator, alpha.denominator
     tally: dict[int, int] = {}  # sampled content numerator -> paths
-    law: dict[int, tuple[int, int]] = {}  # its exact law, one step folded into the masses, unreduced
     occupancy: dict[str, int] = {}
     for node in last.values():
         padded = node.la.parts + (0,)
-        m_num, m_den = node.mass.numerator, node.mass.denominator
-        for (i, p_num, p_den), hits, child in zip(node.atoms, node.hits, node.succ):
-            x = padded[i - 1] * a - (i - 1) * b
-            num, den = law.get(x, (0, 1))
-            law[x] = num * m_den * p_den + m_num * p_num * den, den * m_den * p_den
+        for (i, _, _), hits, child in zip(node.atoms, node.hits, node.succ):
             if hits:
+                x = padded[i - 1] * a - (i - 1) * b
                 tally[x] = tally.get(x, 0) + hits
                 occupancy[str(child.la)] = occupancy.get(str(child.la), 0) + hits
     power_nums = _power_sums(tally.items(), 2 * r_max)
-    law_den = 1  # the lcm of the law's reduced denominators
-    for x, (num, den) in law.items():
-        g = math.gcd(num, den)
-        law[x] = num // g, den // g
-        law_den = math.lcm(law_den, den // g)
-    exact_nums = _power_sums(((x, num * (law_den // den)) for x, (num, den) in law.items()), r_max)
+    exact_nums, law_den = _last_step_law(((node.la, node.mass, node.atoms) for node in last.values()), alpha, r_max)
 
     # int / int is correctly rounded, so each float is that of the Fraction
     moments = []

@@ -18,19 +18,26 @@ extraction from a difference of two integer alphabets.  Each route is one
 function (la, alpha, r_max) -> [m_0 .. m_{r_max}].  All three must agree
 exactly; the verifier leans on that.
 
-The closed routes read the integer moment table of shifted.py, where
-f_{n,p,k} = A[n][p][k] / (n! a^n) for alpha = a/b, and sum integers
-over one denominator per index: c_r at y = c/d over d^r r! a^r, sigma_r
-over b a^(2r+3) (r+2)!, the u regrouping over a^r r!, and the row and
-column binomials over p! prod_m (b + m a) and p! prod_m (a + m b).  Like
-the moment routes, each returns every index up to its bound in one call.
+Every route sums integers over one known denominator per index, and
+each public route is a thin Fraction view of its integer core, which the
+verifier reads without forming a Fraction (alpha = a/b):
 
-The other routes sum integers too and form one Fraction per returned
-value: the direct routes over the lcm of the atoms' denominators times
-a^r, the Lagrange routes over a^r (s) and b a^(r+1) (sigma) since both
-alphabets are integers over b, the content-ratio series over (a d)^i,
-and the Chu-Vandermonde sides as integer products and one running
-integer ratio (alpha)_p / [alpha y]_p.
+* direct: `_position_weights` and `_power_sums`, over D a^r for the lcm
+  D of the atoms' denominators;
+* Lagrange: `_s_lagrange_numerators` over a^r and
+  `_sigma_lagrange_numerators` over b a^(r+1), since both alphabets are
+  integers over b;
+* closed: `_cor52_numerators`, c_r at y = c/d over d^r r! a^r, read from
+  the integer moment table of shifted.py (f_{n,p,k} = A[n][p][k] / (n! a^n)),
+  and `_sigma_closed_numerators` over b a^(2r+3) (r+2)!;
+* the u regrouping of s_r, `_regrouped_numerators`, over a^r r!;
+* the content-ratio series, `_content_ratio_integers`, over (a d)^i, and
+  the corner-moment series read from it, `_sigma_series_numerators`,
+  over b a^(2r+4).
+
+The row and column binomials sum over p! prod_m (b + m a) and
+p! prod_m (a + m b), and the Chu-Vandermonde sides are integer products
+and one running integer ratio (alpha)_p / [alpha y]_p.
 """
 
 from __future__ import annotations
@@ -248,9 +255,13 @@ def s_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fract
     if r_max < 0:
         raise ValueError("r must be nonnegative")
     a = alpha.numerator
+    return [Fraction(v, a**r) for r, v in enumerate(_s_lagrange_numerators(la, alpha, r_max))]
+
+
+def _s_lagrange_numerators(la: Partition, alpha: Fraction, r_max: int) -> list[int]:
+    """[C_0 .. C_r_max] of :func:`s_lagrange_moments`: s_r = C_r / a^r."""
     l = la.length
-    cs = linear_ratio_integers(_negated_row_ends(la, alpha, 0, l), _negated_row_ends(la, alpha, 1, l + 1), r_max)
-    return [Fraction(v, a**r) for r, v in enumerate(cs)]
+    return linear_ratio_integers(_negated_row_ends(la, alpha, 0, l), _negated_row_ends(la, alpha, 1, l + 1), r_max)
 
 
 def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -269,13 +280,17 @@ def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fra
     alpha = check_alpha(alpha)
     if r_max < 0:
         raise ValueError("r must be nonnegative")
-    table = moment_table(la, alpha)
+    a, b = alpha.numerator, alpha.denominator
+    nums = _sigma_closed_numerators(moment_table(la, alpha), r_max)
+    return [Fraction(v, b * a ** (2 * r + 3) * math.factorial(r + 2)) for r, v in enumerate(nums)]
+
+
+def _sigma_closed_numerators(table, r_max: int) -> list[int]:
+    """[S_0 .. S_r_max] of :func:`sigma_closed_moments`:
+    S_r = a b (r+2) N_{r+1} - N_{r+2}, over b a^(2r+3) (r+2)!."""
     a, b = table.a, table.b
     big_n = _cor52_numerators(table, b, a, r_max + 2)
-    return [
-        Fraction(a * b * (r + 2) * big_n[r + 1] - big_n[r + 2], b * a ** (2 * r + 3) * math.factorial(r + 2))
-        for r in range(r_max + 1)
-    ]
+    return [a * b * (r + 2) * big_n[r + 1] - big_n[r + 2] for r in range(r_max + 1)]
 
 
 def sigma_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
@@ -288,9 +303,15 @@ def sigma_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[F
     if r_max < 0:
         raise ValueError("r must be nonnegative")
     a, b = alpha.numerator, alpha.denominator
-    l = la.length
-    cs = linear_ratio_integers(_negated_row_ends(la, alpha, 2, l + 1), _negated_row_ends(la, alpha, 1, l), r_max + 2)
+    cs = _sigma_lagrange_numerators(la, alpha, r_max)
     return [Fraction(-cs[r + 2], b * a ** (r + 1)) for r in range(r_max + 1)]
+
+
+def _sigma_lagrange_numerators(la: Partition, alpha: Fraction, r_max: int) -> list[int]:
+    """[C_0 .. C_(r_max+2)] of :func:`sigma_lagrange_moments`:
+    sigma_r = -C_{r+2} / (b a^(r+1)), and C_1 = b h_1 = -b."""
+    l = la.length
+    return linear_ratio_integers(_negated_row_ends(la, alpha, 2, l + 1), _negated_row_ends(la, alpha, 1, l), r_max + 2)
 
 
 def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
@@ -340,31 +361,32 @@ def _u_table(r: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]],
     return tuple(rows)
 
 
-def s_regrouped_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """s_0 .. s_{r_max} rebuilt through the u regrouping.
+def _regrouped_numerators(table, r_max: int) -> list[int]:
+    """[R_0 .. R_r_max]: s_r rebuilt through the u regrouping is R_r over
+    a^r r!, for the moment table of (la, alpha = a/b).
 
     Each term (1/alpha)^i (1 - 1/alpha)^(r-2i-j) C(|la|+i-1, i-k) u d_rho / z_rho
     of s_r is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
     read from the integer moment table.  The u values come from the
     per-r table of nonzero terms.
     """
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
-    table = moment_table(la, alpha)
     a, b = table.a, table.b
-    w = la.weight
+    w = table.weight
+    u_tables = [_u_table(r) for r in range(r_max + 1)]
+    prods = [table.products(j) for j in range(1 + max(j for rows in u_tables for _, j, _, _ in rows))]
+    ab_pows = [(a * b) ** i for i in range(r_max // 2 + 1)]
+    diff_pows = [(a - b) ** n for n in range(r_max + 1)]
     out = []
     for r in range(r_max + 1):
         fact_r = math.factorial(r)
         total = 0
-        for i, j, k, terms in _u_table(r):
-            prods = table.products(j)
-            inner = sum(u * prods[idx] for idx, u in terms)
+        for i, j, k, terms in u_tables[r]:
+            row = prods[j]
+            inner = sum(u * row[idx] for idx, u in terms)
             if inner:
-                scale = b**i * (a - b) ** (r - 2 * i - j) * a**i * (fact_r // math.factorial(j))
+                scale = ab_pows[i] * diff_pows[r - 2 * i - j] * (fact_r // math.factorial(j))
                 total += scale * comb_int(w + i - 1, i - k) * inner
-        out.append(Fraction(total, a**r * fact_r))
+        out.append(total)
     return out
 
 
@@ -417,49 +439,31 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
     return Fraction(num, den), Fraction(total_num, total_den)
 
 
-def _content_ratio_integers(la: Partition, alpha: Fraction, y: Fraction, order: int) -> list[int]:
-    """[G_0 .. G_order]: coefficient i of the content-ratio series of
-    :func:`content_ratio_series` is G_i / (a d)^i, for alpha = a/b and
-    y = c/d, since every factor is an integer over a d."""
-    a, c, d = alpha.numerator, y.numerator, y.denominator
+def _content_ratio_integers(la: Partition, alpha: Fraction, c: int, d: int, order: int) -> list[int]:
+    """[G_0 .. G_order]: coefficient i of the large-x expansion, in t = 1/x,
+    of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la) is G_i / (a d)^i, for
+    alpha = a/b and y = c/d (d > 0), since every factor is an integer over a d."""
+    a = alpha.numerator
     ns = [d * x for x in content_numerators(la, alpha)]
     num = [v for n in ns for v in (c * a + a * d + n, n)]
     den = [v for n in ns for v in (c * a + n, a * d + n)]
     return linear_ratio_integers(num, den, order)
 
 
-def content_ratio_series(
-    la: Partition, alpha: Fraction, y: Fraction, order: int
-) -> UniPoly:
-    """Large-x expansion, in t = 1/x, of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la),
-    one Fraction G_i / (a d)^i per coefficient."""
-    alpha = check_alpha(alpha)
-    y = Fraction(y)
-    ad = alpha.numerator * y.denominator
-    return UniPoly(Fraction(v, ad**i) for i, v in enumerate(_content_ratio_integers(la, alpha, y, order)))
-
-
-def s_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:
-    """Alternating row-moment series sum_r s_r (-t)^r, as the content
-    ratio at y = -1/alpha."""
-    alpha = check_alpha(alpha)
-    return content_ratio_series(la, alpha, Fraction(-1) / alpha, order)
-
-
-def sigma_moment_series(la: Partition, alpha: Fraction, order: int) -> UniPoly:
-    """Alternating corner-moment series sum_r sigma_r (-t)^r.
+def _sigma_series_numerators(la: Partition, alpha: Fraction, order: int) -> list[int]:
+    """[Z_0 .. Z_order]: the alternating corner-moment series
+    sum_r sigma_r (-t)^r has coefficient r equal to Z_r / (b a^(2r+4)).
 
     Built from the content ratio G at y = 1/alpha: the t^0 and t^1 terms
     of G - 1 cancel, and the series equals -(alpha + t) (G - 1) / t^2.
-    At y = b/a, G has coefficients G_i / a^(2i), so coefficient r is
-    -(a G_{r+2} + a^2 b G_{r+1}) / (b a^(2r+4)).
+    At y = b/a, G has coefficients G_i / a^(2i), so
+    Z_r = -(a G_{r+2} + a^2 b G_{r+1}).
     """
-    alpha = check_alpha(alpha)
     a, b = alpha.numerator, alpha.denominator
-    g = _content_ratio_integers(la, alpha, Fraction(b, a), order + 2)
+    g = _content_ratio_integers(la, alpha, b, a, order + 2)
     if g[0] != 1 or g[1] != 0:
         raise InvariantError(f"content ratio of {la} has a wrong t^0 or t^1 term")
-    return UniPoly(Fraction(-(a * g[r + 2] + a * a * b * g[r + 1]), b * a ** (2 * r + 4)) for r in range(order + 1))
+    return [-(a * g[r + 2] + a * a * b * g[r + 1]) for r in range(order + 1)]
 
 
 def stirling_inverse_lemma_sides(k: int, order: int) -> tuple[UniPoly, UniPoly]:

@@ -32,28 +32,27 @@ from .coefficients import (
     stirling_first_unsigned,
 )
 from .growth import (
+    _last_step_law,
     cotransition_from_dimensions,
     cotransition_kernel,
     cotransition_moment_routes,
     plancherel_check,
-    sample_growth,
 )
 from .moments import (
     _content_ratio_integers,
     _cor52_numerators,
-    _negated_row_ends,
+    _pieri_atoms,
+    _position_weights,
+    _power_sums,
+    _regrouped_numerators,
+    _s_lagrange_numerators,
+    _sigma_closed_numerators,
+    _sigma_lagrange_numerators,
+    _sigma_series_numerators,
     chu_vandermonde_sides,
+    corner_binomials,
     pieri_coefficients,
     row_column_binomials,
-    s_closed_moments,
-    s_direct_moments,
-    s_lagrange_moments,
-    s_moment_series,
-    s_regrouped_moments,
-    sigma_closed_moments,
-    sigma_direct_moments,
-    sigma_lagrange_moments,
-    sigma_moment_series,
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
@@ -72,7 +71,6 @@ from .series import (
     XPolynomial,
     binomial,
     comb_int,
-    linear_ratio_integers,
     lowering_factorial,
 )
 from .shifted import d_k, dk_from_shifted, moment_table
@@ -576,7 +574,7 @@ def _check_thm51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
             terms = _thm51_terms(table, order)
             scales = [fact * a ** (order - s) for s in range(order + 1)]
             for y in y_set:
-                lhs = [g * scale for g, scale in zip(_content_ratio_integers(la, alpha, y, order), scales)]
+                lhs = [g * scale for g, scale in zip(_content_ratio_integers(la, alpha, y.numerator, y.denominator, order), scales)]
                 den = fact * a**order
                 rec.numerators(lhs, _thm51_right_side(terms, y, order), lambda key: den * y.denominator ** key[0], keys, la=la, alpha=alpha, y=y)
 
@@ -589,7 +587,7 @@ def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
         for alpha in alpha_set:
             table = moment_table(la, alpha)
             for y in y_set:
-                g = _content_ratio_integers(la, alpha, y, order)
+                g = _content_ratio_integers(la, alpha, y.numerator, y.denominator, order)
                 t = _cor52_numerators(table, y.numerator, y.denominator, max(order, 1))
                 ad = table.a * y.denominator
                 for r in range(0, order + 1):
@@ -606,20 +604,46 @@ def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Ra
                 rec.check(d_k(la, alpha, k), shifted[k], la=la, alpha=alpha, k=k)
 
 
+def _s_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], list[list[int]]]:
+    """Theorem 8.1's routes of s_0 .. s_r_max at one (shape, alpha = a/b),
+    as (D, dens, [direct, Lagrange, closed, regrouped]): D is the lcm of
+    the Pieri weights' denominators, and each route is lifted to
+    dens[r] = D a^(2r) r!, facts[r] being r!, from direct V_r over D a^r,
+    Lagrange L_r over a^r, closed T_r (c_r at y = -b/a) over a^(2r) r!
+    and regrouped R_r over a^r r!."""
+    a, b = alpha.numerator, alpha.denominator
+    table = moment_table(la, alpha)
+    pairs, big_d = _position_weights(pieri_coefficients, la, alpha)
+    direct = _power_sums(pairs, r_max)
+    lagrange = _s_lagrange_numerators(la, alpha, r_max)
+    closed = _cor52_numerators(table, -b, a, r_max)
+    regrouped = _regrouped_numerators(table, r_max)
+    dens, routes = [], ([], [], [], [])
+    for r in range(r_max + 1):
+        a_r, fact = a**r, facts[r]
+        dens.append(big_d * a_r * a_r * fact)
+        routes[0].append(direct[r] * a_r * fact)
+        routes[1].append(lagrange[r] * big_d * a_r * fact)
+        routes[2].append(closed[r] * big_d)
+        routes[3].append(regrouped[r] * big_d * a_r)
+    return big_d, dens, routes
+
+
 def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
+    # The routes over the shared denominators of :func:`_s_routes`; the
+    # content ratio at y = -1/alpha = -b/a has G_r over a^(2r) at t^r.
+    facts = [math.factorial(r) for r in range(r_max + 1)]
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
-            direct_vals = s_direct_moments(la, alpha, r_max)
-            lagrange_vals = s_lagrange_moments(la, alpha, r_max)
-            closed_vals = s_closed_moments(la, alpha, r_max)
-            regrouped_vals = s_regrouped_moments(la, alpha, r_max)
+            big_d, dens, (direct, lagrange, closed, regrouped) = _s_routes(la, alpha, r_max, facts)
             for r in range(0, r_max + 1):
-                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=la, alpha=alpha, r=r)
-                rec.check(direct_vals[r], closed_vals[r], group="closed-route", la=la, alpha=alpha, r=r)
-                rec.check(direct_vals[r], regrouped_vals[r], group="integer-regrouping", la=la, alpha=alpha, r=r)
-            series = s_moment_series(la, alpha, r_max)
+                rec.numerators(direct[r], lagrange[r], dens[r], group="interpolation-route", la=la, alpha=alpha, r=r)
+                rec.numerators(direct[r], closed[r], dens[r], group="closed-route", la=la, alpha=alpha, r=r)
+                rec.numerators(direct[r], regrouped[r], dens[r], group="integer-regrouping", la=la, alpha=alpha, r=r)
+            series = _content_ratio_integers(la, alpha, -alpha.denominator, alpha.numerator, r_max)
             for r in range(0, r_max + 1):
-                rec.check(series.coefficient(r), -direct_vals[r] if r % 2 else direct_vals[r], group="generating-series", la=la, alpha=alpha, r=r)
+                v = direct[r]
+                rec.numerators(series[r] * big_d * facts[r], -v if r % 2 else v, dens[r], group="generating-series", la=la, alpha=alpha, r=r)
     # the regrouping coefficients themselves: integral and nonnegative
     for r in range(0, r_max + 1):
         for i in range(0, r // 2 + 1):
@@ -632,28 +656,51 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
                             rec.check(u, comb_int(r - i - 1, r - 2 * i), group="empty-shape-reduction", r=r, i=i)
 
 
+def _sigma_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], list[list[int]], list[int]]:
+    """Theorem 9.1's routes of sigma_0 .. sigma_r_max at one (shape,
+    alpha = a/b), as (D, dens, [direct, closed, Lagrange], C): D is the
+    lcm of the corner weights' denominators, and each route is lifted to
+    dens[r] = D b a^(2r+4) (r+2)!, facts[r] being (r+2)!, from direct V_r
+    over D a^r, closed S_r over b a^(2r+3) (r+2)! and Lagrange -C_{r+2}
+    over b a^(r+1).  The Lagrange numerators C are returned for C_1 = b h_1."""
+    a, b = alpha.numerator, alpha.denominator
+    pairs, big_d = _position_weights(corner_binomials, la, alpha)
+    direct = _power_sums(pairs, r_max)
+    closed = _sigma_closed_numerators(moment_table(la, alpha), r_max)
+    cs = _sigma_lagrange_numerators(la, alpha, r_max)
+    dens, routes = [], ([], [], [])
+    for r in range(r_max + 1):
+        fact = facts[r]
+        dens.append(big_d * b * a ** (2 * r + 4) * fact)
+        routes[0].append(direct[r] * b * a ** (r + 4) * fact)
+        routes[1].append(closed[r] * big_d * a)
+        routes[2].append(-cs[r + 2] * big_d * a ** (r + 3) * fact)
+    return big_d, dens, routes, cs
+
+
 def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
+    # The routes over the shared denominators of :func:`_sigma_routes`;
+    # the corner-moment series has Z_r over b a^(2r+4) at t^r.
+    facts = [math.factorial(r + 2) for r in range(r_max + 1)]
     for alpha in alpha_set:
-        routes = [route(EMPTY, alpha, r_max) for route in (sigma_direct_moments, sigma_closed_moments, sigma_lagrange_moments)]
+        _, dens, routes, _ = _sigma_routes(EMPTY, alpha, r_max, facts)
         for r in range(0, r_max + 1):
             for vals in routes:
-                rec.check(vals[r], Fraction(0), group="empty-shape", alpha=alpha, r=r)
+                rec.numerators(vals[r], 0, dens[r], group="empty-shape", alpha=alpha, r=r)
     for la in partitions_upto(lambda_max):
         if la.weight == 0:
             continue
         for alpha in alpha_set:
-            # b h_1 of the corner alphabets' difference, from the numerators sigma_lagrange_moments reads
-            b_h1 = linear_ratio_integers(_negated_row_ends(la, alpha, 2, la.length + 1), _negated_row_ends(la, alpha, 1, la.length), 1)[1]
-            rec.check(Fraction(b_h1, alpha.denominator), Fraction(-1), group="first-difference", la=la, alpha=alpha)
-            direct_vals = sigma_direct_moments(la, alpha, r_max)
-            closed_vals = sigma_closed_moments(la, alpha, r_max)
-            lagrange_vals = sigma_lagrange_moments(la, alpha, r_max)
+            b = alpha.denominator
+            big_d, dens, (direct, closed, lagrange), cs = _sigma_routes(la, alpha, r_max, facts)
+            rec.numerators(cs[1], -b, b, group="first-difference", la=la, alpha=alpha)
             for r in range(0, r_max + 1):
-                rec.check(direct_vals[r], closed_vals[r], group="closed-route", la=la, alpha=alpha, r=r)
-                rec.check(direct_vals[r], lagrange_vals[r], group="interpolation-route", la=la, alpha=alpha, r=r)
-            series = sigma_moment_series(la, alpha, r_max)
+                rec.numerators(direct[r], closed[r], dens[r], group="closed-route", la=la, alpha=alpha, r=r)
+                rec.numerators(direct[r], lagrange[r], dens[r], group="interpolation-route", la=la, alpha=alpha, r=r)
+            series = _sigma_series_numerators(la, alpha, r_max)
             for r in range(0, r_max + 1):
-                rec.check(series.coefficient(r), -direct_vals[r] if r % 2 else direct_vals[r], group="generating-series", la=la, alpha=alpha, r=r)
+                v = direct[r]
+                rec.numerators(series[r] * big_d * facts[r], -v if r % 2 else v, dens[r], group="generating-series", la=la, alpha=alpha, r=r)
 
 
 def _check_lem111(rec: _Recorder, *, order: int) -> None:
@@ -722,17 +769,22 @@ def _check_plancherel(rec: _Recorder, *, n_max: int) -> None:
 
 
 def _check_moments_bridge(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
+    # s_r = V_r / (D a^r) against the sampler's exact law of the added
+    # content after one step, M_r / (L a^r), both over D L a^r; the down
+    # routes over their shared E a^r.
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
-            ups = s_direct_moments(la, alpha, r_max)
-            # the sampler's exact law of the added content after one step
-            law = sample_growth(steps=1, alpha=alpha, paths=1, seed=0, start=la, r_max=r_max).moments
-            downs = cotransition_moment_routes(la, alpha, r_max) if la.weight else ()
+            a = alpha.numerator
+            pairs, big_d = _position_weights(pieri_coefficients, la, alpha)
+            ups = _power_sums(pairs, r_max)
+            law, law_den = _last_step_law([(la, 1, _pieri_atoms(la, alpha))], alpha, r_max)
+            if la.weight:
+                direct, combo, den = cotransition_moment_routes(la, alpha, r_max)
             for r in range(0, r_max + 1):
-                rec.check(ups[r], law[r].exact, group="up-moment", la=la, alpha=alpha, r=r)
-                if downs:
+                rec.numerators(ups[r] * law_den, law[r] * big_d, big_d * law_den * a**r, group="up-moment", la=la, alpha=alpha, r=r)
+                if la.weight:
                     # the atoms against the corner-moment combination
-                    rec.check(*downs[r], group="down-moment", la=la, alpha=alpha, r=r)
+                    rec.numerators(direct[r], combo[r], den * a**r, group="down-moment", la=la, alpha=alpha, r=r)
 
 
 def _check_chi(rec: _Recorder, *, n_max: int, p_max: int) -> str:

@@ -25,7 +25,7 @@ from ycalc.growth import (
 )
 from ycalc import growth, moments
 from ycalc.moments import _position_weights, corner_binomials, pieri_coefficients, s_direct_moments, sigma_direct_moments
-from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, partitions_upto
+from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, enumerate_partitions, partitions_upto
 from ycalc.shifted import moment_table
 from ycalc.series import InvariantError, comb_int
 
@@ -120,6 +120,25 @@ def test_dimension_table_at_alpha_one():
         )
 
 
+def test_dimension_reads_one_pieri_atom_per_covered_shape(fresh_memos, monkeypatch):
+    # With every dimension below weight 8 kept, a weight-8 shape folds only
+    # its own covering sum: one Pieri read per removable row.
+    alpha = Fraction(3, 5)
+    for la in partitions_upto(7):
+        dimension(la, alpha)
+    reads = []
+
+    def counted(la, alpha):
+        reads.append(la)
+        return pieri_coefficients(la, alpha)
+
+    monkeypatch.setattr(growth, "pieri_coefficients", counted)
+    for la in enumerate_partitions(8):
+        reads.clear()
+        dimension(la, alpha)
+        assert len(reads) <= len(la.removable_rows()), (la, reads)
+
+
 def test_dimension_of_deep_and_wide_shapes():
     # One row of 600 cells is deeper than a recursion of a frame or two
     # per cell allows, and the 4,862 shapes below the staircase 8,7,...,1
@@ -166,8 +185,8 @@ def test_exact_moments_cross_checked(alpha):
     # of corner moments
     for la in partitions_upto(5):
         if la.weight:
-            for direct, combo in cotransition_moment_routes(la, alpha, 4):
-                assert direct == combo, la
+            direct, combo, _ = cotransition_moment_routes(la, alpha, 4)
+            assert direct == combo, la
 
 
 def _cotransition_routes_reference(la: Partition, alpha, r_max: int) -> list[tuple[Fraction, Fraction]]:
@@ -186,9 +205,13 @@ def _cotransition_routes_reference(la: Partition, alpha, r_max: int) -> list[tup
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_cotransition_routes_match_fraction_formulas(alpha):
+    # both routes' moment r are integers over E a^r
+    a = alpha.numerator
     for la in partitions_upto(6):
         if la.weight:
-            assert cotransition_moment_routes(la, alpha, 6) == _cotransition_routes_reference(la, alpha, 6), la
+            direct, combo, den = cotransition_moment_routes(la, alpha, 6)
+            routes = [(Fraction(u, den * a**r), Fraction(v, den * a**r)) for r, (u, v) in enumerate(zip(direct, combo))]
+            assert routes == _cotransition_routes_reference(la, alpha, 6), la
 
 
 def _graph_distribution(start: Partition, alpha, steps: int) -> dict[Partition, Fraction]:
@@ -591,7 +614,7 @@ def test_alpha_keyed_memos_stay_bounded(fresh_memos):
     # full after the first half and the second half only replaces entries.
     # Unbounded memos would double the traced memory; the bounded ones
     # stay within a few dict resizes (about 77 KB of 2.3 MB when written).
-    memos = (pieri_coefficients, corner_binomials, moment_table, dimension)
+    memos = (pieri_coefficients, corner_binomials, moment_table, growth._dimension_slot)
     shapes = (Partition((1,)), Partition((2,)))
 
     def run(denominator):

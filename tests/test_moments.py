@@ -19,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ycalc.moments import (
+    _content_ratio_integers,
     _corner_row_values,
     _pieri_row_values,
+    _regrouped_numerators,
+    _sigma_series_numerators,
     _u_table,
     chu_vandermonde_sides,
-    content_ratio_series,
     cor52_coefficient,
     corner_binomials,
     pieri_coefficients,
@@ -31,12 +33,9 @@ from ycalc.moments import (
     s_closed_moments,
     s_direct_moments,
     s_lagrange_moments,
-    s_moment_series,
-    s_regrouped_moments,
     sigma_closed_moments,
     sigma_direct_moments,
     sigma_lagrange_moments,
-    sigma_moment_series,
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
@@ -261,6 +260,34 @@ def _cor52_reference(la, alpha, y, r):
 _u_reference = lru_cache(maxsize=None)(u_ijk_coefficients)
 
 
+def _regrouped(la, alpha, r_max):
+    """s_0 .. s_r_max from the regrouping numerators, over a^r r!."""
+    a = alpha.numerator
+    nums = _regrouped_numerators(moment_table(la, alpha), r_max)
+    return [Fraction(v, a**r * math.factorial(r)) for r, v in enumerate(nums)]
+
+
+def _content_ratio(la, alpha, y, order):
+    """The content-ratio series from its integer numerators, over (a d)^i."""
+    ad = alpha.numerator * y.denominator
+    return UniPoly(Fraction(v, ad**i) for i, v in enumerate(_content_ratio_integers(la, alpha, y.numerator, y.denominator, order)))
+
+
+def _sigma_series(la, alpha, order):
+    """The corner-moment series from its integer numerators, over b a^(2r+4)."""
+    a, b = alpha.numerator, alpha.denominator
+    return UniPoly(Fraction(v, b * a ** (2 * r + 4)) for r, v in enumerate(_sigma_series_numerators(la, alpha, order)))
+
+
+def _content_ratio_reference(la, alpha, y, order):
+    """(x + u) = x (1 + u t) at t = 1/x, so the content ratio is the linear
+    ratio series over the contents shifted by y + 1 and 0, against y and 1."""
+    contents = _contents(la, alpha)
+    return linear_ratio_series(
+        [y + 1 + c for c in contents] + list(contents), [y + c for c in contents] + [1 + c for c in contents], order
+    )
+
+
 def _s_regrouped_reference(la, alpha, r):
     w = la.weight
     total = Fraction(0)
@@ -319,7 +346,7 @@ def test_closed_routes_match_fraction_loops(alpha):
         for y in ys:
             cs = cor52_coefficient(la, alpha, y, 10)
             assert cs == [_cor52_reference(la, alpha, y, r) for r in range(11)], (la, y)
-        regrouped = s_regrouped_moments(la, alpha, 10)
+        regrouped = _regrouped(la, alpha, 10)
         assert regrouped == [_s_regrouped_reference(la, alpha, r) for r in range(11)], la
         pairs = row_column_binomials(la, alpha, la.weight + 1)
         assert pairs == [_row_column_reference(la, alpha, p) for p in range(la.weight + 2)], la
@@ -345,7 +372,7 @@ def _sigma_lagrange_reference(la, alpha, r_max):
 
 def _sigma_series_reference(la, alpha, order):
     """-(alpha + t) (G - 1) / t^2 in UniPoly arithmetic, G the content ratio at y = 1/alpha."""
-    g = content_ratio_series(la, alpha, 1 / alpha, order + 2)
+    g = _content_ratio_reference(la, alpha, 1 / alpha, order + 2)
     return -(UniPoly((alpha, 1)) * UniPoly(g.coeffs[2:])).truncate(order)
 
 
@@ -371,7 +398,7 @@ def test_integer_routes_match_fraction_formulas(alpha):
     for la in partitions_upto(6):
         assert s_lagrange_moments(la, alpha, r_max) == _s_lagrange_reference(la, alpha, r_max), la
         assert sigma_lagrange_moments(la, alpha, r_max) == _sigma_lagrange_reference(la, alpha, r_max), la
-        assert sigma_moment_series(la, alpha, r_max) == _sigma_series_reference(la, alpha, r_max), la
+        assert _sigma_series(la, alpha, r_max) == _sigma_series_reference(la, alpha, r_max), la
         c = cor52_coefficient(la, alpha, 1 / alpha, r_max + 2)
         assert sigma_closed_moments(la, alpha, r_max) == [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)], la
         # y = -c for a content c, and alpha y = p - 1 for p <= |la|, are poles
@@ -478,7 +505,7 @@ def test_moment_routes_agree_at_random_alpha(a, b, n, pick):
     la = options[pick % len(options)]
     direct = s_direct_moments(la, alpha, 6)
     assert s_closed_moments(la, alpha, 6) == direct, la
-    assert s_regrouped_moments(la, alpha, 6) == direct, la
+    assert _regrouped(la, alpha, 6) == direct, la
     assert sigma_closed_moments(la, alpha, 5) == sigma_direct_moments(la, alpha, 5), la
 
 
@@ -561,7 +588,7 @@ def test_u_table_matches_direct_loop():
 def test_s_regrouped_route_agrees():
     for alpha in (Fraction(2), Fraction(3, 5)):
         for la in partitions_upto(5):
-            assert s_regrouped_moments(la, alpha, 5) == s_direct_moments(la, alpha, 5), la
+            assert _regrouped(la, alpha, 5) == s_direct_moments(la, alpha, 5), la
 
 
 def test_u_coefficients_are_nonnegative_integers():
@@ -603,22 +630,16 @@ def test_cor52_leading_coefficients():
 def test_content_ratio_series_matches_collected_coefficients(alpha):
     y = Fraction(5, 7)
     for la in partitions_upto(4):
-        series = content_ratio_series(la, alpha, y, order=6)
+        series = _content_ratio(la, alpha, y, 6)
         for r, c in enumerate(cor52_coefficient(la, alpha, y, 6)):
             assert series.coefficient(r) == c * (-1) ** r, (la, r)
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_content_ratio_series_matches_fraction_reference(alpha):
-    # (x + u) = x (1 + u t) at t = 1/x, so the ratio is the linear ratio
-    # series over the contents shifted by y + 1 and 0, against y and 1
     for la in partitions_upto(6):
-        contents = _contents(la, alpha)
         for y in (Fraction(0), Fraction(-1), Fraction(2), Fraction(-1, 3), -1 / alpha, 1 / alpha):
-            want = linear_ratio_series(
-                [y + 1 + c for c in contents] + list(contents), [y + c for c in contents] + [1 + c for c in contents], 8
-            )
-            assert content_ratio_series(la, alpha, y, 8) == want, (la, y)
+            assert _content_ratio(la, alpha, y, 8) == _content_ratio_reference(la, alpha, y, 8), (la, y)
 
 
 def _thm51_right_side_reference(la, alpha, y, order):
@@ -701,10 +722,10 @@ def test_row_column_binomials_are_kept_on_the_table(fresh_memos, monkeypatch):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_moment_generating_series(alpha):
     for la in partitions_upto(4):
-        s_series = s_moment_series(la, alpha, order=6)
+        s_series = _content_ratio(la, alpha, -1 / alpha, 6)
         for r, s_r in enumerate(s_direct_moments(la, alpha, 6)):
             assert s_series.coefficient(r) == (-1) ** r * s_r
-        sig_series = sigma_moment_series(la, alpha, order=5)
+        sig_series = _sigma_series(la, alpha, 5)
         for r, sigma_r in enumerate(sigma_direct_moments(la, alpha, 5)):
             assert sig_series.coefficient(r) == (-1) ** r * sigma_r
 
@@ -742,6 +763,21 @@ def test_lagrange_interpolation_lemma(a, b, r):
                 den *= x - x2
         total += num / den
     assert total == want
+
+
+def test_sigma_series_rejects_a_wrong_linear_term(monkeypatch):
+    # the corner-moment series reads the content ratio at y = 1/alpha from
+    # t^2 on, so a t^1 term that fails to vanish must fail loudly
+    ratio = moments._content_ratio_integers
+
+    def shifted(*args):
+        g = ratio(*args)
+        g[1] += 1
+        return g
+
+    monkeypatch.setattr(moments, "_content_ratio_integers", shifted)
+    with pytest.raises(InvariantError, match="content ratio of 2,1 has a wrong t\\^0 or t\\^1 term"):
+        _sigma_series_numerators(Partition((2, 1)), Fraction(3, 5), 4)
 
 
 def test_sigma_lagrange_first_difference_is_minus_one():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ycalc import shifted, verify
+from ycalc import growth, moments, shifted, verify
 from ycalc.partitions import Partition
 from ycalc.series import BiSeries, UniPoly
 from ycalc.verify import (
@@ -283,6 +283,7 @@ def test_npbi_fault_fails_every_reader_the_same_way(fresh_memos, monkeypatch):
 
 
 # the unpatched kernels, read once at import
+moments_corner_row_values = moments._corner_row_values
 verify_content_ratio_integers = verify._content_ratio_integers
 verify_marked_row = verify.marked_row
 verify_npbi = verify.npbi
@@ -291,9 +292,9 @@ shifted_c_formula = shifted._c_formula
 shifted_p0_row = shifted._MomentTable.p0_row
 
 
-def _bumped_content_ratio(la, alpha, y, order):
+def _bumped_content_ratio(la, alpha, c, d, order):
     # G_3 raised by 1, which moves t^3 by 1/(a d)^3, on the shapes of weight 4
-    g = verify_content_ratio_integers(la, alpha, y, order)
+    g = verify_content_ratio_integers(la, alpha, c, d, order)
     if la.weight == 4:
         g[3] += 1
     return g
@@ -333,6 +334,15 @@ def _bumped_p0_row(table, m):
     return (row[0], row[1] + 1, *row[2:])
 
 
+def _swapped_corner_rows(la, alpha):
+    # the corner atoms 10/6 and -8/-6 of rows 1 and 2 of 2,1 at alpha 2
+    # swapped, which keeps their sum, signs and zeros
+    values = moments_corner_row_values(la, alpha)
+    if la.parts == (2, 1) and alpha == 2:
+        return values[::-1]
+    return values
+
+
 def _doubled_pieri_row(la, alpha):
     # row 1's weight doubled on 2,1, past the library's own sum check
     atoms = verify_pieri_coefficients(la, alpha)
@@ -352,7 +362,11 @@ def _doubled_pieri_row(la, alpha):
 # moved by 1/(a d)^3 at t^3, column (2, 1) of the table moved by 1 at p = 0).
 # Each fault keeps every library invariant true, so only a comparison can
 # catch it.  ll-v0 stays verified under the marked-row fault: its right
-# side reads marked_row(d, X) at p = 0 only.
+# side reads marked_row(d, X) at p = 0 only.  moments-bridge stays verified
+# under the corner-row fault: its down-moment compares two routes that both
+# read the corner atoms, and its up-moment reads none.  The corner-row
+# digest equals the report of the Fraction comparisons the integer ones
+# replaced, under the same swap.
 _FAULT_ROWS = {
     "_c_formula": (
         shifted,
@@ -360,6 +374,13 @@ _FAULT_ROWS = {
         {"cor5.2": "failed", "thm8.1": "failed", "thm9.1": "failed"},
         {"lambda_max": 2, "order": 4, "r_max": 4},
         "b552394ba42135f219a8415f046efe4334b6facd9a6c3732c4f4f53514516897",
+    ),
+    "_corner_row_values": (
+        moments,
+        _swapped_corner_rows,
+        {"thm9.1": "failed", "growth-normalization": "failed", "moments-bridge": "verified"},
+        {"lambda_max": 3, "r_max": 2},
+        "f4fb625eea11d4fcea39408f8a261724e2df69b420c556983faa6bb1c902aac0",
     ),
     "_content_ratio_integers": (
         verify,
@@ -506,7 +527,7 @@ def test_recorder_numerators_count_one_case_and_keep_the_fractions():
     assert old.first == rec.first
 
 
-@pytest.mark.parametrize("identity", ["rel5.1", "thm5.1", "cor5.2"])
+@pytest.mark.parametrize("identity", ["rel5.1", "thm5.1", "cor5.2", "thm8.1", "thm9.1", "moments-bridge"])
 def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
     formed = []
 
@@ -516,14 +537,42 @@ def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
             return Fraction(*args)
 
     checker, defaults = _JOBS[identity]
+    params = {**defaults, **_SMALL[identity]}
     monkeypatch.setattr(verify, "Fraction", Counted)
     rec = _Recorder()
-    checker(rec, **{**defaults, **_SMALL[identity]})
+    checker(rec, **params)
     assert rec.cases and not rec.failures
     assert formed == []
     # the counter sees the recorder's Fractions: a mismatch forms two
     rec.numerators(1, 2, 3)
     assert formed == [(1, 3), (2, 3)]
+    # with the memos the first run filled, a second run forms no Fraction
+    # anywhere: every route the checker reads is an integer core
+    anywhere = []
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: anywhere.append(args) or fraction_new(cls, *args, **kw))
+    rec = _Recorder()
+    checker(rec, **params)
+    assert rec.cases and not rec.failures
+    assert anywhere == []
+
+
+def test_moments_bridge_draws_no_path_and_names_no_shape(monkeypatch):
+    named = []
+    to_str = Partition.__str__
+
+    def counted(la):
+        named.append(la)
+        return to_str(la)
+
+    def no_draws(*args):
+        raise AssertionError("moments-bridge drew a path")
+
+    monkeypatch.setattr(growth, "_lane_draws", no_draws)
+    monkeypatch.setattr(Partition, "__str__", counted)
+    report = run_identity("moments-bridge", **_SMALL["moments-bridge"])
+    assert report.status == "verified" and report.cases
+    assert named == []
 
 
 @pytest.mark.parametrize("identity,rhs_name,key", [
