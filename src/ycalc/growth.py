@@ -142,7 +142,7 @@ def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, Fract
     return tuple(atoms)
 
 
-def cotransition_moment_routes(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int], int]:
+def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> tuple[list[int], list[int], int]:
     """The r-th moment of the deleted content under the down kernel, for
     r = 0 .. r_max, computed twice, as (direct, combination, E) with both
     moments r the integer entries r over E a^r, alpha = a/b: straight

@@ -604,7 +604,7 @@ def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Ra
                 rec.check(d_k(la, alpha, k), shifted[k], la=la, alpha=alpha, k=k)
 
 
-def _s_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], list[list[int]]]:
+def _s_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], tuple[list[int], ...]]:
     """Theorem 8.1's routes of s_0 .. s_r_max at one (shape, alpha = a/b),
     as (D, dens, [direct, Lagrange, closed, regrouped]): D is the lcm of
     the Pieri weights' denominators, and each route is lifted to
@@ -656,7 +656,7 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
                             rec.check(u, comb_int(r - i - 1, r - 2 * i), group="empty-shape-reduction", r=r, i=i)
 
 
-def _sigma_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], list[list[int]], list[int]]:
+def _sigma_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], tuple[list[int], ...], list[int]]:
     """Theorem 9.1's routes of sigma_0 .. sigma_r_max at one (shape,
     alpha = a/b), as (D, dens, [direct, closed, Lagrange], C): D is the
     lcm of the corner weights' denominators, and each route is lifted to
