@@ -15,7 +15,7 @@ from .moments import (
     sigma_lagrange_moments,
 )
 from .partitions import EMPTY, Partition, enumerate_partitions, partitions_of, z_of
-from .series import BiSeries, InvariantError, UniPoly, XPolynomial
+from .series import BiSeries, InvariantError, XPolynomial
 from .shifted import d_k
 from .verify import VerificationReport, identity_ids, run_all, run_identity
 
@@ -26,7 +26,6 @@ __all__ = [
     "EMPTY",
     "InvariantError",
     "Partition",
-    "UniPoly",
     "VerificationReport",
     "XPolynomial",
     "corner_binomials",

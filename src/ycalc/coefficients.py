@@ -28,12 +28,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .partitions import Partition, enumerate_partitions, z_of
-from .series import (
-    BiSeries,
-    InvariantError,
-    UniPoly,
-    gauss_2f1_truncated,
-)
+from .series import BiSeries, InvariantError
 
 
 @lru_cache(maxsize=None)
@@ -195,17 +190,18 @@ def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
     """
     if not 0 <= p <= n:
         raise ValueError("p out of range")
-    hyp = gauss_2f1_truncated(p + 1, n - p + 1, 2, order).coeffs
-    # The terms are integers over their lcm D, and so is every Horner step.
+    # The 2F1 terms (p+1)_i (n-p+1)_i / ((2)_i i!) = C(p+i, i) C(n-p+i, i) / (i+1)
+    # as integers over D = lcm(1 .. order+1), and so is every Horner step.
     # Horner in z, ending with one more factor z: each step multiplies by
     # z in place, a shift by one index and then the upward division by 1 + x.
-    big_d = math.lcm(*(c.denominator for c in hyp))
+    big_d = math.lcm(*range(1, order + 2))
+    hyp = [math.comb(p + i, i) * math.comb(n - p + i, i) * (big_d // (i + 1)) for i in range(order + 1)]
     cs = [0] * (order + 1)
     for c in (*reversed(hyp), 0):
         cs = [0] + cs[:-1]
         for i in range(1, order + 1):
             cs[i] -= cs[i - 1]
-        cs[0] += c.numerator * (big_d // c.denominator)
+        cs[0] += c
     return {k: Fraction(n * cs[k], big_d) for k in range(order + 1)}
 
 
@@ -247,15 +243,15 @@ def stirling_inverse_t(k: int, m: int) -> int:
     return m * stirling_inverse_t(k - 1, m) + stirling_inverse_t(k - 1, m - 1)
 
 
-def jz_sides(mu: Partition, n: int):
+def jz_sides(mu: Partition, n: int) -> tuple[list[int], list[int]]:
     """Both sides of the binomial filtration swap for a fixed inner shape.
 
-    Returns two UniPoly in X0:
+    Returns two lists of integers over n!, entry e the X0^e coefficient of
       lhs = sum_k C(X0 - |mu|, n - k) pbi(mu, k)
       rhs = sum_k (-1)^{k - l(mu)} C(X0 - k, n - k) pbi(mu, k),
     k running over l(mu) .. min(n, |mu|), with the k = 0 subset count 1
     for the empty shape.  n! C(X0 - s, n - k) is built in integers as
-    n!/(n-k)! [X0 - s]_{n-k}, and each side is divided by n! once.
+    n!/(n-k)! [X0 - s]_{n-k}.
     """
     fact = math.factorial(n)
     sides = ([0] * (n + 1), [0] * (n + 1))
@@ -268,4 +264,4 @@ def jz_sides(mu: Partition, n: int):
                 falling = [-i * falling[0]] + [u - i * v for u, v in zip(falling, falling[1:])] + [falling[-1]]
             for e, v in enumerate(falling):
                 side[e] += scale * v
-    return tuple(UniPoly(Fraction(v, fact) for v in side) for side in sides)
+    return sides

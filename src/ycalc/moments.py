@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from .coefficients import npbi, stirling_first
 from .partitions import MEMO_SIZE, Partition, check_alpha, content_numerators, enumerate_partitions
-from .series import InvariantError, UniPoly, comb_int, linear_ratio_integers, linear_ratio_series
+from .series import InvariantError, comb_int, linear_ratio_integers
 from .shifted import moment_table
 
 
@@ -466,19 +466,19 @@ def _sigma_series_numerators(la: Partition, alpha: Fraction, order: int) -> list
     return [-(a * g[r + 2] + a * a * b * g[r + 1]) for r in range(order + 1)]
 
 
-def stirling_inverse_lemma_sides(k: int, order: int) -> tuple[UniPoly, UniPoly]:
-    """Series in t = 1/x for x^{-k} vs the signed-Stirling sum over
-    1/[x]_n, n = k..order."""
+def stirling_inverse_lemma_sides(k: int, order: int) -> tuple[list[int], list[int]]:
+    """Integer coefficients, in t = 1/x mod t^(order+1), of x^{-k} and of
+    the signed-Stirling sum over 1/[x]_n, n = k..order.  Each
+    1/[x]_n = t^n / prod_{j<n} (1 - j t) has integer coefficients."""
     if k < 1:
         raise ValueError("k must be positive")
-    lhs = UniPoly([0] * k + [1]).truncate(order)
-    rhs = [Fraction(0)] * (order + 1)
+    lhs = [int(i == k) for i in range(order + 1)]
+    rhs = [0] * (order + 1)
     for n in range(k, order + 1):
         st = stirling_first(n - 1, k - 1)
         if not st:
             continue
-        inv = linear_ratio_series((), range(-1, -n, -1), order - n)
-        for i, c in enumerate(inv.coeffs):
+        inv = linear_ratio_integers((), range(-1, -n, -1), order - n)
+        for i, c in enumerate(inv):
             rhs[n + i] += st * c
-    return lhs, UniPoly(rhs)
-
+    return lhs, rhs

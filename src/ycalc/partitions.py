@@ -171,9 +171,12 @@ MEMO_SIZE = 1024
 
 
 def check_alpha(alpha: Fraction) -> Fraction:
-    """alpha as a Fraction; raises ValueError unless alpha is a finite number > 0."""
+    """alpha as a Fraction; raises ValueError unless alpha is a finite number > 0
+    (a bool is not one, though Fraction(True) is 1)."""
     if not isinstance(alpha, Fraction):
         try:
+            if isinstance(alpha, bool):
+                raise ValueError
             alpha = Fraction(alpha)
         except (OverflowError, ValueError):
             raise ValueError(f"alpha must be a finite rational: {alpha!r}") from None

@@ -2,13 +2,14 @@
 
 Everything in this package is exact, over Python integers and
 ``fractions.Fraction``; floating point appears only in the Monte Carlo
-summary statistics of the growth sampler.  Two dense series types and one
-sparse polynomial ring cover every need here:
+summary statistics of the growth sampler.  One univariate series form,
+one dense two-variable series type and one sparse polynomial ring cover
+every need here:
 
-* :class:`UniPoly`, a dense univariate polynomial, which is also the
-  truncated one-variable power series (cut with :meth:`UniPoly.truncate`;
-  :func:`linear_ratio_series` builds ratios of linear factors on integer
-  numerators C_i, one Fraction C_i / D^i per coefficient at the end),
+* a truncated one-variable power series is a list of integer
+  coefficients over a denominator its caller knows (often D^i at t^i);
+  :func:`linear_ratio_integers` builds the ratios of linear factors that
+  most of them are,
 * :class:`BiSeries`, a dense two-variable power series cut at a total
   degree: row i holds the coefficients of u^i, and every operation
   updates whole rows,
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -63,122 +63,14 @@ def comb_int(m: int, j: int) -> int:
     return q
 
 
-def _one_like(x):
-    return x * 0 + 1
-
-
 def lowering_factorial(x, n: int):
-    """[x]_n = x (x-1) ... (x-n+1); n = 0 gives 1.  x may be a number or UniPoly."""
+    """[x]_n = x (x-1) ... (x-n+1); n = 0 gives 1.  x may be a number or an XPolynomial."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = _one_like(x)
+    acc = x * 0 + 1  # the one of x's ring
     for i in range(n):
         acc = acc * (x - i)
     return acc
-
-
-def binomial(x, n: int):
-    """Generalized binomial [x]_n / n!, valid at rational or polynomial x."""
-    return lowering_factorial(x, n) * Fraction(1, math.factorial(n))
-
-
-class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients.
-
-    Trailing zero coefficients are trimmed on construction, so the zero
-    polynomial is the empty coefficient tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def truncate(self, order: int) -> "UniPoly":
-        """The series cut after the t^order term."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return UniPoly(self.coeffs[: order + 1])
-
-    def first_difference(self, other: "UniPoly"):
-        """Smallest index i where the two differ, as ((i,), a, b), or None."""
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
-        return next((((i,), a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
-
-    def __add__(self, other):
-        if isinstance(other, UniPoly):
-            n = max(len(self.coeffs), len(other.coeffs))
-            return UniPoly(
-                self.coefficient(i) + other.coefficient(i) for i in range(n)
-            )
-        if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs) or [Fraction(0)]
-            cs[0] += other
-            return UniPoly(cs)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        r = self.__add__(-other if isinstance(other, UniPoly) else -Fraction(other))
-        return r
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (() if other == 0 else (Fraction(other),))
-        return NotImplemented
-
-    def __repr__(self):
-        if self.is_zero():
-            return "UniPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return "UniPoly(" + " + ".join(parts) + ")"
 
 
 def _exact(c: Scalar) -> Scalar:
@@ -377,35 +269,6 @@ class BiSeries:
                         target[j + m] += a * b
         return BiSeries._of(order, out)
 
-    def first_difference(self, other: "BiSeries"):
-        """Smallest key (i, j) in (total degree, key) order where the two
-        series differ, as ((i, j), a, b), or None."""
-        order = self._order_with(other)
-        if self.rows == other.rows:
-            return None
-        for d in range(order + 1):
-            for i in range(d + 1):
-                if self.rows[i][d - i] != other.rows[i][d - i]:
-                    key = (i, d - i)
-                    return key, self.coefficient(key), other.coefficient(key)
-        return None
-
-
-def gauss_2f1_truncated(a: int, b: int, c: int, order: int) -> UniPoly:
-    """Truncated Gauss hypergeometric series 2F1(a, b; c; z).
-
-    Coefficient of z^i is (a)_i (b)_i / ((c)_i i!).  Requires c >= 1 so no
-    denominator factor vanishes.
-    """
-    if c < 1:
-        raise ValueError("c must be a positive integer")
-    coeffs = []
-    term = Fraction(1)
-    for i in range(order + 1):
-        coeffs.append(term)
-        term = term * Fraction((a + i) * (b + i), (c + i) * (i + 1))
-    return UniPoly(coeffs)
-
 
 def linear_ratio_integers(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:
     """[C_0 .. C_order], the coefficients of prod_n (1 + n t) / prod_m (1 + m t)
@@ -429,21 +292,3 @@ def linear_ratio_integers(num: Iterable[int], den: Iterable[int], order: int) ->
             for i in range(1, order + 1):
                 cs[i] -= n * cs[i - 1]
     return cs
-
-
-def linear_ratio_series(num: Iterable[Scalar], den: Iterable[Scalar], order: int) -> UniPoly:
-    """prod_a (1 + a t) / prod_b (1 + b t) over a in num, b in den, mod t^(order+1).
-
-    The updates of :func:`linear_ratio_integers` run on integers: with D
-    the lcm of the factors' denominators, each factor is n/D and
-    c_i = C_i / D^i, where the C_i obey the same updates with n in place
-    of the factor.
-    """
-    num, den = list(num), list(den)
-    big_d = math.lcm(*(v.denominator for v in num), *(v.denominator for v in den))
-    cs = linear_ratio_integers(
-        (v.numerator * (big_d // v.denominator) for v in num),
-        (v.numerator * (big_d // v.denominator) for v in den),
-        order,
-    )
-    return UniPoly(Fraction(c, big_d**i) for i, c in enumerate(cs))

@@ -67,7 +67,10 @@ class ChiReport(NamedTuple):
 def _chi_conjectured(p: int, mu: Partition) -> Fraction:
     """[t^p] prod_j (1 + t + ... + t^{mu_j}): the integer vectors c with
     0 <= c_j <= mu_j and sum c = p, the rank generating function of a
-    product of chains (Stanley, Enumerative Combinatorics I, ch. 3).
+    product of chains (Stanley, Enumerative Combinatorics I, ch. 3).  It
+    is chi, not only a fit: the m_mu coefficient of prod_i (1 - v h(x_i, u))
+    at v^k, l(mu) = k, is (-1)^k prod_j [x^{mu_j}] h, with
+    h = sum_{j>=1} (1 + u + ... + u^j) x^j (derived in :func:`chi_experiment`).
     Each part multiplies the truncated series in place, top index first,
     so every window sum still reads the previous factor's coefficients."""
     coeffs = [1] + [0] * p
@@ -83,8 +86,24 @@ def chi_experiment(n_max: int, p_max: int) -> ChiReport:
     For each n <= n_max, p <= min(p_max, n), 1 <= k <= n the coefficient
     of m_mu in p_npk(-X) is sum_la (-1)^l(la) npbi(la, p, k)/z_la L[la, mu];
     on a length-k shape mu it is recorded as (-1)^k chi and compared with
-    the product formula of `_chi_conjectured`, a fitted closed form.
+    the product formula of `_chi_conjectured`.
     Never raises on a mismatch; everything lands in the report.
+
+    The formula, derived.  npbi is the row convolution of nbi
+    (`_npbi_map`), so sum_{p,k} npbi(la, p, k) u^p v^k = prod_i G_{la_i},
+    G_m = sum_{p,k} nbi(m, p, k) u^p v^k.  By the exponential formula
+    (Stanley, EC II, 5.1), sum_la (-1)^l(la) z_la^-1 prod_i G_{la_i} p_la
+    = prod_i F(x_i) with F(x) = exp(-sum_m G_m x^m / m).  gn-closed checks
+    G_m = A^m + B^m - 1 - u^m, A and B the roots of w^2 - (1+u)(1+v) w
+    + u(1+v).  With h(x, u) = sum_{j>=1} (1 + u + ... + u^j) x^j
+    = x (1 + u - u x) / ((1 - x)(1 - u x)), (1 - x)(1 - u x)(1 - v h)
+    = 1 - (1+u)(1+v) x + u(1+v) x^2 = (1 - A x)(1 - B x), so
+    sum_m G_m x^m / m = -log(1 - v h) and F = 1 - v h.
+    The v^k part of prod_i (1 - v h(x_i, u)) is (-1)^k e_k of the h(x_i, u):
+    its m_mu coefficient is 0 unless l(mu) = k, and then
+    prod_j (1 + u + ... + u^{mu_j}), which is `_chi_conjectured`.  The
+    premise is gn-closed at every m, which the catalog checks only up to
+    its n_max, so the comparison stays reported.
     """
     rows: list[ChiRow] = []
     violations: list[str] = []

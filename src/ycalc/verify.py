@@ -67,9 +67,7 @@ from .partitions import (
 from .series import (
     BiSeries,
     InvariantError,
-    UniPoly,
     XPolynomial,
-    binomial,
     comb_int,
     lowering_factorial,
 )
@@ -231,23 +229,13 @@ class _Recorder:
             if self.first is None:
                 self.first = dict(_named(context), lhs=_plain(lhs) if not isinstance(lhs, (int, Fraction)) else lhs, rhs=_plain(rhs) if not isinstance(rhs, (int, Fraction)) else rhs)
 
-    def series_equal(self, lhs, rhs, **context):
-        """One comparison of two series of the same type; a mismatch
-        reports the first differing key, [i] or [i, j]."""
-        self.cases += 1
-        diff = lhs.first_difference(rhs)
-        if diff is not None:
-            key, a, b = diff
-            self.failures += 1
-            if self.first is None:
-                self.first = dict(_named(context), key=list(key), lhs=_plain(a), rhs=_plain(b))
-
     def numerators(self, lhs, rhs, den, keys=None, **context):
         """One comparison of lhs/den with rhs/den, made on the integer
         numerators.  With keys, lhs and rhs are equal-length lists, one
-        series whose entry i sits at keys[i] over den(keys[i]), and a
-        mismatch reports the first differing key as series_equal does.
-        Fractions are formed only for the first counterexample kept."""
+        series whose entry i sits at keys[i] over den, or over
+        den(keys[i]) when den is callable, and a mismatch reports the
+        first differing key, [i] or [i, j].  Fractions are formed only
+        for the first counterexample kept."""
         self.cases += 1
         if lhs == rhs:
             return
@@ -258,7 +246,8 @@ class _Recorder:
             self.first = dict(_named(context), lhs=Fraction(lhs, den), rhs=Fraction(rhs, den))
             return
         i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-        key, d = keys[i], den(keys[i])
+        key = keys[i]
+        d = den(key) if callable(den) else den
         self.first = dict(_named(context), key=list(key), lhs=_plain(Fraction(lhs[i], d)), rhs=_plain(Fraction(rhs[i], d)))
 
     def condition(self, holds: bool, **context):
@@ -414,19 +403,38 @@ def _check_expansion_family(
 # Remaining catalog entries, one checker per id.
 
 
+def _graded_keys(order: int) -> list[tuple[int, int]]:
+    """The keys (i, j) of a BiSeries cut at order, in (total degree, key)
+    order, the order in which a mismatch names its first key."""
+    return [(i, d - i) for d in range(order + 1) for i in range(d + 1)]
+
+
+def _entries(series: BiSeries, keys) -> list:
+    return [series.rows[i][j] for i, j in keys]
+
+
 def _check_jz(rec: _Recorder, *, mu_max: int, n_max: int) -> None:
+    # both sides as integers over n!, entry e at X0^e
     for mu in partitions_upto(mu_max):
         for n in range(1, n_max + 1):
             lhs, rhs = jz_sides(mu, n)
-            rec.check(lhs, rhs, mu=mu, n=n)
+            rec.numerators(lhs, rhs, math.factorial(n), [(e,) for e in range(n + 1)], mu=mu, n=n)
 
 
 def _check_thm41(rec: _Recorder, *, n_max: int) -> None:
-    # the by-length sums are integers over n!, with the weights n!/z_mu
-    x = UniPoly.x()
-    rising = [binomial(x + (k - 1), k) for k in range(n_max + 1)]
+    # The by-length sums are integers over n!, with the weights n!/z_mu.
+    # Against them, (k/n) nbi C(x+k-1, k) is scale = nbi (n-1)!/(k-1)!
+    # times the rising factorial x (x+1) ... (x+k-1) over n!, built here
+    # as an integer product so that it is a second route to the Stirling
+    # numbers the refinement reads; there both sides are over n!/k!.
+    facts = [math.factorial(n) for n in range(n_max + 1)]
+    rising = [[1]]
+    for k in range(1, n_max + 1):
+        prev = rising[-1]
+        rising.append([(k - 1) * u + v for u, v in zip(prev + [0], [0] + prev)])
     for n in range(1, n_max + 1):
-        fact = math.factorial(n)
+        fact = facts[n]
+        keys = [(e,) for e in range(n + 1)]
         mus = [(mu, mu.length, fact // z_of(mu)) for mu in enumerate_partitions(n)]
         for p in range(0, n + 1):
             for k in range(1, n + 1):
@@ -435,33 +443,31 @@ def _check_thm41(rec: _Recorder, *, n_max: int) -> None:
                     c = npbi(mu, p, k)
                     if c:
                         by_length[length] += c * weight
-                lhs = UniPoly(Fraction(v, fact) for v in by_length)
-                scale = Fraction(k, n) * nbi(n, p, k)
-                rhs = scale * rising[k]
-                rec.check(lhs, rhs, group="length-graded", n=n, p=p, k=k)
-                fact_k = math.factorial(k)
+                scale = nbi(n, p, k) * (facts[n - 1] // facts[k - 1])
+                rhs = [scale * c for c in rising[k]] + [0] * (n - k)
+                rec.numerators(by_length, rhs, fact, keys, group="length-graded", n=n, p=p, k=k)
                 for r in range(1, n + 1):
                     left = scale * stirling_first_unsigned(k, r)
-                    right = Fraction(fact_k * by_length[r], fact)
-                    rec.check(left, right, group="first-kind-refinement", n=n, p=p, k=k, r=r)
-    # two scalar consequences: the p-step recurrence and the binomial
-    # reduction generalizing the classical convolution identity
+                    rec.numerators(left, by_length[r], fact // facts[k], group="first-kind-refinement", n=n, p=p, k=k, r=r)
+    # two scalar consequences: the p-step recurrence, over m - 1, and the
+    # binomial reduction generalizing the classical convolution identity,
+    # over m
     for m in range(2, n_max + 1):
         for p in range(1, m + 1):
             q = m - p
             for k in range(1, m + 1):
-                left = Fraction(p) * nbi(m, p, k)
-                right = Fraction(q + 1) * nbi(m, p - 1, k)
+                left = p * nbi(m, p, k) * (m - 1)
+                right = (q + 1) * nbi(m, p - 1, k) * (m - 1)
                 if k <= m - 1:
-                    right -= Fraction(m, m - 1) * (q - p + 1) * nbi(m - 1, p - 1, k)
-                rec.check(left, right, group="p-recurrence", m=m, p=p, k=k)
+                    right -= m * (q - p + 1) * nbi(m - 1, p - 1, k)
+                rec.numerators(left, right, m - 1, group="p-recurrence", m=m, p=p, k=k)
     for n in range(1, n_max + 1):
         for m in range(1, n_max + 1):
             for p in range(0, m + 1):
                 q = m - p
-                left = Fraction(comb_int(n + p - 1, p) * comb_int(n + q - 1, q))
-                right = Fraction(sum(comb_int(n, k) * k * nbi(m, p, k) for k in range(1, min(n, m) + 1)), m)
-                rec.check(left, right, group="binomial-reduction", n=n, m=m, p=p)
+                left = comb_int(n + p - 1, p) * comb_int(n + q - 1, q) * m
+                right = sum(comb_int(n, k) * k * nbi(m, p, k) for k in range(1, min(n, m) + 1))
+                rec.numerators(left, right, m, group="binomial-reduction", n=n, m=m, p=p)
 
 
 def _check_gf23(rec: _Recorder, *, n_max: int, order: int, lambda_max: int) -> None:
@@ -476,19 +482,22 @@ def _check_gf23(rec: _Recorder, *, n_max: int, order: int, lambda_max: int) -> N
         prod = BiSeries(cap, {(0, 0): 1})
         for part in la.parts:
             prod = prod * gn_series(part, cap)
-        rec.series_equal(prod, BiSeries(cap, npbi_table(la)), group="row-product", la=la)
+        want = BiSeries(cap, npbi_table(la))
+        keys = _graded_keys(cap)
+        rec.numerators(_entries(prod, keys), _entries(want, keys), 1, keys, group="row-product", la=la)
 
 
 def _check_gn_closed(rec: _Recorder, *, n_max: int) -> None:
     for n in range(1, n_max + 1):
-        rec.series_equal(gn_closed_form(n), gn_series(n, 2 * n), n=n)
+        keys = _graded_keys(2 * n)
+        rec.numerators(_entries(gn_closed_form(n), keys), _entries(gn_series(n, 2 * n), keys), 1, keys, n=n)
 
 
 def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals) -> None:
     # Both sides over j! a^j at the key (i, j) = u^i t^j, in the series'
     # (total degree, key) order: the product's C[i][j] / a^j against the
     # k-sum (-1)^j K0 / (j! a^j) over the p = 0 entries of row j.
-    keys = [(i, d - i) for d in range(order + 1) for i in range(d + 1)]
+    keys = _graded_keys(order)
     facts = [math.factorial(j) for j in range(order + 1)]
     for la in partitions_upto(lambda_max):
         w = la.weight
@@ -706,7 +715,7 @@ def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
 def _check_lem111(rec: _Recorder, *, order: int) -> None:
     for k in range(1, order + 1):
         lhs, rhs = stirling_inverse_lemma_sides(k, order)
-        rec.series_equal(lhs, rhs, k=k)
+        rec.numerators(lhs, rhs, 1, [(i,) for i in range(order + 1)], k=k)
 
 
 def _check_thm112(rec: _Recorder, *, lambda_max: int, p_max: int, alpha_set: _Rationals) -> None:

@@ -6,6 +6,7 @@ checked against a direct enumeration of cell subsets meeting every row.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from ycalc.coefficients import (
     stirling_inverse_t,
 )
 from ycalc.partitions import EMPTY, Partition, partitions_upto
-from ycalc.series import UniPoly, binomial, lowering_factorial
+from ycalc.series import XPolynomial, lowering_factorial
 
 # (n, p, k) -> value, hand-derived
 _NBI_FROZEN = {
@@ -169,7 +170,7 @@ def test_npbi_errors():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gn_closed_form_matches_table(n):
-    assert gn_closed_form(n).first_difference(gn_series(n, 2 * n)) is None
+    assert gn_closed_form(n).rows == gn_series(n, 2 * n).rows
 
 
 def test_gn_small_cases_by_hand():
@@ -193,24 +194,28 @@ def test_stirling_first_kind():
     assert stirling_first_unsigned(3, 5) == 0
 
 
+def _x0_coefficient(poly: XPolynomial, e: int):
+    return poly.terms.get((e, ()), 0)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_stirling_generating_polynomials(n):
-    x = UniPoly.x()
+    x = XPolynomial.x0()
     up = lowering_factorial(x + n - 1, n)  # the raising factorial (x)_n
     down = lowering_factorial(x, n)
     for k in range(n + 1):
-        assert up.coefficient(k) == stirling_first_unsigned(n, k)
-        assert down.coefficient(k) == stirling_first(n, k)
+        assert _x0_coefficient(up, k) == stirling_first_unsigned(n, k)
+        assert _x0_coefficient(down, k) == stirling_first(n, k)
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_stirling_inverse_expands_powers(k):
     # x^k = sum_m t(k, m) [x]_m
-    x = UniPoly.x()
-    acc = UniPoly()
+    x = XPolynomial.x0()
+    acc = XPolynomial()
     for m in range(k + 1):
         acc = acc + lowering_factorial(x, m) * stirling_inverse_t(k, m)
-    assert acc == UniPoly((0,) * k + (1,))
+    assert acc == XPolynomial({(k, ()): 1})
     assert stirling_inverse_t(4, 2) == 7
 
 
@@ -222,25 +227,31 @@ def test_jz_sides_agree():
 
 
 def _jz_sides_reference(mu, n):
-    """Both sides summed as UniPoly binomials in Fractions."""
-    x = UniPoly.x()
-    lhs = rhs = UniPoly()
+    """Both sides summed as XPolynomial binomials in X0, over Fractions."""
+    x = XPolynomial.x0()
+    lhs = rhs = XPolynomial()
     for k in range(mu.length, min(n, mu.weight) + 1):
         c = 1 if k == 0 else pbi(mu, k)
-        lhs = lhs + binomial(x - mu.weight, n - k) * c
-        rhs = rhs + binomial(x - k, n - k) * ((-1) ** (k - mu.length) * c)
+        lhs = lhs + lowering_factorial(x - mu.weight, n - k) * Fraction(c, math.factorial(n - k))
+        rhs = rhs + lowering_factorial(x - k, n - k) * Fraction((-1) ** (k - mu.length) * c, math.factorial(n - k))
     return lhs, rhs
+
+
+def _over_factorial(side, n):
+    """An integer list over n!, entry e at X0^e, as an XPolynomial."""
+    return XPolynomial({(e, ()): Fraction(v, math.factorial(n)) for e, v in enumerate(side)})
 
 
 def test_jz_sides_match_fraction_reference():
     # a fault shared by both sides passes test_jz_sides_agree, not this
     for mu in partitions_upto(6):
         for n in range(0, 9):
-            assert jz_sides(mu, n) == _jz_sides_reference(mu, n), (mu, n)
+            sides = jz_sides(mu, n)
+            assert all(len(side) == n + 1 and all(type(v) is int for v in side) for side in sides), (mu, n)
+            assert tuple(_over_factorial(side, n) for side in sides) == _jz_sides_reference(mu, n), (mu, n)
 
 
 def test_jz_empty_shape_is_plain_binomial():
+    # both sides are C(X0, 4) = [X0]_4 / 4!, over 4!
     lhs, rhs = jz_sides(EMPTY, 4)
-    x = UniPoly.x()
-    assert lhs == binomial(x, 4)
-    assert rhs == binomial(x, 4)
+    assert lhs == rhs == [stirling_first(4, e) for e in range(5)]

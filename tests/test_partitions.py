@@ -15,7 +15,7 @@ from ycalc.partitions import (
     partitions_upto,
     z_of,
 )
-from ycalc.series import UniPoly, lowering_factorial
+from ycalc.series import XPolynomial, lowering_factorial
 
 
 def _partition_count_oracle(n: int) -> int:
@@ -184,11 +184,11 @@ def test_z_class_equation(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_z_length_generating_polynomial(n):
     # sum x^{l(mu)}/z_mu = (x)_n / n! as polynomials
-    lhs = UniPoly()
+    lhs = [Fraction(0)] * (n + 1)
     for mu in enumerate_partitions(n):
-        lhs = lhs + UniPoly((0,) * mu.length + (Fraction(1, z_of(mu)),))
-    rhs = lowering_factorial(UniPoly.x() + n - 1, n) * Fraction(1, math.factorial(n))
-    assert lhs == rhs
+        lhs[mu.length] += Fraction(1, z_of(mu))
+    rhs = lowering_factorial(XPolynomial.x0() + n - 1, n) * Fraction(1, math.factorial(n))
+    assert XPolynomial({(e, ()): c for e, c in enumerate(lhs)}) == rhs
 
 
 def test_check_alpha():
@@ -198,6 +198,10 @@ def test_check_alpha():
     with pytest.raises(ValueError, match="alpha must be positive"):
         check_alpha(Fraction(-1, 2))
     for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be a finite rational"):
+            check_alpha(bad)
+    # a bool is not a number here, though Fraction(True) is 1
+    for bad in (True, False):
         with pytest.raises(ValueError, match="alpha must be a finite rational"):
             check_alpha(bad)
 

@@ -1,19 +1,18 @@
 """Arithmetic kernels: integer binomials, polynomials, truncated series."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import linear_ratio_reference
 
 from ycalc.series import (
     BiSeries,
-    UniPoly,
     XPolynomial,
-    binomial,
     comb_int,
-    gauss_2f1_truncated,
-    linear_ratio_series,
+    linear_ratio_integers,
     lowering_factorial,
 )
 
@@ -47,59 +46,27 @@ def test_factorials_and_binomial():
     x = Fraction(7, 2)
     assert lowering_factorial(x, 3) == x * (x - 1) * (x - 2)
     assert lowering_factorial(x, 0) == 1
-    assert binomial(Fraction(9, 2), 2) == Fraction(9, 2) * Fraction(7, 2) / 2
+    # [m]_j = j! C(m, j) at every integer m, negative ones included
+    for m in range(-4, 7):
+        for j in range(5):
+            assert lowering_factorial(m, j) == math.factorial(j) * comb_int(m, j)
     with pytest.raises(ValueError):
         lowering_factorial(x, -1)
 
 
-def _evaluate(p: UniPoly, value) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * value + c
-    return acc
+def _evaluate(p: XPolynomial, value) -> Fraction:
+    """p at X0 = value, for p a polynomial in X0 alone."""
+    return sum((c * value**e0 for (e0, _), c in p.terms.items()), Fraction(0))
 
 
-def test_factorials_on_unipoly():
-    x = UniPoly.x()
+def test_factorials_on_xpolynomial():
+    x = XPolynomial.x0()
     p = lowering_factorial(x + 2, 3)  # the raising factorial (x)_3
-    assert p == UniPoly((0, 2, 3, 1))
+    assert p == XPolynomial({(1, ()): 2, (2, ()): 3, (3, ()): 1})
     assert _evaluate(p, 2) == 2 * 3 * 4
     q = lowering_factorial(x, 2)
     assert q == x * x - x
-
-
-def test_unipoly_basic_algebra():
-    x = UniPoly.x()
-    p = (x + 1) * (x - 1)
-    assert p == x * x - 1
-    assert _evaluate(p, 3) == 8
-    assert len(p.coeffs) == 3
-    assert (p - p).is_zero()
-    assert UniPoly((0, 0, 0)).is_zero()
-    assert (2 * x + 3) == UniPoly((3, 2))
-    assert (x * x * x).coefficient(3) == 1
-    assert x.coefficient(10) == 0
-
-
-@settings(deadline=None, derandomize=True)
-@given(
-    st.lists(st.integers(-5, 5), max_size=4),
-    st.lists(st.integers(-5, 5), max_size=4),
-    st.lists(st.integers(-5, 5), max_size=4),
-)
-def test_unipoly_ring_laws(a, b, c):
-    p, q, r = UniPoly(a), UniPoly(b), UniPoly(c)
-    assert p * (q + r) == p * q + p * r
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-
-
-def test_unipoly_evaluation_is_ring_map():
-    p = UniPoly((1, -2, 0, 1))
-    q = UniPoly((0, 3, 1))
-    v = Fraction(5, 3)
-    assert _evaluate(p * q, v) == _evaluate(p, v) * _evaluate(q, v)
-    assert _evaluate(p + q, v) == _evaluate(p, v) + _evaluate(q, v)
+    assert _evaluate(lowering_factorial(x - Fraction(1, 2), 2), Fraction(5, 3)) == Fraction(7, 6) * Fraction(1, 6)
 
 
 def test_xpolynomial_algebra():
@@ -252,43 +219,6 @@ def test_series_mul_respects_order():
         BiSeries(3, {(1, 0): 1}) * BiSeries(4, {(1, 0): 1})
 
 
-def test_series_first_difference_ordering():
-    a = BiSeries(4, {(0, 1): Fraction(1), (2, 0): Fraction(5)})
-    b = BiSeries(4, {(0, 1): Fraction(1), (2, 0): Fraction(7)})
-    key, ca, cb = a.first_difference(b)
-    assert key == (2, 0)
-    assert (ca, cb) == (5, 7)
-    assert a.first_difference(a) is None
-    # smaller total degree first, then the smaller key within a degree
-    c = BiSeries(4, {(0, 3): 1, (1, 1): 2, (2, 0): 3})
-    d = BiSeries(4, {(0, 2): 9, (1, 1): 9, (2, 0): 9})
-    assert c.first_difference(d) == ((0, 2), 0, 9)
-    # int entries, zeros included, read as Fractions
-    _, lhs, rhs = c.first_difference(BiSeries(4))
-    assert (type(lhs), type(rhs)) == (Fraction, Fraction)
-
-
-def test_series_first_difference_reports_entries_by_type():
-    # int against Fraction: equal entries pass, the reported ones read as Fractions
-    a = BiSeries(3, {(1, 0): 2, (0, 2): 5})
-    b = BiSeries(3, {(1, 0): Fraction(2), (0, 2): Fraction(7, 2)})
-    key, lhs, rhs = a.first_difference(b)
-    assert (key, lhs, rhs) == ((0, 2), Fraction(5), Fraction(7, 2))
-    assert (type(lhs), type(rhs)) == (Fraction, Fraction)
-    assert b.first_difference(BiSeries(3, {(1, 0): 2, (0, 2): Fraction(7, 2)})) is None
-    # XPolynomial entries are reported as they are, a zero beyond them as a Fraction
-    x0, x1 = XPolynomial.x0(), XPolynomial.symbol(1)
-    e = BiSeries(2, {(0, 0): x0, (1, 0): x0 * 2, (1, 1): x1})
-    f = BiSeries(2, {(0, 0): x0, (1, 0): x0 * 3, (1, 1): x1})
-    key, lhs, rhs = e.first_difference(f)
-    assert (key, lhs, rhs) == ((1, 0), x0 * 2, x0 * 3)
-    assert (type(lhs), type(rhs)) == (XPolynomial, XPolynomial)
-    key, lhs, rhs = e.first_difference(BiSeries(2, {(0, 0): x0, (1, 0): x0 * 2}))
-    assert (key, lhs, rhs) == ((1, 1), x1, Fraction(0))
-    assert (type(lhs), type(rhs)) == (XPolynomial, Fraction)
-    assert e.first_difference(e) is None
-
-
 def test_series_with_xpoly_coefficients():
     # the series ring must accept XPolynomial entries transparently
     x0 = XPolynomial.x0()
@@ -301,68 +231,40 @@ def test_series_with_xpoly_coefficients():
     assert not _nonzero_keys(zero)
 
 
-def test_gauss_2f1_values():
-    # 2F1(1, 1; 2; z) = -log(1-z)/z has coefficients 1/(i+1)
-    s = gauss_2f1_truncated(1, 1, 2, 6)
-    for i in range(7):
-        assert s.coefficient(i) == Fraction(1, i + 1)
-    # 2F1(a, b; b; z) = (1-z)^{-a}
-    s2 = gauss_2f1_truncated(3, 2, 2, 6)
-    for i in range(7):
-        assert s2.coefficient(i) == comb_int(i + 2, 2)
-    with pytest.raises(ValueError):
-        gauss_2f1_truncated(1, 1, 0, 4)
+def _times(p, q, order):
+    """The product of two coefficient lists, cut after t^order."""
+    out = [0] * (order + 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if i + j <= order:
+                out[i + j] += a * b
+    return out
 
 
 def test_linear_ratio_series():
-    num = (Fraction(5, 3), Fraction(-2), Fraction(0))
-    den = (Fraction(1, 2), Fraction(-7, 4), Fraction(3))
-    order = 7
-    ratio = linear_ratio_series(num, den, order)
+    # the ratio times the denominator factors is the numerator product
+    num, den, order = (5, -2, 0), (1, -7, 3), 7
+    ratio = linear_ratio_integers(num, den, order)
     back = ratio
     for b in den:
-        back = (back * UniPoly((1, b))).truncate(order)
-    want = UniPoly((1,))
+        back = _times(back, [1, b], order)
+    want = [1]
     for a in num:
-        want = want * UniPoly((1, a))
+        want = _times(want, [1, a], order)
     assert back == want
-    c = Fraction(5, 3)
-    inv = linear_ratio_series((), (c,), order)
-    assert [inv.coefficient(m) for m in range(order + 1)] == [(-c) ** m for m in range(order + 1)]
-    assert inv.coefficient(order + 1) == 0
+    c = -3
+    inv = linear_ratio_integers((), (c,), order)
+    assert inv == [(-c) ** m for m in range(order + 1)]
     with pytest.raises(ValueError):
-        linear_ratio_series(num, den, -1)
+        linear_ratio_integers(num, den, -1)
 
 
-def _linear_ratio_reference(num, den, order):
-    """The Fraction loop linear_ratio_series replaced: one Fraction
-    multiply-add per coefficient and factor."""
-    cs = [Fraction(0)] * (order + 1)
-    cs[0] = Fraction(1)
-    for a in num:
-        if a:
-            for i in range(order, 0, -1):
-                cs[i] += a * cs[i - 1]
-    for b in den:
-        if b:
-            for i in range(1, order + 1):
-                cs[i] -= b * cs[i - 1]
-    return UniPoly(cs)
-
-
-_ratio_factors = st.lists(
-    st.one_of(
-        st.integers(-9, 9),
-        st.just(0),
-        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 16)),
-    ),
-    max_size=7,
-)
+_ratio_factors = st.lists(st.one_of(st.integers(-9, 9), st.just(0)), max_size=7)
 
 
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(_ratio_factors, _ratio_factors, st.integers(0, 12))
 def test_linear_ratio_series_matches_fraction_loop(num, den, order):
-    got = linear_ratio_series(num, den, order)
-    assert got.coeffs == _linear_ratio_reference(num, den, order).coeffs
-    assert all(type(c) is Fraction for c in got.coeffs)
+    got = linear_ratio_integers(num, den, order)
+    assert got == linear_ratio_reference(num, den, order)
+    assert all(type(c) is int for c in got)

@@ -8,12 +8,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import linear_ratio_reference
 
 from ycalc import shifted
 from ycalc.coefficients import marked_column, marked_row, stirling_inverse_t
 from ycalc.moments import row_column_binomials
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
-from ycalc.series import UniPoly, linear_ratio_series, lowering_factorial
+from ycalc.series import XPolynomial, lowering_factorial
 from ycalc.shifted import _MomentTable, _shifted_numerators, d_k, dk_from_shifted, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET
 
@@ -235,13 +236,13 @@ def test_c_k_is_raising_factorial_coefficient(shape, alpha, k):
     n, pick = shape
     la = _shape(n, pick)
     contents = _contents(la, alpha)
-    x = UniPoly.x()
-    poly = UniPoly((1,))
+    x = XPolynomial.x0()
+    poly = XPolynomial.constant(1)
     for c in contents:
         poly = poly * (x + c)
     e_k = sum((math.prod(sub) for sub in itertools.combinations(contents, k)), Fraction(0))
     if k <= la.weight:
-        assert poly.coefficient(la.weight - k) == e_k
+        assert poly.terms.get((la.weight - k, ()), 0) == e_k
     else:
         assert e_k == 0
 
@@ -252,7 +253,7 @@ def test_big_c_k_is_inverse_lowering_expansion(alpha):
     la = Partition((2, 2, 1))
     order = 6
     contents = _contents(la, alpha)
-    acc = linear_ratio_series((), [-c for c in contents], order)
+    acc = linear_ratio_reference((), [-c for c in contents], order)
     for k in range(order + 1):
         h_k = sum((math.prod(sub) for sub in itertools.combinations_with_replacement(contents, k)), Fraction(0))
-        assert acc.coefficient(k) == h_k
+        assert acc[k] == h_k

@@ -12,13 +12,15 @@ import pytest
 
 from ycalc import growth, moments, shifted, verify
 from ycalc.partitions import Partition
-from ycalc.series import BiSeries, UniPoly
+from ycalc.series import BiSeries
 from ycalc.verify import (
     _JOBS,
     CATALOG,
     PARAMETERS,
     VerificationReport,
     _bound,
+    _entries,
+    _graded_keys,
     _Recorder,
     identity_ids,
     report_to_dict,
@@ -252,12 +254,15 @@ def test_catalog_at_defaults_is_pinned(fresh_memos):
 # sha256 of the reports below with npbi(1,1; 0, 2) raised by 1, pinned
 # before the marked family and the closed routes moved to one call per row
 # or per index: every job that reads npbi fails, with its first
-# counterexample and its failure count.
+# counterexample and its failure count.  Re-pinned once thm4.1 compared
+# integer lists: its first counterexample (n=2, p=0, k=2) names key [2]
+# with lhs 1 and rhs 1/2, the x^2 coefficients of the two polynomials it
+# printed whole before; every other job's report is unchanged.
 _NPBI_FAULT_JOBS = (
     "thm3.1", "thm3.1-alt", "ll-v0", "thm4.1", "gf2.3", "rel5.1", "thm5.1",
     "cor5.2", "thm8.1", "thm9.1", "thm11.2", "chu-vandermonde",
 )
-_NPBI_FAULT_DIGEST = "09b8abf0fa45d2920e9aadba53fcad781541ff63ee9ab557550289796eb3c207"
+_NPBI_FAULT_DIGEST = "58d8adae1ae2a6b508703b6cb1c8a41c6fcf7c6523211345b2a0c0b46cc5c09a"
 
 
 def test_npbi_fault_fails_every_reader_the_same_way(fresh_memos, monkeypatch):
@@ -360,6 +365,9 @@ def _doubled_pieri_row(la, alpha):
 # digests equal the reports of the Fraction comparisons they replaced, under
 # the same perturbation made through the old kernels (content_ratio_series
 # moved by 1/(a d)^3 at t^3, column (2, 1) of the table moved by 1 at p = 0).
+# The npbi row was re-pinned once thm4.1 compared integer lists: its first
+# counterexample (n=4, p=2, k=2) names key [2] with lhs 23/6 and rhs 7/2,
+# the x^2 coefficients of the two polynomials it printed whole before.
 # Each fault keeps every library invariant true, so only a comparison can
 # catch it.  ll-v0 stays verified under the marked-row fault: its right
 # side reads marked_row(d, X) at p = 0 only.  moments-bridge stays verified
@@ -401,7 +409,7 @@ _FAULT_ROWS = {
         _bumped_npbi,
         {"thm4.1": "failed"},
         {"n_max": 5},
-        "02819837c3d954bd7d9783181bd0b466fb5ac9546cb7b57da7ee3ff482b920d7",
+        "5469badf0fe30abf6f2c01879f001018c9d565e58dfa89847a65f1567b400880",
     ),
     "p0_row": (
         shifted._MomentTable,
@@ -430,6 +438,20 @@ def test_fault_rows_fail_through_a_comparison(fresh_memos, monkeypatch, name):
         if report.status == "failed":
             assert report.counterexample is not None, report.notes
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == digest
+
+
+def test_jz_fault_names_the_first_differing_coefficient(monkeypatch):
+    # pbi(2,1; 2) raised from 2 to 3 moves the left side of mu = 2,1 by
+    # C(X0 - 3, n - 2) and the right side by C(X0 - 2, n - 2), equal at
+    # n = 2; at n = 3 the sides are 3 X0 - 8 and 3 X0 - 7, first apart at X0^0
+    from ycalc import coefficients
+
+    pbi = coefficients.pbi
+    monkeypatch.setattr(coefficients, "pbi", lambda mu, k: pbi(mu, k) + ((mu.parts, k) == ((2, 1), 2)))
+    report = run_identity("jz", mu_max=3, n_max=4)
+    assert report.status == "failed"
+    assert report.notes.startswith("2 of ")
+    assert report.counterexample == {"mu": "2,1", "n": 3, "key": [0], "lhs": "-8", "rhs": "-7"}
 
 
 def test_doubled_pieri_row_names_its_shape(monkeypatch):
@@ -463,34 +485,40 @@ def test_chi_fault_beyond_p3_is_reported(monkeypatch):
 
 def test_univariate_series_mismatch_reports_index():
     rec = _Recorder()
-    rec.series_equal(UniPoly((1, 2, 3)), UniPoly((1, 2)), k=1)
+    rec.numerators([1, 2, 3], [1, 2, 0], 1, [(0,), (1,), (2,)], k=1)
     report = rec.report("x", {})
     assert report.status == "failed"
     assert report.counterexample == {"k": 1, "key": [2], "lhs": "3", "rhs": "0"}
 
 
 def test_bivariate_series_mismatch_reports_key():
-    # int-filled rows with Fraction entries; the first difference is the
-    # smallest total degree, and Fraction values print as strings
+    # the entries in (total degree, key) order: the first difference is at
+    # the smallest total degree, then at the smallest key within it, and
+    # its values print as strings over the key's denominator
+    keys = _graded_keys(3)
+    assert keys[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    lhs = BiSeries(3, {(0, 2): 5, (1, 0): 1, (0, 3): 1})
+    rhs = BiSeries(3, {(2, 1): 4, (1, 0): 1, (1, 1): 9})
     rec = _Recorder()
-    lhs = BiSeries(3, {(0, 2): Fraction(5), (1, 0): Fraction(1, 2)})
-    rhs = BiSeries(3, {(2, 1): Fraction(4), (1, 0): Fraction(1, 2)})
-    rec.series_equal(lhs, rhs, la="2,1")
+    rec.numerators(_entries(lhs, keys), _entries(rhs, keys), lambda key: 2 ** key[1], keys, la="2,1")
     report = rec.report("x", {})
     assert report.status == "failed"
-    assert report.counterexample == {"la": "2,1", "key": [0, 2], "lhs": "5", "rhs": "0"}
+    assert report.counterexample == {"la": "2,1", "key": [0, 2], "lhs": "5/4", "rhs": "0"}
+    rec = _Recorder()
+    rec.numerators(_entries(rhs, keys), _entries(rhs, keys), 1, keys)
+    assert (rec.cases, rec.failures) == (1, 0)
 
 
 def test_recorder_names_a_partition_only_in_its_counterexample():
     la = Partition((2, 1))
     rec = _Recorder()
     rec.check(1, 1, la=la)
-    rec.series_equal(UniPoly((1,)), UniPoly((1,)), la=la)
+    rec.numerators([1], [1], 1, [(0,)], la=la)
     rec.condition(True, la=la)
     assert (rec.cases, rec.first) == (3, None)
     for record in (
         lambda rec: rec.check(Fraction(1), Fraction(2), la=la, r=0),
-        lambda rec: rec.series_equal(UniPoly((1,)), UniPoly((2,)), la=la, r=0),
+        lambda rec: rec.numerators([1], [2], 1, [(0,)], la=la, r=0),
         lambda rec: rec.condition(False, la=la, r=0),
     ):
         rec = _Recorder()
@@ -514,20 +542,21 @@ def test_recorder_numerators_count_one_case_and_keep_the_fractions():
     rec.numerators(1, 2, 3, la=la, r=2)
     assert (rec.cases, rec.failures) == (2, 2)
     assert rec.first == {"la": "2,1", "r": 1, "lhs": Fraction(3, 2), "rhs": Fraction(3, 4)}
-    # a series keeps its first differing key, as series_equal on the same
-    # values as Fractions does
-    keys = [(i, d - i) for d in range(3) for i in range(d + 1)]
+    # a series keeps its first differing key, over den(key) or over one den
+    keys = _graded_keys(2)
     lhs, rhs = [1, 0, 4, 2, 0, 0], [1, 0, 4, 3, 9, 0]
     rec = _Recorder()
     rec.numerators(lhs, rhs, lambda key: 2 ** key[1], keys, la=la)
     assert (rec.cases, rec.failures) == (1, 1)
     assert rec.first == {"la": "2,1", "key": [0, 2], "lhs": "1/2", "rhs": "3/4"}
-    old = _Recorder()
-    old.series_equal(*(BiSeries(2, {key: Fraction(v, 2 ** key[1]) for key, v in zip(keys, side)}) for side in (lhs, rhs)), la=la)
-    assert old.first == rec.first
+    rec = _Recorder()
+    rec.numerators(lhs, rhs, 4, keys, la=la)
+    assert rec.first == {"la": "2,1", "key": [0, 2], "lhs": "1/2", "rhs": "3/4"}
 
 
-@pytest.mark.parametrize("identity", ["rel5.1", "thm5.1", "cor5.2", "thm8.1", "thm9.1", "moments-bridge"])
+@pytest.mark.parametrize(
+    "identity", ["jz", "thm4.1", "gn-closed", "rel5.1", "thm5.1", "cor5.2", "thm8.1", "thm9.1", "lem11.1", "moments-bridge"]
+)
 def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
     formed = []
 
