@@ -15,6 +15,7 @@ from ycalc.series import (
     linear_ratio_integers,
     lowering_factorial,
 )
+from ycalc.verify import _entries, _graded_keys, _Recorder
 
 
 def test_comb_int_small_table():
@@ -239,6 +240,34 @@ def _times(p, q, order):
             if i + j <= order:
                 out[i + j] += a * b
     return out
+
+
+def _first_difference(a, b):
+    keys = _graded_keys(a.order)
+    for key, ca, cb in zip(keys, _entries(a, keys), _entries(b, keys)):
+        if ca != cb:
+            return key, ca, cb
+    return None
+
+
+def test_series_first_difference_ordering():
+    # the checkers read a BiSeries in (total degree, key) order and name
+    # the first key where two series differ
+    a = BiSeries(4, {(0, 1): 1, (2, 0): 5})
+    b = BiSeries(4, {(0, 1): 1, (2, 0): 7})
+    assert _first_difference(a, b) == ((2, 0), 5, 7)
+    assert _first_difference(a, a) is None
+    # smaller total degree first, then the smaller key within a degree
+    c = BiSeries(4, {(0, 3): 1, (1, 1): 2, (2, 0): 3})
+    d = BiSeries(4, {(0, 2): 9, (1, 1): 9, (2, 0): 9})
+    assert _first_difference(c, d) == ((0, 2), 0, 9)
+    # zeros are entries too: the first nonzero key of c against an empty series
+    assert _first_difference(c, BiSeries(4)) == ((1, 1), 2, 0)
+    # the recorder reports that same key
+    keys = _graded_keys(4)
+    rec = _Recorder()
+    rec.numerators(_entries(c, keys), _entries(d, keys), 1, keys)
+    assert rec.report("x", {}).counterexample == {"key": [0, 2], "lhs": "0", "rhs": "9"}
 
 
 def test_linear_ratio_series():
