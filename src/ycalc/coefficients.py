@@ -22,7 +22,6 @@ and :func:`marked_row` evaluates a whole row n of it, one
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -182,8 +181,9 @@ def gn_closed_form(n: int) -> BiSeries:
     return p_cur - one - BiSeries(order, {(n, 0): 1})
 
 
-def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
-    """Coefficients of x^k in n z 2F1(p+1, n-p+1; 2; z) at z = x/(1+x).
+def nbi_from_hypergeometric(n: int, p: int, order: int) -> tuple[list[int], int]:
+    """Coefficients of x^k in n z 2F1(p+1, n-p+1; 2; z) at z = x/(1+x),
+    as (nums, D): coefficient k is nums[k] / D for k = 0 .. order.
 
     Reproduces nbi(n, p, k) for k <= min(n, order) and 0 beyond n; used as
     the analytic cross-route for the row family.
@@ -202,7 +202,7 @@ def nbi_from_hypergeometric(n: int, p: int, order: int) -> dict[int, Fraction]:
         for i in range(1, order + 1):
             cs[i] -= cs[i - 1]
         cs[0] += c
-    return {k: Fraction(n * cs[k], big_d) for k in range(order + 1)}
+    return [n * c for c in cs], big_d
 
 
 @lru_cache(maxsize=None)

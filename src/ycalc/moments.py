@@ -201,9 +201,16 @@ def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fractio
 
 def _cor52_numerators(table, c: int, d: int, r_max: int) -> list[int]:
     """[T_0 .. T_r_max] of one moment table at y = c/d: c_r = T_r / (d^r r! a^r)
-    for T_r, the sum over e of C[r][e] c^e d^(r-e)."""
-    rows = table.c_rows(r_max)
-    return [sum(v * c**e * d ** (r - e) for e, v in enumerate(rows[r]) if v) for r in range(r_max + 1)]
+    for T_r, the sum over e of C[r][e] c^e d^(r-e), by Horner's rule in c
+    over one list of powers of d."""
+    d_pows = [d**j for j in range(r_max + 1)]
+    out = []
+    for row in table.c_rows(r_max)[: r_max + 1]:
+        total = 0
+        for v, d_pow in zip(reversed(row), d_pows):
+            total = total * c + v * d_pow
+        out.append(total)
+    return out
 
 
 def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r_max: int) -> list[Fraction]:
@@ -390,15 +397,11 @@ def _regrouped_numerators(table, r_max: int) -> list[int]:
     return out
 
 
-def row_column_binomials(la: Partition, alpha: Fraction, p_max: int) -> list[tuple[Fraction, Fraction]]:
-    """[(row_p, col_p) for p = 0 .. p_max]: the binomial weights of la
-    against a row of length p and a column of height p, via the
-    Stirling-weighted double sum in f_jk; p = 0 gives (1, 1).
-
-    With alpha = a/b the row sum is an integer over a^p p! and the column
-    sum one over b^p p!.  Neither depends on y, so the moment table keeps
-    the list and extends it on demand.
-    """
+def row_column_binomials(la: Partition, alpha: Fraction, p_max: int) -> list[tuple[int, int, int, int]]:
+    """[(R_p, R'_p, K_p, K'_p) for p = 0 .. p_max]: the binomial weights
+    of la against a row of length p, R_p / R'_p, and a column of height p,
+    K_p / K'_p, via the Stirling-weighted double sum in f_jk (the moment
+    table keeps them; p = 0 gives (1, 1, 1, 1))."""
     alpha = check_alpha(alpha)
     if p_max < 0:
         raise ValueError("p must be nonnegative")
@@ -430,9 +433,9 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
         return None
     total_num, total_den = 0, 1
     ratio_num = ratio_den = 1  # (alpha)_p / [alpha y]_p
-    for p, (_, col) in enumerate(row_column_binomials(la, alpha, la.weight)):
+    for p, (_, _, col, col_den) in enumerate(row_column_binomials(la, alpha, la.weight)):
         if col:
-            term_num, term_den = col.numerator * ratio_num, col.denominator * ratio_den
+            term_num, term_den = col * ratio_num, col_den * ratio_den
             total_num, total_den = total_num * term_den + term_num * total_den, total_den * term_den
         ratio_num *= (a + p * b) * d
         ratio_den *= a * c - p * b * d

@@ -33,10 +33,10 @@ C[r][e] is one polynomial in |la|, the P_k and a whose integer
 coefficients depend on neither the shape nor alpha (:func:`_c_formula`,
 built once per r from the marked family's terms): the explicit
 expression of c_r, and so of s_r and sigma_r, in |la| and the d_k.  The
-table evaluates it at its own |la|, P_k and a and keeps the rows, so the
-closed moment routes build no column.  The y-free row and column
-binomials of Theorem 11.2 are kept on the table too, as a list extended
-on demand.
+table evaluates it, compiled by :func:`_c_plan`, at its own |la|, P_k and
+a and keeps the rows, so the closed moment routes build no column.  The
+y-free row and column binomials of Theorem 11.2 are kept on the table
+too, as integers over their denominators in a list extended on demand.
 """
 
 from __future__ import annotations
@@ -82,6 +82,16 @@ def _c_formula(r: int) -> tuple[Mapping[tuple[int, tuple[int, ...]], int], ...]:
     return tuple(MappingProxyType({key: v for key, v in row.items() if v}) for row in rows)
 
 
+@lru_cache(maxsize=None)
+def _c_plan(r: int) -> tuple[tuple, tuple]:
+    """_c_formula(r), read through the module global, compiled as (monomials, rows):
+    each key once, as (e0, mu, r - |mu|), and for each e the (indices into
+    monomials, coefficients) of C[r][e].  Unbounded, like _c_formula's memo."""
+    formula = _c_formula(r)
+    index = {key: i for i, key in enumerate(dict.fromkeys(key for terms in formula for key in terms))}
+    return tuple((e0, mu, r - sum(mu)) for e0, mu in index), tuple((tuple(map(index.__getitem__, terms)), tuple(terms.values())) for terms in formula)
+
+
 class _MomentTable:
     """Integer power sums and moment columns of one (shape, alpha = a/b)."""
 
@@ -96,7 +106,7 @@ class _MomentTable:
         self._columns: dict[tuple[int, int], tuple[int, ...]] = {}
         self._p0_rows: list[tuple[int, ...]] = []
         self._c_rows: list[tuple[int, ...]] = []
-        self._binomials = [(Fraction(1), Fraction(1))]
+        self._binomials = [(1, 1, 1, 1)]
 
     def power_sum(self, k: int) -> int:
         """P_k, the sum of the k-th powers of the content numerators."""
@@ -155,56 +165,52 @@ class _MomentTable:
         return sum(comb_int(top, n - k) * row[k] for k in range(min(n, m) + 1))
 
     def c_rows(self, r_max: int) -> list[tuple[int, ...]]:
-        """The rows C[0] .. C[r_max] (and any built beyond), each
-        :func:`_c_formula` evaluated at this table's |la|, P_k and a."""
+        """The rows C[0] .. C[r_max] (and any built beyond) by :func:`_c_plan`:
+        each monomial |la|^e0 P_mu a^(r-|mu|) of an order is formed once at
+        this table's |la|, P_k and a, and each C[r][e] is one sum of products."""
         rows, sums = self._c_rows, self._power_sums
+        if len(rows) > r_max:
+            return rows
         self.power_sum(r_max)  # fills every P_k a formula term reads
         a_pows = [self.a**j for j in range(r_max + 1)]
-        monomials: dict[tuple[int, tuple[int, ...]], int] = {}  # |la|^e0 P_mu by (e0, mu)
-        for r in range(len(rows), r_max + 1):
-            row = []
-            for terms in _c_formula(r):
-                total = 0
-                for (e0, mu), v in terms.items():
-                    x = monomials.get((e0, mu))
-                    if x is None:
-                        x = monomials[e0, mu] = sums[0] ** e0 * math.prod(map(sums.__getitem__, mu))
-                    total += v * x * a_pows[r - sum(mu)]
-                row.append(total)
-            rows.append(tuple(row))
+        w_pows = [sums[0] ** j for j in range(r_max + 1)]
+        plans = [_c_plan(r) for r in range(len(rows), r_max + 1)]
+        # P_mu, once for all the orders built
+        prods = {mu: math.prod(map(sums.__getitem__, mu)) for mu in {mu for monomials, _ in plans for _, mu, _ in monomials}}
+        for monomials, plan in plans:
+            values = [w_pows[e0] * prods[mu] * a_pows[deg] for e0, mu, deg in monomials]
+            rows.append(tuple(sum(map(operator.mul, coefficients, map(values.__getitem__, indices))) for indices, coefficients in plan))
         return rows
 
-    def row_column_binomials(self, p_max: int) -> list[tuple[Fraction, Fraction]]:
-        """[(row_p, col_p) for p = 0 .. p_max] (and any built beyond), the
-        sums of :func:`moments.row_column_binomials`, which depend on
-        neither y nor the caller; missing p are added on demand.
+    def row_column_binomials(self, p_max: int) -> list[tuple[int, int, int, int]]:
+        """[(R_p, R'_p, K_p, K'_p) for p = 0 .. p_max] (and any built
+        beyond), the row binomials R_p / R'_p and column binomials K_p / K'_p
+        of :func:`moments.row_column_binomials`, which depend on neither y
+        nor the caller; missing p are added on demand.
 
         The row sum at p is an integer over a^p p! and the column sum one
-        over b^p p!; dividing by (1/alpha)_p and (alpha)_p leaves the
-        denominators p! prod_{m<p} (b + m a) and p! prod_{m<p} (a + m b)."""
+        over b^p p!; dividing by (1/alpha)_p and (alpha)_p leaves
+        R'_p = p! prod_{m<p} (b + m a) and K'_p = p! prod_{m<p} (a + m b),
+        which swap at 1/alpha."""
         out, a, b, w = self._binomials, self.a, self.b, self.weight
-        inners: dict[tuple[int, int], int] = {}  # the k-sums at p = 0 depend on (i, j) only
+        if len(out) > p_max:
+            return out
+        # Term (i, j) of the row sum at p is s(p-1, i+j-1) (p!/j!) b^i a^(p-i-j)
+        # times the k-sum at (|la| - j, i, j), and of the column sum the same
+        # with (-1)^j a^i b^(p-i-j).  Grouped by s = i + j, with p!/j! as
+        # (p!/s!) (s!/j!), the inner sums R_s and K_s do not depend on p.
+        facts = [math.factorial(n) for n in range(p_max + 1)]
+        inner = [[0, 0]]
+        for s in range(1, p_max + 1):
+            terms = [(facts[s] // facts[j] * self.k_sum_p0(w - j, s - j, j), s - j, j) for j in range(s + 1)]
+            inner.append([sum(t * b**i for t, i, _ in terms), sum(t * (-1) ** j * a**i for t, i, j in terms)])
         for p in range(len(out), p_max + 1):
-            fact_p = math.factorial(p)
-            row_sum = col_sum = 0
-            for i in range(0, p + 1):
-                for j in range(0, p - i + 1):
-                    if i + j < 1:
-                        continue
-                    st = stirling_first(p - 1, i + j - 1)
-                    if not st:
-                        continue
-                    if (i, j) not in inners:
-                        inners[i, j] = self.k_sum_p0(w - j, i, j)
-                    inner = inners[i, j]
-                    if inner == 0:
-                        continue
-                    scale = st * (fact_p // math.factorial(j)) * inner
-                    row_sum += scale * b**i * a ** (p - i - j)
-                    col_sum += scale * (-1) ** j * a**i * b ** (p - i - j)
-            row_den = fact_p * math.prod(b + m * a for m in range(p))
-            col_den = fact_p * math.prod(a + m * b for m in range(p))
-            out.append((Fraction(row_sum, row_den), Fraction(col_sum, col_den)))
+            scales = [(stirling_first(p - 1, s - 1) * (facts[p] // facts[s]), s) for s in range(1, p + 1)]
+            row_sum = sum(c * a ** (p - s) * inner[s][0] for c, s in scales)
+            col_sum = sum(c * b ** (p - s) * inner[s][1] for c, s in scales)
+            row_den = facts[p] * math.prod(b + m * a for m in range(p))
+            col_den = facts[p] * math.prod(a + m * b for m in range(p))
+            out.append((row_sum, row_den, col_sum, col_den))
         return out
 
 
@@ -244,9 +250,10 @@ def _shifted_numerators(la: Partition, alpha: Fraction, k_max: int) -> list[int]
     return out
 
 
-def dk_from_shifted(la: Partition, alpha: Fraction, k_max: int) -> list[Fraction]:
-    """[d_0 .. d_k_max] recovered from shifted power sums:
-    d_k = sum_m t(k, m) p*_{m+1} / (m+1).
+def dk_from_shifted(la: Partition, alpha: Fraction, k_max: int) -> list[int]:
+    """[T_0 .. T_k_max]: d_k recovered from shifted power sums,
+    d_k = sum_m t(k, m) p*_{m+1} / (m+1), is T_k / (a^(k+1) (k+1)!),
+    alpha = a/b.
 
     The m = 0 term covers k = 0, where the sum collapses to p*_1 = |la|.
     Every term of d_k is an integer over a^(k+1) (k+1)!, read from the row
@@ -266,5 +273,5 @@ def dk_from_shifted(la: Partition, alpha: Fraction, k_max: int) -> list[Fraction
             t = stirling_inverse_t(k, m)
             if t:
                 total += t * nums[m + 1] * a ** (k - m) * (fact // (m + 1))
-        out.append(Fraction(total, a ** (k + 1) * fact))
+        out.append(total)
     return out

@@ -17,7 +17,8 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (
@@ -58,6 +59,7 @@ from .moments import (
 )
 from .partitions import (
     EMPTY,
+    MEMO_SIZE,
     Partition,
     content_numerators,
     enumerate_partitions,
@@ -71,7 +73,7 @@ from .series import (
     comb_int,
     lowering_factorial,
 )
-from .shifted import d_k, dk_from_shifted, moment_table
+from .shifted import dk_from_shifted, moment_table
 from .symfunc import chi_experiment
 
 DEFAULT_ALPHA_SET = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
@@ -212,7 +214,8 @@ class _Recorder:
     """Counts comparisons and keeps the first (smallest) counterexample.
 
     Checkers pass shapes as Partition values; they are named only when a
-    counterexample is kept, so a passing run formats none."""
+    counterexample is kept, so a passing run formats none.  A batch
+    (:meth:`each`) counts one comparison per entry."""
 
     def __init__(self):
         self.cases = 0
@@ -249,6 +252,22 @@ class _Recorder:
         key = keys[i]
         d = den(key) if callable(den) else den
         self.first = dict(_named(context), key=list(key), lhs=_plain(Fraction(lhs[i], d)), rhs=_plain(Fraction(rhs[i], d)))
+
+    def each(self, lhs: Sequence[int], rhs: Sequence[int], dens, context_of: Callable[[int], dict]) -> None:
+        """len(lhs) comparisons, of lhs[i] / den with rhs[i] / den for
+        den = dens[i] (dens(i) when dens is callable), settled by one
+        equality of the two sequences when every entry holds.  Otherwise
+        the entries are replayed in order through :meth:`numerators`, with
+        context_of(i) built only for a failing entry, so the counts and the
+        first counterexample are those of one call per entry."""
+        if lhs == rhs:
+            self.cases += len(lhs)
+            return
+        for i, (u, v) in enumerate(zip(lhs, rhs, strict=True)):
+            if u == v:
+                self.cases += 1
+            else:
+                self.numerators(u, v, dens(i) if callable(dens) else dens[i], **context_of(i))
 
     def condition(self, holds: bool, **context):
         self.cases += 1
@@ -446,37 +465,36 @@ def _check_thm41(rec: _Recorder, *, n_max: int) -> None:
                 scale = nbi(n, p, k) * (facts[n - 1] // facts[k - 1])
                 rhs = [scale * c for c in rising[k]] + [0] * (n - k)
                 rec.numerators(by_length, rhs, fact, keys, group="length-graded", n=n, p=p, k=k)
-                for r in range(1, n + 1):
-                    left = scale * stirling_first_unsigned(k, r)
-                    rec.numerators(left, by_length[r], fact // facts[k], group="first-kind-refinement", n=n, p=p, k=k, r=r)
+                left = [scale * stirling_first_unsigned(k, r) for r in range(1, n + 1)]
+                rec.each(left, by_length[1:], [fact // facts[k]] * n, lambda i: dict(group="first-kind-refinement", n=n, p=p, k=k, r=i + 1))
     # two scalar consequences: the p-step recurrence, over m - 1, and the
     # binomial reduction generalizing the classical convolution identity,
     # over m
     for m in range(2, n_max + 1):
+        lhs, rhs = [], []
         for p in range(1, m + 1):
             q = m - p
             for k in range(1, m + 1):
-                left = p * nbi(m, p, k) * (m - 1)
+                lhs.append(p * nbi(m, p, k) * (m - 1))
                 right = (q + 1) * nbi(m, p - 1, k) * (m - 1)
                 if k <= m - 1:
                     right -= m * (q - p + 1) * nbi(m - 1, p - 1, k)
-                rec.numerators(left, right, m - 1, group="p-recurrence", m=m, p=p, k=k)
+                rhs.append(right)
+        rec.each(lhs, rhs, [m - 1] * len(lhs), lambda i: dict(group="p-recurrence", m=m, p=i // m + 1, k=i % m + 1))
     for n in range(1, n_max + 1):
         for m in range(1, n_max + 1):
-            for p in range(0, m + 1):
-                q = m - p
-                left = comb_int(n + p - 1, p) * comb_int(n + q - 1, q) * m
-                right = sum(comb_int(n, k) * k * nbi(m, p, k) for k in range(1, min(n, m) + 1))
-                rec.numerators(left, right, m, group="binomial-reduction", n=n, m=m, p=p)
+            lhs = [comb_int(n + p - 1, p) * comb_int(n + m - p - 1, m - p) * m for p in range(m + 1)]
+            rhs = [sum(comb_int(n, k) * k * nbi(m, p, k) for k in range(1, min(n, m) + 1)) for p in range(m + 1)]
+            rec.each(lhs, rhs, [m] * (m + 1), lambda p: dict(group="binomial-reduction", n=n, m=m, p=p))
 
 
 def _check_gf23(rec: _Recorder, *, n_max: int, order: int, lambda_max: int) -> None:
+    # coefficient k of the 2F1 route is an integer over one D, against D nbi
     for n in range(1, n_max + 1):
         for p in range(0, n + 1):
-            table = nbi_from_hypergeometric(n, p, order)
-            for k in range(1, order + 1):
-                want = Fraction(nbi(n, p, k)) if k <= n else Fraction(0)
-                rec.check(table.get(k, Fraction(0)), want, group="hypergeometric-row", n=n, p=p, k=k)
+            nums, big_d = nbi_from_hypergeometric(n, p, order)
+            want = [big_d * nbi(n, p, k) if k <= n else 0 for k in range(1, order + 1)]
+            rec.each(nums[1:], want, [big_d] * order, lambda i: dict(group="hypergeometric-row", n=n, p=p, k=i + 1))
     for la in partitions_upto(lambda_max):
         cap = 2 * la.weight
         prod = BiSeries(cap, {(0, 0): 1})
@@ -599,18 +617,22 @@ def _check_cor52(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
                 g = _content_ratio_integers(la, alpha, y.numerator, y.denominator, order)
                 t = _cor52_numerators(table, y.numerator, y.denominator, max(order, 1))
                 ad = table.a * y.denominator
-                for r in range(0, order + 1):
-                    rec.numerators(t[r], (-1) ** r * g[r] * facts[r], ad**r * facts[r], la=la, alpha=alpha, y=y, r=r)
-                rec.numerators(t[0], 1, 1, group="low-index", la=la, alpha=alpha, y=y, r=0)
-                rec.numerators(t[1], 0, ad, group="low-index", la=la, alpha=alpha, y=y, r=1)
+                # entries 0 .. order, then the low-index pair t_0 = 1, t_1 = 0
+                lhs = [*t[: order + 1], t[0], t[1]]
+                rhs = [(-1) ** r * g[r] * facts[r] for r in range(order + 1)] + [1, 0]
+                dens = [ad**r * facts[r] for r in range(order + 1)] + [1, ad]
+                rec.each(lhs, rhs, dens, lambda i: dict(la=la, alpha=alpha, y=y, r=i) if i <= order else dict(group="low-index", la=la, alpha=alpha, y=y, r=i - order - 1))
 
 
 def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Rationals) -> None:
+    # Both sides over a^(k+1) (k+1)!: d_k = P_k / a^k against the shifted sum.
+    facts = [math.factorial(k + 1) for k in range(k_max + 1)]
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             shifted = dk_from_shifted(la, alpha, k_max)
-            for k in range(0, k_max + 1):
-                rec.check(d_k(la, alpha, k), shifted[k], la=la, alpha=alpha, k=k)
+            table, a = moment_table(la, alpha), alpha.numerator
+            lhs = [table.power_sum(k) * a * fact for k, fact in enumerate(facts)]
+            rec.each(lhs, shifted, lambda k: a ** (k + 1) * facts[k], lambda k: dict(la=la, alpha=alpha, k=k))
 
 
 def _s_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], tuple[list[int], ...]]:
@@ -638,6 +660,16 @@ def _s_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> t
     return big_d, dens, routes
 
 
+def _each_by_r(rec: _Recorder, routes, **context) -> None:
+    """One batch over the routes (group, lhs, rhs, dens), lhs[r] against rhs[r]
+    over dens[r], in the order of one call per comparison: r by r, and within
+    one r the routes in order; a failing entry's context adds group and r."""
+    groups, lhs, rhs, dens = zip(*routes)
+    n = len(groups)
+    lhs, rhs = (list(chain.from_iterable(zip(*rows))) for rows in (lhs, rhs))
+    rec.each(lhs, rhs, lambda i: dens[i % n][i // n], lambda i: dict(context, group=groups[i % n], r=i // n))
+
+
 def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
     # The routes over the shared denominators of :func:`_s_routes`; the
     # content ratio at y = -1/alpha = -b/a has G_r over a^(2r) at t^r.
@@ -645,14 +677,11 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             big_d, dens, (direct, lagrange, closed, regrouped) = _s_routes(la, alpha, r_max, facts)
-            for r in range(0, r_max + 1):
-                rec.numerators(direct[r], lagrange[r], dens[r], group="interpolation-route", la=la, alpha=alpha, r=r)
-                rec.numerators(direct[r], closed[r], dens[r], group="closed-route", la=la, alpha=alpha, r=r)
-                rec.numerators(direct[r], regrouped[r], dens[r], group="integer-regrouping", la=la, alpha=alpha, r=r)
+            routes = [("interpolation-route", lagrange), ("closed-route", closed), ("integer-regrouping", regrouped)]
+            _each_by_r(rec, [(group, direct, vals, dens) for group, vals in routes], la=la, alpha=alpha)
             series = _content_ratio_integers(la, alpha, -alpha.denominator, alpha.numerator, r_max)
-            for r in range(0, r_max + 1):
-                v = direct[r]
-                rec.numerators(series[r] * big_d * facts[r], -v if r % 2 else v, dens[r], group="generating-series", la=la, alpha=alpha, r=r)
+            lifted = [g * big_d * fact for g, fact in zip(series, facts)]
+            rec.each(lifted, [-v if r % 2 else v for r, v in enumerate(direct)], dens, lambda r: dict(group="generating-series", la=la, alpha=alpha, r=r))
     # the regrouping coefficients themselves: integral and nonnegative
     for r in range(0, r_max + 1):
         for i in range(0, r // 2 + 1):
@@ -693,9 +722,7 @@ def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
     facts = [math.factorial(r + 2) for r in range(r_max + 1)]
     for alpha in alpha_set:
         _, dens, routes, _ = _sigma_routes(EMPTY, alpha, r_max, facts)
-        for r in range(0, r_max + 1):
-            for vals in routes:
-                rec.numerators(vals[r], 0, dens[r], group="empty-shape", alpha=alpha, r=r)
+        _each_by_r(rec, [("empty-shape", vals, [0] * (r_max + 1), dens) for vals in routes], alpha=alpha)
     for la in partitions_upto(lambda_max):
         if la.weight == 0:
             continue
@@ -703,13 +730,10 @@ def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
             b = alpha.denominator
             big_d, dens, (direct, closed, lagrange), cs = _sigma_routes(la, alpha, r_max, facts)
             rec.numerators(cs[1], -b, b, group="first-difference", la=la, alpha=alpha)
-            for r in range(0, r_max + 1):
-                rec.numerators(direct[r], closed[r], dens[r], group="closed-route", la=la, alpha=alpha, r=r)
-                rec.numerators(direct[r], lagrange[r], dens[r], group="interpolation-route", la=la, alpha=alpha, r=r)
+            _each_by_r(rec, [("closed-route", direct, closed, dens), ("interpolation-route", direct, lagrange, dens)], la=la, alpha=alpha)
             series = _sigma_series_numerators(la, alpha, r_max)
-            for r in range(0, r_max + 1):
-                v = direct[r]
-                rec.numerators(series[r] * big_d * facts[r], -v if r % 2 else v, dens[r], group="generating-series", la=la, alpha=alpha, r=r)
+            lifted = [z * big_d * fact for z, fact in zip(series, facts)]
+            rec.each(lifted, [-v if r % 2 else v for r, v in enumerate(direct)], dens, lambda r: dict(group="generating-series", la=la, alpha=alpha, r=r))
 
 
 def _check_lem111(rec: _Recorder, *, order: int) -> None:
@@ -718,30 +742,35 @@ def _check_lem111(rec: _Recorder, *, order: int) -> None:
         rec.numerators(lhs, rhs, 1, [(i,) for i in range(order + 1)], k=k)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _reciprocal(alpha: Fraction) -> Fraction:
+    """1/alpha, formed once per alpha."""
+    return 1 / alpha
+
+
 def _check_thm112(rec: _Recorder, *, lambda_max: int, p_max: int, alpha_set: _Rationals) -> None:
+    # Each binomial over its R'_p or K'_p, which swap at 1/alpha: duality compares numerators.
     for la in partitions_upto(lambda_max):
         conj = la.conjugate()
         for alpha in alpha_set:
-            pairs = row_column_binomials(la, alpha, p_max)
-            duals = row_column_binomials(conj, Fraction(1) / alpha, p_max)
-            for p, ((row, col), (drow, dcol)) in enumerate(zip(pairs, duals)):
-                if p == 0:
-                    rec.check(row, Fraction(1), group="empty-inner-shape", la=la, alpha=alpha)
-                    rec.check(col, Fraction(1), group="empty-inner-shape", la=la, alpha=alpha)
-                if p == 1:
-                    rec.check(row, Fraction(la.weight), group="single-cell", la=la, alpha=alpha)
-                    rec.check(col, Fraction(la.weight), group="single-cell", la=la, alpha=alpha)
-                rec.check(row, dcol, group="duality", la=la, alpha=alpha, p=p)
-                rec.check(col, drow, group="duality", la=la, alpha=alpha, p=p)
+            duals = row_column_binomials(conj, _reciprocal(alpha), p_max)
+            entries = []  # (lhs, rhs, den, group, p), p None where the context names none
+            for p, ((row, row_den, col, col_den), (drow, _, dcol, _)) in enumerate(zip(row_column_binomials(la, alpha, p_max), duals)):
+                if p <= 1:  # the empty inner shape, then the single cell: 1, then |la|
+                    group, w = ("empty-inner-shape", 1) if p == 0 else ("single-cell", la.weight)
+                    entries += [(row, w * row_den, row_den, group, None), (col, w * col_den, col_den, group, None)]
+                entries += [(row, dcol, row_den, "duality", p), (col, drow, col_den, "duality", p)]
                 if p > la.length:
-                    rec.check(col, Fraction(0), group="column-support", la=la, alpha=alpha, p=p)
+                    entries.append((col, 0, col_den, "column-support", p))
                 if p > la.part(1):
-                    rec.check(row, Fraction(0), group="row-support", la=la, alpha=alpha, p=p)
+                    entries.append((row, 0, row_den, "row-support", p))
+            lhs, rhs, dens, groups, ps = zip(*entries)
+            rec.each(lhs, rhs, dens, lambda i: dict(group=groups[i], la=la, alpha=alpha, **({} if ps[i] is None else {"p": ps[i]})))
     for n in range(1, lambda_max + 1):
         la = Partition((n,))
         for alpha in alpha_set:
-            for p, (row, _) in enumerate(row_column_binomials(la, alpha, p_max)):
-                rec.check(row, Fraction(comb_int(n, p)), group="single-row", n=n, alpha=alpha, p=p)
+            rows, dens, _, _ = zip(*row_column_binomials(la, alpha, p_max))
+            rec.each(rows, tuple(comb_int(n, p) * den for p, den in enumerate(dens)), dens, lambda p: dict(group="single-row", n=n, alpha=alpha, p=p))
 
 
 def _check_chu_vandermonde(rec: _Recorder, *, lambda_max: int, alpha_set: _Rationals, y_set: _Rationals) -> str:
@@ -759,18 +788,16 @@ def _check_chu_vandermonde(rec: _Recorder, *, lambda_max: int, alpha_set: _Ratio
 
 
 def _check_growth_normalization(rec: _Recorder, *, lambda_max: int, alpha_set: _Rationals) -> None:
+    # each kernel's weights sum to 1, compared over the lcm D of their denominators
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
-            up = pieri_coefficients(la, alpha)
-            rec.check(sum((p for _, p in up), Fraction(0)), Fraction(1), group="up-normalization", la=la, alpha=alpha)
-            rec.condition(all(p >= 0 for _, p in up), group="up-nonnegativity", la=la, alpha=alpha)
-            if la.weight == 0:
-                continue
-            down = cotransition_kernel(la, alpha)
-            rec.check(sum((p for _, p in down), Fraction(0)), Fraction(1), group="down-normalization", la=la, alpha=alpha)
-            rec.condition(all(p >= 0 for _, p in down), group="down-nonnegativity", la=la, alpha=alpha)
-            via_dim = cotransition_from_dimensions(la, alpha)
-            rec.check(down, via_dim, group="dimension-recurrence", la=la, alpha=alpha)
+            kernels = [("up", pieri_coefficients(la, alpha))] + ([("down", cotransition_kernel(la, alpha))] if la.weight else [])
+            for kind, atoms in kernels:
+                big_d = math.lcm(*(p.denominator for _, p in atoms))
+                rec.numerators(sum(p.numerator * (big_d // p.denominator) for _, p in atoms), big_d, big_d, group=f"{kind}-normalization", la=la, alpha=alpha)
+                rec.condition(all(p >= 0 for _, p in atoms), group=f"{kind}-nonnegativity", la=la, alpha=alpha)
+            if la.weight:
+                rec.check(kernels[1][1], cotransition_from_dimensions(la, alpha), group="dimension-recurrence", la=la, alpha=alpha)
 
 
 def _check_plancherel(rec: _Recorder, *, n_max: int) -> None:
@@ -783,17 +810,16 @@ def _check_moments_bridge(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_
     # routes over their shared E a^r.
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
-            a = alpha.numerator
+            a_pows = [alpha.numerator**r for r in range(r_max + 1)]
             pairs, big_d = _position_weights(pieri_coefficients, la, alpha)
             ups = _power_sums(pairs, r_max)
             law, law_den = _last_step_law([(la, 1, _pieri_atoms(la, alpha))], alpha, r_max)
+            routes = [("up-moment", [u * law_den for u in ups], [v * big_d for v in law], [big_d * law_den * a_r for a_r in a_pows])]
             if la.weight:
+                # the atoms against the corner-moment combination
                 direct, combo, den = cotransition_moment_routes(la, alpha, r_max)
-            for r in range(0, r_max + 1):
-                rec.numerators(ups[r] * law_den, law[r] * big_d, big_d * law_den * a**r, group="up-moment", la=la, alpha=alpha, r=r)
-                if la.weight:
-                    # the atoms against the corner-moment combination
-                    rec.numerators(direct[r], combo[r], den * a**r, group="down-moment", la=la, alpha=alpha, r=r)
+                routes.append(("down-moment", direct, combo, [den * a_r for a_r in a_pows]))
+            _each_by_r(rec, routes, la=la, alpha=alpha)
 
 
 def _check_chi(rec: _Recorder, *, n_max: int, p_max: int) -> str:

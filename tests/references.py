@@ -1,9 +1,10 @@
-"""Fraction-loop references that several test modules share.
+"""Fraction-loop and plain-loop references that several test modules share.
 
-They run on Fractions, apart from the integer kernels of ycalc, so a fault
-in a kernel cannot hide in the reference it is checked against.
+They run apart from the kernels of ycalc they check, so a fault in a
+kernel cannot hide in the reference it is checked against.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -22,3 +23,19 @@ def linear_ratio_reference(num, den, order):
             for i in range(1, order + 1):
                 cs[i] -= b * cs[i - 1]
     return cs
+
+
+def c_rows_reference(c_formula, power_sum, a, r_max):
+    """[C[0] .. C[r_max]] of one moment table, each term (e0, mu) -> v of
+    c_formula(r)[e] evaluated as v |la|^e0 P_mu a^(r-|mu|) one dict entry
+    at a time, with power_sum(0) = |la| and power_sum(k) = P_k."""
+    rows = []
+    for r in range(r_max + 1):
+        row = []
+        for terms in c_formula(r):
+            total = 0
+            for (e0, mu), v in terms.items():
+                total += v * power_sum(0) ** e0 * math.prod(power_sum(k) for k in mu) * a ** (r - sum(mu))
+            row.append(total)
+        rows.append(tuple(row))
+    return rows

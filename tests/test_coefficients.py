@@ -92,12 +92,13 @@ def test_nbi_hypergeometric_route():
     # analytic generating function reproduces every entry and the zero tail
     for n in range(1, 7):
         for p in range(n + 1):
-            coeffs = nbi_from_hypergeometric(n, p, order=n + 3)
-            assert coeffs[0] == 0
+            nums, big_d = nbi_from_hypergeometric(n, p, order=n + 3)
+            assert len(nums) == n + 4
+            assert nums[0] == 0
             for k in range(1, n + 1):
-                assert coeffs[k] == nbi(n, p, k)
+                assert nums[k] == big_d * nbi(n, p, k)
             for k in range(n + 1, n + 4):
-                assert coeffs[k] == 0
+                assert nums[k] == 0
 
 
 def _pbi_bruteforce(la: Partition, k: int) -> int:

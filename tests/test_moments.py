@@ -52,6 +52,11 @@ KERNEL_ALPHAS = DEFAULT_ALPHA_SET + (Fraction(7, 3),)
 SHAPES = [la for la in partitions_upto(6)]
 
 
+def _binomials(la, alpha, p_max):
+    """row_column_binomials as Fraction pairs (row_p, col_p)."""
+    return [(Fraction(row, row_den), Fraction(col, col_den)) for row, row_den, col, col_den in row_column_binomials(la, alpha, p_max)]
+
+
 def test_pieri_empty_and_single_cell():
     assert pieri_coefficients(EMPTY, Fraction(1)) == ((1, Fraction(1)),)
     for alpha in ALPHAS:
@@ -349,7 +354,7 @@ def test_closed_routes_match_fraction_loops(alpha):
             assert cs == [_cor52_reference(la, alpha, y, r) for r in range(11)], (la, y)
         regrouped = _regrouped(la, alpha, 10)
         assert regrouped == [_s_regrouped_reference(la, alpha, r) for r in range(11)], la
-        pairs = row_column_binomials(la, alpha, la.weight + 1)
+        pairs = _binomials(la, alpha, la.weight + 1)
         assert pairs == [_row_column_reference(la, alpha, p) for p in range(la.weight + 2)], la
 
 
@@ -387,7 +392,7 @@ def _chu_vandermonde_reference(la, alpha, y):
     if den == 0 or any(ay == p - 1 for p in range(1, la.weight + 1)):
         return None
     total = Fraction(0)
-    for p, (_, col) in enumerate(row_column_binomials(la, alpha, la.weight)):
+    for p, (_, col) in enumerate(_binomials(la, alpha, la.weight)):
         # (alpha)_p = [alpha + p - 1]_p
         total += col * lowering_factorial(alpha + p - 1, p) / lowering_factorial(ay, p)
     return num / den, total
@@ -793,7 +798,7 @@ def test_sigma_lagrange_first_difference_is_minus_one():
 def test_row_column_binomials_basics():
     for alpha in ALPHAS:
         for la in partitions_upto(5):
-            pairs = row_column_binomials(la, alpha, la.weight + 1)
+            pairs = _binomials(la, alpha, la.weight + 1)
             assert len(pairs) == la.weight + 2
             assert pairs[0] == (Fraction(1), Fraction(1))
             if la.weight:
@@ -808,16 +813,21 @@ def test_row_column_binomials_basics():
 def test_row_binomial_single_row_is_plain_binomial():
     for alpha in ALPHAS:
         for n in range(1, 6):
-            rows = [row for row, _ in row_column_binomials(Partition((n,)), alpha, n + 1)]
+            rows = [row for row, _ in _binomials(Partition((n,)), alpha, n + 1)]
             assert rows == [comb_int(n, p) for p in range(n + 2)]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_row_column_conjugation_duality(alpha):
     for la in partitions_upto(5):
-        rows = [row for row, _ in row_column_binomials(la, alpha, la.weight)]
-        cols = [col for _, col in row_column_binomials(la.conjugate(), 1 / alpha, la.weight)]
+        rows = [row for row, _ in _binomials(la, alpha, la.weight)]
+        cols = [col for _, col in _binomials(la.conjugate(), 1 / alpha, la.weight)]
         assert rows == cols, la
+        # at 1/alpha the two denominators swap, so the numerators agree too
+        sums = row_column_binomials(la, alpha, la.weight)
+        duals = row_column_binomials(la.conjugate(), 1 / alpha, la.weight)
+        assert [(row, row_den) for row, row_den, _, _ in sums] == [(col, col_den) for _, _, col, col_den in duals], la
+        assert [(col, col_den) for _, _, col, col_den in sums] == [(row, row_den) for row, row_den, _, _ in duals], la
 
 
 def test_chu_vandermonde_pole_handling():

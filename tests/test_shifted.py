@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import linear_ratio_reference
+from references import c_rows_reference, linear_ratio_reference
 
 from ycalc import shifted
 from ycalc.coefficients import marked_column, marked_row, stirling_inverse_t
@@ -72,12 +72,18 @@ def test_shifted_power_sum_values():
     assert _shifted_power_sum(la, Fraction(1), 2) == 0
 
 
+def _dk_shifted(la, alpha, k_max):
+    """d_0 .. d_k_max from dk_from_shifted, each T_k over a^(k+1) (k+1)!."""
+    a = alpha.numerator
+    return [Fraction(t, a ** (k + 1) * math.factorial(k + 1)) for k, t in enumerate(dk_from_shifted(la, alpha, k_max))]
+
+
 @settings(deadline=None, derandomize=True)
 @given(shapes_small, st.sampled_from(ALPHAS), st.integers(0, 6))
 def test_dk_from_shifted_matches_direct(shape, alpha, k):
     n, pick = shape
     la = _shape(n, pick)
-    assert dk_from_shifted(la, alpha, k) == [d_k(la, alpha, j) for j in range(k + 1)]
+    assert _dk_shifted(la, alpha, k) == [d_k(la, alpha, j) for j in range(k + 1)]
 
 
 # The Fraction definition of p*_k that the integer row products replaced,
@@ -109,7 +115,7 @@ def test_shifted_sums_match_fraction_definition(alpha):
         for k in range(1, 9):
             assert _shifted_power_sum(la, alpha, k) == _shifted_power_sum_reference(la, alpha, k), (la, k)
         want = [_dk_from_shifted_reference(la, alpha, k) for k in range(0, 9)]
-        assert dk_from_shifted(la, alpha, 8) == want, la
+        assert _dk_shifted(la, alpha, 8) == want, la
 
 
 def test_dk_from_shifted_rejects_negative():
@@ -192,6 +198,33 @@ def test_p0_k_sums_match_the_columns():
                     got = p0.k_sum_p0(la.weight - j, i, j)
                     assert got == full.k_sum(la.weight - j, i, j)[0], (la, alpha, i, j)
             assert not p0._columns, (la, alpha)
+
+
+def test_c_rows_match_the_formula_term_by_term(fresh_memos):
+    # the compiled plan against the formula's dict, entry by entry, on new
+    # tables: every shape of weight <= 8 at the default alphas, r <= 12
+    for la in partitions_upto(8):
+        for alpha in DEFAULT_ALPHA_SET:
+            table = _MomentTable(la, alpha)
+            want = c_rows_reference(shifted._c_formula, table.power_sum, table.a, 12)
+            assert table.c_rows(12) == want, (la, alpha)
+
+
+def test_c_plan_reads_the_formula_it_is_cleared_with(fresh_memos, monkeypatch):
+    # _c_plan looks _c_formula up through the module, and is a memo that
+    # fresh_memos clears, so a patched formula reaches every new table
+    formula = shifted._c_formula
+
+    def bumped(r):
+        rows = formula(r)
+        return rows if r != 3 else (rows[0], {**rows[1], (0, ()): rows[1].get((0, ()), 0) + 1}, *rows[2:])
+
+    monkeypatch.setattr(shifted, "_c_formula", bumped)
+    table = _MomentTable(Partition((2, 1)), Fraction(3, 5))
+    want = c_rows_reference(bumped, table.power_sum, table.a, 4)
+    assert table.c_rows(4) == want
+    assert want[3][1] == c_rows_reference(formula, table.power_sum, table.a, 4)[3][1] + 27  # a^3 = 27
+    assert callable(shifted._c_plan.cache_clear)
 
 
 def test_c_formula_shape():

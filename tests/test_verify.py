@@ -554,8 +554,78 @@ def test_recorder_numerators_count_one_case_and_keep_the_fractions():
     assert rec.first == {"la": "2,1", "key": [0, 2], "lhs": "1/2", "rhs": "3/4"}
 
 
+# One batch of four entries over the denominators 1 .. 4, failing at no
+# entry, at the first, at a middle one, at the last and at all of them;
+# prints, per case, the report of one each() call and the report of one
+# numerators() call per entry, in the same order.
+_BATCH_CONTRACT = """
+import json, sys
+from ycalc.partitions import Partition
+from ycalc.verify import _Recorder, report_to_dict
+
+lhs, dens = [1, 2, 3, 4], [1, 2, 3, 4]
+cases = {"none": [], "first": [0], "middle": [2], "last": [3], "all": [0, 1, 2, 3]}
+out = {}
+for name, wrong in cases.items():
+    rhs = [v + 2 * (i in wrong) for i, v in enumerate(lhs)]
+    batch, single = _Recorder(), _Recorder()
+    batch.each(lhs, rhs, dens, lambda i: dict(la=Partition((2, 1)), r=i))
+    for i in range(len(lhs)):
+        single.numerators(lhs[i], rhs[i], dens[i], la=Partition((2, 1)), r=i)
+    out[name] = [report_to_dict(rec.report("x", {})) for rec in (batch, single)]
+print(json.dumps({"optimize": sys.flags.optimize, "cases": out}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_batch_matches_one_numerators_call_per_entry(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _BATCH_CONTRACT],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == len(flags)
+    for name, (batch, single) in result["cases"].items():
+        assert batch == single, name
+        assert batch["cases"] == 4, name
+    cases = result["cases"]
+    assert cases["none"][0]["status"] == "verified"
+    assert cases["none"][0]["counterexample"] is None
+    # the first failing entry is the one kept, over its own denominator
+    assert cases["first"][0]["counterexample"] == {"la": "2,1", "r": 0, "lhs": "1", "rhs": "3"}
+    assert cases["middle"][0]["counterexample"] == {"la": "2,1", "r": 2, "lhs": "1", "rhs": "5/3"}
+    assert cases["last"][0]["counterexample"] == {"la": "2,1", "r": 3, "lhs": "1", "rhs": "3/2"}
+    assert cases["all"][0]["notes"] == "4 of 4 comparisons failed"
+    assert cases["all"][0]["counterexample"]["r"] == 0
+
+
+def test_batch_builds_a_context_only_for_a_failing_entry():
+    built = []
+
+    def context_of(i):
+        built.append(i)
+        return {"r": i}
+
+    rec = _Recorder()
+    rec.each([1, 2, 3], [1, 2, 3], [1, 1, 1], context_of)
+    rec.each((4, 5), (4, 6), (1, 1), context_of)
+    assert (rec.cases, rec.failures, built) == (5, 1, [1])
+    assert rec.first == {"r": 1, "lhs": Fraction(5), "rhs": Fraction(6)}
+    # dens may be a function of the entry's index
+    rec = _Recorder()
+    rec.each([4, 5], [4, 6], lambda i: i + 1, context_of)
+    assert rec.first == {"r": 1, "lhs": Fraction(5, 2), "rhs": Fraction(3)}
+    with pytest.raises(ValueError):
+        rec.each([1, 2], [1], [1, 1], context_of)
+
+
 @pytest.mark.parametrize(
-    "identity", ["jz", "thm4.1", "gn-closed", "rel5.1", "thm5.1", "cor5.2", "thm8.1", "thm9.1", "lem11.1", "moments-bridge"]
+    "identity",
+    ["jz", "thm4.1", "gf2.3", "gn-closed", "rel5.1", "thm5.1", "cor5.2", "prop7.1", "thm8.1", "thm9.1", "lem11.1", "thm11.2", "moments-bridge"],
 )
 def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
     formed = []
