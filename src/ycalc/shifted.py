@@ -198,7 +198,7 @@ class _MomentTable:
         # Term (i, j) of the row sum at p is s(p-1, i+j-1) (p!/j!) b^i a^(p-i-j)
         # times the k-sum at (|la| - j, i, j), and of the column sum the same
         # with (-1)^j a^i b^(p-i-j).  Grouped by s = i + j, with p!/j! as
-        # (p!/s!) (s!/j!), the inner sums R_s and K_s do not depend on p.
+        # (p!/s!) (s!/j!), the inner sums over i + j = s do not depend on p.
         facts = [math.factorial(n) for n in range(p_max + 1)]
         inner = [[0, 0]]
         for s in range(1, p_max + 1):

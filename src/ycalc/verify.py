@@ -677,8 +677,8 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             big_d, dens, (direct, lagrange, closed, regrouped) = _s_routes(la, alpha, r_max, facts)
-            routes = [("interpolation-route", lagrange), ("closed-route", closed), ("integer-regrouping", regrouped)]
-            _each_by_r(rec, [(group, direct, vals, dens) for group, vals in routes], la=la, alpha=alpha)
+            routes = [("interpolation-route", direct, lagrange, dens), ("closed-route", direct, closed, dens), ("integer-regrouping", direct, regrouped, dens)]
+            _each_by_r(rec, routes, la=la, alpha=alpha)
             series = _content_ratio_integers(la, alpha, -alpha.denominator, alpha.numerator, r_max)
             lifted = [g * big_d * fact for g, fact in zip(series, facts)]
             rec.each(lifted, [-v if r % 2 else v for r, v in enumerate(direct)], dens, lambda r: dict(group="generating-series", la=la, alpha=alpha, r=r))
