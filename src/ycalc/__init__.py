@@ -4,15 +4,12 @@ content moments, growth kernels, and an identity verifier."""
 from .coefficients import nbi, npbi, npbi_table, pbi
 from .growth import cotransition_kernel, dimension, sample_growth
 from .moments import (
+    S_ROUTES,
+    SIGMA_ROUTES,
     corner_binomials,
+    moment_values,
     pieri_coefficients,
     row_column_binomials,
-    s_closed_moments,
-    s_direct_moments,
-    s_lagrange_moments,
-    sigma_closed_moments,
-    sigma_direct_moments,
-    sigma_lagrange_moments,
 )
 from .partitions import EMPTY, Partition, enumerate_partitions, partitions_of, z_of
 from .series import BiSeries, InvariantError, XPolynomial
@@ -26,6 +23,8 @@ __all__ = [
     "EMPTY",
     "InvariantError",
     "Partition",
+    "SIGMA_ROUTES",
+    "S_ROUTES",
     "VerificationReport",
     "XPolynomial",
     "corner_binomials",
@@ -34,6 +33,7 @@ __all__ = [
     "dimension",
     "enumerate_partitions",
     "identity_ids",
+    "moment_values",
     "nbi",
     "npbi",
     "npbi_table",
@@ -43,13 +43,7 @@ __all__ = [
     "row_column_binomials",
     "run_all",
     "run_identity",
-    "s_closed_moments",
-    "s_direct_moments",
-    "s_lagrange_moments",
     "sample_growth",
-    "sigma_closed_moments",
-    "sigma_direct_moments",
-    "sigma_lagrange_moments",
     "z_of",
     "__version__",
 ]

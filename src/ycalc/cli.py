@@ -22,15 +22,7 @@ from fractions import Fraction
 
 from .coefficients import nbi, npbi_table, pbi
 from .growth import cotransition_kernel, sample_growth
-from .moments import (
-    pieri_coefficients,
-    s_closed_moments,
-    s_direct_moments,
-    s_lagrange_moments,
-    sigma_closed_moments,
-    sigma_direct_moments,
-    sigma_lagrange_moments,
-)
+from .moments import S_ROUTES, SIGMA_ROUTES, moment_values, pieri_coefficients
 from .partitions import Partition, partitions_upto
 from .shifted import d_k
 from .symfunc import chi_experiment
@@ -136,21 +128,9 @@ def _cmd_moments_dk(args) -> int:
     return 0
 
 
-_S_METHODS = {
-    "direct": s_direct_moments,
-    "closed": s_closed_moments,
-    "lagrange": s_lagrange_moments,
-}
-_SIGMA_METHODS = {
-    "direct": sigma_direct_moments,
-    "closed": sigma_closed_moments,
-    "lagrange": sigma_lagrange_moments,
-}
-
-
-def _cmd_moments_power(args, methods) -> int:
-    chosen = list(methods) if args.method == "all" else [args.method]
-    lists = {name: methods[name](args.shape, args.alpha, args.r_max) for name in chosen}
+def _cmd_moments_power(args, routes) -> int:
+    chosen = list(routes) if args.method == "all" else [args.method]
+    lists = {name: moment_values(routes[name], args.shape, args.alpha, args.r_max) for name in chosen}
     rows = [
         {"r": r, "value": str(lists[name][r]), "method": name}
         for r in range(0, args.r_max + 1)
@@ -307,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     m_dk.add_argument("--k-max", dest="k_max", type=_parameter_arg("k_max"), default=6)
     m_dk.add_argument("--format", choices=("csv", "json"), default="csv")
     m_dk.set_defaults(func=_cmd_moments_dk)
-    for name, methods in (("s", _S_METHODS), ("sigma", _SIGMA_METHODS)):
+    for name, routes in (("s", S_ROUTES), ("sigma", SIGMA_ROUTES)):
         m_pow = moments_sub.add_parser(name, help=f"{name}-moment listing")
         m_pow.add_argument("--lambda", dest="shape", type=_partition_arg, required=True)
         m_pow.add_argument("--alpha", type=_fraction_arg, required=True)
         m_pow.add_argument("--r-max", dest="r_max", type=_parameter_arg("r_max"), default=9 if name == "s" else 8)
-        m_pow.add_argument("--method", choices=("direct", "closed", "lagrange", "all"), default="direct")
+        m_pow.add_argument("--method", choices=(*routes, "all"), default="direct")
         m_pow.add_argument("--format", choices=("csv", "json"), default="csv")
-        m_pow.set_defaults(func=lambda args, _m=methods: _cmd_moments_power(args, _m))
+        m_pow.set_defaults(func=lambda args, _r=routes: _cmd_moments_power(args, _r))
 
     growth = sub.add_parser("growth", help="growth kernels and sampling")
     growth_sub = growth.add_subparsers(dest="subcommand", required=True)

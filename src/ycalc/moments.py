@@ -14,30 +14,34 @@ parts at a time, where the factors telescope.
 The r-th moments of the appended (s_r) and deleted (sigma_r) positions
 admit three independent routes each: the direct atom sum, a closed
 double-sum in the moment polynomials f_{n,p,k}, and a complete-homogeneous
-extraction from a difference of two integer alphabets.  Each route is one
-function (la, alpha, r_max) -> [m_0 .. m_{r_max}].  All three must agree
-exactly; the verifier leans on that.
+extraction from a difference of two integer alphabets.  All three must
+agree exactly; the verifier leans on that.
 
-Every route sums integers over one known denominator per index, and
-each public route is a thin Fraction view of its integer core, which the
-verifier reads without forming a Fraction (alpha = a/b):
+Each route is one function (la, alpha, r_max) -> (numerators,
+denominators), m_r = numerators[r] / denominators[r], and that function
+is the only place its denominator is written (alpha = a/b):
 
-* direct: `_position_weights` and `_power_sums`, over D a^r for the lcm
+* direct: the power sums of `_position_weights` over D a^r, for the lcm
   D of the atoms' denominators;
-* Lagrange: `_s_lagrange_numerators` over a^r and
-  `_sigma_lagrange_numerators` over b a^(r+1), since both alphabets are
-  integers over b;
 * closed: `_cor52_numerators`, c_r at y = c/d over d^r r! a^r, read from
-  the integer moment table of shifted.py (f_{n,p,k} = A[n][p][k] / (n! a^n)),
-  and `_sigma_closed_numerators` over b a^(2r+3) (r+2)!;
-* the u regrouping of s_r, `_regrouped_numerators`, over a^r r!;
-* the content-ratio series, `_content_ratio_integers`, over (a d)^i, and
-  the corner-moment series read from it, `_sigma_series_numerators`,
-  over b a^(2r+4).
+  the integer moment table of shifted.py (f_{n,p,k} = A[n][p][k] / (n! a^n)):
+  s_r over a^(2r) r! and sigma_r over b a^(2r+3) (r+2)!;
+* Lagrange: s_r over a^r and sigma_r over b a^(r+1), since both
+  alphabets are integers over b.
+
+`S_ROUTES` and `SIGMA_ROUTES` hold the routes, keyed direct, closed and
+lagrange.  The CLI lists them through the one Fraction view
+`moment_values`, and the verifier looks them up at each call, so a wrong
+entry reaches both.  The u regrouping of s_r, `_s_regrouped` over
+a^r r!, is a fourth route outside the tables that only the verifier
+reads.  The content-ratio series, `_content_ratio_integers`, is over
+(a d)^i, and the corner-moment series read from it,
+`_sigma_series_numerators`, over b a^(2r+4).
 
 The row and column binomials sum over p! prod_m (b + m a) and
-p! prod_m (a + m b), and the Chu-Vandermonde sides are integer products
-and one running integer ratio (alpha)_p / [alpha y]_p.
+p! prod_m (a + m b), and the Chu-Vandermonde sides are two unreduced
+integer pairs, built from integer products and one running integer
+ratio (alpha)_p / [alpha y]_p.
 """
 
 from __future__ import annotations
@@ -181,28 +185,28 @@ def _power_sums(pairs, r_max: int) -> list[int]:
     return out
 
 
-def _position_moments(atoms, la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """Moments 0 .. r_max of the position la_i - (i-1)/alpha under the
-    weights (i, w) of atoms(la, alpha): moment r is the integer power sum
-    of :func:`_position_weights` over D a^r."""
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
-    a = alpha.numerator
-    pairs, big_d = _position_weights(atoms, la, alpha)
-    return [Fraction(v, big_d * a**r) for r, v in enumerate(_power_sums(pairs, r_max))]
-
-
-def s_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """s_0 .. s_{r_max}: moments of the appended position la_i - (i-1)/alpha
-    under the Pieri row weights."""
-    return _position_moments(pieri_coefficients, la, alpha, r_max)
+def _s_direct(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
+    """Direct route of s_r, the moment of the appended position
+    la_i - (i-1)/alpha under the Pieri row weights: the power sum of
+    :func:`_position_weights` over D a^r."""
+    pairs, big_d = _position_weights(pieri_coefficients, la, alpha)
+    return _power_sums(pairs, r_max), [big_d * alpha.numerator**r for r in range(r_max + 1)]
 
 
 def _cor52_numerators(table, c: int, d: int, r_max: int) -> list[int]:
-    """[T_0 .. T_r_max] of one moment table at y = c/d: c_r = T_r / (d^r r! a^r)
-    for T_r, the sum over e of C[r][e] c^e d^(r-e), by Horner's rule in c
-    over one list of powers of d."""
+    """[T_0 .. T_r_max] of one moment table at y = c/d: the coefficient
+    c_r of (-1/x)^r in the content-ratio product
+
+        (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la)
+
+    is T_r / (d^r r! a^r).  By the collected closed form, c_r is a sum
+    over n, p, q with 2n+p+q <= r of (-y)^n (y+1)^p C(n+p+q-1, p) times
+    the k-sum of C(|la|+n-1, n-k) f_{r-2n-p, q, k}(la).  y enters only
+    through (-y)^n (y+1)^p, so r! a^r c_r is the integer polynomial sum
+    over e of C[r][e] y^e, whose rows the table evaluates from the
+    shape-free polynomials of :func:`shifted._c_formula`.  T_r is the sum
+    over e of C[r][e] c^e d^(r-e), by Horner's rule in c over one list of
+    powers of d."""
     d_pows = [d**j for j in range(r_max + 1)]
     out = []
     for row in table.c_rows(r_max)[: r_max + 1]:
@@ -213,36 +217,11 @@ def _cor52_numerators(table, c: int, d: int, r_max: int) -> list[int]:
     return out
 
 
-def cor52_coefficient(la: Partition, alpha: Fraction, y: Fraction, r_max: int) -> list[Fraction]:
-    """[c_0 .. c_r_max], the coefficients of (-1/x)^r in the content-ratio
-    product
-
-        (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la),
-
-    by the collected closed form: c_r is a sum over n, p, q with
-    2n+p+q <= r of (-y)^n (y+1)^p C(n+p+q-1, p) times the k-sum of
-    C(|la|+n-1, n-k) f_{r-2n-p, q, k}(la).
-
-    y enters only through (-y)^n (y+1)^p, so r! a^r c_r is the integer
-    polynomial sum over e of C[r][e] y^e, whose rows the moment table
-    evaluates once per (la, alpha) from the shape-free polynomials of
-    :func:`shifted._c_formula`.  At y = c/d, c_r is the one integer
-    sum over e of C[r][e] c^e d^(r-e) (:func:`_cor52_numerators`) over
-    d^r r! a^r.
-    """
-    alpha = check_alpha(alpha)
-    y = Fraction(y)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
-    table = moment_table(la, alpha)
-    ad = table.a * y.denominator
-    return [Fraction(t, ad**r * math.factorial(r)) for r, t in enumerate(_cor52_numerators(table, y.numerator, y.denominator, r_max))]
-
-
-def s_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """s_0 .. s_{r_max} by the closed route: the collected coefficients
-    c_0 .. c_{r_max} at y = -1/alpha."""
-    return cor52_coefficient(la, alpha, Fraction(-1) / check_alpha(alpha), r_max)
+def _s_closed(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
+    """Closed route of s_r: c_r at y = -1/alpha = -b/a, the T_r of
+    :func:`_cor52_numerators` over a^(2r) r!."""
+    a, b = alpha.numerator, alpha.denominator
+    return _cor52_numerators(moment_table(la, alpha), -b, a, r_max), [a ** (2 * r) * math.factorial(r) for r in range(r_max + 1)]
 
 
 def _negated_row_ends(la: Partition, alpha: Fraction, shift: int, rows: int) -> list[int]:
@@ -253,72 +232,66 @@ def _negated_row_ends(la: Partition, alpha: Fraction, shift: int, rows: int) -> 
     return [(i - shift) * b - a * la.part(i) for i in range(1, rows + 1)]
 
 
-def s_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """s_0 .. s_{r_max} by the Lagrange route, all read from one h-series:
-    alpha^r s_r is the r-th complete homogeneous value of the difference
-    of the row-end alphabets alpha la_i - i + 1 (i <= l + 1) and
-    alpha la_i - i (i <= l), so s_r = C_r / a^r."""
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
-    a = alpha.numerator
-    return [Fraction(v, a**r) for r, v in enumerate(_s_lagrange_numerators(la, alpha, r_max))]
-
-
-def _s_lagrange_numerators(la: Partition, alpha: Fraction, r_max: int) -> list[int]:
-    """[C_0 .. C_r_max] of :func:`s_lagrange_moments`: s_r = C_r / a^r."""
+def _s_lagrange(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
+    """Lagrange route of s_r, all read from one h-series: alpha^r s_r is
+    the r-th complete homogeneous value C_r / b^r of the difference of the
+    row-end alphabets alpha la_i - i + 1 (i <= l + 1) and alpha la_i - i
+    (i <= l), so s_r = C_r / a^r."""
     l = la.length
-    return linear_ratio_integers(_negated_row_ends(la, alpha, 0, l), _negated_row_ends(la, alpha, 1, l + 1), r_max)
+    nums = linear_ratio_integers(_negated_row_ends(la, alpha, 0, l), _negated_row_ends(la, alpha, 1, l + 1), r_max)
+    return nums, [alpha.numerator**r for r in range(r_max + 1)]
 
 
-def sigma_direct_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """sigma_0 .. sigma_{r_max}: moments of la_i - (i-1)/alpha over corner
-    weights (note: the deleted cell's content is this position minus 1)."""
-    return _position_moments(corner_binomials, la, alpha, r_max)
+def _sigma_direct(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
+    """Direct route of sigma_r, the moment of la_i - (i-1)/alpha under the
+    corner weights (the deleted cell's content is this position minus 1):
+    the power sum of :func:`_position_weights` over D a^r."""
+    pairs, big_d = _position_weights(corner_binomials, la, alpha)
+    return _power_sums(pairs, r_max), [big_d * alpha.numerator**r for r in range(r_max + 1)]
 
 
-def sigma_closed_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """sigma_0 .. sigma_{r_max} by the closed route: sigma_r is
-    c_{r+1} - alpha c_{r+2} at y = 1/alpha.
-
+def _sigma_closed(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
+    """Closed route of sigma_r: c_{r+1} - alpha c_{r+2} at y = 1/alpha.
     At y = b/a, c_r = N_r / (a^(2r) r!) for the N_r of
-    :func:`_cor52_numerators`, so sigma_r is
-    (a b (r+2) N_{r+1} - N_{r+2}) over b a^(2r+3) (r+2)!."""
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
+    :func:`_cor52_numerators`, so sigma_r is a b (r+2) N_{r+1} - N_{r+2}
+    over b a^(2r+3) (r+2)!."""
     a, b = alpha.numerator, alpha.denominator
-    nums = _sigma_closed_numerators(moment_table(la, alpha), r_max)
-    return [Fraction(v, b * a ** (2 * r + 3) * math.factorial(r + 2)) for r, v in enumerate(nums)]
+    big_n = _cor52_numerators(moment_table(la, alpha), b, a, r_max + 2)
+    nums = [a * b * (r + 2) * big_n[r + 1] - big_n[r + 2] for r in range(r_max + 1)]
+    return nums, [b * a ** (2 * r + 3) * math.factorial(r + 2) for r in range(r_max + 1)]
 
 
-def _sigma_closed_numerators(table, r_max: int) -> list[int]:
-    """[S_0 .. S_r_max] of :func:`sigma_closed_moments`:
-    S_r = a b (r+2) N_{r+1} - N_{r+2}, over b a^(2r+3) (r+2)!."""
-    a, b = table.a, table.b
-    big_n = _cor52_numerators(table, b, a, r_max + 2)
-    return [a * b * (r + 2) * big_n[r + 1] - big_n[r + 2] for r in range(r_max + 1)]
-
-
-def sigma_lagrange_moments(la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
-    """sigma_0 .. sigma_{r_max} by the Lagrange route, all read from one
-    h-series: -alpha^{r+1} sigma_r is the (r+2)-nd complete homogeneous
-    value of the difference of the corner alphabets alpha la_i - i + 1
-    (i <= l) and alpha la_i - i + 2 (i <= l + 1), so
-    sigma_r = -C_{r+2} / (b a^(r+1))."""
-    alpha = check_alpha(alpha)
-    if r_max < 0:
-        raise ValueError("r must be nonnegative")
-    a, b = alpha.numerator, alpha.denominator
-    cs = _sigma_lagrange_numerators(la, alpha, r_max)
-    return [Fraction(-cs[r + 2], b * a ** (r + 1)) for r in range(r_max + 1)]
-
-
-def _sigma_lagrange_numerators(la: Partition, alpha: Fraction, r_max: int) -> list[int]:
-    """[C_0 .. C_(r_max+2)] of :func:`sigma_lagrange_moments`:
-    sigma_r = -C_{r+2} / (b a^(r+1)), and C_1 = b h_1 = -b."""
+def _sigma_lagrange_numerators(la: Partition, alpha: Fraction, order: int) -> list[int]:
+    """[C_0 .. C_order], C_r = b^r h_r of the difference of the corner
+    alphabets alpha la_i - i + 1 (i <= l) and alpha la_i - i + 2
+    (i <= l + 1); C_1 = b h_1 = -b."""
     l = la.length
-    return linear_ratio_integers(_negated_row_ends(la, alpha, 2, l + 1), _negated_row_ends(la, alpha, 1, l), r_max + 2)
+    return linear_ratio_integers(_negated_row_ends(la, alpha, 2, l + 1), _negated_row_ends(la, alpha, 1, l), order)
+
+
+def _sigma_lagrange(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
+    """Lagrange route of sigma_r, all read from one h-series:
+    -alpha^{r+1} sigma_r is the (r+2)-nd complete homogeneous value of the
+    corner alphabets' difference, so sigma_r = -C_{r+2} / (b a^(r+1)) for
+    the C of :func:`_sigma_lagrange_numerators`."""
+    a, b = alpha.numerator, alpha.denominator
+    cs = _sigma_lagrange_numerators(la, alpha, r_max + 2)
+    return [-v for v in cs[2:]], [b * a ** (r + 1) for r in range(r_max + 1)]
+
+
+# The routes of s_r and sigma_r, keyed in the order the CLI lists them.
+S_ROUTES = {"direct": _s_direct, "closed": _s_closed, "lagrange": _s_lagrange}
+SIGMA_ROUTES = {"direct": _sigma_direct, "closed": _sigma_closed, "lagrange": _sigma_lagrange}
+
+
+def moment_values(route, la: Partition, alpha: Fraction, r_max: int) -> list[Fraction]:
+    """m_0 .. m_r_max of one route (la, alpha, r_max) -> (numerators,
+    denominators), such as an entry of S_ROUTES or SIGMA_ROUTES, as
+    Fractions.  Raises ValueError unless alpha > 0 and r_max >= 0."""
+    alpha = check_alpha(alpha)
+    if r_max < 0:
+        raise ValueError("r must be nonnegative")
+    return list(map(Fraction, *route(la, alpha, r_max)))
 
 
 def u_ijk_coefficients(r: int, i: int, j: int, k: int, rho: Partition) -> int:
@@ -368,22 +341,24 @@ def _u_table(r: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]],
     return tuple(rows)
 
 
-def _regrouped_numerators(table, r_max: int) -> list[int]:
-    """[R_0 .. R_r_max]: s_r rebuilt through the u regrouping is R_r over
-    a^r r!, for the moment table of (la, alpha = a/b).
+def _s_regrouped(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
+    """s_r rebuilt through the u regrouping, R_r over a^r r! for
+    alpha = a/b: a route of s_r that the verifier reads and the CLI does
+    not list.
 
     Each term (1/alpha)^i (1 - 1/alpha)^(r-2i-j) C(|la|+i-1, i-k) u d_rho / z_rho
     of s_r is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
     read from the integer moment table.  The u values come from the
     per-r table of nonzero terms.
     """
+    table = moment_table(la, alpha)
     a, b = table.a, table.b
     w = table.weight
     u_tables = [_u_table(r) for r in range(r_max + 1)]
     prods = [table.products(j) for j in range(1 + max(j for rows in u_tables for _, j, _, _ in rows))]
     ab_pows = [(a * b) ** i for i in range(r_max // 2 + 1)]
     diff_pows = [(a - b) ** n for n in range(r_max + 1)]
-    out = []
+    out, dens = [], []
     for r in range(r_max + 1):
         fact_r = math.factorial(r)
         total = 0
@@ -394,7 +369,8 @@ def _regrouped_numerators(table, r_max: int) -> list[int]:
                 scale = ab_pows[i] * diff_pows[r - 2 * i - j] * (fact_r // math.factorial(j))
                 total += scale * comb_int(w + i - 1, i - k) * inner
         out.append(total)
-    return out
+        dens.append(a**r * fact_r)
+    return out, dens
 
 
 def row_column_binomials(la: Partition, alpha: Fraction, p_max: int) -> list[tuple[int, int, int, int]]:
@@ -408,8 +384,9 @@ def row_column_binomials(la: Partition, alpha: Fraction, p_max: int) -> list[tup
     return moment_table(la, alpha).row_column_binomials(p_max)[: p_max + 1]
 
 
-def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Exact values of the content-ratio at y vs the column-binomial sum.
+def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The content-ratio at y and the column-binomial sum, as two
+    unreduced integer pairs (numerator, denominator).
 
     Returns None when y hits a pole: (y)_la = 0 or [alpha y]_p = 0 for
     some p <= |la|.
@@ -418,11 +395,9 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
     :func:`partitions.content_numerators`, so the ratio is
     prod (c a + a d + d x) / prod (c a + d x) over the contents, and
     (alpha)_p / [alpha y]_p is the running integer ratio prod over m < p
-    of (a + m b) d / (a c - m b d).  The column sum is
-    kept as one unreduced integer pair.
+    of (a + m b) d / (a c - m b d).
     """
     alpha = check_alpha(alpha)
-    y = Fraction(y)
     a, b = alpha.numerator, alpha.denominator
     c, d = y.numerator, y.denominator
     num = den = 1
@@ -439,7 +414,7 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
             total_num, total_den = total_num * term_den + term_num * total_den, total_den * term_den
         ratio_num *= (a + p * b) * d
         ratio_den *= a * c - p * b * d
-    return Fraction(num, den), Fraction(total_num, total_den)
+    return (num, den), (total_num, total_den)
 
 
 def _content_ratio_integers(la: Partition, alpha: Fraction, c: int, d: int, order: int) -> list[int]:

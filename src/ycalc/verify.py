@@ -19,6 +19,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
+from operator import floordiv, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (
@@ -40,18 +41,15 @@ from .growth import (
     plancherel_check,
 )
 from .moments import (
+    S_ROUTES,
+    SIGMA_ROUTES,
     _content_ratio_integers,
     _cor52_numerators,
     _pieri_atoms,
-    _position_weights,
-    _power_sums,
-    _regrouped_numerators,
-    _s_lagrange_numerators,
-    _sigma_closed_numerators,
+    _s_regrouped,
     _sigma_lagrange_numerators,
     _sigma_series_numerators,
     chu_vandermonde_sides,
-    corner_binomials,
     pieri_coefficients,
     row_column_binomials,
     stirling_inverse_lemma_sides,
@@ -635,29 +633,13 @@ def _check_prop71(rec: _Recorder, *, lambda_max: int, k_max: int, alpha_set: _Ra
             rec.each(lhs, shifted, lambda k: a ** (k + 1) * facts[k], lambda k: dict(la=la, alpha=alpha, k=k))
 
 
-def _s_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], tuple[list[int], ...]]:
-    """Theorem 8.1's routes of s_0 .. s_r_max at one (shape, alpha = a/b),
-    as (D, dens, [direct, Lagrange, closed, regrouped]): D is the lcm of
-    the Pieri weights' denominators, and each route is lifted to
-    dens[r] = D a^(2r) r!, facts[r] being r!, from direct V_r over D a^r,
-    Lagrange L_r over a^r, closed T_r (c_r at y = -b/a) over a^(2r) r!
-    and regrouped R_r over a^r r!."""
-    a, b = alpha.numerator, alpha.denominator
-    table = moment_table(la, alpha)
-    pairs, big_d = _position_weights(pieri_coefficients, la, alpha)
-    direct = _power_sums(pairs, r_max)
-    lagrange = _s_lagrange_numerators(la, alpha, r_max)
-    closed = _cor52_numerators(table, -b, a, r_max)
-    regrouped = _regrouped_numerators(table, r_max)
-    dens, routes = [], ([], [], [], [])
-    for r in range(r_max + 1):
-        a_r, fact = a**r, facts[r]
-        dens.append(big_d * a_r * a_r * fact)
-        routes[0].append(direct[r] * a_r * fact)
-        routes[1].append(lagrange[r] * big_d * a_r * fact)
-        routes[2].append(closed[r] * big_d)
-        routes[3].append(regrouped[r] * big_d * a_r)
-    return big_d, dens, routes
+def _lifted(*routes) -> tuple[list[int], list[list[int]]]:
+    """Routes (numerators, denominators) over one shared denominator per
+    index, as (L, [numerators of each route over L]): L[r] is the lcm of
+    the routes' denominators at r, and a numerator n over d becomes
+    n * (L[r] // d)."""
+    dens = list(map(math.lcm, *(ds for _, ds in routes)))
+    return dens, [list(map(mul, nums, map(floordiv, dens, ds))) for nums, ds in routes]
 
 
 def _each_by_r(rec: _Recorder, routes, **context) -> None:
@@ -671,16 +653,17 @@ def _each_by_r(rec: _Recorder, routes, **context) -> None:
 
 
 def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
-    # The routes over the shared denominators of :func:`_s_routes`; the
-    # content ratio at y = -1/alpha = -b/a has G_r over a^(2r) at t^r.
-    facts = [math.factorial(r) for r in range(r_max + 1)]
+    # The routes of S_ROUTES, the regrouped route and the content ratio at
+    # y = -1/alpha = -b/a, which has G_r over a^(2r) at t^r, over one
+    # shared denominator per r.
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
-            big_d, dens, (direct, lagrange, closed, regrouped) = _s_routes(la, alpha, r_max, facts)
+            a, b = alpha.numerator, alpha.denominator
+            series = _content_ratio_integers(la, alpha, -b, a, r_max), [a ** (2 * r) for r in range(r_max + 1)]
+            cores = [S_ROUTES[name](la, alpha, r_max) for name in ("direct", "lagrange", "closed")]
+            dens, (direct, lagrange, closed, regrouped, lifted) = _lifted(*cores, _s_regrouped(la, alpha, r_max), series)
             routes = [("interpolation-route", direct, lagrange, dens), ("closed-route", direct, closed, dens), ("integer-regrouping", direct, regrouped, dens)]
             _each_by_r(rec, routes, la=la, alpha=alpha)
-            series = _content_ratio_integers(la, alpha, -alpha.denominator, alpha.numerator, r_max)
-            lifted = [g * big_d * fact for g, fact in zip(series, facts)]
             rec.each(lifted, [-v if r % 2 else v for r, v in enumerate(direct)], dens, lambda r: dict(group="generating-series", la=la, alpha=alpha, r=r))
     # the regrouping coefficients themselves: integral and nonnegative
     for r in range(0, r_max + 1):
@@ -694,45 +677,22 @@ def _check_thm81(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rat
                             rec.check(u, comb_int(r - i - 1, r - 2 * i), group="empty-shape-reduction", r=r, i=i)
 
 
-def _sigma_routes(la: Partition, alpha: Fraction, r_max: int, facts: list[int]) -> tuple[int, list[int], tuple[list[int], ...], list[int]]:
-    """Theorem 9.1's routes of sigma_0 .. sigma_r_max at one (shape,
-    alpha = a/b), as (D, dens, [direct, closed, Lagrange], C): D is the
-    lcm of the corner weights' denominators, and each route is lifted to
-    dens[r] = D b a^(2r+4) (r+2)!, facts[r] being (r+2)!, from direct V_r
-    over D a^r, closed S_r over b a^(2r+3) (r+2)! and Lagrange -C_{r+2}
-    over b a^(r+1).  The Lagrange numerators C are returned for C_1 = b h_1."""
-    a, b = alpha.numerator, alpha.denominator
-    pairs, big_d = _position_weights(corner_binomials, la, alpha)
-    direct = _power_sums(pairs, r_max)
-    closed = _sigma_closed_numerators(moment_table(la, alpha), r_max)
-    cs = _sigma_lagrange_numerators(la, alpha, r_max)
-    dens, routes = [], ([], [], [])
-    for r in range(r_max + 1):
-        fact = facts[r]
-        dens.append(big_d * b * a ** (2 * r + 4) * fact)
-        routes[0].append(direct[r] * b * a ** (r + 4) * fact)
-        routes[1].append(closed[r] * big_d * a)
-        routes[2].append(-cs[r + 2] * big_d * a ** (r + 3) * fact)
-    return big_d, dens, routes, cs
-
-
 def _check_thm91(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
-    # The routes over the shared denominators of :func:`_sigma_routes`;
-    # the corner-moment series has Z_r over b a^(2r+4) at t^r.
-    facts = [math.factorial(r + 2) for r in range(r_max + 1)]
+    # The routes of SIGMA_ROUTES and the corner-moment series, which has
+    # Z_r over b a^(2r+4) at t^r, over one shared denominator per r.
     for alpha in alpha_set:
-        _, dens, routes, _ = _sigma_routes(EMPTY, alpha, r_max, facts)
+        dens, routes = _lifted(*(route(EMPTY, alpha, r_max) for route in SIGMA_ROUTES.values()))
         _each_by_r(rec, [("empty-shape", vals, [0] * (r_max + 1), dens) for vals in routes], alpha=alpha)
     for la in partitions_upto(lambda_max):
         if la.weight == 0:
             continue
         for alpha in alpha_set:
-            b = alpha.denominator
-            big_d, dens, (direct, closed, lagrange), cs = _sigma_routes(la, alpha, r_max, facts)
-            rec.numerators(cs[1], -b, b, group="first-difference", la=la, alpha=alpha)
+            a, b = alpha.numerator, alpha.denominator
+            rec.numerators(_sigma_lagrange_numerators(la, alpha, 1)[1], -b, b, group="first-difference", la=la, alpha=alpha)
+            series = _sigma_series_numerators(la, alpha, r_max), [b * a ** (2 * r + 4) for r in range(r_max + 1)]
+            cores = [SIGMA_ROUTES[name](la, alpha, r_max) for name in ("direct", "closed", "lagrange")]
+            dens, (direct, closed, lagrange, lifted) = _lifted(*cores, series)
             _each_by_r(rec, [("closed-route", direct, closed, dens), ("interpolation-route", direct, lagrange, dens)], la=la, alpha=alpha)
-            series = _sigma_series_numerators(la, alpha, r_max)
-            lifted = [z * big_d * fact for z, fact in zip(series, facts)]
             rec.each(lifted, [-v if r % 2 else v for r, v in enumerate(direct)], dens, lambda r: dict(group="generating-series", la=la, alpha=alpha, r=r))
 
 
@@ -782,7 +742,8 @@ def _check_chu_vandermonde(rec: _Recorder, *, lambda_max: int, alpha_set: _Ratio
                 if sides is None:
                     skipped += 1
                     continue
-                rec.check(sides[0], sides[1], la=la, alpha=alpha, y=y)
+                (lhs, lhs_den), (rhs, rhs_den) = sides
+                rec.numerators(lhs * rhs_den, rhs * lhs_den, lhs_den * rhs_den, la=la, alpha=alpha, y=y)
     rec.condition(rec.cases > 0, group="coverage", checked=rec.cases, skipped=skipped)
     return f"{skipped} pole pairs skipped"
 
@@ -805,16 +766,15 @@ def _check_plancherel(rec: _Recorder, *, n_max: int) -> None:
 
 
 def _check_moments_bridge(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_set: _Rationals) -> None:
-    # s_r = V_r / (D a^r) against the sampler's exact law of the added
-    # content after one step, M_r / (L a^r), both over D L a^r; the down
-    # routes over their shared E a^r.
+    # s_r by the direct route of S_ROUTES against the sampler's exact law
+    # of the added content after one step, M_r / (L a^r), over one shared
+    # denominator per r; the down routes over their shared E a^r.
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             a_pows = [alpha.numerator**r for r in range(r_max + 1)]
-            pairs, big_d = _position_weights(pieri_coefficients, la, alpha)
-            ups = _power_sums(pairs, r_max)
             law, law_den = _last_step_law([(la, 1, _pieri_atoms(la, alpha))], alpha, r_max)
-            routes = [("up-moment", [u * law_den for u in ups], [v * big_d for v in law], [big_d * law_den * a_r for a_r in a_pows])]
+            dens, (ups, law) = _lifted(S_ROUTES["direct"](la, alpha, r_max), (law, [law_den * a_r for a_r in a_pows]))
+            routes = [("up-moment", ups, law, dens)]
             if la.weight:
                 # the atoms against the corner-moment combination
                 direct, combo, den = cotransition_moment_routes(la, alpha, r_max)

@@ -13,10 +13,10 @@ import time
 from fractions import Fraction
 
 from ycalc.growth import sample_growth
-from ycalc.moments import cor52_coefficient, s_direct_moments, sigma_direct_moments
+from ycalc.moments import S_ROUTES, SIGMA_ROUTES, _cor52_numerators, moment_values
 from ycalc.partitions import Partition, partitions_upto
 from ycalc.series import comb_int
-from ycalc.shifted import d_k
+from ycalc.shifted import d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET, run_identity
 
 _MC_SEED = 42
@@ -78,7 +78,7 @@ def test_criterion_04_row_moments(capsys):
     for alpha in DEFAULT_ALPHA_SET:
         for la in partitions_upto(6):
             w = la.weight
-            assert s_direct_moments(la, alpha, 3) == [
+            assert moment_values(S_ROUTES["direct"], la, alpha, 3) == [
                 1,
                 0,
                 Fraction(w) / alpha,
@@ -101,7 +101,7 @@ def test_criterion_05_corner_moments(capsys):
     for alpha in DEFAULT_ALPHA_SET:
         for la in partitions_upto(6):
             w = la.weight
-            assert sigma_direct_moments(la, alpha, 2) == [
+            assert moment_values(SIGMA_ROUTES["direct"], la, alpha, 2) == [
                 w,
                 2 * d_k(la, alpha, 1) + w,
                 3 * d_k(la, alpha, 2)
@@ -136,7 +136,7 @@ def test_criterion_06_content_ratio_series(capsys):
     for alpha in DEFAULT_ALPHA_SET:
         for y in DEFAULT_Y_SET:
             for la in partitions_upto(4):
-                assert cor52_coefficient(la, alpha, y, 1) == [1, 0]
+                assert _cor52_numerators(moment_table(la, alpha), y.numerator, y.denominator, 1) == [1, 0]
     _announce(
         capsys, 6,
         f"two-variable ({thm.cases}), collected ({cor.cases}), "
@@ -216,7 +216,7 @@ def test_criterion_09_monte_carlo(capsys):
             assert m.estimate == float(m.exact), (m.r, m.estimate, float(m.exact))
         else:
             assert abs(m.estimate - float(m.exact)) <= 4 * m.std_error, (m.r, m.estimate, float(m.exact), m.std_error)
-    assert [m.exact for m in stats.moments] == s_direct_moments(Partition((4, 2, 1)), Fraction(1), 4)
+    assert [m.exact for m in stats.moments] == moment_values(S_ROUTES["direct"], Partition((4, 2, 1)), Fraction(1), 4)
     rerun = sample_growth(**kwargs)
     assert _sample_fingerprint(rerun) == _sample_fingerprint(stats)
     elapsed = time.monotonic() - started

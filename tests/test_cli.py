@@ -12,7 +12,7 @@ import pytest
 import ycalc
 from ycalc import cli, moments
 from ycalc.cli import _use_color, main
-from ycalc.verify import _JOBS, CATALOG, PARAMETERS, _bound, run_identity
+from ycalc.verify import _JOBS, CATALOG, PARAMETERS, _bound, report_to_dict, run_identity
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +141,54 @@ def test_moments_all_methods_listing_is_pinned(capsys, moment):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Each route entry with its denominator doubled at r = 3 (s) or r = 2 (sigma): thm8.1 or thm9.1
+# fails through a comparison, with these notes and first counterexample, and the listing leaves its pin.
+_DOUBLED_DENOMINATOR = {
+    ("s", "direct"): ("80 of 607 comparisons failed", {"la": "1", "alpha": "2", "group": "interpolation-route", "r": 3, "lhs": "1/8", "rhs": "1/4"}),
+    ("s", "closed"): ("20 of 607 comparisons failed", {"la": "1", "alpha": "2", "group": "closed-route", "r": 3, "lhs": "1/4", "rhs": "1/8"}),
+    ("s", "lagrange"): ("20 of 607 comparisons failed", {"la": "1", "alpha": "2", "group": "interpolation-route", "r": 3, "lhs": "1/4", "rhs": "1/8"}),
+    ("sigma", "direct"): ("66 of 444 comparisons failed", {"la": "1", "alpha": "1", "group": "closed-route", "r": 2, "lhs": "1/2", "rhs": "1"}),
+    ("sigma", "closed"): ("22 of 444 comparisons failed", {"la": "1", "alpha": "1", "group": "closed-route", "r": 2, "lhs": "1", "rhs": "1/2"}),
+    ("sigma", "lagrange"): ("22 of 444 comparisons failed", {"la": "1", "alpha": "1", "group": "interpolation-route", "r": 2, "lhs": "1", "rhs": "1/2"}),
+}
+
+
+@pytest.mark.parametrize("moment,method", list(_DOUBLED_DENOMINATOR))
+def test_every_route_entry_reaches_the_catalog_and_the_listing(capsys, monkeypatch, moment, method):
+    routes, r, identity = (moments.S_ROUTES, 3, "thm8.1") if moment == "s" else (moments.SIGMA_ROUTES, 2, "thm9.1")
+    route = routes[method]
+
+    def doubled(la, alpha, r_max):
+        nums, dens = route(la, alpha, r_max)
+        return nums, [2 * d if i == r else d for i, d in enumerate(dens)]
+
+    monkeypatch.setitem(routes, method, doubled)
+    report = report_to_dict(run_identity(identity, lambda_max=3, r_max=4))
+    assert (report["status"], report["notes"], report["counterexample"]) == ("failed", *_DOUBLED_DENOMINATOR[moment, method])
+    r_max, digest = _PINNED_ALL_METHODS[moment]
+    code, out, _ = run_cli(capsys, "moments", moment, "--lambda", "4,2,1", "--alpha", "3/5", "--r-max", r_max, "--method", "all", "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() != digest
+
+
+_VIEW_DOMAIN = """
+import sys
+from ycalc import S_ROUTES, Partition, moment_values
+print(sys.flags.optimize)
+for alpha, r_max in ((1, -1), (0, 2)):
+    try:
+        moment_values(S_ROUTES["direct"], Partition((2, 1)), alpha, r_max)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_moment_view_checks_its_domain_under_python_O():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ycalc.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _VIEW_DOMAIN], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "r must be nonnegative", "alpha must be positive"]
 
 
 def test_moments_sigma_default_method(capsys):

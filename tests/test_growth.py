@@ -24,7 +24,7 @@ from ycalc.growth import (
     tableau_counts,
 )
 from ycalc import growth, moments
-from ycalc.moments import _position_weights, corner_binomials, pieri_coefficients, s_direct_moments, sigma_direct_moments
+from ycalc.moments import S_ROUTES, SIGMA_ROUTES, _position_weights, corner_binomials, moment_values, pieri_coefficients
 from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, enumerate_partitions, partitions_upto
 from ycalc.shifted import moment_table
 from ycalc.series import InvariantError, comb_int
@@ -193,7 +193,7 @@ def _cotransition_routes_reference(la: Partition, alpha, r_max: int) -> list[tup
     """(direct, combination) in Fractions: the deleted contents
     (la_i - 1) - (i-1)/alpha under the down kernel, and the binomial
     combination of the corner moments over |la|."""
-    sigmas = sigma_direct_moments(la, alpha, r_max)
+    sigmas = moment_values(SIGMA_ROUTES["direct"], la, alpha, r_max)
     atoms = [(Fraction(la.part(i) - 1) - Fraction(i - 1) / alpha, p) for i, p in cotransition_kernel(la, alpha)]
     out = []
     for r in range(r_max + 1):
@@ -248,7 +248,7 @@ def _reference_exact(start: Partition, alpha, steps: int, r: int) -> Fraction:
     sum of P(state) s_r(state)."""
     total = Fraction(0)
     for state, mass in _distribution_by_add_cell(start, alpha, steps - 1).items():
-        total += mass * s_direct_moments(state, alpha, r)[r]
+        total += mass * moment_values(S_ROUTES["direct"], state, alpha, r)[r]
     return total
 
 
@@ -436,7 +436,7 @@ def test_sampler_single_step_moments_are_exact_targets():
         steps=1, alpha=Fraction(2), paths=500, seed=5, start=start, r_max=3
     )
     assert stats.paths == 500
-    assert [m.exact for m in stats.moments] == s_direct_moments(start, Fraction(2), 3)
+    assert [m.exact for m in stats.moments] == moment_values(S_ROUTES["direct"], start, Fraction(2), 3)
     # moment 0 is measured exactly
     assert stats.moments[0].estimate == 1.0
     assert stats.moments[0].std_error == 0.0

@@ -20,30 +20,27 @@ from hypothesis import strategies as st
 from references import linear_ratio_reference
 
 from ycalc.moments import (
+    S_ROUTES,
+    SIGMA_ROUTES,
     _content_ratio_integers,
+    _cor52_numerators,
     _corner_row_values,
     _pieri_row_values,
-    _regrouped_numerators,
+    _s_regrouped,
     _sigma_series_numerators,
     _u_table,
     chu_vandermonde_sides,
-    cor52_coefficient,
     corner_binomials,
+    moment_values,
     pieri_coefficients,
     row_column_binomials,
-    s_closed_moments,
-    s_direct_moments,
-    s_lagrange_moments,
-    sigma_closed_moments,
-    sigma_direct_moments,
-    sigma_lagrange_moments,
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
 from ycalc import moments
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto, z_of
-from ycalc.series import InvariantError, comb_int, linear_ratio_integers, lowering_factorial
+from ycalc.series import InvariantError, comb_int, lowering_factorial
 from ycalc.shifted import _MomentTable, d_k, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET, DEFAULT_Y_SET, _thm51_right_side, _thm51_terms
 
@@ -266,11 +263,10 @@ def _cor52_reference(la, alpha, y, r):
 _u_reference = lru_cache(maxsize=None)(u_ijk_coefficients)
 
 
-def _regrouped(la, alpha, r_max):
-    """s_0 .. s_r_max from the regrouping numerators, over a^r r!."""
-    a = alpha.numerator
-    nums = _regrouped_numerators(moment_table(la, alpha), r_max)
-    return [Fraction(v, a**r * math.factorial(r)) for r, v in enumerate(nums)]
+def _ad_scaled(values, alpha, y):
+    """c_0, c_1, ... times (a d)^r r! at y = c/d, as _cor52_numerators gives them."""
+    ad = alpha.numerator * y.denominator
+    return [v * ad**r * math.factorial(r) for r, v in enumerate(values)]
 
 
 def _content_ratio(la, alpha, y, order):
@@ -350,9 +346,9 @@ def test_closed_routes_match_fraction_loops(alpha):
     ys = set(DEFAULT_Y_SET + (1 / alpha, -1 / alpha, Fraction(0), Fraction(-1)))
     for la in partitions_upto(6):
         for y in ys:
-            cs = cor52_coefficient(la, alpha, y, 10)
-            assert cs == [_cor52_reference(la, alpha, y, r) for r in range(11)], (la, y)
-        regrouped = _regrouped(la, alpha, 10)
+            cs = _cor52_numerators(moment_table(la, alpha), y.numerator, y.denominator, 10)
+            assert cs == _ad_scaled([_cor52_reference(la, alpha, y, r) for r in range(11)], alpha, y), (la, y)
+        regrouped = moment_values(_s_regrouped, la, alpha, 10)
         assert regrouped == [_s_regrouped_reference(la, alpha, r) for r in range(11)], la
         pairs = _binomials(la, alpha, la.weight + 1)
         assert pairs == [_row_column_reference(la, alpha, p) for p in range(la.weight + 2)], la
@@ -402,17 +398,18 @@ def _chu_vandermonde_reference(la, alpha, y):
 def test_integer_routes_match_fraction_formulas(alpha):
     r_max, poles = 8, 0
     for la in partitions_upto(6):
-        assert s_lagrange_moments(la, alpha, r_max) == _s_lagrange_reference(la, alpha, r_max), la
-        assert sigma_lagrange_moments(la, alpha, r_max) == _sigma_lagrange_reference(la, alpha, r_max), la
+        assert moment_values(S_ROUTES["lagrange"], la, alpha, r_max) == _s_lagrange_reference(la, alpha, r_max), la
+        assert moment_values(SIGMA_ROUTES["lagrange"], la, alpha, r_max) == _sigma_lagrange_reference(la, alpha, r_max), la
         assert _sigma_series(la, alpha, r_max) == _sigma_series_reference(la, alpha, r_max), la
-        c = cor52_coefficient(la, alpha, 1 / alpha, r_max + 2)
-        assert sigma_closed_moments(la, alpha, r_max) == [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)], la
+        cs = _cor52_numerators(moment_table(la, alpha), alpha.denominator, alpha.numerator, r_max + 2)
+        c = [Fraction(v, scale) for v, scale in zip(cs, _ad_scaled([1] * (r_max + 3), alpha, 1 / alpha))]
+        assert moment_values(SIGMA_ROUTES["closed"], la, alpha, r_max) == [c[r + 1] - alpha * c[r + 2] for r in range(r_max + 1)], la
         # y = -c for a content c, and alpha y = p - 1 for p <= |la|, are poles
         ys = {*DEFAULT_Y_SET, Fraction(-1), -1 / alpha, *(Fraction(p) / alpha for p in range(3))}
         ys.update(-c for c in _contents(la, alpha)[-2:])
         for y in ys:
             sides = chu_vandermonde_sides(la, alpha, y)
-            assert sides == _chu_vandermonde_reference(la, alpha, y), (la, y)
+            assert (sides and tuple(Fraction(*side) for side in sides)) == _chu_vandermonde_reference(la, alpha, y), (la, y)
             poles += sides is None
     assert poles
 
@@ -459,10 +456,10 @@ def test_cor52_rows_match_triple_sum(alpha):
     ys = (Fraction(0), Fraction(-1), Fraction(2), Fraction(-1, 3), Fraction(5, 7), -1 / alpha, 1 / alpha)
     moment_table.cache_clear()
     for la in partitions_upto(7):
-        want = {y: _cor52_triple_sum(la, alpha, y, 12) for y in ys}
+        want = {y: _ad_scaled(_cor52_triple_sum(la, alpha, y, 12), alpha, y) for y in ys}
         for r_max in (4, 10, 12):
             for y in ys:
-                assert cor52_coefficient(la, alpha, y, r_max) == want[y][: r_max + 1], (la, y, r_max)
+                assert _cor52_numerators(moment_table(la, alpha), y.numerator, y.denominator, r_max) == want[y][: r_max + 1], (la, y, r_max)
 
 
 def test_cor52_keeps_nothing_per_y():
@@ -473,7 +470,7 @@ def test_cor52_keeps_nothing_per_y():
     def run(y_values):
         for la, alpha in keys:
             for y in y_values:
-                cor52_coefficient(la, alpha, y, 10)
+                _cor52_numerators(moment_table(la, alpha), y.numerator, y.denominator, 10)
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
 
@@ -490,12 +487,12 @@ def test_cor52_keeps_nothing_per_y():
 def test_direct_routes_match_fraction_sums(alpha):
     # sum of w pos^r over the atoms, pos = la_i - (i-1)/alpha, in Fractions
     for la in partitions_upto(8):
-        for route, atoms in ((s_direct_moments, pieri_coefficients), (sigma_direct_moments, corner_binomials)):
+        for route, atoms in ((S_ROUTES["direct"], pieri_coefficients), (SIGMA_ROUTES["direct"], corner_binomials)):
             weights = atoms(la, alpha)
             want = [
                 sum((w * (la.part(i) - Fraction(i - 1) / alpha) ** r for i, w in weights), Fraction(0)) for r in range(9)
             ]
-            assert route(la, alpha, 8) == want, (la, route.__name__)
+            assert moment_values(route, la, alpha, 8) == want, (la, route.__name__)
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -509,10 +506,10 @@ def test_moment_routes_agree_at_random_alpha(a, b, n, pick):
     alpha = Fraction(a, b)
     options = enumerate_partitions(n)
     la = options[pick % len(options)]
-    direct = s_direct_moments(la, alpha, 6)
-    assert s_closed_moments(la, alpha, 6) == direct, la
-    assert _regrouped(la, alpha, 6) == direct, la
-    assert sigma_closed_moments(la, alpha, 5) == sigma_direct_moments(la, alpha, 5), la
+    direct = moment_values(S_ROUTES["direct"], la, alpha, 6)
+    assert moment_values(S_ROUTES["closed"], la, alpha, 6) == direct, la
+    assert moment_values(_s_regrouped, la, alpha, 6) == direct, la
+    assert moment_values(SIGMA_ROUTES["closed"], la, alpha, 5) == moment_values(SIGMA_ROUTES["direct"], la, alpha, 5), la
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -520,7 +517,7 @@ def test_s_low_moments_pinned(alpha):
     for la in SHAPES:
         w = la.weight
         want3 = 2 * d_k(la, alpha, 1) / alpha + w * (alpha - 1) / alpha**2
-        assert s_direct_moments(la, alpha, 3) == [1, 0, Fraction(w) / alpha, want3]
+        assert moment_values(S_ROUTES["direct"], la, alpha, 3) == [1, 0, Fraction(w) / alpha, want3]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -533,23 +530,21 @@ def test_sigma_low_moments_pinned(alpha):
             + w
             - Fraction(comb_int(w, 2)) / alpha
         )
-        assert sigma_direct_moments(la, alpha, 2) == [w, 2 * d_k(la, alpha, 1) + w, want2]
+        assert moment_values(SIGMA_ROUTES["direct"], la, alpha, 2) == [w, 2 * d_k(la, alpha, 1) + w, want2]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_s_three_routes_agree(alpha):
     for la in SHAPES:
-        direct = s_direct_moments(la, alpha, 6)
-        assert s_closed_moments(la, alpha, 6) == direct, la
-        assert s_lagrange_moments(la, alpha, 6) == direct, la
+        direct, closed, lagrange = (moment_values(route, la, alpha, 6) for route in S_ROUTES.values())
+        assert closed == direct and lagrange == direct, la
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_sigma_three_routes_agree(alpha):
     for la in SHAPES:
-        direct = sigma_direct_moments(la, alpha, 5)
-        assert sigma_closed_moments(la, alpha, 5) == direct, la
-        assert sigma_lagrange_moments(la, alpha, 5) == direct, la
+        direct, closed, lagrange = (moment_values(route, la, alpha, 5) for route in SIGMA_ROUTES.values())
+        assert closed == direct and lagrange == direct, la
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
@@ -557,22 +552,21 @@ def test_one_lagrange_series_matches_per_r_reads(alpha):
     # a listing to r_max is the prefix of every longer listing, although
     # the sigma series is read two orders beyond r_max
     for la in partitions_upto(6):
-        s_list = s_lagrange_moments(la, alpha, 9)
-        sigma_list = sigma_lagrange_moments(la, alpha, 8)
+        s_list = moment_values(S_ROUTES["lagrange"], la, alpha, 9)
+        sigma_list = moment_values(SIGMA_ROUTES["lagrange"], la, alpha, 8)
         for r in range(10):
-            assert s_lagrange_moments(la, alpha, r) == s_list[: r + 1], (la, r)
+            assert moment_values(S_ROUTES["lagrange"], la, alpha, r) == s_list[: r + 1], (la, r)
         for r in range(9):
-            assert sigma_lagrange_moments(la, alpha, r) == sigma_list[: r + 1], (la, r)
+            assert moment_values(SIGMA_ROUTES["lagrange"], la, alpha, r) == sigma_list[: r + 1], (la, r)
 
 
 @pytest.mark.parametrize(
-    "route",
-    (s_direct_moments, s_closed_moments, s_lagrange_moments, sigma_direct_moments, sigma_closed_moments, sigma_lagrange_moments),
-    ids=lambda route: route.__name__,
+    "routes,method",
+    [pytest.param(routes, method, id=f"{name}_{method}_moments") for name, routes in (("s", S_ROUTES), ("sigma", SIGMA_ROUTES)) for method in routes],
 )
-def test_routes_reject_negative_r_max(route):
+def test_routes_reject_negative_r_max(routes, method):
     with pytest.raises(ValueError, match="r must be nonnegative"):
-        route(Partition((2, 1)), Fraction(3, 5), -1)
+        moment_values(routes[method], Partition((2, 1)), Fraction(3, 5), -1)
 
 
 def test_u_table_matches_direct_loop():
@@ -594,7 +588,7 @@ def test_u_table_matches_direct_loop():
 def test_s_regrouped_route_agrees():
     for alpha in (Fraction(2), Fraction(3, 5)):
         for la in partitions_upto(5):
-            assert _regrouped(la, alpha, 5) == s_direct_moments(la, alpha, 5), la
+            assert moment_values(_s_regrouped, la, alpha, 5) == moment_values(S_ROUTES["direct"], la, alpha, 5), la
 
 
 def test_u_coefficients_are_nonnegative_integers():
@@ -629,16 +623,15 @@ def test_cor52_leading_coefficients():
     for alpha in ALPHAS:
         for y in (Fraction(1), Fraction(-1, 3), Fraction(5, 7)):
             for la in partitions_upto(4):
-                assert cor52_coefficient(la, alpha, y, 1) == [1, 0]
+                assert _cor52_numerators(moment_table(la, alpha), y.numerator, y.denominator, 1) == [1, 0]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_content_ratio_series_matches_collected_coefficients(alpha):
     y = Fraction(5, 7)
     for la in partitions_upto(4):
-        series = _content_ratio(la, alpha, y, 6)
-        for r, c in enumerate(cor52_coefficient(la, alpha, y, 6)):
-            assert series[r] == c * (-1) ** r, (la, r)
+        series = _ad_scaled([v * (-1) ** r for r, v in enumerate(_content_ratio(la, alpha, y, 6))], alpha, y)
+        assert _cor52_numerators(moment_table(la, alpha), y.numerator, y.denominator, 6) == series, la
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
@@ -729,10 +722,10 @@ def test_row_column_binomials_are_kept_on_the_table(fresh_memos, monkeypatch):
 def test_moment_generating_series(alpha):
     for la in partitions_upto(4):
         s_series = _content_ratio(la, alpha, -1 / alpha, 6)
-        for r, s_r in enumerate(s_direct_moments(la, alpha, 6)):
+        for r, s_r in enumerate(moment_values(S_ROUTES["direct"], la, alpha, 6)):
             assert s_series[r] == (-1) ** r * s_r
         sig_series = _sigma_series(la, alpha, 5)
-        for r, sigma_r in enumerate(sigma_direct_moments(la, alpha, 5)):
+        for r, sigma_r in enumerate(moment_values(SIGMA_ROUTES["direct"], la, alpha, 5)):
             assert sig_series[r] == (-1) ** r * sigma_r
 
 
@@ -787,12 +780,10 @@ def test_sigma_series_rejects_a_wrong_linear_term(monkeypatch):
 
 def test_sigma_lagrange_first_difference_is_minus_one():
     # h_1(A - B) = sum A - sum B = -1 for every corner alphabet pair, read
-    # as b h_1 from the integer numerators sigma_lagrange_moments reads
+    # as b h_1 from the integer numerators the sigma Lagrange route reads
     for alpha in ALPHAS:
         for la in SHAPES:
-            num = moments._negated_row_ends(la, alpha, 2, la.length + 1)
-            den = moments._negated_row_ends(la, alpha, 1, la.length)
-            assert linear_ratio_integers(num, den, 1)[1] == -alpha.denominator
+            assert moments._sigma_lagrange_numerators(la, alpha, 1)[1] == -alpha.denominator
 
 
 def test_row_column_binomials_basics():
@@ -837,8 +828,8 @@ def test_chu_vandermonde_pole_handling():
     assert chu_vandermonde_sides(la, alpha, Fraction(0)) is None
     sides = chu_vandermonde_sides(la, alpha, Fraction(5, 7))
     assert sides is not None
-    lhs, rhs = sides
-    assert lhs == rhs
+    (lhs, lhs_den), (rhs, rhs_den) = sides
+    assert lhs * rhs_den == rhs * lhs_den
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -848,7 +839,8 @@ def test_chu_vandermonde_generic_values(alpha):
             sides = chu_vandermonde_sides(la, alpha, y)
             if sides is None:
                 continue
-            assert sides[0] == sides[1], (la, y)
+            (lhs, lhs_den), (rhs, rhs_den) = sides
+            assert lhs * rhs_den == rhs * lhs_den, (la, y)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
