@@ -58,22 +58,27 @@ def pbi(la: Partition, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _npbi_map(parts: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
-    """Every nonzero npbi(la, p, k) of the shape with these parts, by
-    convolving the rows' nbi tables.  The memo is unbounded: one key per
-    shape, so the run's largest shape weight bounds its keys."""
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    for a in parts:
-        nxt: dict[tuple[int, int], int] = {}
-        for (p0, k0), c in table.items():
-            for pi in range(a + 1):
-                for ki in range(1, a + 1):
-                    v = nbi(a, pi, ki)
-                    if v:
-                        key = (p0 + pi, k0 + ki)
-                        nxt[key] = nxt.get(key, 0) + c * v
-        table = nxt
+def _npbi_prefix(parts: tuple[int, ...]) -> Mapping[tuple[int, int], int]:
+    """Every nonzero npbi(la, p, k) of the shape with these parts, in the
+    order the rows' convolution first reaches each (p, k): the map of the
+    prefix parts[:-1] convolved with the nonzero nbi(a, p, k) of the last
+    row a, the map of the one-row shape (a,).  The memo is unbounded: one
+    key per shape, so the run's largest shape weight bounds its keys."""
+    if not parts:
+        return MappingProxyType({(0, 0): 1})
+    a = parts[-1]
+    for i in range(100, len(parts) - 1, 100):  # a long shape's prefixes first, so the recursion stays shallow
+        _npbi_prefix(parts[:i])
+    row = _npbi_prefix((a,)).items() if parts[:-1] else [((p, k), v) for p in range(a + 1) for k in range(1, a + 1) if (v := nbi(a, p, k))]
+    table: dict[tuple[int, int], int] = {}
+    for (p0, k0), c in _npbi_prefix(parts[:-1]).items():
+        for (p, k), v in row:
+            key = (p0 + p, k0 + k)
+            table[key] = table.get(key, 0) + c * v
     return MappingProxyType(table)
+
+
+_npbi_map = _npbi_prefix  # what readers call; the recursion does not, so a map replaced here stays one shape's
 
 
 def npbi(la: Partition, p: int, k: int) -> int:

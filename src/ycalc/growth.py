@@ -43,12 +43,11 @@ import math
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
 from .moments import _pieri_atoms, _position_weights, _power_sums, corner_binomials, pieri_coefficients
-from .partitions import EMPTY, MEMO_SIZE, Partition, check_alpha, enumerate_partitions
+from .partitions import EMPTY, Partition, alpha_keyed_memo, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and
@@ -83,7 +82,7 @@ def cotransition_kernel(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...
     return tuple((i, v / w) for i, v in corner_binomials(la, alpha))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@alpha_keyed_memo
 def _dimension_slot(la: Partition, alpha: Fraction) -> list:
     """The memo of dimensions: a one-element list per (shape, alpha) that
     :func:`dimension` fills with dim(la) once, [None] until then."""

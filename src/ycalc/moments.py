@@ -35,8 +35,10 @@ lagrange.  The CLI lists them through the one Fraction view
 entry reaches both.  The u regrouping of s_r, `_s_regrouped` over
 a^r r!, is a fourth route outside the tables that only the verifier
 reads.  The content-ratio series, `_content_ratio_integers`, is over
-(a d)^i, and the corner-moment series read from it,
-`_sigma_series_numerators`, over b a^(2r+4).
+(a d)^i, from two factor pairs per row, at its ends, since its
+Pochhammer ratios telescope along each row (`chu_vandermonde_sides`
+keeps one pair per cell for its pole test), and the corner-moment series
+read from it, `_sigma_series_numerators`, over b a^(2r+4).
 
 The row and column binomials sum over p! prod_m (b + m a) and
 p! prod_m (a + m b), and the Chu-Vandermonde sides are two unreduced
@@ -51,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coefficients import npbi, stirling_first
-from .partitions import MEMO_SIZE, Partition, check_alpha, content_numerators, enumerate_partitions
+from .partitions import Partition, alpha_keyed_memo, check_alpha, content_numerators, enumerate_partitions
 from .series import InvariantError, comb_int, linear_ratio_integers
 from .shifted import moment_table
 
@@ -123,10 +125,10 @@ def _pieri_atoms(la: Partition, alpha: Fraction) -> list[tuple[int, int, int]]:
     return _checked_atoms(values, la.addable_rows(), 1, la, "row", "formula fails to vanish on non-addable")
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@alpha_keyed_memo
 def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
     """Transition atoms (row, weight) on the addable rows: `_pieri_atoms` with Fraction weights."""
-    return tuple((i, Fraction(n, d)) for i, n, d in _pieri_atoms(la, check_alpha(alpha)))
+    return tuple((i, Fraction(n, d)) for i, n, d in _pieri_atoms(la, alpha))
 
 
 def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
@@ -154,12 +156,12 @@ def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@alpha_keyed_memo
 def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
     """Corner atoms (row, weight) over removable rows: the raw corner
     formula, checked by `_checked_atoms` to vanish elsewhere and to sum
     to |la|, with Fraction weights."""
-    values = _corner_row_values(la, check_alpha(alpha))
+    values = _corner_row_values(la, alpha)
     atoms = _checked_atoms(values, la.removable_rows(), la.weight, la, "corner", "corner weight fails to vanish on")
     return tuple((i, Fraction(n, d)) for i, n, d in atoms)
 
@@ -395,7 +397,9 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
     :func:`partitions.content_numerators`, so the ratio is
     prod (c a + a d + d x) / prod (c a + d x) over the contents, and
     (alpha)_p / [alpha y]_p is the running integer ratio prod over m < p
-    of (a + m b) d / (a c - m b d).
+    of (a + m b) d / (a c - m b d).  It keeps a factor pair per cell: a
+    pole c a + d x = 0 inside a row meets the previous cell's numerator,
+    a 0/0 that the row ends of :func:`_content_ratio_integers` would hide.
     """
     alpha = check_alpha(alpha)
     a, b = alpha.numerator, alpha.denominator
@@ -420,11 +424,15 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
 def _content_ratio_integers(la: Partition, alpha: Fraction, c: int, d: int, order: int) -> list[int]:
     """[G_0 .. G_order]: coefficient i of the large-x expansion, in t = 1/x,
     of (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la) is G_i / (a d)^i, for
-    alpha = a/b and y = c/d (d > 0), since every factor is an integer over a d."""
-    a = alpha.numerator
-    ns = [d * x for x in content_numerators(la, alpha)]
-    num = [v for n in ns for v in (c * a + a * d + n, n)]
-    den = [v for n in ns for v in (c * a + n, a * d + n)]
+    alpha = a/b and y = c/d (d > 0).  Over a d a cell of content x/a gives
+    (c a + a d + d x) and d x over (c a + d x) and (a d + d x), and a d + d x
+    is the next cell's d x, so each row telescopes to its ends: on row i
+    (from 0) of part p, with s = -d i b and e = d (p a - i b), (c a + e)
+    and s over (c a + s) and e, 4 l(la) factors in place of 4 |la|."""
+    a, b = alpha.numerator, alpha.denominator
+    ends = [(-d * i * b, d * (p * a - i * b)) for i, p in enumerate(la.parts)]
+    num = [v for s, e in ends for v in (c * a + e, s)]
+    den = [v for s, e in ends for v in (c * a + s, e)]
     return linear_ratio_integers(num, den, order)
 
 

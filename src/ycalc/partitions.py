@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator, Sequence
 
 
 class Partition:
     """Immutable integer partition."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts: Sequence[int] = ()):
         parts = tuple(map(operator.index, parts))  # TypeError unless every part is an integer
@@ -27,6 +27,7 @@ class Partition:
         if parts and parts[-1] <= 0:
             raise ValueError("parts must be positive")
         self.parts = parts
+        self._hash = hash(("Partition", parts))  # memo keys hash every lookup
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -87,6 +88,7 @@ class Partition:
         """A partition from a tuple already known to be one; no checks."""
         out = object.__new__(cls)
         out.parts = parts
+        out._hash = hash(("Partition", parts))
         return out
 
     def add_cell(self, row: int) -> "Partition":
@@ -108,7 +110,7 @@ class Partition:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Partition", self.parts))
+        return self._hash
 
     def __lt__(self, other: "Partition"):
         return (self.weight, self.parts) < (other.weight, other.parts)
@@ -183,6 +185,21 @@ def check_alpha(alpha: Fraction) -> Fraction:
     if alpha.numerator <= 0:
         raise ValueError("alpha must be positive")
     return alpha
+
+
+def alpha_keyed_memo(fn):
+    """fn(la, alpha) memoised in an lru_cache of MEMO_SIZE entries keyed by
+    (la, a, b) for the checked alpha = a/b: ints hash in C, a Fraction in
+    Python.  cache_info and cache_clear are the lru_cache's."""
+    memo = lru_cache(maxsize=MEMO_SIZE)(lambda la, a, b: fn(la, Fraction(a, b)))
+
+    @wraps(fn)
+    def lookup(la: Partition, alpha: Fraction):
+        alpha = check_alpha(alpha)
+        return memo(la, alpha.numerator, alpha.denominator)
+
+    lookup.cache_info, lookup.cache_clear = memo.cache_info, memo.cache_clear
+    return lookup
 
 
 def content_numerators(la: Partition, alpha: Fraction) -> tuple[int, ...]:

@@ -50,7 +50,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .coefficients import _marked_terms, marked_column, marked_products, stirling_first, stirling_inverse_t
-from .partitions import MEMO_SIZE, Partition, check_alpha, content_numerators
+from .partitions import Partition, alpha_keyed_memo, check_alpha, content_numerators
 from .series import comb_int
 
 
@@ -214,10 +214,10 @@ class _MomentTable:
         return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@alpha_keyed_memo
 def moment_table(la: Partition, alpha: Fraction) -> _MomentTable:
     """The integer moment table of (la, alpha), built once and extended on demand."""
-    return _MomentTable(la, check_alpha(alpha))
+    return _MomentTable(la, alpha)
 
 
 def d_k(la: Partition, alpha: Fraction, k: int) -> Fraction:

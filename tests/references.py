@@ -25,6 +25,17 @@ def linear_ratio_reference(num, den, order):
     return cs
 
 
+def content_ratio_reference(la, alpha, y, order):
+    """[c_0 .. c_order], the coefficients in t = 1/x of
+    (x+y+1)_la (x)_la / ((x+y)_la (x+1)_la), one cell at a time: the cell
+    in row i, column j (from 1) has alpha-content u = (j-1) - (i-1)/alpha
+    and gives (x+y+1+u)(x+u) / ((x+y+u)(x+1+u)), and x + v = x (1 + v t)."""
+    contents = [Fraction(j) - Fraction(i) / alpha for i, part in enumerate(la.parts) for j in range(part)]
+    return linear_ratio_reference(
+        [y + 1 + u for u in contents] + contents, [y + u for u in contents] + [1 + u for u in contents], order
+    )
+
+
 def c_rows_reference(c_formula, power_sum, a, r_max):
     """[C[0] .. C[r_max]] of one moment table, each term (e0, mu) -> v of
     c_formula(r)[e] evaluated as v |la|^e0 P_mu a^(r-|mu|) one dict entry

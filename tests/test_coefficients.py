@@ -161,6 +161,28 @@ def test_npbi_entries_start_at_the_length():
         assert all(k >= la.length for (_, k) in npbi_table(la)), la
 
 
+def _npbi_rows_reference(la):
+    """Every nonzero npbi(la, p, k), convolving the rows' nbi tables one
+    row at a time from the empty shape's {(0, 0): 1}."""
+    table = {(0, 0): 1}
+    for a in la.parts:
+        nxt = {}
+        for (p0, k0), c in table.items():
+            for p in range(a + 1):
+                for k in range(1, a + 1):
+                    if nbi(a, p, k):
+                        nxt[p0 + p, k0 + k] = nxt.get((p0 + p, k0 + k), 0) + c * nbi(a, p, k)
+        table = nxt
+    return table
+
+
+def test_npbi_table_is_the_row_convolution(fresh_memos):
+    # the tables are built from their prefixes' tables, which must give
+    # the same entries in the same order as a convolution from scratch
+    for la in partitions_upto(10):
+        assert list(npbi_table(la).items()) == list(_npbi_rows_reference(la).items()), la
+
+
 def test_npbi_errors():
     la = Partition((2, 1))
     with pytest.raises(ValueError, match="p out of range"):

@@ -23,7 +23,7 @@ from ycalc.growth import (
     sample_growth,
     tableau_counts,
 )
-from ycalc import growth, moments
+from ycalc import growth, moments, partitions
 from ycalc.moments import S_ROUTES, SIGMA_ROUTES, _position_weights, corner_binomials, moment_values, pieri_coefficients
 from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, enumerate_partitions, partitions_upto
 from ycalc.shifted import moment_table
@@ -403,7 +403,7 @@ def test_pieri_linear_factor_is_checked(fresh_memos, monkeypatch):
     # alpha = -1 let past check_alpha: the factor a*la_1 + b*(l + 1) of
     # the row formula vanishes on row 1 of the shape 2, and the block
     # factor a*(la_1 - 0) + b*1 on row 1 of the shape 1.
-    for module in (moments, growth):
+    for module in (growth, partitions):
         monkeypatch.setattr(module, "check_alpha", Fraction)
     with pytest.raises(InvariantError, match="nonvanishing linear factor violated"):
         pieri_coefficients(Partition((2,)), Fraction(-1))
@@ -637,6 +637,25 @@ def test_alpha_keyed_memos_stay_bounded(fresh_memos):
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE, (memo, info)
     assert second <= first + first // 10, (first, second)
+
+
+def test_alpha_keyed_memo_hits_hash_no_fraction(fresh_memos, monkeypatch):
+    # The memos key alpha = a/b by the ints a and b, so a warm hit runs
+    # Partition's kept hash and no Fraction.__hash__.
+    la, alpha = Partition((3, 1)), Fraction(3, 5)
+    memos = (pieri_coefficients, corner_binomials, moment_table, growth._dimension_slot)
+    dimension(la, alpha)  # fills la's slot and the atoms' memo below it
+    for memo in memos:
+        memo(la, alpha)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: hashed.append(self) or fraction_hash(self))
+    for memo in memos:
+        hits = memo.cache_info().hits
+        memo(la, alpha)
+        assert (memo.cache_info().hits - hits, hashed) == (1, []), memo
+    dimension(la, alpha)
+    assert hashed == []
 
 
 def _trail_from_draws(seed: int, path: int, start: Partition, alpha, steps: int) -> str:

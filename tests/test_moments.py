@@ -17,7 +17,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import linear_ratio_reference
+from references import content_ratio_reference, linear_ratio_reference
 
 from ycalc.moments import (
     S_ROUTES,
@@ -37,7 +37,7 @@ from ycalc.moments import (
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
-from ycalc import moments
+from ycalc import moments, partitions
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import InvariantError, comb_int, lowering_factorial
@@ -136,7 +136,7 @@ def test_integer_kernels_match_fraction_formulas(alpha):
 def test_corner_linear_factor_is_checked(fresh_memos, monkeypatch):
     # alpha = -1 let past check_alpha: on row 1 of the shape 2,1 the
     # block factor a*(la_1 - la_2) + b*1 of the corner formula vanishes.
-    monkeypatch.setattr(moments, "check_alpha", Fraction)
+    monkeypatch.setattr(partitions, "check_alpha", Fraction)
     with pytest.raises(InvariantError, match="nonvanishing linear factor violated"):
         corner_binomials(Partition((2, 1)), Fraction(-1))
 
@@ -281,15 +281,6 @@ def _sigma_series(la, alpha, order):
     return [Fraction(v, b * a ** (2 * r + 4)) for r, v in enumerate(_sigma_series_numerators(la, alpha, order))]
 
 
-def _content_ratio_reference(la, alpha, y, order):
-    """(x + u) = x (1 + u t) at t = 1/x, so the content ratio is the linear
-    ratio series over the contents shifted by y + 1 and 0, against y and 1."""
-    contents = _contents(la, alpha)
-    return linear_ratio_reference(
-        [y + 1 + c for c in contents] + list(contents), [y + c for c in contents] + [1 + c for c in contents], order
-    )
-
-
 def _s_regrouped_reference(la, alpha, r):
     w = la.weight
     total = Fraction(0)
@@ -374,7 +365,7 @@ def _sigma_lagrange_reference(la, alpha, r_max):
 
 def _sigma_series_reference(la, alpha, order):
     """-(alpha + t) (G - 1) / t^2 in Fractions, G the content ratio at y = 1/alpha."""
-    h = _content_ratio_reference(la, alpha, 1 / alpha, order + 2)[2:]
+    h = content_ratio_reference(la, alpha, 1 / alpha, order + 2)[2:]
     return [-(alpha * h[r] + (h[r - 1] if r else 0)) for r in range(order + 1)]
 
 
@@ -638,7 +629,19 @@ def test_content_ratio_series_matches_collected_coefficients(alpha):
 def test_content_ratio_series_matches_fraction_reference(alpha):
     for la in partitions_upto(6):
         for y in (Fraction(0), Fraction(-1), Fraction(2), Fraction(-1, 3), -1 / alpha, 1 / alpha):
-            assert _content_ratio(la, alpha, y, 8) == _content_ratio_reference(la, alpha, y, 8), (la, y)
+            assert _content_ratio(la, alpha, y, 8) == content_ratio_reference(la, alpha, y, 8), (la, y)
+
+
+@pytest.mark.parametrize("alpha", DEFAULT_ALPHA_SET)
+def test_row_end_content_ratio_matches_cell_product(alpha):
+    # 4 factors per row against 4 per cell, at every order up to 12
+    for la in partitions_upto(8):
+        for y in DEFAULT_Y_SET + (1 / alpha, -1 / alpha):
+            ad = alpha.numerator * y.denominator
+            want = [v * ad**i for i, v in enumerate(content_ratio_reference(la, alpha, y, 12))]
+            assert all(v.denominator == 1 for v in want), (la, y)
+            for order in range(13):
+                assert _content_ratio_integers(la, alpha, y.numerator, y.denominator, order) == want[: order + 1], (la, y, order)
 
 
 def _thm51_right_side_reference(la, alpha, y, order):
