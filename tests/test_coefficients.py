@@ -183,6 +183,13 @@ def test_npbi_table_is_the_row_convolution(fresh_memos):
         assert list(npbi_table(la).items()) == list(_npbi_rows_reference(la).items()), la
 
 
+def test_npbi_table_of_a_long_shape(fresh_memos):
+    # 500 rows from cold memos: the prefixes are built 100 rows at a time,
+    # so the recursion stays within the interpreter's limit.  A column of
+    # n cells has npbi(p, n) = C(n, p).
+    assert npbi_table(Partition((1,) * 500)) == {(p, 500): math.comb(500, p) for p in range(501)}
+
+
 def test_npbi_errors():
     la = Partition((2, 1))
     with pytest.raises(ValueError, match="p out of range"):
