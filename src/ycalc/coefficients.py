@@ -15,8 +15,8 @@ The marked family weighs npbi over every diagram of n,
 
     p_npk(n, p, k) = sum over mu |- n of npbi(mu, p, k)/z_mu * X_mu1 X_mu2 ...,
 
-and :func:`marked_row` evaluates a whole row n of it, one
-:func:`marked_column` at a time over the products of :func:`marked_products`.
+and :func:`marked_row` evaluates a whole row n of it over the products
+of :func:`marked_products`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .partitions import Partition, enumerate_partitions, z_of
-from .series import BiSeries, InvariantError
+from .series import BiSeries, InvariantError, falling_binomial
 
 
 @lru_cache(maxsize=None)
@@ -99,22 +99,18 @@ def npbi_table(la: Partition) -> Mapping[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _marked_terms(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[tuple[tuple[int, int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+def _marked_terms(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
     """((parts, n!/z_mu) for mu over enumerate_partitions(n), in that
-    order; columns[k] for k <= n, the (i, p, npbi(mu_i, p, k)) entries;
-    p0[k], the (i, npbi(mu_i, 0, k)) entries of columns[k] at p = 0).
+    order; columns[k] for k <= n, the (i, p, npbi(mu_i, p, k)) entries).
     Column k lists no mu longer than k.  The memo is unbounded: one key
     per n, so the run's largest weight bounds it."""
     fact = math.factorial(n)
     mus = enumerate_partitions(n)
     columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    p0: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i, mu in enumerate(mus):
         for (p, k), c in npbi_table(mu).items():
             columns[k].append((i, p, c))
-            if not p:
-                p0[k].append((i, c))
-    return tuple((mu.parts, fact // z_of(mu)) for mu in mus), tuple(map(tuple, columns)), tuple(map(tuple, p0))
+    return tuple((mu.parts, fact // z_of(mu)) for mu in mus), tuple(map(tuple, columns))
 
 
 def marked_products(n: int, xk: Callable[[int], object]) -> tuple[object, ...]:
@@ -128,25 +124,20 @@ def marked_products(n: int, xk: Callable[[int], object]) -> tuple[object, ...]:
     return tuple(out)
 
 
-def marked_column(n: int, k: int, products: tuple[object, ...]) -> tuple[object, ...]:
-    """Column k of row n of n!·p_npk(n, p, k), indexed by p for
-    0 <= p <= n, from products = marked_products(n, xk).  Entries no
-    partition reaches stay the int 0."""
-    acc: list[object] = [0] * (n + 1)
-    for i, p, c in _marked_terms(n)[1][k]:
-        acc[p] += c * products[i]
-    return tuple(acc)
-
-
 def marked_row(n: int, xk: Callable[[int], object]) -> tuple[tuple[object, ...], ...]:
     """Row n of n!·p_npk(n, p, k) at X_i = xk(i), indexed [p][k] for
     0 <= p, k <= n.  xk may return ints, Fractions or any ring element
     that multiplies with them (XPolynomial).  Column k = 0 is 0 except at
-    n = 0, where the row is ((1,),)."""
+    n = 0, where the row is ((1,),); entries no partition reaches stay the
+    int 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     products = marked_products(n, xk)
-    return tuple(zip(*(marked_column(n, k, products) for k in range(n + 1))))
+    row: list[list[object]] = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, column in enumerate(_marked_terms(n)[1]):
+        for i, p, c in column:
+            row[p][k] += c * products[i]
+    return tuple(map(tuple, row))
 
 
 def gn_series(n: int, order: int) -> BiSeries:
@@ -255,18 +246,14 @@ def jz_sides(mu: Partition, n: int) -> tuple[list[int], list[int]]:
       lhs = sum_k C(X0 - |mu|, n - k) pbi(mu, k)
       rhs = sum_k (-1)^{k - l(mu)} C(X0 - k, n - k) pbi(mu, k),
     k running over l(mu) .. min(n, |mu|), with the k = 0 subset count 1
-    for the empty shape.  n! C(X0 - s, n - k) is built in integers as
-    n!/(n-k)! [X0 - s]_{n-k}.
+    for the empty shape.  n! C(X0 - s, n - k) is built in integers by
+    :func:`series.falling_binomial`.
     """
-    fact = math.factorial(n)
     sides = ([0] * (n + 1), [0] * (n + 1))
     for k in range(mu.length, min(n, mu.weight) + 1):
         c = 1 if k == 0 else pbi(mu, k)
         sign = 1 if (k - mu.length) % 2 == 0 else -1
         for side, s, scale in ((sides[0], mu.weight, c), (sides[1], k, sign * c)):
-            falling = [fact // math.factorial(n - k)]  # low degree first
-            for i in range(s, s + n - k):  # times (X0 - i)
-                falling = [-i * falling[0]] + [u - i * v for u, v in zip(falling, falling[1:])] + [falling[-1]]
-            for e, v in enumerate(falling):
+            for e, v in enumerate(falling_binomial(n, n - k, -s)):
                 side[e] += scale * v
     return sides

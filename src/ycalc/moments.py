@@ -52,7 +52,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import npbi, stirling_first
+from .coefficients import marked_products, npbi, stirling_first
 from .partitions import Partition, alpha_keyed_memo, check_alpha, content_numerators, enumerate_partitions
 from .series import InvariantError, comb_int, linear_ratio_integers
 from .shifted import moment_table
@@ -350,14 +350,15 @@ def _s_regrouped(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int],
 
     Each term (1/alpha)^i (1 - 1/alpha)^(r-2i-j) C(|la|+i-1, i-k) u d_rho / z_rho
     of s_r is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
-    read from the integer moment table.  The u values come from the
+    from :func:`coefficients.marked_products` at the moment table's power
+    sums.  The u values come from the
     per-r table of nonzero terms.
     """
     table = moment_table(la, alpha)
     a, b = table.a, table.b
-    w = table.weight
+    w = la.weight
     u_tables = [_u_table(r) for r in range(r_max + 1)]
-    prods = [table.products(j) for j in range(1 + max(j for rows in u_tables for _, j, _, _ in rows))]
+    prods = [marked_products(j, table.power_sum) for j in range(1 + max(j for rows in u_tables for _, j, _, _ in rows))]
     ab_pows = [(a * b) ** i for i in range(r_max // 2 + 1)]
     diff_pows = [(a - b) ** n for n in range(r_max + 1)]
     out, dens = [], []

@@ -73,6 +73,15 @@ def lowering_factorial(x, n: int):
     return acc
 
 
+def falling_binomial(n: int, j: int, s: int) -> list[int]:
+    """The integer coefficients of n! C(X0 + s, j) = (n!/j!) [X0 + s]_j
+    in X0, low degree first, for 0 <= j <= n."""
+    out = [math.factorial(n) // math.factorial(j)]
+    for c in range(s, s - j, -1):  # times (X0 + c)
+        out = [c * out[0], *(u + c * v for u, v in zip(out, out[1:])), out[-1]]
+    return out
+
+
 def _exact(c: Scalar) -> Scalar:
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:

@@ -71,7 +71,7 @@ from .series import (
     comb_int,
     lowering_factorial,
 )
-from .shifted import dk_from_shifted, moment_table
+from .shifted import _p0_plan, _thm51_plan, dk_from_shifted, moment_table
 from .symfunc import chi_experiment
 
 DEFAULT_ALPHA_SET = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
@@ -510,13 +510,13 @@ def _check_gn_closed(rec: _Recorder, *, n_max: int) -> None:
 
 
 def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals) -> None:
-    # Both sides over j! a^j at the key (i, j) = u^i t^j, in the series'
+    # Both sides over i! j! a^j at the key (i, j) = u^i t^j, in the series'
     # (total degree, key) order: the product's C[i][j] / a^j against the
-    # k-sum (-1)^j K0 / (j! a^j) over the p = 0 entries of row j.
+    # k-sum (-1)^j K(i, j)[0] / (j! a^j) at shift -j, whose i! K(i, j)[0]
+    # _p0_plan lists in this order.
     keys = _graded_keys(order)
     facts = [math.factorial(j) for j in range(order + 1)]
     for la in partitions_upto(lambda_max):
-        w = la.weight
         for alpha in alpha_set:
             table = moment_table(la, alpha)
             # The product over cells of 1 + u / (1 + c t), with the content
@@ -532,9 +532,10 @@ def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
                     for m in range(len(dst)):
                         quot = src[m] - n * quot
                         dst[m] += quot
-            lhs = [rows[i][j] * facts[j] for i, j in keys]
-            rhs = [(-1) ** j * table.k_sum_p0(w - j, i, j) for i, j in keys]
-            rec.numerators(lhs, rhs, lambda key: facts[key[1]] * table.a ** key[1], keys, la=la, alpha=alpha)
+            lhs = [rows[i][j] * facts[i] * facts[j] for i, j in keys]
+            (k0,) = table.evaluate([_p0_plan(order)], order)
+            rhs = [-v if j % 2 else v for (_, j), v in zip(keys, k0)]
+            rec.numerators(lhs, rhs, lambda key: facts[key[0]] * facts[key[1]] * table.a ** key[1], keys, la=la, alpha=alpha)
 
 
 def _thm51_terms(table, order: int) -> list[tuple[int, int, int, int]]:
@@ -542,20 +543,13 @@ def _thm51_terms(table, order: int) -> list[tuple[int, int, int, int]]:
     as (m, shift, n, v).
 
     The right side sums (-y)^n (-1)^N t^(2n+N) (1 + (y+1) t)^-(n+q) times
-    the k-sum K(n, N)[p] / (N! a^N) over N = p+q, alpha = a/b.  A term has
-    m = n+q, shift = 2n+N and v = (-1)^N K(n, N)[p] (order!/N!) a^(order-N),
-    the integer numerator over order! a^order; terms with v = 0 are left
-    out."""
-    fact, a = math.factorial(order), table.a
-    terms = []
-    for n in range(order // 2 + 1):
-        for big_n in range(order - 2 * n + 1):
-            ks = table.k_sum(table.weight + n - 1, n, big_n)
-            scale = (-1) ** big_n * (fact // math.factorial(big_n)) * a ** (order - big_n)
-            for p in range(big_n + 1):
-                if ks[p]:
-                    terms.append((n + big_n - p, 2 * n + big_n, n, ks[p] * scale))
-    return terms
+    the k-sum K(n, N)[p] / (N! a^N) at shift n-1 over N = p+q, alpha = a/b.
+    A term has m = n+q, shift = 2n+N and v = (-1)^N K(n, N)[p] (order!/N!)
+    a^(order-N), the integer numerator over order! a^order; terms with
+    v = 0 are left out."""
+    keys, plan = _thm51_plan(order)
+    (values,) = table.evaluate([plan], order)
+    return [(*key, v) for key, v in zip(keys, values) if v]
 
 
 def _thm51_right_side(terms: list[tuple[int, int, int, int]], y: Fraction, order: int) -> list[int]:

@@ -50,3 +50,10 @@ def c_rows_reference(c_formula, power_sum, a, r_max):
             row.append(total)
         rows.append(tuple(row))
     return rows
+
+
+def formula_value_reference(terms, power_sum):
+    """sum of v |la|^e0 P_mu over the terms (e0, mu) -> v of one shape-free
+    polynomial, one dict entry at a time, with power_sum(0) = |la| and
+    power_sum(k) = P_k."""
+    return sum(v * power_sum(0) ** e0 * math.prod(power_sum(k) for k in mu) for (e0, mu), v in terms.items())

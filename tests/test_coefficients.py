@@ -155,7 +155,7 @@ def test_npbi_support_window():
 
 def test_npbi_entries_start_at_the_length():
     # each row of mu adds at least one to k, so npbi(mu, p, k) = 0 for
-    # k < l(mu); marked_column's column k lists no partition longer than k
+    # k < l(mu); _marked_terms' column k lists no partition longer than k
     # on this ground
     for la in partitions_upto(10):
         assert all(k >= la.length for (_, k) in npbi_table(la)), la

@@ -623,7 +623,7 @@ def test_alpha_keyed_memos_stay_bounded(fresh_memos):
             for la in shapes:
                 pieri_coefficients(la, alpha)
                 corner_binomials(la, alpha)
-                moment_table(la, alpha).column(1, 1)
+                moment_table(la, alpha).c_rows(1)
                 dimension(la, alpha)
         gc.collect()
         return tracemalloc.get_traced_memory()[0]

@@ -191,6 +191,33 @@ def test_every_import_is_read():
     assert unused == []
 
 
+def test_every_lru_cache_decorates_a_module_level_function():
+    # fresh_memos clears the cache_clear of every module-level name, so a
+    # memo anywhere else would outlive it.  alpha_keyed_memo's inner cache
+    # is the one exception: its lookup carries that cache's cache_clear.
+    misplaced = []
+    for path in sorted((SRC / "ycalc").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        placed = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef)
+            for decorator in top.decorator_list
+            for node in ast.walk(decorator)
+        }
+        placed |= {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == "alpha_keyed_memo"
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None) if isinstance(node, ast.Attribute) else None
+            if name in ("lru_cache", "cache") and id(node) not in placed:
+                misplaced.append(f"{path.name}:{node.lineno}")
+    assert misplaced == []
+
+
 def test_plancherel_fails_on_a_wrong_count_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _PLANCHEREL_TWICE],

@@ -17,7 +17,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import content_ratio_reference, linear_ratio_reference
+from references import content_ratio_reference, formula_value_reference, linear_ratio_reference
 
 from ycalc.moments import (
     S_ROUTES,
@@ -37,7 +37,7 @@ from ycalc.moments import (
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
 )
-from ycalc import moments, partitions
+from ycalc import moments, partitions, shifted
 from ycalc.coefficients import npbi_table, stirling_first
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import InvariantError, comb_int, lowering_factorial
@@ -205,12 +205,16 @@ def _d_over_z_reference(la, alpha, n):
 
 @lru_cache(maxsize=None)
 def _f_reference_row(la, alpha, n):
-    """{(p, k): f_npk} from f = sum over mu |- n of npbi(mu, p, k) d_mu / z_mu."""
+    """{(p, k): f_npk} from f = sum over mu |- n of npbi(mu, p, k) d_mu / z_mu,
+    summed in integers over the lcm of the weights' denominators."""
+    weights = _d_over_z_reference(la, alpha, n)
+    den = math.lcm(*(w.denominator for w in weights))
     out = {}
-    for mu, weight in zip(enumerate_partitions(n), _d_over_z_reference(la, alpha, n)):
+    for mu, weight in zip(enumerate_partitions(n), weights):
+        v = weight.numerator * (den // weight.denominator)
         for key, c in npbi_table(mu).items():
-            out[key] = out.get(key, Fraction(0)) + c * weight
-    return out
+            out[key] = out.get(key, 0) + c * v
+    return {key: Fraction(v, den) for key, v in out.items()}
 
 
 def _f_reference(la, alpha, n, p, k):
@@ -230,6 +234,15 @@ def _k_sum_reference(la, alpha, n, nn, q):
         if f:
             inner += comb_int(la.weight + n - 1, n - k) * f
     return inner
+
+
+@lru_cache(maxsize=None)
+def _k_integer_reference(la, alpha, n, nn, q):
+    """K(n, nn)[q] at shift n-1, the k-sum over the integers
+    A[nn][q][k] = nn! a^nn f_{nn,q,k}: _k_sum_reference times nn! a^nn."""
+    v = _k_sum_reference(la, alpha, n, nn, q) * math.factorial(nn) * alpha.numerator**nn
+    assert v.denominator == 1
+    return v.numerator
 
 
 @lru_cache(maxsize=None)
@@ -321,13 +334,20 @@ def test_moment_table_matches_fraction_definitions(alpha):
     for la in partitions_upto(6):
         for k in range(11):
             assert d_k(la, alpha, k) == _d_reference(la, alpha, k), (la, k)
+        # K(n, m)[p] = sum over k of C(|la| + shift, n - k) A[m][p][k], with
+        # A[m][p][k] = m! a^m f_{m,p,k}; over n = 0 .. m it is triangular in k
         table = moment_table(la, alpha)
         for n in range(11):
-            for k in range(n + 1):
-                column = table.column(n, k)
-                for p in range(n + 1):
-                    f = Fraction(column[p], math.factorial(n) * table.a**n)
-                    assert f == _f_reference(la, alpha, n, p, k), (la, n, p, k)
+            for m in range(11 - n):
+                scale = math.factorial(m) * table.a**m
+                for shift in (n - 1, -m):
+                    formula = shifted._k_formula(n, m, shift, m)
+                    assert len(formula) == m + 1, (n, m, shift)
+                    for p, terms in enumerate(formula):
+                        got = Fraction(formula_value_reference(terms, table.power_sum), math.factorial(n))
+                        ks = range(min(n, m) + 1)
+                        want = sum((comb_int(la.weight + shift, n - k) * _f_reference(la, alpha, m, p, k) for k in ks), Fraction(0))
+                        assert got == want * scale, (la, n, m, shift, p)
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
@@ -408,18 +428,13 @@ def test_integer_routes_match_fraction_formulas(alpha):
 @lru_cache(maxsize=None)
 def _q_sums_from_rows(la, alpha, r_max):
     """{(n, p, m): sum over q of C(n+p+q-1, p) times the k-sum of
-    C(|la|+n-1, n-k) f_{m,q,k}}, in Fractions with f read from the table
-    columns; these are the y-free parts of the collected form."""
-    table = moment_table(la, alpha)
+    C(|la|+n-1, n-k) f_{m,q,k}}, in Fractions with f read from
+    _f_reference; these are the y-free parts of the collected form."""
     out = {}
     for n in range(r_max // 2 + 1):
         # at n = 0 the k-sum reads only column k = 0, which is zero past row 0
         for m in range(r_max - 2 * n + 1) if n else (0,):
-            columns, den = [table.column(m, k) for k in range(min(n, m) + 1)], math.factorial(m) * table.a**m
-            ks = [
-                Fraction(sum(comb_int(la.weight + n - 1, n - k) * column[q] for k, column in enumerate(columns)), den)
-                for q in range(m + 1)
-            ]
+            ks = [_k_sum_reference(la, alpha, n, m, q) for q in range(m + 1)]
             for p in range(r_max - 2 * n - m + 1):
                 out[n, p, m] = sum((comb_int(n + p + q - 1, p) * v for q, v in enumerate(ks)), Fraction(0))
     return out
@@ -649,9 +664,7 @@ def _thm51_right_side_reference(la, alpha, y, order):
     multiplies out every term's (1 + (y+1) t)^-(n+q) over d^order."""
     fact = math.factorial(order)
     neg_binoms = [[comb_int(-m, i) for i in range(order + 1)] for m in range(order + 1)]
-    table = moment_table(la, alpha)
-    a = table.a
-    ks = {(n, m): table.k_sum(la.weight + n - 1, n, m) for n in range(order // 2 + 1) for m in range(order - 2 * n + 1)}
+    a = alpha.numerator
     c, d = y.numerator, y.denominator
     cd_pows = [(c + d) ** i for i in range(order + 1)]
     d_pows = [d**i for i in range(order + 1)]
@@ -660,7 +673,7 @@ def _thm51_right_side_reference(la, alpha, y, order):
         for p in range(0, order - 2 * n + 1):
             for q in range(0, order - 2 * n - p + 1):
                 big_n = p + q
-                acc = ks[n, big_n][p]
+                acc = _k_integer_reference(la, alpha, n, big_n, p)
                 if acc == 0:
                     continue
                 shift = 2 * n + big_n
@@ -703,18 +716,13 @@ def test_row_column_binomials_extend_as_a_prefix(fresh_memos):
 
 
 def test_row_column_binomials_are_kept_on_the_table(fresh_memos, monkeypatch):
-    # the sums read only the p = 0 k-sums, and a second call makes none
+    # the sums evaluate the p = 0 k-sums, and a second call evaluates nothing
     calls = []
-
-    def counting(name):
-        method = getattr(_MomentTable, name)
-        return lambda self, *args: calls.append((name, args)) or method(self, *args)
-
-    for name in ("k_sum", "k_sum_p0"):
-        monkeypatch.setattr(_MomentTable, name, counting(name))
+    evaluate = _MomentTable.evaluate
+    monkeypatch.setattr(_MomentTable, "evaluate", lambda self, *args: calls.append(args) or evaluate(self, *args))
     la, alpha = Partition((3, 2, 1)), Fraction(3, 5)
     first = row_column_binomials(la, alpha, la.weight)
-    assert calls and {name for name, _ in calls} == {"k_sum_p0"}
+    assert calls
     calls.clear()
     assert row_column_binomials(la, alpha, la.weight) == first
     assert row_column_binomials(la, alpha, 3) == first[:4]

@@ -8,13 +8,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import c_rows_reference, linear_ratio_reference
+from references import c_rows_reference, formula_value_reference, linear_ratio_reference
 
 from ycalc import shifted
-from ycalc.coefficients import marked_column, marked_row, stirling_inverse_t
-from ycalc.moments import row_column_binomials
+from ycalc.coefficients import marked_row, stirling_inverse_t
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
-from ycalc.series import XPolynomial, lowering_factorial
+from ycalc.series import XPolynomial, comb_int, lowering_factorial
 from ycalc.shifted import _MomentTable, _shifted_numerators, d_k, dk_from_shifted, moment_table
 from ycalc.verify import DEFAULT_ALPHA_SET
 
@@ -123,81 +122,63 @@ def test_dk_from_shifted_rejects_negative():
         dk_from_shifted(Partition((2,)), Fraction(1), -1)
 
 
-def _f(la, alpha, n, p, k):
-    """f_{n,p,k} = A[n][p][k] / (n! a^n), read from the moment table."""
+def _k(la, alpha, n, m, shift):
+    """[K(n, m)[p] for p = 0 .. m] at this shift, from the n! K polynomials
+    of shifted._k_formula read one dict entry at a time."""
     table = moment_table(la, alpha)
-    return Fraction(table.column(n, k)[p], math.factorial(n) * table.a**n)
+    return [Fraction(formula_value_reference(terms, table.power_sum), math.factorial(n)) for terms in shifted._k_formula(n, m, shift, m)]
 
 
 def test_f_npk_conventions_match_abstract_family():
-    # Row n of the table has the n + 1 columns k = 0 .. n, each of n + 1
-    # entries p; column k = 0 holds the convention value: 1 at
-    # n = p = 0 and 0 elsewhere.
+    # K(n, m) has the m + 1 entries p = 0 .. m, and column k = 0 holds the
+    # convention value, 1 at m = p = 0 and 0 elsewhere: K(0, 0) = (1,),
+    # K(0, m) vanishes past m = 0, and K(n, 0)[0] = C(|la| + shift, n).
     for la in (EMPTY, Partition((3, 1))):
-        table = moment_table(la, Fraction(2))
-        assert table.column(0, 0) == (1,)
-        for n in range(1, 5):
-            columns = [table.column(n, k) for k in range(n + 1)]
-            assert all(len(column) == n + 1 for column in columns)
-            assert columns[0] == (0,) * (n + 1)
+        for shift in (-2, 0, 3):
+            assert _k(la, Fraction(2), 0, 0, shift) == [1]
+            for n in range(1, 5):
+                assert _k(la, Fraction(2), 0, n, shift) == [0] * (n + 1)
+                assert _k(la, Fraction(2), n, 0, shift) == [comb_int(la.weight + shift, n)]
+                assert all(len(_k(la, Fraction(2), n, m, shift)) == m + 1 for m in range(5))
 
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_bounded_rows_equal_full_rows(alpha):
-    # A row read one column at a time, on a new table per order of k
-    # (ascending, descending, scattered), equals the full marked_row at
+    # At shift -|la|, C(|la| + shift, k - k') = C(0, k - k') keeps only the
+    # term k' = k, so k! K(k, m) is k! times column k of row m.  Read
+    # through the compiled evaluator on a new table per order of k
+    # (ascending, descending, scattered), it equals the full marked_row at
     # X_i = P_i column by column.
     ks = list(range(9))
     for la in partitions_upto(7):
         full_rows = [marked_row(m, _MomentTable(la, alpha).power_sum) for m in range(9)]
+        plans = {(m, k): shifted._compile(shifted._k_formula(k, m, -la.weight, m), None) for m in range(9) for k in range(m + 1)}
         for order in (ks, ks[::-1], ks[1::2] + ks[::2]):
             table = _MomentTable(la, alpha)
             for m in range(9):
                 for k in order:
                     if k <= m:
-                        assert table.column(m, k) == tuple(line[k] for line in full_rows[m]), (la, m, k)
-
-
-def test_no_column_is_built_twice(fresh_memos, monkeypatch):
-    # One table read by c_rows(6), c_rows(10), the k-sums at (|la| - j, i, j)
-    # for i + j <= 10, and the row and column binomials up to |la| + 2: the
-    # C rows build no column, and every (m, k) column is summed once,
-    # however much wider a later ask is.
-    built = []
-
-    def counted(m, k, products):
-        built.append((m, k))
-        return marked_column(m, k, products)
-
-    monkeypatch.setattr(shifted, "marked_column", counted)
-    for la in (Partition((3, 2, 1)), Partition((4, 1))):
-        alpha = Fraction(3, 5)
-        table = moment_table(la, alpha)
-        table.c_rows(6)
-        table.c_rows(10)
-        assert built == [], la
-        for i in range(11):
-            for j in range(11 - i):
-                table.k_sum(la.weight - j, i, j)
-        row_column_binomials(la, alpha, la.weight + 2)
-        assert built and len(built) == len(set(built)), la
-        built.clear()
+                        (values,) = table.evaluate([plans[m, k]], m)
+                        assert values == tuple(math.factorial(k) * line[k] for line in full_rows[m]), (la, m, k)
 
 
 def test_p0_k_sums_match_the_columns():
-    # Every (top, n, m) = (|la| - j, i, j), i + j <= 10, that rel5.1 (order
-    # 10) and the row and column binomials read, at the default alphas and
-    # their reciprocals (Theorem 11.2's conjugates), on two fresh tables:
-    # the p = 0 sums build no column.
+    # Every (n, m) = (i, j), i + j <= 10, that rel5.1 (order 10) and the row
+    # and column binomials read, at the default alphas and their reciprocals
+    # (Theorem 11.2's conjugates), on two fresh tables: the p = 0 k-sums
+    # i! K(i, j)[0], asked alone and evaluated through the compiled plan,
+    # equal entry p = 0 of the whole i! K(i, j) at shift -j.
     alphas = {*DEFAULT_ALPHA_SET, *(1 / alpha for alpha in DEFAULT_ALPHA_SET)}
+    keys = [(i, s - i) for s in range(11) for i in range(s + 1)]
+    for i, j in keys:
+        assert shifted._k_formula(i, j, -j, 0) == shifted._k_formula(i, j, -j, j)[:1], (i, j)
     for la in partitions_upto(6):
         for alpha in alphas:
             p0, full = _MomentTable(la, alpha), _MomentTable(la, alpha)
-            for i in range(11):
-                for j in range(11 - i):
-                    got = p0.k_sum_p0(la.weight - j, i, j)
-                    assert got == full.k_sum(la.weight - j, i, j)[0], (la, alpha, i, j)
-            assert not p0._columns, (la, alpha)
+            (k0,) = p0.evaluate([shifted._p0_plan(10)], 10)
+            assert len(k0) == len(keys)
+            for (i, j), v in zip(keys, k0):
+                assert v == formula_value_reference(shifted._k_formula(i, j, -j, j)[0], full.power_sum), (la, alpha, i, j)
 
 
 def test_c_rows_match_the_formula_term_by_term(fresh_memos):
@@ -245,18 +226,21 @@ def test_c_formula_shape():
 
 
 def test_f_npk_first_values_by_hand():
+    # f_{m,p,k} = A[m][p][k] / (m! a^m), read through K(1, m)[p] = A[m][p][1]
+    # (at any shift) and K(2, 2)[0] at shift -|la|, which is A[2][0][2]
+    # since C(0, 1) = 0.
     # n = k = 1: the only shape is (1), npbi = 1, z = 1, so f = d_1
     for alpha in ALPHAS:
         for la in (Partition((2, 1)), Partition((4,))):
-            assert _f(la, alpha, 1, 0, 1) == d_k(la, alpha, 1)
-            assert _f(la, alpha, 1, 1, 1) == d_k(la, alpha, 1)
+            assert _k(la, alpha, 1, 1, 0) == [alpha.numerator * d_k(la, alpha, 1)] * 2
     # n = 2, k = 1: shapes (2) with npbi((2),0,1) = 2, z = 2; (1,1) excluded
     # (its support starts at k = 2), so f = d_2
     la = Partition((3, 2))
     for alpha in ALPHAS:
-        assert _f(la, alpha, 2, 0, 1) == d_k(la, alpha, 2)
+        scale = 2 * alpha.numerator**2
+        assert _k(la, alpha, 1, 2, 0)[0] == scale * d_k(la, alpha, 2)
         # k = 2 picks up (2) once and (1,1) with npbi = 1, z = 2
-        assert _f(la, alpha, 2, 0, 2) == Fraction(1, 2) * (
+        assert _k(la, alpha, 2, 2, -la.weight)[0] == scale * Fraction(1, 2) * (
             d_k(la, alpha, 2) + d_k(la, alpha, 1) ** 2
         )
 

@@ -12,7 +12,7 @@ import pytest
 
 from ycalc import growth, moments, shifted, verify
 from ycalc.partitions import Partition
-from ycalc.series import BiSeries
+from ycalc.series import BiSeries, falling_binomial
 from ycalc.verify import (
     _JOBS,
     CATALOG,
@@ -294,7 +294,7 @@ verify_marked_row = verify.marked_row
 verify_npbi = verify.npbi
 verify_pieri_coefficients = verify.pieri_coefficients
 shifted_c_formula = shifted._c_formula
-shifted_p0_row = shifted._MomentTable.p0_row
+shifted_k_formula = shifted._k_formula
 
 
 def _bumped_content_ratio(la, alpha, c, d, order):
@@ -330,13 +330,17 @@ def _bumped_c_formula(r):
     return (formula[0], terms, *formula[2:])
 
 
-def _bumped_p0_row(table, m):
-    # A[2][0][1] raised by 1 on every table, which moves the p = 0 k-sums
-    # that rel5.1 and the row and column binomials read
-    row = shifted_p0_row(table, m)
-    if m != 2:
-        return row
-    return (row[0], row[1] + 1, *row[2:])
+def _bumped_k_formula(n, m, shift, p_max):
+    # A[2][0][1] raised by 1 in every k-sum: n! C(X0 + shift, n - 1) added
+    # at mu = () to entry p = 0 when m = 2 and n >= 1, which moves the p = 0
+    # k-sums that rel5.1 and the row and column binomials read
+    formula = shifted_k_formula(n, m, shift, p_max)
+    if m != 2 or not n:
+        return formula
+    terms = dict(formula[0])
+    for e0, v in enumerate(falling_binomial(n, n - 1, shift)):
+        terms[e0, ()] = terms.get((e0, ()), 0) + v
+    return (terms, *formula[1:])
 
 
 def _swapped_corner_rows(la, alpha):
@@ -361,10 +365,11 @@ def _doubled_pieri_row(la, alpha):
 # with their statuses, and the sha256 of reports_to_json over them.  The
 # marked_row, npbi and pieri_coefficients rows were pinned before the
 # checkers moved to integer arithmetic, the C-row formula's once it was in
-# place of the per-table C-row loop.  The _content_ratio_integers and p0_row
-# digests equal the reports of the Fraction comparisons they replaced, under
-# the same perturbation made through the old kernels (content_ratio_series
-# moved by 1/(a d)^3 at t^3, column (2, 1) of the table moved by 1 at p = 0).
+# place of the per-table C-row loop.  The _content_ratio_integers and
+# _k_formula digests equal the reports of the Fraction comparisons they
+# replaced, under the same perturbation made through the old kernels
+# (content_ratio_series moved by 1/(a d)^3 at t^3, column (2, 1) of the
+# per-table marked row moved by 1 at p = 0).
 # The npbi row was re-pinned once thm4.1 compared integer lists: its first
 # counterexample (n=4, p=2, k=2) names key [2] with lhs 23/6 and rhs 7/2,
 # the x^2 coefficients of the two polynomials it printed whole before.
@@ -411,9 +416,9 @@ _FAULT_ROWS = {
         {"n_max": 5},
         "5469badf0fe30abf6f2c01879f001018c9d565e58dfa89847a65f1567b400880",
     ),
-    "p0_row": (
-        shifted._MomentTable,
-        _bumped_p0_row,
+    "_k_formula": (
+        shifted,
+        _bumped_k_formula,
         {"rel5.1": "failed", "thm11.2": "failed", "chu-vandermonde": "failed"},
         {"lambda_max": 4, "order": 6, "p_max": 4},
         "5796de3c7ed5f6665b8bae7d2577ec7e60bb0fca08a5729c3522803540fa9f5b",
