@@ -16,7 +16,7 @@ The marked family weighs npbi over every diagram of n,
     p_npk(n, p, k) = sum over mu |- n of npbi(mu, p, k)/z_mu * X_mu1 X_mu2 ...,
 
 and :func:`marked_row` evaluates a whole row n of it over the products
-of :func:`marked_products`.
+(n!/z_mu) X_mu1 X_mu2 ..., one per partition of n.
 """
 
 from __future__ import annotations
@@ -113,17 +113,6 @@ def _marked_terms(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tupl
     return tuple((mu.parts, fact // z_of(mu)) for mu in mus), tuple(map(tuple, columns))
 
 
-def marked_products(n: int, xk: Callable[[int], object]) -> tuple[object, ...]:
-    """((n!/z_mu) X_mu1 X_mu2 ... for mu over enumerate_partitions(n)), in
-    that order, at X_i = xk(i)."""
-    out = []
-    for parts, v in _marked_terms(n)[0]:
-        for part in parts:
-            v = v * xk(part)
-        out.append(v)
-    return tuple(out)
-
-
 def marked_row(n: int, xk: Callable[[int], object]) -> tuple[tuple[object, ...], ...]:
     """Row n of n!·p_npk(n, p, k) at X_i = xk(i), indexed [p][k] for
     0 <= p, k <= n.  xk may return ints, Fractions or any ring element
@@ -132,7 +121,11 @@ def marked_row(n: int, xk: Callable[[int], object]) -> tuple[tuple[object, ...],
     int 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    products = marked_products(n, xk)
+    products = []  # (n!/z_mu) X_mu1 X_mu2 ... for mu over enumerate_partitions(n)
+    for parts, v in _marked_terms(n)[0]:
+        for part in parts:
+            v = v * xk(part)
+        products.append(v)
     row: list[list[object]] = [[0] * (n + 1) for _ in range(n + 1)]
     for k, column in enumerate(_marked_terms(n)[1]):
         for i, p, c in column:
@@ -154,27 +147,31 @@ def gn_series(n: int, order: int) -> BiSeries:
     return BiSeries(order, coeffs)
 
 
-def gn_closed_form(n: int) -> BiSeries:
-    """The same bivariate polynomial from the three-term closed form.
+def gn_closed_forms(n_max: int) -> list[BiSeries]:
+    """The same bivariate polynomials from the three-term closed form, for
+    n = 1 .. n_max.
 
     With A, B the halved roots of w^2 - (1+x)(1+y) w + y(1+x), the sum
     P_n = A^n + B^n obeys P_n = (1+x)(1+y) P_{n-1} - y(1+x) P_{n-2} from
     P_0 = 2, P_1 = (1+x)(1+y), and the generating polynomial is
-    P_n - 1 - y^n.  Returned at order 2n, which holds every term, with
-    int entries.
+    P_n - 1 - y^n.  The recurrence runs once, at order 2 n_max; each
+    polynomial is returned cut at order 2n, which holds every term since
+    P_n has total degree 2n, with int entries.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    order = 2 * n
+    order = 2 * n_max
     one = BiSeries(order, {(0, 0): 1})
     y = BiSeries(order, {(1, 0): 1})
     x = BiSeries(order, {(0, 1): 1})
     lin = (one + x) * (one + y)
     drop = y * (one + x)
     p_prev, p_cur = BiSeries(order, {(0, 0): 2}), lin
-    for _ in range(2, n + 1):
-        p_prev, p_cur = p_cur, lin * p_cur - drop * p_prev
-    return p_cur - one - BiSeries(order, {(n, 0): 1})
+    out = []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            p_prev, p_cur = p_cur, lin * p_cur - drop * p_prev
+        rows = (p_cur - one - BiSeries(order, {(n, 0): 1})).rows
+        out.append(BiSeries._of(2 * n, [row[: 2 * n + 1 - i] for i, row in enumerate(rows[: 2 * n + 1])]))
+    return out
 
 
 def nbi_from_hypergeometric(n: int, p: int, order: int) -> tuple[list[int], int]:

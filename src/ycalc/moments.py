@@ -51,9 +51,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .coefficients import marked_products, npbi, stirling_first
-from .partitions import Partition, alpha_keyed_memo, check_alpha, content_numerators, enumerate_partitions
+from .coefficients import npbi, stirling_first
+from .partitions import Partition, alpha_keyed_memo, check_alpha, content_numerators, enumerate_partitions, z_of
 from .series import InvariantError, comb_int, linear_ratio_integers
 from .shifted import moment_table
 
@@ -343,37 +344,51 @@ def _u_table(r: int) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]],
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _regroup_plan(r_max: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(j_max, steps, columns of r for r = 0 .. r_max): _u_table, read
+    through the module global, compiled for :func:`_s_regrouped`.  The
+    rho of weight <= j_max are numbered by weight, and steps holds each
+    nonempty rho as (the number of rho less its last part, its last part).
+    The columns of r hold, per term (i, j, k, rho, u), the number of
+    (i, i-k) among the pairs (i, d <= i), r-2i-j, the number of rho and
+    u (r!/j!) (j!/z_rho) = u r!/z_rho.  Unbounded: one key per r_max."""
+    tables = [_u_table(r) for r in range(r_max + 1)]
+    j_max = max(j for rows in tables for _, j, _, _ in rows)
+    rhos = [rho for j in range(j_max + 1) for rho in enumerate_partitions(j)]
+    number = {rho.parts: n for n, rho in enumerate(rhos)}
+    steps = tuple((number[rho.parts[:-1]], rho.parts[-1]) for rho in rhos[1:])
+    columns = []
+    for r, rows in enumerate(tables):
+        fact = math.factorial(r)
+        terms = [(i * (i + 1) // 2 + i - k, r - 2 * i - j, number[(rho := enumerate_partitions(j)[idx]).parts], u * fact // z_of(rho)) for i, j, k, row in rows for idx, u in row]
+        columns.append(tuple(tuple(term[c] for term in terms) for c in range(4)))
+    return j_max, steps, tuple(columns)
+
+
 def _s_regrouped(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], list[int]]:
     """s_r rebuilt through the u regrouping, R_r over a^r r! for
     alpha = a/b: a route of s_r that the verifier reads and the CLI does
     not list.
 
     Each term (1/alpha)^i (1 - 1/alpha)^(r-2i-j) C(|la|+i-1, i-k) u d_rho / z_rho
-    of s_r is an integer over a^r r!, with d_rho / z_rho = P_rho (j!/z_rho) / (a^j j!)
-    from :func:`coefficients.marked_products` at the moment table's power
-    sums.  The u values come from the
-    per-r table of nonzero terms.
+    of s_r is an integer over a^r r!: (a b)^i (a-b)^(r-2i-j) C(|la|+i-1, i-k)
+    P_rho times u r!/z_rho, for the moment table's power sums P.  Each
+    table forms its P_rho, one multiply each, and its (a b)^i C(|la|+i-1, d)
+    once; each R_r is one sum over the columns of :func:`_regroup_plan`.
     """
     table = moment_table(la, alpha)
     a, b = table.a, table.b
+    j_max, steps, columns = _regroup_plan(r_max)
+    sums = [table.power_sum(k) for k in range(j_max + 1)]
+    prods = [1]
+    for prefix, part in steps:
+        prods.append(prods[prefix] * sums[part])
     w = la.weight
-    u_tables = [_u_table(r) for r in range(r_max + 1)]
-    prods = [marked_products(j, table.power_sum) for j in range(1 + max(j for rows in u_tables for _, j, _, _ in rows))]
-    ab_pows = [(a * b) ** i for i in range(r_max // 2 + 1)]
+    scales = [(a * b) ** i * comb_int(w + i - 1, d) for i in range(r_max // 2 + 1) for d in range(i + 1)]
     diff_pows = [(a - b) ** n for n in range(r_max + 1)]
-    out, dens = [], []
-    for r in range(r_max + 1):
-        fact_r = math.factorial(r)
-        total = 0
-        for i, j, k, terms in u_tables[r]:
-            row = prods[j]
-            inner = sum(u * row[idx] for idx, u in terms)
-            if inner:
-                scale = ab_pows[i] * diff_pows[r - 2 * i - j] * (fact_r // math.factorial(j))
-                total += scale * comb_int(w + i - 1, i - k) * inner
-        out.append(total)
-        dens.append(a**r * fact_r)
-    return out, dens
+    nums = [sum(map(mul, us, map(mul, map(mul, map(scales.__getitem__, si), map(diff_pows.__getitem__, ei)), map(prods.__getitem__, pi)))) for si, ei, pi, us in columns]
+    return nums, [a**r * math.factorial(r) for r in range(r_max + 1)]
 
 
 def row_column_binomials(la: Partition, alpha: Fraction, p_max: int) -> list[tuple[int, int, int, int]]:

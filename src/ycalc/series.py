@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -241,13 +241,6 @@ class BiSeries:
             raise ValueError("series have different orders")
         return self.order
 
-    def coefficient(self, key: Sequence[int]):
-        """The u^i v^j coefficient for key (i, j); int entries, zeros
-        beyond the cut included, read as Fractions."""
-        i, j = key
-        c = self.rows[i][j] if 0 <= i and 0 <= j and i + j <= self.order else 0
-        return Fraction(c) if isinstance(c, int) else c
-
     def _entrywise(self, other: "BiSeries", op) -> "BiSeries":
         order = self._order_with(other)
         rows = [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
@@ -286,13 +279,21 @@ def linear_ratio_integers(num: Iterable[int], den: Iterable[int], order: int) ->
     Each factor updates one dense coefficient list in place, in O(order)
     (Knuth, TAOCP Vol. 2, 4.7): multiplying by 1 + n t runs downward,
     C_i += n C_(i-1); dividing by 1 + m t runs upward, C_i -= m C_(i-1).
-    Zero factors are skipped.
+    A factor on both sides cancels before either is applied, and zero
+    factors are skipped.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    den = list(den)
+    kept = []
+    for n in num:
+        if n in den:
+            den.remove(n)
+        else:
+            kept.append(n)
     cs = [0] * (order + 1)
     cs[0] = 1
-    for n in num:
+    for n in kept:
         if n:
             for i in range(order, 0, -1):
                 cs[i] += n * cs[i - 1]

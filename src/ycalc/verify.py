@@ -23,7 +23,7 @@ from operator import floordiv, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (
-    gn_closed_form,
+    gn_closed_forms,
     gn_series,
     jz_sides,
     marked_row,
@@ -324,11 +324,11 @@ def _sk_series(k: int, order: int, xval, univariate: bool) -> BiSeries:
 
 
 def _mixture(n: int, order: int, elements: Sequence[BiSeries], signed: bool, products: dict) -> BiSeries:
-    """The sum over mu |- n of the products of mu's elements, weighted
-    1/z_mu: summed with the integer weights n!/z_mu and divided by n! once.
-    products maps the parts of every partition formed so far (and () to
-    the unit) to its product, so each new one takes one multiply from its
-    prefix parts[:-1]."""
+    """n! times the sum over mu |- n of the products of mu's elements,
+    weighted 1/z_mu: summed with the integer weights n!/z_mu.  products
+    maps the parts of every partition formed so far (and () to the unit)
+    to its product, so each new one takes one multiply from its prefix
+    parts[:-1]."""
     fact = math.factorial(n)
     total = BiSeries(order)
     for mu in enumerate_partitions(n):
@@ -338,14 +338,14 @@ def _mixture(n: int, order: int, elements: Sequence[BiSeries], signed: bool, pro
         if signed and (n - mu.length) % 2:
             weight = -weight
         total = total + prod * weight
-    inv = Fraction(1, fact)
-    return BiSeries._of(order, [[c * inv if c else c for c in row] for row in total.rows])
+    return total
 
 
 def _rhs_biseries(n: int, order: int, rows, x0, alternating: bool) -> BiSeries:
-    """rows[d] is marked_row(d, xk), with xk = -X for the alternating
-    variant.  The prefixes C(x, n-k) are summed as n!/(n-k)! [x]_(n-k),
-    so each coefficient is divided once, by n! d!."""
+    """n! d! times the right side at total degree d.  rows[d] is
+    marked_row(d, xk), with xk = -X for the alternating variant, d! times
+    the marked family, and the prefixes C(x, n-k) are summed as
+    n!/(n-k)! [x]_(n-k)."""
     fact = math.factorial(n)
     if alternating:
         prefixes = [lowering_factorial(x0 - k, n - k) * ((-1) ** k * fact // math.factorial(n - k)) for k in range(n + 1)]
@@ -360,13 +360,13 @@ def _rhs_biseries(n: int, order: int, rows, x0, alternating: bool) -> BiSeries:
             for k in range(0, min(n, total_deg) + 1):
                 if line[k]:
                     acc = acc + prefixes[k] * line[k]
-            coeffs[(p, q)] = acc * Fraction(1, fact * math.factorial(total_deg))
+            coeffs[(p, q)] = acc
     return BiSeries(order, coeffs)
 
 
 def _rhs_useries(n: int, order: int, rows, x0) -> BiSeries:
-    """rows[d] is marked_row(d, X); C(x0 - p, n-k) is summed as
-    n!/(n-k)! [x0 - p]_(n-k) and divided once, by n! p!."""
+    """n! p! times the right side at u^p.  rows[d] is marked_row(d, X),
+    and C(x0 - p, n-k) is summed as n!/(n-k)! [x0 - p]_(n-k)."""
     fact = math.factorial(n)
     coeffs = {}
     for p in range(order + 1):
@@ -374,7 +374,7 @@ def _rhs_useries(n: int, order: int, rows, x0) -> BiSeries:
         for k in range(0, min(n, p) + 1):
             if rows[p][0][k]:
                 acc = acc + lowering_factorial(x0 - p, n - k) * (fact // math.factorial(n - k)) * rows[p][0][k]
-        coeffs[(p, 0)] = acc * Fraction(1, fact * math.factorial(p))
+        coeffs[(p, 0)] = acc
     return BiSeries(order, coeffs)
 
 
@@ -382,7 +382,9 @@ def _check_expansion_family(
     rec: _Recorder, *, alternating: bool, univariate: bool, n_max: int, order: int, mode: str, seed: int, trials: int
 ) -> None:
     """thm3.1, its alternating variant thm3.1-alt, and ll-v0, the signed
-    univariate variant."""
+    univariate variant.  At total degree d the left side, over n!, is
+    compared times d! with the right side, over n! d!; the values
+    themselves are formed only for a key that fails."""
     signed = alternating or univariate
     value_sets: list[tuple[str, Callable[[int], object], object]]
     if mode == "symbolic":
@@ -410,8 +412,10 @@ def _check_expansion_family(
             # order; the univariate variant reports its key as [r]
             for d in range(order + 1):
                 for i in range(d + 1):
-                    a, b = lhs.coefficient((i, d - i)), rhs.coefficient((i, d - i))
+                    a, b = lhs.rows[i][d - i] * math.factorial(d), rhs.rows[i][d - i]
                     if a or b:
+                        if a != b:
+                            a, b = (c * Fraction(1, math.factorial(n) * math.factorial(d)) for c in (a, b))
                         key = [i] if univariate else [i, d - i]
                         rec.check(a, b, n=n, key=key, values=label)
 
@@ -504,9 +508,9 @@ def _check_gf23(rec: _Recorder, *, n_max: int, order: int, lambda_max: int) -> N
 
 
 def _check_gn_closed(rec: _Recorder, *, n_max: int) -> None:
-    for n in range(1, n_max + 1):
+    for n, closed in enumerate(gn_closed_forms(n_max), start=1):
         keys = _graded_keys(2 * n)
-        rec.numerators(_entries(gn_closed_form(n), keys), _entries(gn_series(n, 2 * n), keys), 1, keys, n=n)
+        rec.numerators(_entries(closed, keys), _entries(gn_series(n, 2 * n), keys), 1, keys, n=n)
 
 
 def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rationals) -> None:

@@ -7,6 +7,9 @@ kernel cannot hide in the reference it is checked against.
 import math
 from fractions import Fraction
 
+from ycalc.partitions import enumerate_partitions, z_of
+from ycalc.series import comb_int
+
 
 def linear_ratio_reference(num, den, order):
     """[c_0 .. c_order], the coefficients of prod_a (1 + a t) / prod_b (1 + b t)
@@ -57,3 +60,22 @@ def formula_value_reference(terms, power_sum):
     polynomial, one dict entry at a time, with power_sum(0) = |la| and
     power_sum(k) = P_k."""
     return sum(v * power_sum(0) ** e0 * math.prod(power_sum(k) for k in mu) for (e0, mu), v in terms.items())
+
+
+def s_regrouped_reference(u_table, power_sum, weight, a, b, r_max):
+    """[R_0 .. R_r_max], the u regrouping of s_r over a^r r! (alpha = a/b),
+    one row (i, j, k, terms) of u_table(r) at a time: the row adds
+    (a b)^i (a-b)^(r-2i-j) (r!/j!) C(|la|+i-1, i-k) times the sum of
+    u (j!/z_rho) P_rho over its terms (index of rho among
+    enumerate_partitions(j), u), with P_rho formed one power_sum(part)
+    at a time and weight = |la|."""
+    out = []
+    for r in range(r_max + 1):
+        total = 0
+        for i, j, k, terms in u_table(r):
+            rhos = enumerate_partitions(j)
+            inner = sum(u * (math.factorial(j) // z_of(rhos[idx])) * math.prod(power_sum(part) for part in rhos[idx].parts) for idx, u in terms)
+            scale = (a * b) ** i * (a - b) ** (r - 2 * i - j) * (math.factorial(r) // math.factorial(j))
+            total += scale * comb_int(weight + i - 1, i - k) * inner
+        out.append(total)
+    return out

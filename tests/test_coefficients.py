@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from ycalc.coefficients import (
-    gn_closed_form,
+    gn_closed_forms,
     gn_series,
     jz_sides,
     nbi,
@@ -200,17 +200,22 @@ def test_npbi_errors():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gn_closed_form_matches_table(n):
-    assert gn_closed_form(n).rows == gn_series(n, 2 * n).rows
+    # each polynomial is cut at order 2n from one recurrence run at order 12
+    closed = gn_closed_forms(6)[n - 1]
+    assert closed.order == 2 * n
+    assert closed.rows == gn_series(n, 2 * n).rows
 
 
 def test_gn_small_cases_by_hand():
-    g1 = gn_closed_form(1)
+    (g1,) = gn_closed_forms(1)
     # single cell: one subset, marked or not -> x + xy
-    assert g1.coefficient((0, 1)) == 1
-    assert g1.coefficient((1, 1)) == 1
+    assert g1.rows[0][1] == 1
+    assert g1.rows[1][1] == 1
     assert sum(1 for row in g1.rows for c in row if c) == 2
+    # no positive n up to 0; a negative bound is no order
+    assert gn_closed_forms(0) == []
     with pytest.raises(ValueError):
-        gn_closed_form(0)
+        gn_closed_forms(-1)
 
 
 def test_stirling_first_kind():

@@ -17,7 +17,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import content_ratio_reference, formula_value_reference, linear_ratio_reference
+from references import content_ratio_reference, formula_value_reference, linear_ratio_reference, s_regrouped_reference
 
 from ycalc.moments import (
     S_ROUTES,
@@ -595,6 +595,18 @@ def test_s_regrouped_route_agrees():
     for alpha in (Fraction(2), Fraction(3, 5)):
         for la in partitions_upto(5):
             assert moment_values(_s_regrouped, la, alpha, 5) == moment_values(S_ROUTES["direct"], la, alpha, 5), la
+
+
+@pytest.mark.parametrize("alpha", DEFAULT_ALPHA_SET)
+def test_s_regrouped_matches_the_row_loop(alpha):
+    # the compiled plan against one u row at a time, over r <= 12; a plan
+    # compiled for a smaller r_max gives the same leading numerators
+    for la in partitions_upto(8):
+        table = moment_table(la, alpha)
+        nums, dens = _s_regrouped(la, alpha, 12)
+        assert nums == s_regrouped_reference(_u_table, table.power_sum, la.weight, table.a, table.b, 12), la
+        assert dens == [table.a**r * math.factorial(r) for r in range(13)]
+        assert _s_regrouped(la, alpha, 7)[0] == nums[:8], la
 
 
 def test_u_coefficients_are_nonnegative_integers():

@@ -295,6 +295,7 @@ verify_npbi = verify.npbi
 verify_pieri_coefficients = verify.pieri_coefficients
 shifted_c_formula = shifted._c_formula
 shifted_k_formula = shifted._k_formula
+moments_u_table = moments._u_table
 
 
 def _bumped_content_ratio(la, alpha, c, d, order):
@@ -343,6 +344,17 @@ def _bumped_k_formula(n, m, shift, p_max):
     return (terms, *formula[1:])
 
 
+def _moved_u_unit(r):
+    # one unit of u moved from rho = 2 to rho = 1,1 in the row
+    # (r, i, j, k) = (6, 2, 2, 2), 4 and 4 to 3 and 5: every u stays a
+    # nonnegative integer, and s_6 moves by (a b)^2 (6!/2!) (P_1^2 - P_2)
+    # over a^6 6!, which is 0 on the shapes of weight 1 and 2
+    rows = moments_u_table(r)
+    if r != 6:
+        return rows
+    return tuple((i, j, k, ((0, terms[0][1] - 1), (1, terms[1][1] + 1))) if (i, j, k) == (2, 2, 2) else (i, j, k, terms) for i, j, k, terms in rows)
+
+
 def _swapped_corner_rows(la, alpha):
     # the corner atoms 10/6 and -8/-6 of rows 1 and 2 of 2,1 at alpha 2
     # swapped, which keeps their sum, signs and zeros
@@ -379,7 +391,11 @@ def _doubled_pieri_row(la, alpha):
 # under the corner-row fault: its down-moment compares two routes that both
 # read the corner atoms, and its up-moment reads none.  The corner-row
 # digest equals the report of the Fraction comparisons the integer ones
-# replaced, under the same swap.
+# replaced, under the same swap.  The _u_table digest equals the report of
+# the per-row loop the compiled regrouping plan replaced, under the same
+# move; the regrouping coefficients thm8.1 checks by themselves are
+# computed apart from the table, so only its integer-regrouping route
+# fails.
 _FAULT_ROWS = {
     "_c_formula": (
         shifted,
@@ -422,6 +438,13 @@ _FAULT_ROWS = {
         {"rel5.1": "failed", "thm11.2": "failed", "chu-vandermonde": "failed"},
         {"lambda_max": 4, "order": 6, "p_max": 4},
         "5796de3c7ed5f6665b8bae7d2577ec7e60bb0fca08a5729c3522803540fa9f5b",
+    ),
+    "_u_table": (
+        moments,
+        _moved_u_unit,
+        {"thm8.1": "failed"},
+        {"lambda_max": 3, "r_max": 6},
+        "525d6f75d70e1d8cfb7040eb8f56a9b5b9fb388887b06252b53e6366a4fa5a19",
     ),
     "pieri_coefficients": (
         verify,
@@ -630,7 +653,7 @@ def test_batch_builds_a_context_only_for_a_failing_entry():
 
 @pytest.mark.parametrize(
     "identity",
-    ["jz", "thm4.1", "gf2.3", "gn-closed", "rel5.1", "thm5.1", "cor5.2", "prop7.1", "thm8.1", "thm9.1", "lem11.1", "thm11.2", "moments-bridge"],
+    ["thm3.1", "thm3.1-alt", "ll-v0", "jz", "thm4.1", "gf2.3", "gn-closed", "rel5.1", "thm5.1", "cor5.2", "prop7.1", "thm8.1", "thm9.1", "lem11.1", "thm11.2", "moments-bridge"],
 )
 def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
     formed = []
@@ -684,14 +707,15 @@ def test_moments_bridge_draws_no_path_and_names_no_shape(monkeypatch):
     ("thm3.1", "_rhs_biseries", [2, 0]),
 ])
 def test_expansion_mismatch_reports_key(monkeypatch, identity, rhs_name, key):
-    # shift the u^2 coefficient of every right-hand side by one
+    # shift the u^2 coefficient of every right-hand side by one: the
+    # right side at total degree 2 is n! 2! times its value
     import ycalc.verify as verify
 
     original = getattr(verify, rhs_name)
 
-    def shifted(*args, **kwargs):
-        rhs = original(*args, **kwargs)
-        rhs.rows[2][0] = rhs.rows[2][0] + 1
+    def shifted(n, *args, **kwargs):
+        rhs = original(n, *args, **kwargs)
+        rhs.rows[2][0] = rhs.rows[2][0] + math.factorial(n) * 2
         return rhs
 
     monkeypatch.setattr(verify, rhs_name, shifted)
