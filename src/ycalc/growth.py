@@ -2,12 +2,12 @@
 
 The up kernel on a shape is the row-weight family from `moments`; the
 down kernel divides the corner weights by the cell count.  Both are exact
-probability vectors, tuples of atoms (row, probability).  A dimension
-function satisfies dim(Λ) = Σ κ·dim(λ) over shapes covered by Λ, with κ
-the up-kernel weight of the added row; the down kernel must then factor
-as κ · dim(λ)/dim(Λ), which is checked rather than assumed.  Each
-dimension is computed once per (shape, alpha), from the kept dimensions
-of the shapes it covers (`_dimension_slot`).
+probability vectors, tuples of atoms (row, probability).  The dimension
+is the weight of Kerov's transition measure, the Jack–Plancherel hook
+product (Kerov, "Anisotropic Young diagrams and Jack symmetric
+functions", 2000).  It satisfies dim(Λ) = Σ κ·dim(λ) over shapes covered
+by Λ, with κ the up-kernel weight of the added row, and the down kernel
+must then factor as κ · dim(λ)/dim(Λ); both are checked, not assumed.
 
 The Monte Carlo sampler is deterministic per (seed, path index).  The
 draw for step s of path p is splitmix64's output function over the
@@ -47,7 +47,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .moments import _pieri_atoms, _position_weights, _power_sums, corner_binomials, pieri_coefficients
-from .partitions import EMPTY, Partition, alpha_keyed_memo, check_alpha, enumerate_partitions
+from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and
@@ -82,47 +82,20 @@ def cotransition_kernel(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...
     return tuple((i, v / w) for i, v in corner_binomials(la, alpha))
 
 
-@alpha_keyed_memo
-def _dimension_slot(la: Partition, alpha: Fraction) -> list:
-    """The memo of dimensions: a one-element list per (shape, alpha) that
-    :func:`dimension` fills with dim(la) once, [None] until then."""
-    return [None]
-
-
 def dimension(la: Partition, alpha) -> Fraction:
-    """dim(Λ) by the covering recurrence dim(Λ) = Σ κ·dim(λ) over the λ
-    that Λ covers, κ the up-kernel weight of the row added to λ;
-    dim(∅) = 1.
-
-    Each (shape, alpha) is computed once: the walk goes down from la,
-    weight by weight, only through shapes whose dimension is not yet kept,
-    and then folds those bottom-up, one integer sum and one Fraction per
-    shape.  The walk holds the slots it reached, so neither recursion
-    depth nor the memo bound limits la."""
+    """dim(λ) = α^n n! / ∏_cells (α·arm + leg + 1)(α·arm + leg + α),
+    n = |λ|, Kerov's hook product (Stanley 1989, Kerov 2000); dim(∅) = 1.
+    With alpha = a/b each cell's factor times b^2 is the integer
+    (a·arm + b·(leg+1))·(a·(arm+1) + b·leg), so dim = (a·b)^n n! over one
+    integer product."""
     alpha = check_alpha(alpha)
-    slots = {}  # parts -> slot, for every shape the walk reached
-    missing = []  # the shapes without a kept dimension, one level per weight
-    level = {la.parts: la}
-    while level:
-        todo, below = [], {}
-        for parts, mu in level.items():
-            slot = slots[parts] = _dimension_slot(mu, alpha)
-            if slot[0] is None:
-                todo.append(mu)
-                below.update((nu.parts, nu) for nu in map(mu.remove_cell, mu.removable_rows()))
-        missing.append(todo)
-        level = below
-    for shapes in reversed(missing):
-        for mu in shapes:
-            num, den = (0, 1) if mu.weight else (1, 1)
-            for i in mu.removable_rows():
-                nu = mu.remove_cell(i)
-                kappa = next(w for row, w in pieri_coefficients(nu, alpha) if row == i)
-                dim = slots[nu.parts][0]
-                k_den = kappa.denominator * dim.denominator
-                num, den = num * k_den + kappa.numerator * dim.numerator * den, den * k_den
-            slots[mu.parts][0] = Fraction(num, den)
-    return slots[la.parts][0]
+    a, b = alpha.numerator, alpha.denominator
+    cols = la.conjugate().parts
+    hooks = 1
+    for i, j in la.cells():
+        arm, leg = la.parts[i - 1] - j, cols[j - 1] - i
+        hooks *= (a * arm + b * (leg + 1)) * (a * (arm + 1) + b * leg)
+    return Fraction((a * b) ** la.weight * math.factorial(la.weight), hooks)
 
 
 def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...]:

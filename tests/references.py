@@ -7,7 +7,8 @@ kernel cannot hide in the reference it is checked against.
 import math
 from fractions import Fraction
 
-from ycalc.partitions import enumerate_partitions, z_of
+from ycalc.moments import pieri_coefficients
+from ycalc.partitions import EMPTY, enumerate_partitions, partitions_upto, z_of
 from ycalc.series import comb_int
 
 
@@ -37,6 +38,19 @@ def content_ratio_reference(la, alpha, y, order):
     return linear_ratio_reference(
         [y + 1 + u for u in contents] + contents, [y + u for u in contents] + [1 + u for u in contents], order
     )
+
+
+def dimension_reference(n_max, alpha):
+    """{la: dim(la)} for every shape of weight <= n_max by the covering
+    recurrence dim(La) = sum kappa dim(la) over the shapes la that La
+    covers, kappa the Fraction Pieri weight of the row added to la, folded
+    bottom-up from dim(empty) = 1."""
+    dims = {EMPTY: Fraction(1)}
+    for la in partitions_upto(n_max - 1):
+        for row, kappa in pieri_coefficients(la, alpha):
+            above = la.add_cell(row)
+            dims[above] = dims.get(above, 0) + kappa * dims[la]
+    return dims
 
 
 def c_rows_reference(c_formula, power_sum, a, r_max):

@@ -1,8 +1,11 @@
 """Growth kernels, dimension recurrences, and the seeded sampler."""
 
 import gc
+import importlib
 import math
+import pkgutil
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -23,11 +26,14 @@ from ycalc.growth import (
     sample_growth,
     tableau_counts,
 )
+import ycalc
 from ycalc import growth, moments, partitions
 from ycalc.moments import S_ROUTES, SIGMA_ROUTES, _position_weights, corner_binomials, moment_values, pieri_coefficients
-from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, enumerate_partitions, partitions_upto
+from ycalc.partitions import EMPTY, MEMO_SIZE, Partition, partitions_upto
 from ycalc.shifted import moment_table
 from ycalc.series import InvariantError, comb_int
+
+from references import dimension_reference
 
 ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5))
 KERNEL_ALPHAS = ALPHAS + (Fraction(7, 3),)
@@ -120,29 +126,32 @@ def test_dimension_table_at_alpha_one():
         )
 
 
-def test_dimension_reads_one_pieri_atom_per_covered_shape(fresh_memos, monkeypatch):
-    # With every dimension below weight 8 kept, a weight-8 shape folds only
-    # its own covering sum: one Pieri read per removable row.
+@pytest.mark.parametrize("alpha", KERNEL_ALPHAS + (Fraction(13, 11),))
+def test_dimension_matches_the_covering_recurrence(alpha):
+    # The hook product against the Pieri weights folded bottom-up: two
+    # routes that share no code.  Under alpha <-> 1/alpha the product
+    # differs from the fold at most shapes once alpha != 1.
+    want = dimension_reference(9, alpha)
+    assert len(want) == len(partitions_upto(9))
+    for la, dim in want.items():
+        assert dimension(la, alpha) == dim, la
+
+
+def test_dimension_of_a_row_and_a_column_is_its_path_product():
+    # A row or a column covers one shape only, so its dimension is the
+    # product of the Pieri weights along its one path from the empty shape.
     alpha = Fraction(3, 5)
-    for la in partitions_upto(7):
-        dimension(la, alpha)
-    reads = []
-
-    def counted(la, alpha):
-        reads.append(la)
-        return pieri_coefficients(la, alpha)
-
-    monkeypatch.setattr(growth, "pieri_coefficients", counted)
-    for la in enumerate_partitions(8):
-        reads.clear()
-        dimension(la, alpha)
-        assert len(reads) <= len(la.removable_rows()), (la, reads)
+    for la, row_of in ((Partition((600,)), lambda k: 1), (Partition((1,) * 300), lambda k: k + 1)):
+        want, shape = Fraction(1), EMPTY
+        for k in range(la.weight):
+            want *= dict(pieri_coefficients(shape, alpha))[row_of(k)]
+            shape = shape.add_cell(row_of(k))
+        assert shape == la and dimension(la, alpha) == want, la
 
 
 def test_dimension_of_deep_and_wide_shapes():
-    # One row of 600 cells is deeper than a recursion of a frame or two
-    # per cell allows, and the 4,862 shapes below the staircase 8,7,...,1
-    # outnumber the memo's MEMO_SIZE entries.
+    # A long row and a staircase of 36 cells against the hook length
+    # count f_la: at alpha = 1 the hook product is f_la^2 / |la|!.
     for la in (Partition((600,)), Partition(range(8, 0, -1))):
         want = Fraction(_hook_length_count(la) ** 2, math.factorial(la.weight))
         assert dimension(la, 1) == want, la
@@ -300,8 +309,9 @@ def test_state_graph_invariants(alpha, start):
 
 @pytest.mark.parametrize("alpha", (Fraction(1), Fraction(1, 2), Fraction(3, 5), Fraction(7, 3)))
 def test_state_graph_masses_are_dimensions(alpha):
-    # From the empty shape the mass of a node is dim(la): `dimension` fills
-    # the same covering recurrence bottom-up, apart from the state graph.
+    # From the empty shape the mass of a node is dim(la): the state graph
+    # folds the Pieri weights down every path, `dimension` takes the hook
+    # product, and no code is shared between the two.
     level = {EMPTY.parts: growth._Node(EMPTY, Fraction(1))}
     for depth in range(11):
         assert all(node.mass == dimension(node.la, alpha) for node in level.values()), depth
@@ -609,12 +619,27 @@ def test_lane_count_of_a_zero_weight_atom(fresh_memos, monkeypatch):
         assert stats.occupancy == (("1,1", paths),)
 
 
+# The (shape, alpha) memos that the two tests below exercise.
+ALPHA_KEYED_MEMOS = (pieri_coefficients, corner_binomials, moment_table)
+
+
+def test_memo_tests_cover_every_alpha_keyed_memo():
+    # alpha_keyed_memo returns a plain function carrying its lru_cache's
+    # cache_info; an lru_cache wrapper itself is no plain function.
+    found = {
+        value
+        for info in pkgutil.iter_modules(ycalc.__path__, "ycalc.")
+        for value in vars(importlib.import_module(info.name)).values()
+        if isinstance(value, types.FunctionType) and hasattr(value, "cache_info")
+    }
+    assert found == set(ALPHA_KEYED_MEMOS)
+
+
 def test_alpha_keyed_memos_stay_bounded(fresh_memos):
     # Each half makes MEMO_SIZE new (shape, alpha) keys, so the memos are
     # full after the first half and the second half only replaces entries.
     # Unbounded memos would double the traced memory; the bounded ones
     # stay within a few dict resizes (about 77 KB of 2.3 MB when written).
-    memos = (pieri_coefficients, corner_binomials, moment_table, growth._dimension_slot)
     shapes = (Partition((1,)), Partition((2,)))
 
     def run(denominator):
@@ -633,7 +658,7 @@ def test_alpha_keyed_memos_stay_bounded(fresh_memos):
         first, second = run(997), run(991)
     finally:
         tracemalloc.stop()
-    for memo in memos:
+    for memo in ALPHA_KEYED_MEMOS:
         info = memo.cache_info()
         assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE, (memo, info)
     assert second <= first + first // 10, (first, second)
@@ -643,14 +668,12 @@ def test_alpha_keyed_memo_hits_hash_no_fraction(fresh_memos, monkeypatch):
     # The memos key alpha = a/b by the ints a and b, so a warm hit runs
     # Partition's kept hash and no Fraction.__hash__.
     la, alpha = Partition((3, 1)), Fraction(3, 5)
-    memos = (pieri_coefficients, corner_binomials, moment_table, growth._dimension_slot)
-    dimension(la, alpha)  # fills la's slot and the atoms' memo below it
-    for memo in memos:
+    for memo in ALPHA_KEYED_MEMOS:
         memo(la, alpha)
     hashed = []
     fraction_hash = Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__", lambda self: hashed.append(self) or fraction_hash(self))
-    for memo in memos:
+    for memo in ALPHA_KEYED_MEMOS:
         hits = memo.cache_info().hits
         memo(la, alpha)
         assert (memo.cache_info().hits - hits, hashed) == (1, []), memo
