@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .moments import _pieri_atoms, _position_weights, _power_sums, corner_binomials, pieri_coefficients
+from .moments import _corner_weights, _pieri_atoms, _pieri_weights, _position_weights, _power_sums, corner_binomials
 from .partitions import EMPTY, Partition, check_alpha, enumerate_partitions
 from .series import InvariantError, comb_int
 
@@ -82,35 +82,42 @@ def cotransition_kernel(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...
     return tuple((i, v / w) for i, v in corner_binomials(la, alpha))
 
 
-def dimension(la: Partition, alpha) -> Fraction:
-    """dim(λ) = α^n n! / ∏_cells (α·arm + leg + 1)(α·arm + leg + α),
-    n = |λ|, Kerov's hook product (Stanley 1989, Kerov 2000); dim(∅) = 1.
-    With alpha = a/b each cell's factor times b^2 is the integer
-    (a·arm + b·(leg+1))·(a·(arm+1) + b·leg), so dim = (a·b)^n n! over one
-    integer product."""
-    alpha = check_alpha(alpha)
-    a, b = alpha.numerator, alpha.denominator
+def _dimension_integers(la: Partition, a: int, b: int) -> tuple[int, int]:
+    """dim(λ) at alpha = a/b as (num, den), both positive, by the hook
+    product of :func:`dimension`: each cell's factor times b^2 is the integer
+    (a·arm + b·(leg+1))·(a·(arm+1) + b·leg), so dim = (a·b)^n n! over
+    their product."""
     cols = la.conjugate().parts
     hooks = 1
     for i, j in la.cells():
         arm, leg = la.parts[i - 1] - j, cols[j - 1] - i
         hooks *= (a * arm + b * (leg + 1)) * (a * (arm + 1) + b * leg)
-    return Fraction((a * b) ** la.weight * math.factorial(la.weight), hooks)
+    return (a * b) ** la.weight * math.factorial(la.weight), hooks
 
 
-def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, Fraction], ...]:
-    """Down kernel rebuilt as κ·dim(λ)/dim(Λ); must match the direct one."""
+def dimension(la: Partition, alpha) -> Fraction:
+    """dim(λ) = α^n n! / ∏_cells (α·arm + leg + 1)(α·arm + leg + α),
+    n = |λ|, Kerov's hook product (Stanley 1989, Kerov 2000); dim(∅) = 1:
+    `_dimension_integers` as a Fraction."""
+    alpha = check_alpha(alpha)
+    return Fraction(*_dimension_integers(la, alpha.numerator, alpha.denominator))
+
+
+def cotransition_from_dimensions(la: Partition, alpha) -> tuple[tuple[int, int, int], ...]:
+    """Down kernel rebuilt as κ·dim(λ)/dim(Λ), atoms (row, num, den) with
+    den > 0, unreduced, from the Pieri atoms and `_dimension_integers`;
+    must match the direct one."""
     alpha = check_alpha(alpha)
     if la.weight == 0:
         raise ValueError("no co-transition from the empty shape")
-    dim_top = dimension(la, alpha)
-    if dim_top == 0:
-        raise InvariantError(f"dimension of {la} vanishes")
+    a, b = alpha.numerator, alpha.denominator
+    top_num, top_den = _dimension_integers(la, a, b)
     atoms = []
     for i in la.removable_rows():
         below = la.remove_cell(i)
-        kappa = dict(pieri_coefficients(below, alpha))[i]
-        atoms.append((i, kappa * dimension(below, alpha) / dim_top))
+        k_num, k_den = next((n, d) for row, n, d in _pieri_weights(below, alpha) if row == i)
+        num, den = _dimension_integers(below, a, b)
+        atoms.append((i, k_num * num * top_den, k_den * den * top_num))
     return tuple(atoms)
 
 
@@ -132,7 +139,7 @@ def cotransition_moment_routes(la: Partition, alpha, r_max: int) -> tuple[list[i
     if la.weight == 0:
         raise ValueError("no co-transition from the empty shape")
     a = alpha.numerator
-    pairs, big_d = _position_weights(corner_binomials, la, alpha)
+    pairs, big_d = _position_weights(_corner_weights, la, alpha)
     sigmas = _power_sums(pairs, r_max)
     direct = _power_sums(((x - a, v) for x, v in pairs), r_max)
     combo = [sum((-1) ** (r - k) * comb_int(r, k) * a ** (r - k) * sigmas[k] for k in range(r + 1)) for r in range(r_max + 1)]
@@ -150,24 +157,21 @@ def tableau_counts(n_max: int) -> dict[Partition, int]:
 
 def plancherel_check(n_max: int) -> bool:
     """At alpha = 1 both kernels reduce to tableau-count ratios and the
-    dimension function to f(λ)^2/|λ|!.  Raises on the first mismatch."""
+    dimension function to f(λ)^2/|λ|!, compared by cross-multiplication
+    with the integer atoms and the dimension.  Raises on the first mismatch."""
     one = Fraction(1)
     f = tableau_counts(n_max + 1)
     for n in range(0, n_max + 1):
         for la in enumerate_partitions(n):
-            for i, p in pieri_coefficients(la, one):
-                above = la.add_cell(i)
-                want = Fraction(f[above], (n + 1) * f[la])
-                if p != want:
+            for i, num, den in _pieri_weights(la, one):
+                if num * (n + 1) * f[la] != f[la.add_cell(i)] * den:
                     raise InvariantError(f"up kernel off at {la} row {i}")
-            if n:
-                for i, q in cotransition_kernel(la, one):
-                    below = la.remove_cell(i)
-                    want = Fraction(f[below], f[la])
-                    if q != want:
-                        raise InvariantError(f"down kernel off at {la} row {i}")
-            want_dim = Fraction(f[la] ** 2, math.factorial(n))
-            if dimension(la, one) != want_dim:
+            # the down kernel's atom is the corner weight num / den over n
+            for i, num, den in _corner_weights(la, one):
+                if num * f[la] != f[la.remove_cell(i)] * den * n:
+                    raise InvariantError(f"down kernel off at {la} row {i}")
+            dim = dimension(la, one)
+            if dim.numerator * math.factorial(n) != f[la] ** 2 * dim.denominator:
                 raise InvariantError(f"dimension off at {la}")
     return True
 
@@ -190,9 +194,10 @@ def _expand(level: dict[tuple[int, ...], _Node], alpha: Fraction) -> dict[tuple[
     the last is 2^64) and one successor per atom, shared by parts, whose
     mass sums node.mass·p over the atoms into it: one unreduced integer
     pair while the level runs, one Fraction when it is done."""
+    a, b = alpha.numerator, alpha.denominator
     acc: dict[tuple[int, ...], list] = {}  # parts -> [successor, mass num, mass den]
     for parts, node in level.items():
-        node.atoms = _pieri_atoms(node.la, alpha)
+        node.atoms = _pieri_atoms(node.la, a, b)
         padded = parts + (0,)
         m_num, m_den = node.mass.numerator, node.mass.denominator
         cuts, succ = [], []

@@ -1,6 +1,7 @@
 """Pieri-type transition weights and exact moment functions.
 
-Two families of atoms on a diagram la:
+Two families of atoms on a diagram la, the masses of Kerov's transition
+and co-transition measures:
 
 * row weights c_i for appending a cell in row i (the formula vanishes on
   rows where the shape would break, through one zero factor, and the
@@ -9,7 +10,10 @@ Two families of atoms on a diagram la:
   probability elsewhere.
 
 Both formulas are products over rows j, evaluated one block of equal
-parts at a time, where the factors telescope.
+parts at a time, where the factors telescope.  An atom is an integer
+triple (row, num, den), the sign on num.  Every reader but the sampler
+takes them from the memos `_pieri_weights` and `_corner_weights`, whose
+Fraction views are `pieri_coefficients` and `corner_binomials`.
 
 The r-th moments of the appended (s_r) and deleted (sigma_r) positions
 admit three independent routes each: the direct atom sum, a closed
@@ -69,7 +73,7 @@ def _blocks(parts: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _pieri_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
+def _pieri_row_values(la: Partition, a: int, b: int) -> list[tuple[int, int]]:
     """Raw row formula on rows 1 .. l(la) + 1, as unreduced (num, den).
 
     With alpha = a/b every linear factor is an integer over b.  The
@@ -78,7 +82,6 @@ def _pieri_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
     a(la_i - mu), telescope to (D + b(t-i+1))/(D + b(s-i)), and none of
     them vanishes for alpha > 0.  Row i's own block gives t-i+1 when i
     is its first row; otherwise its factor j = i-1 is 0."""
-    a, b = alpha.numerator, alpha.denominator
     l = la.length
     blocks = _blocks(la.parts + (0,))
     out = []
@@ -96,11 +99,12 @@ def _pieri_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
     return out
 
 
-def _checked_atoms(values, allowed: tuple[int, ...], total: int, la: Partition, kind: str, vanish: str) -> list[tuple[int, int, int]]:
+def _checked_atoms(values, allowed: tuple[int, ...], total: int, la: Partition, kind: str, vanish: str) -> tuple[tuple[int, int, int], ...]:
     """Atoms (row, num, den) of raw pairs on rows 1, 2, ..., kept unreduced
-    on the rows of `allowed` (ascending).  The pairs are checked to be zero
-    on every other row, nonnegative, by sign since a raw pair may be
-    negative over negative, and to sum to `total`, by cross-multiplication."""
+    on the rows of `allowed` (ascending), the sign on num.  The pairs are
+    checked to be zero on every other row, nonnegative, by sign since a raw
+    pair may be negative over negative, and to sum to `total`, by
+    cross-multiplication."""
     atoms = []
     num, den = 0, 1  # the running total
     rows = iter(allowed)
@@ -109,6 +113,8 @@ def _checked_atoms(values, allowed: tuple[int, ...], total: int, la: Partition, 
         if i == nxt:
             if n and (n < 0) != (d < 0):
                 raise InvariantError(f"negative {kind} weight {Fraction(n, d)} on row {i} of {la}")
+            if d < 0:
+                n, d = -n, -d
             atoms.append((i, n, d))
             num, den = num * d + n * den, den * d
             nxt = next(rows, 0)
@@ -116,30 +122,33 @@ def _checked_atoms(values, allowed: tuple[int, ...], total: int, la: Partition, 
             raise InvariantError(f"{vanish} row {i} of {la}")
     if num != total * den:
         raise InvariantError(f"{kind} weights of {la} sum to {Fraction(num, den)}")
-    return atoms
+    return tuple(atoms)
 
 
-def _pieri_atoms(la: Partition, alpha: Fraction) -> list[tuple[int, int, int]]:
+def _pieri_atoms(la: Partition, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
     """Transition atoms (row, num, den) on the addable rows, unreduced and
     checked by `_checked_atoms` to sum to 1."""
-    values = _pieri_row_values(la, alpha)
+    values = _pieri_row_values(la, a, b)
     return _checked_atoms(values, la.addable_rows(), 1, la, "row", "formula fails to vanish on non-addable")
 
 
-@alpha_keyed_memo
+# The memoised atoms, read as _pieri_weights(la, alpha); the sampler reads
+# `_pieri_atoms` past the memo.
+_pieri_weights = alpha_keyed_memo(_pieri_atoms)
+
+
 def pieri_coefficients(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """Transition atoms (row, weight) on the addable rows: `_pieri_atoms` with Fraction weights."""
-    return tuple((i, Fraction(n, d)) for i, n, d in _pieri_atoms(la, alpha))
+    """Transition atoms (row, weight) on the addable rows: `_pieri_weights` with Fraction weights."""
+    return tuple((i, Fraction(n, d)) for i, n, d in _pieri_weights(la, alpha))
 
 
-def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
+def _corner_row_values(la: Partition, a: int, b: int) -> list[tuple[int, int]]:
     """Raw corner weights for deleting in rows 1 .. l(la), as unreduced
     (num, den), one block s..t of equal parts mu at a time like the row
     formula: for mu != la_i the factors (D + b(j-i-1))/(D + b(j-i))
     telescope to (D + b(s-i-1))/(D + b(t-i)), and row i's own block
     gives i-s+1 when i is its last row; otherwise its factor j = i+1
     is 0."""
-    a, b = alpha.numerator, alpha.denominator
     l = la.length
     blocks = _blocks(la.parts)
     out = []
@@ -158,24 +167,28 @@ def _corner_row_values(la: Partition, alpha: Fraction) -> list[tuple[int, int]]:
 
 
 @alpha_keyed_memo
+def _corner_weights(la: Partition, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """_corner_weights(la, alpha): corner atoms (row, num, den) over the
+    removable rows, memoised: the raw corner formula, checked by
+    `_checked_atoms` to vanish elsewhere and to sum to |la|."""
+    values = _corner_row_values(la, a, b)
+    return _checked_atoms(values, la.removable_rows(), la.weight, la, "corner", "corner weight fails to vanish on")
+
+
 def corner_binomials(la: Partition, alpha: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """Corner atoms (row, weight) over removable rows: the raw corner
-    formula, checked by `_checked_atoms` to vanish elsewhere and to sum
-    to |la|, with Fraction weights."""
-    values = _corner_row_values(la, alpha)
-    atoms = _checked_atoms(values, la.removable_rows(), la.weight, la, "corner", "corner weight fails to vanish on")
-    return tuple((i, Fraction(n, d)) for i, n, d in atoms)
+    """Corner atoms (row, weight) over removable rows: `_corner_weights` with Fraction weights."""
+    return tuple((i, Fraction(n, d)) for i, n, d in _corner_weights(la, alpha))
 
 
 def _position_weights(atoms, la: Partition, alpha: Fraction) -> tuple[list[tuple[int, int]], int]:
-    """The weights (i, w) of atoms(la, alpha) at their positions
+    """The atoms (i, num, den) of atoms(la, alpha) at their positions
     la_i - (i-1)/alpha, as ([(x, v), ...], D): the position is x/a for
     the integer x = la_i a - (i-1) b (alpha = a/b), and the weight is v/D
-    for the lcm D of the weights' denominators."""
+    for the lcm D of the atoms' denominators."""
     a, b = alpha.numerator, alpha.denominator
     weights = atoms(la, alpha)
-    big_d = math.lcm(*(w.denominator for _, w in weights))
-    return [(la.part(i) * a - (i - 1) * b, w.numerator * (big_d // w.denominator)) for i, w in weights], big_d
+    big_d = math.lcm(*(d for _, _, d in weights))
+    return [(la.part(i) * a - (i - 1) * b, n * (big_d // d)) for i, n, d in weights], big_d
 
 
 def _power_sums(pairs, r_max: int) -> list[int]:
@@ -192,7 +205,7 @@ def _s_direct(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int], li
     """Direct route of s_r, the moment of the appended position
     la_i - (i-1)/alpha under the Pieri row weights: the power sum of
     :func:`_position_weights` over D a^r."""
-    pairs, big_d = _position_weights(pieri_coefficients, la, alpha)
+    pairs, big_d = _position_weights(_pieri_weights, la, alpha)
     return _power_sums(pairs, r_max), [big_d * alpha.numerator**r for r in range(r_max + 1)]
 
 
@@ -249,7 +262,7 @@ def _sigma_direct(la: Partition, alpha: Fraction, r_max: int) -> tuple[list[int]
     """Direct route of sigma_r, the moment of la_i - (i-1)/alpha under the
     corner weights (the deleted cell's content is this position minus 1):
     the power sum of :func:`_position_weights` over D a^r."""
-    pairs, big_d = _position_weights(corner_binomials, la, alpha)
+    pairs, big_d = _position_weights(_corner_weights, la, alpha)
     return _power_sums(pairs, r_max), [big_d * alpha.numerator**r for r in range(r_max + 1)]
 
 
@@ -421,7 +434,7 @@ def chu_vandermonde_sides(la: Partition, alpha: Fraction, y: Fraction) -> tuple[
     a, b = alpha.numerator, alpha.denominator
     c, d = y.numerator, y.denominator
     num = den = 1
-    for x in content_numerators(la, alpha):
+    for x in content_numerators(la, a, b):
         den *= c * a + d * x
         num *= c * a + a * d + d * x
     if den == 0 or any(a * c == m * b * d for m in range(la.weight)):

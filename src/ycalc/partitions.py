@@ -166,9 +166,10 @@ def z_of(mu: Partition) -> int:
 
 
 # Bound of every memo keyed by (shape, alpha), one entry per key, evicted
-# least recently used first.  The catalog's largest working set is about
-# 300 moment tables and 270 Pieri keys; the sampler reads its integer
-# atoms past the memo, so a walk over 2,000 shapes evicts nothing.
+# least recently used first: the integer Pieri and corner atoms and the
+# moment tables.  The catalog's largest working set is about 300 moment
+# tables and 270 Pieri keys; the sampler builds its integer atoms past
+# the memo, so a walk over 2,000 shapes evicts nothing.
 MEMO_SIZE = 1024
 
 
@@ -188,10 +189,11 @@ def check_alpha(alpha: Fraction) -> Fraction:
 
 
 def alpha_keyed_memo(fn):
-    """fn(la, alpha) memoised in an lru_cache of MEMO_SIZE entries keyed by
-    (la, a, b) for the checked alpha = a/b: ints hash in C, a Fraction in
-    Python.  cache_info and cache_clear are the lru_cache's."""
-    memo = lru_cache(maxsize=MEMO_SIZE)(lambda la, a, b: fn(la, Fraction(a, b)))
+    """fn(la, a, b) memoised in an lru_cache of MEMO_SIZE entries keyed by
+    (la, a, b) and read as lookup(la, alpha) for the checked alpha = a/b:
+    ints hash in C, a Fraction in Python, and a miss forms no Fraction.
+    cache_info and cache_clear are the lru_cache's."""
+    memo = lru_cache(maxsize=MEMO_SIZE)(fn)
 
     @wraps(fn)
     def lookup(la: Partition, alpha: Fraction):
@@ -202,9 +204,7 @@ def alpha_keyed_memo(fn):
     return lookup
 
 
-def content_numerators(la: Partition, alpha: Fraction) -> tuple[int, ...]:
+def content_numerators(la: Partition, a: int, b: int) -> tuple[int, ...]:
     """The alpha-contents (j-1) - (i-1)/alpha of la's cells, row-major,
-    as their integer numerators (j-1)a - (i-1)b over a, alpha = a/b.
-    alpha must already be checked."""
-    a, b = alpha.numerator, alpha.denominator
+    as their integer numerators (j-1)a - (i-1)b over a, alpha = a/b."""
     return tuple((j - 1) * a - (i - 1) * b for i, j in la.cells())

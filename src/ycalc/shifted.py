@@ -136,9 +136,9 @@ class _MomentTable:
 
     __slots__ = ("a", "b", "_contents", "_power_sums", "_c_rows", "_binomials")
 
-    def __init__(self, la: Partition, alpha: Fraction):
-        self.a, self.b = alpha.numerator, alpha.denominator
-        self._contents = content_numerators(la, alpha)
+    def __init__(self, la: Partition, a: int, b: int):
+        self.a, self.b = a, b
+        self._contents = content_numerators(la, a, b)
         self._power_sums = [la.weight]
         self._c_rows: list[tuple[int, ...]] = []
         self._binomials = [(1, 1, 1, 1)]
@@ -209,9 +209,10 @@ class _MomentTable:
 
 
 @alpha_keyed_memo
-def moment_table(la: Partition, alpha: Fraction) -> _MomentTable:
-    """The integer moment table of (la, alpha), built once and extended on demand."""
-    return _MomentTable(la, alpha)
+def moment_table(la: Partition, a: int, b: int) -> _MomentTable:
+    """moment_table(la, alpha): the integer moment table of (la, alpha = a/b),
+    built once and extended on demand."""
+    return _MomentTable(la, a, b)
 
 
 def d_k(la: Partition, alpha: Fraction, k: int) -> Fraction:

@@ -36,7 +36,6 @@ from .coefficients import (
 from .growth import (
     _last_step_law,
     cotransition_from_dimensions,
-    cotransition_kernel,
     cotransition_moment_routes,
     plancherel_check,
 )
@@ -45,12 +44,12 @@ from .moments import (
     SIGMA_ROUTES,
     _content_ratio_integers,
     _cor52_numerators,
-    _pieri_atoms,
+    _corner_weights,
+    _pieri_weights,
     _s_regrouped,
     _sigma_lagrange_numerators,
     _sigma_series_numerators,
     chu_vandermonde_sides,
-    pieri_coefficients,
     row_column_binomials,
     stirling_inverse_lemma_sides,
     u_ijk_coefficients,
@@ -529,7 +528,7 @@ def _check_rel51(rec: _Recorder, *, lambda_max: int, order: int, alpha_set: _Rat
             # row i, rows taken downward so that row i-1 is still the old one.
             rows = [[0] * (order + 1 - i) for i in range(order + 1)]
             rows[0][0] = 1
-            for cell, n in enumerate(content_numerators(la, alpha), start=1):
+            for cell, n in enumerate(content_numerators(la, table.a, table.b), start=1):
                 for row in range(min(order, cell), 0, -1):
                     src, dst = rows[row - 1], rows[row]
                     quot = 0
@@ -747,16 +746,22 @@ def _check_chu_vandermonde(rec: _Recorder, *, lambda_max: int, alpha_set: _Ratio
 
 
 def _check_growth_normalization(rec: _Recorder, *, lambda_max: int, alpha_set: _Rationals) -> None:
-    # each kernel's weights sum to 1, compared over the lcm D of their denominators
+    # The atoms (row, num, den) of each kernel sum to 1, the down kernel's
+    # as the corner atoms over w = |la|, compared over w D for the lcm D of
+    # their denominators; the down kernel's n / (d w) against its rebuild
+    # vn / vd from the dimensions, row by row over d w vd.
     for la in partitions_upto(lambda_max):
+        w = la.weight
         for alpha in alpha_set:
-            kernels = [("up", pieri_coefficients(la, alpha))] + ([("down", cotransition_kernel(la, alpha))] if la.weight else [])
-            for kind, atoms in kernels:
-                big_d = math.lcm(*(p.denominator for _, p in atoms))
-                rec.numerators(sum(p.numerator * (big_d // p.denominator) for _, p in atoms), big_d, big_d, group=f"{kind}-normalization", la=la, alpha=alpha)
-                rec.condition(all(p >= 0 for _, p in atoms), group=f"{kind}-nonnegativity", la=la, alpha=alpha)
-            if la.weight:
-                rec.check(kernels[1][1], cotransition_from_dimensions(la, alpha), group="dimension-recurrence", la=la, alpha=alpha)
+            kernels = [("up", _pieri_weights(la, alpha), 1)] + ([("down", _corner_weights(la, alpha), w)] if w else [])
+            for kind, atoms, total in kernels:
+                big_d = math.lcm(*(d for _, _, d in atoms))
+                rec.numerators(sum(n * (big_d // d) for _, n, d in atoms), total * big_d, total * big_d, group=f"{kind}-normalization", la=la, alpha=alpha)
+                rec.condition(all(n >= 0 for _, n, _ in atoms), group=f"{kind}-nonnegativity", la=la, alpha=alpha)
+            if w:
+                rows = zip(kernels[1][1], cotransition_from_dimensions(la, alpha), strict=True)
+                keys, lhs, rhs, dens = zip(*(((i,), n * vd, vn * d * w, d * w * vd) for (i, n, d), (_, vn, vd) in rows))
+                rec.numerators(lhs, rhs, lambda key: dens[keys.index(key)], keys, group="dimension-recurrence", la=la, alpha=alpha)
 
 
 def _check_plancherel(rec: _Recorder, *, n_max: int) -> None:
@@ -770,7 +775,7 @@ def _check_moments_bridge(rec: _Recorder, *, lambda_max: int, r_max: int, alpha_
     for la in partitions_upto(lambda_max):
         for alpha in alpha_set:
             a_pows = [alpha.numerator**r for r in range(r_max + 1)]
-            law, law_den = _last_step_law([(la, 1, _pieri_atoms(la, alpha))], alpha, r_max)
+            law, law_den = _last_step_law([(la, 1, _pieri_weights(la, alpha))], alpha, r_max)
             dens, (ups, law) = _lifted(S_ROUTES["direct"](la, alpha, r_max), (law, [law_den * a_r for a_r in a_pows]))
             routes = [("up-moment", ups, law, dens)]
             if la.weight:

@@ -515,8 +515,8 @@ def test_verify_all_reports_a_kernel_fault_per_job(capsys, fresh_memos, monkeypa
     # 2,1 sum to 11/8 at alpha = 1 and pieri_coefficients raises.
     row_values = moments._pieri_row_values
 
-    def doubled(la, alpha):
-        values = row_values(la, alpha)
+    def doubled(la, a, b):
+        values = row_values(la, a, b)
         if la.parts == (2, 1):
             (num, den), *rest = values
             return [(2 * num, den), *rest]

@@ -78,8 +78,8 @@ def test_corner_kernel_rejects_negative_weight(fresh_memos, monkeypatch):
     # = 3, so only the sign check can catch them.
     row_values = moments._corner_row_values
 
-    def signed(la, alpha):
-        return [(-1, 1), (4, 1)] if la.parts == (2, 1) else row_values(la, alpha)
+    def signed(la, a, b):
+        return [(-1, 1), (4, 1)] if la.parts == (2, 1) else row_values(la, a, b)
 
     monkeypatch.setattr(moments, "_corner_row_values", signed)
     la = Partition((2, 1))
@@ -89,13 +89,18 @@ def test_corner_kernel_rejects_negative_weight(fresh_memos, monkeypatch):
         cotransition_kernel(la, Fraction(1))
 
 
+def _as_fractions(atoms):
+    """Integer atoms (row, num, den) as (row, Fraction) pairs."""
+    return tuple((i, Fraction(n, d)) for i, n, d in atoms)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_cotransition_factorizes_through_dimensions(alpha):
     for la in partitions_upto(6):
         if not la.weight:
             continue
         direct = cotransition_kernel(la, alpha)
-        via_dim = cotransition_from_dimensions(la, alpha)
+        via_dim = _as_fractions(cotransition_from_dimensions(la, alpha))
         assert direct == via_dim, la
 
 
@@ -115,7 +120,7 @@ def test_kernel_atoms_are_nonnegative(la, alpha):
 @settings(deadline=None, derandomize=True)
 @given(_SMALL_SHAPES.filter(lambda la: la.weight), _RANDOM_ALPHAS)
 def test_dimension_recurrence_gives_the_down_kernel(la, alpha):
-    assert cotransition_from_dimensions(la, alpha) == cotransition_kernel(la, alpha)
+    assert _as_fractions(cotransition_from_dimensions(la, alpha)) == cotransition_kernel(la, alpha)
 
 
 def test_dimension_table_at_alpha_one():
@@ -181,7 +186,7 @@ def test_added_and_removed_content():
     # the cell deleted from row i has content (x - a)/a, x the integer
     # position numerator of the corner atom
     a = alpha.numerator
-    pairs, _ = _position_weights(corner_binomials, la, alpha)
+    pairs, _ = _position_weights(moments._corner_weights, la, alpha)
     removed = [Fraction(x - a, a) for x, _ in pairs]
     assert removed == [2, -Fraction(1, 2)]
     for row, content in zip(la.removable_rows(), removed):
@@ -322,8 +327,8 @@ def test_row_weights_off_one_are_rejected(fresh_memos, monkeypatch):
     # The one row weight of the empty shape is halved.
     row_values = moments._pieri_row_values
 
-    def halved(la, alpha):
-        values = row_values(la, alpha)
+    def halved(la, a, b):
+        values = row_values(la, a, b)
         if la == EMPTY:
             [(num, den)] = values
             return [(num, 2 * den)]
@@ -339,8 +344,8 @@ def test_negative_pieri_atom_is_rejected(fresh_memos, monkeypatch):
     # but one of them is negative.
     row_values = moments._pieri_row_values
 
-    def skewed(la, alpha):
-        values = row_values(la, alpha)
+    def skewed(la, a, b):
+        values = row_values(la, a, b)
         if la.parts == (1,):
             (n1, d1), (n2, d2) = values
             return [(n1 + d1, d1), (n2 - d2, d2)]
@@ -361,8 +366,8 @@ def test_pieri_atom_sign_is_tested_on_both_parts(fresh_memos, monkeypatch, pair)
     # the rest, so the atoms still sum to 1.
     row_values = moments._pieri_row_values
 
-    def signed(la, alpha):
-        values = row_values(la, alpha)
+    def signed(la, a, b):
+        values = row_values(la, a, b)
         return [pair, (3, 2)] if la.parts == (1,) else values
 
     monkeypatch.setattr(moments, "_pieri_row_values", signed)
@@ -374,10 +379,10 @@ def test_pieri_atom_sign_is_tested_on_both_parts(fresh_memos, monkeypatch, pair)
 
 def test_pieri_pair_negative_over_negative_is_a_weight():
     # Raw pairs may carry a sign on both parts: row 2 of 2,1 at alpha = 1
-    # is (-3, -12), the weight 1/4.
+    # is (-3, -12), the weight 1/4, and its atom carries the sign on num.
     la, one = Partition((2, 1)), Fraction(1)
-    assert moments._pieri_row_values(la, one)[1] == (-3, -12)
-    assert moments._pieri_atoms(la, one)[1] == (2, -3, -12)
+    assert moments._pieri_row_values(la, 1, 1)[1] == (-3, -12)
+    assert moments._pieri_atoms(la, 1, 1)[1] == (2, 3, 12)
     assert dict(pieri_coefficients(la, one))[2] == Fraction(1, 4)
     # x = 2, 0, -2 on rows 1, 2, 3, with weights 3/8, 1/4, 3/8
     stats = sample_growth(steps=1, alpha=one, paths=1000, seed=0, start=la)
@@ -385,20 +390,20 @@ def test_pieri_pair_negative_over_negative_is_a_weight():
 
 
 def test_sampler_leaves_the_pieri_memo_alone(fresh_memos):
-    # The sampler reads the integer atoms, not the memoised Fraction view:
-    # a walk over 2,087 shapes neither fills nor evicts it.
+    # The sampler reads the unmemoised integer atoms, not the memo: a walk
+    # over 2,087 shapes neither fills nor evicts it.
     pieri_coefficients(Partition((2, 1)), Fraction(1, 2))
-    before = pieri_coefficients.cache_info()
+    before = moments._pieri_weights.cache_info()
     sample_growth(steps=20, alpha=Fraction(1, 2), paths=100, seed=0)
-    assert pieri_coefficients.cache_info() == before
+    assert moments._pieri_weights.cache_info() == before
 
 
 def test_pieri_weight_on_non_addable_row_is_rejected(fresh_memos, monkeypatch):
     # Row 2 of the shape 1,1 cannot take a cell; give it a weight.
     row_values = moments._pieri_row_values
 
-    def leaky(la, alpha):
-        values = row_values(la, alpha)
+    def leaky(la, a, b):
+        values = row_values(la, a, b)
         return values[:1] + [(1, 1)] + values[2:] if la.parts == (1, 1) else values
 
     monkeypatch.setattr(moments, "_pieri_row_values", leaky)
@@ -593,10 +598,10 @@ def test_lane_count_at_draws_on_the_thresholds(fresh_memos, monkeypatch):
     row_values = moments._pieri_row_values
     word = 2**64
 
-    def on_the_draws(la, alpha):
+    def on_the_draws(la, a, b):
         if la.parts == (2, 1):
             return [(lo, word), (hi + 1 - lo, word), (word - hi - 1, word)]
-        return row_values(la, alpha)
+        return row_values(la, a, b)
 
     monkeypatch.setattr(moments, "_pieri_row_values", on_the_draws)
     args = dict(steps=1, alpha=Fraction(1), paths=37, seed=0, start=Partition((2, 1)))
@@ -610,8 +615,8 @@ def test_lane_count_of_a_zero_weight_atom(fresh_memos, monkeypatch):
     # lane, also those above a partial block's paths, has z ≥ 0.
     row_values = moments._pieri_row_values
 
-    def first_row_empty(la, alpha):
-        return [(0, 1), (1, 1)] if la.parts == (1,) else row_values(la, alpha)
+    def first_row_empty(la, a, b):
+        return [(0, 1), (1, 1)] if la.parts == (1,) else row_values(la, a, b)
 
     monkeypatch.setattr(moments, "_pieri_row_values", first_row_empty)
     for paths in (37, _BLOCK + 37):
@@ -620,7 +625,7 @@ def test_lane_count_of_a_zero_weight_atom(fresh_memos, monkeypatch):
 
 
 # The (shape, alpha) memos that the two tests below exercise.
-ALPHA_KEYED_MEMOS = (pieri_coefficients, corner_binomials, moment_table)
+ALPHA_KEYED_MEMOS = (moments._pieri_weights, moments._corner_weights, moment_table)
 
 
 def test_memo_tests_cover_every_alpha_keyed_memo():

@@ -126,10 +126,11 @@ LONG_BLOCKS = (Partition((1,) * 12), Partition((3,) * 5), Partition((4, 4, 4, 2,
 
 @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
 def test_integer_kernels_match_fraction_formulas(alpha):
+    a, b = alpha.numerator, alpha.denominator
     for la in list(partitions_upto(10)) + list(LONG_BLOCKS):
-        rows = [Fraction(num, den) for num, den in _pieri_row_values(la, alpha)]
+        rows = [Fraction(num, den) for num, den in _pieri_row_values(la, a, b)]
         assert rows == [_pieri_row_reference(la, alpha, i) for i in range(1, la.length + 2)], la
-        corners = [Fraction(num, den) for num, den in _corner_row_values(la, alpha)]
+        corners = [Fraction(num, den) for num, den in _corner_row_values(la, a, b)]
         assert corners == [_corner_row_reference(la, alpha, i) for i in range(1, la.length + 1)], la
 
 
@@ -145,8 +146,8 @@ def test_corner_weight_on_non_removable_row_is_rejected(fresh_memos, monkeypatch
     # Row 1 of the shape 1,1 cannot lose a cell; give it a weight.
     corner_values = moments._corner_row_values
 
-    def leaky(la, alpha):
-        values = corner_values(la, alpha)
+    def leaky(la, a, b):
+        values = corner_values(la, a, b)
         return [(1, 1)] + values[1:] if la.parts == (1, 1) else values
 
     monkeypatch.setattr(moments, "_corner_row_values", leaky)
@@ -159,8 +160,8 @@ def test_corner_weights_must_sum_to_the_cell_count(fresh_memos, monkeypatch):
     # signs on both parts, are nonnegative but sum to |la| + 1 = 4.
     corner_values = moments._corner_row_values
 
-    def heavy(la, alpha):
-        return [(-2, -2), (9, 3)] if la.parts == (2, 1) else corner_values(la, alpha)
+    def heavy(la, a, b):
+        return [(-2, -2), (9, 3)] if la.parts == (2, 1) else corner_values(la, a, b)
 
     monkeypatch.setattr(moments, "_corner_row_values", heavy)
     with pytest.raises(InvariantError, match="corner weights of 2,1 sum to 4"):
@@ -171,7 +172,7 @@ def test_corner_pair_negative_over_negative_is_a_weight():
     # Row 2 of 2,1 at alpha = 1 is the raw pair (-3, -2), the weight 3/2;
     # a sign test on the numerator alone would reject it.
     la, one = Partition((2, 1)), Fraction(1)
-    assert _corner_row_values(la, one)[1] == (-3, -2)
+    assert _corner_row_values(la, 1, 1)[1] == (-3, -2)
     assert dict(corner_binomials(la, one))[2] == Fraction(3, 2)
 
 

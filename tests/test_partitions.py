@@ -209,12 +209,12 @@ def test_check_alpha():
 def test_content_numerators_values():
     # the contents (j-1) - (i-1)/alpha over a, alpha = a/b
     la = Partition((2, 2))
-    assert content_numerators(la, Fraction(1)) == (0, 1, -1, 0)
-    assert content_numerators(la, Fraction(3, 5)) == (0, 3, -5, -2)
-    assert content_numerators(Partition((3, 1)), Fraction(2)) == (0, 2, 4, -1)
+    assert content_numerators(la, 1, 1) == (0, 1, -1, 0)
+    assert content_numerators(la, 3, 5) == (0, 3, -5, -2)
+    assert content_numerators(Partition((3, 1)), 2, 1) == (0, 2, 4, -1)
     # a single row has integer contents 0..n-1 at every alpha
     for alpha in (Fraction(1), Fraction(2), Fraction(3, 5)):
-        assert content_numerators(Partition((4,)), alpha) == tuple(j * alpha.numerator for j in range(4))
+        assert content_numerators(Partition((4,)), alpha.numerator, alpha.denominator) == tuple(j * alpha.numerator for j in range(4))
 
 
 @settings(deadline=None, derandomize=True)
@@ -224,6 +224,6 @@ def test_content_numerators_conjugation(n, pick, alpha):
     # so over b their numerators are the originals' negated
     shapes = enumerate_partitions(n)
     la = shapes[pick % len(shapes)]
-    orig = sorted(content_numerators(la, alpha))
-    dual = sorted(content_numerators(la.conjugate(), 1 / alpha))
+    orig = sorted(content_numerators(la, alpha.numerator, alpha.denominator))
+    dual = sorted(content_numerators(la.conjugate(), alpha.denominator, alpha.numerator))
     assert dual == sorted(-x for x in orig)

@@ -151,10 +151,10 @@ def test_bounded_rows_equal_full_rows(alpha):
     # X_i = P_i column by column.
     ks = list(range(9))
     for la in partitions_upto(7):
-        full_rows = [marked_row(m, _MomentTable(la, alpha).power_sum) for m in range(9)]
+        full_rows = [marked_row(m, _MomentTable(la, alpha.numerator, alpha.denominator).power_sum) for m in range(9)]
         plans = {(m, k): shifted._compile(shifted._k_formula(k, m, -la.weight, m), None) for m in range(9) for k in range(m + 1)}
         for order in (ks, ks[::-1], ks[1::2] + ks[::2]):
-            table = _MomentTable(la, alpha)
+            table = _MomentTable(la, alpha.numerator, alpha.denominator)
             for m in range(9):
                 for k in order:
                     if k <= m:
@@ -174,7 +174,7 @@ def test_p0_k_sums_match_the_columns():
         assert shifted._k_formula(i, j, -j, 0) == shifted._k_formula(i, j, -j, j)[:1], (i, j)
     for la in partitions_upto(6):
         for alpha in alphas:
-            p0, full = _MomentTable(la, alpha), _MomentTable(la, alpha)
+            p0, full = _MomentTable(la, alpha.numerator, alpha.denominator), _MomentTable(la, alpha.numerator, alpha.denominator)
             (k0,) = p0.evaluate([shifted._p0_plan(10)], 10)
             assert len(k0) == len(keys)
             for (i, j), v in zip(keys, k0):
@@ -186,7 +186,7 @@ def test_c_rows_match_the_formula_term_by_term(fresh_memos):
     # tables: every shape of weight <= 8 at the default alphas, r <= 12
     for la in partitions_upto(8):
         for alpha in DEFAULT_ALPHA_SET:
-            table = _MomentTable(la, alpha)
+            table = _MomentTable(la, alpha.numerator, alpha.denominator)
             want = c_rows_reference(shifted._c_formula, table.power_sum, table.a, 12)
             assert table.c_rows(12) == want, (la, alpha)
 
@@ -201,7 +201,7 @@ def test_c_plan_reads_the_formula_it_is_cleared_with(fresh_memos, monkeypatch):
         return rows if r != 3 else (rows[0], {**rows[1], (0, ()): rows[1].get((0, ()), 0) + 1}, *rows[2:])
 
     monkeypatch.setattr(shifted, "_c_formula", bumped)
-    table = _MomentTable(Partition((2, 1)), Fraction(3, 5))
+    table = _MomentTable(Partition((2, 1)), 3, 5)
     want = c_rows_reference(bumped, table.power_sum, table.a, 4)
     assert table.c_rows(4) == want
     assert want[3][1] == c_rows_reference(formula, table.power_sum, table.a, 4)[3][1] + 27  # a^3 = 27

@@ -292,7 +292,8 @@ moments_corner_row_values = moments._corner_row_values
 verify_content_ratio_integers = verify._content_ratio_integers
 verify_marked_row = verify.marked_row
 verify_npbi = verify.npbi
-verify_pieri_coefficients = verify.pieri_coefficients
+verify_pieri_weights = verify._pieri_weights
+growth_dimension_integers = growth._dimension_integers
 shifted_c_formula = shifted._c_formula
 shifted_k_formula = shifted._k_formula
 moments_u_table = moments._u_table
@@ -355,33 +356,38 @@ def _moved_u_unit(r):
     return tuple((i, j, k, ((0, terms[0][1] - 1), (1, terms[1][1] + 1))) if (i, j, k) == (2, 2, 2) else (i, j, k, terms) for i, j, k, terms in rows)
 
 
-def _swapped_corner_rows(la, alpha):
+def _swapped_corner_rows(la, a, b):
     # the corner atoms 10/6 and -8/-6 of rows 1 and 2 of 2,1 at alpha 2
     # swapped, which keeps their sum, signs and zeros
-    values = moments_corner_row_values(la, alpha)
-    if la.parts == (2, 1) and alpha == 2:
+    values = moments_corner_row_values(la, a, b)
+    if la.parts == (2, 1) and (a, b) == (2, 1):
         return values[::-1]
     return values
 
 
 def _doubled_pieri_row(la, alpha):
     # row 1's weight doubled on 2,1, past the library's own sum check
-    atoms = verify_pieri_coefficients(la, alpha)
+    atoms = verify_pieri_weights(la, alpha)
     if la.parts != (2, 1):
         return atoms
-    return tuple((row, 2 * weight if row == 1 else weight) for row, weight in atoms)
+    return tuple((row, 2 * num if row == 1 else num, den) for row, num, den in atoms)
+
+
+def _swapped_dimension_integers(la, a, b):
+    # a and b swapped in the hook product: the dimension at 1/alpha
+    return growth_dimension_integers(la, b, a)
 
 
 # One row per perturbed kernel, as the name it patches, the module (or
 # class) it is patched in, the replacement, the jobs run at reduced bounds
 # with their statuses, and the sha256 of reports_to_json over them.  The
-# marked_row, npbi and pieri_coefficients rows were pinned before the
-# checkers moved to integer arithmetic, the C-row formula's once it was in
-# place of the per-table C-row loop.  The _content_ratio_integers and
-# _k_formula digests equal the reports of the Fraction comparisons they
-# replaced, under the same perturbation made through the old kernels
-# (content_ratio_series moved by 1/(a d)^3 at t^3, column (2, 1) of the
-# per-table marked row moved by 1 at p = 0).
+# marked_row and npbi rows were pinned before the checkers moved to integer
+# arithmetic, the C-row formula's once it was in place of the per-table
+# C-row loop.  The _content_ratio_integers and _k_formula digests equal the
+# reports of the Fraction comparisons they replaced, under the same
+# perturbation made through the old kernels (content_ratio_series moved by
+# 1/(a d)^3 at t^3, column (2, 1) of the per-table marked row moved by 1 at
+# p = 0).
 # The npbi row was re-pinned once thm4.1 compared integer lists: its first
 # counterexample (n=4, p=2, k=2) names key [2] with lhs 23/6 and rhs 7/2,
 # the x^2 coefficients of the two polynomials it printed whole before.
@@ -390,12 +396,19 @@ def _doubled_pieri_row(la, alpha):
 # side reads marked_row(d, X) at p = 0 only.  moments-bridge stays verified
 # under the corner-row fault: its down-moment compares two routes that both
 # read the corner atoms, and its up-moment reads none.  The corner-row
-# digest equals the report of the Fraction comparisons the integer ones
-# replaced, under the same swap.  The _u_table digest equals the report of
-# the per-row loop the compiled regrouping plan replaced, under the same
-# move; the regrouping coefficients thm8.1 checks by themselves are
-# computed apart from the table, so only its integer-regrouping route
-# fails.
+# digest was re-pinned once the dimension recurrence compared integers row
+# by row: growth-normalization's first counterexample names key [1] with
+# lhs 4/9 and rhs 5/9, row 1 of the two kernels it printed whole before.
+# The _u_table digest equals the report of the per-row loop the compiled
+# regrouping plan replaced, under the same move; the regrouping
+# coefficients thm8.1 checks by themselves are computed apart from the
+# table, so only its integer-regrouping route fails.
+# The doubled Pieri row reaches the two jobs that read the Pieri memo in
+# verify: growth-normalization's up kernel and the law of moments-bridge,
+# whose direct route reads the memo in moments.  The swapped hook product
+# moves every dimension at alpha != 1, so growth-normalization's dimension
+# recurrence fails; plancherel stays verified, since it runs only at
+# alpha 1, where a = b and the swap cannot show.
 _FAULT_ROWS = {
     "_c_formula": (
         shifted,
@@ -409,7 +422,7 @@ _FAULT_ROWS = {
         _swapped_corner_rows,
         {"thm9.1": "failed", "growth-normalization": "failed", "moments-bridge": "verified"},
         {"lambda_max": 3, "r_max": 2},
-        "f4fb625eea11d4fcea39408f8a261724e2df69b420c556983faa6bb1c902aac0",
+        "dd638cf9452539a0b0e171aba0603022bf13f94b721d4ed6368882f25fb9e629",
     ),
     "_content_ratio_integers": (
         verify,
@@ -446,12 +459,19 @@ _FAULT_ROWS = {
         {"lambda_max": 3, "r_max": 6},
         "525d6f75d70e1d8cfb7040eb8f56a9b5b9fb388887b06252b53e6366a4fa5a19",
     ),
-    "pieri_coefficients": (
+    "_pieri_weights": (
         verify,
         _doubled_pieri_row,
-        {"growth-normalization": "failed"},
-        {"lambda_max": 4},
-        "7adfe8dd85869027640d93869b9c9874d9730392cb22597a1e9bea658a154cd6",
+        {"growth-normalization": "failed", "moments-bridge": "failed"},
+        {"lambda_max": 4, "r_max": 4},
+        "5dded51a498faba36a01ecc77f4fde3eed82d751eb7fc3666c43873e0e906470",
+    ),
+    "_dimension_integers": (
+        growth,
+        _swapped_dimension_integers,
+        {"growth-normalization": "failed", "plancherel": "verified"},
+        {"lambda_max": 4, "n_max": 4},
+        "8518685fea28be7fcb70358e01667406deed29bd045816af81ef3d62de8f256e",
     ),
 }
 
@@ -483,7 +503,7 @@ def test_jz_fault_names_the_first_differing_coefficient(monkeypatch):
 
 
 def test_doubled_pieri_row_names_its_shape(monkeypatch):
-    monkeypatch.setattr(verify, "pieri_coefficients", _doubled_pieri_row)
+    monkeypatch.setattr(verify, "_pieri_weights", _doubled_pieri_row)
     report = run_identity("growth-normalization", lambda_max=3)
     assert report.status == "failed"
     assert report.counterexample["la"] == "2,1"
@@ -653,7 +673,7 @@ def test_batch_builds_a_context_only_for_a_failing_entry():
 
 @pytest.mark.parametrize(
     "identity",
-    ["thm3.1", "thm3.1-alt", "ll-v0", "jz", "thm4.1", "gf2.3", "gn-closed", "rel5.1", "thm5.1", "cor5.2", "prop7.1", "thm8.1", "thm9.1", "lem11.1", "thm11.2", "moments-bridge"],
+    ["thm3.1", "thm3.1-alt", "ll-v0", "jz", "thm4.1", "gf2.3", "gn-closed", "rel5.1", "thm5.1", "cor5.2", "prop7.1", "thm8.1", "thm9.1", "lem11.1", "thm11.2", "growth-normalization", "moments-bridge"],
 )
 def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
     formed = []
@@ -682,6 +702,21 @@ def test_integer_checkers_form_no_fraction_in_verify(monkeypatch, identity):
     checker(rec, **params)
     assert rec.cases and not rec.failures
     assert anywhere == []
+
+
+@pytest.mark.parametrize("identity", ["thm8.1", "thm9.1", "growth-normalization", "moments-bridge"])
+def test_atom_readers_form_no_fraction_from_cold_memos(fresh_memos, monkeypatch, identity):
+    # The Pieri and corner memos hold integer atoms and key alpha = a/b by
+    # its ints, so even with every memo empty the readers of the atoms form
+    # no Fraction anywhere, at the catalog defaults.
+    formed = []
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: formed.append(args) or fraction_new(cls, *args, **kw))
+    checker, defaults = _JOBS[identity]
+    rec = _Recorder()
+    checker(rec, **defaults)
+    assert rec.cases and not rec.failures
+    assert formed == []
 
 
 def test_moments_bridge_draws_no_path_and_names_no_shape(monkeypatch):
