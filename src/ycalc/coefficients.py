@@ -16,7 +16,9 @@ The marked family weighs npbi over every diagram of n,
     p_npk(n, p, k) = sum over mu |- n of npbi(mu, p, k)/z_mu * X_mu1 X_mu2 ...,
 
 and :func:`marked_row` evaluates a whole row n of it over the products
-(n!/z_mu) X_mu1 X_mu2 ..., one per partition of n.
+(n!/z_mu) X_mu1 X_mu2 ..., one per partition of n.  The per-shape npbi
+maps of :func:`npbi_table` are the one memo of the family: marked_row
+and the K polynomials of :mod:`shifted` iterate them shape by shape.
 """
 
 from __future__ import annotations
@@ -98,38 +100,24 @@ def npbi_table(la: Partition) -> Mapping[tuple[int, int], int]:
     return _npbi_map(la.parts)
 
 
-@lru_cache(maxsize=None)
-def _marked_terms(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
-    """((parts, n!/z_mu) for mu over enumerate_partitions(n), in that
-    order; columns[k] for k <= n, the (i, p, npbi(mu_i, p, k)) entries).
-    Column k lists no mu longer than k.  The memo is unbounded: one key
-    per n, so the run's largest weight bounds it."""
-    fact = math.factorial(n)
-    mus = enumerate_partitions(n)
-    columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for i, mu in enumerate(mus):
-        for (p, k), c in npbi_table(mu).items():
-            columns[k].append((i, p, c))
-    return tuple((mu.parts, fact // z_of(mu)) for mu in mus), tuple(map(tuple, columns))
-
-
 def marked_row(n: int, xk: Callable[[int], object]) -> tuple[tuple[object, ...], ...]:
     """Row n of n!·p_npk(n, p, k) at X_i = xk(i), indexed [p][k] for
-    0 <= p, k <= n.  xk may return ints, Fractions or any ring element
-    that multiplies with them (XPolynomial).  Column k = 0 is 0 except at
-    n = 0, where the row is ((1,),); entries no partition reaches stay the
-    int 0."""
+    0 <= p, k <= n: for each mu |- n, the product (n!/z_mu) X_mu1 X_mu2 ...
+    formed once and added c times into every entry (p, k) of the npbi map
+    of mu, c = npbi(mu, p, k).  xk may return ints, Fractions or any ring
+    element that multiplies with them (XPolynomial).  Column k = 0 is 0
+    except at n = 0, where the row is ((1,),); entries no partition
+    reaches stay the int 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    products = []  # (n!/z_mu) X_mu1 X_mu2 ... for mu over enumerate_partitions(n)
-    for parts, v in _marked_terms(n)[0]:
-        for part in parts:
-            v = v * xk(part)
-        products.append(v)
+    fact = math.factorial(n)
     row: list[list[object]] = [[0] * (n + 1) for _ in range(n + 1)]
-    for k, column in enumerate(_marked_terms(n)[1]):
-        for i, p, c in column:
-            row[p][k] += c * products[i]
+    for mu in enumerate_partitions(n):
+        v = fact // z_of(mu)
+        for part in mu.parts:
+            v = v * xk(part)
+        for (p, k), c in npbi_table(mu).items():
+            row[p][k] += c * v
     return tuple(map(tuple, row))
 
 

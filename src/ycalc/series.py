@@ -185,14 +185,11 @@ class XPolynomial:
             return self.terms == XPolynomial.constant(other).terms
         return NotImplemented
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __repr__(self):
         if not self.terms:
             return "XPolynomial(0)"
         chunks = []
-        for (e0, mu), c in self.sorted_terms():
+        for (e0, mu), c in sorted(self.terms.items()):
             bits = [str(c)]
             if e0 == 1:
                 bits.append("X0")

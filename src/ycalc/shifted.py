@@ -16,7 +16,9 @@ only through the k-sums
 
 and n! K(n, m)[p] is one polynomial in |la| and the P_mu whose integer
 coefficients depend on neither the shape nor alpha (:func:`_k_formula`;
-|la| and the d_k generate every such function, Kerov and Olshanski).
+|la| and the d_k generate every such function, Kerov and Olshanski).  It
+reads the family through the npbi map of each mu, the one copy that
+:func:`coefficients.npbi_table` memoises.
 Theorem 5.1 reads it at shift n-1, and Relation 5.1 and the binomials of
 Theorem 11.2 read its p = 0 entries at shift -m (:func:`_p0_plan`).
 Corollary 5.2 reads y only through (-y)^n (y+1)^p, so r! a^r c_r(y) is
@@ -42,8 +44,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .coefficients import _marked_terms, stirling_first, stirling_inverse_t
-from .partitions import Partition, alpha_keyed_memo, check_alpha, content_numerators
+from .coefficients import npbi_table, stirling_first, stirling_inverse_t
+from .partitions import Partition, alpha_keyed_memo, check_alpha, content_numerators, enumerate_partitions, z_of
 from .series import comb_int, falling_binomial
 
 
@@ -51,18 +53,20 @@ from .series import comb_int, falling_binomial
 def _k_formula(n: int, m: int, shift: int, p_max: int) -> tuple[Mapping[tuple[int, tuple[int, ...]], int], ...]:
     """(n! K(n, m)[p] for p = 0 .. p_max <= m) at this shift, each mapping
     (e0, mu) to an integer v for the term v |la|^e0 P_mu, mu |- m: term k
-    of the sum gives n! C(X0 + shift, n-k) times npbi(mu, p, k) m!/z_mu.
-    Column k = 0 lists only the empty shape, at m = 0.  The memo is
-    unbounded: the run's orders bound its keys."""
+    of the sum gives n! C(X0 + shift, n-k) times npbi(mu, p, k) m!/z_mu,
+    read from the npbi map of each mu.  Only the empty shape, at m = 0,
+    has an entry at k = 0.  The memo is unbounded: the run's orders bound
+    its keys."""
     polys: list[Counter] = [Counter() for _ in range(p_max + 1)]
-    parts_z, columns = _marked_terms(m)
-    for k in range(min(n, m) + 1):
-        falling = falling_binomial(n, n - k, shift)
-        for i, p, c in columns[k]:
-            if p <= p_max:
-                parts, z = parts_z[i]
-                for e0, f in enumerate(falling):
-                    polys[p][e0, parts] += f * c * z
+    k_max = min(n, m)
+    fallings = [falling_binomial(n, n - k, shift) for k in range(k_max + 1)]
+    fact = math.factorial(m)
+    for mu in enumerate_partitions(m):
+        z = fact // z_of(mu)
+        for (p, k), c in npbi_table(mu).items():
+            if p <= p_max and k <= k_max:
+                for e0, f in enumerate(fallings[k]):
+                    polys[p][e0, mu.parts] += f * c * z
     return tuple(MappingProxyType({key: v for key, v in poly.items() if v}) for poly in polys)
 
 

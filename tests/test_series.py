@@ -166,7 +166,6 @@ _X_TERMS = st.dictionaries(_X_KEYS, _X_COEFFS, max_size=4)
 def _assert_matches_reference(got, want):
     assert got.terms == want.terms
     assert repr(got) == repr(want)
-    assert got.sorted_terms() == sorted(want.terms.items())
     for c in got.terms.values():
         assert type(c) is (int if c.denominator == 1 else Fraction), c
 

@@ -1,7 +1,9 @@
 """Content power sums, moment polynomials, content-alphabet expansions."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import c_rows_reference, formula_value_reference, linear_ratio_reference
 
-from ycalc import shifted
+from ycalc import coefficients, shifted
 from ycalc.coefficients import marked_row, stirling_inverse_t
 from ycalc.partitions import EMPTY, Partition, enumerate_partitions, partitions_upto
 from ycalc.series import XPolynomial, comb_int, lowering_factorial
@@ -206,6 +208,24 @@ def test_c_plan_reads_the_formula_it_is_cleared_with(fresh_memos, monkeypatch):
     assert table.c_rows(4) == want
     assert want[3][1] == c_rows_reference(formula, table.power_sum, table.a, 4)[3][1] + 27  # a^3 = 27
     assert callable(shifted._c_plan.cache_clear)
+
+
+def test_c_plans_leave_the_npbi_maps_the_one_copy_of_the_marked_family(fresh_memos):
+    # Cold plans for r <= 14, with the modules imported before tracing
+    # starts: once the npbi maps of coefficients._npbi_prefix are cleared,
+    # what stays (the plans, the K and C formulas, the partition lists)
+    # holds under 2 MB, about 0.65 MB.  A second copy of the family, the
+    # same npbi entries regrouped by column k, would keep about 5.3 MB.
+    tracemalloc.start()
+    try:
+        for r in range(15):
+            shifted._c_plan(r)
+        coefficients._npbi_prefix.cache_clear()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20, retained
 
 
 def test_c_formula_shape():

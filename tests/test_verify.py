@@ -296,6 +296,7 @@ verify_pieri_weights = verify._pieri_weights
 growth_dimension_integers = growth._dimension_integers
 shifted_c_formula = shifted._c_formula
 shifted_k_formula = shifted._k_formula
+shifted_falling_binomial = shifted.falling_binomial
 moments_u_table = moments._u_table
 
 
@@ -343,6 +344,17 @@ def _bumped_k_formula(n, m, shift, p_max):
     for e0, v in enumerate(falling_binomial(n, n - 1, shift)):
         terms[e0, ()] = terms.get((e0, ()), 0) + v
     return (terms, *formula[1:])
+
+
+def _raised_falling_binomial(n, j, s):
+    # the X0 coefficient of 1! C(X0, 1) raised from 1 to 2: the k = 0 term
+    # of K(1, 0) at shift 0, which doubles K(1, 0) = |la| wherever it is
+    # read, at shift n - 1 by the C rows and Theorem 5.1's plan and at
+    # shift -m by the p = 0 plan; the empty shape reads 0 either way
+    out = shifted_falling_binomial(n, j, s)
+    if (n, j, s) == (1, 1, 0):
+        out[1] += 1
+    return out
 
 
 def _moved_u_unit(r):
@@ -408,7 +420,9 @@ def _swapped_dimension_integers(la, a, b):
 # whose direct route reads the memo in moments.  The swapped hook product
 # moves every dimension at alpha != 1, so growth-normalization's dimension
 # recurrence fails; plancherel stays verified, since it runs only at
-# alpha 1, where a = b and the swap cannot show.
+# alpha 1, where a = b and the swap cannot show.  The raised falling
+# binomial reaches every job that reads the K polynomials, closed routes
+# and binomials alike, and no other.
 _FAULT_ROWS = {
     "_c_formula": (
         shifted,
@@ -451,6 +465,21 @@ _FAULT_ROWS = {
         {"rel5.1": "failed", "thm11.2": "failed", "chu-vandermonde": "failed"},
         {"lambda_max": 4, "order": 6, "p_max": 4},
         "5796de3c7ed5f6665b8bae7d2577ec7e60bb0fca08a5729c3522803540fa9f5b",
+    ),
+    "falling_binomial": (
+        shifted,
+        _raised_falling_binomial,
+        {
+            "rel5.1": "failed",
+            "thm5.1": "failed",
+            "cor5.2": "failed",
+            "thm8.1": "failed",
+            "thm9.1": "failed",
+            "thm11.2": "failed",
+            "chu-vandermonde": "failed",
+        },
+        {"lambda_max": 2, "order": 4, "r_max": 4, "p_max": 3},
+        "a85feacdf1f750c24a1c45840260aa1abf9a351a6f0e259e264c22cfad1c2c7f",
     ),
     "_u_table": (
         moments,
